@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -544,18 +545,19 @@ def _cmd_montecarlo(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError(
             "almost every sample drew zero increase bits; increase --length"
         )
+    base = stats_mod.SampleStats.from_values(one_plus)
     stats_block = {
         "mean_xi": statistics.fmean(
             r["xi"] for r in rows if isinstance(r["xi"], float)
         ),
-        "mean_one_plus_xi": statistics.fmean(one_plus),
-        "std_one_plus_xi": stats_mod.sample_std(one_plus),
+        "mean_one_plus_xi": base.mean,
+        "std_one_plus_xi": base.std,
         "mean_indicator_std": statistics.fmean(r["indicator_std"] for r in rows),
     }
     levels = [0.95, 0.98, 0.99] if args.level == "all" else [int(args.level) / 100]
     intervals = {}
     for level in levels:
-        st = stats_mod.SampleStats.from_values(one_plus, level=level)
+        st = dataclasses.replace(base, level=level)
         mu_n = stats_mod.confidence_interval(st, mode="normal")
         mu_t = stats_mod.confidence_interval(st, mode="t")
         intervals[str(int(level * 100))] = {

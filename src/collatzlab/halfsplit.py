@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_MAX_STEPS, StepKind
+from .dynamics import StepKind
 from .identities import ResidueClass
-from .sweep import survey_range
 
 # Caps keep a single call to the pure-Python walkers at roughly 10^8 steps.
 DIRECT_ELEMENT_LIMIT = 1 << 21
@@ -255,25 +254,3 @@ def _iterate(x: int, n: int) -> int:
     for _ in range(n):
         x = x // 2 if x % 2 == 0 else (3 * x + 1) // 2
     return x
-
-
-@dataclass(frozen=True)
-class SweepToOneResult:
-    verified: int
-    failures: tuple[int, ...]
-
-
-def sweep_to_one(
-    limit: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
-) -> SweepToOneResult:
-    """Confirm that every 1 <= x <= limit reaches 1 within max_steps.
-
-    Starts that hit the step budget are returned as failures, which is data
-    (a rerun with a larger budget), not an error.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    survey = survey_range(1, limit + 1, max_steps=max_steps, workers=workers)
-    return SweepToOneResult(verified=survey.verified, failures=survey.failures)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .dynamics import DEFAULT_MAX_STEPS, step_general
 from .reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS
-from .sweep import survey_range
 
 # Two-sided normal critical values for the three supported levels; these exact
 # literals are part of the interface.
@@ -304,22 +303,6 @@ def stopping_profile(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> StoppingProf
     return StoppingProfile(
         x=x, stopping_time=stopping, total_stopping_time=total, complete=total is not None
     )
-
-
-def ratio_survey(
-    limit: int, max_steps: int = DEFAULT_MAX_STEPS, workers: int = 1
-) -> tuple[float, int]:
-    """Maximum of total_stopping_time / ln(x) over 2 <= x <= limit.
-
-    Returns (max_ratio, achieving x).  The published reference slope 6.14316
-    is context for reading the number, not a bound this function asserts.
-    """
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    survey = survey_range(2, limit + 1, max_steps=max_steps, workers=workers)
-    if survey.failures:
-        raise RuntimeError(f"{len(survey.failures)} starts hit the step budget")
-    return survey.max_ratio, survey.ratio_argmax
 
 
 def reference_rows_stats() -> dict:

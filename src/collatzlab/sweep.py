@@ -1,18 +1,35 @@
-"""Vectorized range surveys of shortcut trajectories.
+"""Range surveys of shortcut trajectories by stopping-time table lookup.
 
-The engine walks every start in [lo, hi) to the value 1, tallying total
-stopping times, the ratio total/ln(start), and the largest excursion.  Work is
-done in uint64 numpy chunks; any element whose value approaches the 64-bit
-multiply limit is finished with exact Python ints, so results never depend on
-the fast path staying in range.  Chunks are independent, and reports merge
-associatively with value-based tie-breaks, so the outcome is identical for any
-worker count or chunk size.
+A survey of [lo, hi) finds each start's total stopping time tst(x), the number
+of shortcut steps to 1, the largest tst(x)/ln(x) and the largest value any
+orbit reaches.  Since tst(x) = j + tst(T^j x), a start walks only until it
+lands on a start already surveyed, then adds that start's table entry.
+
+Starts go in doubling waves [L, 2L) from L = lo, in increasing order, each cut
+into pieces of `chunk_size`.  A piece walks in uint64 numpy arrays until each
+value lands on 1 or in [lo, L); values below lo have no entry and keep walking,
+and values above UINT64_SAFE_MAX go on as exact Python ints.  The table holds
+min(tst, max_steps + 1), the latter meaning "failed", in the smallest unsigned
+dtype that fits, for at most TABLE_CAP starts: waves above the cap walk until
+they drop below it, so memory is bounded for any range.  The peak stays exact:
+after landing, an orbit goes on as a prefix of the landed start's orbit, whose
+values were seen when that start was surveyed.
+
+Walks never read the table, so with several workers a process pool walks the
+pieces of this wave and later ones while the parent folds finished walks in
+range order; with one worker the same walk runs in-process.  Ties go to the
+smaller start, so the result is the same for every worker count and chunk
+size.  `survey_chunk_python`, the plain walk of every start to 1, is the
+reference.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +39,14 @@ from .dynamics import DEFAULT_MAX_STEPS
 # Largest value for which 3*x + 1 still fits in uint64.
 UINT64_SAFE_MAX = (2**64 - 2) // 3
 
-DEFAULT_CHUNK_SIZE = 1 << 20
+# A piece of 2^18 starts keeps the walk's temporaries to a few MB each.
+DEFAULT_CHUNK_SIZE = 1 << 18
+
+# Starts held in the stopping-time table: 64 MB at the default step budget.
+TABLE_CAP = 1 << 24
+
+# Budgets are clamped so that step sums stay within int64; no walk gets this long.
+_MAX_BUDGET = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -76,134 +100,116 @@ def _empty_survey(lo: int, hi: int) -> RangeSurvey:
     return RangeSurvey(lo, hi, 0, (), None, None, None, None, None)
 
 
-class _Tracker:
-    """Mutable accumulator for one chunk."""
-
-    def __init__(self, lo: int, hi: int) -> None:
-        self.lo, self.hi = lo, hi
-        self.verified = 0
-        self.failures: list[int] = []
-        self.max_tst: int | None = None
-        self.tst_arg: int | None = None
-        self.max_ratio: float | None = None
-        self.ratio_arg: int | None = None
-        self.peak: int | None = hi - 1 if hi > lo else None
-
-    def see_value(self, value: int) -> None:
-        if self.peak is None or value > self.peak:
-            self.peak = value
-
-    def finish(self, start: int, steps: int) -> None:
-        self.verified += 1
-        if self.max_tst is None or steps > self.max_tst or (
-            steps == self.max_tst and start < self.tst_arg
-        ):
-            self.max_tst, self.tst_arg = steps, start
-        if start >= 2:
-            ratio = steps / math.log(start)
-            if self.max_ratio is None or ratio > self.max_ratio or (
-                ratio == self.max_ratio and start < self.ratio_arg
-            ):
-                self.max_ratio, self.ratio_arg = ratio, start
-
-    def result(self) -> RangeSurvey:
-        return RangeSurvey(
-            lo=self.lo,
-            hi=self.hi,
-            verified=self.verified,
-            failures=tuple(sorted(self.failures)),
-            max_total_stopping_time=self.max_tst,
-            tst_argmax=self.tst_arg,
-            max_ratio=self.max_ratio,
-            ratio_argmax=self.ratio_arg,
-            peak=self.peak,
-        )
-
-
-def _finish_exact(tracker: _Tracker, value: int, start: int, steps: int, max_steps: int) -> None:
-    """Walk one element to 1 with Python ints (no overflow possible)."""
-    while value != 1 and steps < max_steps:
-        value = value // 2 if value % 2 == 0 else (3 * value + 1) // 2
-        steps += 1
-        tracker.see_value(value)
-    if value == 1:
-        tracker.finish(start, steps)
-    else:
-        tracker.failures.append(start)
-
-
 def survey_chunk_python(lo: int, hi: int, max_steps: int = DEFAULT_MAX_STEPS) -> RangeSurvey:
-    """Reference implementation: exact per-element walk, no numpy."""
-    tracker = _Tracker(lo, hi)
-    for start in range(lo, hi):
-        _finish_exact(tracker, start, start, 0, max_steps)
-    return tracker.result()
-
-
-def survey_chunk_numpy(
-    lo: int,
-    hi: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    overflow_limit: int = UINT64_SAFE_MAX,
-) -> RangeSurvey:
-    """Vectorized walk of [lo, hi) to 1 with exact fallback near the word limit."""
+    """Reference implementation: walk every start to 1 with Python ints, no numpy."""
     if hi <= lo:
         return _empty_survey(lo, hi)
-    tracker = _Tracker(lo, hi)
-    one = np.uint64(1)
-    three = np.uint64(3)
-    vals = np.arange(lo, hi, dtype=np.uint64)
-    starts = vals.copy()
-    at_one = vals == one
-    if at_one.any():
-        for s in starts[at_one]:
-            tracker.finish(int(s), 0)
-        keep = ~at_one
-        vals, starts = vals[keep], starts[keep]
+    done, failures, peak = [], [], hi - 1
+    for start in range(lo, hi):
+        value, steps = start, 0
+        while value != 1 and steps < max_steps:
+            value = value // 2 if value % 2 == 0 else (3 * value + 1) // 2
+            steps += 1
+            peak = max(peak, value)
+        if value == 1:
+            done.append((steps, start))
+        else:
+            failures.append(start)
+    # maxima over (value, start) pairs; ties resolve to the smaller start
+    tst = max(done, key=lambda d: (d[0], -d[1]), default=(None, None))
+    ratio = max(
+        ((steps / math.log(start), start) for steps, start in done if start >= 2),
+        key=lambda r: (r[0], -r[1]),
+        default=(None, None),
+    )
+    return RangeSurvey(lo, hi, len(done), tuple(failures), *tst, *ratio, peak)
+
+
+def _walk_exact(value: int, steps: int, lo: int, stop_hi: int, max_steps: int):
+    """Continue one walk with Python ints under the same stop rule: returns
+    (steps, landing value or None if the budget ran out first, peak)."""
+    peak = value
+    while steps < max_steps:
+        value = value // 2 if value % 2 == 0 else (3 * value + 1) // 2
+        steps += 1
+        peak = max(peak, value)
+        if value == 1 or lo <= value < stop_hi:
+            return steps, value, peak
+    return steps, None, peak
+
+
+def _walk_piece(
+    a: int, b: int, lo: int, stop_hi: int, max_steps: int, overflow_limit: int = UINT64_SAFE_MAX
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk every start in [a, b) until it lands on 1 or in [lo, stop_hi).
+
+    Returns (steps, land, peak): the steps each walk took, the value it
+    landed on, and the largest value seen.  A walk that runs out of budget
+    first reads max_steps + 1 steps and lands on 1.  Values above
+    overflow_limit are walked on with exact Python ints.
+    """
+    n = b - a
+    steps = np.full(n, max_steps + 1, dtype=np.min_scalar_type(max_steps + 1))
+    land = np.ones(n, dtype=np.uint64)
+    v = np.arange(a, b, dtype=np.uint64)
+    pos = np.arange(n)
+    peak = top = b - 1
     t = 0
-    while vals.size and t < max_steps:
-        high = vals > np.uint64(overflow_limit)
-        if high.any():
-            for v, s in zip(vals[high], starts[high]):
-                _finish_exact(tracker, int(v), int(s), t, max_steps)
-            keep = ~high
-            vals, starts = vals[keep], starts[keep]
-            if not vals.size:
-                break
+    while True:
+        # a walk stops on 1 or on a start in [lo, stop_hi)
+        if lo == 1 < stop_hi:
+            stop = v < stop_hi
+        else:
+            stop = ((v >= lo) & (v < stop_hi)) | (v == 1)
+        hit = np.flatnonzero(stop)
+        if hit.size:
+            steps[pos[hit]] = t
+            land[pos[hit]] = v[hit]
+            keep = np.flatnonzero(~stop)
+            v, pos = v[keep], pos[keep]
+        if top > overflow_limit:
+            high = v > overflow_limit
+            for p, x in zip(pos[high].tolist(), v[high].tolist()):
+                j, y, seen = _walk_exact(x, t, lo, stop_hi, max_steps)
+                peak = max(peak, seen)
+                if y is not None:
+                    steps[p], land[p] = j, y
+            v, pos = v[~high], pos[~high]
+        if not v.size or t == max_steps:
+            return steps, land, peak
+        # T(v) = v >> 1, plus v + 1 when v is odd
+        odd = v & 1
+        odd *= v + 1
+        v >>= 1
+        v += odd
         t += 1
-        odd = (vals & one).astype(bool)
-        vals = np.where(odd, (three * vals + one) >> one, vals >> one)
-        tracker.see_value(int(vals.max()))
-        reached = vals == one
-        if reached.any():
-            finished = starts[reached]
-            n = finished.size
-            tracker.verified += n
-            small = int(finished.min())
-            if tracker.max_tst is None or t > tracker.max_tst or (
-                t == tracker.max_tst and small < tracker.tst_arg
-            ):
-                tracker.max_tst, tracker.tst_arg = t, small
-            eligible = finished[finished >= 2]
-            if eligible.size:
-                ratios = t / np.log(eligible.astype(np.float64))
-                i = int(np.argmax(ratios))
-                ratio, arg = float(ratios[i]), int(eligible[i])
-                if tracker.max_ratio is None or ratio > tracker.max_ratio or (
-                    ratio == tracker.max_ratio and arg < tracker.ratio_arg
-                ):
-                    tracker.max_ratio, tracker.ratio_arg = ratio, arg
-            keep = ~reached
-            vals, starts = vals[keep], starts[keep]
-    tracker.failures.extend(int(s) for s in starts)
-    return tracker.result()
+        top = int(v.max())
+        peak = max(peak, top)
 
 
-def _chunk_worker(args: tuple) -> RangeSurvey:
-    lo, hi, max_steps, engine = args
-    if engine == "python":
-        return survey_chunk_python(lo, hi, max_steps)
-    return survey_chunk_numpy(lo, hi, max_steps)
+def _fold_piece(table, lo: int, a: int, b: int, fail: int, walk: tuple) -> RangeSurvey:
+    """Finish the starts of [a, b) from their walks and enter them in the table."""
+    steps, land, peak = walk
+    # Landing on 1 below lo wraps past the starts to the last slot, which holds 0.
+    slot = np.minimum(land - np.uint64(lo), np.uint64(table.size - 1))
+    tst = np.minimum(steps.astype(np.int64) + table[slot].astype(np.int64), fail)
+    stored = min(b, lo + table.size - 1) - a
+    if stored > 0:
+        table[a - lo : a - lo + stored] = tst[:stored]
+    starts = np.arange(a, b, dtype=np.uint64)
+    ok = tst < fail
+    done = np.where(ok, tst, -1)
+    # argmax takes the first, smallest, start of a tie; failures read -1
+    i = int(np.argmax(done))
+    tst_best = (int(done[i]), a + i) if done[i] >= 0 else (None, None)
+    skip = 1 if a == 1 else 0  # ln 1 = 0: start 1 has no ratio
+    ratios = done[skip:] / np.log(starts[skip:].astype(np.float64))
+    k = int(np.argmax(ratios)) if ratios.size else 0
+    ratio_best = (None, None)
+    if ratios.size and ratios[k] >= 0:
+        ratio_best = (float(ratios[k]), a + skip + k)
+    failures = tuple(starts[~ok].tolist())
+    return RangeSurvey(a, b, int(ok.sum()), failures, *tst_best, *ratio_best, peak)
 
 
 def survey_range(
@@ -214,11 +220,13 @@ def survey_range(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     engine: str = "numpy",
 ) -> RangeSurvey:
-    """Survey [lo, hi), optionally across worker processes.
+    """Survey [lo, hi), optionally walking the pieces in worker processes.
 
-    The chunk grid depends only on (lo, hi, chunk_size) and merging folds the
-    chunks in range order, so the result is byte-for-byte identical for every
-    worker count.
+    The pieces depend only on (lo, hi, chunk_size) and are folded in range
+    order, so the result is byte-for-byte identical for every worker count.
+    With workers > 1 one pool serves the whole survey, with no more workers
+    than the widest wave has pieces or the machine has CPUs.
+    engine="python" runs the reference walk instead.
     """
     if lo < 1:
         raise ValueError("range must start at 1 or above")
@@ -228,16 +236,43 @@ def survey_range(
         raise ValueError(f"unknown engine {engine!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    chunks = [
-        (start, min(start + chunk_size, hi), max_steps, engine)
-        for start in range(lo, hi, chunk_size)
+    if engine == "python":
+        return survey_chunk_python(lo, hi, max_steps)
+    # Freeing one 16 MB block raises glibc's mmap threshold above a piece's
+    # 2 MB temporaries, so they reuse heap pages instead of faulting in fresh
+    # ones at every step: about a quarter of a first 2^22 survey's time.
+    np.empty(1 << 21)
+    budget = min(max(max_steps, 0), _MAX_BUDGET)
+    table_end = min(hi, lo + TABLE_CAP)
+    # The spare last slot stays 0: walks that land on 1 below lo, or that ran
+    # out of budget (their steps already read max_steps + 1), look it up.
+    table = np.zeros(table_end - lo + 1, dtype=np.min_scalar_type(budget + 1))
+    waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
+    pieces = [
+        (a, min(a + chunk_size, wave_hi), lo, min(wave_lo, table_end), budget)
+        for wave_lo, wave_hi in waves
+        for a in range(wave_lo, wave_hi, chunk_size)
     ]
-    if workers <= 1 or len(chunks) == 1:
-        parts = [_chunk_worker(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_worker, chunks))
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.merge(part)
+    widest = max(-(-(b - a) // chunk_size) for a, b in waves)
+    pool_size = min(workers, widest, os.cpu_count() or 1)
+    result = _empty_survey(lo, lo)
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+        if pool is None:
+            walks = (_walk_piece(*piece) for piece in pieces)
+        else:
+            walks = _walks_in_order(pool, pieces, 2 * pool_size)
+        for (a, b, *_), walk in zip(pieces, walks):
+            result = result.merge(_fold_piece(table, lo, a, b, budget + 1, walk))
     return result
+
+
+def _walks_in_order(pool, pieces: list, depth: int):
+    """Yield the walks of the pieces in order, keeping `depth` of them in flight,
+    so that finished walks cannot pile up when the parent folds slower."""
+    pending: deque = deque()
+    for piece in pieces:
+        pending.append(pool.submit(_walk_piece, *piece))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()

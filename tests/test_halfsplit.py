@@ -11,7 +11,6 @@ from collatzlab.halfsplit import (
     halfsplit_verify,
     proof_case_table_check,
     step_kind_at,
-    sweep_to_one,
 )
 
 
@@ -213,25 +212,3 @@ class TestProofCaseTable:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_no_mismatches(self, n):
         assert proof_case_table_check(n) == []
-
-
-class TestSweepToOne:
-    def test_limit_one(self):
-        result = sweep_to_one(1)
-        assert result.verified == 1
-        assert result.failures == ()
-
-    def test_small_range(self):
-        result = sweep_to_one(10**4, max_steps=10**4)
-        assert result.verified == 10**4
-        assert result.failures == ()
-
-    def test_step_budget_failures(self):
-        result = sweep_to_one(30, max_steps=5)
-        assert result.verified + len(result.failures) == 30
-        assert 27 in result.failures
-        assert 1 not in result.failures
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            sweep_to_one(0)

@@ -20,7 +20,6 @@ from collatzlab.stats import (
     indicator_sample_std,
     interval_discrepancy_report,
     ratio_from_bits,
-    ratio_survey,
     reference_rows_stats,
     sample_ratios,
     sample_std,
@@ -311,34 +310,6 @@ class TestStoppingProfile:
         for x in range(2, 400):
             p = stopping_profile(x)
             assert p.stopping_time <= p.total_stopping_time
-
-
-class TestRatioSurvey:
-    def test_limit_two(self):
-        ratio, arg = ratio_survey(2)
-        assert arg == 2
-        assert ratio == pytest.approx(1 / math.log(2))
-
-    def test_limit_100_frozen(self):
-        ratio, arg = ratio_survey(100)
-        assert arg == 27
-        assert ratio == pytest.approx(21.23891528795954)
-
-    def test_limit_100_vs_oracle(self):
-        best = max(
-            (stopping_profile(x).ratio, x) for x in range(2, 101)
-        )
-        ratio, arg = ratio_survey(100)
-        assert (ratio, arg) == (pytest.approx(best[0]), best[1])
-
-    def test_limit_one_million_completes(self):
-        ratio, arg = ratio_survey(10**6)
-        assert ratio >= 21.23  # at least the value achieved by 27
-        assert 2 <= arg <= 10**6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ratio_survey(1)
 
 
 class TestReferenceNote:
