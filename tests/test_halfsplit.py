@@ -12,6 +12,7 @@ from collatzlab.halfsplit import (
     proof_case_table_check,
     step_kind_at,
 )
+from collatzlab.sweep import survey_range
 
 
 class TestPaperRangeTables:
@@ -212,3 +213,23 @@ class TestProofCaseTable:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_no_mismatches(self, n):
         assert proof_case_table_check(n) == []
+
+
+class TestSweepToOne:
+    """A sweep of [1, n] down to 1, as survey_range(1, n + 1) runs it."""
+
+    def test_limit_one(self):
+        result = survey_range(1, 2)
+        assert result.verified == 1
+        assert result.failures == ()
+
+    def test_small_range(self):
+        result = survey_range(1, 10**4 + 1, max_steps=10**4)
+        assert result.verified == 10**4
+        assert result.failures == ()
+
+    def test_step_budget_failures(self):
+        result = survey_range(1, 31, max_steps=5)
+        assert result.verified + len(result.failures) == 30
+        assert 27 in result.failures
+        assert 1 not in result.failures

@@ -28,6 +28,7 @@ from collatzlab.stats import (
     stopping_time_reference_note,
     t_critical,
 )
+from collatzlab.sweep import survey_range
 
 
 class TestRatioSimulation:
@@ -310,6 +311,22 @@ class TestStoppingProfile:
         for x in range(2, 400):
             p = stopping_profile(x)
             assert p.stopping_time <= p.total_stopping_time
+
+
+class TestRatioSurvey:
+    """The largest tst(x)/ln x over [2, n], as survey_range(2, n + 1) finds it."""
+
+    def test_limit_two(self):
+        s = survey_range(2, 3)
+        assert s.ratio_argmax == 2
+        assert s.max_ratio == pytest.approx(1 / math.log(2))
+
+    def test_limit_100_vs_oracle(self):
+        best = max(
+            (stopping_profile(x).ratio, x) for x in range(2, 101)
+        )
+        s = survey_range(2, 101)
+        assert (s.max_ratio, s.ratio_argmax) == (pytest.approx(best[0]), best[1])
 
 
 class TestReferenceNote:
