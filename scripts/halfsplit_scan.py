@@ -2,14 +2,16 @@
 """Scan the exact half split over 1..2^M for a range of M.
 
 For each M the within-theorem steps 1..M-1 must tally exactly (2^{M-1},
-2^{M-1}); the first step past the bound is printed too, to show where the
-guarantee stops being a guarantee (it may still split evenly by accident).
+2^{M-1}); they are counted by residue classes.  The first step past the bound
+is tallied too, by walking every start, to show where the guarantee stops
+being a guarantee (it may still split evenly by accident); above the direct
+method's element budget that step is skipped.
 """
 
 import argparse
 import time
 
-from collatzlab.halfsplit import halfsplit_verify
+from collatzlab.halfsplit import DIRECT_ELEMENT_LIMIT, ResourceLimitError, halfsplit_verify
 
 
 def main() -> None:
@@ -20,13 +22,17 @@ def main() -> None:
 
     for M in range(args.min_M, args.max_M + 1):
         t0 = time.perf_counter()
-        report = halfsplit_verify(M, steps=min(M, 22))
-        dt = time.perf_counter() - t0
+        try:
+            report = halfsplit_verify(M, method="classes")
+        except ResourceLimitError as exc:
+            raise SystemExit(f"M={M}: {exc}")
         ok = report.exact_split()
-        extra = next((t for t in report.tallies if not t.within_theorem), None)
-        note = ""
-        if extra is not None:
-            note = f"; step {extra.step} (outside bound): ({extra.increases}, {extra.decreases})"
+        if 1 << M <= DIRECT_ELEMENT_LIMIT:
+            extra = halfsplit_verify(M, steps=M).tallies[-1]
+            note = f"; step {M} (outside bound): ({extra.increases}, {extra.decreases})"
+        else:
+            note = f"; step {M} (outside bound) skipped: 2^{M} starts exceed the direct budget"
+        dt = time.perf_counter() - t0
         print(
             f"M={M:>2}: steps 1..{M - 1} all exactly "
             f"({1 << (M - 1)}, {1 << (M - 1)}): {ok} [{dt:.2f}s]{note}"

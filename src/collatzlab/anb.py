@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dynamics import (
     DEFAULT_MAX_STEPS,
@@ -194,6 +194,29 @@ def closed_form_anb_check(
     lhs = values[n] * (1 << prefix[n])
     rhs = a**n * x0 + b * sum(a ** (n - r) * (1 << prefix[r - 1]) for r in range(1, n + 1))
     return ClosedFormAnbCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+
+
+def closed_form_anb_checks(
+    x0: int, params: AnbParams, values: Sequence[int], exponents: Sequence[int]
+) -> Iterator[ClosedFormAnbCheck]:
+    """Check the generalized closed form at every n = 1..len(exponents) of one walk.
+
+    values are the odd values of the walk from x0 = values[0], exponents the
+    division exponents.  Left side values[n] * 2^{v_n} from the walk; right
+    side from x0 and the exponents alone by Horner's rule, R_0 = x0 and
+    R_n = a R_{n-1} + b 2^{v_{n-1}}, which equals
+    a^n x0 + b sum_{r=1..n} a^{n-r} 2^{v_{r-1}}.  Check n equals
+    `closed_form_anb_check(x0, params, n, exponents)`, the per-n reference.
+    """
+    if not values or values[0] != x0 or len(values) <= len(exponents):
+        raise ValueError("need the walk's values from x0, one more than exponents")
+    a, b = params.a, params.b
+    rhs, v = x0, 0
+    for n, k in enumerate(exponents, start=1):
+        rhs = a * rhs + (b << v)
+        v += k
+        lhs = values[n] << v
+        yield ClosedFormAnbCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
 def _walk_anb_general_zero(x: int, steps: int, params: AnbParams) -> tuple[int, int]:

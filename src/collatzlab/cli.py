@@ -44,6 +44,11 @@ EX_RESOURCE = 3
 
 M_SEED_RANGE = 1 << 20  # residue-shift m values are drawn below this bound
 
+# verify lemma7 runs samples x (2^(max_k+1) - 2) shift-law checks, each a few
+# microseconds; above this many it stops with exit 3.  The default run
+# (--max-k 12 --samples 100) makes 819,000.
+LEMMA7_CHECK_LIMIT = 1 << 24
+
 
 class UsageError(Exception):
     pass
@@ -274,6 +279,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     try:
         doc = runners[args.check](args)
     except halfsplit_mod.ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         doc = {
             "schema": "collatzlab/verify/v1",
             "check": args.check,
@@ -318,9 +324,21 @@ def _note_failure(doc: dict, counterexample: dict) -> None:
 def _verify_lemma7(args: argparse.Namespace) -> dict:
     if args.max_k < 1:
         raise UsageError("--max-k must be >= 1")
+    if args.samples < 0:
+        raise UsageError("--samples must be >= 0")
+    # k is capped so that an absurd --max-k builds no huge int; past 64 it is
+    # over the budget anyway.
+    if args.samples * ((1 << min(args.max_k, 64) + 1) - 2) > LEMMA7_CHECK_LIMIT:
+        raise halfsplit_mod.ResourceLimitError(
+            f"lemma7 runs samples x (2^(max_k+1) - 2) = {args.samples} x "
+            f"(2^{args.max_k + 1} - 2) checks, over the budget of "
+            f"{LEMMA7_CHECK_LIMIT}; lower --max-k or --samples"
+        )
     doc = _verify_doc(
         "lemma7", {"max_k": args.max_k, "samples": args.samples, "seed": args.seed}
     )
+    if not args.samples:
+        return doc  # no draws of m: no checks, and no residues worth visiting
     ms = np.random.default_rng(args.seed).integers(0, M_SEED_RANGE, size=args.samples)
     for k in range(1, args.max_k + 1):
         for i in range(1 << k):
@@ -338,8 +356,8 @@ def _verify_eq2(args: argparse.Namespace) -> dict:
     doc = _verify_doc("eq2", {"max_x0": args.max_x0})
     for x0 in range(1, args.max_x0 + 1, 2):
         traj, pe = trajectory_odd(x0)
-        for n in range(1, pe.step_count + 1):
-            res = ident_mod.closed_form_check(x0, n, exponents=pe.exponents)
+        checks = ident_mod.closed_form_checks(x0, traj.values, pe.exponents)
+        for n, res in enumerate(checks, start=1):
             doc["checks_run"] += 1
             if not res.holds:
                 _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
@@ -392,9 +410,9 @@ def _verify_anb_eq(args: argparse.Namespace) -> dict:
     starts = 2 * rng.integers(0, M_SEED_RANGE // 2, size=args.samples) + 1
     for x0 in starts:
         x0 = int(x0)
-        _, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
-        for n in range(1, args.max_n + 1):
-            res = anb_mod.closed_form_anb_check(x0, params, n, exponents=exps)
+        values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
+        checks = anb_mod.closed_form_anb_checks(x0, params, values, exps)
+        for n, res in enumerate(checks, start=1):
             doc["checks_run"] += 1
             if not res.holds:
                 _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})

@@ -5,18 +5,34 @@ and half a decrease step.  This module verifies that by direct counting, by a
 residue-class shortcut (the step-n direction of x depends only on x mod 2^n),
 and exposes the per-class view.  Reports over disjoint subranges merge by
 component-wise addition, which is what makes range-partitioned runs exact.
+
+The class images are refined with the shift law rather than walked: going
+from residues mod 2^(n-1) to residues mod 2^n costs one add per class, then
+one vectorised step takes every image one step further.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynamics import StepKind
 from .identities import ResidueClass
 
-# Caps keep a single call to the pure-Python walkers at roughly 10^8 steps.
+# Keeps a single call to the pure-Python direct walker at roughly 10^8 steps.
 DIRECT_ELEMENT_LIMIT = 1 << 21
-CLASSES_MAX_STEP = 22
+
+# Bytes the class refinement may hold: three uint64 arrays of 2^steps entries,
+# 24 bytes per class, so at most step 23 (M = 24) at 256 MB.
+CLASSES_MEMORY_LIMIT = 1 << 28
+_CLASS_BYTES = 24
+
+# For i < 2^n the image T^n(i) is below 3^n, so the refinement's largest value,
+# T^(n-1)(i) + 3^p with both terms below 3^(n-1), fits in uint64 while
+# 2 * 3^(n-1) < 2^64: up to step 40, whatever the memory limit.
+CLASSES_UINT64_MAX_STEP = 40
 
 
 class ResourceLimitError(RuntimeError):
@@ -112,8 +128,9 @@ def halfsplit_verify(
     """Tally step directions for the starts in [1, 2^M] (or a subrange of it).
 
     method "direct" walks every element and is the oracle; method "classes"
-    walks one representative per residue class mod 2^n and multiplies by the
-    class cardinality 2^(M-n), valid on the full range for steps n <= M-1.
+    counts the residue classes mod 2^n that increase at step n and multiplies
+    by the class cardinality 2^(M-n), valid on the full range for steps
+    n <= M-1.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -163,37 +180,78 @@ def _halfsplit_direct(M: int, lo: int, hi: int, steps: int) -> HalfSplitReport:
 
 
 def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
-    """Full-range tally computed from one representative per residue class.
+    """Full-range tally computed from the residue classes mod 2^n.
 
     The step-n direction of x depends only on x mod 2^n, so counting the odd
-    (n-1)-step images of the 2^n representatives and scaling by 2^(M-n) gives
-    the exact full-range tally without touching all 2^M elements.
+    (n-1)-step images of the 2^n residues and scaling by 2^(M-n) gives the
+    exact full-range tally without touching all 2^M elements.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if steps is None:
         steps = M - 1
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if steps > M - 1:
         raise ValueError(
             "class cardinalities are equal only for steps <= M-1; "
             "use the direct method for later steps"
         )
-    if steps > CLASSES_MAX_STEP:
-        raise ResourceLimitError(
-            f"class tally for step {steps} walks 2^{steps} representatives; "
-            f"the budget stops at step {CLASSES_MAX_STEP}"
-        )
     tallies = []
-    for n in range(1, steps + 1):
-        scale = 1 << (M - n)
-        inc_classes = sum(
-            1 for cls, kind in class_split(n, M) if kind is StepKind.INCREASE
-        )
-        inc = inc_classes * scale
-        tallies.append(
-            StepTally(n, inc, (1 << M) - inc, within_theorem=True)
-        )
+    for n, odd in enumerate(_image_parities(steps), start=1):
+        inc = int(np.count_nonzero(odd)) << (M - n)
+        tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=True))
     return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tuple(tallies))
+
+
+def _image_parities(steps: int) -> Iterator[np.ndarray]:
+    """Yield, for n = 1..steps, the parity of T^(n-1)(i) for each residue i mod 2^n.
+
+    This is the refinement of Terras' parity-vector bijection.  With p_i the
+    increases among the first n-1 steps of i, the shift law with m = 1 gives
+    T^(n-1)(i + 2^(n-1)) = 3^p_i + T^(n-1)(i), so the upper half of the
+    residues mod 2^n costs one add each; then one step in place takes every
+    image to T^n.  Residue 0 stays at 0 under the T(0) = 0 convention, and its
+    class in range, {2^n, 2^(n+1), ...}, decreases at step n as 0 does.  Each
+    yielded array is a uint64 view that the next iteration overwrites.
+    """
+    if steps > CLASSES_UINT64_MAX_STEP:
+        raise ResourceLimitError(
+            f"class tally for step {steps} would overflow uint64 images; "
+            f"it stops at step {CLASSES_UINT64_MAX_STEP}"
+        )
+    if _CLASS_BYTES << steps > CLASSES_MEMORY_LIMIT:
+        raise ResourceLimitError(
+            f"class tally for step {steps} holds 2^{steps} classes in "
+            f"{_CLASS_BYTES << steps} bytes; the memory budget of "
+            f"{CLASSES_MEMORY_LIMIT} bytes stops at step "
+            f"{(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length() - 1}"
+        )
+    image = np.zeros(1 << steps, dtype=np.uint64)  # T^(n-1)(i)
+    power = np.ones(1 << steps, dtype=np.uint64)  # 3^p_i
+    odd = np.empty(1 << steps, dtype=np.uint64)
+    size = 1
+    for n in range(1, steps + 1):
+        if n > 1:
+            # Step the images of the residues mod 2^(n-1), whose parities odd
+            # still holds.  First w *= 2 * parity + 1, i.e. 3 where v is odd.
+            v, w, o = image[:size], power[:size], odd[:size]
+            o <<= 1
+            o += 1
+            w *= o
+            o >>= 1
+            # Then v becomes v >> 1, plus v + 1 where v is odd: (3v + 1) / 2
+            # without forming 3v.
+            o *= v
+            v >>= 1
+            v += o
+            o &= 1
+            v += o
+        np.add(image[:size], power[:size], out=image[size : 2 * size])
+        power[size : 2 * size] = power[:size]
+        size *= 2
+        np.bitwise_and(image[:size], 1, out=odd[:size])
+        yield odd[:size]
 
 
 def step_kind_at(x: int, n: int) -> StepKind:
@@ -208,19 +266,18 @@ def step_kind_at(x: int, n: int) -> StepKind:
 def class_split(n: int, M: int) -> list[tuple[ResidueClass, StepKind]]:
     """Step-n direction of every residue class mod 2^n inside [1, 2^M].
 
-    The direction is the parity of the (n-1)-step image of the class
-    representative (residue i, or 2^n for the zero class, which is the
-    smallest member of that class in range).
+    The direction is the parity of the (n-1)-step image of the residue i,
+    read from the refinement; the zero class takes the direction of its
+    smallest member in range, 2^n.  `step_kind_at` is the reference.
     """
     if not 1 <= n <= M - 1:
         raise ValueError("need 1 <= n <= M-1")
-    if n > CLASSES_MAX_STEP:
-        raise ResourceLimitError(f"class split beyond step {CLASSES_MAX_STEP} exceeds budget")
-    out = []
-    for i in range(1 << n):
-        rep = i if i else 1 << n
-        out.append((ResidueClass(modulus_exponent=n, residue=i), step_kind_at(rep, n)))
-    return out
+    *_, odd = _image_parities(n)
+    kinds = (StepKind.DECREASE, StepKind.INCREASE)
+    return [
+        (ResidueClass(modulus_exponent=n, residue=i), kinds[bit])
+        for i, bit in enumerate(odd.tolist())
+    ]
 
 
 def proof_case_table_check(n: int) -> list[dict]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dynamics import ParityExponents, odd_steps_extended
 
@@ -120,6 +120,28 @@ def closed_form_check(
     lhs = values[n] * (1 << prefix[n])
     rhs = 3**n * x0 + sum(3 ** (n - r) * (1 << prefix[r - 1]) for r in range(1, n + 1))
     return ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+
+
+def closed_form_checks(
+    x0: int, values: Sequence[int], exponents: Sequence[int]
+) -> Iterator[ClosedFormCheck]:
+    """Check the closed form at every n = 1..len(exponents) along one walk.
+
+    values are the odd values of the walk from x0 = values[0], exponents the
+    division exponents.  The left side values[n] * 2^{v_n} is read off the
+    walk; the right side is built from x0 and the exponents alone by Horner's
+    rule, R_0 = x0 and R_n = 3 R_{n-1} + 2^{v_{n-1}}, which equals
+    3^n x0 + sum_{r=1..n} 3^{n-r} 2^{v_{r-1}}.  Check n equals
+    `closed_form_check(x0, n, exponents)`, the per-n reference.
+    """
+    if not values or values[0] != x0 or len(values) <= len(exponents):
+        raise ValueError("need the walk's values from x0, one more than exponents")
+    rhs, v = x0, 0
+    for n, k in enumerate(exponents, start=1):
+        rhs = 3 * rhs + (1 << v)
+        v += k
+        lhs = values[n] << v
+        yield ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
 def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:

@@ -30,7 +30,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,14 +256,18 @@ def survey_range(
     widest = max(-(-(b - a) // chunk_size) for a, b in waves)
     pool_size = min(workers, widest, os.cpu_count() or 1)
     result = _empty_survey(lo, lo)
+    failures: list[int] = []
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
         if pool is None:
             walks = (_walk_piece(*piece) for piece in pieces)
         else:
             walks = _walks_in_order(pool, pieces, 2 * pool_size)
         for (a, b, *_), walk in zip(pieces, walks):
-            result = result.merge(_fold_piece(table, lo, a, b, budget + 1, walk))
-    return result
+            part = _fold_piece(table, lo, a, b, budget + 1, walk)
+            # Pieces come in range order, so their failures append in order.
+            failures.extend(part.failures)
+            result = result.merge(replace(part, failures=()))
+    return replace(result, failures=tuple(failures))
 
 
 def _walks_in_order(pool, pieces: list, depth: int):

@@ -10,6 +10,7 @@ from collatzlab.anb import (
     anb_steps_extended,
     canonical_rotation,
     closed_form_anb_check,
+    closed_form_anb_checks,
     cycle_catalog,
     divergence_report,
     find_cycle,
@@ -145,6 +146,47 @@ class TestClosedForm:
                 _, exps = anb_steps_extended(x0, params, 50)
                 for n in range(1, 51):
                     assert closed_form_anb_check(x0, params, n, exponents=exps).holds
+
+
+class TestClosedFormBatch:
+    """The one-walk checks against the per-n reference, n by n."""
+
+    def test_matches_oracle_every_n(self):
+        starts = [2 * (37 * j % 5000) + 1 for j in range(60)]
+        for params in (P51, P71, P53, AnbParams(3, 1)):
+            for x0 in starts:
+                values, exps = anb_steps_extended(x0, params, 40)
+                got = list(closed_form_anb_checks(x0, params, values, exps))
+                assert got == [
+                    closed_form_anb_check(x0, params, n, exponents=exps)
+                    for n in range(1, 41)
+                ]
+
+    @given(
+        st.integers(0, 2000).map(lambda r: 2 * r + 1),
+        st.sampled_from([P51, P71, P53]),
+        st.lists(st.integers(1, 6), min_size=1, max_size=30),
+    )
+    @settings(max_examples=100)
+    def test_wrong_exponents_fail_like_oracle(self, x0, params, exps):
+        values, _ = anb_steps_extended(x0, params, len(exps))
+        got = list(closed_form_anb_checks(x0, params, values, exps))
+        assert got == [
+            closed_form_anb_check(x0, params, n, exponents=exps)
+            for n in range(1, len(exps) + 1)
+        ]
+
+    def test_first_failure_pinned(self):
+        # 7 -> 9 -> 23 under 5n+1 has exponents 2, 1; claim 2, 2
+        values, exps = anb_steps_extended(7, P51, 2)
+        assert exps == [2, 1]
+        got = list(closed_form_anb_checks(7, P51, values, [2, 2]))
+        assert [c.holds for c in got] == [True, False]
+        assert got[1] == closed_form_anb_check(7, P51, 2, exponents=[2, 2])
+
+    def test_bad_walk_rejected(self):
+        with pytest.raises(ValueError):
+            list(closed_form_anb_checks(7, P51, [7, 9], [2, 1]))
 
 
 class TestResidueShift:

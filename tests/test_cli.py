@@ -1,9 +1,14 @@
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from collatzlab import anb as anb_mod
+from collatzlab import cli as cli_mod
+from collatzlab import halfsplit as halfsplit_mod
+from collatzlab import identities as ident_mod
 from collatzlab.cli import (
     EX_INCONCLUSIVE,
     EX_OK,
@@ -11,6 +16,7 @@ from collatzlab.cli import (
     EX_USAGE,
     main,
 )
+from collatzlab.dynamics import ParityExponents
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -167,6 +173,141 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "4", "--samples", "5")
         assert code == EX_OK
         assert "passed=True" in out
+
+    def test_lemma7_work_budget(self, capsys):
+        code = main(["verify", "lemma7", "--max-k", "30", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        doc = json.loads(captured.out)
+        validator("verify.v1.json").validate(doc)
+        assert doc["partial"] is True and doc["checks_run"] == 0
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("resource limit: lemma7")
+        assert main(["verify", "lemma7", "--max-k", "1000000000"]) == EX_RESOURCE
+
+    def test_lemma7_samples(self, capsys):
+        assert main(["verify", "lemma7", "--samples", "-1"]) == EX_USAGE
+        code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "40", "--samples", "0",
+                            "--format", "json")
+        assert code == EX_OK
+        assert json.loads(out)["checks_run"] == 0
+
+    def test_halfsplit_class_budget_exit(self, capsys):
+        code = main(["verify", "halfsplit", "--M", "25", "--method", "classes"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        assert "memory budget" in captured.out
+        assert len(captured.err.splitlines()) == 1
+
+
+@lru_cache(maxsize=None)
+def _direct_by_classes(M, steps=None):
+    """The direct walk of every element, standing in for the class tally."""
+    return halfsplit_mod._halfsplit_direct(M, 1, 1 << M, M - 1 if steps is None else steps)
+
+
+def _eq2_per_n(x0, values, exponents):
+    return (
+        ident_mod.closed_form_check(x0, n, exponents=exponents)
+        for n in range(1, len(exponents) + 1)
+    )
+
+
+def _anb_per_n(x0, params, values, exponents):
+    return (
+        anb_mod.closed_form_anb_check(x0, params, n, exponents=exponents)
+        for n in range(1, len(exponents) + 1)
+    )
+
+
+class TestOneWalkChecksBytes:
+    """The one-walk checks print the same bytes as the reference paths."""
+
+    FORMATS = ("text", "json", "csv")
+
+    def _both(self, capsys, monkeypatch, module, name, reference, argv):
+        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(module, name, reference)
+        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.undo()
+        return fast, slow
+
+    @pytest.mark.parametrize("M", range(2, 19))
+    def test_halfsplit_classes(self, capsys, monkeypatch, M):
+        argv = ("verify", "halfsplit", "--M", str(M), "--method", "classes")
+        fast, slow = self._both(
+            capsys, monkeypatch, halfsplit_mod, "halfsplit_by_classes", _direct_by_classes, argv
+        )
+        assert fast == slow
+        assert fast[0][0] == EX_OK
+
+    @pytest.mark.parametrize("steps", ["0", "3"])
+    def test_halfsplit_classes_steps(self, capsys, monkeypatch, steps):
+        argv = ("verify", "halfsplit", "--M", "9", "--steps", steps, "--method", "classes")
+        fast, slow = self._both(
+            capsys, monkeypatch, halfsplit_mod, "halfsplit_by_classes", _direct_by_classes, argv
+        )
+        assert fast == slow
+
+    def test_eq2(self, capsys, monkeypatch):
+        argv = ("verify", "eq2", "--max-x0", "1999")
+        fast, slow = self._both(
+            capsys, monkeypatch, ident_mod, "closed_form_checks", _eq2_per_n, argv
+        )
+        assert fast == slow
+        assert json.loads(fast[1][1])["checks_run"] > 20000
+
+    def test_eq2_wrong_exponents(self, capsys, monkeypatch):
+        # both paths read the same corrupted exponents, so they must report
+        # the same failures and the same first counterexample
+        real = cli_mod.trajectory_odd
+
+        def corrupted(x0):
+            traj, pe = real(x0)
+            exps = list(pe.exponents)
+            if x0 % 7 == 3 and exps:
+                exps[len(exps) // 2] += 1
+            return traj, ParityExponents.from_exponents(exps)
+
+        monkeypatch.setattr(cli_mod, "trajectory_odd", corrupted)
+        argv = ("verify", "eq2", "--max-x0", "299")
+        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(ident_mod, "closed_form_checks", _eq2_per_n)
+        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        assert fast == slow
+        assert fast[0][0] == EX_INCONCLUSIVE
+        doc = json.loads(fast[1][1])
+        assert doc["failures"] > 0 and doc["counterexample"]["x0"] % 7 == 3
+
+    @pytest.mark.parametrize(
+        "a, b, samples, max_n",
+        [("5", "1", "200", "50"), ("7", "3", "30", "80"), ("3", "1", "20", "40")],
+    )
+    def test_anb_eq(self, capsys, monkeypatch, a, b, samples, max_n):
+        argv = ("verify", "anb-eq", "--a", a, "--b", b, "--samples", samples,
+                "--max-n", max_n, "--seed", "3")
+        fast, slow = self._both(
+            capsys, monkeypatch, anb_mod, "closed_form_anb_checks", _anb_per_n, argv
+        )
+        assert fast == slow
+        assert fast[0][0] == EX_OK
+
+    def test_anb_eq_wrong_exponents(self, capsys, monkeypatch):
+        real = anb_mod.anb_steps_extended
+
+        def corrupted(x0, params, count):
+            values, exps = real(x0, params, count)
+            if x0 % 5 == 2 and exps:
+                exps[-1] += 1
+            return values, exps
+
+        monkeypatch.setattr(anb_mod, "anb_steps_extended", corrupted)
+        argv = ("verify", "anb-eq", "--samples", "40", "--max-n", "12")
+        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(anb_mod, "closed_form_anb_checks", _anb_per_n)
+        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        assert fast == slow
+        assert fast[0][0] == EX_INCONCLUSIVE
 
 
 class TestMontecarloCommand:

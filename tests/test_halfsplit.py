@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collatzlab import halfsplit
 from collatzlab.dynamics import StepKind
 from collatzlab.halfsplit import (
+    CLASSES_UINT64_MAX_STEP,
     ResourceLimitError,
     StepTally,
     class_split,
@@ -106,6 +110,8 @@ class TestExactSplit:
         with pytest.raises(ValueError):
             halfsplit_verify(0)
         with pytest.raises(ValueError):
+            halfsplit_by_classes(6, steps=-1)
+        with pytest.raises(ValueError):
             halfsplit_verify(4, subrange=(0, 5))
         with pytest.raises(ValueError):
             halfsplit_verify(4, subrange=(3, 20))
@@ -113,6 +119,52 @@ class TestExactSplit:
             halfsplit_verify(4, method="magic")
         with pytest.raises(ValueError):
             halfsplit_verify(4, subrange=(1, 8), method="classes")
+
+
+class TestRefinement:
+    """The shift-law refinement against the direct walk of every element."""
+
+    @given(st.integers(2, 16).flatmap(lambda M: st.tuples(st.just(M), st.integers(0, M - 1))))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct(self, case):
+        M, steps = case
+        direct = halfsplit._halfsplit_direct(M, 1, 1 << M, steps)
+        assert halfsplit_by_classes(M, steps).tallies == direct.tallies
+
+    def test_every_step_small_M(self):
+        for M in range(2, 11):
+            for steps in range(M):
+                direct = halfsplit._halfsplit_direct(M, 1, 1 << M, steps)
+                assert halfsplit_by_classes(M, steps).tallies == direct.tallies
+
+    def test_large_M_exact(self):
+        report = halfsplit_by_classes(23)
+        assert len(report.tallies) == 22
+        assert report.exact_split()
+
+    def test_memory_budget(self, monkeypatch):
+        # 24 bytes per class: 2^10 classes fit in 24 KiB, 2^11 do not
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 24 << 10)
+        assert halfsplit_by_classes(11).exact_split()
+        with pytest.raises(ResourceLimitError):
+            halfsplit_by_classes(12)
+        with pytest.raises(ResourceLimitError):
+            halfsplit_verify(12, method="classes")
+        with pytest.raises(ResourceLimitError):
+            class_split(11, 12)
+
+    def test_uint64_guard_whatever_the_budget(self, monkeypatch):
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 1 << 100)
+        with pytest.raises(ResourceLimitError, match="uint64"):
+            halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 2)
+
+    def test_uint64_guard_bound(self):
+        # images of residues i < 2^k stay below 3^k, and the largest value
+        # formed at step n, T^(n-1)(i) + 3^p, below 2 * 3^(n-1)
+        for k in range(1, 13):
+            assert max(halfsplit._iterate(i, k) for i in range(1 << k)) < 3**k
+        n = CLASSES_UINT64_MAX_STEP
+        assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
 
 
 class TestMerge:
@@ -201,6 +253,12 @@ class TestClassSplit:
         split = dict((cls.residue, kind) for cls, kind in class_split(n, M))
         for x in range(1, (1 << M) + 1):
             assert step_kind_at(x, n) is split[x % (1 << n)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_step_kind_at(self, n):
+        # the zero class is read at its smallest member in range, 2^n
+        for cls, kind in class_split(n, n + 1):
+            assert kind is step_kind_at(cls.residue or 1 << n, n)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

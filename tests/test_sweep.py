@@ -50,6 +50,13 @@ class TestWaves:
         hi = lo * top
         assert survey_range(lo, hi, chunk_size=chunk_size) == survey_chunk_python(lo, hi)
 
+    @pytest.mark.parametrize("chunk_size", [1000, 1 << 18])
+    def test_many_failures_in_order(self, chunk_size):
+        # most starts fail at this budget; their failures fold piece by piece
+        s = survey_range(1, 2**16 + 1, max_steps=40, chunk_size=chunk_size)
+        assert s == survey_chunk_python(1, 2**16 + 1, max_steps=40)
+        assert len(s.failures) == 51752
+
     @pytest.mark.parametrize("lo", [1, 7])
     def test_failure_through_landing_value(self, lo):
         s = survey_range(lo, 3001, max_steps=40, chunk_size=97)
