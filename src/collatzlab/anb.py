@@ -31,6 +31,15 @@ from .identities import ShiftCheck
 LABEL_BOUNDED = "bounded/cyclic within horizon"
 LABEL_UNBOUNDED = "unbounded within horizon"
 
+# cycle_catalog remembers the values below 2^64 of its walks in one dict, and
+# stops remembering new walks once the dict holds this many entries (about
+# 26 MB; a walk is remembered whole, so the last one may pass the cap).  A walk
+# it does not remember only costs time later, never exactness.
+CATALOG_MEMO_CAP = 1 << 18
+_MEMO_BOUND = 1 << 64
+_LOW64 = _MEMO_BOUND - 1
+_BASIN = -1
+
 
 class ClosedFormAnbCheck(NamedTuple):
     lhs: int
@@ -153,17 +162,22 @@ def find_cycle(
     for _ in range(max_steps):
         nxt, _ = step_anb(values[-1], params)
         if nxt in index:
-            cycle = canonical_rotation(values[index[nxt]:])
-            exps = []
-            for j, x in enumerate(cycle):
-                y, k = step_anb(x, params)
-                if y != cycle[(j + 1) % len(cycle)]:
-                    raise AssertionError("cycle readback disagrees with the map")
-                exps.append(k)
-            return CycleRecord(params=params, members=cycle, exponents=tuple(exps))
+            return _read_cycle(values[index[nxt]:], params)
         index[nxt] = len(values)
         values.append(nxt)
     return None
+
+
+def _read_cycle(members: Sequence[int], params: AnbParams) -> CycleRecord:
+    """Certify the repeating part of a walk as a CycleRecord, step by step."""
+    cycle = canonical_rotation(members)
+    exps = []
+    for j, x in enumerate(cycle):
+        y, k = step_anb(x, params)
+        if y != cycle[(j + 1) % len(cycle)]:
+            raise AssertionError("cycle readback disagrees with the map")
+        exps.append(k)
+    return CycleRecord(params=params, members=cycle, exponents=tuple(exps))
 
 
 def closed_form_anb_check(
@@ -334,13 +348,94 @@ def cycle_catalog(
     """All distinct cycles entered from odd starts up to start_limit.
 
     Deduplicated by canonical rotation and ordered by (length, members), so
-    the catalog is deterministic for a given search budget.
+    the catalog is deterministic for a given search budget.  It is the
+    catalog of `find_cycle(x0, params, max_steps)` over the starts, which
+    stays the per-start reference; the walks here share a memo instead of
+    each running to the end of its budget (see `_catalog_walk`).
     """
     if start_limit < 1:
         raise ValueError("start_limit must be >= 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    memo: dict[int, int] = {}
     found: dict[tuple[int, ...], CycleRecord] = {}
     for x0 in range(1, start_limit + 1, 2):
-        record = find_cycle(x0, params, max_steps=max_steps)
-        if record is not None and record.members not in found:
-            found[record.members] = record
+        cycle = _catalog_walk(x0, params, max_steps, memo)
+        if cycle is not None:
+            record = _read_cycle(cycle, params)
+            found.setdefault(record.members, record)
     return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
+
+
+def _catalog_walk(
+    x0: int, params: AnbParams, max_steps: int, memo: dict[int, int]
+) -> list[int] | None:
+    """Walk x0 as `find_cycle` does, stopping early where the memo decides it.
+
+    Records the walk in the memo and returns its repeating part, as
+    `find_cycle` reads it, or None when it found no repeat or stopped early.
+    Memo entries, for values below 2^64 only:
+
+    - `_BASIN`: the value's orbit enters a cycle already found, so x0 can add
+      nothing new;
+    - a step s >= 0: the value is z_s of a walk z_0..z_max_steps with no
+      repeat, every value of which below 2^64 is in the memo (a walk that
+      stopped early continues as the walk it stopped on).
+
+    Reaching an entry s at step j stops the walk, with no repeat within
+    max_steps, when j >= s and no step before s met an entry or a value of
+    2^64 or more.  Proof: say the walk repeats at t <= max_steps, v_t = v_i.
+    If i >= j the repeat lies in the walk from z_s, which has none within
+    max_steps - s >= t - j steps.  If i < j, v_j = z_s lies on a cycle of
+    length P = t - i, and z has no repeat, so s + P > max_steps >= i + P,
+    i.e. i < s; v_i lies P - (j - i) steps after z_s on that cycle, so it is
+    z_(s + P - j + i) with s + P - j + i <= t <= max_steps: at step i < s
+    the walk met an entry or a value of 2^64 or more.  Without the second
+    condition the rule is wrong: for 5n+5 with max_steps 3, the walk
+    53 -> 135 -> 85 -> 215 leaves 135 at step 1, and the walk
+    85 -> 215 -> 135 would stop there and lose the cycle (85, 215, 135).
+    """
+    a, b = params.a, params.b
+    index = {x0: 0}
+    values = [x0]
+    cycle = None
+    basin = False
+    touched = max_steps + 1  # first step that met an entry or a value >= 2^64
+    x, j = x0, 0
+    while True:
+        if x < _MEMO_BOUND:
+            entry = memo.get(x)
+            if entry is not None:
+                if entry == _BASIN:
+                    basin = True
+                    break
+                if entry <= j and entry <= touched:
+                    break
+                if touched > j:
+                    touched = j
+        elif touched > j:
+            touched = j
+        if j == max_steps:
+            break
+        j += 1
+        t = a * x + b
+        low = t & _LOW64 or t  # the valuation of t, from its low word if it is not 0
+        x = t >> ((low & -low).bit_length() - 1)
+        first = index.setdefault(x, j)
+        if first != j:
+            cycle = values[first:]
+            basin = True  # every value walked leads into this cycle
+            break
+        values.append(x)
+    # A walk is remembered whole or not at all: the stop rule above relies on
+    # every small value of a remembered walk being in the memo.
+    if len(memo) < CATALOG_MEMO_CAP:
+        if basin:
+            for x in values:
+                if x < _MEMO_BOUND:
+                    memo[x] = _BASIN
+        else:
+            for step, x in enumerate(values):
+                if x < _MEMO_BOUND and step < memo.get(x, step + 1):
+                    memo[x] = step
+    return cycle

@@ -44,10 +44,19 @@ EX_RESOURCE = 3
 
 M_SEED_RANGE = 1 << 20  # residue-shift m values are drawn below this bound
 
-# verify lemma7 runs samples x (2^(max_k+1) - 2) shift-law checks, each a few
-# microseconds; above this many it stops with exit 3.  The default run
-# (--max-k 12 --samples 100) makes 819,000.
+# verify lemma7 runs samples x (2^(max_k+1) - 2) shift-law checks; above this
+# many it stops with exit 3.  The default run (--max-k 12 --samples 100)
+# makes 819,000.
 LEMMA7_CHECK_LIMIT = 1 << 24
+
+# verify eq2 and bohm walk every odd start up to --max-x0, about 60 and 45
+# microseconds each near 10^5; above this many starts they stop with exit 3.
+X0_START_LIMIT = 1 << 20
+
+# anb-cycles walks each odd start for at most --max-steps steps; above this
+# many odd starts x max(max_steps, 1) it stops with exit 3.  The default run
+# (--limit 100) counts 500,000.
+CYCLES_STEP_LIMIT = 1 << 24
 
 
 class UsageError(Exception):
@@ -339,20 +348,36 @@ def _verify_lemma7(args: argparse.Namespace) -> dict:
     )
     if not args.samples:
         return doc  # no draws of m: no checks, and no residues worth visiting
+    if args.max_k > ident_mod.SHIFT_UINT64_MAX_K:
+        raise halfsplit_mod.ResourceLimitError(
+            f"lemma7 walks in uint64 only up to k = {ident_mod.SHIFT_UINT64_MAX_K}; "
+            "lower --max-k"
+        )
     ms = np.random.default_rng(args.seed).integers(0, M_SEED_RANGE, size=args.samples)
     for k in range(1, args.max_k + 1):
-        for i in range(1 << k):
-            for m in ms:
-                res = ident_mod.residue_shift_check(k, int(m), i)
-                doc["checks_run"] += 1
-                if not res.holds:
-                    _note_failure(
-                        doc, {"k": k, "m": int(m), "i": i, "lhs": res.lhs, "rhs": res.rhs}
-                    )
+        for g0, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
+            doc["checks_run"] += lhs.size
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size:
+                first = bad[0]
+                i, pos = divmod(g0 + int(first), args.samples)
+                _note_failure(doc, {"k": k, "m": int(ms[pos]), "i": i,
+                                    "lhs": int(lhs[first]), "rhs": int(rhs[first])})
+                doc["failures"] += bad.size - 1
     return doc
 
 
+def _check_start_budget(args: argparse.Namespace) -> None:
+    starts = (args.max_x0 + 1) // 2
+    if starts > X0_START_LIMIT:
+        raise halfsplit_mod.ResourceLimitError(
+            f"{args.check} walks the {starts} odd starts up to --max-x0, over the "
+            f"budget of {X0_START_LIMIT}; lower --max-x0"
+        )
+
+
 def _verify_eq2(args: argparse.Namespace) -> dict:
+    _check_start_budget(args)
     doc = _verify_doc("eq2", {"max_x0": args.max_x0})
     for x0 in range(1, args.max_x0 + 1, 2):
         traj, pe = trajectory_odd(x0)
@@ -365,6 +390,7 @@ def _verify_eq2(args: argparse.Namespace) -> dict:
 
 
 def _verify_bohm(args: argparse.Namespace) -> dict:
+    _check_start_budget(args)
     doc = _verify_doc("bohm", {"max_x0": args.max_x0})
     for x0 in range(1, args.max_x0 + 1, 2):
         traj, pe = trajectory_odd(x0)
@@ -396,6 +422,10 @@ def _verify_anb_eq(args: argparse.Namespace) -> dict:
         params = AnbParams(a=args.a, b=args.b)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.samples < 0:
+        raise UsageError("--samples must be >= 0")
+    if args.max_n < 0:
+        raise UsageError("--max-n must be >= 0")
     doc = _verify_doc(
         "anb-eq",
         {
@@ -709,6 +739,15 @@ def _cmd_cycles(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError(str(exc)) from exc
     if args.limit < 1:
         raise UsageError("--limit must be >= 1")
+    if args.max_steps < 0:
+        raise UsageError("--max-steps must be >= 0")
+    starts = (args.limit + 1) // 2
+    if starts * max(args.max_steps, 1) > CYCLES_STEP_LIMIT:
+        raise halfsplit_mod.ResourceLimitError(
+            f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "
+            f"each, over the budget of {CYCLES_STEP_LIMIT} steps; lower --limit or "
+            "--max-steps"
+        )
     catalog = anb_mod.cycle_catalog(params, args.limit, max_steps=args.max_steps)
     cycles = []
     for record in catalog:

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .dynamics import ParityExponents, odd_steps_extended
+
+# residue_shift_blocks walks 2^k m + i for k steps in uint64.  With
+# x_0 + 1 <= 2^k (m + 1) and x_(n+1) + 1 <= 3/2 (x_n + 1), every value the walk
+# forms (it never forms 3x) is below 3^k (m + 1), and so is 3^p m + T^k(i).
+# For m below SHIFT_M_BOUND that stays within 2^64 up to k = SHIFT_UINT64_MAX_K.
+SHIFT_M_BOUND = 1 << 20
+SHIFT_UINT64_MAX_K = 27
+_SHIFT_BLOCK = 1 << 13  # grid elements per block
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,58 @@ def residue_shift_check(k: int, m: int, i: int) -> ShiftCheck:
     ti, p = _walk_shortcut_zero(i, k)
     rhs = 3**p * m + ti
     return ShiftCheck(holds=lhs == rhs, increase_count=p, lhs=lhs, rhs=rhs)
+
+
+def _walk_shortcut_zero_array(x: np.ndarray, steps: int) -> np.ndarray:
+    """`_walk_shortcut_zero` on a uint64 array, in place; returns the increases.
+
+    0 is even and halves to 0, which is the T(0) = 0 convention.
+    """
+    increases = np.zeros(x.shape, dtype=np.uint64)
+    odd = np.empty_like(x)
+    for _ in range(steps):
+        np.bitwise_and(x, 1, out=odd)
+        increases += odd
+        # (3x + 1) / 2 on odd x, x / 2 on even x: x >> 1, plus x + 1 if x is odd
+        odd *= x
+        x >>= 1
+        x += odd
+        odd &= 1
+        x += odd
+    return increases
+
+
+def residue_shift_blocks(
+    k: int, ms: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Both sides of `residue_shift_check(k, m, i)` for every i < 2^k and m in ms.
+
+    The checks are taken in the order of (i, position of m in ms), flattened
+    to g = i * len(ms) + position, and yielded in blocks (g0, lhs, rhs) of
+    uint64 arrays for g0 <= g < g0 + len(lhs).  As in the per-case check, the
+    two sides come from separate walks: the left from the representatives
+    2^k m + i, the right as 3^p m + T^k(i) from a walk of the residues alone.
+    """
+    if not 1 <= k <= SHIFT_UINT64_MAX_K:
+        raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
+    ms = np.asarray(ms, dtype=np.uint64)
+    if ms.size and int(ms.max()) >= SHIFT_M_BOUND:
+        raise ValueError(f"need every m below {SHIFT_M_BOUND} for uint64 walks")
+    total = ms.size << k
+    for g0 in range(0, total, _SHIFT_BLOCK):
+        g = np.arange(g0, min(g0 + _SHIFT_BLOCK, total), dtype=np.uint64)
+        i, pos = np.divmod(g, np.uint64(ms.size))
+        m = ms[pos]
+        lhs = (m << np.uint64(k)) | i
+        _walk_shortcut_zero_array(lhs, k)
+        i_lo = int(i[0])
+        residues = np.arange(i_lo, int(i[-1]) + 1, dtype=np.uint64)
+        p = _walk_shortcut_zero_array(residues, k)
+        rel = (i - np.uint64(i_lo)).astype(np.intp)
+        rhs = np.power(np.uint64(3), p)[rel]
+        rhs *= m
+        rhs += residues[rel]
+        yield g0, lhs, rhs
 
 
 def closed_form_check(

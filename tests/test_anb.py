@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzlab import anb as anb_mod
 from collatzlab.anb import (
     LABEL_BOUNDED,
     LABEL_UNBOUNDED,
@@ -125,6 +126,129 @@ class TestCycles:
         assert canonical_rotation([3, 1]) == (1, 3)
         with pytest.raises(ValueError):
             canonical_rotation([])
+
+
+def catalog_per_start(params, start_limit, max_steps):
+    """The catalog from `find_cycle` run on every odd start on its own."""
+    found = {}
+    for x0 in range(1, start_limit + 1, 2):
+        record = find_cycle(x0, params, max_steps=max_steps)
+        if record is not None:
+            found.setdefault(record.members, record)
+    return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
+
+
+CATALOG_PARAMS = [AnbParams(a, b) for a, b in [(5, 1), (5, 3), (7, 1), (5, 7), (3, 1), (3, 5)]]
+
+
+class TestCatalogMemo:
+    """cycle_catalog shares its walks through a memo; find_cycle is the reference."""
+
+    @given(
+        st.sampled_from(CATALOG_PARAMS + [AnbParams(5, 5), AnbParams(7, 3)]),
+        st.integers(1, 400),
+        st.one_of(st.integers(0, 40), st.sampled_from([60, 200, 300])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_start(self, params, start_limit, max_steps):
+        assert cycle_catalog(params, start_limit, max_steps) == catalog_per_start(
+            params, start_limit, max_steps
+        )
+
+    @pytest.mark.parametrize("params", CATALOG_PARAMS)
+    @pytest.mark.parametrize("start_limit", [100, 999])
+    def test_matches_per_start_pinned(self, params, start_limit):
+        for max_steps in (37, 60, 200):
+            assert cycle_catalog(params, start_limit, max_steps) == catalog_per_start(
+                params, start_limit, max_steps
+            )
+
+    @pytest.mark.parametrize("params", [P51, P71, P53])
+    def test_default_budget(self, params):
+        assert cycle_catalog(params, 151) == catalog_per_start(params, 151, 10**4)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    @pytest.mark.parametrize("params", CATALOG_PARAMS + [AnbParams(5, 5)])
+    def test_memo_cap(self, monkeypatch, cap, params):
+        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", cap)
+        for start_limit, max_steps in ((151, 37), (100, 3), (301, 200)):
+            assert cycle_catalog(params, start_limit, max_steps) == catalog_per_start(
+                params, start_limit, max_steps
+            )
+
+    def test_stop_behind_an_open_walk(self):
+        # 11 -> 7 under 5n+1 joins the open walk of 7 one step behind it
+        memo = {}
+        assert anb_mod._catalog_walk(7, P51, 50, memo) is None
+        assert memo[7] == 0 and memo[9] == 1 and memo[23] == 2
+        size = len(memo)
+        assert anb_mod._catalog_walk(11, P51, 50, memo) is None
+        assert memo[11] == 0 and len(memo) == size + 1
+        # 9 is one step ahead of the walk of 7: it walks on, and its steps,
+        # one smaller, replace those of 7
+        assert anb_mod._catalog_walk(9, P51, 50, memo) is None
+        assert memo[7] == 0 and memo[9] == 0 and memo[23] == 1
+
+    def test_no_stop_on_a_cycle_ahead_of_the_join(self):
+        # 5n+5, 3 steps: 53 -> 135 -> 85 -> 215 has no repeat and leaves 135
+        # at step 1.  The walk from 85 meets 135 at step 2 >= 1, but it met
+        # 85 itself at step 0 < 1, so it walks on and closes (85, 215, 135).
+        params = AnbParams(5, 5)
+        memo = {}
+        assert anb_mod._catalog_walk(53, params, 3, memo) is None
+        assert memo == {53: 0, 135: 1, 85: 2, 215: 3}
+        assert anb_mod._catalog_walk(85, params, 3, memo) == [85, 215, 135]
+        assert find_cycle(85, params, 3).members == (85, 215, 135)
+        assert [c.members for c in cycle_catalog(params, 100, 3)] == [
+            (5, 15), (65, 165, 415), (85, 215, 135)
+        ]
+
+    def test_whole_walk_is_remembered(self):
+        # 3n+5, 17 steps: 123 enters a 17-cycle at 187 and has no repeat.  The
+        # walk from 643 meets 187 at step 14 >= 1; it is stopped from doing so
+        # only because 643 itself, z_4 of that walk, is in the memo.
+        params = AnbParams(3, 5)
+        memo = {}
+        assert anb_mod._catalog_walk(123, params, 17, memo) is None
+        assert len(memo) == 18 and memo[187] == 1 and memo[643] == 4
+        cycle = anb_mod._catalog_walk(643, params, 17, memo)
+        assert len(cycle) == 17 and cycle[0] == 643
+        assert find_cycle(643, params, 17).members == canonical_rotation(cycle)
+
+    def test_value_past_the_bound_blocks_the_stop(self, monkeypatch):
+        # As above with the memo bound lowered to 600: 643 is now a value the
+        # memo cannot vouch for, and it must block the stop at 187 as its
+        # entry did.
+        monkeypatch.setattr(anb_mod, "_MEMO_BOUND", 600)
+        params = AnbParams(3, 5)
+        memo = {}
+        assert anb_mod._catalog_walk(123, params, 17, memo) is None
+        assert 643 not in memo and memo[187] == 1 and max(memo) < 600
+        assert len(anb_mod._catalog_walk(643, params, 17, memo)) == 17
+
+    def test_basin_stop(self):
+        memo = {}
+        assert anb_mod._catalog_walk(13, P51, 100, memo) == [13, 33, 83]
+        assert memo == {13: -1, 33: -1, 83: -1}
+        # 5 -> 13 lands in the basin of the cycle already found
+        assert anb_mod._catalog_walk(5, P51, 100, memo) is None
+        assert memo[5] == -1
+
+    def test_word_edges(self):
+        big = (1 << 64) + 1
+        memo = {}
+        assert anb_mod._catalog_walk(big, P51, 30, memo) is None
+        assert big not in memo and all(x < 1 << 64 for x in memo)
+        # 5 x0 + 1 = 2^64: the valuation is not in the low word
+        x0 = ((1 << 64) - 1) // 5
+        assert anb_mod._catalog_walk(x0, P51, 5, {}) == [1, 3]
+        assert find_cycle(x0, P51, 5).members == (1, 3)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            cycle_catalog(P51, 0)
+        with pytest.raises(ValueError):
+            cycle_catalog(P51, 10, max_steps=-1)
 
 
 class TestClosedForm:

@@ -2,6 +2,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -16,7 +17,7 @@ from collatzlab.cli import (
     EX_USAGE,
     main,
 )
-from collatzlab.dynamics import ParityExponents
+from collatzlab.dynamics import AnbParams, ParityExponents
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -192,6 +193,42 @@ class TestVerifyCommand:
         assert code == EX_OK
         assert json.loads(out)["checks_run"] == 0
 
+    def test_lemma7_uint64_guard(self, capsys, monkeypatch):
+        # the drawn m must fit the bound the uint64 walks are proved for
+        assert cli_mod.M_SEED_RANGE <= ident_mod.SHIFT_M_BOUND
+        # the check budget stops lemma7 first; without it, the uint64 guard does
+        monkeypatch.setattr(cli_mod, "LEMMA7_CHECK_LIMIT", 1 << 200)
+        k = ident_mod.SHIFT_UINT64_MAX_K + 1
+        code = main(["verify", "lemma7", "--max-k", str(k), "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        assert "uint64" in captured.out
+        assert captured.err.startswith("resource limit: lemma7")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--samples"])
+    def test_anb_eq_negative(self, capsys, flag):
+        code = main(["verify", "anb-eq", flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0\n"
+
+    @pytest.mark.parametrize("check", ["eq2", "bohm"])
+    def test_start_budget(self, capsys, monkeypatch, check):
+        code = main(["verify", check, "--max-x0", "100000000", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        doc = json.loads(captured.out)
+        validator("verify.v1.json").validate(doc)
+        assert doc["partial"] is True and doc["checks_run"] == 0
+        assert captured.err.startswith(f"resource limit: {check} walks the 50000000")
+        assert len(captured.err.splitlines()) == 1
+        # the budget counts odd starts: 2 * limit - 1 is the last admitted bound
+        monkeypatch.setattr(cli_mod, "X0_START_LIMIT", 100)
+        assert main(["verify", check, "--max-x0", "200"]) == EX_OK
+        assert main(["verify", check, "--max-x0", "201"]) == EX_RESOURCE
+
     def test_halfsplit_class_budget_exit(self, capsys):
         code = main(["verify", "halfsplit", "--M", "25", "--method", "classes"])
         captured = capsys.readouterr()
@@ -218,6 +255,27 @@ def _anb_per_n(x0, params, values, exponents):
         anb_mod.closed_form_anb_check(x0, params, n, exponents=exponents)
         for n in range(1, len(exponents) + 1)
     )
+
+
+def _lemma7_per_case(k, ms):
+    """residue_shift_check on every (i, m) in order, as one block."""
+    checks = [ident_mod.residue_shift_check(k, int(m), i) for i in range(1 << k) for m in ms]
+    yield (
+        0,
+        np.array([c.lhs for c in checks], dtype=np.uint64),
+        np.array([c.rhs for c in checks], dtype=np.uint64),
+    )
+
+
+@lru_cache(maxsize=None)
+def _catalog_per_start(params, start_limit, max_steps=10**4):
+    """find_cycle run on every odd start on its own."""
+    found = {}
+    for x0 in range(1, start_limit + 1, 2):
+        record = anb_mod.find_cycle(x0, params, max_steps=max_steps)
+        if record is not None:
+            found.setdefault(record.members, record)
+    return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
 
 
 class TestOneWalkChecksBytes:
@@ -308,6 +366,84 @@ class TestOneWalkChecksBytes:
         slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         assert fast == slow
         assert fast[0][0] == EX_INCONCLUSIVE
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-k", "8", "--samples", "25", "--seed", "7"),
+            ("--max-k", "4", "--samples", "5"),
+            ("--max-k", "1", "--samples", "3", "--seed", "9"),
+            ("--max-k", "10", "--samples", "1", "--seed", "2"),
+        ],
+    )
+    def test_lemma7(self, capsys, monkeypatch, argv):
+        argv = ("verify", "lemma7", *argv)
+        fast, slow = self._both(
+            capsys, monkeypatch, ident_mod, "residue_shift_blocks", _lemma7_per_case, argv
+        )
+        assert fast == slow
+        assert fast[0][0] == EX_OK
+
+    def test_lemma7_broken_side(self, capsys, monkeypatch):
+        # break the walk from every start 3 mod 7, in the per-case walker and
+        # in the array walker alike: the left side walks 2^k m + i and the
+        # right side walks i, so a check fails where exactly one of them is hit
+        walk, walk_array = ident_mod._walk_shortcut_zero, ident_mod._walk_shortcut_zero_array
+
+        def broken(x, steps):
+            y, p = walk(x, steps)
+            return y + (x % 7 == 3), p
+
+        def broken_array(x, steps):
+            hit = (x % 7 == 3).astype(np.uint64)
+            p = walk_array(x, steps)
+            x += hit
+            return p
+
+        monkeypatch.setattr(ident_mod, "_walk_shortcut_zero", broken)
+        monkeypatch.setattr(ident_mod, "_walk_shortcut_zero_array", broken_array)
+        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)  # several blocks per k
+        argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
+        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(ident_mod, "residue_shift_blocks", _lemma7_per_case)
+        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        assert fast == slow
+        assert fast[0][0] == EX_INCONCLUSIVE
+        # the count and the first counterexample in (k, i, draw) order, as
+        # the per-case loop over the broken check finds them
+        ms = np.random.default_rng(4).integers(0, cli_mod.M_SEED_RANGE, size=6)
+        failures, first = 0, None
+        for k in range(1, 8):
+            for i in range(1 << k):
+                for m in ms:
+                    res = ident_mod.residue_shift_check(k, int(m), i)
+                    if not res.holds:
+                        failures += 1
+                        first = first or {"k": k, "m": int(m), "i": i,
+                                          "lhs": res.lhs, "rhs": res.rhs}
+        doc = json.loads(fast[1][1])
+        assert 0 < failures < doc["checks_run"]
+        assert doc["failures"] == failures and doc["counterexample"] == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--a", "5", "--b", "1", "--limit", "151"),
+            ("--a", "7", "--b", "1", "--limit", "151"),
+            ("--a", "5", "--b", "3", "--limit", "301"),
+            ("--limit", "100", "--max-steps", "37"),
+            ("--a", "5", "--b", "5", "--limit", "100", "--max-steps", "3"),
+            ("--a", "3", "--b", "5", "--limit", "99", "--max-steps", "0"),
+        ],
+    )
+    def test_anb_cycles(self, capsys, monkeypatch, argv):
+        argv = ("anb-cycles", *argv)
+        fast, slow = self._both(
+            capsys, monkeypatch, anb_mod, "cycle_catalog", _catalog_per_start, argv
+        )
+        assert fast == slow
+        assert fast[0][0] == EX_OK
 
 
 class TestMontecarloCommand:
@@ -464,6 +600,28 @@ class TestCyclesCommand:
     def test_usage(self, capsys):
         assert main(["anb-cycles", "--a", "4"]) == EX_USAGE
         assert main(["anb-cycles", "--limit", "0"]) == EX_USAGE
+
+    def test_negative_max_steps(self, capsys):
+        code = main(["anb-cycles", "--max-steps", "-5"])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: --max-steps must be >= 0\n"
+
+    def test_step_budget(self, capsys, monkeypatch):
+        code = main(["anb-cycles", "--limit", "1000000000000", "--max-steps", "1"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: anb-cycles walks 500000000000")
+        assert len(captured.err.splitlines()) == 1
+        # odd starts x max(max_steps, 1): 50 x 10^4 is admitted at exactly the limit
+        monkeypatch.setattr(cli_mod, "CYCLES_STEP_LIMIT", 50 * 10**4)
+        assert main(["anb-cycles", "--limit", "100"]) == EX_OK
+        assert main(["anb-cycles", "--limit", "101"]) == EX_RESOURCE
+        monkeypatch.setattr(cli_mod, "CYCLES_STEP_LIMIT", 50)
+        assert main(["anb-cycles", "--limit", "100", "--max-steps", "0"]) == EX_OK
+        assert main(["anb-cycles", "--limit", "101", "--max-steps", "0"]) == EX_RESOURCE
 
 
 class TestOutputFile:

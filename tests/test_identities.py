@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzlab import identities as ident_mod
 from collatzlab.dynamics import classify_counts, odd_steps_extended, trajectory_odd
 from collatzlab.identities import (
+    SHIFT_M_BOUND,
+    SHIFT_UINT64_MAX_K,
     ResidueClass,
     closed_form_check,
     closed_form_checks,
@@ -16,6 +20,7 @@ from collatzlab.identities import (
     heuristic_tail_value,
     prefix_sum_offset_report,
     reconstruct_start,
+    residue_shift_blocks,
     residue_shift_check,
 )
 
@@ -89,6 +94,72 @@ class TestResidueShift:
         with pytest.raises(ValueError):
             ResidueClass(modulus_exponent=2, residue=4)
         assert ResidueClass(modulus_exponent=3, residue=5).modulus == 8
+
+
+def shift_grid(k, ms):
+    """All (g0, lhs, rhs) blocks of residue_shift_blocks, checked to tile the grid."""
+    blocks = list(residue_shift_blocks(k, ms))
+    offsets = [g0 for g0, _, _ in blocks]
+    sizes = [lhs.size for _, lhs, _ in blocks]
+    assert offsets == [sum(sizes[:n]) for n in range(len(blocks))]
+    assert sum(sizes) == len(ms) << k
+    for _, lhs, rhs in blocks:
+        assert lhs.dtype == rhs.dtype == np.uint64 and lhs.shape == rhs.shape
+    return np.concatenate([lhs for _, lhs, _ in blocks]), np.concatenate(
+        [rhs for _, _, rhs in blocks]
+    )
+
+
+MS = np.array([5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77])
+
+
+class TestResidueShiftBlocks:
+    """The blocked uint64 checks against residue_shift_check, case by case."""
+
+    @pytest.mark.parametrize("block", [8192, 7, 9, 1])
+    def test_every_case_small_k(self, monkeypatch, block):
+        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
+        for k in range(1, 9 if block > 1 else 6):
+            lhs, rhs = shift_grid(k, MS)
+            for i in range(1 << k):
+                for pos, m in enumerate(MS):
+                    g = i * len(MS) + pos
+                    res = residue_shift_check(k, int(m), i)
+                    assert (int(lhs[g]), int(rhs[g])) == (res.lhs, res.rhs)
+
+    @given(st.integers(9, 14), st.lists(st.integers(0, SHIFT_M_BOUND - 1), min_size=1, max_size=5),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_cases(self, k, ms, data):
+        lhs, rhs = shift_grid(k, np.array(ms))
+        for _ in range(20):
+            i = data.draw(st.integers(0, (1 << k) - 1))
+            pos = data.draw(st.integers(0, len(ms) - 1))
+            res = residue_shift_check(k, ms[pos], i)
+            g = i * len(ms) + pos
+            assert (int(lhs[g]), int(rhs[g])) == (res.lhs, res.rhs)
+
+    def test_uint64_bound(self):
+        # every value formed stays below 3^k (m + 1) <= 3^k * SHIFT_M_BOUND
+        assert 3**SHIFT_UINT64_MAX_K * SHIFT_M_BOUND <= 1 << 64
+        assert 3 ** (SHIFT_UINT64_MAX_K + 1) * SHIFT_M_BOUND > 1 << 64
+        # the residue 2^k - 1 increases at every step, the largest growth
+        k, m = SHIFT_UINT64_MAX_K, SHIFT_M_BOUND - 1
+        starts = [(m << k) + (1 << k) - 1, (1 << k) - 1, (m << k) + (1 << k) - 3]
+        walked = np.array(starts, dtype=np.uint64)
+        increases = ident_mod._walk_shortcut_zero_array(walked, k)
+        for x, y, p in zip(starts, walked.tolist(), increases.tolist()):
+            assert (y, p) == ident_mod._walk_shortcut_zero(x, k)
+        assert walked[0] == 3**k * (m + 1) - 1
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            next(residue_shift_blocks(SHIFT_UINT64_MAX_K + 1, [1]))
+        with pytest.raises(ValueError):
+            next(residue_shift_blocks(0, [1]))
+        with pytest.raises(ValueError):
+            next(residue_shift_blocks(3, [SHIFT_M_BOUND]))
+        assert list(residue_shift_blocks(3, [])) == []
 
 
 class TestClosedForm:
