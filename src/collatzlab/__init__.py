@@ -2,150 +2,9 @@
 
 Exact trajectory arithmetic and identities, residue-class half-split tallies,
 an+b generalizations with cycle certification, vectorized range sweeps, and
-seeded drift statistics, all behind one CLI (see `collatzlab.cli`).
+seeded drift statistics, all behind one CLI (see `collatzlab.cli`).  Import
+from the modules, `collatzlab.<module>`; importing the package loads none of
+them, so a command pays only for the modules it uses.
 """
 
-from .dynamics import (
-    DEFAULT_MAX_STEPS,
-    AnbParams,
-    ParityExponents,
-    StepKind,
-    Termination,
-    Trajectory,
-    classify_counts,
-    exponent_bookkeeping_report,
-    odd_steps_extended,
-    step_anb,
-    step_general,
-    step_odd,
-    trajectory_general,
-    trajectory_odd,
-    two_adic_valuation,
-)
-from .identities import (
-    ClosedFormCheck,
-    GeometricSumCheck,
-    ResidueClass,
-    ShiftCheck,
-    closed_form_check,
-    closed_form_checks,
-    geometric_tail_identity,
-    heuristic_model,
-    heuristic_model_prefix,
-    heuristic_model_recursive,
-    heuristic_tail_value,
-    prefix_sum_offset_report,
-    reconstruct_start,
-    residue_shift_check,
-)
-from .halfsplit import (
-    HalfSplitReport,
-    ResourceLimitError,
-    StepTally,
-    class_split,
-    halfsplit_by_classes,
-    halfsplit_verify,
-    proof_case_table_check,
-    step_kind_at,
-)
-from .anb import (
-    CycleRecord,
-    DivergenceDiagnostic,
-    anb_general_step,
-    anb_steps_extended,
-    canonical_rotation,
-    closed_form_anb_check,
-    closed_form_anb_checks,
-    cycle_catalog,
-    divergence_report,
-    find_cycle,
-    residue_shift_check_anb,
-    trajectory_anb,
-)
-from .stats import (
-    SampleStats,
-    StoppingProfile,
-    confidence_interval,
-    drift_bound,
-    drift_bound_holds,
-    exponentiate_interval,
-    indicator_sample_std,
-    interval_discrepancy_report,
-    ratio_from_bits,
-    sample_ratios,
-    sample_std,
-    simulate_ratio,
-    stopping_profile,
-    t_critical,
-)
-from .sweep import RangeSurvey, survey_range
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_MAX_STEPS",
-    "AnbParams",
-    "ParityExponents",
-    "StepKind",
-    "Termination",
-    "Trajectory",
-    "classify_counts",
-    "exponent_bookkeeping_report",
-    "odd_steps_extended",
-    "step_anb",
-    "step_general",
-    "step_odd",
-    "trajectory_general",
-    "trajectory_odd",
-    "two_adic_valuation",
-    "ClosedFormCheck",
-    "GeometricSumCheck",
-    "ResidueClass",
-    "ShiftCheck",
-    "closed_form_check",
-    "closed_form_checks",
-    "geometric_tail_identity",
-    "heuristic_model",
-    "heuristic_model_prefix",
-    "heuristic_model_recursive",
-    "heuristic_tail_value",
-    "prefix_sum_offset_report",
-    "reconstruct_start",
-    "residue_shift_check",
-    "HalfSplitReport",
-    "ResourceLimitError",
-    "StepTally",
-    "class_split",
-    "halfsplit_by_classes",
-    "halfsplit_verify",
-    "proof_case_table_check",
-    "step_kind_at",
-    "CycleRecord",
-    "DivergenceDiagnostic",
-    "anb_general_step",
-    "anb_steps_extended",
-    "canonical_rotation",
-    "closed_form_anb_check",
-    "closed_form_anb_checks",
-    "cycle_catalog",
-    "divergence_report",
-    "find_cycle",
-    "residue_shift_check_anb",
-    "trajectory_anb",
-    "SampleStats",
-    "StoppingProfile",
-    "confidence_interval",
-    "drift_bound",
-    "drift_bound_holds",
-    "exponentiate_interval",
-    "indicator_sample_std",
-    "interval_discrepancy_report",
-    "ratio_from_bits",
-    "sample_ratios",
-    "sample_std",
-    "simulate_ratio",
-    "stopping_profile",
-    "t_critical",
-    "RangeSurvey",
-    "survey_range",
-]

@@ -24,6 +24,8 @@ from .dynamics import (
     StepKind,
     Termination,
     Trajectory,
+    _require_odd,
+    collect_orbit,
     step_anb,
 )
 from .identities import ShiftCheck
@@ -71,6 +73,35 @@ def anb_steps_extended(
     return values, exponents
 
 
+def anb_orbit_steps(
+    x0: int, params: AnbParams, max_steps: int = DEFAULT_MAX_STEPS
+) -> Iterator[tuple[int, int, int, int]]:
+    """Walk the generalized odd map from x0 until a value repeats or max_steps pass.
+
+    Yields one record (y, a, b, k) per step, with y = (a * x + b) / 2^k, as
+    `dynamics.orbit_steps` does.  A repeat means the orbit has entered a
+    cycle; the repeated value is not yielded, so the walk lists each visited
+    odd number exactly once.  The arguments are checked before the first step.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    if max_steps:
+        _require_odd(x0)  # as the first step would
+    return _anb_orbit_steps(x0, params, max_steps)
+
+
+def _anb_orbit_steps(
+    x: int, params: AnbParams, max_steps: int
+) -> Iterator[tuple[int, int, int, int]]:
+    seen = {x}
+    for _ in range(max_steps):
+        x, k = step_anb(x, params)
+        if x in seen:
+            return
+        seen.add(x)
+        yield x, params.a, params.b, k
+
+
 def trajectory_anb(
     x0: int, params: AnbParams, max_steps: int = DEFAULT_MAX_STEPS
 ) -> tuple[Trajectory, ParityExponents]:
@@ -79,22 +110,11 @@ def trajectory_anb(
     A repeat means the orbit has entered a cycle; the repeated value is not
     appended again, so `values` lists each visited odd number exactly once.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    seen = {x0}
-    values = [x0]
-    steps: list[StepKind] = []
-    exponents: list[int] = []
-    terminated = Termination.STEP_LIMIT
-    while len(steps) < max_steps:
-        nxt, k = step_anb(values[-1], params)
-        if nxt in seen:
-            terminated = Termination.REACHED_CYCLE
-            break
-        steps.append(StepKind.INCREASE if nxt > values[-1] else StepKind.DECREASE)
-        values.append(nxt)
-        exponents.append(k)
-        seen.add(nxt)
+    values, steps, exponents = collect_orbit(x0, anb_orbit_steps(x0, params, max_steps))
+    # the walk stops early only on a repeat
+    terminated = (
+        Termination.REACHED_CYCLE if len(steps) < max_steps else Termination.STEP_LIMIT
+    )
     traj = Trajectory(
         start=x0, values=tuple(values), steps=tuple(steps), terminated=terminated
     )

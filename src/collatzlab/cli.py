@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
 import statistics
 import sys
-
-import numpy as np
+from collections.abc import Callable
 
 from . import anb as anb_mod
 from . import halfsplit as halfsplit_mod
@@ -31,11 +31,10 @@ from .dynamics import (
     DEFAULT_MAX_STEPS,
     AnbParams,
     Termination,
-    trajectory_general,
+    orbit_steps,
     trajectory_odd,
 )
 from .reference_table import FIXTURE_NAME, REFERENCE_ROWS, SAMPLE_LENGTH
-from .sweep import survey_range
 
 EX_OK = 0
 EX_USAGE = 1
@@ -58,6 +57,27 @@ X0_START_LIMIT = 1 << 20
 # (--limit 100) counts 500,000.
 CYCLES_STEP_LIMIT = 1 << 24
 
+# verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 Fraction terms, about
+# 9 microseconds each near --max-n 200 --max-m 200 (4,080,501 terms); above
+# this many it stops with exit 3.  The default run makes 67,626.
+GEOM_TERM_LIMIT = 1 << 22
+
+# trajectory writes its rows while the output stays within this many bytes;
+# the row that would pass it is left out, and the run ends with its summary
+# and exit 3.  The 5n+1 orbit of 7 reaches it after 53,347 steps.
+TRAJECTORY_OUTPUT_LIMIT = 1 << 28
+
+# sweep runs at most this many worker processes (and never more than the CPUs).
+THREADS_LIMIT = 256
+
+# Decimal arithmetic that is exact or traps: unbounded precision and exponent.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+
 
 class UsageError(Exception):
     pass
@@ -68,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_line(obj: dict) -> str:
+def _json_line(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -144,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="walk every start in 1..limit to 1")
     p_sweep.add_argument("--limit", type=int, required=True)
     p_sweep.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_sweep.add_argument(
+        "--threads", type=int, default=1,
+        help=f"worker processes, 1..{THREADS_LIMIT} (the pool never exceeds the CPUs)",
+    )
     _add_output_args(p_sweep)
 
     p_cyc = sub.add_parser("anb-cycles", help="catalog cycles of one (a, b) map")
@@ -162,7 +185,62 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="file path (default: stdout)")
 
 
+class _Output:
+    """Where a command writes: stdout, or the --output file.
+
+    Writes are joined into chunks of about 64 KiB, so a streamed document
+    costs one system call per chunk, not per row, even when stdout is
+    unbuffered, and an output smaller than a chunk is written at once, at
+    the end.  The file is opened (and truncated) at the first chunk, so a
+    command that fails before it writes leaves an existing file as it was.
+    """
+
+    CHUNK = 1 << 16
+
+    def __init__(self, path: str | None) -> None:
+        self._path = path
+        self._file = None
+        self._parts: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= self.CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        text = "".join(self._parts)
+        self._parts.clear()
+        self._size = 0
+        if self._path is None:
+            sys.stdout.write(text)
+            return
+        if self._file is None:
+            self._file = open(self._path, "w")
+        self._file.write(text)
+
+    def close(self) -> None:
+        if self._parts:
+            self._flush()
+        if self._file is not None:
+            self._file.close()
+
+
 def main(argv: list[str] | None = None) -> int:
+    # Payloads hold exact ints of any size, so Python's int/str digit guard
+    # (4300 digits by default, from 3.10.7 on) is lifted for the call.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -176,107 +254,160 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "anb-cycles": _cmd_cycles,
     }
+    out = _Output(args.output)
     try:
-        text, code = handlers[args.command](args)
+        return handlers[args.command](args, out.write)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except halfsplit_mod.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EX_RESOURCE
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    finally:
+        out.close()
 
 
 # ---------------------------------------------------------------- trajectory
 
+# Per format: a step row from (step, from, to, kind, exponent field); the
+# exponent field of the general map and, from k, of the odd maps; the summary.
+# They give the bytes of `_json_line` and `csv.writer` rows.
+_TRAJECTORY_FORMATS = {
+    "json": (
+        '{{"exponent":{4},"from":{1},"kind":"{3}","step":{0},"to":{2},"type":"step"}}\n',
+        "null",
+        "{}",
+        '{{"cycle":{cycle_json},"final":{final},"steps":{steps},'
+        '"terminated":"{terminated}","type":"summary"}}\n',
+    ),
+    "csv": (
+        "{0},{1},{2},{3},{4}\r\n",
+        "",
+        "{}",
+        "# terminated={terminated} final={final}\n",
+    ),
+    "text": (
+        "{0:>5} {1} -> {2} {3}{4}\n",
+        "",
+        " k={}",
+        "# terminated={terminated} steps={steps} final={final}\n",
+    ),
+}
 
-def _cmd_trajectory(args: argparse.Namespace) -> tuple[str, int]:
+
+def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:
+    """The decimal form of (mul * x + add) / 2^k from the decimal form d of x.
+
+    Computed as (mul * d + add) * 5^k / 10^k in exact decimal arithmetic, in
+    time linear in the digit count, where str(int) is quadratic.  consts
+    caches the Decimal operands per (mul, add, k).
+    """
+    ops = consts.get((mul, add, k))
+    if ops is None:
+        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul, add, 5**k, 10**k)))
+    m, a, p5, p10 = ops
+    return _EXACT.divide(_EXACT.multiply(_EXACT.add(_EXACT.multiply(d, m), a), p5), p10)
+
+
+def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+    """Stream one orbit: a header, one row per step as it is walked, a summary.
+
+    Each value is rendered once, from the previous value's decimal form by
+    the step's (mul, add, k); the summary's final value is rendered by
+    str(int) and must equal the last rendered value.  The update is
+    injective, so that one comparison certifies every row.
+    """
     if args.x0 < 1:
         raise UsageError("x0 must be >= 1")
     if args.max_steps < 0:
         raise UsageError("max-steps must be >= 0")
     params = None
-    cycle = None
     try:
-        if args.map == "general":
-            traj = trajectory_general(args.x0, max_steps=args.max_steps)
-            exponents = [None] * traj.step_count
-        elif args.map == "odd":
-            traj, pe = trajectory_odd(args.x0, max_steps=args.max_steps)
-            exponents = list(pe.exponents)
-        else:
+        if args.map == "anb":
             params = AnbParams(a=args.a, b=args.b)
-            traj, pe = anb_mod.trajectory_anb(args.x0, params, max_steps=args.max_steps)
-            exponents = list(pe.exponents)
-            if traj.terminated is Termination.REACHED_CYCLE:
-                record = anb_mod.find_cycle(args.x0, params, max_steps=args.max_steps + 1)
-                cycle = list(record.members) if record else None
+            records = anb_mod.anb_orbit_steps(args.x0, params, max_steps=args.max_steps)
+        else:
+            records = orbit_steps(args.x0, max_steps=args.max_steps, odd=args.map == "odd")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    header = {
-        "type": "header",
-        "schema": "collatzlab/trajectory/v1",
-        "start": args.x0,
-        "map": args.map,
-        "a": params.a if params else None,
-        "b": params.b if params else None,
-        "max_steps": args.max_steps,
-    }
-    rows = [
-        {
-            "type": "step",
-            "step": i + 1,
-            "from": traj.values[i],
-            "to": traj.values[i + 1],
-            "kind": traj.steps[i].value,
-            "exponent": exponents[i],
-        }
-        for i in range(traj.step_count)
-    ]
-    summary = {
-        "type": "summary",
-        "terminated": traj.terminated.value,
-        "steps": traj.step_count,
-        "final": traj.final,
-        "cycle": cycle,
-    }
-    code = EX_INCONCLUSIVE if traj.terminated is Termination.STEP_LIMIT else EX_OK
-
+    row, no_exponent, exponent, foot = _TRAJECTORY_FORMATS[args.format]
     if args.format == "json":
-        lines = [_json_line(header)] + [_json_line(r) for r in rows] + [_json_line(summary)]
-        return "\n".join(lines) + "\n", code
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["step", "from", "to", "kind", "exponent"])
-        for r in rows:
-            writer.writerow([r["step"], r["from"], r["to"], r["kind"], r["exponent"] or ""])
-        buf.write(f"# terminated={summary['terminated']} final={summary['final']}\n")
-        return buf.getvalue(), code
-    lines = [
-        f"# start={args.x0} map={args.map}"
-        + (f" a={params.a} b={params.b}" if params else "")
-        + f" max_steps={args.max_steps}"
-    ]
-    for r in rows:
-        k = f" k={r['exponent']}" if r["exponent"] is not None else ""
-        lines.append(f"{r['step']:>5} {r['from']} -> {r['to']} {r['kind']}{k}")
-    lines.append(f"# terminated={summary['terminated']} steps={summary['steps']} final={summary['final']}")
-    if cycle:
-        lines.append(f"# cycle={cycle}")
-    return "\n".join(lines) + "\n", code
+        head = _json_line({
+            "type": "header",
+            "schema": "collatzlab/trajectory/v1",
+            "start": args.x0,
+            "map": args.map,
+            "a": params.a if params else None,
+            "b": params.b if params else None,
+            "max_steps": args.max_steps,
+        }) + "\n"
+    elif args.format == "csv":
+        head = "step,from,to,kind,exponent\r\n"
+    else:
+        head = (
+            f"# start={args.x0} map={args.map}"
+            + (f" a={params.a} b={params.b}" if params else "")
+            + f" max_steps={args.max_steps}\n"
+        )
+    write(head)
+    written = len(head)
+
+    general = args.map == "general"
+    x, text = args.x0, str(args.x0)
+    d, consts = decimal.Decimal(text), {}
+    steps = 0
+    terminated = None
+    for y, mul, add, k in records:
+        d = _decimal_step(d, mul, add, k, consts)
+        y_text = str(d)
+        line = row.format(
+            steps + 1, text, y_text, "increase" if y > x else "decrease",
+            no_exponent if general else exponent.format(k),
+        )
+        written += len(line)
+        if written > TRAJECTORY_OUTPUT_LIMIT:
+            terminated = "resource-limit"
+            break
+        write(line)
+        steps += 1
+        x, text = y, y_text
+
+    final = str(x)
+    if final != text:
+        raise RuntimeError(
+            f"decimal rendering of step {steps} disagrees with the orbit's value"
+        )
+    cycle = None
+    if terminated is None:
+        if args.map != "anb":
+            done = Termination.REACHED_ONE if x == 1 else Termination.STEP_LIMIT
+        elif steps < args.max_steps:  # the walk stops early only on a repeat
+            done = Termination.REACHED_CYCLE
+            record = anb_mod.find_cycle(args.x0, params, max_steps=args.max_steps + 1)
+            cycle = list(record.members) if record else None
+        else:
+            done = Termination.STEP_LIMIT
+        terminated = done.value
+    write(foot.format(cycle_json=_json_line(cycle), final=final, steps=steps,
+                      terminated=terminated))
+    if cycle and args.format == "text":
+        write(f"# cycle={cycle}\n")
+    if terminated == "resource-limit":
+        print(
+            f"resource limit: trajectory stopped after {steps} steps: the next row "
+            f"would take its output past the budget of {TRAJECTORY_OUTPUT_LIMIT} "
+            "bytes; lower --max-steps",
+            file=sys.stderr,
+        )
+        return EX_RESOURCE
+    return EX_INCONCLUSIVE if terminated == Termination.STEP_LIMIT.value else EX_OK
 
 
 # -------------------------------------------------------------------- verify
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     runners = {
         "lemma7": _verify_lemma7,
         "eq2": _verify_eq2,
@@ -301,12 +432,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             "error": str(exc),
             "report": None,
         }
-        return _render_verify(doc, args), EX_RESOURCE
-    if doc["passed"] is False:
-        code = EX_INCONCLUSIVE
-    else:
-        code = EX_OK
-    return _render_verify(doc, args), code
+        write(_render_verify(doc, args))
+        return EX_RESOURCE
+    write(_render_verify(doc, args))
+    return EX_INCONCLUSIVE if doc["passed"] is False else EX_OK
 
 
 def _verify_doc(check: str, parameters: dict) -> dict:
@@ -353,6 +482,8 @@ def _verify_lemma7(args: argparse.Namespace) -> dict:
             f"lemma7 walks in uint64 only up to k = {ident_mod.SHIFT_UINT64_MAX_K}; "
             "lower --max-k"
         )
+    import numpy as np
+
     ms = np.random.default_rng(args.seed).integers(0, M_SEED_RANGE, size=args.samples)
     for k in range(1, args.max_k + 1):
         for g0, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
@@ -407,6 +538,16 @@ def _verify_bohm(args: argparse.Namespace) -> dict:
 
 
 def _verify_geom(args: argparse.Namespace) -> dict:
+    if args.max_n < 0:
+        raise UsageError("--max-n must be >= 0")
+    if args.max_m < 0:
+        raise UsageError("--max-m must be >= 0")
+    terms = (args.max_n + 1) * (args.max_m + 1) * (args.max_m + 2) // 2
+    if terms > GEOM_TERM_LIMIT:
+        raise halfsplit_mod.ResourceLimitError(
+            f"geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 = {terms} Fraction terms, "
+            f"over the budget of {GEOM_TERM_LIMIT}; lower --max-n or --max-m"
+        )
     doc = _verify_doc("geom", {"max_n": args.max_n, "max_m": args.max_m})
     for n in range(args.max_n + 1):
         for m in range(args.max_m + 1):
@@ -436,6 +577,8 @@ def _verify_anb_eq(args: argparse.Namespace) -> dict:
             "seed": args.seed,
         },
     )
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     starts = 2 * rng.integers(0, M_SEED_RANGE // 2, size=args.samples) + 1
     for x0 in starts:
@@ -532,7 +675,7 @@ def _render_verify(doc: dict, args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------- montecarlo
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     if args.fixture:
         rows = [
             {
@@ -626,7 +769,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> tuple[str, int]:
         "published_comparison": published,
     }
     if args.format == "json":
-        return _json_doc(doc), EX_OK
+        write(_json_doc(doc))
+        return EX_OK
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(f"# source={source} seed={seed} length={length} samples={len(rows)}\n")
@@ -637,7 +781,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> tuple[str, int]:
                 [r["sample"], r["xi"], r["one_plus_xi"],
                  f"{r['indicator_std']:.4f}", r["chi"]]
             )
-        return buf.getvalue(), EX_OK
+        write(buf.getvalue())
+        return EX_OK
     lines = [f"# source={source} seed={seed} length={length} samples={len(rows)}"]
     lines.append(f"{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}")
     for r in rows:
@@ -675,17 +820,22 @@ def _cmd_montecarlo(args: argparse.Namespace) -> tuple[str, int]:
                 f"[{block['computed_chi_normal'][0]:.4f}, "
                 f"{block['computed_chi_normal'][1]:.4f}]"
             )
-    return "\n".join(lines) + "\n", EX_OK
+    write("\n".join(lines) + "\n")
+    return EX_OK
 
 
 # --------------------------------------------------------------------- sweep
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     if args.limit < 1:
         raise UsageError("--limit must be >= 1")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if args.threads > THREADS_LIMIT:
+        raise UsageError(f"--threads must be <= {THREADS_LIMIT}")
+    from .sweep import survey_range  # numpy and the process pool load here
+
     survey = survey_range(
         1, args.limit + 1, max_steps=args.max_steps, workers=args.threads
     )
@@ -703,7 +853,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     }
     code = EX_INCONCLUSIVE if survey.failures else EX_OK
     if args.format == "json":
-        return _json_doc(doc), code
+        write(_json_doc(doc))
+        return code
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -716,7 +867,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         writer.writerow(
             [len(doc["failures"]) if k == "failures" else doc[k] for k in keys]
         )
-        return buf.getvalue(), code
+        write(buf.getvalue())
+        return code
     lines = [
         f"verified {doc['verified']} of {doc['limit']} starts reach 1 "
         f"within {doc['max_steps']} steps",
@@ -726,13 +878,14 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         f"max total/ln(x): {doc['max_ratio']} at x={doc['ratio_argmax']}",
         f"max excursion: {doc['max_excursion']}",
     ]
-    return "\n".join(lines) + "\n", code
+    write("\n".join(lines) + "\n")
+    return code
 
 
 # -------------------------------------------------------------------- cycles
 
 
-def _cmd_cycles(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     try:
         params = AnbParams(a=args.a, b=args.b)
     except ValueError as exc:
@@ -771,7 +924,8 @@ def _cmd_cycles(args: argparse.Namespace) -> tuple[str, int]:
         "cycles": cycles,
     }
     if args.format == "json":
-        return _json_doc(doc), EX_OK
+        write(_json_doc(doc))
+        return EX_OK
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -781,7 +935,8 @@ def _cmd_cycles(args: argparse.Namespace) -> tuple[str, int]:
                 [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
                  c["sum_exponents"], c["verified"]]
             )
-        return buf.getvalue(), EX_OK
+        write(buf.getvalue())
+        return EX_OK
     lines = [f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:"]
     for c in cycles:
         lines.append(
@@ -791,7 +946,8 @@ def _cmd_cycles(args: argparse.Namespace) -> tuple[str, int]:
         )
     if not cycles:
         lines.append("  no cycles entered within the step budget")
-    return "\n".join(lines) + "\n", EX_OK
+    write("\n".join(lines) + "\n")
+    return EX_OK
 
 
 if __name__ == "__main__":

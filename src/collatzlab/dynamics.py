@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 DEFAULT_MAX_STEPS = 10**5
 
@@ -163,21 +163,59 @@ def step_anb(x: int, params: AnbParams) -> tuple[int, int]:
     return t >> k, k
 
 
+def orbit_steps(
+    x0: int, max_steps: int = DEFAULT_MAX_STEPS, odd: bool = False
+) -> Iterator[tuple[int, int, int, int]]:
+    """Walk the shortcut map, or with odd=True the odd-to-odd map, from x0.
+
+    Yields one record (y, mul, add, k) per step, with y = (mul * x + add) / 2^k
+    the value the step reaches from x: (1, 0, 1) for a halving, (3, 1, 1) for
+    a shortcut odd step, (3, 1, k) for an odd-to-odd step.  The walk stops
+    when it reaches 1 or after max_steps steps; the arguments are checked
+    before the first step.
+    """
+    if odd:
+        _require_odd(x0)
+    else:
+        _require_positive(x0)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    return _orbit_steps(x0, max_steps, odd)
+
+
+def _orbit_steps(x: int, max_steps: int, odd: bool) -> Iterator[tuple[int, int, int, int]]:
+    for _ in range(max_steps):
+        if x == 1:
+            return
+        if odd:
+            x, k = step_odd(x)
+            yield x, 3, 1, k
+        else:
+            x, kind = step_general(x)
+            yield (x, 3, 1, 1) if kind is StepKind.INCREASE else (x, 1, 0, 1)
+
+
+def collect_orbit(
+    x0: int, records: Iterable[tuple[int, int, int, int]]
+) -> tuple[list[int], list[StepKind], list[int]]:
+    """The values, step kinds and exponents of the step records of a walk from x0."""
+    values = [x0]
+    steps: list[StepKind] = []
+    exponents: list[int] = []
+    for y, _, _, k in records:
+        steps.append(StepKind.INCREASE if y > values[-1] else StepKind.DECREASE)
+        values.append(y)
+        exponents.append(k)
+    return values, steps, exponents
+
+
 def trajectory_general(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
     """Iterate the shortcut map until the value 1 is reached or max_steps pass.
 
     Reaching 1 is equivalent to entering the terminal [2,1] loop, and cheaper
     to test.  Hitting the step budget is a status, not an error.
     """
-    _require_positive(x0)
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    values = [x0]
-    steps: list[StepKind] = []
-    while values[-1] != 1 and len(steps) < max_steps:
-        nxt, kind = step_general(values[-1])
-        values.append(nxt)
-        steps.append(kind)
+    values, steps, _ = collect_orbit(x0, orbit_steps(x0, max_steps))
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
     return Trajectory(start=x0, values=tuple(values), steps=tuple(steps), terminated=done)
 
@@ -209,17 +247,7 @@ def trajectory_odd(
     Step kinds compare consecutive odd values; equality cannot occur because
     the only fixed point is 1 and the iteration stops there.
     """
-    _require_odd(x0)
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    values = [x0]
-    steps: list[StepKind] = []
-    exponents: list[int] = []
-    while values[-1] != 1 and len(steps) < max_steps:
-        nxt, k = step_odd(values[-1])
-        steps.append(StepKind.INCREASE if nxt > values[-1] else StepKind.DECREASE)
-        values.append(nxt)
-        exponents.append(k)
+    values, steps, exponents = collect_orbit(x0, orbit_steps(x0, max_steps, odd=True))
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
     traj = Trajectory(start=x0, values=tuple(values), steps=tuple(steps), terminated=done)
     return traj, ParityExponents.from_exponents(exponents)

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import StepKind
 from .identities import ResidueClass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Keeps a single call to the pure-Python direct walker at roughly 10^8 steps.
 DIRECT_ELEMENT_LIMIT = 1 << 21
@@ -197,6 +199,8 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
             "class cardinalities are equal only for steps <= M-1; "
             "use the direct method for later steps"
         )
+    import numpy as np
+
     tallies = []
     for n, odd in enumerate(_image_parities(steps), start=1):
         inc = int(np.count_nonzero(odd)) << (M - n)
@@ -227,6 +231,8 @@ def _image_parities(steps: int) -> Iterator[np.ndarray]:
             f"{CLASSES_MEMORY_LIMIT} bytes stops at step "
             f"{(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length() - 1}"
         )
+    import numpy as np
+
     image = np.zeros(1 << steps, dtype=np.uint64)  # T^(n-1)(i)
     power = np.ones(1 << steps, dtype=np.uint64)  # 3^p_i
     odd = np.empty(1 << steps, dtype=np.uint64)

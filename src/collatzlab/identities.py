@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .dynamics import ParityExponents, odd_steps_extended
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # residue_shift_blocks walks 2^k m + i for k steps in uint64.  With
 # x_0 + 1 <= 2^k (m + 1) and x_(n+1) + 1 <= 3/2 (x_n + 1), every value the walk
@@ -110,6 +111,8 @@ def _walk_shortcut_zero_array(x: np.ndarray, steps: int) -> np.ndarray:
 
     0 is even and halves to 0, which is the T(0) = 0 convention.
     """
+    import numpy as np
+
     increases = np.zeros(x.shape, dtype=np.uint64)
     odd = np.empty_like(x)
     for _ in range(steps):
@@ -137,6 +140,8 @@ def residue_shift_blocks(
     """
     if not 1 <= k <= SHIFT_UINT64_MAX_K:
         raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
+    import numpy as np
+
     ms = np.asarray(ms, dtype=np.uint64)
     if ms.size and int(ms.max()) >= SHIFT_M_BOUND:
         raise ValueError(f"need every m below {SHIFT_M_BOUND} for uint64 walks")

@@ -24,8 +24,6 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .dynamics import DEFAULT_MAX_STEPS, step_general
 from .reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS
 
@@ -56,6 +54,8 @@ def simulate_ratio(length: int, seed: int) -> RatioSample:
     """Draw `length` fair bits from PCG64(seed) and return their ratio stats."""
     if length < 1:
         raise ValueError("length must be >= 1")
+    import numpy as np
+
     bits = np.random.default_rng(seed).integers(0, 2, size=length, dtype=np.uint8)
     ones = int(bits.sum())
     zeros = length - ones

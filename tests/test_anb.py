@@ -8,6 +8,7 @@ from collatzlab.anb import (
     LABEL_UNBOUNDED,
     CycleRecord,
     anb_general_step,
+    anb_orbit_steps,
     anb_steps_extended,
     canonical_rotation,
     closed_form_anb_check,
@@ -37,6 +38,24 @@ SEVEN_N_ONE_FROM_7 = [7, 25, 11, 39, 137, 15, 53, 93, 163, 571]
 
 
 class TestTrajectories:
+    @given(st.integers(0, 10**20).map(lambda r: 2 * r + 1), st.sampled_from([P51, P71, P53]))
+    @settings(max_examples=50)
+    def test_step_records(self, x0, params):
+        traj, pe = trajectory_anb(x0, params, max_steps=100)
+        records = list(anb_orbit_steps(x0, params, max_steps=100))
+        assert [y for y, *_ in records] == list(traj.values[1:])
+        x = x0
+        for y, a, b, k in records:
+            assert (a, b) == (params.a, params.b) and y << k == a * x + b
+            x = y
+
+    def test_records_check_before_the_first_step(self):
+        with pytest.raises(ValueError):
+            anb_orbit_steps(6, P51, max_steps=1)
+        with pytest.raises(ValueError):
+            anb_orbit_steps(7, P51, max_steps=-1)
+        assert list(anb_orbit_steps(6, P51, max_steps=0)) == []  # no step, nothing to check
+
     def test_5n1_prefix(self):
         traj, _ = trajectory_anb(7, P51, max_steps=9)
         assert list(traj.values) == FIVE_N_ONE_FROM_7

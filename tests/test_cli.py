@@ -214,6 +214,31 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be >= 0\n"
 
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-m"])
+    def test_geom_negative(self, capsys, flag):
+        code = main(["verify", "geom", flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0\n"
+
+    def test_geom_term_budget(self, capsys, monkeypatch):
+        code = main(["verify", "geom", "--max-n", "2000", "--max-m", "2000", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        doc = json.loads(captured.out)
+        validator("verify.v1.json").validate(doc)
+        assert doc["partial"] is True and doc["checks_run"] == 0
+        assert captured.err.startswith("resource limit: geom sums")
+        assert len(captured.err.splitlines()) == 1
+        # (max_n + 1)(max_m + 1)(max_m + 2)/2 terms: 4 x 5 x 6 / 2 = 60 at n 3, m 4
+        monkeypatch.setattr(cli_mod, "GEOM_TERM_LIMIT", 60)
+        assert main(["verify", "geom", "--max-n", "3", "--max-m", "4"]) == EX_OK
+        assert main(["verify", "geom", "--max-n", "4", "--max-m", "4"]) == EX_RESOURCE
+        assert main(["verify", "geom", "--max-n", "3", "--max-m", "5"]) == EX_RESOURCE
+        monkeypatch.setattr(cli_mod, "GEOM_TERM_LIMIT", 59)
+        assert main(["verify", "geom", "--max-n", "3", "--max-m", "4"]) == EX_RESOURCE
+
     @pytest.mark.parametrize("check", ["eq2", "bohm"])
     def test_start_budget(self, capsys, monkeypatch, check):
         code = main(["verify", check, "--max-x0", "100000000", "--format", "json"])
@@ -568,6 +593,24 @@ class TestSweepCommand:
         assert main(["sweep"]) == EX_USAGE
         assert main(["sweep", "--limit", "0"]) == EX_USAGE
         assert main(["sweep", "--limit", "5", "--threads", "0"]) == EX_USAGE
+
+    def test_threads_cap(self, capsys, monkeypatch):
+        from collatzlab import sweep as sweep_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        code = main(["sweep", "--limit", "5000000", "--threads", str(10**18)])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be <= {cli_mod.THREADS_LIMIT}\n"
+        over = str(cli_mod.THREADS_LIMIT + 1)
+        assert main(["sweep", "--limit", "5000000", "--threads", over]) == EX_USAGE
+        # one piece of work: the largest admitted count still starts no pool
+        limit = str(cli_mod.THREADS_LIMIT)
+        assert main(["sweep", "--limit", "1000", "--threads", limit]) == EX_OK
 
 
 class TestCyclesCommand:

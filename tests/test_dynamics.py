@@ -11,6 +11,7 @@ from collatzlab.dynamics import (
     classify_counts,
     exponent_bookkeeping_report,
     odd_steps_extended,
+    orbit_steps,
     step_anb,
     step_general,
     step_odd,
@@ -150,6 +151,32 @@ class TestTrajectoryOdd:
         _, pe = trajectory_odd(1)
         with pytest.raises(ValueError):
             pe.mean_k
+
+
+class TestOrbitSteps:
+    """The step records that drive the decimal renderer of `trajectory`."""
+
+    @settings(max_examples=50)
+    @given(st.integers(min_value=1, max_value=10**40), st.booleans())
+    def test_records_reproduce_each_step(self, x0, odd):
+        x0 |= odd
+        x = x0
+        for y, mul, add, k in orbit_steps(x0, max_steps=200, odd=odd):
+            assert y << k == mul * x + add
+            if odd:
+                assert (mul, add) == (3, 1) and y % 2 == 1
+            else:
+                assert (mul, add, k) == ((3, 1, 1) if x % 2 else (1, 0, 1))
+            x = y
+
+    def test_checks_before_the_first_step(self):
+        # errors surface at the call, before anything is yielded
+        with pytest.raises(ValueError):
+            orbit_steps(0)
+        with pytest.raises(ValueError):
+            orbit_steps(6, odd=True)
+        with pytest.raises(ValueError):
+            orbit_steps(7, max_steps=-1)
 
 
 class TestShortcutConsistency:
