@@ -2,16 +2,16 @@
 """Scan the exact half split over 1..2^M for a range of M.
 
 For each M the within-theorem steps 1..M-1 must tally exactly (2^{M-1},
-2^{M-1}); they are counted by residue classes.  The first step past the bound
-is tallied too, by walking every start, to show where the guarantee stops
-being a guarantee (it may still split evenly by accident); above the direct
-method's element budget that step is skipped.
+2^{M-1}); they are counted by residue classes.  Step M, the first past the
+theorem's bound, is tallied by classes too: it always splits evenly as well,
+since the shift law with m = 1 gives i and i + 2^(M-1) opposite parities
+after M-1 steps.  For M = 3..14, step M+1 is the first step that does not.
 """
 
 import argparse
 import time
 
-from collatzlab.halfsplit import DIRECT_ELEMENT_LIMIT, ResourceLimitError, halfsplit_verify
+from collatzlab.halfsplit import ResourceLimitError, halfsplit_verify
 
 
 def main() -> None:
@@ -23,15 +23,12 @@ def main() -> None:
     for M in range(args.min_M, args.max_M + 1):
         t0 = time.perf_counter()
         try:
-            report = halfsplit_verify(M, method="classes")
+            report = halfsplit_verify(M, steps=M, method="classes")
         except ResourceLimitError as exc:
             raise SystemExit(f"M={M}: {exc}")
         ok = report.exact_split()
-        if 1 << M <= DIRECT_ELEMENT_LIMIT:
-            extra = halfsplit_verify(M, steps=M).tallies[-1]
-            note = f"; step {M} (outside bound): ({extra.increases}, {extra.decreases})"
-        else:
-            note = f"; step {M} (outside bound) skipped: 2^{M} starts exceed the direct budget"
+        extra = report.tallies[-1]
+        note = f"; step {extra.step} (outside bound): ({extra.increases}, {extra.decreases})"
         dt = time.perf_counter() - t0
         print(
             f"M={M:>2}: steps 1..{M - 1} all exactly "

@@ -258,14 +258,9 @@ def _walk_anb_general_zero(x: int, steps: int, params: AnbParams) -> tuple[int, 
     if x < 0:
         raise ValueError("walker defined for x >= 0")
     increases = 0
-    for _ in range(steps):
-        if x == 0:
-            continue
-        if x % 2 == 0:
-            x //= 2
-        else:
-            x = (params.a * x + params.b) // 2
-            increases += 1
+    for _ in range(steps if x else 0):  # T(0) = 0, and no x >= 1 reaches 0
+        x, kind = anb_general_step(x, params)
+        increases += kind is StepKind.INCREASE
     return x, increases
 
 

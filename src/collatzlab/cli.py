@@ -19,6 +19,7 @@ import decimal
 import io
 import json
 import math
+import os
 import statistics
 import sys
 from collections.abc import Callable
@@ -52,6 +53,10 @@ LEMMA7_CHECK_LIMIT = 1 << 24
 # microseconds each near 10^5; above this many starts they stop with exit 3.
 X0_START_LIMIT = 1 << 20
 
+# verify anb-eq runs samples x max(max_n, 1) closed-form checks, 3 to 6 microseconds
+# each near --max-n 50; above this many it stops with exit 3 (the default makes 10,000).
+ANB_EQ_CHECK_LIMIT = 1 << 22
+
 # anb-cycles walks each odd start for at most --max-steps steps; above this
 # many odd starts x max(max_steps, 1) it stops with exit 3.  The default run
 # (--limit 100) counts 500,000.
@@ -69,6 +74,20 @@ TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 
 # sweep runs at most this many worker processes (and never more than the CPUs).
 THREADS_LIMIT = 256
+
+# Integer bounds of each command's (for verify, each check's) arguments, checked
+# in order before it runs: (attribute, least, largest or None, name printed).
+# _AN_B checks the (a, b) of an an+b map; trajectory's for --map anb only.
+_AN_B = ("a", "b")
+_BOUNDS = {
+    "trajectory": (("x0", 1, None, "x0"), ("max_steps", 0, None, "max-steps"), _AN_B),
+    "lemma7": (("max_k", 1, None, "--max-k"), ("samples", 0, None, "--samples")),
+    "geom": (("max_n", 0, None, "--max-n"), ("max_m", 0, None, "--max-m")),
+    "anb-eq": (_AN_B, ("samples", 0, None, "--samples"), ("max_n", 0, None, "--max-n")),
+    "montecarlo": (("length", 2, None, "--length"), ("samples", 2, None, "--samples")),
+    "sweep": (("limit", 1, None, "--limit"), ("threads", 1, THREADS_LIMIT, "--threads")),
+    "anb-cycles": (_AN_B, ("limit", 1, None, "--limit"), ("max_steps", 0, None, "--max-steps")),
+}
 
 # Decimal arithmetic that is exact or traps: unbounded precision and exponent.
 _EXACT = decimal.Context(
@@ -90,10 +109,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_line(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _json_doc(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _finite(x: float) -> float | str:
@@ -191,13 +206,21 @@ class _Output:
     Writes are joined into chunks of about 64 KiB, so a streamed document
     costs one system call per chunk, not per row, even when stdout is
     unbuffered, and an output smaller than a chunk is written at once, at
-    the end.  The file is opened (and truncated) at the first chunk, so a
-    command that fails before it writes leaves an existing file as it was.
+    the end.  The file is tried before any work but opened (and truncated) at
+    the first chunk, so a command that fails before it writes leaves it as it was.
     """
 
     CHUNK = 1 << 16
 
     def __init__(self, path: str | None) -> None:
+        if path is not None:
+            existed = os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise UsageError(f"cannot write --output {path}: {exc.strerror}") from exc
+            if not existed:
+                os.remove(path)
         self._path = path
         self._file = None
         self._parts: list[str] = []
@@ -223,30 +246,31 @@ class _Output:
     def close(self) -> None:
         if self._parts:
             self._flush()
-        if self._file is not None:
+        if self._path is None:
+            sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        elif self._file is not None:
             self._file.close()
 
 
 def main(argv: list[str] | None = None) -> int:
     # Payloads hold exact ints of any size, so Python's int/str digit guard
     # (4300 digits by default, from 3.10.7 on) is lifted for the call.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _main(argv)
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull, so the final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output pipe was closed before the output was written", file=sys.stderr)
+        return EX_USAGE
     finally:
-        sys.set_int_max_str_digits(saved)
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
     handlers = {
         "trajectory": _cmd_trajectory,
         "verify": _cmd_verify,
@@ -254,8 +278,11 @@ def _main(argv: list[str] | None) -> int:
         "sweep": _cmd_sweep,
         "anb-cycles": _cmd_cycles,
     }
-    out = _Output(args.output)
+    out = None
     try:
+        args = build_parser().parse_args(argv)
+        _check_args(args)
+        out = _Output(args.output)
         return handlers[args.command](args, out.write)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -264,7 +291,50 @@ def _main(argv: list[str] | None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EX_RESOURCE
     finally:
-        out.close()
+        if out is not None:
+            out.close()
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the bounds of `_BOUNDS` in order; set args.params to the an+b map, if any."""
+    args.params = None
+    if getattr(args, "fixture", None):
+        return  # the published table sets its own length and samples
+    for bound in _BOUNDS.get(args.check if args.command == "verify" else args.command, ()):
+        if bound is not _AN_B:
+            name, least, most, label = bound
+            if getattr(args, name) < least:
+                raise UsageError(f"{label} must be >= {least}")
+            if most is not None and getattr(args, name) > most:
+                raise UsageError(f"{label} must be <= {most}")
+        elif getattr(args, "map", "anb") == "anb":
+            try:
+                args.params = AnbParams(a=args.a, b=args.b)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+
+
+def _budget(work: int, limit: int, message: str) -> None:
+    if work > limit:
+        raise halfsplit_mod.ResourceLimitError(message)
+
+
+def _emit(args: argparse.Namespace, write: Callable[[str], None], doc: dict,
+          table: Callable[[], list], lines: Callable[[], list]) -> None:
+    """Write doc as JSON, the CSV rows of table() (a str row is a comment), or lines()."""
+    if args.format == "json":
+        write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for row in table():
+            if isinstance(row, str):
+                buf.write(row + "\n")
+            else:
+                writer.writerow(row)
+        write(buf.getvalue())
+    else:
+        write("\n".join(lines()) + "\n")
 
 
 # ---------------------------------------------------------------- trajectory
@@ -317,14 +387,9 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
     str(int) and must equal the last rendered value.  The update is
     injective, so that one comparison certifies every row.
     """
-    if args.x0 < 1:
-        raise UsageError("x0 must be >= 1")
-    if args.max_steps < 0:
-        raise UsageError("max-steps must be >= 0")
-    params = None
+    params = args.params
     try:
         if args.map == "anb":
-            params = AnbParams(a=args.a, b=args.b)
             records = anb_mod.anb_orbit_steps(args.x0, params, max_steps=args.max_steps)
         else:
             records = orbit_steps(args.x0, max_steps=args.max_steps, odd=args.map == "odd")
@@ -393,14 +458,10 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
                       terminated=terminated))
     if cycle and args.format == "text":
         write(f"# cycle={cycle}\n")
-    if terminated == "resource-limit":
-        print(
-            f"resource limit: trajectory stopped after {steps} steps: the next row "
-            f"would take its output past the budget of {TRAJECTORY_OUTPUT_LIMIT} "
-            "bytes; lower --max-steps",
-            file=sys.stderr,
-        )
-        return EX_RESOURCE
+    # written counts the row left out, so it is over the budget only after a stop
+    _budget(written, TRAJECTORY_OUTPUT_LIMIT,
+            f"trajectory stopped after {steps} steps: the next row would take its "
+            f"output past the budget of {TRAJECTORY_OUTPUT_LIMIT} bytes; lower --max-steps")
     return EX_INCONCLUSIVE if terminated == Termination.STEP_LIMIT.value else EX_OK
 
 
@@ -416,33 +477,51 @@ def _cmd_verify(args: argparse.Namespace, write: Callable[[str], None]) -> int:
         "anb-eq": _verify_anb_eq,
         "halfsplit": _verify_halfsplit,
     }
+    doc = _verify_doc(args.check)
+
+    def table() -> list:
+        if doc["report"]:  # the tallies, whose fields are in column order
+            tallies = doc["report"]["tallies"]
+            return [["step", "increases", "decreases", "within_theorem"]] + [
+                list(t.values()) for t in tallies
+            ]
+        keys = ["check", "checks_run", "failures", "passed"]
+        return [keys, [doc[k] for k in keys]]
+
+    def lines() -> list[str]:
+        lines = [
+            f"check={doc['check']} parameters={doc['parameters']}",
+            f"checks_run={doc['checks_run']} failures={doc['failures']} passed={doc['passed']}",
+        ]
+        if doc.get("error"):
+            lines.append(f"error: {doc['error']}")
+        if doc["counterexample"] is not None:
+            lines.append(f"first counterexample: {doc['counterexample']}")
+        if doc["report"]:
+            for t in doc["report"]["tallies"]:
+                flag = "" if t["within_theorem"] else "  [outside theorem range]"
+                lines.append(
+                    f"step {t['step']:>3}: increases={t['increases']} "
+                    f"decreases={t['decreases']}{flag}"
+                )
+        return lines
+
     try:
-        doc = runners[args.check](args)
+        runners[args.check](args, doc)
     except halfsplit_mod.ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        doc = {
-            "schema": "collatzlab/verify/v1",
-            "check": args.check,
-            "parameters": {},
-            "checks_run": 0,
-            "failures": 0,
-            "passed": None,
-            "counterexample": None,
-            "partial": True,
-            "error": str(exc),
-            "report": None,
-        }
-        write(_render_verify(doc, args))
-        return EX_RESOURCE
-    write(_render_verify(doc, args))
+        doc.update(passed=None, partial=True, error=str(exc))
+        _emit(args, write, doc, table, lines)
+        raise
+    _emit(args, write, doc, table, lines)
     return EX_INCONCLUSIVE if doc["passed"] is False else EX_OK
 
 
-def _verify_doc(check: str, parameters: dict) -> dict:
+def _verify_doc(check: str) -> dict:
+    """The document a runner fills; runners set the parameters after their budgets."""
     return {
         "schema": "collatzlab/verify/v1",
         "check": check,
-        "parameters": parameters,
+        "parameters": {},
         "checks_run": 0,
         "failures": 0,
         "passed": True,
@@ -459,29 +538,19 @@ def _note_failure(doc: dict, counterexample: dict) -> None:
         doc["counterexample"] = counterexample
 
 
-def _verify_lemma7(args: argparse.Namespace) -> dict:
-    if args.max_k < 1:
-        raise UsageError("--max-k must be >= 1")
-    if args.samples < 0:
-        raise UsageError("--samples must be >= 0")
+def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
     # k is capped so that an absurd --max-k builds no huge int; past 64 it is
     # over the budget anyway.
-    if args.samples * ((1 << min(args.max_k, 64) + 1) - 2) > LEMMA7_CHECK_LIMIT:
-        raise halfsplit_mod.ResourceLimitError(
+    _budget(args.samples * ((1 << min(args.max_k, 64) + 1) - 2), LEMMA7_CHECK_LIMIT,
             f"lemma7 runs samples x (2^(max_k+1) - 2) = {args.samples} x "
             f"(2^{args.max_k + 1} - 2) checks, over the budget of "
-            f"{LEMMA7_CHECK_LIMIT}; lower --max-k or --samples"
-        )
-    doc = _verify_doc(
-        "lemma7", {"max_k": args.max_k, "samples": args.samples, "seed": args.seed}
-    )
-    if not args.samples:
-        return doc  # no draws of m: no checks, and no residues worth visiting
-    if args.max_k > ident_mod.SHIFT_UINT64_MAX_K:
-        raise halfsplit_mod.ResourceLimitError(
+            f"{LEMMA7_CHECK_LIMIT}; lower --max-k or --samples")
+    _budget(args.max_k if args.samples else 0, ident_mod.SHIFT_UINT64_MAX_K,
             f"lemma7 walks in uint64 only up to k = {ident_mod.SHIFT_UINT64_MAX_K}; "
-            "lower --max-k"
-        )
+            "lower --max-k")
+    doc["parameters"] = {"max_k": args.max_k, "samples": args.samples, "seed": args.seed}
+    if not args.samples:
+        return  # no draws of m: no checks, and no residues worth visiting
     import numpy as np
 
     ms = np.random.default_rng(args.seed).integers(0, M_SEED_RANGE, size=args.samples)
@@ -495,35 +564,29 @@ def _verify_lemma7(args: argparse.Namespace) -> dict:
                 _note_failure(doc, {"k": k, "m": int(ms[pos]), "i": i,
                                     "lhs": int(lhs[first]), "rhs": int(rhs[first])})
                 doc["failures"] += bad.size - 1
-    return doc
 
 
-def _check_start_budget(args: argparse.Namespace) -> None:
-    starts = (args.max_x0 + 1) // 2
-    if starts > X0_START_LIMIT:
-        raise halfsplit_mod.ResourceLimitError(
-            f"{args.check} walks the {starts} odd starts up to --max-x0, over the "
-            f"budget of {X0_START_LIMIT}; lower --max-x0"
-        )
+def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
+    starts = range(1, args.max_x0 + 1, 2)
+    _budget(len(starts), X0_START_LIMIT,
+            f"{args.check} walks the {len(starts)} odd starts up to --max-x0, over the "
+            f"budget of {X0_START_LIMIT}; lower --max-x0")
+    doc["parameters"] = {"max_x0": args.max_x0}
+    return starts
 
 
-def _verify_eq2(args: argparse.Namespace) -> dict:
-    _check_start_budget(args)
-    doc = _verify_doc("eq2", {"max_x0": args.max_x0})
-    for x0 in range(1, args.max_x0 + 1, 2):
+def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:
+    for x0 in _odd_starts(args, doc):
         traj, pe = trajectory_odd(x0)
         checks = ident_mod.closed_form_checks(x0, traj.values, pe.exponents)
         for n, res in enumerate(checks, start=1):
             doc["checks_run"] += 1
             if not res.holds:
                 _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
-    return doc
 
 
-def _verify_bohm(args: argparse.Namespace) -> dict:
-    _check_start_budget(args)
-    doc = _verify_doc("bohm", {"max_x0": args.max_x0})
-    for x0 in range(1, args.max_x0 + 1, 2):
+def _verify_bohm(args: argparse.Namespace, doc: dict) -> None:
+    for x0 in _odd_starts(args, doc):
         traj, pe = trajectory_odd(x0)
         if traj.terminated is not Termination.REACHED_ONE:
             continue
@@ -534,52 +597,36 @@ def _verify_bohm(args: argparse.Namespace) -> dict:
         doc["checks_run"] += 1
         if value != x0:
             _note_failure(doc, {"x0": x0, "reconstructed": str(value)})
-    return doc
 
 
-def _verify_geom(args: argparse.Namespace) -> dict:
-    if args.max_n < 0:
-        raise UsageError("--max-n must be >= 0")
-    if args.max_m < 0:
-        raise UsageError("--max-m must be >= 0")
+def _verify_geom(args: argparse.Namespace, doc: dict) -> None:
     terms = (args.max_n + 1) * (args.max_m + 1) * (args.max_m + 2) // 2
-    if terms > GEOM_TERM_LIMIT:
-        raise halfsplit_mod.ResourceLimitError(
+    _budget(terms, GEOM_TERM_LIMIT,
             f"geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 = {terms} Fraction terms, "
-            f"over the budget of {GEOM_TERM_LIMIT}; lower --max-n or --max-m"
-        )
-    doc = _verify_doc("geom", {"max_n": args.max_n, "max_m": args.max_m})
+            f"over the budget of {GEOM_TERM_LIMIT}; lower --max-n or --max-m")
+    doc["parameters"] = {"max_n": args.max_n, "max_m": args.max_m}
     for n in range(args.max_n + 1):
         for m in range(args.max_m + 1):
             res = ident_mod.geometric_tail_identity(n, m)
             doc["checks_run"] += 1
             if not res.holds:
                 _note_failure(doc, {"n": n, "m": m, "lhs": str(res.lhs), "rhs": str(res.rhs)})
-    return doc
 
 
-def _verify_anb_eq(args: argparse.Namespace) -> dict:
-    try:
-        params = AnbParams(a=args.a, b=args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.samples < 0:
-        raise UsageError("--samples must be >= 0")
-    if args.max_n < 0:
-        raise UsageError("--max-n must be >= 0")
-    doc = _verify_doc(
-        "anb-eq",
-        {
-            "a": args.a,
-            "b": args.b,
-            "starts": args.samples,
-            "max_n": args.max_n,
-            "seed": args.seed,
-        },
-    )
+def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
+    _budget(args.samples * max(args.max_n, 1), ANB_EQ_CHECK_LIMIT,
+            f"anb-eq runs samples x max(max_n, 1) = {args.samples} x {max(args.max_n, 1)} "
+            f"checks, over the budget of {ANB_EQ_CHECK_LIMIT}; lower --samples or --max-n")
+    doc["parameters"] = {
+        "a": args.a,
+        "b": args.b,
+        "starts": args.samples,
+        "max_n": args.max_n,
+        "seed": args.seed,
+    }
     import numpy as np
 
-    rng = np.random.default_rng(args.seed)
+    params, rng = args.params, np.random.default_rng(args.seed)
     starts = 2 * rng.integers(0, M_SEED_RANGE // 2, size=args.samples) + 1
     for x0 in starts:
         x0 = int(x0)
@@ -589,10 +636,9 @@ def _verify_anb_eq(args: argparse.Namespace) -> dict:
             doc["checks_run"] += 1
             if not res.holds:
                 _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
-    return doc
 
 
-def _verify_halfsplit(args: argparse.Namespace) -> dict:
+def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
     if (args.lo is None) != (args.hi is None):
         raise UsageError("--lo and --hi must be given together")
     subrange = (args.lo, args.hi) if args.lo is not None else None
@@ -602,11 +648,8 @@ def _verify_halfsplit(args: argparse.Namespace) -> dict:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    doc = _verify_doc(
-        "halfsplit",
-        {"M": args.M, "steps": args.steps, "subrange": list(subrange) if subrange else None,
-         "method": args.method},
-    )
+    doc["parameters"] = {"M": args.M, "steps": args.steps,
+                         "subrange": list(subrange) if subrange else None, "method": args.method}
     within = [t for t in report.tallies if t.within_theorem]
     doc["checks_run"] = len(within)
     if report.covers_full_range:
@@ -623,53 +666,8 @@ def _verify_halfsplit(args: argparse.Namespace) -> dict:
     doc["report"] = {
         "M": report.M,
         "intervals": [list(iv) for iv in report.intervals],
-        "tallies": [
-            {
-                "step": t.step,
-                "increases": t.increases,
-                "decreases": t.decreases,
-                "within_theorem": t.within_theorem,
-            }
-            for t in report.tallies
-        ],
+        "tallies": [dataclasses.asdict(t) for t in report.tallies],
     }
-    return doc
-
-
-def _render_verify(doc: dict, args: argparse.Namespace) -> str:
-    if args.format == "json":
-        return _json_doc(doc)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if doc.get("report"):
-            writer.writerow(["step", "increases", "decreases", "within_theorem"])
-            for t in doc["report"]["tallies"]:
-                writer.writerow(
-                    [t["step"], t["increases"], t["decreases"], t["within_theorem"]]
-                )
-        else:
-            writer.writerow(["check", "checks_run", "failures", "passed"])
-            writer.writerow(
-                [doc["check"], doc["checks_run"], doc["failures"], doc["passed"]]
-            )
-        return buf.getvalue()
-    lines = [
-        f"check={doc['check']} parameters={doc['parameters']}",
-        f"checks_run={doc['checks_run']} failures={doc['failures']} passed={doc['passed']}",
-    ]
-    if doc.get("error"):
-        lines.append(f"error: {doc['error']}")
-    if doc["counterexample"] is not None:
-        lines.append(f"first counterexample: {doc['counterexample']}")
-    if doc.get("report"):
-        for t in doc["report"]["tallies"]:
-            flag = "" if t["within_theorem"] else "  [outside theorem range]"
-            lines.append(
-                f"step {t['step']:>3}: increases={t['increases']} "
-                f"decreases={t['decreases']}{flag}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- montecarlo
@@ -677,18 +675,7 @@ def _render_verify(doc: dict, args: argparse.Namespace) -> str:
 
 def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     if args.fixture:
-        rows = [
-            {
-                "sample": r.sample,
-                "zeros": r.zeros,
-                "ones": r.ones,
-                "xi": r.xi,
-                "one_plus_xi": r.one_plus_xi,
-                "indicator_std": r.indicator_std,
-                "chi": r.chi,
-            }
-            for r in REFERENCE_ROWS
-        ]
+        rows = [dataclasses.asdict(r) for r in REFERENCE_ROWS]
         source = f"fixture:{args.fixture}"
         seed = None
         length = SAMPLE_LENGTH
@@ -709,10 +696,6 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
             },
         }
     else:
-        if args.length < 2:
-            raise UsageError("--length must be >= 2")
-        if args.samples < 2:
-            raise UsageError("--samples must be >= 2")
         samples = stats_mod.sample_ratios(args.length, args.samples, args.seed)
         rows = [
             {
@@ -746,17 +729,7 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
         "mean_indicator_std": statistics.fmean(r["indicator_std"] for r in rows),
     }
     levels = [0.95, 0.98, 0.99] if args.level == "all" else [int(args.level) / 100]
-    intervals = {}
-    for level in levels:
-        st = dataclasses.replace(base, level=level)
-        mu_n = stats_mod.confidence_interval(st, mode="normal")
-        mu_t = stats_mod.confidence_interval(st, mode="t")
-        intervals[str(int(level * 100))] = {
-            "mu_normal": list(mu_n),
-            "mu_t": list(mu_t),
-            "chi_normal": list(stats_mod.exponentiate_interval(*mu_n)),
-            "chi_t": list(stats_mod.exponentiate_interval(*mu_t)),
-        }
+    intervals = {str(int(level * 100)): stats_mod.level_intervals(base, level) for level in levels}
     doc = {
         "schema": "collatzlab/montecarlo/v1",
         "source": source,
@@ -768,59 +741,54 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
         "intervals": intervals,
         "published_comparison": published,
     }
-    if args.format == "json":
-        write(_json_doc(doc))
-        return EX_OK
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# source={source} seed={seed} length={length} samples={len(rows)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["sample", "xi", "one_plus_xi", "indicator_std", "chi"])
+    head = f"# source={source} seed={seed} length={length} samples={len(rows)}"
+
+    def table() -> list:
+        return [head, ["sample", "xi", "one_plus_xi", "indicator_std", "chi"]] + [
+            [r["sample"], r["xi"], r["one_plus_xi"], f"{r['indicator_std']:.4f}", r["chi"]]
+            for r in rows
+        ]
+
+    def lines() -> list[str]:
+        lines = [head, f"{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}"]
         for r in rows:
-            writer.writerow(
-                [r["sample"], r["xi"], r["one_plus_xi"],
-                 f"{r['indicator_std']:.4f}", r["chi"]]
-            )
-        write(buf.getvalue())
-        return EX_OK
-    lines = [f"# source={source} seed={seed} length={length} samples={len(rows)}"]
-    lines.append(f"{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}")
-    for r in rows:
-        lines.append(
-            f"{r['sample']:>6} {r['xi']:>8.4f} {r['one_plus_xi']:>8.4f} "
-            f"{r['indicator_std']:>8.4f} {r['chi']:>10.4f}"
-            if isinstance(r["xi"], float)
-            else f"{r['sample']:>6} {r['xi']:>8} {r['one_plus_xi']:>8} "
-            f"{r['indicator_std']:>8.4f} {r['chi']:>10}"
-        )
-    lines.append(
-        "mean(xi)={mean_xi:.6f} mean(1+xi)={mean_one_plus_xi:.6f} "
-        "std(1+xi)={std_one_plus_xi:.6f} mean(s)={mean_indicator_std:.6f}".format(
-            **stats_block
-        )
-    )
-    for key in sorted(intervals):
-        block = intervals[key]
-        lines.append(
-            f"{key}% mu normal [{block['mu_normal'][0]:.4f}, {block['mu_normal'][1]:.4f}] "
-            f"t [{block['mu_t'][0]:.4f}, {block['mu_t'][1]:.4f}] "
-            f"chi normal [{block['chi_normal'][0]:.4f}, {block['chi_normal'][1]:.4f}] "
-            f"t [{block['chi_t'][0]:.4f}, {block['chi_t'][1]:.4f}]"
-        )
-    if published:
-        lines.append(
-            "published bounds (same numbers in both printed tables) are not "
-            "reproduced by these rows:"
-        )
-        for key in sorted(published["levels"]):
-            block = published["levels"][key]
             lines.append(
-                f"  {key}%: published [{block['published'][0]:.4f}, "
-                f"{block['published'][1]:.4f}] vs computed chi "
-                f"[{block['computed_chi_normal'][0]:.4f}, "
-                f"{block['computed_chi_normal'][1]:.4f}]"
+                f"{r['sample']:>6} {r['xi']:>8.4f} {r['one_plus_xi']:>8.4f} "
+                f"{r['indicator_std']:>8.4f} {r['chi']:>10.4f}"
+                if isinstance(r["xi"], float)
+                else f"{r['sample']:>6} {r['xi']:>8} {r['one_plus_xi']:>8} "
+                f"{r['indicator_std']:>8.4f} {r['chi']:>10}"
             )
-    write("\n".join(lines) + "\n")
+        lines.append(
+            "mean(xi)={mean_xi:.6f} mean(1+xi)={mean_one_plus_xi:.6f} "
+            "std(1+xi)={std_one_plus_xi:.6f} mean(s)={mean_indicator_std:.6f}".format(
+                **stats_block
+            )
+        )
+        for key in sorted(intervals):
+            block = intervals[key]
+            lines.append(
+                f"{key}% mu normal [{block['mu_normal'][0]:.4f}, {block['mu_normal'][1]:.4f}] "
+                f"t [{block['mu_t'][0]:.4f}, {block['mu_t'][1]:.4f}] "
+                f"chi normal [{block['chi_normal'][0]:.4f}, {block['chi_normal'][1]:.4f}] "
+                f"t [{block['chi_t'][0]:.4f}, {block['chi_t'][1]:.4f}]"
+            )
+        if published:
+            lines.append(
+                "published bounds (same numbers in both printed tables) are not "
+                "reproduced by these rows:"
+            )
+            for key in sorted(published["levels"]):
+                block = published["levels"][key]
+                lines.append(
+                    f"  {key}%: published [{block['published'][0]:.4f}, "
+                    f"{block['published'][1]:.4f}] vs computed chi "
+                    f"[{block['computed_chi_normal'][0]:.4f}, "
+                    f"{block['computed_chi_normal'][1]:.4f}]"
+                )
+        return lines
+
+    _emit(args, write, doc, table, lines)
     return EX_OK
 
 
@@ -828,12 +796,6 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
 
 
 def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
-    if args.limit < 1:
-        raise UsageError("--limit must be >= 1")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    if args.threads > THREADS_LIMIT:
-        raise UsageError(f"--threads must be <= {THREADS_LIMIT}")
     from .sweep import survey_range  # numpy and the process pool load here
 
     survey = survey_range(
@@ -851,57 +813,33 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
         "ratio_argmax": survey.ratio_argmax,
         "max_excursion": survey.peak,
     }
-    code = EX_INCONCLUSIVE if survey.failures else EX_OK
-    if args.format == "json":
-        write(_json_doc(doc))
-        return code
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = [
-            "limit", "max_steps", "verified", "failures",
-            "max_total_stopping_time", "tst_argmax", "max_ratio",
-            "ratio_argmax", "max_excursion",
-        ]
-        writer.writerow(keys)
-        writer.writerow(
-            [len(doc["failures"]) if k == "failures" else doc[k] for k in keys]
-        )
-        write(buf.getvalue())
-        return code
-    lines = [
-        f"verified {doc['verified']} of {doc['limit']} starts reach 1 "
-        f"within {doc['max_steps']} steps",
-        f"failures: {doc['failures'] if doc['failures'] else 'none'}",
-        f"max total stopping time: {doc['max_total_stopping_time']} "
-        f"at x={doc['tst_argmax']}",
-        f"max total/ln(x): {doc['max_ratio']} at x={doc['ratio_argmax']}",
-        f"max excursion: {doc['max_excursion']}",
-    ]
-    write("\n".join(lines) + "\n")
-    return code
+    keys = list(doc)[1:]  # the CSV columns: all but the schema, failures counted
+    _emit(
+        args, write, doc,
+        lambda: [keys, [len(doc["failures"]) if k == "failures" else doc[k] for k in keys]],
+        lambda: [
+            f"verified {doc['verified']} of {doc['limit']} starts reach 1 "
+            f"within {doc['max_steps']} steps",
+            f"failures: {doc['failures'] if doc['failures'] else 'none'}",
+            f"max total stopping time: {doc['max_total_stopping_time']} "
+            f"at x={doc['tst_argmax']}",
+            f"max total/ln(x): {doc['max_ratio']} at x={doc['ratio_argmax']}",
+            f"max excursion: {doc['max_excursion']}",
+        ],
+    )
+    return EX_INCONCLUSIVE if survey.failures else EX_OK
 
 
 # -------------------------------------------------------------------- cycles
 
 
 def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
-    try:
-        params = AnbParams(a=args.a, b=args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.limit < 1:
-        raise UsageError("--limit must be >= 1")
-    if args.max_steps < 0:
-        raise UsageError("--max-steps must be >= 0")
     starts = (args.limit + 1) // 2
-    if starts * max(args.max_steps, 1) > CYCLES_STEP_LIMIT:
-        raise halfsplit_mod.ResourceLimitError(
+    _budget(starts * max(args.max_steps, 1), CYCLES_STEP_LIMIT,
             f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "
             f"each, over the budget of {CYCLES_STEP_LIMIT} steps; lower --limit or "
-            "--max-steps"
-        )
-    catalog = anb_mod.cycle_catalog(params, args.limit, max_steps=args.max_steps)
+            "--max-steps")
+    catalog = anb_mod.cycle_catalog(args.params, args.limit, max_steps=args.max_steps)
     cycles = []
     for record in catalog:
         lhs, rhs, ok = record.product_identity()
@@ -923,30 +861,27 @@ def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
         "max_steps": args.max_steps,
         "cycles": cycles,
     }
-    if args.format == "json":
-        write(_json_doc(doc))
-        return EX_OK
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["members", "exponents", "sum_exponents", "verified"])
+
+    def table() -> list:
+        return [["members", "exponents", "sum_exponents", "verified"]] + [
+            [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
+             c["sum_exponents"], c["verified"]]
+            for c in cycles
+        ]
+
+    def lines() -> list[str]:
+        lines = [f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:"]
         for c in cycles:
-            writer.writerow(
-                [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
-                 c["sum_exponents"], c["verified"]]
+            lines.append(
+                f"  cycle {c['members']} exponents {c['exponents']} "
+                f"(2^{c['sum_exponents']} product identity "
+                f"{'verified' if c['verified'] else 'FAILED'})"
             )
-        write(buf.getvalue())
-        return EX_OK
-    lines = [f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:"]
-    for c in cycles:
-        lines.append(
-            f"  cycle {c['members']} exponents {c['exponents']} "
-            f"(2^{c['sum_exponents']} product identity "
-            f"{'verified' if c['verified'] else 'FAILED'})"
-        )
-    if not cycles:
-        lines.append("  no cycles entered within the step budget")
-    write("\n".join(lines) + "\n")
+        if not cycles:
+            lines.append("  no cycles entered within the step budget")
+        return lines
+
+    _emit(args, write, doc, table, lines)
     return EX_OK
 
 

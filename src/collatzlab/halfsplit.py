@@ -66,7 +66,8 @@ class HalfSplitReport:
     """Per-step tallies over a union of disjoint intervals inside [1, 2^M].
 
     Steps beyond M-1 may be tallied too but are flagged as outside the range
-    where the exact half split is guaranteed (the bound is sharp).
+    where the exact half split is guaranteed.  Step M still splits exactly in
+    half (see `halfsplit_by_classes`); step M+1 does not for M = 3..14.
     """
 
     M: int
@@ -132,7 +133,7 @@ def halfsplit_verify(
     method "direct" walks every element and is the oracle; method "classes"
     counts the residue classes mod 2^n that increase at step n and multiplies
     by the class cardinality 2^(M-n), valid on the full range for steps
-    n <= M-1.
+    n <= M.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -186,7 +187,10 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
 
     The step-n direction of x depends only on x mod 2^n, so counting the odd
     (n-1)-step images of the 2^n residues and scaling by 2^(M-n) gives the
-    exact full-range tally without touching all 2^M elements.
+    exact full-range tally without touching all 2^M elements.  That holds up
+    to step M, where each class has one member; step M splits in half too,
+    since the shift law with m = 1 pairs i with i + 2^(M-1) at opposite
+    parities, but lies past the theorem's bound and is flagged outside it.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -194,9 +198,9 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
         steps = M - 1
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if steps > M - 1:
+    if steps > M:
         raise ValueError(
-            "class cardinalities are equal only for steps <= M-1; "
+            "class cardinalities are equal only for steps <= M; "
             "use the direct method for later steps"
         )
     import numpy as np
@@ -204,7 +208,7 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
     tallies = []
     for n, odd in enumerate(_image_parities(steps), start=1):
         inc = int(np.count_nonzero(odd)) << (M - n)
-        tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=True))
+        tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=n <= M - 1))
     return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tuple(tallies))
 
 
@@ -301,7 +305,7 @@ def proof_case_table_check(n: int) -> list[dict]:
         # The class arithmetic reads the residue image with T(0) = 0, so the
         # zero class contributes an even image even though its members do not
         # themselves reach 0.
-        image_odd = bool(_iterate(i, n) % 2) if i else False
+        image_odd = bool(i) and step_kind_at(i, n + 1) is StepKind.INCREASE
         lower = step_kind_at(i if i else 1 << (n + 1), n + 1)
         upper = step_kind_at(i + (1 << n), n + 1)
         want_lower = StepKind.INCREASE if image_odd else StepKind.DECREASE
@@ -312,8 +316,3 @@ def proof_case_table_check(n: int) -> list[dict]:
             )
     return mismatches
 
-
-def _iterate(x: int, n: int) -> int:
-    for _ in range(n):
-        x = x // 2 if x % 2 == 0 else (3 * x + 1) // 2
-    return x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .dynamics import ParityExponents, odd_steps_extended
+from .dynamics import ParityExponents, StepKind, odd_steps_extended, step_general
 
 if TYPE_CHECKING:
     import numpy as np
@@ -342,11 +342,8 @@ def _decreases_at_odd_arrivals(x0: int, odd_steps: int) -> list[int]:
     x = x0
     decreases = 0
     while len(counts) <= odd_steps:
-        if x % 2 == 0:
-            x //= 2
-            decreases += 1
-        else:
-            x = (3 * x + 1) // 2
+        x, kind = step_general(x)
+        decreases += kind is StepKind.DECREASE
         if x % 2 == 1:
             counts.append(decreases)
     return counts

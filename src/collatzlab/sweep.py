@@ -218,7 +218,6 @@ def survey_range(
     max_steps: int = DEFAULT_MAX_STEPS,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    engine: str = "numpy",
 ) -> RangeSurvey:
     """Survey [lo, hi), optionally walking the pieces in worker processes.
 
@@ -226,18 +225,13 @@ def survey_range(
     order, so the result is byte-for-byte identical for every worker count.
     With workers > 1 one pool serves the whole survey, with no more workers
     than the widest wave has pieces or the machine has CPUs.
-    engine="python" runs the reference walk instead.
     """
     if lo < 1:
         raise ValueError("range must start at 1 or above")
     if hi <= lo:
         return _empty_survey(lo, hi)
-    if engine not in ("numpy", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if engine == "python":
-        return survey_chunk_python(lo, hi, max_steps)
     # Freeing one 16 MB block raises glibc's mmap threshold above a piece's
     # 2 MB temporaries, so they reuse heap pages instead of faulting in fresh
     # ones at every step: about a quarter of a first 2^22 survey's time.

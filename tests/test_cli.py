@@ -254,6 +254,24 @@ class TestVerifyCommand:
         assert main(["verify", check, "--max-x0", "200"]) == EX_OK
         assert main(["verify", check, "--max-x0", "201"]) == EX_RESOURCE
 
+    def test_anb_eq_check_budget(self, capsys, monkeypatch):
+        argv = ["verify", "anb-eq", "--samples", str(10**12), "--max-n", "1", "--format", "json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        doc = json.loads(captured.out)
+        validator("verify.v1.json").validate(doc)
+        assert doc["partial"] is True and doc["checks_run"] == 0
+        assert captured.err.startswith("resource limit: anb-eq runs samples x max(max_n, 1)")
+        assert len(captured.err.splitlines()) == 1
+        # samples x max(max_n, 1) checks: 6 x 5 = 30 is admitted at exactly the limit
+        monkeypatch.setattr(cli_mod, "ANB_EQ_CHECK_LIMIT", 30)
+        assert main(["verify", "anb-eq", "--samples", "6", "--max-n", "5"]) == EX_OK
+        assert main(["verify", "anb-eq", "--samples", "7", "--max-n", "5"]) == EX_RESOURCE
+        assert main(["verify", "anb-eq", "--samples", "6", "--max-n", "6"]) == EX_RESOURCE
+        assert main(["verify", "anb-eq", "--samples", "30", "--max-n", "0"]) == EX_OK
+        assert main(["verify", "anb-eq", "--samples", "31", "--max-n", "0"]) == EX_RESOURCE
+
     def test_halfsplit_class_budget_exit(self, capsys):
         code = main(["verify", "halfsplit", "--M", "25", "--method", "classes"])
         captured = capsys.readouterr()
@@ -676,3 +694,29 @@ class TestOutputFile:
         lines = target.read_text().splitlines()
         assert json.loads(lines[0])["type"] == "header"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_path_stops_before_work(self, tmp_path, capsys, monkeypatch, where):
+        target = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the orbit was walked")
+
+        monkeypatch.setattr(cli_mod, "orbit_steps", no_walk)
+        code = main(["trajectory", "27", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+        assert captured.err == f"error: cannot write --output {target}: {reason}\n"
+
+    def test_usage_error_leaves_paths_alone(self, tmp_path, capsys):
+        kept = tmp_path / "kept"
+        kept.write_text("kept\n")
+        assert main(["trajectory", "0", "--output", str(kept)]) == EX_USAGE
+        assert main(["verify", "halfsplit", "--lo", "1", "--output", str(kept)]) == EX_USAGE
+        assert kept.read_text() == "kept\n"
+        # a new path is tried for writing before the work, and removed again
+        fresh = tmp_path / "fresh"
+        assert main(["verify", "halfsplit", "--lo", "1", "--output", str(fresh)]) == EX_USAGE
+        assert not fresh.exists()

@@ -16,6 +16,7 @@ from collatzlab.halfsplit import (
     proof_case_table_check,
     step_kind_at,
 )
+from collatzlab.identities import _walk_shortcut_zero
 from collatzlab.sweep import survey_range
 
 
@@ -56,7 +57,7 @@ class TestPaperRangeTables:
         tail = report.tallies[-1]
         assert tail.step == 3
         assert not tail.within_theorem
-        # happens to split evenly here; the guarantee (not the tally) stops
+        # step M splits evenly for every M; the theorem's guarantee stops at M-1
         assert (tail.increases, tail.decreases) == (4, 4)
 
     def test_gamma3_step4_split_actually_breaks(self):
@@ -103,8 +104,8 @@ class TestExactSplit:
             halfsplit_verify(30)
         with pytest.raises(ResourceLimitError):
             halfsplit_by_classes(40)
-        with pytest.raises(ValueError):
-            halfsplit_by_classes(6, steps=6)  # beyond M-1 needs direct mode
+        with pytest.raises(ValueError, match="only for steps <= M;"):
+            halfsplit_by_classes(6, steps=7)  # beyond M needs direct mode
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -137,6 +138,16 @@ class TestRefinement:
                 direct = halfsplit._halfsplit_direct(M, 1, 1 << M, steps)
                 assert halfsplit_by_classes(M, steps).tallies == direct.tallies
 
+    @pytest.mark.parametrize("M", range(1, 15))
+    def test_step_M_matches_direct(self, M):
+        direct = halfsplit._halfsplit_direct(M, 1, 1 << M, M)
+        classes = halfsplit_by_classes(M, M)
+        assert classes.tallies == direct.tallies
+        last = classes.tallies[-1]
+        assert (last.step, last.within_theorem) == (M, False)
+        assert last.increases == last.decreases == 1 << (M - 1)
+        assert classes.exact_split()
+
     def test_large_M_exact(self):
         report = halfsplit_by_classes(23)
         assert len(report.tallies) == 22
@@ -162,7 +173,7 @@ class TestRefinement:
         # images of residues i < 2^k stay below 3^k, and the largest value
         # formed at step n, T^(n-1)(i) + 3^p, below 2 * 3^(n-1)
         for k in range(1, 13):
-            assert max(halfsplit._iterate(i, k) for i in range(1 << k)) < 3**k
+            assert max(_walk_shortcut_zero(i, k)[0] for i in range(1 << k)) < 3**k
         n = CLASSES_UINT64_MAX_STEP
         assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
 

@@ -39,7 +39,7 @@ def test_halfsplit_scan():
     for M, line in zip(range(2, 7), lines):
         half = 1 << (M - 1)
         assert line.startswith(f"M={M:>2}: steps 1..{M - 1} all exactly ({half}, {half}): True")
-        assert f"; step {M} (outside bound): " in line
+        assert line.endswith(f"; step {M} (outside bound): ({half}, {half})")
 
 
 @pytest.mark.parametrize("seed", ["0", "3"])

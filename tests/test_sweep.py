@@ -202,11 +202,6 @@ class TestDeterminism:
         for workers in (2, 3):
             assert survey_range(1, 50001, workers=workers, chunk_size=7000) == base
 
-    def test_python_engine_option(self):
-        assert survey_range(1, 2001, engine="python") == survey_range(1, 2001)
-        with pytest.raises(ValueError):
-            survey_range(1, 10, engine="fortran")
-
 
 class TestMerge:
     def test_merge_ties_prefer_smaller_start(self):

@@ -223,6 +223,9 @@ class TestSameBytes:
             def write(self, text):
                 writes.append(len(text))
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Stdout())
         assert main(["trajectory", "27"]) == EX_OK
         assert len(writes) == 1  # a small document goes out whole, at the end
@@ -356,3 +359,47 @@ def test_light_commands_load_no_numpy_or_pool(argv):
 def test_heavy_commands_still_load_them(argv):
     code, loaded = probe(*argv)
     assert code == EX_OK and "numpy" in loaded
+
+
+# -------------------------------------------------------------- closed pipe
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_one_without_traceback(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # about 44 MB of rows: far more than a pipe holds, so writes go on after the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzlab", "trajectory", str(2**3000 - 1)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EX_USAGE
+    assert head.startswith(b"# start=")
+    assert err == "error: the output pipe was closed before the output was written\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_pipe_closed_before_a_small_output(unbuffered):
+    # the whole output is one write at the end, so the failure comes at the
+    # final flush, where the interpreter would otherwise report it at exit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzlab", "trajectory", "27"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # long before the interpreter has started
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EX_USAGE
+    assert err == "error: the output pipe was closed before the output was written\n"
