@@ -382,6 +382,20 @@ def cycle_catalog(
     return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
 
 
+def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:
+    """Estimated bytes of the most that one walk of `cycle_catalog` holds.
+
+    Per step: a value of at most start_limit.bit_length() + j log2((a + b)/2)
+    bits at step j ((ax + b)/2^k <= (a + b) x / 2), as an int of 4 bytes per 30
+    bits, and 128 bytes of header, list slot and index entry (tracemalloc
+    peaks of 20,000-step walks show 96).
+    """
+    values = max_steps + 1
+    bits = values * start_limit.bit_length()
+    bits += math.log2((params.a + params.b) / 2) * max_steps * values / 2
+    return values * 128 + math.ceil(bits * 4 / 30)
+
+
 def _catalog_walk(
     x0: int, params: AnbParams, max_steps: int, memo: dict[int, int]
 ) -> list[int] | None:

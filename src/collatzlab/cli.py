@@ -62,6 +62,10 @@ ANB_EQ_CHECK_LIMIT = 1 << 22
 # (--limit 100) counts 500,000.
 CYCLES_STEP_LIMIT = 1 << 24
 
+# anb-cycles holds one walk at a time; above this many bytes by
+# anb.catalog_walk_bytes it stops with exit 3 (the default run estimates 12 MB).
+CYCLES_MEMORY_LIMIT = 1 << 28
+
 # verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 Fraction terms, about
 # 9 microseconds each near --max-n 200 --max-m 200 (4,080,501 terms); above
 # this many it stops with exit 3.  The default run makes 67,626.
@@ -79,14 +83,20 @@ THREADS_LIMIT = 256
 # in order before it runs: (attribute, least, largest or None, name printed).
 # _AN_B checks the (a, b) of an an+b map; trajectory's for --map anb only.
 _AN_B = ("a", "b")
+_SEED = ("seed", 0, None, "--seed")
+_MAX_STEPS = ("max_steps", 0, None, "--max-steps")
+_MAX_X0 = ("max_x0", 0, None, "--max-x0")
 _BOUNDS = {
     "trajectory": (("x0", 1, None, "x0"), ("max_steps", 0, None, "max-steps"), _AN_B),
-    "lemma7": (("max_k", 1, None, "--max-k"), ("samples", 0, None, "--samples")),
+    "lemma7": (("max_k", 1, None, "--max-k"), ("samples", 0, None, "--samples"), _SEED),
+    "eq2": (_MAX_X0,),
+    "bohm": (_MAX_X0,),
     "geom": (("max_n", 0, None, "--max-n"), ("max_m", 0, None, "--max-m")),
-    "anb-eq": (_AN_B, ("samples", 0, None, "--samples"), ("max_n", 0, None, "--max-n")),
-    "montecarlo": (("length", 2, None, "--length"), ("samples", 2, None, "--samples")),
-    "sweep": (("limit", 1, None, "--limit"), ("threads", 1, THREADS_LIMIT, "--threads")),
-    "anb-cycles": (_AN_B, ("limit", 1, None, "--limit"), ("max_steps", 0, None, "--max-steps")),
+    "anb-eq": (_AN_B, ("samples", 0, None, "--samples"), ("max_n", 0, None, "--max-n"), _SEED),
+    "montecarlo": (("length", 2, None, "--length"), ("samples", 2, None, "--samples"), _SEED),
+    "sweep": (("limit", 1, None, "--limit"), _MAX_STEPS,
+              ("threads", 1, THREADS_LIMIT, "--threads")),
+    "anb-cycles": (_AN_B, ("limit", 1, None, "--limit"), _MAX_STEPS),
 }
 
 # Decimal arithmetic that is exact or traps: unbounded precision and exponent.
@@ -839,6 +849,11 @@ def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
             f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "
             f"each, over the budget of {CYCLES_STEP_LIMIT} steps; lower --limit or "
             "--max-steps")
+    walk_bytes = anb_mod.catalog_walk_bytes(args.params, args.limit, args.max_steps)
+    _budget(walk_bytes, CYCLES_MEMORY_LIMIT,
+            f"anb-cycles holds one walk of up to {args.max_steps} steps at a time, estimated "
+            f"at {walk_bytes} bytes, over the memory budget of {CYCLES_MEMORY_LIMIT}; "
+            "lower --max-steps")
     catalog = anb_mod.cycle_catalog(args.params, args.limit, max_steps=args.max_steps)
     cycles = []
     for record in catalog:

@@ -6,9 +6,8 @@ residue-class shortcut (the step-n direction of x depends only on x mod 2^n),
 and exposes the per-class view.  Reports over disjoint subranges merge by
 component-wise addition, which is what makes range-partitioned runs exact.
 
-The class images are refined with the shift law rather than walked: going
-from residues mod 2^(n-1) to residues mod 2^n costs one add per class, then
-one vectorised step takes every image one step further.
+The tally of step n, `class_split` and the right side of the blocked lemma7
+check read one shift-law table, `shift_table`, refined level by level.
 """
 
 from __future__ import annotations
@@ -18,22 +17,25 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dynamics import StepKind
-from .identities import ResidueClass
+from .identities import ResidueClass, _shortcut_step
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Keeps a single call to the pure-Python direct walker at roughly 10^8 steps.
+# The direct walker stops before it walks above these many elements, tallied
+# steps (it holds a row per step) or element-steps (M = 21 makes 2^21 x 20).
 DIRECT_ELEMENT_LIMIT = 1 << 21
+DIRECT_STEP_LIMIT = 1 << 16
+DIRECT_ELEMENT_STEP_LIMIT = 1 << 26
 
-# Bytes the class refinement may hold: three uint64 arrays of 2^steps entries,
-# 24 bytes per class, so at most step 23 (M = 24) at 256 MB.
+# Bytes per entry of a shift table: images, powers and step scratch in uint64,
+# and a parity byte for each of the twice as many residues whose tally reads
+# it.  At 256 MB that is level 23, which step 24 (M = 25) reads.
 CLASSES_MEMORY_LIMIT = 1 << 28
-_CLASS_BYTES = 24
+_CLASS_BYTES = 26
 
-# For i < 2^n the image T^n(i) is below 3^n, so the refinement's largest value,
-# T^(n-1)(i) + 3^p with both terms below 3^(n-1), fits in uint64 while
-# 2 * 3^(n-1) < 2^64: up to step 40, whatever the memory limit.
+# For i < 2^n the image T^n(i) is below 3^n, so T^n(i) + 3^p, the n-step image
+# of i + 2^n, is below 2 * 3^n: within uint64 up to level 39, which step 40 reads.
 CLASSES_UINT64_MAX_STEP = 40
 
 
@@ -149,13 +151,22 @@ def halfsplit_verify(
         if not 1 <= lo <= hi <= top:
             raise ValueError(f"subrange must sit inside [1, {top}]")
     if method == "direct":
-        if hi - lo + 1 > DIRECT_ELEMENT_LIMIT:
+        count = hi - lo + 1
+        if count > DIRECT_ELEMENT_LIMIT:
             raise ResourceLimitError(
-                f"direct tally over {hi - lo + 1} elements exceeds the budget of "
+                f"direct tally over {count} elements exceeds the budget of "
                 f"{DIRECT_ELEMENT_LIMIT}; split the range into subranges of at most "
                 f"{DIRECT_ELEMENT_LIMIT} elements and merge the reports, or use "
                 "method='classes' for the full range"
             )
+        if steps > DIRECT_STEP_LIMIT:
+            raise ResourceLimitError(f"direct tally of {steps} steps exceeds the budget of "
+                                     f"{DIRECT_STEP_LIMIT} tallied steps; tally fewer steps")
+        if count * steps > DIRECT_ELEMENT_STEP_LIMIT:
+            raise ResourceLimitError(
+                f"direct tally of {count} elements x {steps} steps exceeds the budget of "
+                f"{DIRECT_ELEMENT_STEP_LIMIT} element-steps; split the range, or tally "
+                "fewer steps")
         return _halfsplit_direct(M, lo, hi, steps)
     if method == "classes":
         if subrange is not None and (lo, hi) != (1, top):
@@ -206,62 +217,63 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
     import numpy as np
 
     tallies = []
-    for n, odd in enumerate(_image_parities(steps), start=1):
-        inc = int(np.count_nonzero(odd)) << (M - n)
+    # step n reads level n - 1; zip asks the range first, so steps = 0 builds none
+    for n, (image, power) in zip(range(1, steps + 1), shift_table(steps - 1)):
+        inc = int(np.count_nonzero(_step_parities(image, power))) << (M - n)
         tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=n <= M - 1))
     return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tuple(tallies))
 
 
-def _image_parities(steps: int) -> Iterator[np.ndarray]:
-    """Yield, for n = 1..steps, the parity of T^(n-1)(i) for each residue i mod 2^n.
+def shift_table(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield uint64 views (T^n(i), 3^p_n(i)) over the residues i < 2^n, n = 0..k.
 
-    This is the refinement of Terras' parity-vector bijection.  With p_i the
-    increases among the first n-1 steps of i, the shift law with m = 1 gives
-    T^(n-1)(i + 2^(n-1)) = 3^p_i + T^(n-1)(i), so the upper half of the
-    residues mod 2^n costs one add each; then one step in place takes every
-    image to T^n.  Residue 0 stays at 0 under the T(0) = 0 convention, and its
-    class in range, {2^n, 2^(n+1), ...}, decreases at step n as 0 does.  Each
-    yielded array is a uint64 view that the next iteration overwrites.
+    p_n(i) counts the increases among the first n steps of i (T(0) = 0).  This
+    is Terras' parity-vector bijection: the shift law with m = 1,
+    T^(n-1)(i + 2^(n-1)) = 3^p + T^(n-1)(i), refines level n-1 to the residues
+    mod 2^n for one add each, then one `_shortcut_step` takes them to level n,
+    which overwrites the views of level n-1.
     """
-    if steps > CLASSES_UINT64_MAX_STEP:
+    if k >= CLASSES_UINT64_MAX_STEP:
+        raise ResourceLimitError(f"class tally for step {k + 1} would overflow uint64 images; "
+                                 f"it stops at step {CLASSES_UINT64_MAX_STEP}")
+    if _CLASS_BYTES << k > CLASSES_MEMORY_LIMIT:
         raise ResourceLimitError(
-            f"class tally for step {steps} would overflow uint64 images; "
-            f"it stops at step {CLASSES_UINT64_MAX_STEP}"
-        )
-    if _CLASS_BYTES << steps > CLASSES_MEMORY_LIMIT:
-        raise ResourceLimitError(
-            f"class tally for step {steps} holds 2^{steps} classes in "
-            f"{_CLASS_BYTES << steps} bytes; the memory budget of "
-            f"{CLASSES_MEMORY_LIMIT} bytes stops at step "
-            f"{(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length() - 1}"
-        )
+            f"shift table to level {k}, which the class tally of step {k + 1} reads, holds "
+            f"{_CLASS_BYTES << k} bytes; the memory budget of {CLASSES_MEMORY_LIMIT} bytes "
+            f"stops at step {(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length()}")
     import numpy as np
 
-    image = np.zeros(1 << steps, dtype=np.uint64)  # T^(n-1)(i)
-    power = np.ones(1 << steps, dtype=np.uint64)  # 3^p_i
-    odd = np.empty(1 << steps, dtype=np.uint64)
-    size = 1
-    for n in range(1, steps + 1):
-        if n > 1:
-            # Step the images of the residues mod 2^(n-1), whose parities odd
-            # still holds.  First w *= 2 * parity + 1, i.e. 3 where v is odd.
-            v, w, o = image[:size], power[:size], odd[:size]
-            o <<= 1
-            o += 1
-            w *= o
-            o >>= 1
-            # Then v becomes v >> 1, plus v + 1 where v is odd: (3v + 1) / 2
-            # without forming 3v.
-            o *= v
-            v >>= 1
-            v += o
-            o &= 1
-            v += o
+    image = np.zeros(1 << k, dtype=np.uint64)
+    power = np.ones(1 << k, dtype=np.uint64)
+    odd = np.empty(1 << k, dtype=np.uint64)
+    yield image[:1], power[:1]
+    for n in range(k):
+        size = 1 << n
         np.add(image[:size], power[:size], out=image[size : 2 * size])
         power[size : 2 * size] = power[:size]
-        size *= 2
-        np.bitwise_and(image[:size], 1, out=odd[:size])
-        yield odd[:size]
+        v, w, o = image[: 2 * size], power[: 2 * size], odd[: 2 * size]
+        _shortcut_step(v, o)
+        o <<= 1  # 3 where the step increased, 1 elsewhere
+        o += 1
+        w *= o
+        yield v, w
+
+
+def _step_parities(image: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """From level n of `shift_table`, the parity of T^n(i) for each i < 2^(n+1).
+
+    One byte each, read from the low bytes of the level; i + 2^n takes that of
+    T^n(i) + 3^p, the shift law at m = 1.
+    """
+    import numpy as np
+
+    low = 0 if np.little_endian else 7
+    image, power = (a.view(np.uint8)[low::8] for a in (image, power))
+    odd = np.empty(2 * image.size, dtype=np.uint8)
+    np.bitwise_and(image, 1, out=odd[: image.size])
+    np.add(image, power, out=odd[image.size :])
+    odd[image.size :] &= 1
+    return odd
 
 
 def step_kind_at(x: int, n: int) -> StepKind:
@@ -277,16 +289,16 @@ def class_split(n: int, M: int) -> list[tuple[ResidueClass, StepKind]]:
     """Step-n direction of every residue class mod 2^n inside [1, 2^M].
 
     The direction is the parity of the (n-1)-step image of the residue i,
-    read from the refinement; the zero class takes the direction of its
+    read from the shift table; the zero class takes the direction of its
     smallest member in range, 2^n.  `step_kind_at` is the reference.
     """
     if not 1 <= n <= M - 1:
         raise ValueError("need 1 <= n <= M-1")
-    *_, odd = _image_parities(n)
+    *_, level = shift_table(n - 1)
     kinds = (StepKind.DECREASE, StepKind.INCREASE)
     return [
         (ResidueClass(modulus_exponent=n, residue=i), kinds[bit])
-        for i, bit in enumerate(odd.tolist())
+        for i, bit in enumerate(_step_parities(*level).tolist())
     ]
 
 

@@ -9,6 +9,10 @@ The residue-class shift law is quantified over residues 0 <= i < 2^k, so the
 walkers used by it extend the map with the local convention T(0) = 0; such
 steps count as decreases by convention and never contribute to increase
 tallies.  The public trajectory API in `dynamics` is not affected.
+
+The blocked shift-law check walks 2^k m + i with `_shortcut_step` and reads
+its right side from `halfsplit.shift_table`, built with the same step; so the
+check is also the correctness check of that table.
 """
 
 from __future__ import annotations
@@ -106,25 +110,28 @@ def residue_shift_check(k: int, m: int, i: int) -> ShiftCheck:
     return ShiftCheck(holds=lhs == rhs, increase_count=p, lhs=lhs, rhs=rhs)
 
 
-def _walk_shortcut_zero_array(x: np.ndarray, steps: int) -> np.ndarray:
-    """`_walk_shortcut_zero` on a uint64 array, in place; returns the increases.
+def _shortcut_step(x: np.ndarray, odd: np.ndarray) -> None:
+    """One shortcut step on a uint64 array in place; odd ends as the old parities.
 
-    0 is even and halves to 0, which is the T(0) = 0 convention.
+    x >> 1, plus x + 1 where x is odd: 3x is never formed, and 0 stays 0.
     """
     import numpy as np
 
-    increases = np.zeros(x.shape, dtype=np.uint64)
+    np.bitwise_and(x, 1, out=odd)
+    odd *= x
+    x >>= 1
+    x += odd
+    odd &= 1
+    x += odd
+
+
+def _walk_shortcut_zero_array(x: np.ndarray, steps: int) -> None:
+    """The value of `_walk_shortcut_zero` on a uint64 array, in place."""
+    import numpy as np
+
     odd = np.empty_like(x)
     for _ in range(steps):
-        np.bitwise_and(x, 1, out=odd)
-        increases += odd
-        # (3x + 1) / 2 on odd x, x / 2 on even x: x >> 1, plus x + 1 if x is odd
-        odd *= x
-        x >>= 1
-        x += odd
-        odd &= 1
-        x += odd
-    return increases
+        _shortcut_step(x, odd)
 
 
 def residue_shift_blocks(
@@ -135,30 +142,29 @@ def residue_shift_blocks(
     The checks are taken in the order of (i, position of m in ms), flattened
     to g = i * len(ms) + position, and yielded in blocks (g0, lhs, rhs) of
     uint64 arrays for g0 <= g < g0 + len(lhs).  As in the per-case check, the
-    two sides come from separate walks: the left from the representatives
-    2^k m + i, the right as 3^p m + T^k(i) from a walk of the residues alone.
+    two sides come from separate code paths: the left walks 2^k m + i, the
+    right is 3^p m + T^k(i) from level k of `halfsplit.shift_table`.
     """
     if not 1 <= k <= SHIFT_UINT64_MAX_K:
         raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
     import numpy as np
 
+    from .halfsplit import shift_table
+
     ms = np.asarray(ms, dtype=np.uint64)
     if ms.size and int(ms.max()) >= SHIFT_M_BOUND:
         raise ValueError(f"need every m below {SHIFT_M_BOUND} for uint64 walks")
     total = ms.size << k
+    *_, (image, power) = shift_table(k)
     for g0 in range(0, total, _SHIFT_BLOCK):
         g = np.arange(g0, min(g0 + _SHIFT_BLOCK, total), dtype=np.uint64)
         i, pos = np.divmod(g, np.uint64(ms.size))
         m = ms[pos]
         lhs = (m << np.uint64(k)) | i
         _walk_shortcut_zero_array(lhs, k)
-        i_lo = int(i[0])
-        residues = np.arange(i_lo, int(i[-1]) + 1, dtype=np.uint64)
-        p = _walk_shortcut_zero_array(residues, k)
-        rel = (i - np.uint64(i_lo)).astype(np.intp)
-        rhs = np.power(np.uint64(3), p)[rel]
+        rhs = power[i]
         rhs *= m
-        rhs += residues[rel]
+        rhs += image[i]
         yield g0, lhs, rhs
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +264,19 @@ class TestCatalogMemo:
         x0 = ((1 << 64) - 1) // 5
         assert anb_mod._catalog_walk(x0, P51, 5, {}) == [1, 3]
         assert find_cycle(x0, P51, 5).members == (1, 3)
+
+    @pytest.mark.parametrize("params, x0", [(P51, 7), (P71, 7), (AnbParams(7, 3), 41)])
+    def test_walk_bytes_estimate(self, monkeypatch, params, x0):
+        # a walk with no repeat holds every value of its budget, and no more
+        # than the estimate of the anb-cycles memory budget
+        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+        tracemalloc.start()
+        try:
+            assert anb_mod._catalog_walk(x0, params, 5000, {}) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= anb_mod.catalog_walk_bytes(params, x0, 5000)
 
     def test_validation(self):
         with pytest.raises(ValueError):

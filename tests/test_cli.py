@@ -273,11 +273,20 @@ class TestVerifyCommand:
         assert main(["verify", "anb-eq", "--samples", "31", "--max-n", "0"]) == EX_RESOURCE
 
     def test_halfsplit_class_budget_exit(self, capsys):
-        code = main(["verify", "halfsplit", "--M", "25", "--method", "classes"])
+        # M = 25 reads the table to level 23, the last within the budget
+        code = main(["verify", "halfsplit", "--M", "26", "--method", "classes"])
         captured = capsys.readouterr()
         assert code == EX_RESOURCE
         assert "memory budget" in captured.out
         assert len(captured.err.splitlines()) == 1
+        assert (halfsplit_mod._CLASS_BYTES << 23) <= halfsplit_mod.CLASSES_MEMORY_LIMIT
+
+    def test_lemma7_table_within_class_budget(self):
+        # every max_k the check budget admits (at one sample) has its table
+        # within the class memory budget
+        max_k = max(k for k in range(1, 64) if (1 << k + 1) - 2 <= cli_mod.LEMMA7_CHECK_LIMIT)
+        assert max_k == 23
+        assert (halfsplit_mod._CLASS_BYTES << max_k) <= halfsplit_mod.CLASSES_MEMORY_LIMIT
 
 
 @lru_cache(maxsize=None)
@@ -428,21 +437,20 @@ class TestOneWalkChecksBytes:
         assert fast == slow
         assert fast[0][0] == EX_OK
 
-    def test_lemma7_broken_side(self, capsys, monkeypatch):
-        # break the walk from every start 3 mod 7, in the per-case walker and
-        # in the array walker alike: the left side walks 2^k m + i and the
-        # right side walks i, so a check fails where exactly one of them is hit
+    def test_lemma7_broken_left_walk(self, capsys, monkeypatch):
+        # break the walk from every start >= 2^k that is 3 mod 7, in the
+        # per-case walker and in the array walker alike: only the left side
+        # walks such starts (the right side walks i < 2^k, or reads the table)
         walk, walk_array = ident_mod._walk_shortcut_zero, ident_mod._walk_shortcut_zero_array
 
         def broken(x, steps):
             y, p = walk(x, steps)
-            return y + (x % 7 == 3), p
+            return y + (x >> steps > 0 and x % 7 == 3), p
 
         def broken_array(x, steps):
-            hit = (x % 7 == 3).astype(np.uint64)
-            p = walk_array(x, steps)
-            x += hit
-            return p
+            hit = ((x >> np.uint64(steps)) > 0) & (x % np.uint64(7) == 3)
+            walk_array(x, steps)
+            x += hit.astype(np.uint64)
 
         monkeypatch.setattr(ident_mod, "_walk_shortcut_zero", broken)
         monkeypatch.setattr(ident_mod, "_walk_shortcut_zero_array", broken_array)
@@ -468,6 +476,45 @@ class TestOneWalkChecksBytes:
         doc = json.loads(fast[1][1])
         assert 0 < failures < doc["checks_run"]
         assert doc["failures"] == failures and doc["counterexample"] == first
+
+    def test_lemma7_corrupted_table(self, capsys, monkeypatch):
+        # add 1 to T^k(i) for every i that is 3 mod 7 in the level the check
+        # reads, and compare with a per-case loop whose residue walk is broken
+        # the same way
+        real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
+
+        def corrupted(k):
+            for n, (image, power) in enumerate(real_table(k)):
+                if n == k:  # the levels below build this one
+                    image = image.copy()
+                    image[3::7] += np.uint64(1)
+                yield image, power
+
+        def per_case(k, ms):
+            lhs, rhs = [], []
+            for i in range(1 << k):
+                ti, p = walk(i, k)
+                ti += i % 7 == 3
+                for m in ms:
+                    lhs.append(walk((int(m) << k) + i, k)[0])
+                    rhs.append(3**p * int(m) + ti)
+            yield 0, np.array(lhs, dtype=np.uint64), np.array(rhs, dtype=np.uint64)
+
+        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)
+        argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
+        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(ident_mod, "residue_shift_blocks", per_case)
+        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        assert fast == slow
+        assert fast[0][0] == EX_INCONCLUSIVE
+        # every check of a residue 3 mod 7 fails, the first at k = 2, i = 3
+        ms = np.random.default_rng(4).integers(0, cli_mod.M_SEED_RANGE, size=6)
+        m = int(ms[0])
+        lhs = walk((m << 2) + 3, 2)[0]
+        doc = json.loads(fast[1][1])
+        assert doc["failures"] == 6 * sum(len(range(3, 1 << k, 7)) for k in range(1, 8))
+        assert doc["counterexample"] == {"k": 2, "m": m, "i": 3, "lhs": lhs, "rhs": lhs + 1}
 
     @pytest.mark.parametrize(
         "argv",
@@ -683,6 +730,25 @@ class TestCyclesCommand:
         monkeypatch.setattr(cli_mod, "CYCLES_STEP_LIMIT", 50)
         assert main(["anb-cycles", "--limit", "100", "--max-steps", "0"]) == EX_OK
         assert main(["anb-cycles", "--limit", "101", "--max-steps", "0"]) == EX_RESOURCE
+
+    def test_memory_budget(self, capsys, monkeypatch):
+        code = main(["anb-cycles", "--a", "7", "--b", "1", "--limit", "7", "--max-steps", "50000"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: anb-cycles holds one walk of up to 50000")
+        assert len(captured.err.splitlines()) == 1
+        # the catalogs the benchmark runs stay well within it
+        for limit in (100, 151):
+            estimate = anb_mod.catalog_walk_bytes(AnbParams(a=5, b=1), limit, 10**4)
+            assert estimate < cli_mod.CYCLES_MEMORY_LIMIT // 16
+        # the estimate is admitted at exactly the limit
+        estimate = anb_mod.catalog_walk_bytes(AnbParams(a=7, b=3), 41, 300)
+        monkeypatch.setattr(cli_mod, "CYCLES_MEMORY_LIMIT", estimate)
+        argv = ["anb-cycles", "--a", "7", "--b", "3", "--limit", "41", "--max-steps", "300"]
+        assert main(argv) == EX_OK
+        monkeypatch.setattr(cli_mod, "CYCLES_MEMORY_LIMIT", estimate - 1)
+        assert main(argv) == EX_RESOURCE
 
 
 class TestOutputFile:

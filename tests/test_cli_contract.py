@@ -66,12 +66,13 @@ CORPUS = [
     ("verify lemma7 --max-k 30", "23eb3225bcd989aef87354e4e4f6f2047be878baaec36ff854f9c21952901b60"),
     ("verify lemma7 --max-k 30 --format json", "1ad0078e835aae2a3b6fd162bbbda83ee52243b60bd569acf925711975b4b2a5"),
     ("verify lemma7 --max-k 1000000000 --format csv", "359ee52bd263e02fa3a0d17f893cb369bc24d7f999193efa647e9175578bf8a3"),
+    ("verify lemma7 --seed -1", "ff74195cf337d30dbcd6b61b315c2b6ef7e74fe52297b5734a5be0fd9cb14f80"),
     ("verify lemma7 --max-k 28 --samples 0", "56f257dc089636b2cdc62e8912362765548ba8fa75e416e87d8c5b84efc10c61"),
     ("verify eq2 --max-x0 99", "e8d3ed5d169ff6730c087fb42d250968756c68550bb45a5ef0619d836169a085"),
     ("verify eq2 --max-x0 99 --format json", "3e7fec9636198a4d33e6e91c06caab08a4e686591193c212b6ff1035755f7391"),
     ("verify eq2 --max-x0 99 --format csv", "6653f24787f203f54b2d4f6f577a51a1b019b1c723d5a7aff1960d12ee4e18a4"),
     ("verify eq2 --max-x0 0", "98620a362b903457c522e97e3284082399ed5619d9d078d4b0edbe1dd15d76cf"),
-    ("verify eq2 --max-x0 -5 --format json", "3d2da926b6cd1be9b33883175685456f2f6deb7b92cd7d799e0dde074845a35b"),
+    ("verify eq2 --max-x0 -5 --format json", "7d25afe5ad7636ba75f0285fb6c6f3260dc159f7ca170a870d92e1c67f8f4305"),
     ("verify eq2 --max-x0 99 --max-n -1 --max-k 0 --samples -1 --M 0 --a 4", "e8d3ed5d169ff6730c087fb42d250968756c68550bb45a5ef0619d836169a085"),
     ("verify eq2 --max-x0 2097153", "3bd838103600a196df455b1acc249a4ce7512c18b875547758f7f0b3f278e2e2"),
     ("verify eq2 --max-x0 2097153 --format json", "d6472a42106b9ed91d903d05930ab1a69ce9954813f202cd0bf37f4dd6d7bf40"),
@@ -79,6 +80,8 @@ CORPUS = [
     ("verify bohm --max-x0 99", "ac01816e46b24d15c17a3088c0f3d66335a9c0f41f7eb90af43e4b09b972eae3"),
     ("verify bohm --max-x0 99 --format json", "0a9b04673ea2b38fa80db51cabe563eb9e91d0c145d06bb8ff0dd5dc0095b8ba"),
     ("verify bohm --max-x0 99 --format csv", "3fb46d97305b66240412782b1b855ad31c99e6930f7c519895f761742d8bd1bf"),
+    ("verify bohm --max-x0 -1", "7d25afe5ad7636ba75f0285fb6c6f3260dc159f7ca170a870d92e1c67f8f4305"),
+    ("verify bohm --max-x0 0 --format json", "fd0c43cdb7e1d1559856f0cd50cb0a5f1c2365374c94de73b53cced3ed11f387"),
     ("verify bohm --max-x0 2097153 --format json", "4e22656f558662d9697752705460f4e287ddac30cc8901418696347082dc86c3"),
     ("verify geom --max-n 5 --max-m 5", "db683c7af4fb53bf857fe6fca7417b57aa85c6fadd88a252fed7f541823c51c8"),
     ("verify geom --max-n 5 --max-m 5 --format json", "6157e04e0fbb63c462a6815b9a1ae8eb2329d4c901f12f464a0a832bd828721d"),
@@ -99,6 +102,7 @@ CORPUS = [
     ("verify anb-eq --max-n -1", "74bb452119e8b58a7c192492dc3c2b92ffc18a49bb718019a69c9a51433ce54d"),
     ("verify anb-eq --a 4 --samples -1", "370c835fcb9c08610bd5a7b3f102ccf49554b3ff414501040b48d3341bf622ab"),
     ("verify anb-eq --samples -1 --max-n -1", "d77afcd3765228eb0ba6a24f0b68638abe12d4daf5267fe5c1f2d4682835aaf9"),
+    ("verify anb-eq --seed -1", "ff74195cf337d30dbcd6b61b315c2b6ef7e74fe52297b5734a5be0fd9cb14f80"),
     ("verify anb-eq --samples 1000000000000 --max-n 1", "e1ac5c581880d26ec651f6c22557b68da0e670e26c99860cb078c1e7b6280063"),
     ("verify anb-eq --samples 1000000000000 --max-n 1 --format json", "368974a37a1e3da1553633d4f9e944dffe30dd005d158b9e37f3e0a5a1067765"),
     ("verify halfsplit --M 10", "9c0540d701db9c2646056e797e54d0d3a5112ededad203320a9ad3f477d3bcce"),
@@ -121,8 +125,11 @@ CORPUS = [
     ("verify halfsplit --M 5 --lo 0 --hi 3", "a6d380ef0e62e4cac09f28e27835e208b8c59cd26ae3dc310aa95a575754589a"),
     ("verify halfsplit --M 22", "fd06219fe527b52dc004b9e58201bd0aaccf94a5f0ff468560059d5819964d2b"),
     ("verify halfsplit --M 22 --format json", "13e34604e118e2e18a587aad6bdfcb68f8cf1cc2eaff8a57029a7f9763989359"),
-    ("verify halfsplit --M 25 --method classes", "bbea68e08ba7d5e8f932535fd509e2050a3f7591215c0dad5549687c112ae64b"),
-    ("verify halfsplit --M 25 --method classes --format csv", "41b95d94e978a5e24b3a5ebe4e57a00cc734ff0638b27f10e45431c3ffd72f00"),
+    ("verify halfsplit --M 1 --steps 300000 --format csv", "0009fbe8a97e67f805be0c07d7c9b061f10480afcbe155ba9f8099017b243552"),
+    ("verify halfsplit --M 21 --steps 40 --format json", "e0d4818552241cf2e56afef460e7bba292af2e30f226bb1918750ea5c62f0046"),
+    ("verify halfsplit --M 25 --method classes", "c7d5b4b71eea1245877c0fc0d770ae14bf9c1164eb3d576207b5e977f8291825"),
+    ("verify halfsplit --M 25 --method classes --format csv", "53c9da5c9801b45b4e83ad240c49c7b7ed7b4f10815101c9e4e1a619362689a6"),
+    ("verify halfsplit --M 26 --method classes", "55eeba9d0c12eec69ebf2b7fdcb9ba5cdad055148670b292cda622f277c13fc3"),
     ("verify halfsplit --M 50 --method classes --steps 41", "516c93453bcbf31d5e789dda27e651643c8ea48ab4113b791e2d307c8968162c"),
     ("verify halfsplit --M 5 --method classes --steps 5", "11d885a4018b29d0af520799e4e6623fdf644844f8d9e93cc53893201243981c"),
     ("verify halfsplit --M 5 --method classes --steps 5 --format json", "238bb8c31ea2a9c6cc4bde74598651c27eb45b7fc3993b15db4d691d049325fa"),
@@ -142,6 +149,7 @@ CORPUS = [
     ("montecarlo --length 3 --samples 10 --format json", "412bb659fa6e3180a61f94afe1e1d79014cf062684a98846731ef040bedc060c"),
     ("montecarlo --length 3 --samples 10 --format csv", "cebef625782c6b2626a897b16c18637ac8caf948066ead7da9bee6a91926ba05"),
     ("montecarlo --length 2 --samples 4", "a7aa5aa109d50637bda90731f803556f232e64219732f298cee07deb907c634e"),
+    ("montecarlo --seed -1 --format json", "ff74195cf337d30dbcd6b61b315c2b6ef7e74fe52297b5734a5be0fd9cb14f80"),
     ("montecarlo --length 1", "4e1ee98dca91ba838d8d9ae87e6c0e19464db557d62a1af8a02c373a261188c9"),
     ("montecarlo --samples 1", "d9e1ea1b133386f719b2d3dd4eaee60b7b70429ba0b33558e8e25a124620d988"),
     ("montecarlo --length 1 --samples 1", "4e1ee98dca91ba838d8d9ae87e6c0e19464db557d62a1af8a02c373a261188c9"),
@@ -153,7 +161,8 @@ CORPUS = [
     ("sweep --limit 1000 --max-steps 10 --format json", "ec55fd4f75f0659ebd4e3c1b32bb4a4af792891df49fea0f6654a9bbf88c895f"),
     ("sweep --limit 1000 --max-steps 10 --format csv", "869163d9c8a035662edf7b45e37d8ede819abba7da989716ef8a0bba26c0f5b9"),
     ("sweep --limit 1", "97b071fa18b8a9617ccb0293cf0bd07cb45e5aff69a1dc4f165efa7c77078d6c"),
-    ("sweep --limit 10 --max-steps -1 --format json", "6b782902155a9ffa5df064140794721248817cd2db2fb9c1339f06c52cf1d77d"),
+    ("sweep --limit 10 --max-steps -1 --format json", "7b128adf678bd9b21f73fbaf3aa1d93b5605f766a34a743c99714eb85801539b"),
+    ("sweep --limit 10 --max-steps 0", "9d39f3ed91d0229112485df5527c6a9ac56ef94a2b4e4571979526adb7466e26"),
     ("sweep --limit 5000 --threads 2 --format json", "ccce70a30e509b0d8da2c0b65f906ade49abb086cc81d658f57b266306f01372"),
     ("sweep --limit 0", "9a805285543005c0dcaa6b4f6c09ce8f206a3924062081266b4072a9eec342d3"),
     ("sweep --limit 10 --threads 0", "76e86a563df3cc644ab66d6b40187ef4abb0d707ec216ffa428d803600d21e6a"),
@@ -174,6 +183,8 @@ CORPUS = [
     ("anb-cycles --limit 0 --max-steps -1", "9a805285543005c0dcaa6b4f6c09ce8f206a3924062081266b4072a9eec342d3"),
     ("anb-cycles --limit 100000000", "ac276e56dbe3f928559cf92e4627a14cb8239f786dba62b1fc144d9d17e9c526"),
     ("anb-cycles --limit 100000000 --format json", "ac276e56dbe3f928559cf92e4627a14cb8239f786dba62b1fc144d9d17e9c526"),
+    ("anb-cycles --a 7 --b 1 --limit 7 --max-steps 50000", "4d363878ed4fc3d58103ff0e742579049325b39c6ed1b47ed1e6d8d37c65d557"),
+    ("anb-cycles --limit 3 --max-steps 8000000 --format json", "8cbeec4a0464e63e13dbcb10faf0c44933bad2b9015b800de139b1af5d6503dc"),
     ("trajectory 27 --output {out}", "3141d45fd28552ecac78354d1286c53f4823c8fd014a31216f310b91e46d6cef"),
     ("trajectory 27 --format json --output {out}", "1fa99a1dfe1ccbc88772afd66a6b92a6b3bacff7485a579c3c8d340d3bb69f23"),
     ("trajectory 0 --output {out}", "fdbffefb071fa904b1ee5dea752c4c0550e1a396ee416e7d004927c0c1066b3b"),
@@ -211,8 +222,14 @@ PATCHED = [
     ("cli.CYCLES_STEP_LIMIT=50", "anb-cycles --limit 101 --max-steps 0 --format json", "37e172d1d55c57829a4d1fff07dd252d5df9985c527a60137f4267f062e11d43"),
     ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --format json", "d206daf2d68e33013cac620596fc4e237f19067054638b73a424cf24cb8cb536"),
     ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --lo 2 --hi 64", "537fd37e30aec8803264c7bfd6497605064e665f981d37bbbac9769ffa62199c"),
-    ("halfsplit.CLASSES_MEMORY_LIMIT=768", "verify halfsplit --M 6 --method classes", "54a1ada6c5d6f413cd86f72d2a98809560cc1eedef086090726b2a96a112f566"),
-    ("halfsplit.CLASSES_MEMORY_LIMIT=767", "verify halfsplit --M 6 --method classes --format json", "89e6f465d79928d85ef28bd0ed3a0e04a6bbe382b334ba27606e396f7ccd3c6e"),
+    ("halfsplit.CLASSES_MEMORY_LIMIT=416", "verify halfsplit --M 6 --method classes", "54a1ada6c5d6f413cd86f72d2a98809560cc1eedef086090726b2a96a112f566"),
+    ("halfsplit.CLASSES_MEMORY_LIMIT=415", "verify halfsplit --M 6 --method classes --format json", "cfd7db37c6ce8a2d206c6a81d3e62df09566ecf737e82699483563b6612bd139"),
+    ("halfsplit.DIRECT_STEP_LIMIT=8", "verify halfsplit --M 6 --steps 8", "4d91eae0a956cef9ca5b6e461d228fc8222d98b3d734d55f0f02ad5cd1d9aed3"),
+    ("halfsplit.DIRECT_STEP_LIMIT=7", "verify halfsplit --M 6 --steps 8 --format json", "8c62364fbafe31cf542c8d21ab0becded651ca48af20870aeb371589c7c8a69b"),
+    ("halfsplit.DIRECT_ELEMENT_STEP_LIMIT=320", "verify halfsplit --M 6 --format json", "a0cedaca4177911ade0d17b1a28a0e615c9f74d7c8591954ffb26b995c3dc719"),
+    ("halfsplit.DIRECT_ELEMENT_STEP_LIMIT=319", "verify halfsplit --M 6 --format json", "111a118df2c2a43ab35f7017723960b33da9e490ebdaeb097d586701b4964840"),
+    ("cli.CYCLES_MEMORY_LIMIT=11856936", "anb-cycles --limit 100", "e00e12bd78486c7b6dbccc24c9604e6b9a8a4dac2dd472a55671d0a604e90854"),
+    ("cli.CYCLES_MEMORY_LIMIT=11856935", "anb-cycles --limit 100 --format json", "eedc7c8885c0a782b6b2a279dc497316603976d475d0a0283e97be1770f3b25d"),
 ]
 
 

@@ -8,12 +8,15 @@ from collatzlab import halfsplit
 from collatzlab.dynamics import StepKind
 from collatzlab.halfsplit import (
     CLASSES_UINT64_MAX_STEP,
+    DIRECT_ELEMENT_STEP_LIMIT,
+    DIRECT_STEP_LIMIT,
     ResourceLimitError,
     StepTally,
     class_split,
     halfsplit_by_classes,
     halfsplit_verify,
     proof_case_table_check,
+    shift_table,
     step_kind_at,
 )
 from collatzlab.identities import _walk_shortcut_zero
@@ -107,6 +110,23 @@ class TestExactSplit:
         with pytest.raises(ValueError, match="only for steps <= M;"):
             halfsplit_by_classes(6, steps=7)  # beyond M needs direct mode
 
+    def test_direct_budgets(self, monkeypatch):
+        # the default M = 21 walks 2^21 elements x 20 steps within the budget
+        assert (1 << 21) * 20 <= DIRECT_ELEMENT_STEP_LIMIT
+        assert halfsplit_verify(1, steps=DIRECT_STEP_LIMIT).tallies[-1].step == DIRECT_STEP_LIMIT
+        with pytest.raises(ResourceLimitError, match="tallied steps"):
+            halfsplit_verify(1, steps=DIRECT_STEP_LIMIT + 1)
+        # 64 elements x 5 steps is admitted at exactly the limit
+        monkeypatch.setattr(halfsplit, "DIRECT_ELEMENT_STEP_LIMIT", 320)
+        assert halfsplit_verify(6).exact_split()
+        with pytest.raises(ResourceLimitError, match="element-steps"):
+            halfsplit_verify(6, steps=6)
+        with pytest.raises(ResourceLimitError, match="element-steps"):
+            halfsplit_verify(7, subrange=(1, 65), steps=5)
+        monkeypatch.setattr(halfsplit, "DIRECT_ELEMENT_STEP_LIMIT", 319)
+        with pytest.raises(ResourceLimitError, match="element-steps"):
+            halfsplit_verify(6)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             halfsplit_verify(0)
@@ -154,28 +174,71 @@ class TestRefinement:
         assert report.exact_split()
 
     def test_memory_budget(self, monkeypatch):
-        # 24 bytes per class: 2^10 classes fit in 24 KiB, 2^11 do not
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 24 << 10)
-        assert halfsplit_by_classes(11).exact_split()
-        with pytest.raises(ResourceLimitError):
+        # 26 bytes per entry of the table that step n reads, level n - 1:
+        # level 10 fits in 26 KiB, which takes the tally through step 11, M
+        # included (it does not double the table); level 11 does not fit
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 26 << 10)
+        assert halfsplit_by_classes(12).exact_split()
+        assert halfsplit_by_classes(11, steps=11).exact_split()
+        assert len(class_split(11, 12)) == 1 << 11
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            halfsplit_by_classes(13)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            halfsplit_by_classes(12, steps=12)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            halfsplit_verify(13, method="classes")
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            class_split(12, 13)
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", (26 << 10) - 1)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_by_classes(12)
-        with pytest.raises(ResourceLimitError):
-            halfsplit_verify(12, method="classes")
-        with pytest.raises(ResourceLimitError):
-            class_split(11, 12)
 
     def test_uint64_guard_whatever_the_budget(self, monkeypatch):
         monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 1 << 100)
         with pytest.raises(ResourceLimitError, match="uint64"):
             halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 2)
+        with pytest.raises(ResourceLimitError, match="step 41 would overflow uint64"):
+            next(shift_table(CLASSES_UINT64_MAX_STEP))
+        # the level that step 40 reads passes the uint64 guard; the memory
+        # budget stops it
+        monkeypatch.undo()
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            next(shift_table(CLASSES_UINT64_MAX_STEP - 1))
 
     def test_uint64_guard_bound(self):
         # images of residues i < 2^k stay below 3^k, and the largest value
-        # formed at step n, T^(n-1)(i) + 3^p, below 2 * 3^(n-1)
+        # a level n table or its tally forms, T^n(i) + 3^p, below 2 * 3^n
         for k in range(1, 13):
             assert max(_walk_shortcut_zero(i, k)[0] for i in range(1 << k)) < 3**k
         n = CLASSES_UINT64_MAX_STEP
         assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
+
+
+class TestShiftTable:
+    """Every level of the table against the walk of each residue."""
+
+    def test_every_residue(self):
+        levels = [(image.tolist(), power.tolist()) for image, power in shift_table(12)]
+        assert len(levels) == 13
+        for n, (image, power) in enumerate(levels):
+            assert len(image) == len(power) == 1 << n
+            for i in range(1 << n):
+                y, p = _walk_shortcut_zero(i, n)
+                assert (image[i], power[i]) == (y, 3**p)
+
+    @given(st.integers(13, 20), st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=30))
+    @settings(max_examples=15, deadline=None)
+    def test_sampled_residues(self, n, draws):
+        *_, (image, power) = shift_table(n)
+        for i in (d % (1 << n) for d in draws):
+            y, p = _walk_shortcut_zero(i, n)
+            assert (int(image[i]), int(power[i])) == (y, 3**p)
+
+    def test_step_parities(self):
+        # level n gives the step-(n+1) parity of every residue mod 2^(n+1)
+        for n, (image, power) in enumerate(shift_table(10)):
+            odd = halfsplit._step_parities(image, power).tolist()
+            assert odd == [_walk_shortcut_zero(i, n)[0] & 1 for i in range(2 << n)]
 
 
 class TestMerge:
