@@ -13,29 +13,26 @@ never appear in (or affect) the payload.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import decimal
 import io
+import itertools
 import json
 import math
 import os
-import statistics
 import sys
 from collections.abc import Callable
 
-from . import anb as anb_mod
-from . import halfsplit as halfsplit_mod
-from . import identities as ident_mod
-from . import stats as stats_mod
+# dynamics is the one engine module loaded here; the others, numpy, csv and
+# the statistics modules load inside the commands that use them.
 from .dynamics import (
     DEFAULT_MAX_STEPS,
     AnbParams,
+    ResourceLimitError,
     Termination,
+    odd_walk,
     orbit_steps,
-    trajectory_odd,
 )
-from .reference_table import FIXTURE_NAME, REFERENCE_ROWS, SAMPLE_LENGTH
 
 EX_OK = 0
 EX_USAGE = 1
@@ -44,13 +41,19 @@ EX_RESOURCE = 3
 
 M_SEED_RANGE = 1 << 20  # residue-shift m values are drawn below this bound
 
+# montecarlo's default --length and its --fixture choice: SAMPLE_LENGTH and
+# FIXTURE_NAME of reference_table, which loads only when montecarlo runs.
+MC_SAMPLE_LENGTH = 100
+MC_FIXTURE_NAME = "paper14"
+
 # verify lemma7 runs samples x (2^(max_k+1) - 2) shift-law checks; above this
 # many it stops with exit 3.  The default run (--max-k 12 --samples 100)
 # makes 819,000.
 LEMMA7_CHECK_LIMIT = 1 << 24
 
-# verify eq2 and bohm walk every odd start up to --max-x0, about 60 and 45
-# microseconds each near 10^5; above this many starts they stop with exit 3.
+# verify eq2 and bohm walk every odd start up to --max-x0, about 74 and 25
+# microseconds each at --max-x0 10^5 (2-vCPU VM, Python 3.11); above this many
+# starts they stop with exit 3.
 X0_START_LIMIT = 1 << 20
 
 # verify anb-eq runs samples x max(max_n, 1) closed-form checks, 3 to 6 microseconds
@@ -66,8 +69,9 @@ CYCLES_STEP_LIMIT = 1 << 24
 # anb.catalog_walk_bytes it stops with exit 3 (the default run estimates 12 MB).
 CYCLES_MEMORY_LIMIT = 1 << 28
 
-# verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 Fraction terms, about
-# 9 microseconds each near --max-n 200 --max-m 200 (4,080,501 terms); above
+# verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 terms (the message's
+# "Fraction terms", summed as ints over 3^(n+m)), about 0.3 microseconds each
+# at --max-n 200 --max-m 200 (4,080,501 terms, 1.3 s on a 2-vCPU VM); above
 # this many it stops with exit 3.  The default run makes 67,626.
 GEOM_TERM_LIMIT = 1 << 22
 
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_verify)
 
     p_mc = sub.add_parser("montecarlo", help="seeded 0/1 drift-ratio experiment")
-    p_mc.add_argument("--length", type=int, default=SAMPLE_LENGTH, help="bits per sample")
+    p_mc.add_argument("--length", type=int, default=MC_SAMPLE_LENGTH, help="bits per sample")
     p_mc.add_argument("--samples", type=int, default=14)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument(
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument(
         "--fixture",
-        choices=[FIXTURE_NAME],
+        choices=[MC_FIXTURE_NAME],
         default=None,
         help="use the embedded published 14-row table instead of generating",
     )
@@ -297,7 +301,7 @@ def _main(argv: list[str] | None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except halfsplit_mod.ResourceLimitError as exc:
+    except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EX_RESOURCE
     finally:
@@ -326,7 +330,7 @@ def _check_args(args: argparse.Namespace) -> None:
 
 def _budget(work: int, limit: int, message: str) -> None:
     if work > limit:
-        raise halfsplit_mod.ResourceLimitError(message)
+        raise ResourceLimitError(message)
 
 
 def _emit(args: argparse.Namespace, write: Callable[[str], None], doc: dict,
@@ -335,6 +339,8 @@ def _emit(args: argparse.Namespace, write: Callable[[str], None], doc: dict,
     if args.format == "json":
         write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in table():
@@ -400,6 +406,8 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
     params = args.params
     try:
         if args.map == "anb":
+            from . import anb as anb_mod
+
             records = anb_mod.anb_orbit_steps(args.x0, params, max_steps=args.max_steps)
         else:
             records = orbit_steps(args.x0, max_steps=args.max_steps, odd=args.map == "odd")
@@ -518,7 +526,7 @@ def _cmd_verify(args: argparse.Namespace, write: Callable[[str], None]) -> int:
 
     try:
         runners[args.check](args, doc)
-    except halfsplit_mod.ResourceLimitError as exc:
+    except ResourceLimitError as exc:
         doc.update(passed=None, partial=True, error=str(exc))
         _emit(args, write, doc, table, lines)
         raise
@@ -549,6 +557,8 @@ def _note_failure(doc: dict, counterexample: dict) -> None:
 
 
 def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
+    from . import identities as ident_mod
+
     # k is capped so that an absurd --max-k builds no huge int; past 64 it is
     # over the budget anyway.
     _budget(args.samples * ((1 << min(args.max_k, 64) + 1) - 2), LEMMA7_CHECK_LIMIT,
@@ -586,9 +596,11 @@ def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
 
 
 def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:
+    from . import identities as ident_mod
+
     for x0 in _odd_starts(args, doc):
-        traj, pe = trajectory_odd(x0)
-        checks = ident_mod.closed_form_checks(x0, traj.values, pe.exponents)
+        values, exponents = odd_walk(x0)
+        checks = ident_mod.closed_form_checks(x0, values, exponents)
         for n, res in enumerate(checks, start=1):
             doc["checks_run"] += 1
             if not res.holds:
@@ -596,13 +608,14 @@ def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _verify_bohm(args: argparse.Namespace, doc: dict) -> None:
+    from . import identities as ident_mod
+
     for x0 in _odd_starts(args, doc):
-        traj, pe = trajectory_odd(x0)
-        if traj.terminated is not Termination.REACHED_ONE:
+        values, exponents = odd_walk(x0)
+        if values[-1] != 1:  # stopped at the step limit
             continue
-        prefix = pe.prefix_sums
-        if pe.step_count == 0:  # x0 == 1: use one step of the fixed point
-            prefix = (0, 2)
+        # x0 == 1 takes no step: use one step of the fixed point, exponent 2
+        prefix = list(itertools.accumulate(exponents or [2], initial=0))
         value = ident_mod.reconstruct_start(prefix)
         doc["checks_run"] += 1
         if value != x0:
@@ -610,6 +623,8 @@ def _verify_bohm(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _verify_geom(args: argparse.Namespace, doc: dict) -> None:
+    from . import identities as ident_mod
+
     terms = (args.max_n + 1) * (args.max_m + 1) * (args.max_m + 2) // 2
     _budget(terms, GEOM_TERM_LIMIT,
             f"geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 = {terms} Fraction terms, "
@@ -636,6 +651,8 @@ def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
     }
     import numpy as np
 
+    from . import anb as anb_mod
+
     params, rng = args.params, np.random.default_rng(args.seed)
     starts = 2 * rng.integers(0, M_SEED_RANGE // 2, size=args.samples) + 1
     for x0 in starts:
@@ -652,6 +669,8 @@ def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
     if (args.lo is None) != (args.hi is None):
         raise UsageError("--lo and --hi must be given together")
     subrange = (args.lo, args.hi) if args.lo is not None else None
+    from . import halfsplit as halfsplit_mod
+
     try:
         report = halfsplit_mod.halfsplit_verify(
             args.M, subrange=subrange, steps=args.steps, method=args.method
@@ -684,6 +703,11 @@ def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+    import statistics
+
+    from . import stats as stats_mod
+    from .reference_table import REFERENCE_ROWS, SAMPLE_LENGTH
+
     if args.fixture:
         rows = [dataclasses.asdict(r) for r in REFERENCE_ROWS]
         source = f"fixture:{args.fixture}"
@@ -844,6 +868,8 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
 
 
 def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+    from . import anb as anb_mod
+
     starts = (args.limit + 1) // 2
     _budget(starts * max(args.max_steps, 1), CYCLES_STEP_LIMIT,
             f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator
 DEFAULT_MAX_STEPS = 10**5
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a request exceeds the per-call work budget."""
+
+
 class StepKind(Enum):
     """Direction of a single step: the value strictly grew or strictly shrank."""
 
@@ -220,6 +224,31 @@ def trajectory_general(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajector
     return Trajectory(start=x0, values=tuple(values), steps=tuple(steps), terminated=done)
 
 
+def odd_walk(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> tuple[list[int], list[int]]:
+    """Walk the odd-to-odd map from x0 until 1 or for max_steps steps.
+
+    Returns (values, exponents) with values[0] == x0 and 3 values[r] + 1 ==
+    2^exponents[r] values[r+1].  The arguments are checked once, and each step
+    is taken inline: this is the loop the odd trajectory and the eq2 and bohm
+    checks run on.
+    """
+    _require_odd(x0)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    values = [x0]
+    exponents: list[int] = []
+    x = x0
+    for _ in range(max_steps):
+        if x == 1:
+            break
+        t = 3 * x + 1
+        k = (t & -t).bit_length() - 1
+        x = t >> k
+        values.append(x)
+        exponents.append(k)
+    return values, exponents
+
+
 def odd_steps_extended(x0: int, count: int) -> tuple[list[int], list[int]]:
     """Run exactly `count` odd-to-odd steps, continuing through the fixed point 1.
 
@@ -230,12 +259,10 @@ def odd_steps_extended(x0: int, count: int) -> tuple[list[int], list[int]]:
     _require_odd(x0)
     if count < 0:
         raise ValueError("count must be >= 0")
-    values = [x0]
-    exponents: list[int] = []
-    for _ in range(count):
-        nxt, k = step_odd(values[-1])
-        values.append(nxt)
-        exponents.append(k)
+    values, exponents = odd_walk(x0, count)
+    rest = count - len(exponents)  # steps at the fixed point: 3 * 1 + 1 == 2^2 * 1
+    values += [1] * rest
+    exponents += [2] * rest
     return values, exponents
 
 
@@ -247,9 +274,12 @@ def trajectory_odd(
     Step kinds compare consecutive odd values; equality cannot occur because
     the only fixed point is 1 and the iteration stops there.
     """
-    values, steps, exponents = collect_orbit(x0, orbit_steps(x0, max_steps, odd=True))
+    values, exponents = odd_walk(x0, max_steps)
+    steps = tuple(
+        StepKind.INCREASE if y > x else StepKind.DECREASE for x, y in zip(values, values[1:])
+    )
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
-    traj = Trajectory(start=x0, values=tuple(values), steps=tuple(steps), terminated=done)
+    traj = Trajectory(start=x0, values=tuple(values), steps=steps, terminated=done)
     return traj, ParityExponents.from_exponents(exponents)
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dynamics import StepKind
+from .dynamics import ResourceLimitError, StepKind
 from .identities import ResidueClass, _shortcut_step
 
 if TYPE_CHECKING:
@@ -34,13 +34,17 @@ DIRECT_ELEMENT_STEP_LIMIT = 1 << 26
 CLASSES_MEMORY_LIMIT = 1 << 28
 _CLASS_BYTES = 26
 
+# class_split holds one (ResidueClass, StepKind) pair per residue: a
+# tracemalloc peak of 153 to 197 bytes per pair for n = 8..20, shift table included.
+_PAIR_BYTES = 200
+
+# halfsplit_verify stops above this M: its reports and messages print counts
+# near 2^M, which has 19,729 decimal digits at the limit.
+M_LIMIT = 1 << 16
+
 # For i < 2^n the image T^n(i) is below 3^n, so T^n(i) + 3^p, the n-step image
 # of i + 2^n, is below 2 * 3^n: within uint64 up to level 39, which step 40 reads.
 CLASSES_UINT64_MAX_STEP = 40
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds the per-call work budget."""
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,8 @@ def halfsplit_verify(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if M > M_LIMIT:
+        raise ResourceLimitError(f"M = {M} is over the budget of {M_LIMIT}; lower M")
     top = 1 << M
     if steps is None:
         steps = M - 1
@@ -290,10 +296,17 @@ def class_split(n: int, M: int) -> list[tuple[ResidueClass, StepKind]]:
 
     The direction is the parity of the (n-1)-step image of the residue i,
     read from the shift table; the zero class takes the direction of its
-    smallest member in range, 2^n.  `step_kind_at` is the reference.
+    smallest member in range, 2^n.  `step_kind_at` is the reference.  The
+    list's bytes are estimated at `_PAIR_BYTES` per pair and checked against
+    CLASSES_MEMORY_LIMIT before it is built.
     """
     if not 1 <= n <= M - 1:
         raise ValueError("need 1 <= n <= M-1")
+    if _PAIR_BYTES << n > CLASSES_MEMORY_LIMIT:
+        raise ResourceLimitError(
+            f"class split mod 2^{n} holds {1 << n} pairs, estimated at {_PAIR_BYTES << n} "
+            f"bytes; the memory budget of {CLASSES_MEMORY_LIMIT} bytes stops at n = "
+            f"{(CLASSES_MEMORY_LIMIT // _PAIR_BYTES).bit_length() - 1}")
     *_, level = shift_table(n - 1)
     kinds = (StepKind.DECREASE, StepKind.INCREASE)
     return [

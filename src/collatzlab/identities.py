@@ -231,22 +231,30 @@ def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
         raise ValueError("prefix sums must start at 0")
     if any(a >= b for a, b in zip(v, v[1:])):
         raise ValueError("prefix sums must be strictly increasing")
-    m = len(v) - 1
-    acc = (1 << v[m]) - sum(3 ** (m - k - 1) * (1 << v[k]) for k in range(m))
-    return Fraction(acc, 3**m)
+    # Horner's rule: s = sum_{k<m} 3^{m-k-1} 2^{v_k}, and p = 3^m alongside
+    s, p = 0, 1
+    for vk in v[:-1]:
+        s = 3 * s + (1 << vk)
+        p *= 3
+    return Fraction((1 << v[-1]) - s, p)
 
 
 def geometric_tail_identity(n: int, m: int) -> GeometricSumCheck:
     """Check sum_{r=n..n+m} (4/3)^r == 3 (4/3)^n ((4/3)^{m+1} - 1) exactly.
 
-    The left side is summed term by term; the right side is the closed form.
+    Both sides are taken over the common denominator 3^{n+m}.  The left
+    numerator is summed term by term, L = 3 L + 4^r for r = n..n+m; the right
+    is the closed form 4^n (4^{m+1} - 3^{m+1}).
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    ratio = Fraction(4, 3)
-    lhs = sum((ratio**r for r in range(n, n + m + 1)), Fraction(0))
-    rhs = 3 * ratio**n * (ratio ** (m + 1) - 1)
-    return GeometricSumCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    lhs, four_r = 0, 1 << 2 * n
+    for _ in range(m + 1):
+        lhs = 3 * lhs + four_r
+        four_r <<= 2
+    rhs = (1 << 2 * n) * ((1 << 2 * (m + 1)) - 3 ** (m + 1))
+    den = 3 ** (n + m)
+    return GeometricSumCheck(lhs=Fraction(lhs, den), rhs=Fraction(rhs, den), holds=lhs == rhs)
 
 
 def _prefix_sums_for(x0: int, steps: int, exponents: Sequence[int] | None) -> list[int]:

@@ -17,7 +17,7 @@ from collatzlab.cli import (
     EX_USAGE,
     main,
 )
-from collatzlab.dynamics import AnbParams, ParityExponents
+from collatzlab.dynamics import AnbParams
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -159,13 +159,12 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # no true counterexample exists, so inject one to pin the exit path
-        from collatzlab import cli as cli_mod
         from collatzlab.identities import GeometricSumCheck
 
         def fake_check(n, m):
             return GeometricSumCheck(lhs=0, rhs=1, holds=False)
 
-        monkeypatch.setattr(cli_mod.ident_mod, "geometric_tail_identity", fake_check)
+        monkeypatch.setattr(ident_mod, "geometric_tail_identity", fake_check)
         code, out = run_cli(capsys, "verify", "geom", "--max-n", "1", "--max-m", "1")
         assert code == EX_INCONCLUSIVE
         assert "counterexample" in out
@@ -281,6 +280,21 @@ class TestVerifyCommand:
         assert len(captured.err.splitlines()) == 1
         assert (halfsplit_mod._CLASS_BYTES << 23) <= halfsplit_mod.CLASSES_MEMORY_LIMIT
 
+    @pytest.mark.parametrize("method", ["direct", "classes"])
+    def test_halfsplit_huge_M(self, capsys, method):
+        # stops before it forms or prints a count near 2^M
+        code = main(["verify", "halfsplit", "--M", "3000000", "--method", method,
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EX_RESOURCE
+        assert json.loads(captured.out)["partial"] is True
+        assert captured.err == (f"resource limit: M = 3000000 is over the budget of "
+                                f"{halfsplit_mod.M_LIMIT}; lower M\n")
+        # at the limit a subrange still runs
+        code, out = run_cli(capsys, "verify", "halfsplit", "--M", str(halfsplit_mod.M_LIMIT),
+                            "--lo", "1", "--hi", "8", "--steps", "3", "--format", "json")
+        assert code == EX_OK and json.loads(out)["passed"] is None
+
     def test_lemma7_table_within_class_budget(self):
         # every max_k the check budget admits (at one sample) has its table
         # within the class memory budget
@@ -370,16 +384,15 @@ class TestOneWalkChecksBytes:
     def test_eq2_wrong_exponents(self, capsys, monkeypatch):
         # both paths read the same corrupted exponents, so they must report
         # the same failures and the same first counterexample
-        real = cli_mod.trajectory_odd
+        real = cli_mod.odd_walk
 
         def corrupted(x0):
-            traj, pe = real(x0)
-            exps = list(pe.exponents)
+            values, exps = real(x0)
             if x0 % 7 == 3 and exps:
                 exps[len(exps) // 2] += 1
-            return traj, ParityExponents.from_exponents(exps)
+            return values, exps
 
-        monkeypatch.setattr(cli_mod, "trajectory_odd", corrupted)
+        monkeypatch.setattr(cli_mod, "odd_walk", corrupted)
         argv = ("verify", "eq2", "--max-x0", "299")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         monkeypatch.setattr(ident_mod, "closed_form_checks", _eq2_per_n)
@@ -537,6 +550,13 @@ class TestOneWalkChecksBytes:
 
 
 class TestMontecarloCommand:
+    def test_parser_defaults_match_the_reference_table(self):
+        # the parser holds these without loading reference_table
+        from collatzlab import reference_table
+
+        assert cli_mod.MC_SAMPLE_LENGTH == reference_table.SAMPLE_LENGTH
+        assert cli_mod.MC_FIXTURE_NAME == reference_table.FIXTURE_NAME
+
     def test_byte_determinism(self, capsys):
         argv = ["montecarlo", "--length", "200", "--samples", "6", "--seed", "11",
                 "--format", "json"]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab.dynamics import (
+    DEFAULT_MAX_STEPS,
     AnbParams,
     ParityExponents,
     StepKind,
@@ -11,6 +12,7 @@ from collatzlab.dynamics import (
     classify_counts,
     exponent_bookkeeping_report,
     odd_steps_extended,
+    odd_walk,
     orbit_steps,
     step_anb,
     step_general,
@@ -179,6 +181,48 @@ class TestOrbitSteps:
             orbit_steps(7, max_steps=-1)
 
 
+class TestOddWalk:
+    """The inline walk of trajectory_odd, eq2 and bohm against the step records."""
+
+    @staticmethod
+    def reference(x0, max_steps=DEFAULT_MAX_STEPS):
+        values, exponents = [x0], []
+        for y, _, _, k in orbit_steps(x0, max_steps=max_steps, odd=True):
+            values.append(y)
+            exponents.append(k)
+        return values, exponents
+
+    def test_every_odd_start_below_5000(self):
+        for x0 in range(1, 5000, 2):
+            assert odd_walk(x0) == self.reference(x0)
+
+    @settings(max_examples=50)
+    @given(odd_ints.map(lambda x: x << 100 | 1), st.integers(0, 300))
+    def test_big_starts(self, x0, max_steps):
+        assert odd_walk(x0, max_steps) == self.reference(x0, max_steps)
+
+    def test_one(self):
+        assert odd_walk(1) == ([1], []) == self.reference(1)
+        assert odd_walk(1, max_steps=0) == ([1], [])
+
+    def test_cut_at_max_steps(self):
+        full = odd_walk(27)
+        n = len(full[1])
+        assert full[0][-1] == 1 and n == 41
+        assert odd_walk(27, max_steps=n) == full  # reaches 1 at exactly max_steps
+        cut = odd_walk(27, max_steps=n - 1)
+        assert cut == self.reference(27, n - 1) == (full[0][:-1], full[1][:-1])
+        assert cut[0][-1] != 1
+        assert odd_walk(27, max_steps=0) == ([27], [])
+
+    def test_validation(self):
+        for bad in (0, -3, 6):
+            with pytest.raises(ValueError):
+                odd_walk(bad)
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            odd_walk(7, max_steps=-1)
+
+
 class TestShortcutConsistency:
     def test_exhaustive_to_1e5(self):
         # one odd step with exponent k is one increase then k-1 decreases
@@ -217,6 +261,16 @@ class TestOddStepsExtended:
         values, exps = odd_steps_extended(5, 4)
         assert values == [5, 1, 1, 1, 1]
         assert exps == [4, 2, 2, 2]
+
+    @pytest.mark.parametrize("x0", [1, 5, 7, 27, 2**61 - 1])
+    def test_matches_step_odd(self, x0):
+        values, exps = [x0], []
+        for _ in range(150):
+            y, k = step_odd(values[-1])
+            values.append(y)
+            exps.append(k)
+        for count in (0, 1, 40, 150):
+            assert odd_steps_extended(x0, count) == (values[: count + 1], exps[:count])
 
     def test_matches_trajectory_prefix(self):
         values, exps = odd_steps_extended(27, 10)

@@ -10,6 +10,7 @@ from collatzlab.halfsplit import (
     CLASSES_UINT64_MAX_STEP,
     DIRECT_ELEMENT_STEP_LIMIT,
     DIRECT_STEP_LIMIT,
+    M_LIMIT,
     ResourceLimitError,
     StepTally,
     class_split,
@@ -127,6 +128,15 @@ class TestExactSplit:
         with pytest.raises(ResourceLimitError, match="element-steps"):
             halfsplit_verify(6)
 
+    def test_M_budget(self):
+        # the budget is decided before any count near 2^M is formed or printed
+        with pytest.raises(ResourceLimitError, match=f"^M = {M_LIMIT + 1} is over the budget"):
+            halfsplit_verify(M_LIMIT + 1, subrange=(1, 4), steps=3)
+        with pytest.raises(ResourceLimitError, match="^M = 3000000 is over"):
+            halfsplit_verify(3_000_000)
+        report = halfsplit_verify(M_LIMIT, subrange=(1, 4), steps=3)
+        assert report.element_count == 4 and not report.covers_full_range
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             halfsplit_verify(0)
@@ -180,7 +190,9 @@ class TestRefinement:
         monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 26 << 10)
         assert halfsplit_by_classes(12).exact_split()
         assert halfsplit_by_classes(11, steps=11).exact_split()
-        assert len(class_split(11, 12)) == 1 << 11
+        # the pairs of class_split(11, 12) take more than its level-10 table
+        with pytest.raises(ResourceLimitError, match="class split mod 2\\^11 holds 2048 pairs"):
+            class_split(11, 12)
         with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_by_classes(13)
         with pytest.raises(ResourceLimitError, match="memory budget"):
@@ -321,6 +333,35 @@ class TestClassSplit:
             )
             for x in range(1, 1 << 14, 97):
                 assert step_kind_at(x, n) is split[x % (1 << n)]
+
+    @pytest.mark.parametrize("n", [1, 6, 11])
+    def test_memory_budget_edge(self, monkeypatch, n):
+        # _PAIR_BYTES per pair: 2^n pairs fit a budget of exactly that many bytes
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", halfsplit._PAIR_BYTES << n)
+        assert len(class_split(n, n + 1)) == 1 << n
+        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", (halfsplit._PAIR_BYTES << n) - 1)
+        with pytest.raises(ResourceLimitError, match=f"stops at n = {n - 1}$"):
+            class_split(n, n + 1)
+
+    def test_default_memory_budget(self):
+        # at the default budget n = 20 is admitted and n = 21 stops before any work
+        assert halfsplit._PAIR_BYTES << 20 <= halfsplit.CLASSES_MEMORY_LIMIT
+        with pytest.raises(ResourceLimitError, match="memory budget of 268435456 bytes"):
+            class_split(21, 30)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_bytes_estimate(self, n):
+        # the traced peak of the list and its table stays under the estimate
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            pairs = class_split(n, n + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1 << n
+        assert peak <= halfsplit._PAIR_BYTES << n
 
     def test_matches_direct_elements(self):
         M, n = 7, 4

@@ -268,6 +268,31 @@ class TestReconstruct:
         value = reconstruct_start((0, 1, 5))
         assert value == Fraction(32 - (3 + 2), 9)
 
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=120))
+    @settings(max_examples=200)
+    def test_horner_matches_sum_of_powers(self, gaps):
+        # any strictly increasing prefix sums from 0, against the formula's
+        # one power per term
+        v = [0]
+        for g in gaps:
+            v.append(v[-1] + g)
+        m = len(v) - 1
+        formula = Fraction(
+            (1 << v[m]) - sum(3 ** (m - k - 1) * (1 << v[k]) for k in range(m)), 3**m
+        )
+        assert reconstruct_start(v) == formula
+        assert reconstruct_start(tuple(v)) == formula
+
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [((), "at least v_0 and v_1"), ((0,), "at least v_0 and v_1"),
+         ((2, 3), "start at 0"), ((0, 4, 4, 9), "strictly increasing"),
+         ((0, 5, 3), "strictly increasing")],
+    )
+    def test_validation_messages(self, prefix, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_start(prefix)
+
 
 class TestGeometricSum:
     def test_trivial(self):
@@ -286,6 +311,23 @@ class TestGeometricSum:
     @settings(max_examples=100)
     def test_random(self, n, m):
         assert geometric_tail_identity(n, m).holds
+
+    def test_against_fraction_sums(self):
+        # the integer sides over 3^(n+m) against Fraction arithmetic, term by
+        # term and in closed form
+        ratio = Fraction(4, 3)
+        for n in range(41):
+            for m in range(41):
+                res = geometric_tail_identity(n, m)
+                lhs = sum((ratio**r for r in range(n, n + m + 1)), Fraction(0))
+                rhs = 3 * ratio**n * (ratio ** (m + 1) - 1)
+                assert (res.lhs, res.rhs, res.holds) == (lhs, rhs, True)
+                assert type(res.lhs) is type(res.rhs) is Fraction
+
+    def test_validation(self):
+        for n, m in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                geometric_tail_identity(n, m)
 
 
 class TestHeuristicModel:

@@ -361,6 +361,40 @@ def test_heavy_commands_still_load_them(argv):
     assert code == EX_OK and "numpy" in loaded
 
 
+# `python -m collatzlab ARGV`, then every module it loaded, one line on stderr
+MAIN_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("collatzlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, *sorted(sys.modules), file=sys.stderr)
+"""
+
+ENGINES = ("collatzlab.anb", "collatzlab.halfsplit", "collatzlab.stats", "collatzlab.sweep")
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        (("trajectory", "27"), ("collatzlab.dynamics",),
+         ("numpy", "concurrent.futures.process") + ENGINES),
+        (("verify", "geom", "--max-n", "2", "--max-m", "2"), ("collatzlab.identities",),
+         ("numpy",)),
+    ],
+)
+def test_import_floor(argv, used, unused):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert int(code) == EX_OK and proc.stdout
+    assert set(used) <= set(loaded) and "collatzlab.cli" in loaded
+    assert not set(unused) & set(loaded)
+
+
 # -------------------------------------------------------------- closed pipe
 
 
