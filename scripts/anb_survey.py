@@ -8,7 +8,7 @@ diagnostics for starts that never repeated within the budget.
 
 import argparse
 
-from collatzlab.anb import cycle_catalog, divergence_report, find_cycle
+from collatzlab.anb import cycle_survey, divergence_report
 from collatzlab.dynamics import AnbParams
 
 
@@ -24,17 +24,13 @@ def main() -> None:
         a, b = (int(v) for v in token.split(","))
         params = AnbParams(a=a, b=b)
         print(f"\n== map ({a}n+{b}) ==")
-        for record in cycle_catalog(params, args.limit, max_steps=args.max_steps):
+        catalog, stray = cycle_survey(params, args.limit, max_steps=args.max_steps)
+        for record in catalog:
             lhs, rhs, ok = record.product_identity()
             print(
                 f"  cycle {list(record.members)} exponents {list(record.exponents)} "
                 f"product identity {'ok' if ok else 'FAILED'} ({lhs})"
             )
-        stray = [
-            x0
-            for x0 in range(1, args.limit + 1, 2)
-            if find_cycle(x0, params, max_steps=args.max_steps) is None
-        ]
         print(f"  starts with no repeat within {args.max_steps} steps: {len(stray)}")
         for x0 in stray[:5]:
             d = divergence_report(x0, params, horizon=args.horizon)

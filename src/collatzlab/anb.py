@@ -368,18 +368,46 @@ def cycle_catalog(
     stays the per-start reference; the walks here share a memo instead of
     each running to the end of its budget (see `_catalog_walk`).
     """
+    return _catalog(params, start_limit, max_steps)[0]
+
+
+def cycle_survey(
+    params: AnbParams, start_limit: int, max_steps: int = 10**4
+) -> tuple[tuple[CycleRecord, ...], list[int]]:
+    """`cycle_catalog`, and the odd starts up to start_limit with no repeat.
+
+    The starts are those for which `find_cycle(x0, params, max_steps)` is
+    None, in increasing order.  The catalog's walks settle most of them: a
+    walk that ran its budget, or that the memo stopped with no repeat.  Only
+    the starts stopped at a value whose orbit enters a known cycle are walked
+    again, since that entry says the orbit enters the cycle, not that it does
+    so within max_steps.
+    """
+    catalog, no_repeat, basin = _catalog(params, start_limit, max_steps)
+    late = [x0 for x0 in basin if find_cycle(x0, params, max_steps) is None]
+    return catalog, sorted(no_repeat + late)
+
+
+def _catalog(
+    params: AnbParams, start_limit: int, max_steps: int
+) -> tuple[tuple[CycleRecord, ...], list[int], list[int]]:
+    """The catalog, the starts settled with no repeat, and those stopped at a basin entry."""
     if start_limit < 1:
         raise ValueError("start_limit must be >= 1")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     memo: dict[int, int] = {}
     found: dict[tuple[int, ...], CycleRecord] = {}
+    no_repeat, basin = [], []
     for x0 in range(1, start_limit + 1, 2):
         cycle = _catalog_walk(x0, params, max_steps, memo)
-        if cycle is not None:
+        if cycle:
             record = _read_cycle(cycle, params)
             found.setdefault(record.members, record)
-    return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
+        else:
+            (no_repeat if cycle is None else basin).append(x0)
+    catalog = tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
+    return catalog, no_repeat, basin
 
 
 def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:
@@ -402,7 +430,9 @@ def _catalog_walk(
     """Walk x0 as `find_cycle` does, stopping early where the memo decides it.
 
     Records the walk in the memo and returns its repeating part, as
-    `find_cycle` reads it, or None when it found no repeat or stopped early.
+    `find_cycle` reads it; an empty list when it stopped at a `_BASIN` entry,
+    so that its orbit enters a known cycle; or None when it has no repeat
+    within max_steps (walked to the budget or stopped by the memo).
     Memo entries, for values below 2^64 only:
 
     - `_BASIN`: the value's orbit enters a cycle already found, so x0 can add
@@ -427,8 +457,7 @@ def _catalog_walk(
     a, b = params.a, params.b
     index = {x0: 0}
     values = [x0]
-    cycle = None
-    basin = False
+    cycle = None  # [] once the walk meets a _BASIN entry
     touched = max_steps + 1  # first step that met an entry or a value >= 2^64
     x, j = x0, 0
     while True:
@@ -436,7 +465,7 @@ def _catalog_walk(
             entry = memo.get(x)
             if entry is not None:
                 if entry == _BASIN:
-                    basin = True
+                    cycle = []
                     break
                 if entry <= j and entry <= touched:
                     break
@@ -453,13 +482,12 @@ def _catalog_walk(
         first = index.setdefault(x, j)
         if first != j:
             cycle = values[first:]
-            basin = True  # every value walked leads into this cycle
             break
         values.append(x)
     # A walk is remembered whole or not at all: the stop rule above relies on
     # every small value of a remembered walk being in the memo.
     if len(memo) < CATALOG_MEMO_CAP:
-        if basin:
+        if cycle is not None:  # every value walked leads into a cycle
             for x in values:
                 if x < _MEMO_BOUND:
                     memo[x] = _BASIN

@@ -69,6 +69,16 @@ CYCLES_STEP_LIMIT = 1 << 24
 # anb.catalog_walk_bytes it stops with exit 3 (the default run estimates 12 MB).
 CYCLES_MEMORY_LIMIT = 1 << 28
 
+# Generated montecarlo draws each sample's --length coins as one array, one
+# byte a coin, when numpy draws them (4.5 ns a coin with its sum, 2-vCPU VM,
+# numpy 2.4), and holds a document row per sample (about 1.8 KB and 55
+# microseconds a row at --samples 10^5 --length 2: 5.6 s, 215 MB peak).  Above
+# MC_LENGTH_LIMIT coins a sample, MC_COIN_LIMIT coins in all (about 20 s) or
+# MC_SAMPLE_LIMIT samples (about 240 MB of rows) it stops with exit 3.
+MC_LENGTH_LIMIT = 1 << 28
+MC_COIN_LIMIT = 1 << 32
+MC_SAMPLE_LIMIT = 1 << 17
+
 # verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 terms (the message's
 # "Fraction terms", summed as ints over 3^(n+m)), about 0.3 microseconds each
 # at --max-n 200 --max-m 200 (4,080,501 terms, 1.3 s on a 2-vCPU VM); above
@@ -573,7 +583,11 @@ def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
         return  # no draws of m: no checks, and no residues worth visiting
     import numpy as np
 
-    ms = np.random.default_rng(args.seed).integers(0, M_SEED_RANGE, size=args.samples)
+    from .pcg64 import seeded_draws
+
+    (ms,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
+    if not isinstance(ms, np.ndarray):  # a stream: the draws were made without numpy
+        ms = np.fromiter(ms, dtype=np.int64, count=args.samples)
     for k in range(1, args.max_k + 1):
         for g0, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
             doc["checks_run"] += lhs.size
@@ -649,14 +663,13 @@ def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
         "max_n": args.max_n,
         "seed": args.seed,
     }
-    import numpy as np
-
     from . import anb as anb_mod
+    from .pcg64 import seeded_draws
 
-    params, rng = args.params, np.random.default_rng(args.seed)
-    starts = 2 * rng.integers(0, M_SEED_RANGE // 2, size=args.samples) + 1
-    for x0 in starts:
-        x0 = int(x0)
+    params = args.params
+    (draws,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE // 2)
+    for m in map(int, draws):
+        x0 = 2 * m + 1
         values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
         checks = anb_mod.closed_form_anb_checks(x0, params, values, exps)
         for n, res in enumerate(checks, start=1):
@@ -730,6 +743,15 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
             },
         }
     else:
+        _budget(args.length, MC_LENGTH_LIMIT,
+                f"montecarlo draws {args.length} coins a sample, over the budget of "
+                f"{MC_LENGTH_LIMIT}; lower --length")
+        _budget(args.length * args.samples, MC_COIN_LIMIT,
+                f"montecarlo draws length x samples = {args.length} x {args.samples} coins, "
+                f"over the budget of {MC_COIN_LIMIT}; lower --length or --samples")
+        _budget(args.samples, MC_SAMPLE_LIMIT,
+                f"montecarlo holds a row for each of {args.samples} samples, over the "
+                f"budget of {MC_SAMPLE_LIMIT}; lower --samples")
         samples = stats_mod.sample_ratios(args.length, args.samples, args.seed)
         rows = [
             {

@@ -1,9 +1,12 @@
 """Seeded drift statistics, stopping times, and the exact drift bound.
 
-The random experiment draws fair bits from numpy's seeded PCG64 generator
-(`numpy.random.default_rng`), which is version-pinned by numpy's bit-generator
-compatibility guarantee; a (seed, length) pair always reproduces the same
-stream, on any thread.  Real-valued statistics use doubles; everything that is
+The random experiment draws the fair bits of
+`numpy.random.default_rng(seed).integers(0, 2, length, dtype=uint8)` through
+`pcg64.seeded_draws`, which reproduces them without numpy for small runs.
+numpy's compatibility policy (NEP 19) pins the PCG64 stream but not the
+bounded draws of `Generator.integers`; `pcg64` fixes both in code, and the
+tests check numpy's draws against it.  A (seed, length) pair always gives the same bits, on any
+thread.  Real-valued statistics use doubles; everything that is
 an identity or an inequality (the drift bound in particular) is computed on
 exact integers or Fractions, never through floats.
 
@@ -25,6 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .dynamics import DEFAULT_MAX_STEPS, step_general
+from .pcg64 import seeded_draws
 from .reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS
 
 # Two-sided normal critical values for the three supported levels; these exact
@@ -52,22 +56,20 @@ def ratio_from_bits(bits: Sequence[int]) -> RatioSample:
 
 def simulate_ratio(length: int, seed: int) -> RatioSample:
     """Draw `length` fair bits from PCG64(seed) and return their ratio stats."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    import numpy as np
-
-    bits = np.random.default_rng(seed).integers(0, 2, size=length, dtype=np.uint8)
-    ones = int(bits.sum())
-    zeros = length - ones
-    xi = zeros / ones if ones else math.inf
-    return RatioSample(xi=xi, zeros=zeros, ones=ones)
+    return sample_ratios(length, 1, seed)[0]
 
 
 def sample_ratios(length: int, samples: int, seed: int) -> list[RatioSample]:
     """Independent samples under seeds seed, seed+1, ..., in seed order."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return [simulate_ratio(length, seed + j) for j in range(samples)]
+    rows = []
+    for ones in seeded_draws(seed, samples, length):
+        zeros = length - ones
+        rows.append(RatioSample(xi=zeros / ones if ones else math.inf, zeros=zeros, ones=ones))
+    return rows
 
 
 def indicator_sample_std(zeros: int, ones: int) -> float:

@@ -16,6 +16,7 @@ from collatzlab.anb import (
     closed_form_anb_check,
     closed_form_anb_checks,
     cycle_catalog,
+    cycle_survey,
     divergence_report,
     find_cycle,
     residue_shift_check_anb,
@@ -252,7 +253,7 @@ class TestCatalogMemo:
         assert anb_mod._catalog_walk(13, P51, 100, memo) == [13, 33, 83]
         assert memo == {13: -1, 33: -1, 83: -1}
         # 5 -> 13 lands in the basin of the cycle already found
-        assert anb_mod._catalog_walk(5, P51, 100, memo) is None
+        assert anb_mod._catalog_walk(5, P51, 100, memo) == []
         assert memo[5] == -1
 
     def test_word_edges(self):
@@ -277,6 +278,18 @@ class TestCatalogMemo:
         finally:
             tracemalloc.stop()
         assert peak <= anb_mod.catalog_walk_bytes(params, x0, 5000)
+
+    @pytest.mark.parametrize("params", [P51, P71, P53])
+    @pytest.mark.parametrize("start_limit, max_steps", [(51, 200), (99, 3), (151, 37)])
+    def test_survey_lists_the_starts_with_no_repeat(self, params, start_limit, max_steps):
+        # at 3 steps the basin entries of 15, 65, 97 (5n+1) and 45 (5n+3) come
+        # too late: those starts enter a known cycle, but not within the budget
+        catalog, stray = cycle_survey(params, start_limit, max_steps)
+        assert catalog == cycle_catalog(params, start_limit, max_steps)
+        assert stray == [
+            x0 for x0 in range(1, start_limit + 1, 2)
+            if find_cycle(x0, params, max_steps) is None
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

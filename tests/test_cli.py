@@ -625,6 +625,46 @@ class TestMontecarloCommand:
         assert main(["montecarlo", "--samples", "1"]) == EX_USAGE
         assert main(["montecarlo", "--fixture", "unknown"]) == EX_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--length", str(10**11), "--samples", "2"], "montecarlo draws 100000000000 coins a"),
+            (["--samples", str(10**11)], "montecarlo draws length x samples = 100 x"),
+            (["--length", "2", "--samples", str(10**6)], "montecarlo holds a row for each of"),
+        ],
+    )
+    def test_budget_stops_before_any_draw(self, capsys, monkeypatch, argv, message):
+        def no_draw(*args):
+            raise AssertionError("drew before the budget check")
+
+        monkeypatch.setattr("collatzlab.stats.seeded_draws", no_draw)
+        assert main(["montecarlo", *argv, "--format", "json"]) == EX_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"resource limit: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_budget_edges(self, capsys, monkeypatch):
+        # each bound is admitted at exactly its limit
+        monkeypatch.setattr(cli_mod, "MC_LENGTH_LIMIT", 50)
+        assert main(["montecarlo", "--length", "50", "--samples", "3"]) == EX_OK
+        assert main(["montecarlo", "--length", "51", "--samples", "3"]) == EX_RESOURCE
+        monkeypatch.setattr(cli_mod, "MC_COIN_LIMIT", 150)
+        assert main(["montecarlo", "--length", "50", "--samples", "3"]) == EX_OK
+        assert main(["montecarlo", "--length", "50", "--samples", "4"]) == EX_RESOURCE
+        assert main(["montecarlo", "--length", "38", "--samples", "4"]) == EX_RESOURCE
+        monkeypatch.setattr(cli_mod, "MC_SAMPLE_LIMIT", 3)
+        assert main(["montecarlo", "--length", "37", "--samples", "4"]) == EX_RESOURCE
+        assert main(["montecarlo", "--length", "37", "--samples", "3"]) == EX_OK
+        # the fixture sets its own length and samples
+        assert main(["montecarlo", "--fixture", "paper14"]) == EX_OK
+
+    def test_budget_admits_the_large_batch(self):
+        # test_large_batch_law_of_large_numbers runs --length 10000 --samples 1000
+        assert 10000 <= cli_mod.MC_LENGTH_LIMIT
+        assert 10000 * 1000 <= cli_mod.MC_COIN_LIMIT
+        assert 1000 <= cli_mod.MC_SAMPLE_LIMIT
+
 
 class TestSweepCommand:
     def test_one_million_sweep_schema_valid(self, capsys, tmp_path):

@@ -153,6 +153,10 @@ CORPUS = [
     ("montecarlo --length 1", "4e1ee98dca91ba838d8d9ae87e6c0e19464db557d62a1af8a02c373a261188c9"),
     ("montecarlo --samples 1", "d9e1ea1b133386f719b2d3dd4eaee60b7b70429ba0b33558e8e25a124620d988"),
     ("montecarlo --length 1 --samples 1", "4e1ee98dca91ba838d8d9ae87e6c0e19464db557d62a1af8a02c373a261188c9"),
+    ("montecarlo --length 100000000000 --samples 2", "87d61e3f6e61d50c39a8b00ced4baf1957a8ef053382921226892164e9f4ad7e"),
+    ("montecarlo --samples 100000000000", "2aee2ece4228576f3bcec87b70f64905d53bbab5570afc475ae99a010d22929a"),
+    ("montecarlo --samples 100000000000 --format json", "2aee2ece4228576f3bcec87b70f64905d53bbab5570afc475ae99a010d22929a"),
+    ("montecarlo --length 2 --samples 1000000 --format csv", "6f8075b3c3d6761792716fece8ac74004656d622b834181d3608f072d3dacc53"),
     ("sweep", "34a69136ad108d4e5e5b86e9d05e417649933e989067932d5fe716af8422b429"),
     ("sweep --limit 1000", "fcd113b60473c82ad382ac51f9339ee83c8fcb30e9e881f3311b586222576ffc"),
     ("sweep --limit 1000 --format json", "fa0f3f3fc3bd50c581941b8bf5779f50e42415077d7e3322d9cca2fc4179c363"),
@@ -230,6 +234,12 @@ PATCHED = [
     ("halfsplit.DIRECT_ELEMENT_STEP_LIMIT=319", "verify halfsplit --M 6 --format json", "111a118df2c2a43ab35f7017723960b33da9e490ebdaeb097d586701b4964840"),
     ("cli.CYCLES_MEMORY_LIMIT=11856936", "anb-cycles --limit 100", "e00e12bd78486c7b6dbccc24c9604e6b9a8a4dac2dd472a55671d0a604e90854"),
     ("cli.CYCLES_MEMORY_LIMIT=11856935", "anb-cycles --limit 100 --format json", "eedc7c8885c0a782b6b2a279dc497316603976d475d0a0283e97be1770f3b25d"),
+    ("cli.MC_LENGTH_LIMIT=100", "montecarlo --length 100 --samples 14 --seed 7", "86bdc1b7ed89f4052d3132c6bb99b8a7905f983630eaa3006f4275b370bac9e0"),
+    ("cli.MC_LENGTH_LIMIT=99", "montecarlo --length 100 --samples 14 --seed 7", "d774a83393f107cf0197888e6ebf24eb30e621fe7b9a7b4c65d33b503c946adb"),
+    ("cli.MC_COIN_LIMIT=1400", "montecarlo --length 100 --samples 14 --seed 7 --format json", "bd6fcc28579cbe344e92f1b053163cda5526c64509d16b1c391c76dc66bbdf05"),
+    ("cli.MC_COIN_LIMIT=1399", "montecarlo --length 100 --samples 14 --seed 7 --format json", "1d6a39eb361dd111d325cb9f38b8fdacabb3995e7cfff77f3373c98b391d315b"),
+    ("cli.MC_SAMPLE_LIMIT=14", "montecarlo --length 100 --samples 14 --seed 7 --format csv", "0185494321a5002908b2a1c9fe873c63dd039687cb0fe22a47b8a953976dd19e"),
+    ("cli.MC_SAMPLE_LIMIT=13", "montecarlo --length 100 --samples 14 --seed 7 --format csv", "3d787317a3a4c04ddd55de6e1d815a606edb51dd4359d6bce34fa17dfdf6a29c"),
 ]
 
 

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from collatzlab.anb import find_cycle
+from collatzlab.dynamics import AnbParams
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,13 +26,20 @@ def run_script(name, *args):
 
 
 def test_anb_survey():
-    lines = run_script("anb_survey.py", "--params", "5,1 7,1", "--limit", "21",
+    lines = run_script("anb_survey.py", "--params", "5,1 7,1 5,3", "--limit", "21",
                        "--max-steps", "200", "--horizon", "20")
     assert "== map (5n+1) ==" in lines and "== map (7n+1) ==" in lines
     assert "  cycle [13, 33, 83] exponents [1, 1, 5] product identity ok (4557696)" in lines
     assert "  cycle [1] exponents [3] product identity ok (8)" in lines
-    assert "  starts with no repeat within 200 steps: 4" in lines
-    assert "  starts with no repeat within 200 steps: 8" in lines
+    # the counts of starts for which find_cycle finds no repeat, start by start
+    counts = [
+        sum(find_cycle(x0, AnbParams(a, b), 200) is None for x0 in range(1, 22, 2))
+        for a, b in ((5, 1), (7, 1), (5, 3))
+    ]
+    assert counts[:2] == [4, 8]
+    assert [line for line in lines if "no repeat" in line] == [
+        f"  starts with no repeat within 200 steps: {n}" for n in counts
+    ]
     assert any(line.startswith("    x0=7: unbounded within horizon") for line in lines)
 
 

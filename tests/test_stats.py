@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collatzlab import pcg64 as pcg64_mod
 from collatzlab.dynamics import trajectory_odd
 from collatzlab.reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS, SAMPLE_LENGTH
 from collatzlab.stats import (
@@ -45,12 +46,18 @@ class TestRatioSimulation:
         assert (sample.zeros, sample.ones) == (52, 48)
         assert sample.xi == pytest.approx(52 / 48)
 
-    def test_reproducible_across_calls_and_threads(self):
-        base = simulate_ratio(10**4, 123)
-        assert simulate_ratio(10**4, 123) == base
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda _: simulate_ratio(10**4, 123), range(8)))
-        assert all(r == base for r in results)
+    def test_reproducible_across_calls_and_threads(self, monkeypatch):
+        # 10^4 coins run on the owned stream; with the load cost below any
+        # work, numpy's Generator draws them
+        for load_ns in (pcg64_mod.NUMPY_LOAD_NS, -1):
+            monkeypatch.setattr(pcg64_mod, "NUMPY_LOAD_NS", load_ns)
+            base = simulate_ratio(10**4, 123)
+            # the count of numpy's default_rng(123).integers(0, 2, 10**4, dtype=uint8)
+            assert (base.zeros, base.ones) == (5012, 4988)
+            assert simulate_ratio(10**4, 123) == base
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda _: simulate_ratio(10**4, 123), range(8)))
+            assert all(r == base for r in results)
 
     def test_batch_is_seed_ordered(self):
         batch = sample_ratios(1000, 5, seed=40)

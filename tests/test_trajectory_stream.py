@@ -346,6 +346,9 @@ def probe(*argv):
         ("verify", "halfsplit", "--M", "6"),
         ("montecarlo", "--fixture", "paper14"),
         ("anb-cycles", "--limit", "21"),
+        # seeded draws below the crossover run on the owned PCG64 stream
+        ("verify", "anb-eq", "--samples", "200", "--max-n", "50"),
+        ("montecarlo", "--length", "100", "--samples", "14"),
     ],
 )
 def test_light_commands_load_no_numpy_or_pool(argv):
@@ -354,11 +357,50 @@ def test_light_commands_load_no_numpy_or_pool(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("sweep", "--limit", "1000", "--threads", "2"), ("verify", "lemma7", "--max-k", "4")],
+    [
+        ("sweep", "--limit", "1000", "--threads", "2"),
+        ("verify", "lemma7", "--max-k", "4"),
+        # 10^7 coins: above the crossover, numpy's Generator draws them
+        ("montecarlo", "--length", "10000", "--samples", "1000"),
+    ],
 )
 def test_heavy_commands_still_load_them(argv):
     code, loaded = probe(*argv)
     assert code == EX_OK and "numpy" in loaded
+
+
+# VmHWM, the peak RSS of this process image: ru_maxrss would carry the peak
+# of the process that started it across exec
+RSS_PROBE = """
+import sys
+from collatzlab.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, "numpy" in sys.modules, peak, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_owned_draws_stream():
+    # verify anb-eq just below the crossover takes its draws one at a time: its
+    # peak is that of a run of 1000 draws, where a list of the draws would add
+    # about 40 bytes a draw (a pointer and an int), 8 MiB here
+    from collatzlab.pcg64 import INT_NS, NUMPY_LOAD_NS
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    peaks = []
+    for samples in (1000, NUMPY_LOAD_NS // INT_NS):
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, "verify", "anb-eq", "--samples", str(samples),
+             "--max-n", "0", "--output", os.devnull],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, numpy_loaded, peak_kib = proc.stderr.split()
+        assert (int(code), numpy_loaded) == (EX_OK, "False")
+        peaks.append(int(peak_kib))
+    assert peaks[1] - peaks[0] < 2048
 
 
 # `python -m collatzlab ARGV`, then every module it loaded, one line on stderr
