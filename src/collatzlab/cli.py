@@ -93,6 +93,17 @@ TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 # sweep runs at most this many worker processes (and never more than the CPUs).
 THREADS_LIMIT = 256
 
+# sweep surveys at most this many starts (10^9: 133 s and a 120 MB peak at one
+# worker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
+SWEEP_START_LIMIT = 10**9
+
+# sweep holds each failure as an int until the document is rendered: the JSON
+# run peaks about 134 bytes a failure higher (--max-steps 0 at --limit 10^6 and
+# 2 x 10^6, 2-vCPU VM), text 76 and csv 58, and a 10-digit start adds about 6.
+# Above 2^28 bytes of failures at 140 bytes each the survey stops with exit 3,
+# checked piece by piece before the failures are held.
+SWEEP_FAILURE_LIMIT = (1 << 28) // 140
+
 # Integer bounds of each command's (for verify, each check's) arguments, checked
 # in order before it runs: (attribute, least, largest or None, name printed).
 # _AN_B checks the (a, b) of an an+b map; trajectory's for --map anb only.
@@ -852,10 +863,19 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
 
 
 def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+    _budget(args.limit, SWEEP_START_LIMIT,
+            f"sweep --limit {args.limit} is over the budget of {SWEEP_START_LIMIT} starts; "
+            "lower --limit")
     from .sweep import survey_range  # numpy and the process pool load here
 
+    def hold(failures: int) -> None:
+        _budget(failures, SWEEP_FAILURE_LIMIT,
+                f"sweep would hold {failures} failures, over the budget of "
+                f"{SWEEP_FAILURE_LIMIT} (about 140 bytes each); lower --limit or "
+                "raise --max-steps")
+
     survey = survey_range(
-        1, args.limit + 1, max_steps=args.max_steps, workers=args.threads
+        1, args.limit + 1, max_steps=args.max_steps, workers=args.threads, failure_budget=hold
     )
     doc = {
         "schema": "collatzlab/sweep/v1",

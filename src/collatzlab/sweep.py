@@ -1,19 +1,39 @@
-"""Range surveys of shortcut trajectories by stopping-time table lookup.
+"""Range surveys of shortcut trajectories by the residue shift law and table lookup.
 
 A survey of [lo, hi) finds each start's total stopping time tst(x), the number
 of shortcut steps to 1, the largest tst(x)/ln(x) and the largest value any
-orbit reaches.  Since tst(x) = j + tst(T^j x), a start walks only until it
-lands on a start already surveyed, then adds that start's table entry.
+orbit reaches.  Since tst(x) = j + tst(T^j x) for any j up to the step that
+reaches 1, a start walks only until it lands on a start already surveyed,
+then adds that start's table entry; landing past the first such start
+changes nothing.
 
 Starts go in doubling waves [L, 2L) from L = lo, in increasing order, each cut
-into pieces of `chunk_size`.  A piece walks in uint64 numpy arrays until each
-value lands on 1 or in [lo, L); values below lo have no entry and keep walking,
-and values above UINT64_SAFE_MAX go on as exact Python ints.  The table holds
-min(tst, max_steps + 1), the latter meaning "failed", in the smallest unsigned
-dtype that fits, for at most TABLE_CAP starts: waves above the cap walk until
-they drop below it, so memory is bounded for any range.  The peak stays exact:
-after landing, an orbit goes on as a prefix of the landed start's orbit, whose
-values were seen when that start was surveyed.
+into pieces of `chunk_size`.  A piece [a, b) walks until each value lands on 1
+or in [lo, a): pieces are folded in range order, so every start below a is in
+the table when the piece is.  Values below lo have no entry and walk on.  The
+table holds min(tst, max_steps + 1), the latter meaning "failed", in the
+smallest unsigned dtype that fits, for at most TABLE_CAP starts: pieces above
+the cap walk until they drop below it, so memory is bounded for any range.
+
+A piece walks by one level table, the residue shift law (Terras, 1976) at
+k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
+  * Class plan.  A class mod 2^k whose largest member in [a, b) lands below
+    a at some level j <= min(k, max_steps), and, when lo > 1, whose smallest
+    lands at or above lo, takes its first such j and lands on slope m + base,
+    every member at once (the sieve of Oliveira e Silva, 1999).  At 2^22
+    that is 93% of the starts.
+  * Jumps.  The other starts walk in uint64 numpy arrays, k steps a pass on
+    row k while every value is at least 2^(k+1), so that none reaches 1
+    inside a jump, k steps of budget remain, and the values fit in uint64;
+    else one step a pass.  Values above UINT64_SAFE_MAX go on as exact
+    Python ints.
+
+The peak stays exact.  After landing, an orbit goes on as a prefix of the
+landed start's orbit, whose values were seen when that start was surveyed.
+Before it, at each residue and level j, the line of largest slope among
+levels 1..j also has the largest intercept (the table build checks it), so
+the largest value a class or a jump passes is bound_slope m + bound_base,
+which rises with m: a class's peak is at its largest member.
 
 Walks never read the table, so with several workers a process pool walks the
 pieces of this wave and later ones while the parent folds finished walks in
@@ -25,9 +45,11 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -44,6 +66,11 @@ DEFAULT_CHUNK_SIZE = 1 << 18
 
 # Starts held in the stopping-time table: 64 MB at the default step budget.
 TABLE_CAP = 1 << 24
+
+# Walks jump LEVEL shortcut steps a pass, and the classes mod 2^LEVEL of a
+# piece that land below its start within LEVEL steps land in closed form:
+# 4 tables of 11 rows of 2^10 uint64s, 360 KB.
+LEVEL = 10
 
 # Budgets are clamped so that step sums stay within int64; no walk gets this long.
 _MAX_BUDGET = 1 << 62
@@ -138,6 +165,88 @@ def _walk_exact(value: int, steps: int, lo: int, stop_hi: int, max_steps: int):
     return steps, None, peak
 
 
+def _step(v: np.ndarray) -> None:
+    """One shortcut step in place: T(v) = v >> 1, plus v + 1 when v is odd."""
+    odd = v & 1
+    odd *= v + 1
+    v >>= 1
+    v += odd
+
+
+@dataclass(frozen=True)
+class _LevelTable:
+    """T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
+
+    bound_slope[j, i] m + bound_base[j, i] is the largest of levels 1..j,
+    and safe_max the largest start whose values for j <= k all fit in uint64.
+    """
+
+    k: int
+    slope: np.ndarray
+    base: np.ndarray
+    bound_slope: np.ndarray
+    bound_base: np.ndarray
+    safe_max: int
+
+
+@functools.lru_cache(maxsize=None)
+def _level_table(k: int) -> _LevelTable:
+    """Walk the residues i and 2^k + i together: the first is base, the gap slope."""
+    width = 1 << k
+    v = np.arange(2 * width, dtype=np.uint64)
+    slope = np.empty((k + 1, width), dtype=np.uint64)
+    base = np.empty_like(slope)
+    slope[0], base[0] = width, v[:width]
+    for j in range(1, k + 1):
+        _step(v)
+        base[j] = v[:width]
+        np.subtract(v[width:], v[:width], out=slope[j])
+    bound_slope, bound_base = np.zeros_like(slope), np.zeros_like(base)
+    np.maximum.accumulate(slope[1:], axis=0, out=bound_slope[1:])
+    np.maximum.accumulate(base[1:], axis=0, out=bound_base[1:])
+    # The maximum of the lines is the line of largest slope only if that line
+    # also has the largest intercept: then each new level either beats the
+    # best line so far on both or on neither.
+    for j in range(2, k + 1):
+        up, down = slope[j] > bound_slope[j - 1], slope[j] < bound_slope[j - 1]
+        if (up & (base[j] < bound_base[j - 1]) | down & (base[j] > bound_base[j - 1])).any():
+            raise ArithmeticError(f"level {j} of the level-{k} table has no largest line")
+    for table in (slope, base, bound_slope, bound_base):
+        table.flags.writeable = False  # one table serves every walk in the process
+    rows = (np.uint64(2**64 - 1) - bound_base[k]) // bound_slope[k]
+    return _LevelTable(k, slope, base, bound_slope, bound_base, (int(rows.min()) + 1 << k) - 1)
+
+
+def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels: int):
+    """The first level <= levels at which each class mod 2^k of [a, b) lands,
+    every member at once, on 1 or in [lo, stop_hi); 0 where it does not.
+
+    Returns the levels and the largest value the landed classes pass.  Every
+    member is at least 2^k, so none passes 1 before level k; the values of a
+    class rise with m, so its largest member bounds the landing and the peak
+    and, when lo > 1, its smallest the landing's lower end.
+    """
+    width = 1 << tab.k
+    level = np.zeros(width, dtype=np.intp)
+    if levels < 1 or a < width or b - 1 > tab.safe_max:
+        return level, b - 1
+    cls = np.arange(width, dtype=np.uint64)
+    most = (np.uint64(b - 1) - cls) >> np.uint64(tab.k)
+    least = ((np.uint64(a - 1) - cls) >> np.uint64(tab.k)) + np.uint64(1)
+    slope, base = tab.slope[1 : levels + 1], tab.base[1 : levels + 1]
+    lands = slope * most + base < stop_hi
+    if lo > 1:
+        lands &= slope * least + base >= lo
+    first = lands.argmax(axis=0)
+    planned = lands[first, cls] & (least <= most)
+    if not planned.any():
+        return level, b - 1
+    level[planned] = first[planned] + 1
+    j, i = level[planned], cls[planned]
+    peak = tab.bound_slope[j, i] * most[planned] + tab.bound_base[j, i]
+    return level, max(b - 1, int(peak.max()))
+
+
 def _walk_piece(
     a: int, b: int, lo: int, stop_hi: int, max_steps: int, overflow_limit: int = UINT64_SAFE_MAX
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -145,16 +254,33 @@ def _walk_piece(
 
     Returns (steps, land, peak): the steps each walk took, the value it
     landed on, and the largest value seen.  A walk that runs out of budget
-    first reads max_steps + 1 steps and lands on 1.  Values above
+    first reads max_steps + 1 steps and lands on 1.  A walk may pass over
+    [lo, stop_hi) and land later, never past 1 or its budget.  Values above
     overflow_limit are walked on with exact Python ints.
     """
-    n = b - a
-    steps = np.full(n, max_steps + 1, dtype=np.min_scalar_type(max_steps + 1))
-    land = np.ones(n, dtype=np.uint64)
-    v = np.arange(a, b, dtype=np.uint64)
-    pos = np.arange(n)
-    peak = top = b - 1
-    t = 0
+    k = LEVEL
+    tab = _level_table(k)
+    width, n = 1 << k, b - a
+    level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps))
+    # The starts as rows m of the classes i mod 2^k, from row a >> k: the
+    # planned classes land on slope * m + base a row at a time.
+    planned, cls = level > 0, np.arange(width)
+    rows = np.arange(a >> k, ((b - 1) >> k) + 1, dtype=np.uint64)
+    cut = slice(a & (width - 1), (a & (width - 1)) + n)
+    land = np.multiply.outer(rows, np.where(planned, tab.slope[level, cls], 0))
+    land += np.where(planned, tab.base[level, cls], 1)
+    land = land.reshape(-1)[cut]
+    dtype = np.min_scalar_type(max_steps + 1)
+    steps = np.tile(np.where(planned, level, max_steps + 1).astype(dtype), rows.size)[cut]
+    pos = np.flatnonzero(np.tile(~planned, rows.size)[cut])
+    v = pos.astype(np.uint64)
+    v += np.uint64(a)
+    jump_slope, jump_base = tab.slope[k], tab.base[k]
+    bound_slope, bound_base = tab.bound_slope[k], tab.bound_base[k]
+    steepest, highest = int(bound_slope.max()), int(bound_base.max())
+    # With lo = 1 every value below stop_hi has stopped, so none is below 2^(k+1).
+    clear = lo == 1 and stop_hi >= 2 * width
+    t, top = 0, b - 1
     while True:
         # a walk stops on 1 or on a start in [lo, stop_hi)
         if lo == 1 < stop_hi:
@@ -176,13 +302,26 @@ def _walk_piece(
                     steps[p], land[p] = j, y
             v, pos = v[~high], pos[~high]
         if not v.size or t == max_steps:
-            return steps, land, peak
-        # T(v) = v >> 1, plus v + 1 when v is odd
-        odd = v & 1
-        odd *= v + 1
-        v >>= 1
-        v += odd
-        t += 1
+            # steps in the narrowest dtype that holds them: less memory for
+            # the walks a pool has finished while the parent folds
+            return steps.astype(np.min_scalar_type(int(steps.max()))), land, peak
+        # k steps at once when no value can reach 1 inside them (each is at
+        # least 2^(k+1)), the budget has k steps left and they fit in uint64
+        if max_steps - t >= k and top <= tab.safe_max and (clear or int(v.min()) >= 2 * width):
+            i = v & np.uint64(width - 1)
+            v >>= np.uint64(k)
+            if steepest * (top >> k) + highest > peak:
+                bound = bound_slope[i]
+                bound *= v
+                bound += bound_base[i]
+                peak = max(peak, int(bound.max()))
+            m, v = v, jump_slope[i]
+            v *= m
+            v += jump_base[i]
+            t += k
+        else:
+            _step(v)
+            t += 1
         top = int(v.max())
         peak = max(peak, top)
 
@@ -218,13 +357,16 @@ def survey_range(
     max_steps: int = DEFAULT_MAX_STEPS,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
+    failure_budget: Callable[[int], None] | None = None,
 ) -> RangeSurvey:
     """Survey [lo, hi), optionally walking the pieces in worker processes.
 
     The pieces depend only on (lo, hi, chunk_size) and are folded in range
     order, so the result is byte-for-byte identical for every worker count.
     With workers > 1 one pool serves the whole survey, with no more workers
-    than the widest wave has pieces or the machine has CPUs.
+    than the widest wave has pieces or the machine has CPUs.  After each
+    piece, `failure_budget` (if given) is called with the number of failures
+    the survey would then hold, before it holds them; it may raise to stop.
     """
     if lo < 1:
         raise ValueError("range must start at 1 or above")
@@ -243,7 +385,7 @@ def survey_range(
     table = np.zeros(table_end - lo + 1, dtype=np.min_scalar_type(budget + 1))
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
     pieces = [
-        (a, min(a + chunk_size, wave_hi), lo, min(wave_lo, table_end), budget)
+        (a, min(a + chunk_size, wave_hi), lo, min(a, table_end), budget)
         for wave_lo, wave_hi in waves
         for a in range(wave_lo, wave_hi, chunk_size)
     ]
@@ -258,6 +400,8 @@ def survey_range(
             walks = _walks_in_order(pool, pieces, 2 * pool_size)
         for (a, b, *_), walk in zip(pieces, walks):
             part = _fold_piece(table, lo, a, b, budget + 1, walk)
+            if failure_budget is not None:
+                failure_budget(len(failures) + len(part.failures))
             # Pieces come in range order, so their failures append in order.
             failures.extend(part.failures)
             result = result.merge(replace(part, failures=()))

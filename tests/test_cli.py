@@ -18,6 +18,7 @@ from collatzlab.cli import (
     main,
 )
 from collatzlab.dynamics import AnbParams
+from collatzlab.sweep import survey_range
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -736,6 +737,56 @@ class TestSweepCommand:
         # one piece of work: the largest admitted count still starts no pool
         limit = str(cli_mod.THREADS_LIMIT)
         assert main(["sweep", "--limit", "1000", "--threads", limit]) == EX_OK
+
+    def test_start_budget_edge(self, capsys, monkeypatch):
+        assert cli_mod.SWEEP_START_LIMIT == 10**9
+        monkeypatch.setattr(cli_mod, "SWEEP_START_LIMIT", 1000)
+        assert run_cli(capsys, "sweep", "--limit", "1000")[0] == EX_OK
+        code = main(["sweep", "--limit", "1001", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EX_RESOURCE, "")
+        assert captured.err == (
+            "resource limit: sweep --limit 1001 is over the budget of 1000 starts; "
+            "lower --limit\n"
+        )
+
+    def test_failure_budget_edge(self, capsys, monkeypatch):
+        held = len(survey_range(1, 1001, max_steps=10).failures)
+        monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", held)
+        assert run_cli(capsys, "sweep", "--limit", "1000", "--max-steps", "10")[0] == (
+            EX_INCONCLUSIVE
+        )
+        monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", held - 1)
+        code = main(["sweep", "--limit", "1000", "--max-steps", "10"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EX_RESOURCE, "")
+        assert captured.err.startswith(f"resource limit: sweep would hold {held} failures")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_budget_stops_at_the_piece(self, capsys, monkeypatch, threads):
+        # the waves [1, 2), [2, 4), ... [512, 1001) are the pieces here: the
+        # survey stops at the first whose failures pass the cap, folding no more
+        from collatzlab import sweep as sweep_mod
+
+        folded = []
+        fold = sweep_mod._fold_piece
+        monkeypatch.setattr(
+            sweep_mod, "_fold_piece", lambda *args: folded.append(args[2]) or fold(*args)
+        )
+        monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", 100)
+        code = main(["sweep", "--limit", "1000", "--max-steps", "10", "--threads", threads])
+        err = capsys.readouterr().err
+        held, start = next(
+            (h, 1 << w) for w in range(10)
+            if (h := len(survey_range(1, min(2 << w, 1001), 10).failures)) > 100
+        )
+        assert code == EX_RESOURCE and folded[-1] == start
+        assert err.startswith(f"resource limit: sweep would hold {held} failures")
+
+    def test_default_failure_budget(self):
+        # 2^28 bytes at 140 bytes a failure
+        assert cli_mod.SWEEP_FAILURE_LIMIT == 1917396
 
 
 class TestCyclesCommand:

@@ -172,6 +172,8 @@ CORPUS = [
     ("sweep --limit 10 --threads 0", "76e86a563df3cc644ab66d6b40187ef4abb0d707ec216ffa428d803600d21e6a"),
     ("sweep --limit 10 --threads 257", "aae6becf805d325d08afc167afb3fc6125af8955e7a2f98f3bae17de2e037ee7"),
     ("sweep --limit 0 --threads 0", "9a805285543005c0dcaa6b4f6c09ce8f206a3924062081266b4072a9eec342d3"),
+    ("sweep --limit 1000000001", "892686962321eef028d115fae04f219d99176ae3a0dcce5c5f3b75fc1b3490ff"),
+    ("sweep --limit 1000000001 --format json", "892686962321eef028d115fae04f219d99176ae3a0dcce5c5f3b75fc1b3490ff"),
     ("anb-cycles", "e00e12bd78486c7b6dbccc24c9604e6b9a8a4dac2dd472a55671d0a604e90854"),
     ("anb-cycles --format json", "86780c48c15c764df1595e2872883bb99b9074f34e78a14bd0425605b8116404"),
     ("anb-cycles --format csv", "41c72a535b20aaf3d6c898bb8d79cef3b597dd0dad840d4642b934d311fa00cd"),
@@ -240,6 +242,10 @@ PATCHED = [
     ("cli.MC_COIN_LIMIT=1399", "montecarlo --length 100 --samples 14 --seed 7 --format json", "1d6a39eb361dd111d325cb9f38b8fdacabb3995e7cfff77f3373c98b391d315b"),
     ("cli.MC_SAMPLE_LIMIT=14", "montecarlo --length 100 --samples 14 --seed 7 --format csv", "0185494321a5002908b2a1c9fe873c63dd039687cb0fe22a47b8a953976dd19e"),
     ("cli.MC_SAMPLE_LIMIT=13", "montecarlo --length 100 --samples 14 --seed 7 --format csv", "3d787317a3a4c04ddd55de6e1d815a606edb51dd4359d6bce34fa17dfdf6a29c"),
+    ("cli.SWEEP_START_LIMIT=1000", "sweep --limit 1000", "fcd113b60473c82ad382ac51f9339ee83c8fcb30e9e881f3311b586222576ffc"),
+    ("cli.SWEEP_START_LIMIT=999", "sweep --limit 1000", "514cc796ed22836fd9106f3e5656fb9e8c0ff2dbb2168c5b9b6096bd5a1b3c32"),
+    ("cli.SWEEP_FAILURE_LIMIT=957", "sweep --limit 1000 --max-steps 10 --format json", "ec55fd4f75f0659ebd4e3c1b32bb4a4af792891df49fea0f6654a9bbf88c895f"),
+    ("cli.SWEEP_FAILURE_LIMIT=956", "sweep --limit 1000 --max-steps 10 --format json", "2a79af64dacbccf415099ca00a7c7eb3805457c98c550bb5f6db82f2ad97e403"),
 ]
 
 

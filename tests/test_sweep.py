@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import Future
 from functools import partial
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import sweep
+from collatzlab.dynamics import step_general
 from collatzlab.sweep import (
     UINT64_SAFE_MAX,
     RangeSurvey,
@@ -223,3 +225,194 @@ class TestMerge:
         assert merged.max_ratio == 1.44
         assert merged.peak == 16
         assert merged.verified == 2
+
+
+def _step(x: int) -> int:
+    """The reference shortcut step, with T(0) = 0 for residue 0."""
+    return step_general(x)[0] if x else 0
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_rows_are_walks(self, k):
+        # T^j(2^k m + i) = 3^p 2^(k-j) m + T^j(i), p the odd values among i..T^(j-1)(i)
+        tab = sweep._level_table(k)
+        xs, ps = list(range(1 << k)), [0] * (1 << k)
+        for j in range(1, k + 1):
+            ps = [p + (x & 1) for p, x in zip(ps, xs)]
+            xs = [_step(x) for x in xs]
+            assert tab.base[j].tolist() == xs
+            assert tab.slope[j].tolist() == [3**p << (k - j) for p in ps]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_largest_slope_has_largest_intercept(self, k):
+        # so the largest of levels 1..j at any m is bound_slope * m + bound_base
+        tab = sweep._level_table(k)
+        for j in range(1, k + 1):
+            slope, base = tab.slope[1 : j + 1], tab.base[1 : j + 1]
+            steepest, highest = slope.max(axis=0), base.max(axis=0)
+            assert ((slope == steepest) & (base == highest)).any(axis=0).all()
+            assert np.array_equal(tab.bound_slope[j], steepest)
+            assert np.array_equal(tab.bound_base[j], highest)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_safe_max_is_exact(self, k):
+        tab = sweep._level_table(k)
+        rows = (tab.safe_max + 1) >> k  # the first row m whose bound passes 2^64 - 1
+        assert (tab.safe_max + 1) % (1 << k) == 0
+        bounds = [int(s) * m + int(c) for s, c in zip(tab.bound_slope[k], tab.bound_base[k])
+                  for m in (rows - 1, rows)]
+        assert max(bounds[0::2]) < 2**64 <= max(bounds[1::2])
+
+
+@pytest.fixture(params=range(2, 7))
+def level(request, monkeypatch):
+    """A small LEVEL, so that ranges of a few thousand take the class plan and the jumps."""
+    monkeypatch.setattr(sweep, "LEVEL", request.param)
+    return request.param
+
+
+class TestShiftLawWalk:
+    @pytest.mark.parametrize("lo", [1, 2, 45, 1000])
+    def test_budgets_around_the_level(self, level, lo):
+        for max_steps in (0, 1, level - 1, level, level + 1):
+            got = survey_range(lo, lo + 2000, max_steps=max_steps, chunk_size=300)
+            assert got == survey_chunk_python(lo, lo + 2000, max_steps)
+
+    @pytest.mark.parametrize("lo", [5, 129, 1000])
+    def test_landings_below_lo(self, level, lo):
+        # a class's smallest member may land just below lo, where no entry is:
+        # it walks on, while its largest lands in [lo, stop_hi)
+        want = survey_chunk_python(lo, lo + 3000)
+        for chunk_size in (7, (1 << level) - 1, (1 << level) + 1, 3 << level, 1000):
+            assert survey_range(lo, lo + 3000, chunk_size=chunk_size) == want
+
+    def test_starts_near_the_jump_floor(self, level):
+        floor = 2 << level  # no value of at least 2^(k+1) reaches 1 inside a jump
+        for lo in (1, floor - 1, floor, floor + 1):
+            for hi in (floor - 1, floor, floor + 1, 4 * floor + 3):
+                for chunk_size in (1, 5, floor - 1, floor + 1):
+                    if hi > lo:
+                        got = survey_range(lo, hi, chunk_size=chunk_size)
+                        assert got == survey_chunk_python(lo, hi)
+
+    def test_overflow_fallback_path(self, level, monkeypatch):
+        monkeypatch.setattr(
+            sweep, "_walk_piece", partial(sweep._walk_piece, overflow_limit=3000)
+        )
+        for lo, max_steps in [(1, 10**5), (300, 10**5), (1, 30), (1, level + 1)]:
+            got = survey_range(lo, 2001, max_steps=max_steps, chunk_size=300)
+            assert got == survey_chunk_python(lo, 2001, max_steps)
+
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_tiny_table_cap(self, level, monkeypatch, cap):
+        monkeypatch.setattr(sweep, "TABLE_CAP", cap)
+        for lo, max_steps in [(1, 10**5), (5, 10**5), (1, 40)]:
+            got = survey_range(lo, 5001, max_steps=max_steps, chunk_size=300)
+            assert got == survey_chunk_python(lo, 5001, max_steps)
+
+    def test_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr(sweep, "LEVEL", 3)
+        base = survey_range(1, 20001, chunk_size=1500)
+        assert base == survey_chunk_python(1, 20001)
+        assert survey_range(1, 20001, workers=2, chunk_size=1500) == base
+
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 3000),
+        st.integers(1, 3000),
+        st.sampled_from([0, 1, 2, 3, 5, 6, 7, 40, 10**5]),
+        st.integers(1, 700),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_windows(self, k, lo, width, max_steps, chunk_size):
+        old = sweep.LEVEL
+        sweep.LEVEL = k
+        try:
+            got = survey_range(lo, lo + width, max_steps=max_steps, chunk_size=chunk_size)
+        finally:
+            sweep.LEVEL = old
+        assert got == survey_chunk_python(lo, lo + width, max_steps)
+
+
+class TestProductionLevel:
+    def test_sweep_to_2_22(self):
+        # the facts the benchmark pins for sweep --limit 2^22
+        s = survey_range(1, 2**22 + 1)
+        assert (s.verified, s.failures) == (2**22, ())
+        assert (s.max_total_stopping_time, s.tst_argmax) == (374, 3732423)
+        assert (s.max_ratio, s.ratio_argmax) == (24.714905995232588, 3732423)
+        assert s.peak == 429277584788
+
+    def test_random_window_above_the_jump_floor(self):
+        rng = random.Random(2026)
+        lo = rng.randrange(2 << sweep.LEVEL, 2**40)
+        for chunk_size in (97, 1 << sweep.LEVEL, 1 << 18):
+            got = survey_range(lo, lo + 4000, chunk_size=chunk_size)
+            assert got == survey_chunk_python(lo, lo + 4000)
+
+    def test_window_across_the_jump_bound(self):
+        # values up to safe_max jump; above it they step one at a time
+        edge = sweep._level_table(sweep.LEVEL).safe_max
+        got = survey_range(edge - 200, edge + 200, chunk_size=64)
+        assert got == survey_chunk_python(edge - 200, edge + 200)
+
+
+
+def _orbit(x: int, max_steps: int) -> list[int]:
+    """x and its values up to 1 or max_steps steps, by the reference step."""
+    values = [x]
+    while values[-1] != 1 and len(values) <= max_steps:
+        values.append(_step(values[-1]))
+    return values
+
+
+class TestPiece:
+    """_walk_piece against its contract: each walk lands on 1 or in [lo, stop_hi)
+    within its budget, never past 1, or fails only if it does not reach 1 within
+    the budget; the peak holds every value before each landing."""
+
+    @staticmethod
+    def check(a, b, lo, stop_hi, max_steps):
+        steps, land, peak = sweep._walk_piece(a, b, lo, stop_hi, max_steps)
+        least = most = b - 1
+        for x, j, y in zip(range(a, b), steps.tolist(), land.tolist()):
+            orbit = _orbit(x, max_steps)
+            if j > max_steps:  # out of budget, perhaps past a landing: it fails either way
+                assert y == 1 and 1 not in orbit
+                least = max(least, *orbit)
+            else:
+                assert j < len(orbit) and orbit[j] == y and (y == 1 or lo <= y < stop_hi)
+                least = max(least, *orbit[: j + 1])
+            most = max(most, *orbit)
+        assert least <= peak <= most
+
+    @pytest.mark.parametrize("a, b, stop_hi", [(8, 73, 8), (8, 200, 8), (5, 300, 5), (40, 129, 33)])
+    def test_piece_across_2_to_the_level(self, monkeypatch, a, b, stop_hi):
+        # 8 reaches 1 in 3 steps, while 72, the other start of its class mod 2^6,
+        # first drops below 8 at step 5: a class with a start below 2^k walks
+        monkeypatch.setattr(sweep, "LEVEL", 6)
+        self.check(a, b, 1, stop_hi, 10**5)
+
+    def test_single_starts(self, level):
+        # a piece of one start has no walker to set the peak: 4m + 1 climbs to
+        # (3x + 1)/2 before it lands below x at step 2
+        for x in range(1 << level, 6 << level):
+            for max_steps in (2, level, 10**5):
+                self.check(x, x + 1, 1, x, max_steps)
+
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 5000),
+        st.integers(1, 300),
+        st.integers(1, 3000),
+        st.sampled_from([0, 1, 2, 5, 6, 7, 40, 10**5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_pieces(self, k, a, width, lo, max_steps):
+        old = sweep.LEVEL
+        sweep.LEVEL = k
+        try:
+            self.check(a, a + width, lo, max(lo, a - width), max_steps)
+        finally:
+            sweep.LEVEL = old

@@ -355,6 +355,10 @@ def test_light_commands_load_no_numpy_or_pool(argv):
     assert probe(*argv) == (EX_OK, [])
 
 
+def test_sweep_start_budget_stops_before_numpy():
+    assert probe("sweep", "--limit", "1000000001") == (EX_RESOURCE, [])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
