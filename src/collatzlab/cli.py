@@ -866,7 +866,7 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     _budget(args.limit, SWEEP_START_LIMIT,
             f"sweep --limit {args.limit} is over the budget of {SWEEP_START_LIMIT} starts; "
             "lower --limit")
-    from .sweep import survey_range  # numpy and the process pool load here
+    from .sweep import survey_range  # numpy loads here, the process pool only if it runs
 
     def hold(failures: int) -> None:
         _budget(failures, SWEEP_FAILURE_LIMIT,

@@ -41,6 +41,14 @@ range order; with one worker the same walk runs in-process.  Ties go to the
 smaller start, so the result is the same for every worker count and chunk
 size.  `survey_chunk_python`, the plain walk of every start to 1, is the
 reference.
+
+The fold, the one serial part, stays in the table's dtype.  A walk returns
+uint32 slots, landing - lo, or a sentinel for the spare last slot, 0, for a
+spent budget or a landing on 1 below lo.  tst = steps + min(entry, fail -
+steps) saturates at fail = max_steps + 1 without widening.  A start x >= a
+(ln a > 0) beats the ratio record R only if tst(x) > R ln x >= R ln a, so only
+starts with tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six
+orders of magnitude above the float rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ import math
 import os
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -72,8 +79,10 @@ TABLE_CAP = 1 << 24
 # 4 tables of 11 rows of 2^10 uint64s, 360 KB.
 LEVEL = 10
 
-# Budgets are clamped so that step sums stay within int64; no walk gets this long.
+# Budgets are clamped so that the table has a numpy dtype; no walk gets this long.
 _MAX_BUDGET = 1 << 62
+
+_SPARE = 2**32 - 1  # the table slot of a spent budget or of a landing on 1 below lo
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,6 @@ class RangeSurvey:
         ratio, ratio_arg = _merge_max(
             (self.max_ratio, self.ratio_argmax), (other.max_ratio, other.ratio_argmax)
         )
-        peaks = [p for p in (self.peak, other.peak) if p is not None]
         return RangeSurvey(
             lo=min(self.lo, other.lo),
             hi=max(self.hi, other.hi),
@@ -109,16 +117,12 @@ class RangeSurvey:
             tst_argmax=tst_arg,
             max_ratio=ratio,
             ratio_argmax=ratio_arg,
-            peak=max(peaks) if peaks else None,
+            peak=max((p for p in (self.peak, other.peak) if p is not None), default=None),
         )
 
 
 def _merge_max(a: tuple, b: tuple) -> tuple:
-    if a[0] is None:
-        return b
-    if b[0] is None:
-        return a
-    if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]):
+    if a[0] is None or b[0] is not None and (b[0], -b[1]) > (a[0], -a[1]):
         return b
     return a
 
@@ -252,9 +256,10 @@ def _walk_piece(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk every start in [a, b) until it lands on 1 or in [lo, stop_hi).
 
-    Returns (steps, land, peak): the steps each walk took, the value it
-    landed on, and the largest value seen.  A walk that runs out of budget
-    first reads max_steps + 1 steps and lands on 1.  A walk may pass over
+    Returns (steps, slot, peak): the steps each walk took, the uint32 table
+    slot (landing - lo) of the value it landed on, and the largest value
+    seen.  A walk that runs out of budget first reads max_steps + 1 steps and
+    slot _SPARE, as does a landing on 1 below lo.  A walk may pass over
     [lo, stop_hi) and land later, never past 1 or its budget.  Values above
     overflow_limit are walked on with exact Python ints.
     """
@@ -263,13 +268,14 @@ def _walk_piece(
     width, n = 1 << k, b - a
     level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps))
     # The starts as rows m of the classes i mod 2^k, from row a >> k: the
-    # planned classes land on slope * m + base a row at a time.
+    # planned classes land on slope * m + base a row at a time.  The slot,
+    # landing - lo, is below TABLE_CAP < 2^32, so it is exact mod 2^32.
     planned, cls = level > 0, np.arange(width)
-    rows = np.arange(a >> k, ((b - 1) >> k) + 1, dtype=np.uint64)
+    rows = np.arange(a >> k, ((b - 1) >> k) + 1, dtype=np.uint64).astype(np.uint32)
     cut = slice(a & (width - 1), (a & (width - 1)) + n)
-    land = np.multiply.outer(rows, np.where(planned, tab.slope[level, cls], 0))
-    land += np.where(planned, tab.base[level, cls], 1)
-    land = land.reshape(-1)[cut]
+    slot = np.multiply.outer(rows, np.where(planned, tab.slope[level, cls], 0).astype(np.uint32))
+    slot += np.where(planned, tab.base[level, cls] - np.uint64(lo), _SPARE).astype(np.uint32)
+    slot = slot.reshape(-1)[cut]
     dtype = np.min_scalar_type(max_steps + 1)
     steps = np.tile(np.where(planned, level, max_steps + 1).astype(dtype), rows.size)[cut]
     pos = np.flatnonzero(np.tile(~planned, rows.size)[cut])
@@ -290,7 +296,7 @@ def _walk_piece(
         hit = np.flatnonzero(stop)
         if hit.size:
             steps[pos[hit]] = t
-            land[pos[hit]] = v[hit]
+            slot[pos[hit]] = np.minimum(v[hit] - np.uint64(lo), _SPARE)  # 1 - lo wraps
             keep = np.flatnonzero(~stop)
             v, pos = v[keep], pos[keep]
         if top > overflow_limit:
@@ -299,12 +305,12 @@ def _walk_piece(
                 j, y, seen = _walk_exact(x, t, lo, stop_hi, max_steps)
                 peak = max(peak, seen)
                 if y is not None:
-                    steps[p], land[p] = j, y
+                    steps[p], slot[p] = j, y - lo if y >= lo else _SPARE
             v, pos = v[~high], pos[~high]
         if not v.size or t == max_steps:
             # steps in the narrowest dtype that holds them: less memory for
             # the walks a pool has finished while the parent folds
-            return steps.astype(np.min_scalar_type(int(steps.max()))), land, peak
+            return steps.astype(np.min_scalar_type(int(steps.max()))), slot, peak
         # k steps at once when no value can reach 1 inside them (each is at
         # least 2^(k+1)), the budget has k steps left and they fit in uint64
         if max_steps - t >= k and top <= tab.safe_max and (clear or int(v.min()) >= 2 * width):
@@ -326,29 +332,41 @@ def _walk_piece(
         peak = max(peak, top)
 
 
-def _fold_piece(table, lo: int, a: int, b: int, fail: int, walk: tuple) -> RangeSurvey:
-    """Finish the starts of [a, b) from their walks and enter them in the table."""
-    steps, land, peak = walk
-    # Landing on 1 below lo wraps past the starts to the last slot, which holds 0.
-    slot = np.minimum(land - np.uint64(lo), np.uint64(table.size - 1))
-    tst = np.minimum(steps.astype(np.int64) + table[slot].astype(np.int64), fail)
+def _fold_piece(table, lo: int, a: int, b: int, fail: int, record, walk: tuple) -> RangeSurvey:
+    """Finish the starts of [a, b) from their walks and the ratio record before a
+    (or None), and enter them in the table."""
+    steps, slot, peak = walk
+    np.minimum(slot, table.size - 1, out=slot)  # _SPARE reads the spare last slot, 0
+    # tst = steps + min(entry, fail - steps) <= fail, in the table's dtype
+    tst = np.subtract(fail, steps, dtype=table.dtype)
+    np.minimum(tst, table[slot], out=tst)
+    tst += steps
     stored = min(b, lo + table.size - 1) - a
     if stored > 0:
         table[a - lo : a - lo + stored] = tst[:stored]
-    starts = np.arange(a, b, dtype=np.uint64)
-    ok = tst < fail
-    done = np.where(ok, tst, -1)
-    # argmax takes the first, smallest, start of a tie; failures read -1
-    i = int(np.argmax(done))
-    tst_best = (int(done[i]), a + i) if done[i] >= 0 else (None, None)
-    skip = 1 if a == 1 else 0  # ln 1 = 0: start 1 has no ratio
-    ratios = done[skip:] / np.log(starts[skip:].astype(np.float64))
-    k = int(np.argmax(ratios)) if ratios.size else 0
+    failures = ()
+    i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
+    if tst[i] == fail:
+        failed = tst == fail
+        failures = tuple((np.flatnonzero(failed).astype(np.uint64) + np.uint64(a)).tolist())
+        tst[failed] = 0  # below every tst but start 1's, which never fails
+        i = int(tst.argmax())
+    verified = b - a - len(failures)
+    tst_best = (int(tst[i]), a + i) if verified else (None, None)
+    # x >= first beats R only if fl(t / fl(ln x)) >= R, so, as each rounding is
+    # within 1e-15, t >= R ln x (1 - 1e-15) >= R ln first (1 - 1e-15).  The floor
+    # rounds three times too, so fl(fl(R fl(ln first)) (1 - 1e-9)) is below that
+    # and t is at least its floor.  Failures, now 0, stay below a floor >= 1.
+    first = max(a, 2)  # ln 1 = 0: start 1 has no ratio
+    floor = 1 if record is None else max(1, math.floor(record * math.log(first) * (1 - 1e-9)))
+    cand = np.flatnonzero(tst[first - a :] >= floor)
     ratio_best = (None, None)
-    if ratios.size and ratios[k] >= 0:
-        ratio_best = (float(ratios[k]), a + skip + k)
-    failures = tuple(starts[~ok].tolist())
-    return RangeSurvey(a, b, int(ok.sum()), failures, *tst_best, *ratio_best, peak)
+    if cand.size:  # the starts in uint64: near 2^64 they overflow int64
+        x = (cand.astype(np.uint64) + np.uint64(first)).astype(np.float64)
+        ratios = tst[first - a :][cand] / np.log(x)
+        k = int(ratios.argmax())
+        ratio_best = (float(ratios[k]), first + int(cand[k]))
+    return RangeSurvey(a, b, verified, failures, *tst_best, *ratio_best, peak)
 
 
 def survey_range(
@@ -380,9 +398,9 @@ def survey_range(
     np.empty(1 << 21)
     budget = min(max(max_steps, 0), _MAX_BUDGET)
     table_end = min(hi, lo + TABLE_CAP)
-    # The spare last slot stays 0: walks that land on 1 below lo, or that ran
-    # out of budget (their steps already read max_steps + 1), look it up.
+    # The spare last slot stays 0 for the walks that read slot _SPARE.
     table = np.zeros(table_end - lo + 1, dtype=np.min_scalar_type(budget + 1))
+    assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
     pieces = [
         (a, min(a + chunk_size, wave_hi), lo, min(a, table_end), budget)
@@ -393,13 +411,15 @@ def survey_range(
     pool_size = min(workers, widest, os.cpu_count() or 1)
     result = _empty_survey(lo, lo)
     failures: list[int] = []
-    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
-        if pool is None:
-            walks = (_walk_piece(*piece) for piece in pieces)
-        else:
-            walks = _walks_in_order(pool, pieces, 2 * pool_size)
+    pool, walks = nullcontext(), (_walk_piece(*piece) for piece in pieces)
+    if pool_size > 1:  # only a pool run pays for importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=pool_size)
+        walks = _walks_in_order(pool, pieces, 2 * pool_size)
+    with pool:
         for (a, b, *_), walk in zip(pieces, walks):
-            part = _fold_piece(table, lo, a, b, budget + 1, walk)
+            part = _fold_piece(table, lo, a, b, budget + 1, result.max_ratio, walk)
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))
             # Pieces come in range order, so their failures append in order.

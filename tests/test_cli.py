@@ -721,12 +721,10 @@ class TestSweepCommand:
         assert main(["sweep", "--limit", "5", "--threads", "0"]) == EX_USAGE
 
     def test_threads_cap(self, capsys, monkeypatch):
-        from collatzlab import sweep as sweep_mod
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code = main(["sweep", "--limit", "5000000", "--threads", str(10**18)])
         captured = capsys.readouterr()
         assert code == EX_USAGE

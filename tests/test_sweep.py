@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -69,12 +71,21 @@ class TestWaves:
         assert any(_landing(x, lo) in failed for x in failed if _landing(x, lo) is not None)
 
     def test_failed_entry_stays_at_budget(self):
-        # slots for starts 1, 2, 3 and the spare slot; start 2 failed at max_steps=200
-        table = np.array([0, 201, 0, 0], dtype=np.uint8)
-        walk = (np.array([150], dtype=np.uint8), np.array([2], dtype=np.uint64), 3)
-        part = sweep._fold_piece(table, 1, 3, 4, 201, walk)
-        assert part.failures == (3,)
-        assert table[2] == 201
+        # slots for starts 1, 2, 3 and the spare slot; start 3 walks `steps` and
+        # lands on start 2 (slot 1), or spends its budget (the spare slot)
+        for fail, steps, entry, slot in [
+            (201, 150, 201, 1),  # start 2 failed at max_steps=200
+            (255, 200, 100, 1),  # steps + entry passes the uint8 edge
+            (255, 150, 255, 1),  # entry == fail at the edge
+            (255, 255, 0, sweep._SPARE),  # steps == fail: the budget ran out
+            (255, 255, 0, 3),  # the spare slot itself
+        ]:
+            table = np.array([0, entry, 0, 0], dtype=np.uint8)
+            walk = (np.array([steps], dtype=np.uint8), np.array([slot], dtype=np.uint32), 3)
+            part = sweep._fold_piece(table, 1, 3, 4, fail, None, walk)
+            assert (part.verified, part.failures) == (0, (3,))
+            assert part.max_total_stopping_time is None and part.max_ratio is None
+            assert table[2] == fail
 
     @pytest.mark.parametrize("cap", [1, 64])
     @pytest.mark.parametrize("lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40)])
@@ -116,7 +127,7 @@ class TestPool:
                 done.set_result(fn(*args))
                 return done
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         base = survey_range(1, 4097, chunk_size=256)
         # the widest wave, [2048, 4096), has 8 pieces
         for cpus, workers, size in [(6, 10**6, 6), (64, 10**6, 8), (64, 3, 3)]:
@@ -170,6 +181,58 @@ class TestSurveyValues:
         with pytest.raises(ValueError):
             survey_range(0, 10)
         assert survey_range(5, 5).verified == 0
+
+
+class TestRatioFloor:
+    """Only starts whose tst reaches the floor the ratio record sets get a log."""
+
+    @staticmethod
+    def fold(a, b, record):
+        # every start of [a, b) walks to 1, so its steps are its tst
+        steps = np.array([len(_orbit(x, 10**5)) - 1 for x in range(a, b)], dtype=np.uint8)
+        table = np.zeros(b, dtype=np.uint8)
+        walk = (steps, np.zeros(b - a, dtype=np.uint32), b - 1)
+        return sweep._fold_piece(table, 1, a, b, 201, record, walk)
+
+    def test_record_holder_keeps_a_tie(self):
+        # 27 has the best ratio of [27, 40), 70 / ln 27, and is the first start:
+        # the floor is closest to its tst
+        ratio = float(np.float64(70) / np.log(np.float64(27)))
+        part = self.fold(27, 40, None)
+        assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
+        earlier = replace(sweep._empty_survey(1, 27), max_ratio=ratio, ratio_argmax=9)
+        part = self.fold(27, 40, ratio)
+        assert earlier.merge(part).ratio_argmax == 9
+        below = float(np.nextafter(ratio, 0))
+        part = self.fold(27, 40, below)
+        assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
+        merged = replace(earlier, max_ratio=below).merge(part)
+        assert (merged.max_ratio, merged.ratio_argmax) == (ratio, 27)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2])
+    @pytest.mark.parametrize("lo, hi", [(1, 3), (1, 60), (2, 60), (3, 60), (27, 300)])
+    def test_small_pieces(self, chunk_size, lo, hi):
+        # ln 1 = 0: start 1 alone has no ratio; a piece of 2 alone sets the first record
+        got = survey_range(lo, hi, chunk_size=chunk_size)
+        assert got == survey_chunk_python(lo, hi)
+
+    def test_fold_memory_per_start(self):
+        # the fold gathers, saturates and stores in the table's dtype (uint32 at
+        # the default budget): measured 9.05 traced bytes a start on this piece.
+        # Folding by int64 and float64 temporaries measured 50.
+        n, fail = 1 << 16, sweep.DEFAULT_MAX_STEPS + 1
+        table = np.zeros(2 * n + 1, dtype=np.min_scalar_type(fail))
+        walk = sweep._walk_piece(1, n, 1, 1, fail - 1)
+        first = sweep._fold_piece(table, 1, 1, n, fail, None, walk)
+        walk = sweep._walk_piece(n, 2 * n, 1, n, fail - 1)
+        tracemalloc.start()
+        try:
+            part = sweep._fold_piece(table, 1, n, 2 * n, fail, first.max_ratio, walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.merge(part) == survey_range(1, 2 * n)
+        assert peak <= 12 * n
 
 
 def _oracle(lo, hi):
@@ -370,19 +433,24 @@ def _orbit(x: int, max_steps: int) -> list[int]:
 class TestPiece:
     """_walk_piece against its contract: each walk lands on 1 or in [lo, stop_hi)
     within its budget, never past 1, or fails only if it does not reach 1 within
-    the budget; the peak holds every value before each landing."""
+    the budget; the peak holds every value before each landing.  A landing y
+    reads table slot y - lo, and a landing on 1 below lo or a failure _SPARE."""
 
     @staticmethod
     def check(a, b, lo, stop_hi, max_steps):
-        steps, land, peak = sweep._walk_piece(a, b, lo, stop_hi, max_steps)
+        steps, slot, peak = sweep._walk_piece(a, b, lo, stop_hi, max_steps)
+        assert slot.dtype == np.uint32
         least = most = b - 1
-        for x, j, y in zip(range(a, b), steps.tolist(), land.tolist()):
+        for x, j, s in zip(range(a, b), steps.tolist(), slot.tolist()):
             orbit = _orbit(x, max_steps)
             if j > max_steps:  # out of budget, perhaps past a landing: it fails either way
-                assert y == 1 and 1 not in orbit
+                assert s == sweep._SPARE and 1 not in orbit
                 least = max(least, *orbit)
             else:
-                assert j < len(orbit) and orbit[j] == y and (y == 1 or lo <= y < stop_hi)
+                assert j < len(orbit)
+                y = orbit[j]
+                assert y == 1 or lo <= y < stop_hi
+                assert s == (y - lo if y >= lo else sweep._SPARE)
                 least = max(least, *orbit[: j + 1])
             most = max(most, *orbit)
         assert least <= peak <= most

@@ -359,6 +359,10 @@ def test_sweep_start_budget_stops_before_numpy():
     assert probe("sweep", "--limit", "1000000001") == (EX_RESOURCE, [])
 
 
+def test_sweep_in_process_loads_no_pool():
+    assert probe("sweep", "--limit", "1000", "--threads", "1") == (EX_OK, ["numpy"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
