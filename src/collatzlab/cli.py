@@ -93,7 +93,7 @@ TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 # sweep runs at most this many worker processes (and never more than the CPUs).
 THREADS_LIMIT = 256
 
-# sweep surveys at most this many starts (10^9: 133 s and a 120 MB peak at one
+# sweep surveys at most this many starts (10^9: 132 s and an 83 MB peak at one
 # worker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
 SWEEP_START_LIMIT = 10**9
 

@@ -11,9 +11,11 @@ Starts go in doubling waves [L, 2L) from L = lo, in increasing order, each cut
 into pieces of `chunk_size`.  A piece [a, b) walks until each value lands on 1
 or in [lo, a): pieces are folded in range order, so every start below a is in
 the table when the piece is.  Values below lo have no entry and walk on.  The
-table holds min(tst, max_steps + 1), the latter meaning "failed", in the
-smallest unsigned dtype that fits, for at most TABLE_CAP starts: pieces above
-the cap walk until they drop below it, so memory is bounded for any range.
+table holds min(tst, max_steps + 1), the latter meaning "failed", for at most
+TABLE_CAP starts: pieces above the cap walk until they drop below it, so
+memory is bounded for any range.  It is uint16 (uint8 below a budget of 255)
+at any budget, as no tst below 2^25 exceeds 442, and widens once to hold
+max_steps + 1 only before a piece whose tst could reach 65,535.
 
 A piece walks by one level table, the residue shift law (Terras, 1976) at
 k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
@@ -44,8 +46,9 @@ reference.
 
 The fold, the one serial part, stays in the table's dtype.  A walk returns
 uint32 slots, landing - lo, or a sentinel for the spare last slot, 0, for a
-spent budget or a landing on 1 below lo.  tst = steps + min(entry, fail -
-steps) saturates at fail = max_steps + 1 without widening.  A start x >= a
+spent budget or a landing on 1 below lo.  tst = steps + min(entry, top -
+steps) saturates at top = min(max_steps + 1, the dtype's maximum) without
+widening; below a wide table's top it is exact.  A start x >= a
 (ln a > 0) beats the ratio record R only if tst(x) > R ln x >= R ln a, so only
 starts with tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six
 orders of magnitude above the float rounding.
@@ -71,8 +74,16 @@ UINT64_SAFE_MAX = (2**64 - 2) // 3
 # A piece of 2^18 starts keeps the walk's temporaries to a few MB each.
 DEFAULT_CHUNK_SIZE = 1 << 18
 
-# Starts held in the stopping-time table: 64 MB at the default step budget.
+# Starts held in the stopping-time table: 32 MB in _NARROW at any step budget.
 TABLE_CAP = 1 << 24
+
+# The table's dtype until a stopping time could reach its maximum.
+_NARROW = np.uint16
+
+# Freeing one 16 MB block raises glibc's mmap threshold, which never falls,
+# above a piece's 2 MB temporaries, so they reuse heap pages instead of faulting
+# in fresh ones at every step: about a quarter of a first 2^22 survey's time.
+np.empty(1 << 21)
 
 # Walks jump LEVEL shortcut steps a pass, and the classes mod 2^LEVEL of a
 # piece that land below its start within LEVEL steps land in closed form:
@@ -337,8 +348,10 @@ def _fold_piece(table, lo: int, a: int, b: int, fail: int, record, walk: tuple) 
     (or None), and enter them in the table."""
     steps, slot, peak = walk
     np.minimum(slot, table.size - 1, out=slot)  # _SPARE reads the spare last slot, 0
-    # tst = steps + min(entry, fail - steps) <= fail, in the table's dtype
-    tst = np.subtract(fail, steps, dtype=table.dtype)
+    # tst = steps + min(entry, top - steps) <= top, in the table's dtype; a
+    # narrow table's caller keeps steps + entry below top < fail
+    top = min(fail, int(np.iinfo(table.dtype).max))
+    tst = np.subtract(top, steps, dtype=table.dtype)
     np.minimum(tst, table[slot], out=tst)
     tst += steps
     stored = min(b, lo + table.size - 1) - a
@@ -392,14 +405,11 @@ def survey_range(
         return _empty_survey(lo, hi)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    # Freeing one 16 MB block raises glibc's mmap threshold above a piece's
-    # 2 MB temporaries, so they reuse heap pages instead of faulting in fresh
-    # ones at every step: about a quarter of a first 2^22 survey's time.
-    np.empty(1 << 21)
     budget = min(max(max_steps, 0), _MAX_BUDGET)
     table_end = min(hi, lo + TABLE_CAP)
     # The spare last slot stays 0 for the walks that read slot _SPARE.
-    table = np.zeros(table_end - lo + 1, dtype=np.min_scalar_type(budget + 1))
+    wide, narrow_max = np.min_scalar_type(budget + 1), int(np.iinfo(_NARROW).max)
+    table = np.zeros(table_end - lo + 1, np.min_scalar_type(min(budget + 1, narrow_max)))
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
     pieces = [
@@ -419,6 +429,11 @@ def survey_range(
         walks = _walks_in_order(pool, pieces, 2 * pool_size)
     with pool:
         for (a, b, *_), walk in zip(pieces, walks):
+            # Entries are at most the tst record: below the narrow maximum, steps +
+            # record bounds each tst and no start fails (steps = budget + 1).
+            tst_max = int(walk[0].max()) + (result.max_total_stopping_time or 0)
+            if table.dtype != wide and tst_max >= np.iinfo(table.dtype).max:
+                table = table.astype(wide)
             part = _fold_piece(table, lo, a, b, budget + 1, result.max_ratio, walk)
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))

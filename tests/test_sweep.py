@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -86,6 +87,17 @@ class TestWaves:
             assert (part.verified, part.failures) == (0, (3,))
             assert part.max_total_stopping_time is None and part.max_ratio is None
             assert table[2] == fail
+
+    def test_narrow_table_folds_exactly(self):
+        # a uint16 table at fail = 100,001 saturates at 65,535: steps + entry =
+        # 65,534, the most a narrow table is folded with, stays exact
+        for steps, entry, slot in [(1000, 64534, 1), (0, 65534, 1), (65534, 0, 0)]:
+            table = np.array([0, entry, 0, 0], dtype=np.uint16)
+            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 3)
+            part = sweep._fold_piece(table, 1, 3, 4, 100_001, None, walk)
+            assert (part.verified, part.failures) == (1, ())
+            assert (part.max_total_stopping_time, part.tst_argmax) == (65534, 3)
+            assert table[2] == 65534
 
     @pytest.mark.parametrize("cap", [1, 64])
     @pytest.mark.parametrize("lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40)])
@@ -233,6 +245,100 @@ class TestRatioFloor:
             tracemalloc.stop()
         assert first.merge(part) == survey_range(1, 2 * n)
         assert peak <= 12 * n
+
+
+@pytest.fixture
+def narrow8(monkeypatch):
+    """A uint8 narrow table, whose widen small ranges reach."""
+    monkeypatch.setattr(sweep, "_NARROW", np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(lo, hi, max_steps):
+    return survey_chunk_python(lo, hi, max_steps)
+
+
+# 230631 has tst 278, the first start above 254, in the third piece of 97; at
+# 254 the table stays uint8, failing at 255; at 255 and 260 it widens to uint16
+# for the failure of 230631; (1, 5001) holds tst up to 150 and never widens.
+NARROW_WINDOWS = [
+    (230400, 230900, 10**5),
+    (230400, 230900, 260),
+    (230400, 230900, 255),
+    (230400, 230900, 254),
+    (1, 5001, 10**5),
+]
+
+
+class TestNarrowTable:
+    """The table starts narrow and widens once, before a tst could reach the
+    narrow maximum; every survey gives the reference's result."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 97, 1 << 18])
+    @pytest.mark.parametrize("lo, hi, max_steps", NARROW_WINDOWS)
+    def test_widen_matches_reference(self, narrow8, lo, hi, max_steps, chunk_size):
+        got = survey_range(lo, hi, max_steps=max_steps, chunk_size=chunk_size)
+        assert got == _reference(lo, hi, max_steps)
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    @pytest.mark.parametrize("lo, hi, max_steps", [(230400, 230900, 260), (1, 5001, 10**5)])
+    def test_widen_with_tiny_table_cap(self, narrow8, monkeypatch, cap, lo, hi, max_steps):
+        # with start lo alone in the table, each walk goes on to 1 from (1, 5001) too
+        monkeypatch.setattr(sweep, "TABLE_CAP", cap)
+        got = survey_range(lo, hi, max_steps=max_steps, chunk_size=97)
+        assert got == _reference(lo, hi, max_steps)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_widen_at_any_worker_count(self, narrow8, workers):
+        got = survey_range(230400, 230900, max_steps=260, workers=workers, chunk_size=97)
+        assert got == _reference(230400, 230900, 260)
+
+    @staticmethod
+    def folds(monkeypatch, *args, **kwargs):
+        """The survey, and the table each piece was folded into."""
+        tables, fold = [], sweep._fold_piece
+
+        def spy(table, *rest):
+            tables.append(table)
+            return fold(table, *rest)
+
+        monkeypatch.setattr(sweep, "_fold_piece", spy)
+        return survey_range(*args, **kwargs), tables
+
+    def test_widens_once_mid_survey(self, narrow8, monkeypatch):
+        got, tables = self.folds(monkeypatch, 1, 2**18 + 1, chunk_size=1 << 14)
+        first = next(i for i, t in enumerate(tables) if t.dtype != np.uint8)
+        assert 0 < first < len(tables) - 1
+        assert all(t is tables[first] for t in tables[first:])
+        assert tables[first].dtype == np.uint32
+        assert (got.max_total_stopping_time, got.tst_argmax) == (278, 230631)
+        monkeypatch.setattr(sweep, "_NARROW", np.uint16)
+        assert got == survey_range(1, 2**18 + 1)
+
+    @pytest.mark.parametrize("max_steps", [100, sweep.DEFAULT_MAX_STEPS, 10**15])
+    def test_stays_narrow_at_any_budget(self, monkeypatch, max_steps):
+        got, tables = self.folds(monkeypatch, 1, 2**18 + 1, max_steps=max_steps)
+        want = np.uint8 if max_steps < 255 else np.uint16
+        assert {t.dtype for t in tables} == {np.dtype(want)}
+        if max_steps >= 278:
+            assert (got.max_total_stopping_time, got.tst_argmax) == (278, 230631)
+
+    @pytest.mark.parametrize("max_steps", [sweep.DEFAULT_MAX_STEPS, 10**15])
+    def test_survey_memory_per_start(self, max_steps):
+        # measured 2.19 (the default budget) and 2.21 (10^15) traced bytes a
+        # start: the uint16 table's 2 and a piece's temporaries.  A table in the
+        # budget's own dtype takes 4 (uint32) or 8 (uint64), and a 16 MB block
+        # freed in each survey 8: 8.0 and 8.2 were measured so.
+        n = 2**21
+        sweep._level_table(sweep.LEVEL)  # built once a process, for every survey
+        tracemalloc.start()
+        try:
+            got = survey_range(1, n + 1, max_steps=max_steps, chunk_size=1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.verified, got.failures) == (n, ())
+        assert peak <= 2.5 * n
 
 
 def _oracle(lo, hi):
