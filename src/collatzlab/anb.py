@@ -6,9 +6,14 @@ replaced by a.  Unlike the 3n+1 case these procedures settle into multi-member
 cycles or keep growing; nothing here ever asserts divergence, only what
 happened within a finite horizon.
 
-With (a, b) = (3, 1) every function agrees exactly with its counterpart in
-`dynamics`/`identities`; that agreement is enforced by tests, which is why the
-implementations are deliberately separate code paths.
+The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), and
+the shift law is `identities.residue_shift_check`, re-exported here as
+`residue_shift_check_anb`: one code path for every map.  Tests compare the
+an+b code at (3, 1) with the 3n+1 code only where the two are separate
+paths, so that each can catch the other: orbits (`trajectory_anb` on
+`step_anb` against `dynamics.odd_walk`'s inline step), closed forms
+(`anb_steps_extended` and a Horner sum in (a, b) against `odd_steps_extended`
+and one with a literal 3) and cycles (`find_cycle`).
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from .dynamics import (
     DEFAULT_MAX_STEPS,
     AnbParams,
     ParityExponents,
-    StepKind,
     Termination,
     Trajectory,
     _require_odd,
     collect_orbit,
     step_anb,
 )
-from .identities import ShiftCheck
+from .identities import residue_shift_check as residue_shift_check_anb
 
 LABEL_BOUNDED = "bounded/cyclic within horizon"
 LABEL_UNBOUNDED = "unbounded within horizon"
@@ -49,19 +53,11 @@ class ClosedFormAnbCheck(NamedTuple):
     holds: bool
 
 
-def anb_general_step(x: int, params: AnbParams) -> tuple[int, StepKind]:
-    """Shortcut form of the generalized map: x/2 on evens, (ax+b)/2 on odds."""
-    if x < 1:
-        raise ValueError(f"map is defined on integers >= 1, got {x}")
-    if x % 2 == 0:
-        return x // 2, StepKind.DECREASE
-    return (params.a * x + params.b) // 2, StepKind.INCREASE
-
-
 def anb_steps_extended(
     x0: int, params: AnbParams, count: int
 ) -> tuple[list[int], list[int]]:
     """Run exactly `count` generalized odd steps, continuing through repeats."""
+    _require_odd(x0)
     if count < 0:
         raise ValueError("count must be >= 0")
     values = [x0]
@@ -83,10 +79,9 @@ def anb_orbit_steps(
     cycle; the repeated value is not yielded, so the walk lists each visited
     odd number exactly once.  The arguments are checked before the first step.
     """
+    _require_odd(x0)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    if max_steps:
-        _require_odd(x0)  # as the first step would
     return _anb_orbit_steps(x0, params, max_steps)
 
 
@@ -253,35 +248,6 @@ def closed_form_anb_checks(
         yield ClosedFormAnbCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
-def _walk_anb_general_zero(x: int, steps: int, params: AnbParams) -> tuple[int, int]:
-    """Iterate the generalized shortcut map with the local T(0) = 0 extension."""
-    if x < 0:
-        raise ValueError("walker defined for x >= 0")
-    increases = 0
-    for _ in range(steps if x else 0):  # T(0) = 0, and no x >= 1 reaches 0
-        x, kind = anb_general_step(x, params)
-        increases += kind is StepKind.INCREASE
-    return x, increases
-
-
-def residue_shift_check_anb(k: int, m: int, i: int, params: AnbParams) -> ShiftCheck:
-    """Generalized residue shift: T^k(2^k m + i) == a^p m + T^k(i).
-
-    p counts the increases among the k generalized shortcut steps taken from
-    the residue i; both sides come from separate walks.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not 0 <= i < (1 << k):
-        raise ValueError("need 0 <= i < 2^k")
-    lhs, _ = _walk_anb_general_zero((1 << k) * m + i, k, params)
-    ti, p = _walk_anb_general_zero(i, k, params)
-    rhs = params.a**p * m + ti
-    return ShiftCheck(holds=lhs == rhs, increase_count=p, lhs=lhs, rhs=rhs)
-
-
 @dataclass(frozen=True)
 class DivergenceDiagnostic:
     """Horizon-bounded growth summary of one generalized orbit.
@@ -307,10 +273,6 @@ class DivergenceDiagnostic:
     @property
     def peak_bits(self) -> int:
         return self.peak.bit_length()
-
-    @property
-    def start_bits(self) -> int:
-        return self.start.bit_length()
 
     @property
     def drift_log2(self) -> float:
@@ -476,6 +438,8 @@ def _catalog_walk(
         if j == max_steps:
             break
         j += 1
+        # The step inline, not through step_anb: the (5, 1) catalog to 151 walks in
+        # 0.33 s against 0.57 s (medians of 5 paired runs, 2-vCPU Xeon, Python 3.11).
         t = a * x + b
         low = t & _LOW64 or t  # the valuation of t, from its low word if it is not 0
         x = t >> ((low & -low).bit_length() - 1)

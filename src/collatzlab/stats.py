@@ -1,4 +1,4 @@
-"""Seeded drift statistics, stopping times, and the exact drift bound.
+"""Seeded drift statistics, the exact drift bound, and the stopping-time reference.
 
 The random experiment draws the fair bits of
 `numpy.random.default_rng(seed).integers(0, 2, length, dtype=uint8)` through
@@ -27,7 +27,6 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .dynamics import DEFAULT_MAX_STEPS, step_general
 from .pcg64 import seeded_draws
 from .reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS
 
@@ -44,14 +43,6 @@ class RatioSample(NamedTuple):
     xi: float
     zeros: int
     ones: int
-
-
-def ratio_from_bits(bits: Sequence[int]) -> RatioSample:
-    """Zeros-to-ones ratio of a 0/1 stream; xi is inf when no ones occur."""
-    ones = sum(1 for b in bits if b)
-    zeros = len(bits) - ones
-    xi = zeros / ones if ones else math.inf
-    return RatioSample(xi=xi, zeros=zeros, ones=ones)
 
 
 def simulate_ratio(length: int, seed: int) -> RatioSample:
@@ -271,53 +262,6 @@ def drift_bound(x0: int, n: int, mean_k: Fraction) -> Fraction:
     if total.denominator != 1:
         raise ValueError("mean_k must come from a trajectory prefix of n+1 steps")
     return Fraction((3 * x0 + 1) * 4**n, 1 << int(total))
-
-
-def drift_bound_holds(x0: int, n: int, mean_k: Fraction, actual: int) -> bool:
-    """Exact check bound >= actual (Fraction comparison, no floats)."""
-    return drift_bound(x0, n, mean_k) >= actual
-
-
-@dataclass(frozen=True)
-class StoppingProfile:
-    """First-descent and first-one step counts of one shortcut orbit.
-
-    stopping_time is the first step with value below the start (1 for every
-    even start); total_stopping_time is the first step reaching 1.  ratio is
-    total_stopping_time / ln(start), defined for starts >= 2 with complete
-    orbits.  `complete` is False when the step budget ran out first.
-    """
-
-    x: int
-    stopping_time: int | None
-    total_stopping_time: int | None
-    complete: bool
-
-    @property
-    def ratio(self) -> float | None:
-        if self.x < 2 or self.total_stopping_time is None:
-            return None
-        return self.total_stopping_time / math.log(self.x)
-
-
-def stopping_profile(x: int, max_steps: int = DEFAULT_MAX_STEPS) -> StoppingProfile:
-    """Walk the shortcut orbit of x, recording both stopping measures."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    value = x
-    stopping: int | None = None
-    total: int | None = 0 if x == 1 else None
-    steps = 0
-    while total is None and steps < max_steps:
-        value, _ = step_general(value)
-        steps += 1
-        if stopping is None and value < x:
-            stopping = steps
-        if value == 1:
-            total = steps
-    return StoppingProfile(
-        x=x, stopping_time=stopping, total_stopping_time=total, complete=total is not None
-    )
 
 
 def reference_rows_stats() -> dict:

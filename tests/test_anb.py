@@ -9,7 +9,6 @@ from collatzlab.anb import (
     LABEL_BOUNDED,
     LABEL_UNBOUNDED,
     CycleRecord,
-    anb_general_step,
     anb_orbit_steps,
     anb_steps_extended,
     canonical_rotation,
@@ -25,7 +24,6 @@ from collatzlab.anb import (
 from collatzlab.dynamics import (
     AnbParams,
     Termination,
-    step_general,
     step_odd,
     trajectory_odd,
 )
@@ -57,7 +55,8 @@ class TestTrajectories:
             anb_orbit_steps(6, P51, max_steps=1)
         with pytest.raises(ValueError):
             anb_orbit_steps(7, P51, max_steps=-1)
-        assert list(anb_orbit_steps(6, P51, max_steps=0)) == []  # no step, nothing to check
+        with pytest.raises(ValueError):  # an even start is outside the map at any budget
+            anb_orbit_steps(6, P51, max_steps=0)
 
     def test_5n1_prefix(self):
         traj, _ = trajectory_anb(7, P51, max_steps=9)
@@ -425,10 +424,6 @@ class TestGeneralizationConsistency:
 
         for x in range(1, 2001, 2):
             assert step_anb(x, self.P31) == step_odd(x)
-
-    def test_general_step_matches(self):
-        for x in range(1, 4001):
-            assert anb_general_step(x, self.P31) == step_general(x)
 
     def test_trajectories_match(self):
         for x0 in range(1, 1001, 2):

@@ -457,8 +457,8 @@ class TestOneWalkChecksBytes:
         # walks such starts (the right side walks i < 2^k, or reads the table)
         walk, walk_array = ident_mod._walk_shortcut_zero, ident_mod._walk_shortcut_zero_array
 
-        def broken(x, steps):
-            y, p = walk(x, steps)
+        def broken(x, steps, *params):
+            y, p = walk(x, steps, *params)
             return y + (x >> steps > 0 and x % 7 == 3), p
 
         def broken_array(x, steps):
@@ -679,13 +679,13 @@ class TestSweepCommand:
         assert doc["failures"] == []
         # 837799 is the total-stopping-time record holder below 10^6 and also
         # wins the total/ln(x) ratio; cross-check with the scalar walker
-        from collatzlab.stats import stopping_profile
+        from collatzlab.sweep import survey_chunk_python
 
         assert doc["tst_argmax"] == 837799
-        profile = stopping_profile(837799)
-        assert doc["max_total_stopping_time"] == profile.total_stopping_time
+        walk = survey_chunk_python(837799, 837800)
+        assert doc["max_total_stopping_time"] == walk.max_total_stopping_time
         assert doc["ratio_argmax"] == 837799
-        assert doc["max_ratio"] == pytest.approx(profile.ratio)
+        assert doc["max_ratio"] == pytest.approx(walk.max_ratio)
 
     def test_thread_count_invariance_bytes(self, capsys):
         runs = {}

@@ -3,14 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab.dynamics import (
+    COLLATZ,
     DEFAULT_MAX_STEPS,
     AnbParams,
     ParityExponents,
     StepKind,
     Termination,
     Trajectory,
-    classify_counts,
-    exponent_bookkeeping_report,
     odd_steps_extended,
     odd_walk,
     orbit_steps,
@@ -21,8 +20,55 @@ from collatzlab.dynamics import (
     trajectory_odd,
     two_adic_valuation,
 )
+from collatzlab.identities import _walk_shortcut_zero
 
 odd_ints = st.integers(min_value=0, max_value=10**9).map(lambda r: 2 * r + 1)
+
+
+FAMILY = [AnbParams(3, 1), AnbParams(5, 1), AnbParams(7, 1), AnbParams(5, 3), AnbParams(3, 5)]
+EDGE_STARTS = [1, 2, 2**64 - 1, 2**64 + 1, 3**1892 | 1 << 2999]  # the last has 3000 bits
+
+
+class TestReferenceSteps:
+    """Each reference step against its own defining equation, for every map of
+    the family; at (3, 1), through the defaults, also against the inline
+    walkers that keep their own copy of the step."""
+
+    @staticmethod
+    def check(x, p):
+        y, kind = step_general(x, p)
+        assert (kind, 2 * y) == ((StepKind.INCREASE, p.a * x + p.b) if x % 2 else
+                                 (StepKind.DECREASE, x))
+        if x % 2 == 0:
+            with pytest.raises(ValueError):
+                step_anb(x, p)
+            return
+        y, k = step_anb(x, p)
+        assert y % 2 == 1 and k >= 1 and y << k == p.a * x + p.b
+
+    @staticmethod
+    def check_collatz(x):
+        y, kind = step_general(x)
+        assert 2 * y == (3 * x + 1 if x % 2 else x)
+        assert _walk_shortcut_zero(x, 1) == (y, int(kind is StepKind.INCREASE))
+        if x % 2:
+            y, k = step_anb(x)
+            assert y << k == 3 * x + 1
+            if x > 1:  # the odd walk stops at 1
+                assert odd_walk(x, 1) == ([x, y], [k])
+
+    @pytest.mark.parametrize("x", EDGE_STARTS, ids=["1", "2", "2^64-1", "2^64+1", "3000-bit"])
+    @pytest.mark.parametrize("p", FAMILY, ids=lambda p: f"{p.a}n+{p.b}")
+    def test_edges(self, x, p):
+        assert EDGE_STARTS[-1].bit_length() == 3000
+        self.check(x, p)
+        if p == COLLATZ:
+            self.check_collatz(x)
+
+    @given(st.integers(1, 2**200), st.sampled_from(FAMILY))
+    def test_draws(self, x, p):
+        self.check(x, p)
+        self.check_collatz(x)
 
 
 class TestStepGeneral:
@@ -119,8 +165,6 @@ class TestTrajectoryGeneral:
         for a, b, kind in zip(t.values, t.values[1:], t.steps):
             nxt, k = step_general(a)
             assert nxt == b and k is kind
-        inc, dec = classify_counts(t)
-        assert inc + dec == t.step_count
 
 
 class TestTrajectoryOdd:
@@ -235,25 +279,23 @@ class TestShortcutConsistency:
                 assert kind is StepKind.DECREASE
             assert v == y
 
+    @staticmethod
+    def bookkeeping(x0):
+        """(sum of exponents, odd steps, shortcut decreases) of the orbit of odd x0,
+        from the odd walk and the shortcut trajectory separately."""
+        _, exponents = odd_walk(x0)
+        t = trajectory_general(x0)
+        assert t.terminated is Termination.REACHED_ONE
+        return sum(exponents), len(exponents), t.steps.count(StepKind.DECREASE)
+
     def test_exponent_bookkeeping_exhaustive(self):
-        # sum of exponents equals odd steps plus shortcut decreases
+        # sum of exponents equals odd steps plus shortcut decreases, not one less
         for x0 in range(1, 2002, 2):
-            report = exponent_bookkeeping_report(x0)
-            assert report["identity_holds"]
-            assert report["offset_vs_minus_one_variant"] == 1
+            total, n, decreases = self.bookkeeping(x0)
+            assert total == n + decreases
 
     def test_report_example(self):
-        report = exponent_bookkeeping_report(7)
-        assert report["sum_exponents"] == 11
-        assert report["odd_steps"] == 5
-        assert report["general_decreases"] == 6
-
-
-class TestClassifyCounts:
-    def test_examples(self):
-        assert classify_counts(trajectory_general(7, max_steps=3)) == (3, 0)
-        assert classify_counts(trajectory_general(4)) == (0, 2)
-        assert classify_counts(trajectory_general(12)) == (2, 5)
+        assert self.bookkeeping(7) == (11, 5, 6)
 
 
 class TestOddStepsExtended:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import identities as ident_mod
-from collatzlab.dynamics import classify_counts, odd_steps_extended, trajectory_odd
+from collatzlab.dynamics import (
+    StepKind,
+    odd_steps_extended,
+    odd_walk,
+    trajectory_general,
+    trajectory_odd,
+)
 from collatzlab.identities import (
     SHIFT_M_BOUND,
     SHIFT_UINT64_MAX_K,
@@ -18,7 +24,6 @@ from collatzlab.identities import (
     heuristic_model_prefix,
     heuristic_model_recursive,
     heuristic_tail_value,
-    prefix_sum_offset_report,
     reconstruct_start,
     residue_shift_blocks,
     residue_shift_check,
@@ -81,8 +86,7 @@ class TestResidueShift:
                     steps=tuple(kinds),
                     terminated=Termination.STEP_LIMIT,
                 )
-                inc, _ = classify_counts(orbit)
-                assert res.increase_count == inc
+                assert res.increase_count == orbit.steps.count(StepKind.INCREASE)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -395,13 +399,22 @@ class TestHeuristicModel:
 
 
 class TestPrefixOffsetReport:
+    """v_(r-1) == (r - 1) + D_r, D_r the shortcut decreases before the r-th odd
+    value: the odd walk against the shortcut trajectory, one more than the
+    quoted r + D_r - 2 at every r."""
+
+    @staticmethod
+    def offsets(x0, steps):
+        _, exponents = odd_walk(x0, steps)
+        t = trajectory_general(x0)
+        odd_at = [j for j, y in enumerate(t.values) if y % 2]
+        for r in range(1, len(exponents) + 2):
+            d_r = t.steps[: odd_at[r - 1]].count(StepKind.DECREASE)
+            yield sum(exponents[: r - 1]) - (r - 1 + d_r)
+
     def test_seven(self):
-        report = prefix_sum_offset_report(7, 5)
-        assert report["all_hold"]
-        assert report["constant_offset"]
+        assert list(self.offsets(7, 5)) == [0] * 6
 
     def test_range(self):
         for x0 in range(1, 200, 2):
-            report = prefix_sum_offset_report(x0, 12)
-            assert report["all_hold"]
-            assert report["constant_offset"]
+            assert set(self.offsets(x0, 12)) == {0}, x0

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collatzlab import pcg64 as pcg64_mod
-from collatzlab.dynamics import trajectory_odd
+from collatzlab.dynamics import Termination, trajectory_general, trajectory_odd
 from collatzlab.reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS, SAMPLE_LENGTH
 from collatzlab.stats import (
     APPLEGATE_LAGARIAS_SLOPE,
@@ -16,30 +16,20 @@ from collatzlab.stats import (
     SampleStats,
     confidence_interval,
     drift_bound,
-    drift_bound_holds,
     exponentiate_interval,
     indicator_sample_std,
     interval_discrepancy_report,
-    ratio_from_bits,
     reference_rows_stats,
     sample_ratios,
     sample_std,
     simulate_ratio,
-    stopping_profile,
     stopping_time_reference_note,
     t_critical,
 )
-from collatzlab.sweep import survey_range
+from collatzlab.sweep import survey_chunk_python, survey_range
 
 
 class TestRatioSimulation:
-    def test_balanced_stream(self):
-        assert ratio_from_bits([0, 1, 0, 1]) == (1.0, 2, 2)
-
-    def test_all_zero_stream(self):
-        sample = ratio_from_bits([0, 0, 0])
-        assert sample.xi == math.inf and sample.ones == 0
-
     def test_golden_seed(self):
         # frozen from the pinned PCG64 stream
         sample = simulate_ratio(100, 7)
@@ -251,7 +241,7 @@ class TestDriftBound:
     def test_seven_full_trajectory(self):
         bound = drift_bound(7, 4, Fraction(11, 5))
         assert bound == Fraction(11, 4)
-        assert drift_bound_holds(7, 4, Fraction(11, 5), actual=1)
+        assert bound >= 1
 
     def test_mean_two_is_constant(self):
         for n in range(0, 8):
@@ -263,14 +253,14 @@ class TestDriftBound:
         mean_k = Fraction(pe.prefix_sums[n + 1], n + 1)
         traj, _ = trajectory_odd(27)
         actual = traj.values[n + 1]
-        assert drift_bound_holds(27, n, mean_k, actual)
+        assert drift_bound(27, n, mean_k) >= actual
 
     def test_all_prefixes_to_one_thousand(self):
         for x0 in range(1, 1001, 2):
             traj, pe = trajectory_odd(x0)
             for j in range(1, pe.step_count + 1):
                 mean_k = Fraction(pe.prefix_sums[j], j)
-                assert drift_bound_holds(x0, j - 1, mean_k, traj.values[j]), (x0, j)
+                assert drift_bound(x0, j - 1, mean_k) >= traj.values[j], (x0, j)
 
     def test_rejects_non_integral_total(self):
         with pytest.raises(ValueError):
@@ -281,43 +271,42 @@ class TestDriftBound:
             drift_bound(8, 1, Fraction(2))
 
 
+def stopping_profile(x, max_steps=10**5):
+    """(stopping time, total stopping time, ratio) of x: the first step below x
+    and the first at 1 on its shortcut orbit (None if not reached), and the
+    total over ln x from the sweep's reference walk."""
+    t = trajectory_general(x, max_steps=max_steps)
+    stopping = next((j for j, y in enumerate(t.values) if y < x), None)
+    total = t.step_count if t.terminated is Termination.REACHED_ONE else None
+    survey = survey_chunk_python(x, x + 1, max_steps=max_steps)
+    assert survey.max_total_stopping_time == total
+    return stopping, total, survey.max_ratio
+
+
 class TestStoppingProfile:
     def test_two(self):
-        profile = stopping_profile(2)
-        assert profile.stopping_time == 1
-        assert profile.total_stopping_time == 1
-        assert profile.ratio == pytest.approx(1 / math.log(2))
+        assert stopping_profile(2) == (1, 1, pytest.approx(1 / math.log(2)))
 
     def test_seven(self):
-        profile = stopping_profile(7)
-        assert profile.total_stopping_time == 11
-        assert profile.stopping_time == 7
+        assert stopping_profile(7)[:2] == (7, 11)
 
     def test_27(self):
-        profile = stopping_profile(27)
-        assert profile.total_stopping_time == 70
-        assert profile.ratio == pytest.approx(70 / math.log(27))
+        assert stopping_profile(27)[1:] == (70, pytest.approx(70 / math.log(27)))
 
     def test_one(self):
-        profile = stopping_profile(1)
-        assert profile.total_stopping_time == 0
-        assert profile.stopping_time is None
-        assert profile.ratio is None
+        assert stopping_profile(1) == (None, 0, None)
 
     def test_even_starts_stop_immediately(self):
         for x in range(2, 600, 2):
-            assert stopping_profile(x).stopping_time == 1
+            assert stopping_profile(x)[0] == 1
 
     def test_incomplete(self):
-        profile = stopping_profile(27, max_steps=5)
-        assert not profile.complete
-        assert profile.total_stopping_time is None
-        assert profile.ratio is None
+        assert stopping_profile(27, max_steps=5)[1:] == (None, None)
 
     def test_stopping_le_total(self):
         for x in range(2, 400):
-            p = stopping_profile(x)
-            assert p.stopping_time <= p.total_stopping_time
+            stopping, total, _ = stopping_profile(x)
+            assert stopping <= total
 
 
 class TestRatioSurvey:
@@ -329,9 +318,7 @@ class TestRatioSurvey:
         assert s.max_ratio == pytest.approx(1 / math.log(2))
 
     def test_limit_100_vs_oracle(self):
-        best = max(
-            (stopping_profile(x).ratio, x) for x in range(2, 101)
-        )
+        best = max((stopping_profile(x)[2], x) for x in range(2, 101))
         s = survey_range(2, 101)
         assert (s.max_ratio, s.ratio_argmax) == (pytest.approx(best[0]), best[1])
 
