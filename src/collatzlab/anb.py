@@ -19,6 +19,7 @@ and one with a literal 3) and cycles (`find_cycle`).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -45,6 +46,38 @@ CATALOG_MEMO_CAP = 1 << 18
 _MEMO_BOUND = 1 << 64
 _LOW64 = _MEMO_BOUND - 1
 _BASIN = -1
+
+# A walk remembers its values by hash(x), which for an int x >= 0 is exactly
+# x mod 2^61 - 1 and is not randomized: one small int a step, however large x
+# grows.  Tests put a coarser function here so that collisions happen.
+_fingerprint = hash
+
+
+class _RepeatIndex:
+    """The fingerprints of the values of one walk from x0, with an exact confirm.
+
+    Holds no value.  A fingerprint met before is confirmed by walking again
+    from x0 and comparing values, which also finds the step of the first
+    visit.  A false collision leaves the fingerprint in the set, so a later
+    true repeat of either value is still found.
+    """
+
+    def __init__(self, x0: int, params: AnbParams) -> None:
+        self.x0, self.params = x0, params
+        self.fingerprints = {_fingerprint(x0)}
+
+    def first_step(self, x: int, j: int) -> int | None:
+        """The step before j at which the walk was at x; None if none, and x is then step j."""
+        fp = _fingerprint(x)
+        if fp not in self.fingerprints:
+            self.fingerprints.add(fp)
+            return None
+        y = self.x0
+        for s in range(j):
+            if y == x:
+                return s
+            y = step_anb(y, self.params)[0]
+        return None
 
 
 class ClosedFormAnbCheck(NamedTuple):
@@ -88,12 +121,11 @@ def anb_orbit_steps(
 def _anb_orbit_steps(
     x: int, params: AnbParams, max_steps: int
 ) -> Iterator[tuple[int, int, int, int]]:
-    seen = {x}
-    for _ in range(max_steps):
+    seen = _RepeatIndex(x, params)
+    for j in range(1, max_steps + 1):
         x, k = step_anb(x, params)
-        if x in seen:
+        if seen.first_step(x, j) is not None:
             return
-        seen.add(x)
         yield x, params.a, params.b, k
 
 
@@ -169,8 +201,9 @@ def find_cycle(
     """Return the cycle the orbit of x0 enters within max_steps, if any.
 
     The full pre-period is kept in a value-to-index map, so the cycle is read
-    off directly once a value repeats.  None means no repeat happened within
-    the budget, which is inconclusive, not a proof of divergence.
+    off directly once a value repeats; it is the value-keyed reference for the
+    walks of `_RepeatIndex`.  None means no repeat happened within the budget,
+    which is inconclusive, not a proof of divergence.
     """
     index = {x0: 0}
     values = [x0]
@@ -294,7 +327,7 @@ def divergence_report(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    seen = {x0}
+    seen = _RepeatIndex(x0, params)
     value = x0
     peak = x0
     steps = 0
@@ -305,10 +338,9 @@ def divergence_report(
         steps += 1
         sum_k += k
         peak = max(peak, value)
-        if value in seen:
+        if seen.first_step(value, steps) is not None:
             label = LABEL_BOUNDED
             break
-        seen.add(value)
     return DivergenceDiagnostic(
         params=params,
         start=x0,
@@ -373,12 +405,15 @@ def _catalog(
 
 
 def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:
-    """Estimated bytes of the most that one walk of `cycle_catalog` holds.
+    """An upper bound on the bytes one walk of `cycle_catalog` holds, past a few hundred steps.
 
-    Per step: a value of at most start_limit.bit_length() + j log2((a + b)/2)
-    bits at step j ((ax + b)/2^k <= (a + b) x / 2), as an int of 4 bytes per 30
-    bits, and 128 bytes of header, list slot and index entry (tracemalloc
-    peaks of 20,000-step walks show 96).
+    Per step it counts a value of at most start_limit.bit_length() +
+    j log2((a + b)/2) bits at step j ((ax + b)/2^k <= (a + b) x / 2), as an
+    int of 4 bytes per 30 bits, and 128 bytes.  A walk holds no value but the
+    current one: one fingerprint a step, and a step and a value for each value
+    below 2^64, at most about 165 bytes a step (tracemalloc peaks of (5, 1)
+    walks from 7: 87 at 10,000 steps, 165 at 20,000, 76 at 49,796), which
+    the 128 bytes and the bits pass from about 560 steps on.
     """
     values = max_steps + 1
     bits = values * start_limit.bit_length()
@@ -417,13 +452,15 @@ def _catalog_walk(
     85 -> 215 -> 135 would stop there and lose the cycle (85, 215, 135).
     """
     a, b = params.a, params.b
-    index = {x0: 0}
-    values = [x0]
+    seen = _RepeatIndex(x0, params)
+    small = array("Q")  # step, value, step, ...: the values below 2^64, for the memo
     cycle = None  # [] once the walk meets a _BASIN entry
     touched = max_steps + 1  # first step that met an entry or a value >= 2^64
     x, j = x0, 0
     while True:
         if x < _MEMO_BOUND:
+            small.append(j)
+            small.append(x)
             entry = memo.get(x)
             if entry is not None:
                 if entry == _BASIN:
@@ -439,24 +476,23 @@ def _catalog_walk(
             break
         j += 1
         # The step inline, not through step_anb: the (5, 1) catalog to 151 walks in
-        # 0.33 s against 0.57 s (medians of 5 paired runs, 2-vCPU Xeon, Python 3.11).
+        # 0.38 s against 0.66 s (medians of 10 paired runs, 2-vCPU Xeon, Python 3.11).
         t = a * x + b
         low = t & _LOW64 or t  # the valuation of t, from its low word if it is not 0
         x = t >> ((low & -low).bit_length() - 1)
-        first = index.setdefault(x, j)
-        if first != j:
-            cycle = values[first:]
+        first = seen.first_step(x, j)
+        if first is not None:  # x is on the cycle: read it by walking its length
+            cycle = anb_steps_extended(x, params, j - first - 1)[0]
             break
-        values.append(x)
     # A walk is remembered whole or not at all: the stop rule above relies on
     # every small value of a remembered walk being in the memo.
     if len(memo) < CATALOG_MEMO_CAP:
         if cycle is not None:  # every value walked leads into a cycle
-            for x in values:
-                if x < _MEMO_BOUND:
-                    memo[x] = _BASIN
+            for x in small[1::2]:
+                memo[x] = _BASIN
         else:
-            for step, x in enumerate(values):
-                if x < _MEMO_BOUND and step < memo.get(x, step + 1):
+            pairs = iter(small)
+            for step, x in zip(pairs, pairs):
+                if step < memo.get(x, step + 1):
                     memo[x] = step
     return cycle

@@ -66,7 +66,8 @@ ANB_EQ_CHECK_LIMIT = 1 << 22
 CYCLES_STEP_LIMIT = 1 << 24
 
 # anb-cycles holds one walk at a time; above this many bytes by
-# anb.catalog_walk_bytes it stops with exit 3 (the default run estimates 12 MB).
+# anb.catalog_walk_bytes, an upper bound on what a walk holds, it stops with
+# exit 3 (the default run estimates 12 MB; its longest walk holds 0.9 MB).
 CYCLES_MEMORY_LIMIT = 1 << 28
 
 # Generated montecarlo draws each sample's --length coins as one array, one
@@ -488,8 +489,8 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
             done = Termination.REACHED_ONE if x == 1 else Termination.STEP_LIMIT
         elif steps < args.max_steps:  # the walk stops early only on a repeat
             done = Termination.REACHED_CYCLE
-            record = anb_mod.find_cycle(args.x0, params, max_steps=args.max_steps + 1)
-            cycle = list(record.members) if record else None
+            # the last value steps to a repeat, so it is on a cycle of at most steps + 1
+            cycle = list(anb_mod.find_cycle(x, params, steps + 1).members)
         else:
             done = Termination.STEP_LIMIT
         terminated = done.value
@@ -612,12 +613,12 @@ def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
-    starts = range(1, args.max_x0 + 1, 2)
-    _budget(len(starts), X0_START_LIMIT,
-            f"{args.check} walks the {len(starts)} odd starts up to --max-x0, over the "
+    count = (args.max_x0 + 1) // 2  # len() of the range fails past 2^63 - 1 items
+    _budget(count, X0_START_LIMIT,
+            f"{args.check} walks the {count} odd starts up to --max-x0, over the "
             f"budget of {X0_START_LIMIT}; lower --max-x0")
     doc["parameters"] = {"max_x0": args.max_x0}
-    return starts
+    return range(1, args.max_x0 + 1, 2)
 
 
 def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:

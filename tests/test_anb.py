@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzlab import anb as anb_mod
@@ -9,6 +9,7 @@ from collatzlab.anb import (
     LABEL_BOUNDED,
     LABEL_UNBOUNDED,
     CycleRecord,
+    DivergenceDiagnostic,
     anb_orbit_steps,
     anb_steps_extended,
     canonical_rotation,
@@ -24,6 +25,7 @@ from collatzlab.anb import (
 from collatzlab.dynamics import (
     AnbParams,
     Termination,
+    step_anb,
     step_odd,
     trajectory_odd,
 )
@@ -295,6 +297,79 @@ class TestCatalogMemo:
             cycle_catalog(P51, 0)
         with pytest.raises(ValueError):
             cycle_catalog(P51, 10, max_steps=-1)
+
+
+def value_keyed_rows(x0, params, max_steps):
+    """The rows of `anb_orbit_steps`, from a walk that keeps every value in a set."""
+    seen, x, rows = {x0}, x0, []
+    for _ in range(max_steps):
+        x, k = step_anb(x, params)
+        if x in seen:
+            break
+        seen.add(x)
+        rows.append((x, params.a, params.b, k))
+    return rows
+
+
+def value_keyed_divergence(x0, params, horizon):
+    """`divergence_report` from a walk that keeps every value in a set."""
+    seen, x, steps, sum_k, label = {x0}, x0, 0, 0, LABEL_UNBOUNDED
+    peak = x0
+    while steps < horizon:
+        x, k = step_anb(x, params)
+        steps, sum_k, peak = steps + 1, sum_k + k, max(peak, x)
+        if x in seen:
+            label = LABEL_BOUNDED
+            break
+        seen.add(x)
+    return DivergenceDiagnostic(params, x0, steps, peak, sum_k, label)
+
+
+class TestRepeatIndex:
+    """Walks that keep one fingerprint a step against walks that keep the values.
+
+    Under x % 7 nearly every step is a fingerprint hit, so the exact confirm
+    and the kept false collisions run on every walk.
+    """
+
+    @pytest.mark.parametrize(
+        "fingerprint, examples", [(hash, 60), (lambda x: x % 7, 12)], ids=["hash", "mod7"]
+    )
+    def test_matches_value_keyed_walks(self, fingerprint, examples):
+        @given(
+            st.sampled_from([3, 5, 7, 9]),
+            st.sampled_from([1, 3, 5, 7, 9]),
+            st.integers(0, 499).map(lambda r: 2 * r + 1),
+            st.integers(0, 300),
+        )
+        # the 5n+5 case of the _catalog_walk docstring: 53 leaves 135 at step 1
+        @example(5, 5, 85, 3)
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        def check(a, b, x0, max_steps):
+            params = AnbParams(a, b)
+            assert list(anb_orbit_steps(x0, params, max_steps)) == value_keyed_rows(
+                x0, params, max_steps
+            )
+            assert divergence_report(x0, params, max_steps) == value_keyed_divergence(
+                x0, params, max_steps
+            )
+            assert cycle_catalog(params, x0, max_steps) == catalog_per_start(
+                params, x0, max_steps
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anb_mod, "_fingerprint", fingerprint)
+            check()
+
+    def test_walk_holds_no_values(self):
+        # the values of this walk pass 20,000 bits; a set of them takes about 5 MB
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in anb_orbit_steps(7, AnbParams(1001, 1), 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 3000 and peak < 1 << 20
 
 
 class TestClosedForm:
