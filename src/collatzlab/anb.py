@@ -6,14 +6,16 @@ replaced by a.  Unlike the 3n+1 case these procedures settle into multi-member
 cycles or keep growing; nothing here ever asserts divergence, only what
 happened within a finite horizon.
 
-The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), and
-the shift law is `identities.residue_shift_check`, re-exported here as
-`residue_shift_check_anb`: one code path for every map.  Tests compare the
-an+b code at (3, 1) with the 3n+1 code only where the two are separate
+The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
+shift law is `identities.residue_shift_check`, re-exported here as
+`residue_shift_check_anb`, and the one-walk closed-form check is
+`identities.closed_form_checks`: one code path for every map.  Tests compare
+the an+b code at (3, 1) with the 3n+1 code only where the two are separate
 paths, so that each can catch the other: orbits (`trajectory_anb` on
-`step_anb` against `dynamics.odd_walk`'s inline step), closed forms
-(`anb_steps_extended` and a Horner sum in (a, b) against `odd_steps_extended`
-and one with a literal 3) and cycles (`find_cycle`).
+`step_anb` against `dynamics.odd_walk`'s inline step), per-n closed forms
+(`closed_form_anb_check` on `anb_steps_extended` against
+`identities.closed_form_check` on `odd_steps_extended`, with a literal 3) and
+cycles (`find_cycle`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .dynamics import (
     DEFAULT_MAX_STEPS,
@@ -33,6 +35,7 @@ from .dynamics import (
     collect_orbit,
     step_anb,
 )
+from .identities import ClosedFormCheck
 from .identities import residue_shift_check as residue_shift_check_anb
 
 LABEL_BOUNDED = "bounded/cyclic within horizon"
@@ -78,12 +81,6 @@ class _RepeatIndex:
                 return s
             y = step_anb(y, self.params)[0]
         return None
-
-
-class ClosedFormAnbCheck(NamedTuple):
-    lhs: int
-    rhs: int
-    holds: bool
 
 
 def anb_steps_extended(
@@ -233,7 +230,7 @@ def closed_form_anb_check(
     params: AnbParams,
     n: int,
     exponents: Sequence[int] | None = None,
-) -> ClosedFormAnbCheck:
+) -> ClosedFormCheck:
     """Check the generalized closed form after n odd steps.
 
     With v_r the exponent prefix sums, the n-th value y_n satisfies
@@ -255,30 +252,7 @@ def closed_form_anb_check(
     a, b = params.a, params.b
     lhs = values[n] * (1 << prefix[n])
     rhs = a**n * x0 + b * sum(a ** (n - r) * (1 << prefix[r - 1]) for r in range(1, n + 1))
-    return ClosedFormAnbCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
-
-
-def closed_form_anb_checks(
-    x0: int, params: AnbParams, values: Sequence[int], exponents: Sequence[int]
-) -> Iterator[ClosedFormAnbCheck]:
-    """Check the generalized closed form at every n = 1..len(exponents) of one walk.
-
-    values are the odd values of the walk from x0 = values[0], exponents the
-    division exponents.  Left side values[n] * 2^{v_n} from the walk; right
-    side from x0 and the exponents alone by Horner's rule, R_0 = x0 and
-    R_n = a R_{n-1} + b 2^{v_{n-1}}, which equals
-    a^n x0 + b sum_{r=1..n} a^{n-r} 2^{v_{r-1}}.  Check n equals
-    `closed_form_anb_check(x0, params, n, exponents)`, the per-n reference.
-    """
-    if not values or values[0] != x0 or len(values) <= len(exponents):
-        raise ValueError("need the walk's values from x0, one more than exponents")
-    a, b = params.a, params.b
-    rhs, v = x0, 0
-    for n, k in enumerate(exponents, start=1):
-        rhs = a * rhs + (b << v)
-        v += k
-        lhs = values[n] << v
-        yield ClosedFormAnbCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    return ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ EX_RESOURCE = 3
 
 M_SEED_RANGE = 1 << 20  # residue-shift m values are drawn below this bound
 
-# montecarlo's default --length and its --fixture choice: SAMPLE_LENGTH and
-# FIXTURE_NAME of reference_table, which loads only when montecarlo runs.
+# montecarlo's default --length, SAMPLE_LENGTH of reference_table, which
+# loads only when montecarlo runs, and its one --fixture choice.
 MC_SAMPLE_LENGTH = 100
 MC_FIXTURE_NAME = "paper14"
 
@@ -676,6 +676,7 @@ def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
         "seed": args.seed,
     }
     from . import anb as anb_mod
+    from . import identities as ident_mod
     from .pcg64 import seeded_draws
 
     params = args.params
@@ -683,7 +684,7 @@ def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
     for m in map(int, draws):
         x0 = 2 * m + 1
         values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
-        checks = anb_mod.closed_form_anb_checks(x0, params, values, exps)
+        checks = ident_mod.closed_form_checks(x0, values, exps, params)
         for n, res in enumerate(checks, start=1):
             doc["checks_run"] += 1
             if not res.holds:

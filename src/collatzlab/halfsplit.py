@@ -2,12 +2,13 @@
 
 At every step n <= M-1, exactly half of the 2^M starts take an increase step
 and half a decrease step.  This module verifies that by direct counting, by a
-residue-class shortcut (the step-n direction of x depends only on x mod 2^n),
-and exposes the per-class view.  Reports over disjoint subranges merge by
-component-wise addition, which is what makes range-partitioned runs exact.
+residue-class shortcut (the step-n direction of x depends only on x mod 2^n).
+Reports over disjoint subranges merge by component-wise addition, which is
+what makes range-partitioned runs exact.
 
-The tally of step n, `class_split` and the right side of the blocked lemma7
-check read one shift-law table, `shift_table`, refined level by level.
+The tally of step n and the right side of the blocked lemma7 check read one
+shift-law table, `shift_table`, refined level by level; `_step_parities` is
+its per-class view of a step, and `step_kind_at` the per-element reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dynamics import ResourceLimitError, StepKind, _shortcut_step
-from .identities import ResidueClass, _walk_shortcut_zero
+from .identities import _walk_shortcut_zero
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,10 +34,6 @@ DIRECT_ELEMENT_STEP_LIMIT = 1 << 26
 # it.  At 256 MB that is level 23, which step 24 (M = 25) reads.
 CLASSES_MEMORY_LIMIT = 1 << 28
 _CLASS_BYTES = 26
-
-# class_split holds one (ResidueClass, StepKind) pair per residue: a
-# tracemalloc peak of 153 to 197 bytes per pair for n = 8..20, shift table included.
-_PAIR_BYTES = 200
 
 # halfsplit_verify stops above this M: its reports and messages print counts
 # near 2^M, which has 19,729 decimal digits at the limit.
@@ -291,26 +288,3 @@ def step_kind_at(x: int, n: int) -> StepKind:
     y, _ = _walk_shortcut_zero(x, n - 1)
     return StepKind.INCREASE if y % 2 else StepKind.DECREASE
 
-
-def class_split(n: int, M: int) -> list[tuple[ResidueClass, StepKind]]:
-    """Step-n direction of every residue class mod 2^n inside [1, 2^M].
-
-    The direction is the parity of the (n-1)-step image of the residue i,
-    read from the shift table; the zero class takes the direction of its
-    smallest member in range, 2^n.  `step_kind_at` is the reference.  The
-    list's bytes are estimated at `_PAIR_BYTES` per pair and checked against
-    CLASSES_MEMORY_LIMIT before it is built.
-    """
-    if not 1 <= n <= M - 1:
-        raise ValueError("need 1 <= n <= M-1")
-    if _PAIR_BYTES << n > CLASSES_MEMORY_LIMIT:
-        raise ResourceLimitError(
-            f"class split mod 2^{n} holds {1 << n} pairs, estimated at {_PAIR_BYTES << n} "
-            f"bytes; the memory budget of {CLASSES_MEMORY_LIMIT} bytes stops at n = "
-            f"{(CLASSES_MEMORY_LIMIT // _PAIR_BYTES).bit_length() - 1}")
-    *_, level = shift_table(n - 1)
-    kinds = (StepKind.DECREASE, StepKind.INCREASE)
-    return [
-        (ResidueClass(modulus_exponent=n, residue=i), kinds[bit])
-        for i, bit in enumerate(_step_parities(*level).tolist())
-    ]

@@ -9,8 +9,11 @@ The residue-class shift law is quantified over residues 0 <= i < 2^k, so its
 walker, `_walk_shortcut_zero`, extends the shortcut map of any an+b with the
 local convention T(0) = 0; such steps count as decreases by convention and
 never contribute to increase tallies.  The public trajectory API in
-`dynamics` is not affected.  `residue_shift_check` takes (a, b) and is the
-shift-law check of `anb` too.
+`dynamics` is not affected.  `residue_shift_check` and the one-walk
+closed-form check `closed_form_checks` take (a, b) and serve `anb` too; the
+per-n closed-form references stay separate, `closed_form_check` here with a
+literal 3 and `anb.closed_form_anb_check` in (a, b), so that each can catch
+the one-walk check.
 
 The blocked shift-law check walks 2^k m + i with `dynamics._shortcut_step`
 and reads its right side from `halfsplit.shift_table`, built with the same
@@ -19,7 +22,6 @@ step; so the check is also the correctness check of that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -35,24 +37,6 @@ if TYPE_CHECKING:
 SHIFT_M_BOUND = 1 << 20
 SHIFT_UINT64_MAX_K = 27
 _SHIFT_BLOCK = 1 << 13  # grid elements per block
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """The residue class 2^k * m + i of the integers mod 2^k."""
-
-    modulus_exponent: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus_exponent < 1:
-            raise ValueError("modulus exponent must be >= 1")
-        if not 0 <= self.residue < (1 << self.modulus_exponent):
-            raise ValueError("residue out of range for modulus")
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.modulus_exponent
 
 
 class ShiftCheck(NamedTuple):
@@ -185,22 +169,24 @@ def closed_form_check(
 
 
 def closed_form_checks(
-    x0: int, values: Sequence[int], exponents: Sequence[int]
+    x0: int, values: Sequence[int], exponents: Sequence[int], params: AnbParams = COLLATZ
 ) -> Iterator[ClosedFormCheck]:
-    """Check the closed form at every n = 1..len(exponents) along one walk.
+    """Check the closed form of the map `params` at every n = 1..len(exponents) of one walk.
 
     values are the odd values of the walk from x0 = values[0], exponents the
     division exponents.  The left side values[n] * 2^{v_n} is read off the
     walk; the right side is built from x0 and the exponents alone by Horner's
-    rule, R_0 = x0 and R_n = 3 R_{n-1} + 2^{v_{n-1}}, which equals
-    3^n x0 + sum_{r=1..n} 3^{n-r} 2^{v_{r-1}}.  Check n equals
-    `closed_form_check(x0, n, exponents)`, the per-n reference.
+    rule, R_0 = x0 and R_n = a R_{n-1} + b 2^{v_{n-1}}, which equals
+    a^n x0 + b sum_{r=1..n} a^{n-r} 2^{v_{r-1}}.  Check n equals the per-n
+    reference, `closed_form_check(x0, n, exponents)` at (3, 1) and
+    `anb.closed_form_anb_check(x0, params, n, exponents)` at any (a, b).
     """
     if not values or values[0] != x0 or len(values) <= len(exponents):
         raise ValueError("need the walk's values from x0, one more than exponents")
+    a, b = params.a, params.b
     rhs, v = x0, 0
     for n, k in enumerate(exponents, start=1):
-        rhs = 3 * rhs + (1 << v)
+        rhs = a * rhs + (b << v)
         v += k
         lhs = values[n] << v
         yield ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)

@@ -14,10 +14,11 @@ non-negative int seed:
 On that stream it draws the two shapes the package uses, as numpy's
 `Generator.integers` draws them: `integers(high, size)`, the values of
 `integers(0, high, size)` for 2 <= high <= 2^32 (Lemire's bounded draw with
-rejection, ACM TOMACS 29(1), 2019; high = 2^32 takes the 32-bit draws as
-they are), and `ones(size)`, the ones count of `integers(0, 2, size,
-dtype=uint8)`: each 32-bit draw gives four bytes, low byte first, and each
-byte gives the coin of its top bit, so a 64-bit output holds 8 coins.
+rejection, ACM TOMACS 29(1), 2019; at high = 2^32 it rejects nothing and
+gives the 32-bit draws as they are), and `ones(size)`, the ones count of
+`integers(0, 2, size, dtype=uint8)`: each 32-bit draw gives four bytes, low
+byte first, and each byte gives the coin of its top bit, so a 64-bit output
+holds 8 coins.
 NEP 19 pins numpy's PCG64 and SeedSequence streams across versions, but not
 the bounded draws of `Generator.integers`; this module fixes both in code.
 
@@ -132,8 +133,6 @@ class PCG64:
             raise ValueError("need 2 <= high <= 2^32")
         if size < 0:
             raise ValueError("size must be >= 0")
-        if high == 1 << 32:
-            return (self.next32() for _ in range(size))
         return self._bounded(high, size)
 
     def _bounded(self, high: int, size: int) -> Iterator[int]:

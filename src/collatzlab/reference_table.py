@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-FIXTURE_NAME = "paper14"
 SAMPLE_LENGTH = 100
 
 

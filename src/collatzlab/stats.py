@@ -1,4 +1,4 @@
-"""Seeded drift statistics, the exact drift bound, and the stopping-time reference.
+"""Seeded drift statistics, their intervals, and the stopping-time reference.
 
 The random experiment draws the fair bits of
 `numpy.random.default_rng(seed).integers(0, 2, length, dtype=uint8)` through
@@ -6,9 +6,7 @@ The random experiment draws the fair bits of
 numpy's compatibility policy (NEP 19) pins the PCG64 stream but not the
 bounded draws of `Generator.integers`; `pcg64` fixes both in code, and the
 tests check numpy's draws against it.  A (seed, length) pair always gives the same bits, on any
-thread.  Real-valued statistics use doubles; everything that is
-an identity or an inequality (the drift bound in particular) is computed on
-exact integers or Fractions, never through floats.
+thread.  Real-valued statistics use doubles.
 
 The summary statistics and interval bounds do not depend on the Python
 version or on a quantile library.  Means use `statistics.fmean` (a correctly
@@ -24,7 +22,6 @@ import math
 import statistics
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .pcg64 import seeded_draws
@@ -243,25 +240,6 @@ def level_intervals(stats: SampleStats, level: float) -> dict[str, tuple[float, 
         "chi_normal": exponentiate_interval(*mu_normal),
         "chi_t": exponentiate_interval(*mu_t),
     }
-
-
-def drift_bound(x0: int, n: int, mean_k: Fraction) -> Fraction:
-    """Exact upper bound for the (n+1)-th odd value given the mean exponent.
-
-    Multiplying the n+1 step equations and replacing every factor a bit above
-    3 by 4 gives x_{n+1} <= ((3 x0 + 1) / 4) * (4 / 2^kbar)^{n+1} with kbar the
-    mean exponent over the n+1 steps.  (n+1) * kbar must be the integer
-    exponent total of an actual trajectory prefix, which keeps the bound a
-    Fraction; comparisons against it are exact integer cross-multiplications.
-    """
-    if x0 < 1 or x0 % 2 == 0:
-        raise ValueError("x0 must be odd and >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = Fraction(mean_k) * (n + 1)
-    if total.denominator != 1:
-        raise ValueError("mean_k must come from a trajectory prefix of n+1 steps")
-    return Fraction((3 * x0 + 1) * 4**n, 1 << int(total))
 
 
 def reference_rows_stats() -> dict:

@@ -28,8 +28,9 @@ k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
     row k while every value is at least 2^(k+1), so that none reaches 1
     inside a jump, k steps of budget remain, and the values fit in uint64;
     else one step a pass, `dynamics._shortcut_step`, the step the table is
-    built with.  Values above UINT64_SAFE_MAX go on as exact Python ints,
-    by the reference step `dynamics.step_general`.
+    built with.  A walk raises ArithmeticError before it steps a value above
+    UINT64_SAFE_MAX, which every orbit from a start up to 10^9, the CLI's
+    limit, stays 8.7 times below.
 
 The peak stays exact.  After landing, an orbit goes on as a prefix of the
 landed start's orbit, whose values were seen when that start was surveyed.
@@ -67,9 +68,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STEPS, _shortcut_step, step_general
+from .dynamics import DEFAULT_MAX_STEPS, _shortcut_step
 
-# Largest value for which 3*x + 1 still fits in uint64.
+# Largest value for which 3*x + 1 still fits in uint64: the walks step no
+# value above it.  The largest value of any orbit from a start up to 10^9 is
+# 707,118,223,359,971,240 (Oliveira e Silva's path records).
 UINT64_SAFE_MAX = (2**64 - 2) // 3
 
 # A piece of 2^18 starts keeps the walk's temporaries to a few MB each.
@@ -170,19 +173,6 @@ def survey_chunk_python(lo: int, hi: int, max_steps: int = DEFAULT_MAX_STEPS) ->
     return RangeSurvey(lo, hi, len(done), tuple(failures), *tst, *ratio, peak)
 
 
-def _walk_exact(value: int, steps: int, lo: int, stop_hi: int, max_steps: int):
-    """Continue one walk with Python ints under the same stop rule: returns
-    (steps, landing value or None if the budget ran out first, peak)."""
-    peak = value
-    while steps < max_steps:
-        value, _ = step_general(value)
-        steps += 1
-        peak = max(peak, value)
-        if value == 1 or lo <= value < stop_hi:
-            return steps, value, peak
-    return steps, None, peak
-
-
 @dataclass(frozen=True)
 class _LevelTable:
     """T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
@@ -258,7 +248,7 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
 
 
 def _walk_piece(
-    a: int, b: int, lo: int, stop_hi: int, max_steps: int, overflow_limit: int = UINT64_SAFE_MAX
+    a: int, b: int, lo: int, stop_hi: int, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk every start in [a, b) until it lands on 1 or in [lo, stop_hi).
 
@@ -266,8 +256,8 @@ def _walk_piece(
     slot (landing - lo) of the value it landed on, and the largest value
     seen.  A walk that runs out of budget first reads max_steps + 1 steps and
     slot _SPARE, as does a landing on 1 below lo.  A walk may pass over
-    [lo, stop_hi) and land later, never past 1 or its budget.  Values above
-    overflow_limit are walked on with exact Python ints.
+    [lo, stop_hi) and land later, never past 1 or its budget.  Raises
+    ArithmeticError before it steps a value above UINT64_SAFE_MAX.
     """
     k = LEVEL
     tab = _level_table(k)
@@ -305,18 +295,13 @@ def _walk_piece(
             slot[pos[hit]] = np.minimum(v[hit] - np.uint64(lo), _SPARE)  # 1 - lo wraps
             keep = np.flatnonzero(~stop)
             v, pos = v[keep], pos[keep]
-        if top > overflow_limit:
-            high = v > overflow_limit
-            for p, x in zip(pos[high].tolist(), v[high].tolist()):
-                j, y, seen = _walk_exact(x, t, lo, stop_hi, max_steps)
-                peak = max(peak, seen)
-                if y is not None:
-                    steps[p], slot[p] = j, y - lo if y >= lo else _SPARE
-            v, pos = v[~high], pos[~high]
         if not v.size or t == max_steps:
             # steps in the narrowest dtype that holds them: less memory for
             # the walks a pool has finished while the parent folds
             return steps.astype(np.min_scalar_type(int(steps.max()))), slot, peak
+        if top > UINT64_SAFE_MAX and int(v.max()) > UINT64_SAFE_MAX:
+            raise ArithmeticError(f"a walk from [{a}, {b}) passes {UINT64_SAFE_MAX}, "
+                                  "where 3x + 1 overflows uint64")
         # k steps at once when no value can reach 1 inside them (each is at
         # least 2^(k+1)), the budget has k steps left and they fit in uint64
         if max_steps - t >= k and top <= tab.safe_max and (clear or int(v.min()) >= 2 * width):

@@ -14,7 +14,6 @@ from collatzlab.anb import (
     anb_steps_extended,
     canonical_rotation,
     closed_form_anb_check,
-    closed_form_anb_checks,
     cycle_catalog,
     cycle_survey,
     divergence_report,
@@ -29,7 +28,7 @@ from collatzlab.dynamics import (
     step_odd,
     trajectory_odd,
 )
-from collatzlab.identities import closed_form_check, residue_shift_check
+from collatzlab.identities import closed_form_check, closed_form_checks, residue_shift_check
 
 P51 = AnbParams(5, 1)
 P71 = AnbParams(7, 1)
@@ -394,14 +393,15 @@ class TestClosedForm:
 
 
 class TestClosedFormBatch:
-    """The one-walk checks against the per-n reference, n by n."""
+    """The one-walk checks of `identities.closed_form_checks` in (a, b) against
+    the per-n reference `closed_form_anb_check`, n by n."""
 
     def test_matches_oracle_every_n(self):
         starts = [2 * (37 * j % 5000) + 1 for j in range(60)]
         for params in (P51, P71, P53, AnbParams(3, 1)):
             for x0 in starts:
                 values, exps = anb_steps_extended(x0, params, 40)
-                got = list(closed_form_anb_checks(x0, params, values, exps))
+                got = list(closed_form_checks(x0, values, exps, params))
                 assert got == [
                     closed_form_anb_check(x0, params, n, exponents=exps)
                     for n in range(1, 41)
@@ -415,7 +415,7 @@ class TestClosedFormBatch:
     @settings(max_examples=100)
     def test_wrong_exponents_fail_like_oracle(self, x0, params, exps):
         values, _ = anb_steps_extended(x0, params, len(exps))
-        got = list(closed_form_anb_checks(x0, params, values, exps))
+        got = list(closed_form_checks(x0, values, exps, params))
         assert got == [
             closed_form_anb_check(x0, params, n, exponents=exps)
             for n in range(1, len(exps) + 1)
@@ -425,13 +425,13 @@ class TestClosedFormBatch:
         # 7 -> 9 -> 23 under 5n+1 has exponents 2, 1; claim 2, 2
         values, exps = anb_steps_extended(7, P51, 2)
         assert exps == [2, 1]
-        got = list(closed_form_anb_checks(7, P51, values, [2, 2]))
+        got = list(closed_form_checks(7, values, [2, 2], P51))
         assert [c.holds for c in got] == [True, False]
         assert got[1] == closed_form_anb_check(7, P51, 2, exponents=[2, 2])
 
     def test_bad_walk_rejected(self):
         with pytest.raises(ValueError):
-            list(closed_form_anb_checks(7, P51, [7, 9], [2, 1]))
+            list(closed_form_checks(7, [7, 9], [2, 1], P51))
 
 
 class TestResidueShift:

@@ -1,4 +1,4 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function, class and constant of the package has a caller.
 
 A caller is a name or attribute in `src/`, `scripts/` or `bench/`, an import
 of the acceptance suite, or an entry of KEPT: code that only unit tests call
@@ -13,8 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT = {
     "trajectory_general": "the shortcut trajectory that odd-walk bookkeeping tests compare with",
     "survey_chunk_python": "the plain walk that the sweep is differential-tested against",
-    "class_split": "the per-class view of the half split, tested against step_kind_at",
-    "drift_bound": "the paper's exact drift bound, checked on every odd orbit prefix",
 }
 
 
@@ -23,18 +21,30 @@ def _names(path: Path, imports_only: bool = False) -> set[str]:
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.alias):
             names.add(node.name)
-        elif isinstance(node, ast.Name) and not imports_only:
+        elif imports_only or isinstance(getattr(node, "ctx", None), ast.Store):
+            continue  # an assignment defines a name, it does not use it
+        elif isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute) and not imports_only:
+        elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The module-level names a statement defines: a function, class or constant.
+
+    Dunder names such as `__version__` are read by tools, not by the package.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
 def test_every_definition_has_a_caller():
     used = _names(ROOT / "tests" / "test_acceptance.py", imports_only=True)
     for path in (p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py")):
         used |= _names(path)
-    defined = {node.name for path in (ROOT / "src" / "collatzlab").glob("*.py")
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = {name for path in (ROOT / "src" / "collatzlab").glob("*.py")
+               for node in ast.parse(path.read_text()).body for name in _defined(node)}
     assert sorted(defined - used - KEPT.keys()) == []

@@ -317,7 +317,7 @@ def _eq2_per_n(x0, values, exponents):
     )
 
 
-def _anb_per_n(x0, params, values, exponents):
+def _anb_per_n(x0, values, exponents, params):
     return (
         anb_mod.closed_form_anb_check(x0, params, n, exponents=exponents)
         for n in range(1, len(exponents) + 1)
@@ -411,7 +411,7 @@ class TestOneWalkChecksBytes:
         argv = ("verify", "anb-eq", "--a", a, "--b", b, "--samples", samples,
                 "--max-n", max_n, "--seed", "3")
         fast, slow = self._both(
-            capsys, monkeypatch, anb_mod, "closed_form_anb_checks", _anb_per_n, argv
+            capsys, monkeypatch, ident_mod, "closed_form_checks", _anb_per_n, argv
         )
         assert fast == slow
         assert fast[0][0] == EX_OK
@@ -428,7 +428,7 @@ class TestOneWalkChecksBytes:
         monkeypatch.setattr(anb_mod, "anb_steps_extended", corrupted)
         argv = ("verify", "anb-eq", "--samples", "40", "--max-n", "12")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
-        monkeypatch.setattr(anb_mod, "closed_form_anb_checks", _anb_per_n)
+        monkeypatch.setattr(ident_mod, "closed_form_checks", _anb_per_n)
         slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         assert fast == slow
         assert fast[0][0] == EX_INCONCLUSIVE
@@ -556,7 +556,6 @@ class TestMontecarloCommand:
         from collatzlab import reference_table
 
         assert cli_mod.MC_SAMPLE_LENGTH == reference_table.SAMPLE_LENGTH
-        assert cli_mod.MC_FIXTURE_NAME == reference_table.FIXTURE_NAME
 
     def test_byte_determinism(self, capsys):
         argv = ["montecarlo", "--length", "200", "--samples", "6", "--seed", "11",

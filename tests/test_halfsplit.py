@@ -13,7 +13,6 @@ from collatzlab.halfsplit import (
     M_LIMIT,
     ResourceLimitError,
     StepTally,
-    class_split,
     halfsplit_by_classes,
     halfsplit_verify,
     shift_table,
@@ -189,17 +188,12 @@ class TestRefinement:
         monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 26 << 10)
         assert halfsplit_by_classes(12).exact_split()
         assert halfsplit_by_classes(11, steps=11).exact_split()
-        # the pairs of class_split(11, 12) take more than its level-10 table
-        with pytest.raises(ResourceLimitError, match="class split mod 2\\^11 holds 2048 pairs"):
-            class_split(11, 12)
         with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_by_classes(13)
         with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_by_classes(12, steps=12)
         with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_verify(13, method="classes")
-        with pytest.raises(ResourceLimitError, match="memory budget"):
-            class_split(12, 13)
         monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", (26 << 10) - 1)
         with pytest.raises(ResourceLimitError, match="memory budget"):
             halfsplit_by_classes(12)
@@ -304,81 +298,52 @@ class TestMerge:
             t + StepTally(step=2, increases=0, decreases=0, within_theorem=True)
 
 
+def _class_kinds(n):
+    """The step-n direction of each residue class mod 2^n, from level n - 1 of the table."""
+    *_, level = shift_table(n - 1)
+    kinds = (StepKind.DECREASE, StepKind.INCREASE)
+    return [kinds[odd] for odd in halfsplit._step_parities(*level).tolist()]
+
+
 class TestClassSplit:
+    """The class split of step n: the directions `_step_parities` reads off the
+    shift table for the residues mod 2^n, against the walk of each element."""
+
     def test_step1_parity(self):
-        split = dict((cls.residue, kind) for cls, kind in class_split(1, 4))
-        assert split == {0: StepKind.DECREASE, 1: StepKind.INCREASE}
+        assert _class_kinds(1) == [StepKind.DECREASE, StepKind.INCREASE]
 
     def test_step2_classes(self):
-        split = dict((cls.residue, kind) for cls, kind in class_split(2, 4))
-        assert split == {
-            0: StepKind.DECREASE,
-            1: StepKind.DECREASE,
-            2: StepKind.INCREASE,
-            3: StepKind.INCREASE,
-        }
+        assert _class_kinds(2) == [
+            StepKind.DECREASE,
+            StepKind.DECREASE,
+            StepKind.INCREASE,
+            StepKind.INCREASE,
+        ]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cardinalities(self, n):
-        kinds = [kind for _, kind in class_split(n, n + 1)]
+        kinds = _class_kinds(n)
         assert kinds.count(StepKind.INCREASE) == 1 << (n - 1)
         assert kinds.count(StepKind.DECREASE) == 1 << (n - 1)
 
     def test_class_determinism(self):
         # step-n direction depends only on x mod 2^n
         for n in range(1, 11):
-            split = dict(
-                (cls.residue, kind) for cls, kind in class_split(n, n + 1)
-            )
+            kinds = _class_kinds(n)
             for x in range(1, 1 << 14, 97):
-                assert step_kind_at(x, n) is split[x % (1 << n)]
-
-    @pytest.mark.parametrize("n", [1, 6, 11])
-    def test_memory_budget_edge(self, monkeypatch, n):
-        # _PAIR_BYTES per pair: 2^n pairs fit a budget of exactly that many bytes
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", halfsplit._PAIR_BYTES << n)
-        assert len(class_split(n, n + 1)) == 1 << n
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", (halfsplit._PAIR_BYTES << n) - 1)
-        with pytest.raises(ResourceLimitError, match=f"stops at n = {n - 1}$"):
-            class_split(n, n + 1)
-
-    def test_default_memory_budget(self):
-        # at the default budget n = 20 is admitted and n = 21 stops before any work
-        assert halfsplit._PAIR_BYTES << 20 <= halfsplit.CLASSES_MEMORY_LIMIT
-        with pytest.raises(ResourceLimitError, match="memory budget of 268435456 bytes"):
-            class_split(21, 30)
-
-    @pytest.mark.parametrize("n", [10, 16])
-    def test_bytes_estimate(self, n):
-        # the traced peak of the list and its table stays under the estimate
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            pairs = class_split(n, n + 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(pairs) == 1 << n
-        assert peak <= halfsplit._PAIR_BYTES << n
+                assert step_kind_at(x, n) is kinds[x % (1 << n)]
 
     def test_matches_direct_elements(self):
         M, n = 7, 4
-        split = dict((cls.residue, kind) for cls, kind in class_split(n, M))
+        kinds = _class_kinds(n)
         for x in range(1, (1 << M) + 1):
-            assert step_kind_at(x, n) is split[x % (1 << n)]
+            assert step_kind_at(x, n) is kinds[x % (1 << n)]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_step_kind_at(self, n):
-        # the zero class is read at its smallest member in range, 2^n
-        for cls, kind in class_split(n, n + 1):
-            assert kind is step_kind_at(cls.residue or 1 << n, n)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            class_split(4, 4)
-        with pytest.raises(ValueError):
-            class_split(0, 4)
+        # the zero class is read at its smallest member above 0, 2^n
+        for i, kind in enumerate(_class_kinds(n)):
+            assert kind is step_kind_at(i or 1 << n, n)
 
 
 class TestProofCaseTable:

@@ -16,7 +16,6 @@ from collatzlab.dynamics import (
 from collatzlab.identities import (
     SHIFT_M_BOUND,
     SHIFT_UINT64_MAX_K,
-    ResidueClass,
     closed_form_check,
     closed_form_checks,
     geometric_tail_identity,
@@ -93,11 +92,6 @@ class TestResidueShift:
             residue_shift_check(0, 1, 0)
         with pytest.raises(ValueError):
             residue_shift_check(2, 1, 4)
-
-    def test_residue_class_type(self):
-        with pytest.raises(ValueError):
-            ResidueClass(modulus_exponent=2, residue=4)
-        assert ResidueClass(modulus_exponent=3, residue=5).modulus == 8
 
 
 def shift_grid(k, ms):

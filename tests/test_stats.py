@@ -8,14 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collatzlab import pcg64 as pcg64_mod
-from collatzlab.dynamics import Termination, trajectory_general, trajectory_odd
+from collatzlab.dynamics import Termination, trajectory_general
 from collatzlab.reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS, SAMPLE_LENGTH
 from collatzlab.stats import (
     APPLEGATE_LAGARIAS_SLOPE,
     Z_CRITICAL,
     SampleStats,
     confidence_interval,
-    drift_bound,
     exponentiate_interval,
     indicator_sample_std,
     interval_discrepancy_report,
@@ -235,40 +234,6 @@ class TestExponentiateInterval:
     def test_monotone(self, lo, width):
         out_lo, out_hi = exponentiate_interval(lo, lo + width)
         assert out_lo <= out_hi
-
-
-class TestDriftBound:
-    def test_seven_full_trajectory(self):
-        bound = drift_bound(7, 4, Fraction(11, 5))
-        assert bound == Fraction(11, 4)
-        assert bound >= 1
-
-    def test_mean_two_is_constant(self):
-        for n in range(0, 8):
-            assert drift_bound(9, n, Fraction(2)) == Fraction(3 * 9 + 1, 4)
-
-    def test_27_prefix(self):
-        _, pe = trajectory_odd(27)
-        n = 10
-        mean_k = Fraction(pe.prefix_sums[n + 1], n + 1)
-        traj, _ = trajectory_odd(27)
-        actual = traj.values[n + 1]
-        assert drift_bound(27, n, mean_k) >= actual
-
-    def test_all_prefixes_to_one_thousand(self):
-        for x0 in range(1, 1001, 2):
-            traj, pe = trajectory_odd(x0)
-            for j in range(1, pe.step_count + 1):
-                mean_k = Fraction(pe.prefix_sums[j], j)
-                assert drift_bound(x0, j - 1, mean_k) >= traj.values[j], (x0, j)
-
-    def test_rejects_non_integral_total(self):
-        with pytest.raises(ValueError):
-            drift_bound(7, 1, Fraction(1, 3))  # (n+1)*mean not an integer
-
-    def test_rejects_even_start(self):
-        with pytest.raises(ValueError):
-            drift_bound(8, 1, Fraction(2))
 
 
 def stopping_profile(x, max_steps=10**5):

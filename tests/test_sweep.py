@@ -4,7 +4,6 @@ import random
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -32,19 +31,21 @@ class TestEngineAgreement:
         b = survey_chunk_python(lo, lo + width, max_steps=500)
         assert a == b
 
-    def test_overflow_fallback_path(self, monkeypatch):
-        # force the exact-int continuation by pretending uint64 is tiny
-        monkeypatch.setattr(
-            sweep, "_walk_piece", partial(sweep._walk_piece, overflow_limit=10_000)
-        )
-        for lo, max_steps in [(1, 10**5), (300, 10**5), (1, 30)]:
-            got = survey_range(lo, 2001, max_steps=max_steps)
-            assert got == survey_chunk_python(lo, 2001, max_steps)
-
     @pytest.mark.parametrize("lo", [UINT64_SAFE_MAX - 150, 2**64 - 300])
     def test_uint64_limit_windows(self, lo):
-        hi = min(lo + 300, 2**64)
-        assert survey_range(lo, hi, chunk_size=64) == survey_chunk_python(lo, hi)
+        # no walk steps a value past the limit: the survey stops instead of wrapping
+        with pytest.raises(ArithmeticError, match=f"passes {UINT64_SAFE_MAX}"):
+            survey_range(lo, min(lo + 300, 2**64), chunk_size=64)
+
+    def test_past_the_word_limit_raises(self, monkeypatch):
+        # the starts of this window near the jump bound climb past UINT64_SAFE_MAX
+        edge = sweep._level_table(sweep.LEVEL).safe_max
+        with pytest.raises(ArithmeticError, match=f"passes {UINT64_SAFE_MAX}"):
+            survey_range(edge - 200, edge + 200, chunk_size=64)
+        # with a tiny limit, some start below 2001 passes it: 447 climbs to 19,682
+        monkeypatch.setattr(sweep, "UINT64_SAFE_MAX", 10_000)
+        with pytest.raises(ArithmeticError, match="passes 10000"):
+            survey_range(1, 2001)
 
 
 class TestWaves:
@@ -465,14 +466,6 @@ class TestShiftLawWalk:
                         got = survey_range(lo, hi, chunk_size=chunk_size)
                         assert got == survey_chunk_python(lo, hi)
 
-    def test_overflow_fallback_path(self, level, monkeypatch):
-        monkeypatch.setattr(
-            sweep, "_walk_piece", partial(sweep._walk_piece, overflow_limit=3000)
-        )
-        for lo, max_steps in [(1, 10**5), (300, 10**5), (1, 30), (1, level + 1)]:
-            got = survey_range(lo, 2001, max_steps=max_steps, chunk_size=300)
-            assert got == survey_chunk_python(lo, 2001, max_steps)
-
     @pytest.mark.parametrize("cap", [1, 300])
     def test_tiny_table_cap(self, level, monkeypatch, cap):
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
@@ -521,10 +514,12 @@ class TestProductionLevel:
             assert got == survey_chunk_python(lo, lo + 4000)
 
     def test_window_across_the_jump_bound(self):
-        # values up to safe_max jump; above it they step one at a time
+        # values up to safe_max jump; above it they step one at a time: from
+        # 319,804,831 the orbit climbs to 707,118,223,359,971,240, past safe_max
         edge = sweep._level_table(sweep.LEVEL).safe_max
-        got = survey_range(edge - 200, edge + 200, chunk_size=64)
-        assert got == survey_chunk_python(edge - 200, edge + 200)
+        got = survey_range(319804631, 319805031, chunk_size=64)
+        assert got == survey_chunk_python(319804631, 319805031)
+        assert got.peak == 707118223359971240 > edge
 
 
 
