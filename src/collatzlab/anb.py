@@ -334,7 +334,9 @@ def cycle_catalog(
     the catalog is deterministic for a given search budget.  It is the
     catalog of `find_cycle(x0, params, max_steps)` over the starts, which
     stays the per-start reference; the walks here share a memo instead of
-    each running to the end of its budget (see `_catalog_walk`).
+    each running to the end of its budget, and a walk that runs its budget
+    settles the later starts on it, which are then not walked (see
+    `_catalog_walk`).
     """
     return _catalog(params, start_limit, max_steps)[0]
 
@@ -346,10 +348,10 @@ def cycle_survey(
 
     The starts are those for which `find_cycle(x0, params, max_steps)` is
     None, in increasing order.  The catalog's walks settle most of them: a
-    walk that ran its budget, or that the memo stopped with no repeat.  Only
-    the starts stopped at a value whose orbit enters a known cycle are walked
-    again, since that entry says the orbit enters the cycle, not that it does
-    so within max_steps.
+    walk that ran its budget, a later start on one, or a walk that the memo
+    stopped with no repeat.  Only the starts stopped at a value whose orbit
+    enters a known cycle are walked again, since that entry says the orbit
+    enters the cycle, not that it does so within max_steps.
     """
     catalog, no_repeat, basin = _catalog(params, start_limit, max_steps)
     late = [x0 for x0 in basin if find_cycle(x0, params, max_steps) is None]
@@ -365,10 +367,14 @@ def _catalog(
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     memo: dict[int, int] = {}
+    settled: dict[int, list[int] | None] = {}  # later starts an open walk settled
     found: dict[tuple[int, ...], CycleRecord] = {}
     no_repeat, basin = [], []
     for x0 in range(1, start_limit + 1, 2):
-        cycle = _catalog_walk(x0, params, max_steps, memo)
+        if x0 in settled:
+            cycle = settled.pop(x0)
+        else:
+            cycle = _catalog_walk(x0, params, max_steps, memo, settled, start_limit)
         if cycle:
             record = _read_cycle(cycle, params)
             found.setdefault(record.members, record)
@@ -379,15 +385,23 @@ def _catalog(
 
 
 def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:
-    """An upper bound on the bytes one walk of `cycle_catalog` holds, past a few hundred steps.
+    """An upper bound on the bytes one walk of `cycle_catalog` holds, past 6,630 steps.
 
     Per step it counts a value of at most start_limit.bit_length() +
     j log2((a + b)/2) bits at step j ((ax + b)/2^k <= (a + b) x / 2), as an
     int of 4 bytes per 30 bits, and 128 bytes.  A walk holds no value but the
-    current one: one fingerprint a step, and a step and a value for each value
-    below 2^64, at most about 165 bytes a step (tracemalloc peaks of (5, 1)
-    walks from 7: 87 at 10,000 steps, 165 at 20,000, 76 at 49,796), which
-    the 128 bytes and the bits pass from about 560 steps on.
+    current one.  It holds one fingerprint a step for up to max_steps + S <=
+    2 max_steps steps, S being how far it walks on to settle its later starts
+    (see `_settle_later_starts`), at most about 175 bytes each (tracemalloc
+    peaks of sets of 61-bit ints); a step and a value, 16 bytes, for each
+    value below 2^64; and a pair and a `settled` entry, about 200 bytes, for
+    each of its at most max_steps later starts.  That is at most about 570
+    bytes a step, which the 128 bytes and the bits pass from about 6,630
+    steps on (a + b >= 4 puts max_steps / 15 bytes a step in the bits);
+    below that a walk holds at most about 3.8 MB.  Measured peaks are lower:
+    (5, 1) walks from 7 hold 87 bytes a step at 10,000 steps and 165 at
+    20,000, and a (3, 3299) walk from 1 with a later start at every step
+    (S = max_steps = 1,000) holds 281.
     """
     values = max_steps + 1
     bits = values * start_limit.bit_length()
@@ -396,15 +410,21 @@ def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> i
 
 
 def _catalog_walk(
-    x0: int, params: AnbParams, max_steps: int, memo: dict[int, int]
+    x0: int,
+    params: AnbParams,
+    max_steps: int,
+    memo: dict[int, int],
+    settled: dict[int, list[int] | None],
+    start_limit: int,
 ) -> list[int] | None:
     """Walk x0 as `find_cycle` does, stopping early where the memo decides it.
 
     Records the walk in the memo and returns its repeating part, as
     `find_cycle` reads it; an empty list when it stopped at a `_BASIN` entry,
     so that its orbit enters a known cycle; or None when it has no repeat
-    within max_steps (walked to the budget or stopped by the memo).
-    Memo entries, for values below 2^64 only:
+    within max_steps (walked to the budget or stopped by the memo).  A walk
+    that runs its whole budget also settles the later starts on it (see
+    `_settle_later_starts`).  Memo entries, for values below 2^64 only:
 
     - `_BASIN`: the value's orbit enters a cycle already found, so x0 can add
       nothing new;
@@ -446,11 +466,12 @@ def _catalog_walk(
                     touched = j
         elif touched > j:
             touched = j
-        if j == max_steps:
+        if j == max_steps:  # the whole budget with no repeat
+            _settle_later_starts(seen, x, small, max_steps, settled, start_limit)
             break
         j += 1
         # The step inline, not through step_anb: the (5, 1) catalog to 151 walks in
-        # 0.38 s against 0.66 s (medians of 10 paired runs, 2-vCPU Xeon, Python 3.11).
+        # 0.18 s against 0.31 s (medians of 10 paired runs, 2-vCPU Xeon, Python 3.11).
         t = a * x + b
         low = t & _LOW64 or t  # the valuation of t, from its low word if it is not 0
         x = t >> ((low & -low).bit_length() - 1)
@@ -470,3 +491,42 @@ def _catalog_walk(
                 if step < memo.get(x, step + 1):
                     memo[x] = step
     return cycle
+
+
+def _settle_later_starts(
+    seen: _RepeatIndex,
+    x: int,
+    small: array,
+    max_steps: int,
+    settled: dict[int, list[int] | None],
+    start_limit: int,
+) -> None:
+    """Settle the later starts on a walk z_0..z_max_steps = seen.x0..x with no repeat.
+
+    They are the z_s with s >= 1 and x0 < z_s <= start_limit not settled yet,
+    read from the walk's values below 2^64.  With S the largest such s, the
+    walk goes on to z_(max_steps + S) and stops at its first repeat
+    z_t = z_i, t > max_steps.  The walk from z_s first repeats at step
+    t - s if s <= i, and at the cycle length t - i > t - s if s > i, z_s
+    being on the cycle: so within max_steps if both t - i and t - s are at
+    most max_steps.  settled[z_s] is then the cycle, else None; with no
+    repeat by step max_steps + S, none of the walks from z_s has one within
+    max_steps.
+    """
+    x0, params = seen.x0, seen.params
+    pairs = iter(small)
+    later = [
+        (s, v) for s, v in zip(pairs, pairs) if s and x0 < v <= start_limit and v not in settled
+    ]
+    if not later:
+        return
+    for t in range(max_steps + 1, max_steps + later[-1][0] + 1):  # later is in step order
+        x = step_anb(x, params)[0]
+        i = seen.first_step(x, t)
+        if i is not None:
+            cycle = anb_steps_extended(x, params, t - i - 1)[0] if t - i <= max_steps else None
+            for s, v in later:
+                settled[v] = cycle if t - s <= max_steps else None
+            return
+    for _, v in later:
+        settled[v] = None

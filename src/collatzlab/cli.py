@@ -60,14 +60,18 @@ X0_START_LIMIT = 1 << 20
 # each near --max-n 50; above this many it stops with exit 3 (the default makes 10,000).
 ANB_EQ_CHECK_LIMIT = 1 << 22
 
-# anb-cycles walks each odd start for at most --max-steps steps; above this
-# many odd starts x max(max_steps, 1) it stops with exit 3.  The default run
-# (--limit 100) counts 500,000.
+# anb-cycles walks each odd start for at most --max-steps steps, and a walk
+# that goes up to --max-steps steps further settles a start that is then not
+# walked, so it takes at most odd starts x max(max_steps, 1) steps; above that
+# many it stops with exit 3.  The default run (--limit 100) counts 500,000 and
+# takes 120,063.
 CYCLES_STEP_LIMIT = 1 << 24
 
-# anb-cycles holds one walk at a time; above this many bytes by
-# anb.catalog_walk_bytes, an upper bound on what a walk holds, it stops with
-# exit 3 (the default run estimates 12 MB; its longest walk holds 0.9 MB).
+# anb-cycles holds one walk at a time, of up to 2 x --max-steps steps with
+# the ones it takes to settle later starts; above this many bytes by
+# anb.catalog_walk_bytes, an upper bound on what a walk holds past 6,630
+# steps, it stops with exit 3 (the default run estimates 12 MB; its longest
+# walk holds 0.95 MB).
 CYCLES_MEMORY_LIMIT = 1 << 28
 
 # Generated montecarlo draws each sample's --length coins as one array, one

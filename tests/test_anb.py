@@ -163,6 +163,34 @@ def catalog_per_start(params, start_limit, max_steps):
 CATALOG_PARAMS = [AnbParams(a, b) for a, b in [(5, 1), (5, 3), (7, 1), (5, 7), (3, 1), (3, 5)]]
 
 
+def catalog_walk(x0, params, max_steps, memo, settled=None, start_limit=0):
+    """One walk of the catalog; at start_limit 0 it settles no later start."""
+    settled = {} if settled is None else settled
+    return anb_mod._catalog_walk(x0, params, max_steps, memo, settled, start_limit)
+
+
+def count_work(mp, fingerprint=hash):
+    """Count the catalog's walks by start, and its steps: one fingerprint a step and a walk."""
+    work = {"walked": [], "fingerprints": 0}
+    walk = anb_mod._catalog_walk
+
+    def counted_fingerprint(x):
+        work["fingerprints"] += 1
+        return fingerprint(x)
+
+    def counted_walk(x0, *args):
+        work["walked"].append(x0)
+        return walk(x0, *args)
+
+    mp.setattr(anb_mod, "_fingerprint", counted_fingerprint)
+    mp.setattr(anb_mod, "_catalog_walk", counted_walk)
+    return work
+
+
+def steps_of(work):
+    return work["fingerprints"] - len(work["walked"])
+
+
 class TestCatalogMemo:
     """cycle_catalog shares its walks through a memo; find_cycle is the reference."""
 
@@ -189,6 +217,43 @@ class TestCatalogMemo:
     def test_default_budget(self, params):
         assert cycle_catalog(params, 151) == catalog_per_start(params, 151, 10**4)
 
+    @pytest.mark.parametrize(
+        "fingerprint, examples", [(hash, 100), (lambda x: x % 7, 15)], ids=["hash", "mod7"]
+    )
+    def test_settled_starts_match_per_start(self, fingerprint, examples):
+        # Small budgets make a walk's later starts lie far along it, past its
+        # repeat or on its cycle.  Under x % 7 nearly every step is a
+        # fingerprint hit, so the confirm also runs on the steps a walk takes
+        # past its budget.
+        @given(
+            st.sampled_from(CATALOG_PARAMS + [AnbParams(5, 5), AnbParams(7, 3)]),
+            st.integers(1, 400),
+            st.integers(0, 40),
+        )
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        def check(params, start_limit, max_steps):
+            with pytest.MonkeyPatch.context() as mp:
+                work = count_work(mp, fingerprint)
+                catalog = cycle_catalog(params, start_limit, max_steps)
+                steps = steps_of(work)
+                survey = cycle_survey(params, start_limit, max_steps)
+            starts = range(1, start_limit + 1, 2)
+            assert catalog == catalog_per_start(params, start_limit, max_steps)
+            stray = [x0 for x0 in starts if find_cycle(x0, params, max_steps) is None]
+            assert survey == (catalog, stray)
+            # the step budget of anb-cycles: a walk goes on at most max_steps
+            # steps past its own, and only to settle a start not walked then
+            assert steps <= len(starts) * max(max_steps, 1)
+
+        check()
+
+    def test_work_pinned(self, monkeypatch):
+        # 5n+1 up to 151 at the default budget: the 76 starts would take
+        # 600,091 steps one by one, and 330,147 with the memo alone
+        work = count_work(monkeypatch)
+        assert [c.members for c in cycle_catalog(P51, 151)] == [(1, 3), (13, 33, 83), (17, 43, 27)]
+        assert len(work["walked"]) == 50 and steps_of(work) == 150_163
+
     @pytest.mark.parametrize("cap", [0, 1])
     @pytest.mark.parametrize("params", CATALOG_PARAMS + [AnbParams(5, 5)])
     def test_memo_cap(self, monkeypatch, cap, params):
@@ -198,18 +263,23 @@ class TestCatalogMemo:
                 params, start_limit, max_steps
             )
 
-    def test_stop_behind_an_open_walk(self):
+    def test_stop_behind_an_open_walk(self, monkeypatch):
         # 11 -> 7 under 5n+1 joins the open walk of 7 one step behind it
         memo = {}
-        assert anb_mod._catalog_walk(7, P51, 50, memo) is None
+        assert catalog_walk(7, P51, 50, memo) is None
         assert memo[7] == 0 and memo[9] == 1 and memo[23] == 2
         size = len(memo)
-        assert anb_mod._catalog_walk(11, P51, 50, memo) is None
+        assert catalog_walk(11, P51, 50, memo) is None
         assert memo[11] == 0 and len(memo) == size + 1
-        # 9 is one step ahead of the walk of 7: it walks on, and its steps,
-        # one smaller, replace those of 7
-        assert anb_mod._catalog_walk(9, P51, 50, memo) is None
-        assert memo[7] == 0 and memo[9] == 0 and memo[23] == 1
+        # 9 = z_1 is one step ahead on the walk of 7, which settles it: its 50
+        # steps reach z_2..z_51 of that walk, all distinct.  It is never
+        # walked, and the memo keeps the steps of 7's walk.
+        memo, settled = {}, {}
+        assert catalog_walk(7, P51, 50, memo, settled, 11) is None
+        assert settled == {9: None} and memo[9] == 1
+        work = count_work(monkeypatch)
+        assert [c.members for c in cycle_catalog(P51, 11, 50)] == [(1, 3), (13, 33, 83)]
+        assert work["walked"] == [1, 3, 5, 7, 11]
 
     def test_no_stop_on_a_cycle_ahead_of_the_join(self):
         # 5n+5, 3 steps: 53 -> 135 -> 85 -> 215 has no repeat and leaves 135
@@ -217,9 +287,9 @@ class TestCatalogMemo:
         # 85 itself at step 0 < 1, so it walks on and closes (85, 215, 135).
         params = AnbParams(5, 5)
         memo = {}
-        assert anb_mod._catalog_walk(53, params, 3, memo) is None
+        assert catalog_walk(53, params, 3, memo) is None
         assert memo == {53: 0, 135: 1, 85: 2, 215: 3}
-        assert anb_mod._catalog_walk(85, params, 3, memo) == [85, 215, 135]
+        assert catalog_walk(85, params, 3, memo) == [85, 215, 135]
         assert find_cycle(85, params, 3).members == (85, 215, 135)
         assert [c.members for c in cycle_catalog(params, 100, 3)] == [
             (5, 15), (65, 165, 415), (85, 215, 135)
@@ -231,11 +301,53 @@ class TestCatalogMemo:
         # only because 643 itself, z_4 of that walk, is in the memo.
         params = AnbParams(3, 5)
         memo = {}
-        assert anb_mod._catalog_walk(123, params, 17, memo) is None
+        assert catalog_walk(123, params, 17, memo) is None
         assert len(memo) == 18 and memo[187] == 1 and memo[643] == 4
-        cycle = anb_mod._catalog_walk(643, params, 17, memo)
+        cycle = catalog_walk(643, params, 17, memo)
         assert len(cycle) == 17 and cycle[0] == 643
         assert find_cycle(643, params, 17).members == canonical_rotation(cycle)
+
+    def test_later_start_settled_on_the_extension(self, monkeypatch):
+        # The same walk of 123 settles 643 = z_4 and the other later starts up
+        # to 643, z_1, z_2, z_3 and z_14 = 587: it goes on to z_18 = z_1 = 187,
+        # and each of them first repeats at step 17: z_1 at t - s = 18 - 1, the
+        # others, on the cycle past z_1, at its length t - i = 18 - 1.
+        params = AnbParams(3, 5)
+        memo, settled = {}, {}
+        assert catalog_walk(123, params, 17, memo, settled, 643) is None
+        assert sorted(settled) == [187, 283, 427, 587, 643]
+        members = find_cycle(643, params, 17).members
+        assert len(members) == 17 and find_cycle(187, params, 17).members == members
+        assert all(canonical_rotation(c) == members for c in settled.values())
+        work = count_work(monkeypatch)
+        assert cycle_catalog(params, 643, 17) == catalog_per_start(params, 643, 17)
+        assert 643 not in work["walked"] and 123 in work["walked"]
+
+    @pytest.mark.parametrize(
+        "params, max_steps, x0, start_limit, cyclic",
+        [
+            # 7 -> 9 -> 23 -> ... under 5n+1 has no repeat by z_51
+            (P51, 50, 7, 23, {}),
+            # 1 -> 3, then z_2 = z_0: 3 (s = 1 > i = 0) first repeats at step 2 > 1
+            (P51, 1, 1, 3, {}),
+            # 5 -> 13 -> 33 (-> 83 -> 13 = z_4 = z_1): at 2 steps 13 (s = i = 1) and
+            # 33 (s = 2 > i) first repeat at step 3 > 2; at 3 steps both close the cycle
+            (P51, 2, 5, 50, {}),
+            (P51, 3, 5, 50, {13, 33}),
+            # 53 -> 135 -> 85 -> 215 (-> 135 = z_4 = z_1) under 5n+5
+            (AnbParams(5, 5), 3, 53, 215, {135, 85, 215}),
+            (AnbParams(5, 5), 2, 53, 215, set()),
+        ],
+    )
+    def test_settle_rule(self, params, max_steps, x0, start_limit, cyclic):
+        memo, settled = {}, {}
+        assert catalog_walk(x0, params, max_steps, memo, settled, start_limit) is None
+        later = {v for v, s in memo.items() if s and x0 < v <= start_limit}
+        assert set(settled) == later
+        for v, cycle in settled.items():
+            record = find_cycle(v, params, max_steps)
+            assert (v in cyclic) == (record is not None)
+            assert cycle is None or canonical_rotation(cycle) == record.members
 
     def test_value_past_the_bound_blocks_the_stop(self, monkeypatch):
         # As above with the memo bound lowered to 600: 643 is now a value the
@@ -244,40 +356,59 @@ class TestCatalogMemo:
         monkeypatch.setattr(anb_mod, "_MEMO_BOUND", 600)
         params = AnbParams(3, 5)
         memo = {}
-        assert anb_mod._catalog_walk(123, params, 17, memo) is None
+        assert catalog_walk(123, params, 17, memo) is None
         assert 643 not in memo and memo[187] == 1 and max(memo) < 600
-        assert len(anb_mod._catalog_walk(643, params, 17, memo)) == 17
+        assert len(catalog_walk(643, params, 17, memo)) == 17
 
     def test_basin_stop(self):
         memo = {}
-        assert anb_mod._catalog_walk(13, P51, 100, memo) == [13, 33, 83]
+        assert catalog_walk(13, P51, 100, memo) == [13, 33, 83]
         assert memo == {13: -1, 33: -1, 83: -1}
         # 5 -> 13 lands in the basin of the cycle already found
-        assert anb_mod._catalog_walk(5, P51, 100, memo) == []
+        assert catalog_walk(5, P51, 100, memo) == []
         assert memo[5] == -1
 
     def test_word_edges(self):
         big = (1 << 64) + 1
         memo = {}
-        assert anb_mod._catalog_walk(big, P51, 30, memo) is None
+        assert catalog_walk(big, P51, 30, memo) is None
         assert big not in memo and all(x < 1 << 64 for x in memo)
         # 5 x0 + 1 = 2^64: the valuation is not in the low word
         x0 = ((1 << 64) - 1) // 5
-        assert anb_mod._catalog_walk(x0, P51, 5, {}) == [1, 3]
+        assert catalog_walk(x0, P51, 5, {}) == [1, 3]
         assert find_cycle(x0, P51, 5).members == (1, 3)
 
-    @pytest.mark.parametrize("params, x0", [(P51, 7), (P71, 7), (AnbParams(7, 3), 41)])
-    def test_walk_bytes_estimate(self, monkeypatch, params, x0):
-        # a walk with no repeat holds every value of its budget, and no more
-        # than the estimate of the anb-cycles memory budget
-        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+    @staticmethod
+    def walk_peak(params, x0, max_steps, start_limit):
+        """The tracemalloc peak of one walk with no repeat, which settles later starts."""
+        settled = {}
         tracemalloc.start()
         try:
-            assert anb_mod._catalog_walk(x0, params, 5000, {}) is None
+            assert catalog_walk(x0, params, max_steps, {}, settled, start_limit) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= anb_mod.catalog_walk_bytes(params, x0, 5000)
+        assert settled
+        return peak
+
+    @pytest.mark.parametrize("params, x0", [(P51, 7), (P71, 7), (AnbParams(7, 3), 41)])
+    def test_walk_bytes_estimate(self, monkeypatch, params, x0):
+        # a walk with no repeat holds no more than the estimate of the
+        # anb-cycles memory budget, its steps past the budget to settle every
+        # later start below 2^64 included
+        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+        start_limit = (1 << 64) - 1
+        peak = self.walk_peak(params, x0, 5000, start_limit)
+        assert peak <= anb_mod.catalog_walk_bytes(params, start_limit, 5000)
+
+    def test_walk_bytes_estimate_twice_the_budget(self, monkeypatch):
+        # 3n+3299 has a 1,000-cycle below 2^25, which the walk from 1 enters
+        # at step 43: at 1,000 steps it has a later start at every step and
+        # walks on 1,000 more, to the repeat at step 1,043
+        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+        params = AnbParams(3, 3299)
+        peak = self.walk_peak(params, 1, 1000, 1 << 26)
+        assert peak <= anb_mod.catalog_walk_bytes(params, 1 << 26, 1000)
 
     @pytest.mark.parametrize("params", [P51, P71, P53])
     @pytest.mark.parametrize("start_limit, max_steps", [(51, 200), (99, 3), (151, 37)])
