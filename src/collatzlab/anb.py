@@ -338,7 +338,7 @@ def cycle_catalog(
     settles the later starts on it, which are then not walked (see
     `_catalog_walk`).
     """
-    return _catalog(params, start_limit, max_steps)[0]
+    return _catalog(params, start_limit, max_steps, survey=False)[0]
 
 
 def cycle_survey(
@@ -353,15 +353,16 @@ def cycle_survey(
     enters a known cycle are walked again, since that entry says the orbit
     enters the cycle, not that it does so within max_steps.
     """
-    catalog, no_repeat, basin = _catalog(params, start_limit, max_steps)
+    catalog, no_repeat, basin = _catalog(params, start_limit, max_steps, survey=True)
     late = [x0 for x0 in basin if find_cycle(x0, params, max_steps) is None]
     return catalog, sorted(no_repeat + late)
 
 
 def _catalog(
-    params: AnbParams, start_limit: int, max_steps: int
+    params: AnbParams, start_limit: int, max_steps: int, survey: bool
 ) -> tuple[tuple[CycleRecord, ...], list[int], list[int]]:
-    """The catalog, the starts settled with no repeat, and those stopped at a basin entry."""
+    """The catalog, and with survey the starts settled with no repeat and those
+    stopped at a basin entry (without it both lists stay empty)."""
     if start_limit < 1:
         raise ValueError("start_limit must be >= 1")
     if max_steps < 0:
@@ -378,7 +379,7 @@ def _catalog(
         if cycle:
             record = _read_cycle(cycle, params)
             found.setdefault(record.members, record)
-        else:
+        elif survey:
             (no_repeat if cycle is None else basin).append(x0)
     catalog = tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
     return catalog, no_repeat, basin

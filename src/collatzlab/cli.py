@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from collections.abc import Callable
 
 # dynamics is the one engine module loaded here; the others, numpy, csv and
@@ -30,6 +31,7 @@ from .dynamics import (
     AnbParams,
     ResourceLimitError,
     Termination,
+    _unpack,
     odd_walk,
     orbit_steps,
 )
@@ -293,6 +295,14 @@ class _Output:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The package makes no BLAS call, and OpenBLAS starts a thread per CPU when
+    # numpy loads: one thread cuts sweep --limit 4194304 from 0.39 to 0.26 s CPU
+    # at one worker (12 paired runs, 2-vCPU VM).  A caller's setting is kept,
+    # the variable is unset again on return, and a numpy loaded before the call
+    # keeps the threads it started.
+    blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if blas_unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     # Payloads hold exact ints of any size, so Python's int/str digit guard
     # (4300 digits by default, from 3.10.7 on) is lifted for the call.
     saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
@@ -308,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+        if blas_unset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 def _main(argv: list[str] | None) -> int:
@@ -597,23 +609,26 @@ def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
     doc["parameters"] = {"max_k": args.max_k, "samples": args.samples, "seed": args.seed}
     if not args.samples:
         return  # no draws of m: no checks, and no residues worth visiting
-    import numpy as np
-
     from .pcg64 import seeded_draws
 
-    (ms,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
-    if not isinstance(ms, np.ndarray):  # a stream: the draws were made without numpy
-        ms = np.fromiter(ms, dtype=np.int64, count=args.samples)
+    (draws,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
+    ms = array("Q")
+    if hasattr(draws, "tobytes"):  # numpy's int64 array, above the draw crossover:
+        ms.frombytes(memoryview(draws).cast("B"))  # values below 2^20: uint64 bytes
+    else:  # a stream of ints
+        ms.extend(draws)
+    del draws
     for k in range(1, args.max_k + 1):
-        for g0, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
-            doc["checks_run"] += lhs.size
-            bad = np.flatnonzero(lhs != rhs)
-            if bad.size:
-                first = bad[0]
-                i, pos = divmod(g0 + int(first), args.samples)
-                _note_failure(doc, {"k": k, "m": int(ms[pos]), "i": i,
-                                    "lhs": int(lhs[first]), "rhs": int(rhs[first])})
-                doc["failures"] += bad.size - 1
+        for g0, count, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
+            doc["checks_run"] += count
+            if lhs == rhs:
+                continue
+            lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
+            bad = [j for j in range(count) if lhs[j] != rhs[j]]
+            i, pos = divmod(g0 + bad[0], args.samples)
+            _note_failure(doc, {"k": k, "m": ms[pos], "i": i,
+                                "lhs": lhs[bad[0]], "rhs": rhs[bad[0]]})
+            doc["failures"] += len(bad) - 1
 
 
 def _odd_starts(args: argparse.Namespace, doc: dict) -> range:

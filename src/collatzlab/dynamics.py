@@ -4,17 +4,22 @@ The step family lives here, in (a, b) with 3n+1 as `COLLATZ` = (3, 1).  The
 shortcut map sends even x to x/2 and odd x to (ax+b)/2 (`step_general`); the
 odd-to-odd form divides ax+b by its full power of two, recording the removed
 exponent (`step_anb`).  These two are the Python-int references every other
-walker is tested against; `_shortcut_step` is the one 3n+1 step on uint64
-arrays, for the shift-law table and the sweep.  Python-int values are exact at
-arbitrary precision.  Every function here is pure and safe to call from any
+walker is tested against.  Two vector forms take the 3n+1 shortcut step on
+many values at once: `_packed_step` on the 64-bit lanes of one Python int,
+for the shift-law table and the blocked lemma7 walks, with no numpy; and
+`_shortcut_step` on uint64 arrays, for the sweep.  Python-int values are exact
+at arbitrary precision.  Every function here is pure and safe to call from any
 thread.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -170,6 +175,48 @@ def step_anb(x: int, params: AnbParams = COLLATZ) -> tuple[int, int]:
 
 
 step_odd = step_anb  # the 3n+1 odd-to-odd step, under its own name
+
+
+# Lanes per packed block: a lane-step costs about 13 ns at 2^12 lanes against
+# 17-20 ns at 2^14, and lemma7 at --max-k 12 --samples 25 takes 45 ms with
+# blocks of 2^12 checks against 68 ms at 2^10 and 51 ms at 2^13 (2-vCPU Xeon,
+# Python 3.11).
+LANE_BLOCK = 1 << 12
+
+
+@lru_cache(maxsize=64)
+def _lane_ones(lanes: int) -> int:
+    """The packed int with 1 in each of `lanes` lanes."""
+    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
+
+
+def _pack(lanes: array) -> int:
+    """The packed int whose 64-bit lane j holds lanes[j], an array("Q")."""
+    if sys.byteorder == "big":
+        lanes = array("Q", lanes)
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack(x: int, lanes: int) -> array:
+    """The first `lanes` 64-bit lanes of the packed int x, as an array("Q")."""
+    out = array("Q", x.to_bytes(8 * lanes, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _packed_step(x: int, one: int) -> tuple[int, int]:
+    """One 3n+1 shortcut step on every 64-bit lane of x; also the mask of the odd lanes.
+
+    one holds 1 in each lane of x (lanes past x are harmless).  x >> 1, plus
+    x + 1 where x is odd: 3x is never formed, and 0 stays 0.  The mask is all
+    ones in each lane where x was odd.  Exact while no lane of x + 1 or of the
+    result passes 2^64 - 1, so that no lane carries into the next.
+    """
+    o = x & one
+    odd = (o << 64) - o
+    return ((x - o) >> 1) + ((x + one) & odd), odd
 
 
 def _shortcut_step(x: np.ndarray, odd: np.ndarray) -> None:

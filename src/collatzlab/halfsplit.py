@@ -7,21 +7,18 @@ Reports over disjoint subranges merge by component-wise addition, which is
 what makes range-partitioned runs exact.
 
 The tally of step n and the right side of the blocked lemma7 check read one
-shift-law table, `shift_table`, refined level by level; `_step_parities` is
-its per-class view of a step, and `step_kind_at` the per-element reference.
+shift-law table, `shift_table`, refined level by level in packed blocks: each
+entry is a 64-bit lane of a Python int, stepped by `dynamics._packed_step`, so
+neither loads numpy.  `step_kind_at` is the per-element reference.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .dynamics import ResourceLimitError, StepKind, _shortcut_step
+from .dynamics import LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _packed_step
 from .identities import _walk_shortcut_zero
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The direct walker stops before it walks above these many elements, tallied
 # steps (it holds a row per step) or element-steps (M = 21 makes 2^21 x 20).
@@ -29,9 +26,11 @@ DIRECT_ELEMENT_LIMIT = 1 << 21
 DIRECT_STEP_LIMIT = 1 << 16
 DIRECT_ELEMENT_STEP_LIMIT = 1 << 26
 
-# Bytes per entry of a shift table: images, powers and step scratch in uint64,
-# and a parity byte for each of the twice as many residues whose tally reads
-# it.  At 256 MB that is level 23, which step 24 (M = 25) reads.
+# Bytes per entry of a shift table: an image and a power, a 64-bit lane each
+# (8.5 bytes in CPython's 30-bit digits), in packed blocks that replace those
+# of the level before as they are consumed.  tracemalloc puts the peak of
+# building level n at 17.3-17.9 bytes per entry for n = 18..20; the budget
+# keeps 26.  At 256 MB that is level 23, which step 24 (M = 25) reads.
 CLASSES_MEMORY_LIMIT = 1 << 28
 _CLASS_BYTES = 26
 
@@ -219,24 +218,30 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
             "class cardinalities are equal only for steps <= M; "
             "use the direct method for later steps"
         )
-    import numpy as np
-
+    one = _lane_ones(LANE_BLOCK)
     tallies = []
     # step n reads level n - 1; zip asks the range first, so steps = 0 builds none
-    for n, (image, power) in zip(range(1, steps + 1), shift_table(steps - 1)):
-        inc = int(np.count_nonzero(_step_parities(image, power))) << (M - n)
+    for n, level in zip(range(1, steps + 1), shift_table(steps - 1)):
+        # the parities of T^(n-1)(i) and, by the shift law, T^(n-1)(i + 2^(n-1))
+        odd = sum((image & one).bit_count() + ((image + power) & one).bit_count()
+                  for image, power in level)
+        inc = odd << (M - n)
         tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=n <= M - 1))
     return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tuple(tallies))
 
 
-def shift_table(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield uint64 views (T^n(i), 3^p_n(i)) over the residues i < 2^n, n = 0..k.
+def shift_table(k: int) -> Iterator[list[tuple[int, int]]]:
+    """Yield the levels n = 0..k of (T^n(i), 3^p_n(i)) over the residues i < 2^n.
 
-    p_n(i) counts the increases among the first n steps of i (T(0) = 0).  This
+    p_n(i) counts the increases among the first n steps of i (T(0) = 0).  A
+    level is a list of blocks (image, power), each two packed ints of up to
+    `LANE_BLOCK` lanes: lane j of block b is residue b * LANE_BLOCK + j.  This
     is Terras' parity-vector bijection: the shift law with m = 1,
-    T^(n-1)(i + 2^(n-1)) = 3^p + T^(n-1)(i), refines level n-1 to the residues
-    mod 2^n for one add each, then one `_shortcut_step` takes them to level n,
-    which overwrites the views of level n-1.
+    T^n(i + 2^n) = 3^p + T^n(i), refines level n to the residues mod 2^(n+1)
+    for one add a block, then one `_packed_step` takes them to level n+1.  The
+    list is the same at every level and is refilled in place, each block of
+    level n dropped once both of its refinements are stepped; so a level is
+    valid until the next is asked for.
     """
     if k >= CLASSES_UINT64_MAX_STEP:
         raise ResourceLimitError(f"class tally for step {k + 1} would overflow uint64 images; "
@@ -246,39 +251,28 @@ def shift_table(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             f"shift table to level {k}, which the class tally of step {k + 1} reads, holds "
             f"{_CLASS_BYTES << k} bytes; the memory budget of {CLASSES_MEMORY_LIMIT} bytes "
             f"stops at step {(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length()}")
-    import numpy as np
-
-    image = np.zeros(1 << k, dtype=np.uint64)
-    power = np.ones(1 << k, dtype=np.uint64)
-    odd = np.empty(1 << k, dtype=np.uint64)
-    yield image[:1], power[:1]
+    level = [(0, 1)]
+    yield level
     for n in range(k):
-        size = 1 << n
-        np.add(image[:size], power[:size], out=image[size : 2 * size])
-        power[size : 2 * size] = power[:size]
-        v, w, o = image[: 2 * size], power[: 2 * size], odd[: 2 * size]
-        _shortcut_step(v, o)
-        o <<= 1  # 3 where the step increased, 1 elsewhere
-        o += 1
-        w *= o
-        yield v, w
+        if 1 << n < LANE_BLOCK:  # one block, which doubles
+            ((image, power),) = level
+            width = 64 << n
+            level[0] = _refined_step(image | (image + power) << width, power | power << width,
+                                     _lane_ones(2 << n))
+        else:
+            blocks, one = len(level), _lane_ones(LANE_BLOCK)
+            level += [None] * blocks
+            for b in range(blocks):
+                image, power = level[b]
+                level[b] = _refined_step(image, power, one)
+                level[blocks + b] = _refined_step(image + power, power, one)
+        yield level
 
 
-def _step_parities(image: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """From level n of `shift_table`, the parity of T^n(i) for each i < 2^(n+1).
-
-    One byte each, read from the low bytes of the level; i + 2^n takes that of
-    T^n(i) + 3^p, the shift law at m = 1.
-    """
-    import numpy as np
-
-    low = 0 if np.little_endian else 7
-    image, power = (a.view(np.uint8)[low::8] for a in (image, power))
-    odd = np.empty(2 * image.size, dtype=np.uint8)
-    np.bitwise_and(image, 1, out=odd[: image.size])
-    np.add(image, power, out=odd[image.size :])
-    odd[image.size :] &= 1
-    return odd
+def _refined_step(image: int, power: int, one: int) -> tuple[int, int]:
+    """One step of a packed block of images, and its powers times 3 where a step increased."""
+    image, odd = _packed_step(image, one)
+    return image, power + ((power << 1) & odd)
 
 
 def step_kind_at(x: int, n: int) -> StepKind:

@@ -1,4 +1,5 @@
 import json
+from array import array
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from collatzlab.cli import (
     EX_USAGE,
     main,
 )
-from collatzlab.dynamics import AnbParams
+from collatzlab import pcg64 as pcg64_mod
+from collatzlab.dynamics import LANE_BLOCK, AnbParams, _pack, _unpack
 from collatzlab.sweep import survey_range
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
@@ -325,12 +327,13 @@ def _anb_per_n(x0, values, exponents, params):
 
 
 def _lemma7_per_case(k, ms):
-    """residue_shift_check on every (i, m) in order, as one block."""
-    checks = [ident_mod.residue_shift_check(k, int(m), i) for i in range(1 << k) for m in ms]
+    """residue_shift_check on every (i, m) in order, as one packed block."""
+    checks = [ident_mod.residue_shift_check(k, m, i) for i in range(1 << k) for m in ms]
     yield (
         0,
-        np.array([c.lhs for c in checks], dtype=np.uint64),
-        np.array([c.rhs for c in checks], dtype=np.uint64),
+        len(checks),
+        _pack(array("Q", [c.lhs for c in checks])),
+        _pack(array("Q", [c.rhs for c in checks])),
     )
 
 
@@ -451,30 +454,47 @@ class TestOneWalkChecksBytes:
         assert fast == slow
         assert fast[0][0] == EX_OK
 
+    def test_lemma7_numpy_draws(self, capsys, monkeypatch):
+        # above the draw crossover the m come as numpy's int64 array, read
+        # into the lanes by their bytes: the same bytes as the stream's.  A
+        # corrupted T^6(5) makes failures, whose counterexample names an m.
+        corrupted = self._corrupt_level(halfsplit_mod.shift_table, 6, images=[5])
+        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        argv = ("verify", "lemma7", "--max-k", "6", "--samples", "40", "--seed", "3")
+        stream = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        monkeypatch.setattr(pcg64_mod, "NUMPY_LOAD_NS", 0)
+        assert [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS] == stream
+        assert stream[0][0] == EX_INCONCLUSIVE
+        m = int(np.random.default_rng(3).integers(0, cli_mod.M_SEED_RANGE, size=40)[0])
+        assert json.loads(stream[1][1])["counterexample"]["m"] == m
+
     def test_lemma7_broken_left_walk(self, capsys, monkeypatch):
         # break the walk from every start >= 2^k that is 3 mod 7, in the
-        # per-case walker and in the array walker alike: only the left side
+        # per-case walker and in the packed walker alike: only the left side
         # walks such starts (the right side walks i < 2^k, or reads the table)
-        walk, walk_array = ident_mod._walk_shortcut_zero, ident_mod._walk_shortcut_zero_array
+        walk, walk_packed = ident_mod._walk_shortcut_zero, ident_mod._walk_packed
 
         def broken(x, steps, *params):
             y, p = walk(x, steps, *params)
             return y + (x >> steps > 0 and x % 7 == 3), p
 
-        def broken_array(x, steps):
-            hit = ((x >> np.uint64(steps)) > 0) & (x % np.uint64(7) == 3)
-            walk_array(x, steps)
-            x += hit.astype(np.uint64)
+        def broken_packed(x, lanes, steps):
+            walked = _unpack(walk_packed(x, lanes, steps), lanes)
+            hits = [x >> steps > 0 and x % 7 == 3 for x in _unpack(x, lanes)]
+            return _pack(array("Q", [y + hit for y, hit in zip(walked, hits)]))
 
         monkeypatch.setattr(ident_mod, "_walk_shortcut_zero", broken)
-        monkeypatch.setattr(ident_mod, "_walk_shortcut_zero_array", broken_array)
-        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)  # several blocks per k
+        monkeypatch.setattr(ident_mod, "_walk_packed", broken_packed)
         argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
-        fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+        fast = []
+        # several blocks per k: whole rows (50 and 9) and pieces of rows (4)
+        for block in (50, 9, 4):
+            monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
+            fast.append([run_cli(capsys, *argv, "--format", f) for f in self.FORMATS])
         monkeypatch.setattr(ident_mod, "residue_shift_blocks", _lemma7_per_case)
         slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
-        assert fast == slow
-        assert fast[0][0] == EX_INCONCLUSIVE
+        assert fast == [slow] * 3
+        assert slow[0][0] == EX_INCONCLUSIVE
         # the count and the first counterexample in (k, i, draw) order, as
         # the per-case loop over the broken check finds them
         ms = np.random.default_rng(4).integers(0, cli_mod.M_SEED_RANGE, size=6)
@@ -487,9 +507,31 @@ class TestOneWalkChecksBytes:
                         failures += 1
                         first = first or {"k": k, "m": int(m), "i": i,
                                           "lhs": res.lhs, "rhs": res.rhs}
-        doc = json.loads(fast[1][1])
+        doc = json.loads(slow[1][1])
         assert 0 < failures < doc["checks_run"]
         assert doc["failures"] == failures and doc["counterexample"] == first
+
+    @staticmethod
+    def _corrupt_level(real_table, k, images=(), powers=()):
+        """shift_table(k) with 1 added to the images and 2 to the powers of the
+        residues given at level k, which the check reads."""
+
+        def corrupted(top):
+            for n, level in enumerate(real_table(top)):
+                if n == k:  # the levels below build this one
+                    lanes = min(1 << k, LANE_BLOCK)
+                    for b, (image, power) in enumerate(level):
+                        image, power = _unpack(image, lanes), _unpack(power, lanes)
+                        for i in images:
+                            if i // lanes == b:
+                                image[i % lanes] += 1
+                        for i in powers:
+                            if i // lanes == b:
+                                power[i % lanes] += 2
+                        level[b] = _pack(image), _pack(power)
+                yield level
+
+        return corrupted
 
     def test_lemma7_corrupted_table(self, capsys, monkeypatch):
         # add 1 to T^k(i) for every i that is 3 mod 7 in the level the check
@@ -498,11 +540,7 @@ class TestOneWalkChecksBytes:
         real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
 
         def corrupted(k):
-            for n, (image, power) in enumerate(real_table(k)):
-                if n == k:  # the levels below build this one
-                    image = image.copy()
-                    image[3::7] += np.uint64(1)
-                yield image, power
+            return self._corrupt_level(real_table, k, images=range(3, 1 << k, 7))(k)
 
         def per_case(k, ms):
             lhs, rhs = [], []
@@ -512,7 +550,7 @@ class TestOneWalkChecksBytes:
                 for m in ms:
                     lhs.append(walk((int(m) << k) + i, k)[0])
                     rhs.append(3**p * int(m) + ti)
-            yield 0, np.array(lhs, dtype=np.uint64), np.array(rhs, dtype=np.uint64)
+            yield 0, len(lhs), _pack(array("Q", lhs)), _pack(array("Q", rhs))
 
         monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)
@@ -529,6 +567,29 @@ class TestOneWalkChecksBytes:
         doc = json.loads(fast[1][1])
         assert doc["failures"] == 6 * sum(len(range(3, 1 << k, 7)) for k in range(1, 8))
         assert doc["counterexample"] == {"k": 2, "m": m, "i": 3, "lhs": lhs, "rhs": lhs + 1}
+
+    @pytest.mark.parametrize("block", [4096, 5])
+    def test_lemma7_first_failure_in_a_later_block(self, capsys, monkeypatch, block):
+        # at k = 13 the power 3^p of residue 5000, in the second table block,
+        # is 2 too large, which shows only for m > 0; the image of 7000 is 1
+        # too large, which shows for every m.  The first failure is at
+        # (i 5000, m 5), the second draw, in a later block of checks than the
+        # first; with blocks of 5 checks the draws also span two blocks a row.
+        real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
+        corrupted = self._corrupt_level(real_table, 13, images=[7000], powers=[5000])
+        draws = [0, 5, 0, 3, 1 << 19, 0, 7]
+        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        monkeypatch.setattr(pcg64_mod, "seeded_draws", lambda *args: iter([draws]))
+        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
+        code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "13",
+                            "--samples", str(len(draws)), "--format", "json")
+        doc = json.loads(out)
+        assert code == EX_INCONCLUSIVE
+        assert doc["checks_run"] == len(draws) * ((1 << 14) - 2)
+        assert doc["failures"] == 4 + len(draws)
+        lhs = walk((5 << 13) + 5000, 13)[0]
+        assert doc["counterexample"] == {"k": 13, "m": 5, "i": 5000, "lhs": lhs,
+                                         "rhs": lhs + 2 * 5}
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from collatzlab.dynamics import (
     COLLATZ,
     DEFAULT_MAX_STEPS,
+    LANE_BLOCK,
     AnbParams,
     ParityExponents,
     StepKind,
@@ -19,6 +22,10 @@ from collatzlab.dynamics import (
     trajectory_general,
     trajectory_odd,
     two_adic_valuation,
+    _lane_ones,
+    _pack,
+    _packed_step,
+    _unpack,
 )
 from collatzlab.identities import _walk_shortcut_zero
 
@@ -265,6 +272,57 @@ class TestOddWalk:
                 odd_walk(bad)
         with pytest.raises(ValueError, match="max_steps must be >= 0"):
             odd_walk(7, max_steps=-1)
+
+
+# The largest odd lane whose step, (3x + 1) / 2, still fits in 64 bits, and
+# the largest even lane, whose x + 1 fills its lane without a carry.
+LANE_ODD_MAX = ((1 << 65) - 2) // 3 - 1
+LANE_EVEN_MAX = (1 << 64) - 2
+
+
+def packed_step_lanes(values):
+    """One `_packed_step` on the lanes `values`, unpacked: (images, mask lanes)."""
+    x, odd = _packed_step(_pack(array("Q", values)), _lane_ones(len(values)))
+    assert x.bit_length() <= 64 * len(values)  # nothing carried out of the top lane
+    return _unpack(x, len(values)).tolist(), _unpack(odd, len(values)).tolist()
+
+
+class TestPackedStep:
+    """The packed-lane step against the Python-int walk, one step per lane."""
+
+    def test_pack_round_trip(self):
+        values = [0, 1, LANE_EVEN_MAX + 1, 12345, LANE_ODD_MAX]
+        assert _unpack(_pack(array("Q", values)), len(values)).tolist() == values
+        assert _pack(array("Q", values)) == sum(v << 64 * j for j, v in enumerate(values))
+        assert _lane_ones(3) == 1 | 1 << 64 | 1 << 128
+
+    def test_largest_lanes(self):
+        # the largest values that fit, next to T(0) lanes and to each other
+        assert LANE_ODD_MAX % 2
+        assert (3 * LANE_ODD_MAX + 1) // 2 < 1 << 64 <= (3 * (LANE_ODD_MAX + 2) + 1) // 2
+        values = [LANE_ODD_MAX, 0, LANE_EVEN_MAX, LANE_ODD_MAX, LANE_ODD_MAX - 2, 0, 1, 0]
+        images, mask = packed_step_lanes(values)
+        assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
+        assert mask == [(1 << 64) - 1 if x % 2 else 0 for x in values]
+
+    def test_zero_lanes(self):
+        # T(0) = 0: a block of zeros stays zero, and a zero lane between odd
+        # lanes takes nothing from them
+        assert _packed_step(0, _lane_ones(LANE_BLOCK)) == (0, 0)
+        images, mask = packed_step_lanes([7, 0, 7, 0])
+        assert images == [11, 0, 11, 0] and mask[1] == mask[3] == 0
+
+    @given(st.lists(st.integers(0, LANE_ODD_MAX), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_random_lanes(self, values):
+        images, mask = packed_step_lanes(values)
+        assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
+        assert mask == [(1 << 64) - 1 if x % 2 else 0 for x in values]
+
+    def test_full_block(self):
+        values = [(x * 0x9E3779B97F4A7C15) % LANE_ODD_MAX for x in range(LANE_BLOCK)]
+        images, _ = packed_step_lanes(values)
+        assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
 
 
 class TestShortcutConsistency:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import halfsplit
-from collatzlab.dynamics import StepKind
+from collatzlab.dynamics import LANE_BLOCK, StepKind, _lane_ones, _unpack
 from collatzlab.halfsplit import (
     CLASSES_UINT64_MAX_STEP,
     DIRECT_ELEMENT_STEP_LIMIT,
@@ -219,11 +219,31 @@ class TestRefinement:
         assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
 
 
+def level_lanes(level, n):
+    """Level n of `shift_table`, unpacked: the lists (T^n(i), 3^p) over i < 2^n."""
+    lanes = min(1 << n, LANE_BLOCK)
+    assert len(level) == (1 << n) // lanes
+    images, powers = [], []
+    for image, power in level:
+        # no lane carried past the block's last
+        assert max(image.bit_length(), power.bit_length()) <= 64 * lanes
+        images += _unpack(image, lanes)
+        powers += _unpack(power, lanes)
+    return images, powers
+
+
+def step_parities(level, n):
+    """From level n, the parity of T^n(i) for each i < 2^(n+1); i + 2^n takes
+    that of T^n(i) + 3^p, the shift law at m = 1."""
+    images, powers = level_lanes(level, n)
+    return [y & 1 for y in images] + [(y + w) & 1 for y, w in zip(images, powers)]
+
+
 class TestShiftTable:
     """Every level of the table against the walk of each residue."""
 
     def test_every_residue(self):
-        levels = [(image.tolist(), power.tolist()) for image, power in shift_table(12)]
+        levels = [level_lanes(level, n) for n, level in enumerate(shift_table(12))]
         assert len(levels) == 13
         for n, (image, power) in enumerate(levels):
             assert len(image) == len(power) == 1 << n
@@ -231,19 +251,55 @@ class TestShiftTable:
                 y, p = _walk_shortcut_zero(i, n)
                 assert (image[i], power[i]) == (y, 3**p)
 
+    def test_block_border(self):
+        # level 12 fills one block, and level 13 is the first of two blocks
+        for n, level in enumerate(shift_table(13)):
+            if n >= 12:
+                assert len(level) == 1 << n - 12
+                image, power = level_lanes(level, n)
+                for i in range(1 << n):
+                    y, p = _walk_shortcut_zero(i, n)
+                    assert (image[i], power[i]) == (y, 3**p)
+
+    def test_level_replaces_the_last(self):
+        # the same list at every level, refilled in place
+        levels = iter(shift_table(14))
+        first = next(levels)
+        assert all(level is first for level in levels)
+        assert len(first) == 4
+
     @given(st.integers(13, 20), st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=30))
     @settings(max_examples=15, deadline=None)
     def test_sampled_residues(self, n, draws):
-        *_, (image, power) = shift_table(n)
+        *_, level = shift_table(n)
+        image, power = level_lanes(level, n)
         for i in (d % (1 << n) for d in draws):
             y, p = _walk_shortcut_zero(i, n)
-            assert (int(image[i]), int(power[i])) == (y, 3**p)
+            assert (image[i], power[i]) == (y, 3**p)
 
     def test_step_parities(self):
         # level n gives the step-(n+1) parity of every residue mod 2^(n+1)
-        for n, (image, power) in enumerate(shift_table(10)):
-            odd = halfsplit._step_parities(image, power).tolist()
+        for n, level in enumerate(shift_table(10)):
+            odd = step_parities(level, n)
             assert odd == [_walk_shortcut_zero(i, n)[0] & 1 for i in range(2 << n)]
+
+    def test_largest_admitted_level(self):
+        # the level the uint64 guard admits last, 39, cannot be built here: step
+        # the largest lanes a table forms there, T^38(i) + 3^p for the residue
+        # i = 2^38 - 1, which increases at every step, as the table refines them
+        n = CLASSES_UINT64_MAX_STEP - 2
+        starts = [(1 << n) - 1, (1 << n + 1) - 1, (1 << n) - 3, 0]
+        image = power = 0
+        for j, i in enumerate(starts):
+            y, p = _walk_shortcut_zero(i % (1 << n), n)
+            image |= y + 3**p * (i >> n) << 64 * j
+            power |= 3**p << 64 * j
+        image, power = halfsplit._refined_step(image, power, _lane_ones(len(starts)))
+        expect = [_walk_shortcut_zero(i, n + 1) for i in starts]
+        assert _unpack(image, len(starts)).tolist() == [y for y, _ in expect]
+        assert _unpack(power, len(starts)).tolist() == [3**p for _, p in expect]
+        # the tally of step 40 reads level 39 as T^39(i) + 3^p < 2 * 3^39 < 2^64
+        assert expect[1] == (3 ** (n + 1) - 1, n + 1)
 
 
 class TestMerge:
@@ -302,12 +358,12 @@ def _class_kinds(n):
     """The step-n direction of each residue class mod 2^n, from level n - 1 of the table."""
     *_, level = shift_table(n - 1)
     kinds = (StepKind.DECREASE, StepKind.INCREASE)
-    return [kinds[odd] for odd in halfsplit._step_parities(*level).tolist()]
+    return [kinds[odd] for odd in step_parities(level, n - 1)]
 
 
 class TestClassSplit:
-    """The class split of step n: the directions `_step_parities` reads off the
-    shift table for the residues mod 2^n, against the walk of each element."""
+    """The class split of step n: the directions read off the shift table for
+    the residues mod 2^n, against the walk of each element."""
 
     def test_step1_parity(self):
         assert _class_kinds(1) == [StepKind.DECREASE, StepKind.INCREASE]
@@ -354,8 +410,8 @@ class TestProofCaseTable:
     @pytest.mark.parametrize("n", range(17))
     def test_no_mismatches(self, n):
         *_, level = shift_table(n)
-        odd = halfsplit._step_parities(*level)
-        assert (odd[: 1 << n] ^ odd[1 << n :] == 1).all()
+        odd = step_parities(level, n)
+        assert all(lo ^ hi == 1 for lo, hi in zip(odd[: 1 << n], odd[1 << n :]))
 
 
 class TestSweepToOne:

@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from collatzlab import identities as ident_mod
 from collatzlab.dynamics import (
     StepKind,
+    _pack,
+    _unpack,
     odd_steps_extended,
     odd_walk,
     trajectory_general,
@@ -95,26 +98,32 @@ class TestResidueShift:
 
 
 def shift_grid(k, ms):
-    """All (g0, lhs, rhs) blocks of residue_shift_blocks, checked to tile the grid."""
+    """All (g0, count, lhs, rhs) blocks of residue_shift_blocks, checked to tile the
+    grid, unpacked into the lists of left and right sides in g order."""
     blocks = list(residue_shift_blocks(k, ms))
-    offsets = [g0 for g0, _, _ in blocks]
-    sizes = [lhs.size for _, lhs, _ in blocks]
+    offsets = [g0 for g0, *_ in blocks]
+    sizes = [count for _, count, _, _ in blocks]
     assert offsets == [sum(sizes[:n]) for n in range(len(blocks))]
     assert sum(sizes) == len(ms) << k
-    for _, lhs, rhs in blocks:
-        assert lhs.dtype == rhs.dtype == np.uint64 and lhs.shape == rhs.shape
-    return np.concatenate([lhs for _, lhs, _ in blocks]), np.concatenate(
-        [rhs for _, _, rhs in blocks]
-    )
+    lhs, rhs = [], []
+    for _, count, left, right in blocks:
+        # no lane carried past the block's last
+        assert max(left.bit_length(), right.bit_length()) <= 64 * count
+        lhs += _unpack(left, count)
+        rhs += _unpack(right, count)
+    return lhs, rhs
 
 
-MS = np.array([5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77])
+MS = [5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77]
 
 
 class TestResidueShiftBlocks:
-    """The blocked uint64 checks against residue_shift_check, case by case."""
+    """The blocked packed checks against residue_shift_check, case by case."""
 
-    @pytest.mark.parametrize("block", [8192, 7, 9, 1])
+    # at 9 values of m: whole rows, a level in one block (8192) or in
+    # several with a short last one (50); pieces of rows (7); one row a
+    # block (9); one check a block (1)
+    @pytest.mark.parametrize("block", [8192, 7, 9, 1, 50])
     def test_every_case_small_k(self, monkeypatch, block):
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
         for k in range(1, 9 if block > 1 else 6):
@@ -122,31 +131,48 @@ class TestResidueShiftBlocks:
             for i in range(1 << k):
                 for pos, m in enumerate(MS):
                     g = i * len(MS) + pos
-                    res = residue_shift_check(k, int(m), i)
-                    assert (int(lhs[g]), int(rhs[g])) == (res.lhs, res.rhs)
+                    res = residue_shift_check(k, m, i)
+                    assert (lhs[g], rhs[g]) == (res.lhs, res.rhs)
+
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_table_block_border(self, k):
+        # level 12 is one table block of 2^12 residues, level 13 two: the
+        # blocks of checks end at each table block's end
+        ms = [SHIFT_M_BOUND - 1, 0, 6]
+        lhs, rhs = shift_grid(k, ms)
+        for i in range(1 << k):
+            for pos, m in enumerate(ms):
+                res = residue_shift_check(k, m, i)
+                assert (lhs[i * len(ms) + pos], rhs[i * len(ms) + pos]) == (res.lhs, res.rhs)
+
+    def test_numpy_draws(self):
+        # the drawn m come as numpy's int64 array above the draw crossover
+        assert shift_grid(6, np.array(MS)) == shift_grid(6, MS)
 
     @given(st.integers(9, 14), st.lists(st.integers(0, SHIFT_M_BOUND - 1), min_size=1, max_size=5),
            st.data())
     @settings(max_examples=40, deadline=None)
     def test_sampled_cases(self, k, ms, data):
-        lhs, rhs = shift_grid(k, np.array(ms))
+        lhs, rhs = shift_grid(k, ms)
         for _ in range(20):
             i = data.draw(st.integers(0, (1 << k) - 1))
             pos = data.draw(st.integers(0, len(ms) - 1))
             res = residue_shift_check(k, ms[pos], i)
             g = i * len(ms) + pos
-            assert (int(lhs[g]), int(rhs[g])) == (res.lhs, res.rhs)
+            assert (lhs[g], rhs[g]) == (res.lhs, res.rhs)
 
     def test_uint64_bound(self):
         # every value formed stays below 3^k (m + 1) <= 3^k * SHIFT_M_BOUND
         assert 3**SHIFT_UINT64_MAX_K * SHIFT_M_BOUND <= 1 << 64
         assert 3 ** (SHIFT_UINT64_MAX_K + 1) * SHIFT_M_BOUND > 1 << 64
-        # the residue 2^k - 1 increases at every step, the largest growth
+        # the residue 2^k - 1 increases at every step, the largest growth;
+        # the walk of 0 stays at 0 between the lanes that grow most
         k, m = SHIFT_UINT64_MAX_K, SHIFT_M_BOUND - 1
-        starts = [(m << k) + (1 << k) - 1, (1 << k) - 1, (m << k) + (1 << k) - 3]
-        walked = np.array(starts, dtype=np.uint64)
-        ident_mod._walk_shortcut_zero_array(walked, k)
-        assert walked.tolist() == [ident_mod._walk_shortcut_zero(x, k)[0] for x in starts]
+        starts = [(m << k) + (1 << k) - 1, 0, (1 << k) - 1, (m << k) + (1 << k) - 3, 0]
+        walked = ident_mod._walk_packed(_pack(array("Q", starts)), len(starts), k)
+        assert walked.bit_length() <= 64 * (len(starts) - 1)  # the top lane walked 0
+        walked = _unpack(walked, len(starts)).tolist()
+        assert walked == [ident_mod._walk_shortcut_zero(x, k)[0] for x in starts]
         assert walked[0] == 3**k * (m + 1) - 1
 
     def test_validation(self):

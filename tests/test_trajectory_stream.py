@@ -349,6 +349,9 @@ def probe(*argv):
         # seeded draws below the crossover run on the owned PCG64 stream
         ("verify", "anb-eq", "--samples", "200", "--max-n", "50"),
         ("montecarlo", "--length", "100", "--samples", "14"),
+        # the shift-law table and the lemma7 walks run on packed lanes of ints
+        ("verify", "lemma7", "--max-k", "4"),
+        ("verify", "halfsplit", "--M", "18", "--method", "classes"),
     ],
 )
 def test_light_commands_load_no_numpy_or_pool(argv):
@@ -367,7 +370,8 @@ def test_sweep_in_process_loads_no_pool():
     "argv",
     [
         ("sweep", "--limit", "1000", "--threads", "2"),
-        ("verify", "lemma7", "--max-k", "4"),
+        # 300,000 draws of m: above the crossover, numpy's Generator draws them
+        ("verify", "lemma7", "--max-k", "1", "--samples", "300000"),
         # 10^7 coins: above the crossover, numpy's Generator draws them
         ("montecarlo", "--length", "10000", "--samples", "1000"),
     ],
@@ -375,6 +379,37 @@ def test_sweep_in_process_loads_no_pool():
 def test_heavy_commands_still_load_them(argv):
     code, loaded = probe(*argv)
     assert code == EX_OK and "numpy" in loaded
+
+
+BLAS_PROBE = """
+import os, sys
+from collatzlab import cli
+seen, run = [], cli._main
+def spy(argv):
+    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return run(argv)
+cli._main = spy
+code = cli.main(sys.argv[1:])
+print(code, seen, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("3", "3")])
+def test_openblas_one_thread_unless_set(caller, seen):
+    # main asks OpenBLAS for one thread before numpy can load, keeps a
+    # setting the caller made, and leaves the environment as it found it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, "sweep", "--limit", "1000", "--threads", "1",
+         "--output", os.devnull],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{EX_OK} {[seen]} {caller}"
 
 
 # VmHWM, the peak RSS of this process image: ru_maxrss would carry the peak
