@@ -386,28 +386,23 @@ def _catalog(
 
 
 def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:
-    """An upper bound on the bytes one walk of `cycle_catalog` holds, past 6,630 steps.
+    """An upper bound on the bytes one walk of `cycle_catalog` holds.
 
-    Per step it counts a value of at most start_limit.bit_length() +
-    j log2((a + b)/2) bits at step j ((ax + b)/2^k <= (a + b) x / 2), as an
-    int of 4 bytes per 30 bits, and 128 bytes.  A walk holds no value but the
-    current one.  It holds one fingerprint a step for up to max_steps + S <=
-    2 max_steps steps, S being how far it walks on to settle its later starts
-    (see `_settle_later_starts`), at most about 175 bytes each (tracemalloc
-    peaks of sets of 61-bit ints); a step and a value, 16 bytes, for each
-    value below 2^64; and a pair and a `settled` entry, about 200 bytes, for
-    each of its at most max_steps later starts.  That is at most about 570
-    bytes a step, which the 128 bytes and the bits pass from about 6,630
-    steps on (a + b >= 4 puts max_steps / 15 bytes a step in the bits);
-    below that a walk holds at most about 3.8 MB.  Measured peaks are lower:
-    (5, 1) walks from 7 hold 87 bytes a step at 10,000 steps and 165 at
-    20,000, and a (3, 3299) walk from 1 with a later start at every step
-    (S = max_steps = 1,000) holds 281.
+    A walk holds no value but the current one, and one fingerprint a step for
+    up to max_steps + S + 1 <= 2 max_steps + 1 steps, S being how far it walks
+    on to settle its later starts (see `_settle_later_starts`).  A step costs
+    at most about 570 bytes: a fingerprint, about 175 (tracemalloc peaks of
+    sets of 61-bit ints, twice); a step and a value, 16, for each value below
+    2^64; and a pair and a `settled` entry, about 200, for each later start.
+    The last value has at most start_limit.bit_length() + j log2((a + b)/2)
+    bits at step j ((ax + b)/2^k <= (a + b) x / 2), 4 bytes per 30 bits.
+    Measured peaks are lower: (5, 1) walks from 7 hold 87 bytes a step at
+    10,000 steps and 165 at 20,000, and a (3, 3299) walk from 1 with a later
+    start at every step (S = max_steps = 1,000) holds 281.
     """
-    values = max_steps + 1
-    bits = values * start_limit.bit_length()
-    bits += math.log2((params.a + params.b) / 2) * max_steps * values / 2
-    return values * 128 + math.ceil(bits * 4 / 30)
+    steps = 2 * max_steps + 1
+    bits = start_limit.bit_length() + math.log2((params.a + params.b) / 2) * steps
+    return 570 * steps + math.ceil(bits * 4 / 30)
 
 
 def _catalog_walk(

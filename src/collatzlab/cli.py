@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Subcommands: trajectory, verify, montecarlo, sweep, anb-cycles.  Output is
-text, JSON (JSON-lines for trajectory rows, a single document elsewhere), or
-CSV; every JSON payload names its schema, shipped under collatzlab/schemas/.
+Subcommands: trajectory, verify, montecarlo, sweep, anb-cycles.  Each is one
+entry of `COMMANDS`, and each check of verify one entry of `CHECKS`: its
+options, with the bounds checked before it runs, and its runner.  Output is
+text, JSON or CSV, written as it is produced: trajectory rows as JSON lines,
+and every other document as one JSON document whose long list (montecarlo's
+rows, sweep's failures) is encoded a block at a time, never held whole.
+Every JSON payload names its schema, shipped under collatzlab/schemas/.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 step limit or
 failed/inconclusive check, 3 resource limit.  Output bytes depend only on the
@@ -15,14 +19,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import decimal
-import io
 import itertools
 import json
 import math
 import os
 import sys
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 # dynamics is the one engine module loaded here; the others, numpy, csv and
 # the statistics modules load inside the commands that use them.
@@ -69,19 +73,20 @@ ANB_EQ_CHECK_LIMIT = 1 << 22
 # takes 120,063.
 CYCLES_STEP_LIMIT = 1 << 24
 
-# anb-cycles holds one walk at a time, of up to 2 x --max-steps steps with
-# the ones it takes to settle later starts; above this many bytes by
-# anb.catalog_walk_bytes, an upper bound on what a walk holds past 6,630
-# steps, it stops with exit 3 (the default run estimates 12 MB; its longest
-# walk holds 0.95 MB).
+# anb-cycles holds one walk at a time, of up to 2 x --max-steps + 1 steps
+# with the ones it takes to settle later starts; above this many bytes by
+# anb.catalog_walk_bytes, about 570 bytes a step and the walk's last value,
+# it stops with exit 3 (the default run estimates 11.4 MB; its longest walk
+# holds 0.95 MB).  At --limit 100 it admits --max-steps up to 235,381.
 CYCLES_MEMORY_LIMIT = 1 << 28
 
 # Generated montecarlo draws each sample's --length coins as one array, one
 # byte a coin, when numpy draws them (4.5 ns a coin with its sum, 2-vCPU VM,
-# numpy 2.4), and holds a document row per sample (about 1.8 KB and 55
-# microseconds a row at --samples 10^5 --length 2: 5.6 s, 215 MB peak).  Above
-# MC_LENGTH_LIMIT coins a sample, MC_COIN_LIMIT coins in all (about 20 s) or
-# MC_SAMPLE_LIMIT samples (about 240 MB of rows) it stops with exit 3.
+# numpy 2.4), and holds each sample's (xi, zeros, ones) and three doubles while
+# its rows stream out (120-150 bytes a sample under tracemalloc at --length 2).
+# Above MC_LENGTH_LIMIT coins a sample, MC_COIN_LIMIT coins in all (about 20 s)
+# or MC_SAMPLE_LIMIT samples it stops with exit 3: stats.t_critical does O(df)
+# work a level, 0.74 s for the three levels at df = 131,071 (2-vCPU VM).
 MC_LENGTH_LIMIT = 1 << 28
 MC_COIN_LIMIT = 1 << 32
 MC_SAMPLE_LIMIT = 1 << 17
@@ -104,32 +109,19 @@ THREADS_LIMIT = 256
 # worker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
 SWEEP_START_LIMIT = 10**9
 
-# sweep holds each failure as an int until the document is rendered: the JSON
-# run peaks about 134 bytes a failure higher (--max-steps 0 at --limit 10^6 and
-# 2 x 10^6, 2-vCPU VM), text 76 and csv 58, and a 10-digit start adds about 6.
-# Above 2^28 bytes of failures at 140 bytes each the survey stops with exit 3,
-# checked piece by piece before the failures are held.
-SWEEP_FAILURE_LIMIT = (1 << 28) // 140
+# sweep holds each failure as an int while its document streams out: the run
+# peaks 50-60 bytes a failure higher in every format (--max-steps 0 at
+# --limit 10^6 to 4 x 10^6, 2-vCPU VM).  Above 2^28 bytes of failures at 60
+# bytes each the survey stops with exit 3, checked piece by piece before the
+# failures are held.
+SWEEP_FAILURE_BYTES = 60
+SWEEP_FAILURE_LIMIT = (1 << 28) // SWEEP_FAILURE_BYTES
 
-# Integer bounds of each command's (for verify, each check's) arguments, checked
-# in order before it runs: (attribute, least, largest or None, name printed).
-# _AN_B checks the (a, b) of an an+b map; trajectory's for --map anb only.
-_AN_B = ("a", "b")
-_SEED = ("seed", 0, None, "--seed")
-_MAX_STEPS = ("max_steps", 0, None, "--max-steps")
-_MAX_X0 = ("max_x0", 0, None, "--max-x0")
-_BOUNDS = {
-    "trajectory": (("x0", 1, None, "x0"), ("max_steps", 0, None, "max-steps"), _AN_B),
-    "lemma7": (("max_k", 1, None, "--max-k"), ("samples", 0, None, "--samples"), _SEED),
-    "eq2": (_MAX_X0,),
-    "bohm": (_MAX_X0,),
-    "geom": (("max_n", 0, None, "--max-n"), ("max_m", 0, None, "--max-m")),
-    "anb-eq": (_AN_B, ("samples", 0, None, "--samples"), ("max_n", 0, None, "--max-n"), _SEED),
-    "montecarlo": (("length", 2, None, "--length"), ("samples", 2, None, "--samples"), _SEED),
-    "sweep": (("limit", 1, None, "--limit"), _MAX_STEPS,
-              ("threads", 1, THREADS_LIMIT, "--threads")),
-    "anb-cycles": (_AN_B, ("limit", 1, None, "--limit"), _MAX_STEPS),
-}
+# Items of a streamed JSON list encoded at a time: one encoder call a block
+# costs less than one an item, and a block of montecarlo rows is about 170 KB.
+_JSON_BLOCK = 1024
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_MARK = "\0"  # stands in for a streamed list while the rest of its document encodes
 
 # Decimal arithmetic that is exact or traps: unbounded precision and exponent.
 _EXACT = decimal.Context(
@@ -149,97 +141,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class Option(NamedTuple):
+    """One option: its argparse fields, and the bounds checked before a run.
+
+    A bound's message names the option by label, or else by flag.  `--b`
+    closes the (a, b) pair, where the an+b map is checked (for trajectory,
+    only with --map anb).
+    """
+
+    flag: str
+    default: object = None
+    help: str | None = None
+    type: Callable | None = int
+    choices: tuple | None = None
+    least: int | None = None
+    most: int | None = None
+    label: str | None = None
+    required: bool = False
+
+
+class Command(NamedTuple):
+    """A command or a verify check: its help, its options in the order their
+    bounds are checked, and its runner."""
+
+    help: str
+    options: tuple[Option, ...]
+    run: Callable
+
+
 def _json_line(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _finite(x: float) -> float | str:
-    return x if math.isfinite(x) else repr(x)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="collatzlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_traj = sub.add_parser("trajectory", help="print one orbit with step directions")
-    p_traj.add_argument("x0", type=int, help="start value")
-    p_traj.add_argument(
-        "--map",
-        choices=["general", "odd", "anb"],
-        default="general",
-        help="shortcut map, odd-to-odd map, or generalized (a*x+b)/2^k",
-    )
-    p_traj.add_argument("--a", type=int, default=5, help="multiplier for --map anb")
-    p_traj.add_argument("--b", type=int, default=1, help="offset for --map anb")
-    p_traj.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    _add_output_args(p_traj)
-
-    p_verify = sub.add_parser("verify", help="run one exhaustive identity check")
-    p_verify.add_argument(
-        "check",
-        choices=["lemma7", "eq2", "bohm", "geom", "anb-eq", "halfsplit"],
-        help=(
-            "lemma7: residue-class shift law; eq2: odd-trajectory closed form; "
-            "bohm: start reconstruction from division exponents; geom: geometric "
-            "tail sum; anb-eq: generalized closed form; halfsplit: step tallies "
-            "over 1..2^M"
-        ),
-    )
-    p_verify.add_argument("--max-k", type=int, default=12, help="lemma7: largest modulus exponent")
-    p_verify.add_argument("--samples", type=int, default=100, help="lemma7/anb-eq: seeded draws")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-x0", type=int, default=9999, help="eq2/bohm: odd-start bound")
-    p_verify.add_argument("--max-n", type=int, default=50, help="geom/anb-eq: step bound")
-    p_verify.add_argument("--max-m", type=int, default=50, help="geom: extra-step bound")
-    p_verify.add_argument("--a", type=int, default=5)
-    p_verify.add_argument("--b", type=int, default=1)
-    p_verify.add_argument("--M", type=int, default=10, help="halfsplit: range is 1..2^M")
-    p_verify.add_argument("--steps", type=int, default=None, help="halfsplit: steps to tally")
-    p_verify.add_argument("--lo", type=int, default=None, help="halfsplit: subrange low end")
-    p_verify.add_argument("--hi", type=int, default=None, help="halfsplit: subrange high end")
-    p_verify.add_argument("--method", choices=["direct", "classes"], default="direct")
-    _add_output_args(p_verify)
-
-    p_mc = sub.add_parser("montecarlo", help="seeded 0/1 drift-ratio experiment")
-    p_mc.add_argument("--length", type=int, default=MC_SAMPLE_LENGTH, help="bits per sample")
-    p_mc.add_argument("--samples", type=int, default=14)
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument(
-        "--level",
-        choices=["95", "98", "99", "all"],
-        default="all",
-        help="confidence level(s) for the interval block",
-    )
-    p_mc.add_argument(
-        "--fixture",
-        choices=[MC_FIXTURE_NAME],
-        default=None,
-        help="use the embedded published 14-row table instead of generating",
-    )
-    _add_output_args(p_mc)
-
-    p_sweep = sub.add_parser("sweep", help="walk every start in 1..limit to 1")
-    p_sweep.add_argument("--limit", type=int, required=True)
-    p_sweep.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p_sweep.add_argument(
-        "--threads", type=int, default=1,
-        help=f"worker processes, 1..{THREADS_LIMIT} (the pool never exceeds the CPUs)",
-    )
-    _add_output_args(p_sweep)
-
-    p_cyc = sub.add_parser("anb-cycles", help="catalog cycles of one (a, b) map")
-    p_cyc.add_argument("--a", type=int, default=5)
-    p_cyc.add_argument("--b", type=int, default=1)
-    p_cyc.add_argument("--limit", type=int, default=100, help="odd starts searched")
-    p_cyc.add_argument("--max-steps", type=int, default=10**4)
-    _add_output_args(p_cyc)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options + _OUTPUT_OPTIONS:  # a positional takes no `required`
+            p.add_argument(opt.flag, type=opt.type, default=opt.default, choices=opt.choices,
+                           help=opt.help, **({"required": True} if opt.required else {}))
     return parser
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--output", default=None, help="file path (default: stdout)")
 
 
 class _Output:
@@ -323,19 +265,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    handlers = {
-        "trajectory": _cmd_trajectory,
-        "verify": _cmd_verify,
-        "montecarlo": _cmd_montecarlo,
-        "sweep": _cmd_sweep,
-        "anb-cycles": _cmd_cycles,
-    }
     out = None
     try:
         args = build_parser().parse_args(argv)
-        _check_args(args)
+        command = COMMANDS[args.command]
+        _check_args(args, CHECKS[args.check] if args.command == "verify" else command)
         out = _Output(args.output)
-        return handlers[args.command](args, out.write)
+        return command.run(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -347,19 +283,18 @@ def _main(argv: list[str] | None) -> int:
             out.close()
 
 
-def _check_args(args: argparse.Namespace) -> None:
-    """Check the bounds of `_BOUNDS` in order; set args.params to the an+b map, if any."""
+def _check_args(args: argparse.Namespace, command: Command) -> None:
+    """Check the bounds of the command's options in order; set args.params to the an+b map."""
     args.params = None
     if getattr(args, "fixture", None):
         return  # the published table sets its own length and samples
-    for bound in _BOUNDS.get(args.check if args.command == "verify" else args.command, ()):
-        if bound is not _AN_B:
-            name, least, most, label = bound
-            if getattr(args, name) < least:
-                raise UsageError(f"{label} must be >= {least}")
-            if most is not None and getattr(args, name) > most:
-                raise UsageError(f"{label} must be <= {most}")
-        elif getattr(args, "map", "anb") == "anb":
+    for opt in command.options:
+        value = getattr(args, opt.flag.lstrip("-").replace("-", "_"))  # argparse's dest
+        if opt.least is not None and value < opt.least:
+            raise UsageError(f"{opt.label or opt.flag} must be >= {opt.least}")
+        if opt.most is not None and value > opt.most:
+            raise UsageError(f"{opt.label or opt.flag} must be <= {opt.most}")
+        if opt.flag == "--b" and getattr(args, "map", "anb") == "anb":
             try:
                 args.params = AnbParams(a=args.a, b=args.b)
             except ValueError as exc:
@@ -371,33 +306,61 @@ def _budget(work: int, limit: int, message: str) -> None:
         raise ResourceLimitError(message)
 
 
-def _emit(args: argparse.Namespace, write: Callable[[str], None], doc: dict,
-          table: Callable[[], list], lines: Callable[[], list]) -> None:
-    """Write doc as JSON, the CSV rows of table() (a str row is a comment), or lines()."""
+def _blocks(items: Iterable) -> Iterable[list]:
+    """The items in lists of `_JSON_BLOCK`, the last one shorter."""
+    items = iter(items)
+    while block := list(itertools.islice(items, _JSON_BLOCK)):
+        yield block
+
+
+def _write_json(out: _Output, doc: dict, key: str | None = None) -> None:
+    """Write json.dumps(doc, sort_keys=True, indent=2) + "\\n", with doc[key] streamed.
+
+    doc[key], any iterable, is read once and written as a list: the document
+    is encoded around a one-item placeholder list, and the items are encoded
+    `_JSON_BLOCK` at a time in its place, each block's lines indented as deep
+    as the placeholder's.
+    """
+    blocks = _blocks(doc[key] if key else ())
+    block = next(blocks, None)
+    if block is None:
+        out.write(_JSON.encode({**doc, key: []} if key else doc) + "\n")
+        return
+    head, tail = _JSON.encode({**doc, key: [_MARK]}).split(_JSON.encode(_MARK))
+    indent = head[len(head.rstrip(" ")):]  # the item lines' indent; an encoded block's is 2
+    sep = head
+    while block is not None:  # each block's items, less its "[\n  " and "\n]"
+        out.write(sep + _JSON.encode(block)[4:-2].replace("\n", "\n" + indent[2:]))
+        block, sep = next(blocks, None), ",\n" + indent
+    out.write(tail + "\n")
+
+
+def _emit(args: argparse.Namespace, out: _Output, doc: dict,
+          table: Callable[[], Iterable], text: Callable[[], Iterable[str]],
+          key: str | None = None) -> None:
+    """Write doc as JSON (doc[key] streamed), the CSV rows of table(), or the pieces of text()."""
     if args.format == "json":
-        write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_json(out, doc, key)
     elif args.format == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in table():
-            if isinstance(row, str):
-                buf.write(row + "\n")
-            else:
-                writer.writerow(row)
-        write(buf.getvalue())
+        csv.writer(out).writerows(table())
     else:
-        write("\n".join(lines()) + "\n")
+        for piece in text():
+            out.write(piece)
 
 
 # ---------------------------------------------------------------- trajectory
 
-# Per format: a step row from (step, from, to, kind, exponent field); the
-# exponent field of the general map and, from k, of the odd maps; the summary.
-# They give the bytes of `_json_line` and `csv.writer` rows.
+# Per format: the header from (start, map, max_steps and, for JSON, a and b,
+# or, for text, " a=A b=B" as ab); a step row from (step, from, to, kind,
+# exponent field); the exponent field of the general map and, from k, of the
+# odd maps; the summary.  They give the bytes of `_json_line` and
+# `csv.writer` rows.
 _TRAJECTORY_FORMATS = {
     "json": (
+        '{{"a":{a},"b":{b},"map":"{map}","max_steps":{max_steps},'
+        '"schema":"collatzlab/trajectory/v1","start":{start},"type":"header"}}\n',
         '{{"exponent":{4},"from":{1},"kind":"{3}","step":{0},"to":{2},"type":"step"}}\n',
         "null",
         "{}",
@@ -405,12 +368,14 @@ _TRAJECTORY_FORMATS = {
         '"terminated":"{terminated}","type":"summary"}}\n',
     ),
     "csv": (
+        "step,from,to,kind,exponent\r\n",
         "{0},{1},{2},{3},{4}\r\n",
         "",
         "{}",
         "# terminated={terminated} final={final}\n",
     ),
     "text": (
+        "# start={start} map={map}{ab} max_steps={max_steps}\n",
         "{0:>5} {1} -> {2} {3}{4}\n",
         "",
         " k={}",
@@ -433,7 +398,7 @@ def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) 
     return _EXACT.divide(_EXACT.multiply(_EXACT.add(_EXACT.multiply(d, m), a), p5), p10)
 
 
-def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+def _cmd_trajectory(args: argparse.Namespace, out: _Output) -> int:
     """Stream one orbit: a header, one row per step as it is walked, a summary.
 
     Each value is rendered once, from the previous value's decimal form by
@@ -452,26 +417,11 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    row, no_exponent, exponent, foot = _TRAJECTORY_FORMATS[args.format]
-    if args.format == "json":
-        head = _json_line({
-            "type": "header",
-            "schema": "collatzlab/trajectory/v1",
-            "start": args.x0,
-            "map": args.map,
-            "a": params.a if params else None,
-            "b": params.b if params else None,
-            "max_steps": args.max_steps,
-        }) + "\n"
-    elif args.format == "csv":
-        head = "step,from,to,kind,exponent\r\n"
-    else:
-        head = (
-            f"# start={args.x0} map={args.map}"
-            + (f" a={params.a} b={params.b}" if params else "")
-            + f" max_steps={args.max_steps}\n"
-        )
-    write(head)
+    head, row, no_exponent, exponent, foot = _TRAJECTORY_FORMATS[args.format]
+    a, b = (params.a, params.b) if params else (None, None)
+    head = head.format(start=args.x0, map=args.map, max_steps=args.max_steps, a=_json_line(a),
+                       b=_json_line(b), ab=f" a={a} b={b}" if params else "")
+    out.write(head)
     written = len(head)
 
     general = args.map == "general"
@@ -490,7 +440,7 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
         if written > TRAJECTORY_OUTPUT_LIMIT:
             terminated = "resource-limit"
             break
-        write(line)
+        out.write(line)
         steps += 1
         x, text = y, y_text
 
@@ -510,10 +460,10 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
         else:
             done = Termination.STEP_LIMIT
         terminated = done.value
-    write(foot.format(cycle_json=_json_line(cycle), final=final, steps=steps,
-                      terminated=terminated))
+    out.write(foot.format(cycle_json=_json_line(cycle), final=final, steps=steps,
+                          terminated=terminated))
     if cycle and args.format == "text":
-        write(f"# cycle={cycle}\n")
+        out.write(f"# cycle={cycle}\n")
     # written counts the row left out, so it is over the budget only after a stop
     _budget(written, TRAJECTORY_OUTPUT_LIMIT,
             f"trajectory stopped after {steps} steps: the next row would take its "
@@ -524,60 +474,11 @@ def _cmd_trajectory(args: argparse.Namespace, write: Callable[[str], None]) -> i
 # -------------------------------------------------------------------- verify
 
 
-def _cmd_verify(args: argparse.Namespace, write: Callable[[str], None]) -> int:
-    runners = {
-        "lemma7": _verify_lemma7,
-        "eq2": _verify_eq2,
-        "bohm": _verify_bohm,
-        "geom": _verify_geom,
-        "anb-eq": _verify_anb_eq,
-        "halfsplit": _verify_halfsplit,
-    }
-    doc = _verify_doc(args.check)
-
-    def table() -> list:
-        if doc["report"]:  # the tallies, whose fields are in column order
-            tallies = doc["report"]["tallies"]
-            return [["step", "increases", "decreases", "within_theorem"]] + [
-                list(t.values()) for t in tallies
-            ]
-        keys = ["check", "checks_run", "failures", "passed"]
-        return [keys, [doc[k] for k in keys]]
-
-    def lines() -> list[str]:
-        lines = [
-            f"check={doc['check']} parameters={doc['parameters']}",
-            f"checks_run={doc['checks_run']} failures={doc['failures']} passed={doc['passed']}",
-        ]
-        if doc.get("error"):
-            lines.append(f"error: {doc['error']}")
-        if doc["counterexample"] is not None:
-            lines.append(f"first counterexample: {doc['counterexample']}")
-        if doc["report"]:
-            for t in doc["report"]["tallies"]:
-                flag = "" if t["within_theorem"] else "  [outside theorem range]"
-                lines.append(
-                    f"step {t['step']:>3}: increases={t['increases']} "
-                    f"decreases={t['decreases']}{flag}"
-                )
-        return lines
-
-    try:
-        runners[args.check](args, doc)
-    except ResourceLimitError as exc:
-        doc.update(passed=None, partial=True, error=str(exc))
-        _emit(args, write, doc, table, lines)
-        raise
-    _emit(args, write, doc, table, lines)
-    return EX_INCONCLUSIVE if doc["passed"] is False else EX_OK
-
-
-def _verify_doc(check: str) -> dict:
-    """The document a runner fills; runners set the parameters after their budgets."""
-    return {
+def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
+    doc = {
         "schema": "collatzlab/verify/v1",
-        "check": check,
-        "parameters": {},
+        "check": args.check,
+        "parameters": {},  # set by the runner after its budgets
         "checks_run": 0,
         "failures": 0,
         "passed": True,
@@ -585,6 +486,35 @@ def _verify_doc(check: str) -> dict:
         "partial": False,
         "report": None,
     }
+
+    def table() -> Iterable[list]:
+        if doc["report"]:  # the tallies, whose fields are in column order
+            yield ["step", "increases", "decreases", "within_theorem"]
+            yield from (list(t.values()) for t in doc["report"]["tallies"])
+        else:
+            keys = ["check", "checks_run", "failures", "passed"]
+            yield from (keys, [doc[k] for k in keys])
+
+    def text() -> Iterable[str]:
+        yield (f"check={doc['check']} parameters={doc['parameters']}\nchecks_run="
+               f"{doc['checks_run']} failures={doc['failures']} passed={doc['passed']}\n")
+        if doc.get("error"):
+            yield f"error: {doc['error']}\n"
+        if doc["counterexample"] is not None:
+            yield f"first counterexample: {doc['counterexample']}\n"
+        for t in doc["report"]["tallies"] if doc["report"] else ():
+            flag = "" if t["within_theorem"] else "  [outside theorem range]"
+            yield (f"step {t['step']:>3}: increases={t['increases']} "
+                   f"decreases={t['decreases']}{flag}\n")
+
+    try:
+        CHECKS[args.check].run(args, doc)
+    except ResourceLimitError as exc:
+        doc.update(passed=None, partial=True, error=str(exc))
+        _emit(args, out, doc, table, text)
+        raise
+    _emit(args, out, doc, table, text)
+    return EX_INCONCLUSIVE if doc["passed"] is False else EX_OK
 
 
 def _note_failure(doc: dict, counterexample: dict) -> None:
@@ -611,24 +541,17 @@ def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
         return  # no draws of m: no checks, and no residues worth visiting
     from .pcg64 import seeded_draws
 
-    (draws,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
-    ms = array("Q")
-    if hasattr(draws, "tobytes"):  # numpy's int64 array, above the draw crossover:
-        ms.frombytes(memoryview(draws).cast("B"))  # values below 2^20: uint64 bytes
-    else:  # a stream of ints
-        ms.extend(draws)
-    del draws
-    for k in range(1, args.max_k + 1):
-        for g0, count, lhs, rhs in ident_mod.residue_shift_blocks(k, ms):
-            doc["checks_run"] += count
-            if lhs == rhs:
-                continue
-            lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
-            bad = [j for j in range(count) if lhs[j] != rhs[j]]
-            i, pos = divmod(g0 + bad[0], args.samples)
-            _note_failure(doc, {"k": k, "m": ms[pos], "i": i,
-                                "lhs": lhs[bad[0]], "rhs": rhs[bad[0]]})
-            doc["failures"] += len(bad) - 1
+    (ms,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
+    for k, g0, count, lhs, rhs in ident_mod.residue_shift_blocks(args.max_k, ms):
+        doc["checks_run"] += count
+        if lhs == rhs:
+            continue
+        lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
+        bad = [j for j in range(count) if lhs[j] != rhs[j]]
+        i, pos = divmod(g0 + bad[0], args.samples)
+        _note_failure(doc, {"k": k, "m": ms[pos], "i": i,
+                            "lhs": lhs[bad[0]], "rhs": rhs[bad[0]]})
+        doc["failures"] += len(bad) - 1
 
 
 def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
@@ -641,15 +564,23 @@ def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
 
 
 def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:
-    from . import identities as ident_mod
-
     for x0 in _odd_starts(args, doc):
         values, exponents = odd_walk(x0)
-        checks = ident_mod.closed_form_checks(x0, values, exponents)
-        for n, res in enumerate(checks, start=1):
-            doc["checks_run"] += 1
-            if not res.holds:
-                _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
+        _tally_closed_form(doc, x0, values, exponents)
+
+
+def _tally_closed_form(doc: dict, x0: int, *walk) -> None:
+    """Run and count the closed-form checks n = 1, 2, ... of one walk from x0.
+
+    walk is the walk's odd values and exponents, and the an+b map's params
+    unless it is 3n+1: the arguments of `identities.closed_form_checks`.
+    """
+    from . import identities as ident_mod
+
+    for n, res in enumerate(ident_mod.closed_form_checks(x0, *walk), start=1):
+        doc["checks_run"] += 1
+        if not res.holds:
+            _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
 
 
 def _verify_bohm(args: argparse.Namespace, doc: dict) -> None:
@@ -695,19 +626,14 @@ def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
         "seed": args.seed,
     }
     from . import anb as anb_mod
-    from . import identities as ident_mod
     from .pcg64 import seeded_draws
 
     params = args.params
     (draws,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE // 2)
-    for m in map(int, draws):
+    for m in draws:
         x0 = 2 * m + 1
         values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
-        checks = ident_mod.closed_form_checks(x0, values, exps, params)
-        for n, res in enumerate(checks, start=1):
-            doc["checks_run"] += 1
-            if not res.holds:
-                _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
+        _tally_closed_form(doc, x0, values, exps, params)
 
 
 def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
@@ -747,33 +673,26 @@ def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
 # ---------------------------------------------------------------- montecarlo
 
 
-def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+def _cmd_montecarlo(args: argparse.Namespace, out: _Output) -> int:
     import statistics
 
     from . import stats as stats_mod
     from .reference_table import REFERENCE_ROWS, SAMPLE_LENGTH
 
     if args.fixture:
-        rows = [dataclasses.asdict(r) for r in REFERENCE_ROWS]
-        source = f"fixture:{args.fixture}"
-        seed = None
-        length = SAMPLE_LENGTH
-        published = stats_mod.interval_discrepancy_report()
-        published = {
-            "mean_one_plus_xi": published["mean_one_plus_xi"],
-            "reproducible": published["reproducible"],
-            "note": published["note"],
-            "levels": {
-                str(int(level * 100)): {
-                    "published": list(block["published"]),
-                    "computed_mu_normal": list(block["computed_mu_normal"]),
-                    "computed_mu_t": list(block["computed_mu_t"]),
-                    "computed_chi_normal": list(block["computed_chi_normal"]),
-                    "computed_chi_t": list(block["computed_chi_t"]),
-                }
-                for level, block in published["levels"].items()
-            },
+        source, seed, length = f"fixture:{args.fixture}", None, SAMPLE_LENGTH
+        report = stats_mod.interval_discrepancy_report()
+        published = {key: report[key] for key in ("mean_one_plus_xi", "reproducible", "note")}
+        published["levels"] = {
+            str(int(level * 100)): {k: v for k, v in block.items()
+                                    if not k.startswith("published_matches_")}
+            for level, block in report["levels"].items()
         }
+
+        columns = [(r.xi, r.one_plus_xi, r.indicator_std) for r in REFERENCE_ROWS]
+
+        def rows() -> Iterable[dict]:
+            return map(dataclasses.asdict, REFERENCE_ROWS)
     else:
         _budget(args.length, MC_LENGTH_LIMIT,
                 f"montecarlo draws {args.length} coins a sample, over the budget of "
@@ -784,37 +703,42 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
         _budget(args.samples, MC_SAMPLE_LIMIT,
                 f"montecarlo holds a row for each of {args.samples} samples, over the "
                 f"budget of {MC_SAMPLE_LIMIT}; lower --samples")
-        samples = stats_mod.sample_ratios(args.length, args.samples, args.seed)
-        rows = [
-            {
-                "sample": j + 1,
-                "zeros": s.zeros,
-                "ones": s.ones,
-                "xi": _finite(s.xi),
-                "one_plus_xi": _finite(1 + s.xi),
-                "indicator_std": stats_mod.indicator_sample_std(s.zeros, s.ones),
-                "chi": _finite(2.0 ** (1 + s.xi)) if math.isfinite(s.xi) else "inf",
-            }
-            for j, s in enumerate(samples)
-        ]
-        source = "generated"
-        seed = args.seed
-        length = args.length
+        source, seed, length = "generated", args.seed, args.length
         published = None
+        samples = stats_mod.sample_ratios(args.length, args.samples, args.seed)
+        columns = ((s.xi, 1 + s.xi, stats_mod.indicator_sample_std(s.zeros, s.ones))
+                   for s in samples)
 
-    one_plus = [r["one_plus_xi"] for r in rows if isinstance(r["one_plus_xi"], float)]
+        def rows() -> Iterable[dict]:  # made as they are read, from stds; xi is inf where ones is 0
+            for j, (s, std) in enumerate(zip(samples, stds), start=1):
+                finite = math.isfinite(s.xi)
+                yield {
+                    "sample": j,
+                    "zeros": s.zeros,
+                    "ones": s.ones,
+                    "xi": s.xi if finite else "inf",
+                    "one_plus_xi": 1 + s.xi if finite else "inf",
+                    "indicator_std": std,
+                    "chi": 2.0 ** (1 + s.xi) if finite else "inf",
+                }
+
+    # (xi, 1 + xi, indicator std) a sample, held as 24 bytes: xi and 1 + xi where finite
+    xis, one_plus, stds = array("d"), array("d"), array("d")
+    for xi, one_plus_xi, std in columns:
+        stds.append(std)
+        if math.isfinite(xi):
+            xis.append(xi)
+            one_plus.append(one_plus_xi)
     if len(one_plus) < 2:
         raise UsageError(
             "almost every sample drew zero increase bits; increase --length"
         )
     base = stats_mod.SampleStats.from_values(one_plus)
     stats_block = {
-        "mean_xi": statistics.fmean(
-            r["xi"] for r in rows if isinstance(r["xi"], float)
-        ),
+        "mean_xi": statistics.fmean(xis),
         "mean_one_plus_xi": base.mean,
         "std_one_plus_xi": base.std,
-        "mean_indicator_std": statistics.fmean(r["indicator_std"] for r in rows),
+        "mean_indicator_std": statistics.fmean(stds),
     }
     levels = [0.95, 0.98, 0.99] if args.level == "all" else [int(args.level) / 100]
     intervals = {str(int(level * 100)): stats_mod.level_intervals(base, level) for level in levels}
@@ -823,67 +747,56 @@ def _cmd_montecarlo(args: argparse.Namespace, write: Callable[[str], None]) -> i
         "source": source,
         "seed": seed,
         "length": length,
-        "samples": len(rows),
-        "rows": rows,
+        "samples": len(stds),
+        "rows": rows(),
         "stats": stats_block,
         "intervals": intervals,
         "published_comparison": published,
     }
-    head = f"# source={source} seed={seed} length={length} samples={len(rows)}"
+    head = f"# source={source} seed={seed} length={length} samples={len(stds)}"
 
-    def table() -> list:
-        return [head, ["sample", "xi", "one_plus_xi", "indicator_std", "chi"]] + [
-            [r["sample"], r["xi"], r["one_plus_xi"], f"{r['indicator_std']:.4f}", r["chi"]]
-            for r in rows
-        ]
+    def table() -> Iterable[list]:
+        out.write(head + "\n")  # a comment line ahead of the rows
+        yield ["sample", "xi", "one_plus_xi", "indicator_std", "chi"]
+        for r in rows():
+            yield [r["sample"], r["xi"], r["one_plus_xi"], f"{r['indicator_std']:.4f}", r["chi"]]
 
-    def lines() -> list[str]:
-        lines = [head, f"{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}"]
-        for r in rows:
-            lines.append(
-                f"{r['sample']:>6} {r['xi']:>8.4f} {r['one_plus_xi']:>8.4f} "
-                f"{r['indicator_std']:>8.4f} {r['chi']:>10.4f}"
-                if isinstance(r["xi"], float)
-                else f"{r['sample']:>6} {r['xi']:>8} {r['one_plus_xi']:>8} "
-                f"{r['indicator_std']:>8.4f} {r['chi']:>10}"
-            )
-        lines.append(
-            "mean(xi)={mean_xi:.6f} mean(1+xi)={mean_one_plus_xi:.6f} "
-            "std(1+xi)={std_one_plus_xi:.6f} mean(s)={mean_indicator_std:.6f}".format(
-                **stats_block
-            )
-        )
+    def text() -> Iterable[str]:
+        yield f"{head}\n{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}\n"
+        for r in rows():
+            f = ".4f" if isinstance(r["xi"], float) else ""  # "inf" as it is
+            yield (f"{r['sample']:>6} {r['xi']:>8{f}} {r['one_plus_xi']:>8{f}} "
+                   f"{r['indicator_std']:>8.4f} {r['chi']:>10{f}}\n")
+        yield ("mean(xi)={mean_xi:.6f} mean(1+xi)={mean_one_plus_xi:.6f} std(1+xi)="
+               "{std_one_plus_xi:.6f} mean(s)={mean_indicator_std:.6f}\n".format(**stats_block))
         for key in sorted(intervals):
             block = intervals[key]
-            lines.append(
+            yield (
                 f"{key}% mu normal [{block['mu_normal'][0]:.4f}, {block['mu_normal'][1]:.4f}] "
                 f"t [{block['mu_t'][0]:.4f}, {block['mu_t'][1]:.4f}] "
                 f"chi normal [{block['chi_normal'][0]:.4f}, {block['chi_normal'][1]:.4f}] "
-                f"t [{block['chi_t'][0]:.4f}, {block['chi_t'][1]:.4f}]"
+                f"t [{block['chi_t'][0]:.4f}, {block['chi_t'][1]:.4f}]\n"
             )
         if published:
-            lines.append(
-                "published bounds (same numbers in both printed tables) are not "
-                "reproduced by these rows:"
-            )
+            yield ("published bounds (same numbers in both printed tables) are not "
+                   "reproduced by these rows:\n")
             for key in sorted(published["levels"]):
                 block = published["levels"][key]
-                lines.append(
+                yield (
                     f"  {key}%: published [{block['published'][0]:.4f}, "
                     f"{block['published'][1]:.4f}] vs computed chi "
                     f"[{block['computed_chi_normal'][0]:.4f}, "
-                    f"{block['computed_chi_normal'][1]:.4f}]"
+                    f"{block['computed_chi_normal'][1]:.4f}]\n"
                 )
-        return lines
 
-    _emit(args, write, doc, table, lines)
+    _emit(args, out, doc, table, text, key="rows")
     return EX_OK
 
 
 # --------------------------------------------------------------------- sweep
 
 
-def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+def _cmd_sweep(args: argparse.Namespace, out: _Output) -> int:
     _budget(args.limit, SWEEP_START_LIMIT,
             f"sweep --limit {args.limit} is over the budget of {SWEEP_START_LIMIT} starts; "
             "lower --limit")
@@ -892,18 +805,19 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
     def hold(failures: int) -> None:
         _budget(failures, SWEEP_FAILURE_LIMIT,
                 f"sweep would hold {failures} failures, over the budget of "
-                f"{SWEEP_FAILURE_LIMIT} (about 140 bytes each); lower --limit or "
-                "raise --max-steps")
+                f"{SWEEP_FAILURE_LIMIT} (about {SWEEP_FAILURE_BYTES} bytes each); lower "
+                "--limit or raise --max-steps")
 
     survey = survey_range(
         1, args.limit + 1, max_steps=args.max_steps, workers=args.threads, failure_budget=hold
     )
+    failures = survey.failures
     doc = {
         "schema": "collatzlab/sweep/v1",
         "limit": args.limit,
         "max_steps": args.max_steps,
         "verified": survey.verified,
-        "failures": list(survey.failures),
+        "failures": failures,
         "max_total_stopping_time": survey.max_total_stopping_time,
         "tst_argmax": survey.tst_argmax,
         "max_ratio": survey.max_ratio,
@@ -911,26 +825,28 @@ def _cmd_sweep(args: argparse.Namespace, write: Callable[[str], None]) -> int:
         "max_excursion": survey.peak,
     }
     keys = list(doc)[1:]  # the CSV columns: all but the schema, failures counted
-    _emit(
-        args, write, doc,
-        lambda: [keys, [len(doc["failures"]) if k == "failures" else doc[k] for k in keys]],
-        lambda: [
-            f"verified {doc['verified']} of {doc['limit']} starts reach 1 "
-            f"within {doc['max_steps']} steps",
-            f"failures: {doc['failures'] if doc['failures'] else 'none'}",
-            f"max total stopping time: {doc['max_total_stopping_time']} "
-            f"at x={doc['tst_argmax']}",
-            f"max total/ln(x): {doc['max_ratio']} at x={doc['ratio_argmax']}",
-            f"max excursion: {doc['max_excursion']}",
-        ],
-    )
-    return EX_INCONCLUSIVE if survey.failures else EX_OK
+
+    def text() -> Iterable[str]:
+        yield (f"verified {survey.verified} of {args.limit} starts reach 1 within "
+               f"{args.max_steps} steps\nfailures: " + ("[" if failures else "none"))
+        for j, block in enumerate(_blocks(failures)):  # str(list(failures)), a block at a time
+            yield (", " if j else "") + str(block)[1:-1]
+        yield (("]" if failures else "")
+               + f"\nmax total stopping time: {survey.max_total_stopping_time} "
+               f"at x={survey.tst_argmax}\n"
+               f"max total/ln(x): {survey.max_ratio} at x={survey.ratio_argmax}\n"
+               f"max excursion: {survey.peak}\n")
+
+    _emit(args, out, doc,
+          lambda: [keys, [len(failures) if k == "failures" else doc[k] for k in keys]],
+          text, key="failures")
+    return EX_INCONCLUSIVE if failures else EX_OK
 
 
 # -------------------------------------------------------------------- cycles
 
 
-def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
+def _cmd_cycles(args: argparse.Namespace, out: _Output) -> int:
     from . import anb as anb_mod
 
     starts = (args.limit + 1) // 2
@@ -944,19 +860,11 @@ def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
             f"at {walk_bytes} bytes, over the memory budget of {CYCLES_MEMORY_LIMIT}; "
             "lower --max-steps")
     catalog = anb_mod.cycle_catalog(args.params, args.limit, max_steps=args.max_steps)
-    cycles = []
-    for record in catalog:
-        lhs, rhs, ok = record.product_identity()
-        cycles.append(
-            {
-                "members": list(record.members),
-                "exponents": list(record.exponents),
-                "sum_exponents": record.sum_exponents,
-                "product_lhs": lhs,
-                "product_rhs": rhs,
-                "verified": ok,
-            }
-        )
+    cycles = [
+        {"members": list(r.members), "exponents": list(r.exponents),
+         "sum_exponents": r.sum_exponents, "product_lhs": lhs, "product_rhs": rhs, "verified": ok}
+        for r in catalog for lhs, rhs, ok in [r.product_identity()]
+    ]
     doc = {
         "schema": "collatzlab/cycles/v1",
         "a": args.a,
@@ -966,27 +874,91 @@ def _cmd_cycles(args: argparse.Namespace, write: Callable[[str], None]) -> int:
         "cycles": cycles,
     }
 
-    def table() -> list:
-        return [["members", "exponents", "sum_exponents", "verified"]] + [
-            [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
-             c["sum_exponents"], c["verified"]]
-            for c in cycles
-        ]
-
-    def lines() -> list[str]:
-        lines = [f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:"]
+    def table() -> Iterable[list]:
+        yield ["members", "exponents", "sum_exponents", "verified"]
         for c in cycles:
-            lines.append(
+            yield [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
+                   c["sum_exponents"], c["verified"]]
+
+    def text() -> Iterable[str]:
+        yield f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:\n"
+        for c in cycles:
+            yield (
                 f"  cycle {c['members']} exponents {c['exponents']} "
                 f"(2^{c['sum_exponents']} product identity "
-                f"{'verified' if c['verified'] else 'FAILED'})"
+                f"{'verified' if c['verified'] else 'FAILED'})\n"
             )
         if not cycles:
-            lines.append("  no cycles entered within the step budget")
-        return lines
+            yield "  no cycles entered within the step budget\n"
 
-    _emit(args, write, doc, table, lines)
+    _emit(args, out, doc, table, text)
     return EX_OK
+
+
+# --------------------------------------------------------------------- table
+
+_FORMAT = Option("--format", "text", type=None, choices=("text", "json", "csv"))
+_OUTPUT_OPTIONS = (_FORMAT, Option("--output", None, "file path (default: stdout)", type=None))
+_A, _B = Option("--a", 5), Option("--b", 1)
+_SAMPLES = Option("--samples", 100, "lemma7/anb-eq: seeded draws", least=0)
+_SEED = Option("--seed", 0, least=0)
+_MAX_X0 = Option("--max-x0", 9999, "eq2/bohm: odd-start bound", least=0)
+_MAX_N = Option("--max-n", 50, "geom/anb-eq: step bound", least=0)
+
+CHECKS = {
+    "lemma7": Command("residue-class shift law", (
+        Option("--max-k", 12, "lemma7: largest modulus exponent", least=1), _SAMPLES, _SEED,
+    ), _verify_lemma7),
+    "eq2": Command("odd-trajectory closed form", (_MAX_X0,), _verify_eq2),
+    "bohm": Command("start reconstruction from division exponents", (_MAX_X0,), _verify_bohm),
+    "geom": Command("geometric tail sum", (
+        _MAX_N, Option("--max-m", 50, "geom: extra-step bound", least=0),
+    ), _verify_geom),
+    "anb-eq": Command("generalized closed form", (_A, _B, _SAMPLES, _MAX_N, _SEED), _verify_anb_eq),
+    "halfsplit": Command("step tallies over 1..2^M", (
+        Option("--M", 10, "halfsplit: range is 1..2^M"),
+        Option("--steps", None, "halfsplit: steps to tally"),
+        Option("--lo", None, "halfsplit: subrange low end"),
+        Option("--hi", None, "halfsplit: subrange high end"),
+        Option("--method", "direct", type=None, choices=("direct", "classes")),
+    ), _verify_halfsplit),
+}
+
+COMMANDS = {
+    "trajectory": Command("print one orbit with step directions", (
+        Option("x0", help="start value", least=1),
+        Option("--map", "general", "shortcut map, odd-to-odd map, or generalized (a*x+b)/2^k",
+               type=None, choices=("general", "odd", "anb")),
+        Option("--max-steps", DEFAULT_MAX_STEPS, least=0, label="max-steps"),
+        Option("--a", 5, "multiplier for --map anb"),
+        Option("--b", 1, "offset for --map anb"),
+    ), _cmd_trajectory),
+    "verify": Command("run one exhaustive identity check", (
+        Option("check", type=None, choices=tuple(CHECKS),
+               help="; ".join(f"{name}: {check.help}" for name, check in CHECKS.items())),
+        # each option once, in the order the checks first list it
+        *dict.fromkeys(opt for check in CHECKS.values() for opt in check.options),
+    ), _cmd_verify),
+    "montecarlo": Command("seeded 0/1 drift-ratio experiment", (
+        Option("--length", MC_SAMPLE_LENGTH, "bits per sample", least=2),
+        Option("--samples", 14, least=2),
+        _SEED,
+        Option("--level", "all", "confidence level(s) for the interval block", type=None,
+               choices=("95", "98", "99", "all")),
+        Option("--fixture", None, "use the embedded published 14-row table instead of generating",
+               type=None, choices=(MC_FIXTURE_NAME,)),
+    ), _cmd_montecarlo),
+    "sweep": Command("walk every start in 1..limit to 1", (
+        Option("--limit", least=1, required=True),
+        Option("--max-steps", DEFAULT_MAX_STEPS, least=0),
+        Option("--threads", 1, f"worker processes, 1..{THREADS_LIMIT} (the pool never exceeds "
+               "the CPUs)", least=1, most=THREADS_LIMIT),
+    ), _cmd_sweep),
+    "anb-cycles": Command("catalog cycles of one (a, b) map", (
+        _A, _B, Option("--limit", 100, "odd starts searched", least=1),
+        Option("--max-steps", 10**4, least=0),
+    ), _cmd_cycles),
+}
 
 
 if __name__ == "__main__":

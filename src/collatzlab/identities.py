@@ -114,19 +114,19 @@ def _walk_packed(x: int, lanes: int, steps: int) -> int:
     return x
 
 
-def residue_shift_blocks(k: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-    """Both sides of `residue_shift_check(k, m, i)` for every i < 2^k and m in ms.
+def residue_shift_blocks(max_k: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Both sides of `residue_shift_check(k, m, i)` for every k = 1..max_k, i < 2^k and m in ms.
 
-    The checks are taken in the order of (i, position of m in ms), flattened
-    to g = i * len(ms) + position, and yielded in blocks (g0, count, lhs, rhs)
-    of packed ints: lane j of lhs and rhs is check g0 + j, for j < count.  A
-    block is whole rows of one i each, or a piece of one row when ms has more
-    than `_SHIFT_BLOCK` values.  As in the per-case check, the two sides come
-    from separate code paths: the left walks 2^k m + i, the right is
-    3^p m + T^k(i) from level k of `halfsplit.shift_table`, one product of
-    the packed values of m a row.
+    For each k in turn, the checks are taken in the order of (i, position of
+    m in ms), flattened to g = i * len(ms) + position, and yielded in blocks
+    (k, g0, count, lhs, rhs) of packed ints: lane j of lhs and rhs is check
+    g0 + j, for j < count.  A block is whole rows of one i each, or a piece of
+    one row when ms has more than `_SHIFT_BLOCK` values.  As in the per-case
+    check, the two sides come from separate code paths: the left walks
+    2^k m + i, the right is 3^p m + T^k(i) from level k of one
+    `halfsplit.shift_table(max_k)`, one product of the packed values of m a row.
     """
-    if not 1 <= k <= SHIFT_UINT64_MAX_K:
+    if not 1 <= max_k <= SHIFT_UINT64_MAX_K:
         raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
     if not (isinstance(ms, array) and ms.typecode == "Q"):
         ms = array("Q", ms)
@@ -136,28 +136,29 @@ def residue_shift_blocks(k: int, ms: Iterable[int]) -> Iterator[tuple[int, int, 
         return
     from .halfsplit import shift_table
 
-    *_, level = shift_table(k)
     width = min(len(ms), _SHIFT_BLOCK)  # values of m a block
     rows = _SHIFT_BLOCK // width  # values of i a block
-    lanes = min(1 << k, LANE_BLOCK)  # residues a table block
     # lane d * width + j holds d, for each of the rows
     offsets = _join((d * _lane_ones(width) for d in range(rows)), width)
-    for b, (image, power) in enumerate(level):
-        level[b] = None  # dropped once read
-        image, power = _unpack(image, lanes), _unpack(power, lanes)
-        for d0 in range(0, lanes, rows):
-            images, powers, i0 = image[d0 : d0 + rows], power[d0 : d0 + rows], b * lanes + d0
-            for p0 in range(0, len(ms), width):
-                piece = ms[p0 : p0 + width]
-                m, one, count = _pack(piece), _lane_ones(len(piece)), len(images) * len(piece)
-                # lane (i - i0) * len(piece) + j of each side is check (i, p0 + j); with
-                # few values of m a row costs more per check: --max-k 20 --samples 1
-                # takes 1.58 s against 1.35 s with a product a value of m in place
-                # of a row (2-vCPU Xeon, Python 3.11)
-                lhs = (_pack(piece * len(images)) << k) + i0 * _lane_ones(count)
-                lhs += offsets & (1 << 64 * count) - 1
-                rhs = _join((p * m + t * one for p, t in zip(powers, images)), len(piece))
-                yield i0 * len(ms) + p0, count, _walk_packed(lhs, count, k), rhs
+    levels = shift_table(max_k)
+    next(levels)  # level 0, whose one residue no k >= 1 checks
+    for k, level in enumerate(levels, start=1):  # each valid until the next is asked for
+        lanes = min(1 << k, LANE_BLOCK)  # residues a table block
+        for b, (image, power) in enumerate(level):
+            image, power = _unpack(image, lanes), _unpack(power, lanes)
+            for d0 in range(0, lanes, rows):
+                images, powers, i0 = image[d0 : d0 + rows], power[d0 : d0 + rows], b * lanes + d0
+                for p0 in range(0, len(ms), width):
+                    piece = ms[p0 : p0 + width]
+                    m, one, count = _pack(piece), _lane_ones(len(piece)), len(images) * len(piece)
+                    # lane (i - i0) * len(piece) + j of each side is check (i, p0 + j); with
+                    # few values of m a row costs more per check: --max-k 20 --samples 1
+                    # takes 1.58 s against 1.35 s with a product a value of m in place
+                    # of a row (2-vCPU Xeon, Python 3.11)
+                    lhs = (_pack(piece * len(images)) << k) + i0 * _lane_ones(count)
+                    lhs += offsets & (1 << 64 * count) - 1
+                    rhs = _join((p * m + t * one for p, t in zip(powers, images)), len(piece))
+                    yield k, i0 * len(ms) + p0, count, _walk_packed(lhs, count, k), rhs
 
 
 def _join(rows: Iterable[int], lanes: int) -> int:

@@ -30,7 +30,8 @@ the objects; importing this module loads only the standard library.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterator
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -179,19 +180,20 @@ class PCG64:
 
 def seeded_draws(
     seed: int, count: int, size: int, high: int | None = None
-) -> Iterator[int | Iterable[int]]:
+) -> Iterator[int | array]:
     """The first draw of `numpy.random.default_rng(s)` for s = seed, ..., seed + count - 1.
 
     With high None each item is the ones count of `integers(0, 2, size,
     dtype=uint8)`; otherwise it is the values of `integers(0, high, size)`,
-    2 <= high <= 2^32, as an iterable of ints: a stream from `PCG64` below the
-    crossover, numpy's int64 array above it.  The items come in seed order, one
-    seed at a time, and are the same on both sides of the crossover.
+    2 <= high <= 2^32, as an `array("Q")`: drawn by `PCG64` below the
+    crossover, and read from the bytes of numpy's int64 array above it, one
+    copy.  The items come in seed order, one seed at a time, and are the same
+    on both sides of the crossover.
     """
     if count * size * (COIN_NS if high is None else INT_NS) <= NUMPY_LOAD_NS:
         for s in range(seed, seed + count):
             rng = PCG64(s)
-            yield rng.ones(size) if high is None else rng.integers(high, size)
+            yield rng.ones(size) if high is None else array("Q", rng.integers(high, size))
         return
     import numpy as np
 
@@ -200,4 +202,6 @@ def seeded_draws(
         if high is None:
             yield int(rng.integers(0, 2, size=size, dtype=np.uint8).sum())
         else:
-            yield rng.integers(0, high, size=size)
+            values = array("Q")  # the draws are below 2^32: their int64 bytes are uint64 bytes
+            values.frombytes(memoryview(rng.integers(0, high, size=size, dtype=np.int64)).cast("B"))
+            yield values

@@ -326,15 +326,17 @@ def _anb_per_n(x0, values, exponents, params):
     )
 
 
-def _lemma7_per_case(k, ms):
-    """residue_shift_check on every (i, m) in order, as one packed block."""
-    checks = [ident_mod.residue_shift_check(k, m, i) for i in range(1 << k) for m in ms]
-    yield (
-        0,
-        len(checks),
-        _pack(array("Q", [c.lhs for c in checks])),
-        _pack(array("Q", [c.rhs for c in checks])),
-    )
+def _lemma7_per_case(max_k, ms):
+    """residue_shift_check on every (i, m) in order, as one packed block for each k."""
+    for k in range(1, max_k + 1):
+        checks = [ident_mod.residue_shift_check(k, m, i) for i in range(1 << k) for m in ms]
+        yield (
+            k,
+            0,
+            len(checks),
+            _pack(array("Q", [c.lhs for c in checks])),
+            _pack(array("Q", [c.rhs for c in checks])),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -513,22 +515,27 @@ class TestOneWalkChecksBytes:
 
     @staticmethod
     def _corrupt_level(real_table, k, images=(), powers=()):
-        """shift_table(k) with 1 added to the images and 2 to the powers of the
-        residues given at level k, which the check reads."""
+        """shift_table with 1 added to the images and 2 to the powers of the
+        residues given at level k (or at every level n >= 1 that images(n)
+        names, for a callable), in a copy of the level that the check reads:
+        the table refines its own, uncorrupted, level into the next."""
 
         def corrupted(top):
             for n, level in enumerate(real_table(top)):
-                if n == k:  # the levels below build this one
-                    lanes = min(1 << k, LANE_BLOCK)
+                bad = images(n) if callable(images) else images if n == k else ()
+                if n and (bad or powers and n == k):
+                    lanes = min(1 << n, LANE_BLOCK)
+                    copy = []
                     for b, (image, power) in enumerate(level):
                         image, power = _unpack(image, lanes), _unpack(power, lanes)
-                        for i in images:
+                        for i in bad:
                             if i // lanes == b:
                                 image[i % lanes] += 1
-                        for i in powers:
+                        for i in powers if n == k else ():
                             if i // lanes == b:
                                 power[i % lanes] += 2
-                        level[b] = _pack(image), _pack(power)
+                        copy.append((_pack(image), _pack(power)))
+                    level = copy
                 yield level
 
         return corrupted
@@ -539,18 +546,18 @@ class TestOneWalkChecksBytes:
         # the same way
         real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
 
-        def corrupted(k):
-            return self._corrupt_level(real_table, k, images=range(3, 1 << k, 7))(k)
+        corrupted = self._corrupt_level(real_table, None, images=lambda n: range(3, 1 << n, 7))
 
-        def per_case(k, ms):
-            lhs, rhs = [], []
-            for i in range(1 << k):
-                ti, p = walk(i, k)
-                ti += i % 7 == 3
-                for m in ms:
-                    lhs.append(walk((int(m) << k) + i, k)[0])
-                    rhs.append(3**p * int(m) + ti)
-            yield 0, len(lhs), _pack(array("Q", lhs)), _pack(array("Q", rhs))
+        def per_case(max_k, ms):
+            for k in range(1, max_k + 1):
+                lhs, rhs = [], []
+                for i in range(1 << k):
+                    ti, p = walk(i, k)
+                    ti += i % 7 == 3
+                    for m in ms:
+                        lhs.append(walk((int(m) << k) + i, k)[0])
+                        rhs.append(3**p * int(m) + ti)
+                yield k, 0, len(lhs), _pack(array("Q", lhs)), _pack(array("Q", rhs))
 
         monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)
@@ -843,8 +850,8 @@ class TestSweepCommand:
         assert err.startswith(f"resource limit: sweep would hold {held} failures")
 
     def test_default_failure_budget(self):
-        # 2^28 bytes at 140 bytes a failure
-        assert cli_mod.SWEEP_FAILURE_LIMIT == 1917396
+        # 2^28 bytes at 60 bytes a failure
+        assert cli_mod.SWEEP_FAILURE_LIMIT == 4473924
 
 
 class TestCyclesCommand:
@@ -901,11 +908,11 @@ class TestCyclesCommand:
         assert main(["anb-cycles", "--limit", "101", "--max-steps", "0"]) == EX_RESOURCE
 
     def test_memory_budget(self, capsys, monkeypatch):
-        code = main(["anb-cycles", "--a", "7", "--b", "1", "--limit", "7", "--max-steps", "50000"])
+        code = main(["anb-cycles", "--limit", "3", "--max-steps", "8000000"])
         captured = capsys.readouterr()
         assert code == EX_RESOURCE
         assert captured.out == ""
-        assert captured.err.startswith("resource limit: anb-cycles holds one walk of up to 50000")
+        assert captured.err.startswith("resource limit: anb-cycles holds one walk of up to 8000000")
         assert len(captured.err.splitlines()) == 1
         # the catalogs the benchmark runs stay well within it
         for limit in (100, 151):

@@ -97,21 +97,23 @@ class TestResidueShift:
             residue_shift_check(2, 1, 4)
 
 
-def shift_grid(k, ms):
-    """All (g0, count, lhs, rhs) blocks of residue_shift_blocks, checked to tile the
-    grid, unpacked into the lists of left and right sides in g order."""
-    blocks = list(residue_shift_blocks(k, ms))
-    offsets = [g0 for g0, *_ in blocks]
-    sizes = [count for _, count, _, _ in blocks]
-    assert offsets == [sum(sizes[:n]) for n in range(len(blocks))]
-    assert sum(sizes) == len(ms) << k
-    lhs, rhs = [], []
-    for _, count, left, right in blocks:
+def shift_grids(max_k, ms):
+    """The blocks of residue_shift_blocks for k = 1..max_k, checked to tile each
+    level's grid in order, unpacked into each level's lists of left and right
+    sides in g order: {k: (lhs, rhs)}."""
+    grids = {}
+    for k, g0, count, left, right in residue_shift_blocks(max_k, ms):
+        assert k in (len(grids), len(grids) + 1)  # the levels in order, one after another
+        lhs, rhs = grids.setdefault(k, ([], []))
+        assert g0 == len(lhs)  # each block starts where the one before ended
         # no lane carried past the block's last
         assert max(left.bit_length(), right.bit_length()) <= 64 * count
         lhs += _unpack(left, count)
         rhs += _unpack(right, count)
-    return lhs, rhs
+    assert list(grids) == list(range(1, max_k + 1))
+    for k, (lhs, rhs) in grids.items():
+        assert len(lhs) == len(rhs) == len(ms) << k
+    return grids
 
 
 MS = [5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77]
@@ -126,8 +128,8 @@ class TestResidueShiftBlocks:
     @pytest.mark.parametrize("block", [8192, 7, 9, 1, 50])
     def test_every_case_small_k(self, monkeypatch, block):
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
-        for k in range(1, 9 if block > 1 else 6):
-            lhs, rhs = shift_grid(k, MS)
+        grids = shift_grids(8 if block > 1 else 5, MS)
+        for k, (lhs, rhs) in grids.items():
             for i in range(1 << k):
                 for pos, m in enumerate(MS):
                     g = i * len(MS) + pos
@@ -139,7 +141,7 @@ class TestResidueShiftBlocks:
         # level 12 is one table block of 2^12 residues, level 13 two: the
         # blocks of checks end at each table block's end
         ms = [SHIFT_M_BOUND - 1, 0, 6]
-        lhs, rhs = shift_grid(k, ms)
+        lhs, rhs = shift_grids(k, ms)[k]
         for i in range(1 << k):
             for pos, m in enumerate(ms):
                 res = residue_shift_check(k, m, i)
@@ -147,13 +149,13 @@ class TestResidueShiftBlocks:
 
     def test_numpy_draws(self):
         # the drawn m come as numpy's int64 array above the draw crossover
-        assert shift_grid(6, np.array(MS)) == shift_grid(6, MS)
+        assert shift_grids(6, np.array(MS)) == shift_grids(6, MS)
 
     @given(st.integers(9, 14), st.lists(st.integers(0, SHIFT_M_BOUND - 1), min_size=1, max_size=5),
            st.data())
     @settings(max_examples=40, deadline=None)
     def test_sampled_cases(self, k, ms, data):
-        lhs, rhs = shift_grid(k, ms)
+        lhs, rhs = shift_grids(k, ms)[k]
         for _ in range(20):
             i = data.draw(st.integers(0, (1 << k) - 1))
             pos = data.draw(st.integers(0, len(ms) - 1))
