@@ -4,7 +4,9 @@ Exact trajectory arithmetic and identities, residue-class half-split tallies,
 an+b generalizations with cycle certification, vectorized range sweeps, and
 seeded drift statistics, all behind one CLI (see `collatzlab.cli`).  Import
 from the modules, `collatzlab.<module>`; importing the package loads none of
-them, so a command pays only for the modules it uses.
+them.  The CLI imports a command's runner (a `collatzlab.cli_*` module) and
+the engines it calls only when that command runs, and no module but `sweep`
+imports `dataclasses`: a command compiles and imports only the code it runs.
 """
 
 __version__ = "0.1.0"

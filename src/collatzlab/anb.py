@@ -7,12 +7,13 @@ cycles or keep growing; nothing here ever asserts divergence, only what
 happened within a finite horizon.
 
 The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
-shift law is `identities.residue_shift_check`, re-exported here as
+shift law is `identities.residue_shift_check`, called here as
 `residue_shift_check_anb`, and the one-walk closed-form check is
-`identities.closed_form_checks`: one code path for every map.  Tests compare
-the an+b code at (3, 1) with the 3n+1 code only where the two are separate
-paths, so that each can catch the other: orbits (`trajectory_anb` on
-`step_anb` against `dynamics.odd_walk`'s inline step), per-n closed forms
+`identities.closed_form_checks`: one code path for every map, with
+`identities` loaded only by the functions that call it.  Tests compare the
+an+b code at (3, 1) with the 3n+1 code only where the two are separate paths,
+so that each can catch the other: orbits (`trajectory_anb` on `step_anb`
+against `dynamics.odd_walk`'s inline step), per-n closed forms
 (`closed_form_anb_check` on `anb_steps_extended` against
 `identities.closed_form_check` on `odd_steps_extended`, with a literal 3) and
 cycles (`find_cycle`).
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .dynamics import (
     DEFAULT_MAX_STEPS,
@@ -35,8 +35,9 @@ from .dynamics import (
     collect_orbit,
     step_anb,
 )
-from .identities import ClosedFormCheck
-from .identities import residue_shift_check as residue_shift_check_anb
+
+if TYPE_CHECKING:
+    from .identities import ClosedFormCheck, ShiftCheck
 
 LABEL_BOUNDED = "bounded/cyclic within horizon"
 LABEL_UNBOUNDED = "unbounded within horizon"
@@ -145,6 +146,13 @@ def trajectory_anb(
     return traj, ParityExponents.from_exponents(exponents)
 
 
+def residue_shift_check_anb(k: int, m: int, i: int, params: AnbParams) -> ShiftCheck:
+    """`identities.residue_shift_check`: the shift law of the class 2^k m + i at (a, b)."""
+    from .identities import residue_shift_check
+
+    return residue_shift_check(k, m, i, params)
+
+
 def canonical_rotation(members: Sequence[int]) -> tuple[int, ...]:
     """Rotate a cycle so its smallest member comes first (dynamics preserved)."""
     if not members:
@@ -153,8 +161,8 @@ def canonical_rotation(members: Sequence[int]) -> tuple[int, ...]:
     return tuple(members[i:]) + tuple(members[:i])
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple("CycleRecord", [("params", AnbParams), ("members", tuple),
+                                             ("exponents", tuple)])):
     """A minimal cycle of a generalized odd map, stored in canonical rotation.
 
     members follow the map order starting from the smallest member, and
@@ -163,19 +171,19 @@ class CycleRecord:
     2^{sum k} * prod(members) == prod(a*member + b).
     """
 
-    params: AnbParams
-    members: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.members) != len(self.exponents):
+    def __new__(cls, params: AnbParams, members: tuple[int, ...],
+                exponents: tuple[int, ...]) -> CycleRecord:
+        if len(members) != len(exponents):
             raise ValueError("need one exponent per cycle step")
-        for j, x in enumerate(self.members):
-            nxt, k = step_anb(x, self.params)
-            if (nxt, k) != (self.members[(j + 1) % len(self.members)], self.exponents[j]):
+        for j, x in enumerate(members):
+            nxt, k = step_anb(x, params)
+            if (nxt, k) != (members[(j + 1) % len(members)], exponents[j]):
                 raise ValueError("members do not form a cycle of the map")
-        if self.members[0] != min(self.members):
+        if members[0] != min(members):
             raise ValueError("cycle must be stored in canonical rotation")
+        return super().__new__(cls, params, members, exponents)
 
     @property
     def sum_exponents(self) -> int:
@@ -239,6 +247,8 @@ def closed_form_anb_check(
 
     Left side from iteration, right side from the formula, both exact.
     """
+    from .identities import ClosedFormCheck
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if exponents is not None and len(exponents) < n:
@@ -255,8 +265,7 @@ def closed_form_anb_check(
     return ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
-@dataclass(frozen=True)
-class DivergenceDiagnostic:
+class DivergenceDiagnostic(NamedTuple):
     """Horizon-bounded growth summary of one generalized orbit.
 
     The exact fields are integers (steps, exponent total, peak, bit lengths);
@@ -371,11 +380,14 @@ def _catalog(
     settled: dict[int, list[int] | None] = {}  # later starts an open walk settled
     found: dict[tuple[int, ...], CycleRecord] = {}
     no_repeat, basin = [], []
+    # At one step settling z_1, the one later start, takes the step its own walk
+    # would: it saves no step, and costs a call and a scan on every open walk.
+    settle_limit = start_limit if max_steps > 1 else 0
     for x0 in range(1, start_limit + 1, 2):
         if x0 in settled:
             cycle = settled.pop(x0)
         else:
-            cycle = _catalog_walk(x0, params, max_steps, memo, settled, start_limit)
+            cycle = _catalog_walk(x0, params, max_steps, memo, settled, settle_limit)
         if cycle:
             record = _read_cycle(cycle, params)
             found.setdefault(record.members, record)
@@ -419,8 +431,9 @@ def _catalog_walk(
     `find_cycle` reads it; an empty list when it stopped at a `_BASIN` entry,
     so that its orbit enters a known cycle; or None when it has no repeat
     within max_steps (walked to the budget or stopped by the memo).  A walk
-    that runs its whole budget also settles the later starts on it (see
-    `_settle_later_starts`).  Memo entries, for values below 2^64 only:
+    that runs its whole budget also settles the later starts on it up to
+    start_limit (see `_settle_later_starts`).  Memo entries, for values below
+    2^64 only:
 
     - `_BASIN`: the value's orbit enters a cycle already found, so x0 can add
       nothing new;
@@ -463,7 +476,8 @@ def _catalog_walk(
         elif touched > j:
             touched = j
         if j == max_steps:  # the whole budget with no repeat
-            _settle_later_starts(seen, x, small, max_steps, settled, start_limit)
+            if x0 < start_limit:  # else no later start lies on the walk
+                _settle_later_starts(seen, x, small, max_steps, settled, start_limit)
             break
         j += 1
         # The step inline, not through step_anb: the (5, 1) catalog to 151 walks in

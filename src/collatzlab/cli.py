@@ -2,11 +2,16 @@
 
 Subcommands: trajectory, verify, montecarlo, sweep, anb-cycles.  Each is one
 entry of `COMMANDS`, and each check of verify one entry of `CHECKS`: its
-options, with the bounds checked before it runs, and its runner.  Output is
-text, JSON or CSV, written as it is produced: trajectory rows as JSON lines,
-and every other document as one JSON document whose long list (montecarlo's
-rows, sweep's failures) is encoded a block at a time, never held whole.
-Every JSON payload names its schema, shipped under collatzlab/schemas/.
+options, with the bounds checked before it runs, and its runner.  This
+module holds only what every command needs: the table, the parser, the
+budgets, the writers and `main`.  Each runner lives in a module of its own
+(`cli_trajectory`, `cli_verify`, `cli_montecarlo`, `cli_sweep`,
+`cli_cycles`), imported when its command is dispatched, so a command
+compiles and imports only the code it runs.  Output is text, JSON or CSV,
+written as it is produced: trajectory rows as JSON lines, and every other
+document as one JSON document whose long list (montecarlo's rows, sweep's
+failures) is encoded a block at a time, never held whole.  Every JSON
+payload names its schema, shipped under collatzlab/schemas/.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 step limit or
 failed/inconclusive check, 3 resource limit.  Output bytes depend only on the
@@ -17,28 +22,17 @@ never appear in (or affect) the payload.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import decimal
+import importlib
 import itertools
 import json
-import math
 import os
 import sys
-from array import array
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-# dynamics is the one engine module loaded here; the others, numpy, csv and
-# the statistics modules load inside the commands that use them.
-from .dynamics import (
-    DEFAULT_MAX_STEPS,
-    AnbParams,
-    ResourceLimitError,
-    Termination,
-    _unpack,
-    odd_walk,
-    orbit_steps,
-)
+# dynamics is the one engine module loaded here; the runners, the other
+# engines, numpy and csv load when the command that uses them runs.
+from .dynamics import DEFAULT_MAX_STEPS, AnbParams, ResourceLimitError
 
 EX_OK = 0
 EX_USAGE = 1
@@ -123,14 +117,6 @@ _JSON_BLOCK = 1024
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 _MARK = "\0"  # stands in for a streamed list while the rest of its document encodes
 
-# Decimal arithmetic that is exact or traps: unbounded precision and exponent.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
-)
-
 
 class UsageError(Exception):
     pass
@@ -162,15 +148,23 @@ class Option(NamedTuple):
 
 class Command(NamedTuple):
     """A command or a verify check: its help, its options in the order their
-    bounds are checked, and its runner."""
+    bounds are checked, and its runner, "module.function" in the package.
+
+    The runner's module is imported when its command is dispatched (see
+    `_runner`), so a command compiles and loads only the code it runs.  A
+    runner reads the budgets below as `cli.NAME` when it runs, so that a
+    budget set on this module takes effect.
+    """
 
     help: str
     options: tuple[Option, ...]
-    run: Callable
+    run: str
 
 
-def _json_line(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _runner(command: Command) -> Callable:
+    """The function that runs the command, imported from its module."""
+    module, name = command.run.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +265,7 @@ def _main(argv: list[str] | None) -> int:
         command = COMMANDS[args.command]
         _check_args(args, CHECKS[args.check] if args.command == "verify" else command)
         out = _Output(args.output)
-        return command.run(args, out)
+        return _runner(command)(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -350,551 +344,6 @@ def _emit(args: argparse.Namespace, out: _Output, doc: dict,
             out.write(piece)
 
 
-# ---------------------------------------------------------------- trajectory
-
-# Per format: the header from (start, map, max_steps and, for JSON, a and b,
-# or, for text, " a=A b=B" as ab); a step row from (step, from, to, kind,
-# exponent field); the exponent field of the general map and, from k, of the
-# odd maps; the summary.  They give the bytes of `_json_line` and
-# `csv.writer` rows.
-_TRAJECTORY_FORMATS = {
-    "json": (
-        '{{"a":{a},"b":{b},"map":"{map}","max_steps":{max_steps},'
-        '"schema":"collatzlab/trajectory/v1","start":{start},"type":"header"}}\n',
-        '{{"exponent":{4},"from":{1},"kind":"{3}","step":{0},"to":{2},"type":"step"}}\n',
-        "null",
-        "{}",
-        '{{"cycle":{cycle_json},"final":{final},"steps":{steps},'
-        '"terminated":"{terminated}","type":"summary"}}\n',
-    ),
-    "csv": (
-        "step,from,to,kind,exponent\r\n",
-        "{0},{1},{2},{3},{4}\r\n",
-        "",
-        "{}",
-        "# terminated={terminated} final={final}\n",
-    ),
-    "text": (
-        "# start={start} map={map}{ab} max_steps={max_steps}\n",
-        "{0:>5} {1} -> {2} {3}{4}\n",
-        "",
-        " k={}",
-        "# terminated={terminated} steps={steps} final={final}\n",
-    ),
-}
-
-
-def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:
-    """The decimal form of (mul * x + add) / 2^k from the decimal form d of x.
-
-    Computed as (mul * d + add) * 5^k / 10^k in exact decimal arithmetic, in
-    time linear in the digit count, where str(int) is quadratic.  consts
-    caches the Decimal operands per (mul, add, k).
-    """
-    ops = consts.get((mul, add, k))
-    if ops is None:
-        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul, add, 5**k, 10**k)))
-    m, a, p5, p10 = ops
-    return _EXACT.divide(_EXACT.multiply(_EXACT.add(_EXACT.multiply(d, m), a), p5), p10)
-
-
-def _cmd_trajectory(args: argparse.Namespace, out: _Output) -> int:
-    """Stream one orbit: a header, one row per step as it is walked, a summary.
-
-    Each value is rendered once, from the previous value's decimal form by
-    the step's (mul, add, k); the summary's final value is rendered by
-    str(int) and must equal the last rendered value.  The update is
-    injective, so that one comparison certifies every row.
-    """
-    params = args.params
-    try:
-        if args.map == "anb":
-            from . import anb as anb_mod
-
-            records = anb_mod.anb_orbit_steps(args.x0, params, max_steps=args.max_steps)
-        else:
-            records = orbit_steps(args.x0, max_steps=args.max_steps, odd=args.map == "odd")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    head, row, no_exponent, exponent, foot = _TRAJECTORY_FORMATS[args.format]
-    a, b = (params.a, params.b) if params else (None, None)
-    head = head.format(start=args.x0, map=args.map, max_steps=args.max_steps, a=_json_line(a),
-                       b=_json_line(b), ab=f" a={a} b={b}" if params else "")
-    out.write(head)
-    written = len(head)
-
-    general = args.map == "general"
-    x, text = args.x0, str(args.x0)
-    d, consts = decimal.Decimal(text), {}
-    steps = 0
-    terminated = None
-    for y, mul, add, k in records:
-        d = _decimal_step(d, mul, add, k, consts)
-        y_text = str(d)
-        line = row.format(
-            steps + 1, text, y_text, "increase" if y > x else "decrease",
-            no_exponent if general else exponent.format(k),
-        )
-        written += len(line)
-        if written > TRAJECTORY_OUTPUT_LIMIT:
-            terminated = "resource-limit"
-            break
-        out.write(line)
-        steps += 1
-        x, text = y, y_text
-
-    final = str(x)
-    if final != text:
-        raise RuntimeError(
-            f"decimal rendering of step {steps} disagrees with the orbit's value"
-        )
-    cycle = None
-    if terminated is None:
-        if args.map != "anb":
-            done = Termination.REACHED_ONE if x == 1 else Termination.STEP_LIMIT
-        elif steps < args.max_steps:  # the walk stops early only on a repeat
-            done = Termination.REACHED_CYCLE
-            # the last value steps to a repeat, so it is on a cycle of at most steps + 1
-            cycle = list(anb_mod.find_cycle(x, params, steps + 1).members)
-        else:
-            done = Termination.STEP_LIMIT
-        terminated = done.value
-    out.write(foot.format(cycle_json=_json_line(cycle), final=final, steps=steps,
-                          terminated=terminated))
-    if cycle and args.format == "text":
-        out.write(f"# cycle={cycle}\n")
-    # written counts the row left out, so it is over the budget only after a stop
-    _budget(written, TRAJECTORY_OUTPUT_LIMIT,
-            f"trajectory stopped after {steps} steps: the next row would take its "
-            f"output past the budget of {TRAJECTORY_OUTPUT_LIMIT} bytes; lower --max-steps")
-    return EX_INCONCLUSIVE if terminated == Termination.STEP_LIMIT.value else EX_OK
-
-
-# -------------------------------------------------------------------- verify
-
-
-def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
-    doc = {
-        "schema": "collatzlab/verify/v1",
-        "check": args.check,
-        "parameters": {},  # set by the runner after its budgets
-        "checks_run": 0,
-        "failures": 0,
-        "passed": True,
-        "counterexample": None,
-        "partial": False,
-        "report": None,
-    }
-
-    def table() -> Iterable[list]:
-        if doc["report"]:  # the tallies, whose fields are in column order
-            yield ["step", "increases", "decreases", "within_theorem"]
-            yield from (list(t.values()) for t in doc["report"]["tallies"])
-        else:
-            keys = ["check", "checks_run", "failures", "passed"]
-            yield from (keys, [doc[k] for k in keys])
-
-    def text() -> Iterable[str]:
-        yield (f"check={doc['check']} parameters={doc['parameters']}\nchecks_run="
-               f"{doc['checks_run']} failures={doc['failures']} passed={doc['passed']}\n")
-        if doc.get("error"):
-            yield f"error: {doc['error']}\n"
-        if doc["counterexample"] is not None:
-            yield f"first counterexample: {doc['counterexample']}\n"
-        for t in doc["report"]["tallies"] if doc["report"] else ():
-            flag = "" if t["within_theorem"] else "  [outside theorem range]"
-            yield (f"step {t['step']:>3}: increases={t['increases']} "
-                   f"decreases={t['decreases']}{flag}\n")
-
-    try:
-        CHECKS[args.check].run(args, doc)
-    except ResourceLimitError as exc:
-        doc.update(passed=None, partial=True, error=str(exc))
-        _emit(args, out, doc, table, text)
-        raise
-    _emit(args, out, doc, table, text)
-    return EX_INCONCLUSIVE if doc["passed"] is False else EX_OK
-
-
-def _note_failure(doc: dict, counterexample: dict) -> None:
-    doc["failures"] += 1
-    doc["passed"] = False
-    if doc["counterexample"] is None:
-        doc["counterexample"] = counterexample
-
-
-def _verify_lemma7(args: argparse.Namespace, doc: dict) -> None:
-    from . import identities as ident_mod
-
-    # k is capped so that an absurd --max-k builds no huge int; past 64 it is
-    # over the budget anyway.
-    _budget(args.samples * ((1 << min(args.max_k, 64) + 1) - 2), LEMMA7_CHECK_LIMIT,
-            f"lemma7 runs samples x (2^(max_k+1) - 2) = {args.samples} x "
-            f"(2^{args.max_k + 1} - 2) checks, over the budget of "
-            f"{LEMMA7_CHECK_LIMIT}; lower --max-k or --samples")
-    _budget(args.max_k if args.samples else 0, ident_mod.SHIFT_UINT64_MAX_K,
-            f"lemma7 walks in uint64 only up to k = {ident_mod.SHIFT_UINT64_MAX_K}; "
-            "lower --max-k")
-    doc["parameters"] = {"max_k": args.max_k, "samples": args.samples, "seed": args.seed}
-    if not args.samples:
-        return  # no draws of m: no checks, and no residues worth visiting
-    from .pcg64 import seeded_draws
-
-    (ms,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE)
-    for k, g0, count, lhs, rhs in ident_mod.residue_shift_blocks(args.max_k, ms):
-        doc["checks_run"] += count
-        if lhs == rhs:
-            continue
-        lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
-        bad = [j for j in range(count) if lhs[j] != rhs[j]]
-        i, pos = divmod(g0 + bad[0], args.samples)
-        _note_failure(doc, {"k": k, "m": ms[pos], "i": i,
-                            "lhs": lhs[bad[0]], "rhs": rhs[bad[0]]})
-        doc["failures"] += len(bad) - 1
-
-
-def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
-    count = (args.max_x0 + 1) // 2  # len() of the range fails past 2^63 - 1 items
-    _budget(count, X0_START_LIMIT,
-            f"{args.check} walks the {count} odd starts up to --max-x0, over the "
-            f"budget of {X0_START_LIMIT}; lower --max-x0")
-    doc["parameters"] = {"max_x0": args.max_x0}
-    return range(1, args.max_x0 + 1, 2)
-
-
-def _verify_eq2(args: argparse.Namespace, doc: dict) -> None:
-    for x0 in _odd_starts(args, doc):
-        values, exponents = odd_walk(x0)
-        _tally_closed_form(doc, x0, values, exponents)
-
-
-def _tally_closed_form(doc: dict, x0: int, *walk) -> None:
-    """Run and count the closed-form checks n = 1, 2, ... of one walk from x0.
-
-    walk is the walk's odd values and exponents, and the an+b map's params
-    unless it is 3n+1: the arguments of `identities.closed_form_checks`.
-    """
-    from . import identities as ident_mod
-
-    for n, res in enumerate(ident_mod.closed_form_checks(x0, *walk), start=1):
-        doc["checks_run"] += 1
-        if not res.holds:
-            _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
-
-
-def _verify_bohm(args: argparse.Namespace, doc: dict) -> None:
-    from . import identities as ident_mod
-
-    for x0 in _odd_starts(args, doc):
-        values, exponents = odd_walk(x0)
-        if values[-1] != 1:  # stopped at the step limit
-            continue
-        # x0 == 1 takes no step: use one step of the fixed point, exponent 2
-        prefix = list(itertools.accumulate(exponents or [2], initial=0))
-        value = ident_mod.reconstruct_start(prefix)
-        doc["checks_run"] += 1
-        if value != x0:
-            _note_failure(doc, {"x0": x0, "reconstructed": str(value)})
-
-
-def _verify_geom(args: argparse.Namespace, doc: dict) -> None:
-    from . import identities as ident_mod
-
-    terms = (args.max_n + 1) * (args.max_m + 1) * (args.max_m + 2) // 2
-    _budget(terms, GEOM_TERM_LIMIT,
-            f"geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 = {terms} Fraction terms, "
-            f"over the budget of {GEOM_TERM_LIMIT}; lower --max-n or --max-m")
-    doc["parameters"] = {"max_n": args.max_n, "max_m": args.max_m}
-    for n in range(args.max_n + 1):
-        for m in range(args.max_m + 1):
-            res = ident_mod.geometric_tail_identity(n, m)
-            doc["checks_run"] += 1
-            if not res.holds:
-                _note_failure(doc, {"n": n, "m": m, "lhs": str(res.lhs), "rhs": str(res.rhs)})
-
-
-def _verify_anb_eq(args: argparse.Namespace, doc: dict) -> None:
-    _budget(args.samples * max(args.max_n, 1), ANB_EQ_CHECK_LIMIT,
-            f"anb-eq runs samples x max(max_n, 1) = {args.samples} x {max(args.max_n, 1)} "
-            f"checks, over the budget of {ANB_EQ_CHECK_LIMIT}; lower --samples or --max-n")
-    doc["parameters"] = {
-        "a": args.a,
-        "b": args.b,
-        "starts": args.samples,
-        "max_n": args.max_n,
-        "seed": args.seed,
-    }
-    from . import anb as anb_mod
-    from .pcg64 import seeded_draws
-
-    params = args.params
-    (draws,) = seeded_draws(args.seed, 1, args.samples, M_SEED_RANGE // 2)
-    for m in draws:
-        x0 = 2 * m + 1
-        values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
-        _tally_closed_form(doc, x0, values, exps, params)
-
-
-def _verify_halfsplit(args: argparse.Namespace, doc: dict) -> None:
-    if (args.lo is None) != (args.hi is None):
-        raise UsageError("--lo and --hi must be given together")
-    subrange = (args.lo, args.hi) if args.lo is not None else None
-    from . import halfsplit as halfsplit_mod
-
-    try:
-        report = halfsplit_mod.halfsplit_verify(
-            args.M, subrange=subrange, steps=args.steps, method=args.method
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    doc["parameters"] = {"M": args.M, "steps": args.steps,
-                         "subrange": list(subrange) if subrange else None, "method": args.method}
-    within = [t for t in report.tallies if t.within_theorem]
-    doc["checks_run"] = len(within)
-    if report.covers_full_range:
-        half = report.element_count // 2
-        for t in within:
-            if (t.increases, t.decreases) != (half, half):
-                _note_failure(
-                    doc,
-                    {"step": t.step, "increases": t.increases, "decreases": t.decreases,
-                     "expected": half},
-                )
-    else:
-        doc["passed"] = None  # subrange tallies are data; the statement is full-range
-    doc["report"] = {
-        "M": report.M,
-        "intervals": [list(iv) for iv in report.intervals],
-        "tallies": [dataclasses.asdict(t) for t in report.tallies],
-    }
-
-
-# ---------------------------------------------------------------- montecarlo
-
-
-def _cmd_montecarlo(args: argparse.Namespace, out: _Output) -> int:
-    import statistics
-
-    from . import stats as stats_mod
-    from .reference_table import REFERENCE_ROWS, SAMPLE_LENGTH
-
-    if args.fixture:
-        source, seed, length = f"fixture:{args.fixture}", None, SAMPLE_LENGTH
-        report = stats_mod.interval_discrepancy_report()
-        published = {key: report[key] for key in ("mean_one_plus_xi", "reproducible", "note")}
-        published["levels"] = {
-            str(int(level * 100)): {k: v for k, v in block.items()
-                                    if not k.startswith("published_matches_")}
-            for level, block in report["levels"].items()
-        }
-
-        columns = [(r.xi, r.one_plus_xi, r.indicator_std) for r in REFERENCE_ROWS]
-
-        def rows() -> Iterable[dict]:
-            return map(dataclasses.asdict, REFERENCE_ROWS)
-    else:
-        _budget(args.length, MC_LENGTH_LIMIT,
-                f"montecarlo draws {args.length} coins a sample, over the budget of "
-                f"{MC_LENGTH_LIMIT}; lower --length")
-        _budget(args.length * args.samples, MC_COIN_LIMIT,
-                f"montecarlo draws length x samples = {args.length} x {args.samples} coins, "
-                f"over the budget of {MC_COIN_LIMIT}; lower --length or --samples")
-        _budget(args.samples, MC_SAMPLE_LIMIT,
-                f"montecarlo holds a row for each of {args.samples} samples, over the "
-                f"budget of {MC_SAMPLE_LIMIT}; lower --samples")
-        source, seed, length = "generated", args.seed, args.length
-        published = None
-        samples = stats_mod.sample_ratios(args.length, args.samples, args.seed)
-        columns = ((s.xi, 1 + s.xi, stats_mod.indicator_sample_std(s.zeros, s.ones))
-                   for s in samples)
-
-        def rows() -> Iterable[dict]:  # made as they are read, from stds; xi is inf where ones is 0
-            for j, (s, std) in enumerate(zip(samples, stds), start=1):
-                finite = math.isfinite(s.xi)
-                yield {
-                    "sample": j,
-                    "zeros": s.zeros,
-                    "ones": s.ones,
-                    "xi": s.xi if finite else "inf",
-                    "one_plus_xi": 1 + s.xi if finite else "inf",
-                    "indicator_std": std,
-                    "chi": 2.0 ** (1 + s.xi) if finite else "inf",
-                }
-
-    # (xi, 1 + xi, indicator std) a sample, held as 24 bytes: xi and 1 + xi where finite
-    xis, one_plus, stds = array("d"), array("d"), array("d")
-    for xi, one_plus_xi, std in columns:
-        stds.append(std)
-        if math.isfinite(xi):
-            xis.append(xi)
-            one_plus.append(one_plus_xi)
-    if len(one_plus) < 2:
-        raise UsageError(
-            "almost every sample drew zero increase bits; increase --length"
-        )
-    base = stats_mod.SampleStats.from_values(one_plus)
-    stats_block = {
-        "mean_xi": statistics.fmean(xis),
-        "mean_one_plus_xi": base.mean,
-        "std_one_plus_xi": base.std,
-        "mean_indicator_std": statistics.fmean(stds),
-    }
-    levels = [0.95, 0.98, 0.99] if args.level == "all" else [int(args.level) / 100]
-    intervals = {str(int(level * 100)): stats_mod.level_intervals(base, level) for level in levels}
-    doc = {
-        "schema": "collatzlab/montecarlo/v1",
-        "source": source,
-        "seed": seed,
-        "length": length,
-        "samples": len(stds),
-        "rows": rows(),
-        "stats": stats_block,
-        "intervals": intervals,
-        "published_comparison": published,
-    }
-    head = f"# source={source} seed={seed} length={length} samples={len(stds)}"
-
-    def table() -> Iterable[list]:
-        out.write(head + "\n")  # a comment line ahead of the rows
-        yield ["sample", "xi", "one_plus_xi", "indicator_std", "chi"]
-        for r in rows():
-            yield [r["sample"], r["xi"], r["one_plus_xi"], f"{r['indicator_std']:.4f}", r["chi"]]
-
-    def text() -> Iterable[str]:
-        yield f"{head}\n{'sample':>6} {'xi':>8} {'1+xi':>8} {'s':>8} {'2^(1+xi)':>10}\n"
-        for r in rows():
-            f = ".4f" if isinstance(r["xi"], float) else ""  # "inf" as it is
-            yield (f"{r['sample']:>6} {r['xi']:>8{f}} {r['one_plus_xi']:>8{f}} "
-                   f"{r['indicator_std']:>8.4f} {r['chi']:>10{f}}\n")
-        yield ("mean(xi)={mean_xi:.6f} mean(1+xi)={mean_one_plus_xi:.6f} std(1+xi)="
-               "{std_one_plus_xi:.6f} mean(s)={mean_indicator_std:.6f}\n".format(**stats_block))
-        for key in sorted(intervals):
-            block = intervals[key]
-            yield (
-                f"{key}% mu normal [{block['mu_normal'][0]:.4f}, {block['mu_normal'][1]:.4f}] "
-                f"t [{block['mu_t'][0]:.4f}, {block['mu_t'][1]:.4f}] "
-                f"chi normal [{block['chi_normal'][0]:.4f}, {block['chi_normal'][1]:.4f}] "
-                f"t [{block['chi_t'][0]:.4f}, {block['chi_t'][1]:.4f}]\n"
-            )
-        if published:
-            yield ("published bounds (same numbers in both printed tables) are not "
-                   "reproduced by these rows:\n")
-            for key in sorted(published["levels"]):
-                block = published["levels"][key]
-                yield (
-                    f"  {key}%: published [{block['published'][0]:.4f}, "
-                    f"{block['published'][1]:.4f}] vs computed chi "
-                    f"[{block['computed_chi_normal'][0]:.4f}, "
-                    f"{block['computed_chi_normal'][1]:.4f}]\n"
-                )
-
-    _emit(args, out, doc, table, text, key="rows")
-    return EX_OK
-
-
-# --------------------------------------------------------------------- sweep
-
-
-def _cmd_sweep(args: argparse.Namespace, out: _Output) -> int:
-    _budget(args.limit, SWEEP_START_LIMIT,
-            f"sweep --limit {args.limit} is over the budget of {SWEEP_START_LIMIT} starts; "
-            "lower --limit")
-    from .sweep import survey_range  # numpy loads here, the process pool only if it runs
-
-    def hold(failures: int) -> None:
-        _budget(failures, SWEEP_FAILURE_LIMIT,
-                f"sweep would hold {failures} failures, over the budget of "
-                f"{SWEEP_FAILURE_LIMIT} (about {SWEEP_FAILURE_BYTES} bytes each); lower "
-                "--limit or raise --max-steps")
-
-    survey = survey_range(
-        1, args.limit + 1, max_steps=args.max_steps, workers=args.threads, failure_budget=hold
-    )
-    failures = survey.failures
-    doc = {
-        "schema": "collatzlab/sweep/v1",
-        "limit": args.limit,
-        "max_steps": args.max_steps,
-        "verified": survey.verified,
-        "failures": failures,
-        "max_total_stopping_time": survey.max_total_stopping_time,
-        "tst_argmax": survey.tst_argmax,
-        "max_ratio": survey.max_ratio,
-        "ratio_argmax": survey.ratio_argmax,
-        "max_excursion": survey.peak,
-    }
-    keys = list(doc)[1:]  # the CSV columns: all but the schema, failures counted
-
-    def text() -> Iterable[str]:
-        yield (f"verified {survey.verified} of {args.limit} starts reach 1 within "
-               f"{args.max_steps} steps\nfailures: " + ("[" if failures else "none"))
-        for j, block in enumerate(_blocks(failures)):  # str(list(failures)), a block at a time
-            yield (", " if j else "") + str(block)[1:-1]
-        yield (("]" if failures else "")
-               + f"\nmax total stopping time: {survey.max_total_stopping_time} "
-               f"at x={survey.tst_argmax}\n"
-               f"max total/ln(x): {survey.max_ratio} at x={survey.ratio_argmax}\n"
-               f"max excursion: {survey.peak}\n")
-
-    _emit(args, out, doc,
-          lambda: [keys, [len(failures) if k == "failures" else doc[k] for k in keys]],
-          text, key="failures")
-    return EX_INCONCLUSIVE if failures else EX_OK
-
-
-# -------------------------------------------------------------------- cycles
-
-
-def _cmd_cycles(args: argparse.Namespace, out: _Output) -> int:
-    from . import anb as anb_mod
-
-    starts = (args.limit + 1) // 2
-    _budget(starts * max(args.max_steps, 1), CYCLES_STEP_LIMIT,
-            f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "
-            f"each, over the budget of {CYCLES_STEP_LIMIT} steps; lower --limit or "
-            "--max-steps")
-    walk_bytes = anb_mod.catalog_walk_bytes(args.params, args.limit, args.max_steps)
-    _budget(walk_bytes, CYCLES_MEMORY_LIMIT,
-            f"anb-cycles holds one walk of up to {args.max_steps} steps at a time, estimated "
-            f"at {walk_bytes} bytes, over the memory budget of {CYCLES_MEMORY_LIMIT}; "
-            "lower --max-steps")
-    catalog = anb_mod.cycle_catalog(args.params, args.limit, max_steps=args.max_steps)
-    cycles = [
-        {"members": list(r.members), "exponents": list(r.exponents),
-         "sum_exponents": r.sum_exponents, "product_lhs": lhs, "product_rhs": rhs, "verified": ok}
-        for r in catalog for lhs, rhs, ok in [r.product_identity()]
-    ]
-    doc = {
-        "schema": "collatzlab/cycles/v1",
-        "a": args.a,
-        "b": args.b,
-        "start_limit": args.limit,
-        "max_steps": args.max_steps,
-        "cycles": cycles,
-    }
-
-    def table() -> Iterable[list]:
-        yield ["members", "exponents", "sum_exponents", "verified"]
-        for c in cycles:
-            yield [" ".join(map(str, c["members"])), " ".join(map(str, c["exponents"])),
-                   c["sum_exponents"], c["verified"]]
-
-    def text() -> Iterable[str]:
-        yield f"map ({args.a}n+{args.b}), odd starts 1..{args.limit}:\n"
-        for c in cycles:
-            yield (
-                f"  cycle {c['members']} exponents {c['exponents']} "
-                f"(2^{c['sum_exponents']} product identity "
-                f"{'verified' if c['verified'] else 'FAILED'})\n"
-            )
-        if not cycles:
-            yield "  no cycles entered within the step budget\n"
-
-    _emit(args, out, doc, table, text)
-    return EX_OK
-
-
 # --------------------------------------------------------------------- table
 
 _FORMAT = Option("--format", "text", type=None, choices=("text", "json", "csv"))
@@ -908,20 +357,22 @@ _MAX_N = Option("--max-n", 50, "geom/anb-eq: step bound", least=0)
 CHECKS = {
     "lemma7": Command("residue-class shift law", (
         Option("--max-k", 12, "lemma7: largest modulus exponent", least=1), _SAMPLES, _SEED,
-    ), _verify_lemma7),
-    "eq2": Command("odd-trajectory closed form", (_MAX_X0,), _verify_eq2),
-    "bohm": Command("start reconstruction from division exponents", (_MAX_X0,), _verify_bohm),
+    ), "cli_verify.lemma7"),
+    "eq2": Command("odd-trajectory closed form", (_MAX_X0,), "cli_verify.eq2"),
+    "bohm": Command("start reconstruction from division exponents", (_MAX_X0,),
+                    "cli_verify.bohm"),
     "geom": Command("geometric tail sum", (
         _MAX_N, Option("--max-m", 50, "geom: extra-step bound", least=0),
-    ), _verify_geom),
-    "anb-eq": Command("generalized closed form", (_A, _B, _SAMPLES, _MAX_N, _SEED), _verify_anb_eq),
+    ), "cli_verify.geom"),
+    "anb-eq": Command("generalized closed form", (_A, _B, _SAMPLES, _MAX_N, _SEED),
+                      "cli_verify.anb_eq"),
     "halfsplit": Command("step tallies over 1..2^M", (
         Option("--M", 10, "halfsplit: range is 1..2^M"),
         Option("--steps", None, "halfsplit: steps to tally"),
         Option("--lo", None, "halfsplit: subrange low end"),
         Option("--hi", None, "halfsplit: subrange high end"),
         Option("--method", "direct", type=None, choices=("direct", "classes")),
-    ), _verify_halfsplit),
+    ), "cli_verify.halfsplit"),
 }
 
 COMMANDS = {
@@ -932,13 +383,13 @@ COMMANDS = {
         Option("--max-steps", DEFAULT_MAX_STEPS, least=0, label="max-steps"),
         Option("--a", 5, "multiplier for --map anb"),
         Option("--b", 1, "offset for --map anb"),
-    ), _cmd_trajectory),
+    ), "cli_trajectory.run"),
     "verify": Command("run one exhaustive identity check", (
         Option("check", type=None, choices=tuple(CHECKS),
                help="; ".join(f"{name}: {check.help}" for name, check in CHECKS.items())),
         # each option once, in the order the checks first list it
         *dict.fromkeys(opt for check in CHECKS.values() for opt in check.options),
-    ), _cmd_verify),
+    ), "cli_verify.run"),
     "montecarlo": Command("seeded 0/1 drift-ratio experiment", (
         Option("--length", MC_SAMPLE_LENGTH, "bits per sample", least=2),
         Option("--samples", 14, least=2),
@@ -947,19 +398,23 @@ COMMANDS = {
                choices=("95", "98", "99", "all")),
         Option("--fixture", None, "use the embedded published 14-row table instead of generating",
                type=None, choices=(MC_FIXTURE_NAME,)),
-    ), _cmd_montecarlo),
+    ), "cli_montecarlo.run"),
     "sweep": Command("walk every start in 1..limit to 1", (
         Option("--limit", least=1, required=True),
         Option("--max-steps", DEFAULT_MAX_STEPS, least=0),
         Option("--threads", 1, f"worker processes, 1..{THREADS_LIMIT} (the pool never exceeds "
                "the CPUs)", least=1, most=THREADS_LIMIT),
-    ), _cmd_sweep),
+    ), "cli_sweep.run"),
     "anb-cycles": Command("catalog cycles of one (a, b) map", (
         _A, _B, Option("--limit", 100, "odd starts searched", least=1),
         Option("--max-steps", 10**4, least=0),
-    ), _cmd_cycles),
+    ), "cli_cycles.run"),
 }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run as `python -m collatzlab.cli`, this module is __main__, while the
+    # runners import collatzlab.cli: run that module, whose errors main catches.
+    from . import cli
+
+    sys.exit(cli.main())

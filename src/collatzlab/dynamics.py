@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 DEFAULT_MAX_STEPS = 10**5
@@ -47,44 +47,42 @@ class Termination(Enum):
     STEP_LIMIT = "step-limit"
 
 
-@dataclass(frozen=True)
-class AnbParams:
+class AnbParams(NamedTuple("AnbParams", [("a", int), ("b", int)])):
     """Parameters of the generalized odd map x -> (a*x + b) / 2^k.
 
     Both a and b must be odd so that a*x + b is even for odd x; a >= 3 keeps
     the odd branch strictly expanding before division.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 3 or self.a % 2 == 0:
-            raise ValueError(f"a must be odd and >= 3, got {self.a}")
-        if self.b < 1 or self.b % 2 == 0:
-            raise ValueError(f"b must be odd and >= 1, got {self.b}")
+    def __new__(cls, a: int, b: int) -> AnbParams:
+        if a < 3 or a % 2 == 0:
+            raise ValueError(f"a must be odd and >= 3, got {a}")
+        if b < 1 or b % 2 == 0:
+            raise ValueError(f"b must be odd and >= 1, got {b}")
+        return super().__new__(cls, a, b)
 
 
 COLLATZ = AnbParams(3, 1)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple("Trajectory", [("start", int), ("values", tuple),
+                                           ("steps", tuple), ("terminated", Termination)])):
     """A finite orbit with per-step direction flags.
 
     values[0] is the start; steps[i] classifies the move values[i] -> values[i+1].
     """
 
-    start: int
-    values: tuple[int, ...]
-    steps: tuple[StepKind, ...]
-    terminated: Termination
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != self.start:
+    def __new__(cls, start: int, values: tuple[int, ...], steps: tuple[StepKind, ...],
+                terminated: Termination) -> Trajectory:
+        if not values or values[0] != start:
             raise ValueError("values must begin at start")
-        if len(self.steps) != len(self.values) - 1:
+        if len(steps) != len(values) - 1:
             raise ValueError("need exactly one step kind per consecutive pair")
+        return super().__new__(cls, start, values, steps, terminated)
 
     @property
     def final(self) -> int:
@@ -95,8 +93,8 @@ class Trajectory:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ParityExponents:
+class ParityExponents(NamedTuple("ParityExponents", [("exponents", tuple),
+                                                     ("prefix_sums", tuple)])):
     """Division exponents k_1..k_n of an odd trajectory with their prefix sums.
 
     prefix_sums[r] is k_1 + ... + k_r (so prefix_sums[0] == 0); these are the
@@ -104,17 +102,17 @@ class ParityExponents:
     start-value reconstruction.
     """
 
-    exponents: tuple[int, ...]
-    prefix_sums: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(k < 1 for k in self.exponents):
+    def __new__(cls, exponents: tuple[int, ...], prefix_sums: tuple[int, ...]) -> ParityExponents:
+        if any(k < 1 for k in exponents):
             raise ValueError("exponents must be positive")
         expect = [0]
-        for k in self.exponents:
+        for k in exponents:
             expect.append(expect[-1] + k)
-        if list(self.prefix_sums) != expect:
+        if list(prefix_sums) != expect:
             raise ValueError("prefix_sums inconsistent with exponents")
+        return super().__new__(cls, exponents, prefix_sums)
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "ParityExponents":
@@ -135,6 +133,8 @@ class ParityExponents:
     @property
     def mean_k(self) -> Fraction:
         """Exact mean exponent, total / step count."""
+        from fractions import Fraction
+
         if not self.exponents:
             raise ValueError("mean exponent undefined for an empty step list")
         return Fraction(self.total, self.step_count)

@@ -15,10 +15,9 @@ neither loads numpy.  `step_kind_at` is the per-element reference.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _packed_step
-from .identities import _walk_shortcut_zero
 
 # The direct walker stops before it walks above these many elements, tallied
 # steps (it holds a row per step) or element-steps (M = 21 makes 2^21 x 20).
@@ -43,8 +42,7 @@ M_LIMIT = 1 << 16
 CLASSES_UINT64_MAX_STEP = 40
 
 
-@dataclass(frozen=True)
-class StepTally:
+class StepTally(NamedTuple):
     """Counts of increase/decrease steps at one step index (1-based)."""
 
     step: int
@@ -63,8 +61,7 @@ class StepTally:
         )
 
 
-@dataclass(frozen=True)
-class HalfSplitReport:
+class HalfSplitReport(NamedTuple):
     """Per-step tallies over a union of disjoint intervals inside [1, 2^M].
 
     Steps beyond M-1 may be tallied too but are flagged as outside the range
@@ -277,6 +274,8 @@ def _refined_step(image: int, power: int, one: int) -> tuple[int, int]:
 
 def step_kind_at(x: int, n: int) -> StepKind:
     """Direction of step n (1-based) of the shortcut orbit of x."""
+    from .identities import _walk_shortcut_zero
+
     if x < 1 or n < 1:
         raise ValueError("need x >= 1 and n >= 1")
     y, _ = _walk_shortcut_zero(x, n - 1)

@@ -16,13 +16,12 @@ recomputes intervals from the rows and reports the discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SAMPLE_LENGTH = 100
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     sample: int
     zeros: int
     ones: int

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple, Sequence
 
@@ -173,22 +172,20 @@ def t_critical(level: float, df: int) -> float:
     raise ArithmeticError(f"t quantile did not converge (level={level}, df={df})")
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple("SampleStats", [("count", int), ("mean", float), ("std", float),
+                                             ("level", float)])):
     """Summary of a real-valued sample for interval construction."""
 
-    count: int
-    mean: float
-    std: float
-    level: float = 0.95
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+    def __new__(cls, count: int, mean: float, std: float, level: float = 0.95) -> SampleStats:
+        if count < 1:
             raise ValueError("count must be >= 1")
-        if self.std < 0:
+        if std < 0:
             raise ValueError("std must be >= 0")
-        if self.level not in Z_CRITICAL:
+        if level not in Z_CRITICAL:
             raise ValueError(f"level must be one of {sorted(Z_CRITICAL)}")
+        return super().__new__(cls, count, mean, std, level)
 
     @classmethod
     def from_values(cls, values: Sequence[float], level: float = 0.95) -> "SampleStats":
@@ -231,7 +228,7 @@ def exponentiate_interval(lo: float, hi: float) -> tuple[float, float]:
 
 def level_intervals(stats: SampleStats, level: float) -> dict[str, tuple[float, float]]:
     """The normal and t intervals for the mean at `level`, and their 2^x images."""
-    at_level = replace(stats, level=level)
+    at_level = SampleStats(stats.count, stats.mean, stats.std, level)
     mu_normal = confidence_interval(at_level, mode="normal")
     mu_t = confidence_interval(at_level, mode="t")
     return {

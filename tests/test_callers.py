@@ -1,12 +1,15 @@
 """Every module-level function, class and constant of the package has a caller.
 
 A caller is a name or attribute in `src/`, `scripts/` or `bench/`, an import
-of the acceptance suite, or an entry of KEPT: code that only unit tests call
-is deleted, not kept.
+of the acceptance suite, a runner the CLI's command table names as
+"module.function", or an entry of KEPT: code that only unit tests call is
+deleted, not kept.
 """
 
 import ast
 from pathlib import Path
+
+from collatzlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +46,7 @@ def _defined(node: ast.stmt) -> list[str]:
 
 def test_every_definition_has_a_caller():
     used = _names(ROOT / "tests" / "test_acceptance.py", imports_only=True)
+    used |= {c.run.split(".")[1] for c in (*cli.COMMANDS.values(), *cli.CHECKS.values())}
     for path in (p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py")):
         used |= _names(path)
     defined = {name for path in (ROOT / "src" / "collatzlab").glob("*.py")

@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 
 from collatzlab import anb as anb_mod
 from collatzlab import cli as cli_mod
+from collatzlab import cli_trajectory, cli_verify
 from collatzlab import halfsplit as halfsplit_mod
 from collatzlab import identities as ident_mod
 from collatzlab.cli import (
@@ -390,7 +391,7 @@ class TestOneWalkChecksBytes:
     def test_eq2_wrong_exponents(self, capsys, monkeypatch):
         # both paths read the same corrupted exponents, so they must report
         # the same failures and the same first counterexample
-        real = cli_mod.odd_walk
+        real = cli_verify.odd_walk
 
         def corrupted(x0):
             values, exps = real(x0)
@@ -398,7 +399,7 @@ class TestOneWalkChecksBytes:
                 exps[len(exps) // 2] += 1
             return values, exps
 
-        monkeypatch.setattr(cli_mod, "odd_walk", corrupted)
+        monkeypatch.setattr(cli_verify, "odd_walk", corrupted)
         argv = ("verify", "eq2", "--max-x0", "299")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         monkeypatch.setattr(ident_mod, "closed_form_checks", _eq2_per_n)
@@ -944,7 +945,7 @@ class TestOutputFile:
         def no_walk(*args, **kwargs):
             raise AssertionError("the orbit was walked")
 
-        monkeypatch.setattr(cli_mod, "orbit_steps", no_walk)
+        monkeypatch.setattr(cli_trajectory, "orbit_steps", no_walk)
         code = main(["trajectory", "27", "--output", str(target)])
         captured = capsys.readouterr()
         assert code == EX_USAGE

@@ -20,6 +20,7 @@ import io
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from test_cli_contract import PATCHED
 
 from collatzlab import cli as cli_mod
 from collatzlab import halfsplit as halfsplit_mod
@@ -113,3 +114,27 @@ def test_exit_code_contract(output, case):
         assert output.read_bytes().decode() == ("".join(written) if written else OLD), argv
     else:
         assert out.getvalue() == "".join(written), argv
+
+
+# For each budget on `cli` that no "cli.NAME=" entry of PATCHED pins, an argv
+# its BUDGETS value admits and one less stops: runners read the budgets from
+# `cli` when they run, so a budget lowered there binds.
+EDGE_ARGVS = {
+    "ANB_EQ_CHECK_LIMIT": ["verify", "anb-eq", "--samples", "20", "--max-n", "5"],
+}
+UNPINNED = sorted(
+    (name, value) for module, name, value in BUDGETS
+    if module is cli_mod and not any(p.startswith(f"cli.{name}=") for p, _, _ in PATCHED)
+)
+
+
+@pytest.mark.parametrize("name, value", UNPINNED)
+def test_unpinned_budgets_bind(name, value, monkeypatch, capsys):
+    argv = EDGE_ARGVS[name]
+    monkeypatch.setattr(cli_mod, name, value)
+    assert cli_mod.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, name, value - 1)
+    assert cli_mod.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and len(err.splitlines()) == 1

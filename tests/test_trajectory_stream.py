@@ -25,6 +25,7 @@ from jsonschema import Draft202012Validator
 
 from collatzlab import anb as anb_mod
 from collatzlab import cli as cli_mod
+from collatzlab import cli_trajectory
 from collatzlab.cli import EX_INCONCLUSIVE, EX_OK, EX_RESOURCE, EX_USAGE, main
 from collatzlab.dynamics import (
     DEFAULT_MAX_STEPS,
@@ -243,12 +244,12 @@ class TestSameBytes:
 
     def test_decimal_rendering_is_certified(self, monkeypatch):
         # a wrong step record is caught by the final str(int) comparison
-        real = cli_mod._decimal_step
+        real = cli_trajectory._decimal_step
 
         def off_by_one(d, mul, add, k, consts):
             return real(d, mul, add + (d == 41), k, consts)
 
-        monkeypatch.setattr(cli_mod, "_decimal_step", off_by_one)
+        monkeypatch.setattr(cli_trajectory, "_decimal_step", off_by_one)
         with pytest.raises(RuntimeError, match="disagrees"):
             run(["trajectory", "27"])
 
@@ -334,26 +335,26 @@ def probe(*argv):
     return int(code), loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("trajectory", "27"),
-        ("trajectory", "7", "--map", "odd"),
-        ("trajectory", "13", "--map", "anb"),
-        ("verify", "eq2", "--max-x0", "99"),
-        ("verify", "bohm", "--max-x0", "99"),
-        ("verify", "geom", "--max-n", "5", "--max-m", "5"),
-        ("verify", "halfsplit", "--M", "6"),
-        ("montecarlo", "--fixture", "paper14"),
-        ("anb-cycles", "--limit", "21"),
-        # seeded draws below the crossover run on the owned PCG64 stream
-        ("verify", "anb-eq", "--samples", "200", "--max-n", "50"),
-        ("montecarlo", "--length", "100", "--samples", "14"),
-        # the shift-law table and the lemma7 walks run on packed lanes of ints
-        ("verify", "lemma7", "--max-k", "4"),
-        ("verify", "halfsplit", "--M", "18", "--method", "classes"),
-    ],
-)
+LIGHT = [
+    ("trajectory", "27"),
+    ("trajectory", "7", "--map", "odd"),
+    ("trajectory", "13", "--map", "anb"),
+    ("verify", "eq2", "--max-x0", "99"),
+    ("verify", "bohm", "--max-x0", "99"),
+    ("verify", "geom", "--max-n", "5", "--max-m", "5"),
+    ("verify", "halfsplit", "--M", "6"),
+    ("montecarlo", "--fixture", "paper14"),
+    ("anb-cycles", "--limit", "21"),
+    # seeded draws below the crossover run on the owned PCG64 stream
+    ("verify", "anb-eq", "--samples", "200", "--max-n", "50"),
+    ("montecarlo", "--length", "100", "--samples", "14"),
+    # the shift-law table and the lemma7 walks run on packed lanes of ints
+    ("verify", "lemma7", "--max-k", "4"),
+    ("verify", "halfsplit", "--M", "18", "--method", "classes"),
+]
+
+
+@pytest.mark.parametrize("argv", LIGHT)
 def test_light_commands_load_no_numpy_or_pool(argv):
     assert probe(*argv) == (EX_OK, [])
 
@@ -456,18 +457,29 @@ except SystemExit as exc:
 """
 
 ENGINES = ("collatzlab.anb", "collatzlab.halfsplit", "collatzlab.stats", "collatzlab.sweep")
+IDENTITIES = ("collatzlab.identities",)
+
+# each command's runner module, which only that command loads
+RUNNERS = {name: f"collatzlab.{c.run.split('.')[0]}" for name, c in cli_mod.COMMANDS.items()}
+
+# loaded by no light command: dataclasses' import of inspect costs a process
+# about 1 MB of peak RSS and 6-8 ms
+NEVER = ("dataclasses", "inspect", "numpy", "concurrent.futures.process")
+
+# (used, unused) past the runner, NEVER and the other runners
+FLOOR = {
+    ("trajectory", "27"): (("collatzlab.dynamics",), ENGINES + IDENTITIES),
+    ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",), IDENTITIES),
+    ("verify", "geom", "--max-n", "5", "--max-m", "5"): (IDENTITIES, ()),
+    ("verify", "halfsplit", "--M", "18", "--method", "classes"): (("collatzlab.halfsplit",),
+                                                                 IDENTITIES),
+    ("anb-cycles", "--limit", "21"): (("collatzlab.anb",), IDENTITIES),
+}
 
 
-@pytest.mark.parametrize(
-    "argv, used, unused",
-    [
-        (("trajectory", "27"), ("collatzlab.dynamics",),
-         ("numpy", "concurrent.futures.process") + ENGINES),
-        (("verify", "geom", "--max-n", "2", "--max-m", "2"), ("collatzlab.identities",),
-         ("numpy",)),
-    ],
-)
+@pytest.mark.parametrize("argv, used, unused", [(a, *FLOOR.get(a, ((), ()))) for a in LIGHT])
 def test_import_floor(argv, used, unused):
+    runner = RUNNERS[argv[0]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -476,8 +488,21 @@ def test_import_floor(argv, used, unused):
     )
     code, *loaded = proc.stderr.splitlines()[-1].split()
     assert int(code) == EX_OK and proc.stdout
-    assert set(used) <= set(loaded) and "collatzlab.cli" in loaded
-    assert not set(unused) & set(loaded)
+    assert {"collatzlab.cli", runner, *used} <= set(loaded)
+    assert not ({*RUNNERS.values(), *NEVER, *unused} - {runner}) & set(loaded)
+
+
+def test_cli_module_run_as_main():
+    # a usage error raised by a runner is one line and exit 1 under
+    # `python -m collatzlab.cli` too, where the module runs as __main__
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "collatzlab.cli", "trajectory", "4", "--map", "odd"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EX_USAGE, "")
+    assert proc.stderr == "error: odd-to-odd map needs an odd start, got 4\n"
 
 
 # -------------------------------------------------------------- closed pipe
