@@ -7,14 +7,14 @@ cycles or keep growing; nothing here ever asserts divergence, only what
 happened within a finite horizon.
 
 The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
-shift law is `identities.residue_shift_check`, called here as
-`residue_shift_check_anb`, and the one-walk closed-form check is
-`identities.closed_form_checks`: one code path for every map, with
-`identities` loaded only by the functions that call it.  Tests compare the
-an+b code at (3, 1) with the 3n+1 code only where the two are separate paths,
-so that each can catch the other: orbits (`trajectory_anb` on `step_anb`
-against `dynamics.odd_walk`'s inline step), per-n closed forms
-(`closed_form_anb_check` on `anb_steps_extended` against
+shift law is `identities.residue_shift_check(k, m, i, params)`, and the
+one-walk closed-form check is `identities.closed_form_checks`: one code path
+for every map, with `identities` loaded only by the functions that call it.
+`trajectory_anb` and `divergence_report` read one walk, `anb_orbit_steps`.
+Tests compare the an+b code at (3, 1) with the 3n+1 code only where the two
+are separate paths, so that each can catch the other: orbits
+(`trajectory_anb` on `step_anb` against `dynamics.odd_walk`'s inline step),
+per-n closed forms (`closed_form_anb_check` on `anb_steps_extended` against
 `identities.closed_form_check` on `odd_steps_extended`, with a literal 3) and
 cycles (`find_cycle`).
 """
@@ -37,7 +37,7 @@ from .dynamics import (
 )
 
 if TYPE_CHECKING:
-    from .identities import ClosedFormCheck, ShiftCheck
+    from .identities import ClosedFormCheck
 
 LABEL_BOUNDED = "bounded/cyclic within horizon"
 LABEL_UNBOUNDED = "unbounded within horizon"
@@ -135,22 +135,13 @@ def trajectory_anb(
     A repeat means the orbit has entered a cycle; the repeated value is not
     appended again, so `values` lists each visited odd number exactly once.
     """
-    values, steps, exponents = collect_orbit(x0, anb_orbit_steps(x0, params, max_steps))
+    values, exponents = collect_orbit(x0, anb_orbit_steps(x0, params, max_steps))
     # the walk stops early only on a repeat
     terminated = (
-        Termination.REACHED_CYCLE if len(steps) < max_steps else Termination.STEP_LIMIT
+        Termination.REACHED_CYCLE if len(exponents) < max_steps else Termination.STEP_LIMIT
     )
-    traj = Trajectory(
-        start=x0, values=tuple(values), steps=tuple(steps), terminated=terminated
-    )
-    return traj, ParityExponents.from_exponents(exponents)
-
-
-def residue_shift_check_anb(k: int, m: int, i: int, params: AnbParams) -> ShiftCheck:
-    """`identities.residue_shift_check`: the shift law of the class 2^k m + i at (a, b)."""
-    from .identities import residue_shift_check
-
-    return residue_shift_check(k, m, i, params)
+    traj = Trajectory(values=tuple(values), terminated=terminated)
+    return traj, ParityExponents(tuple(exponents))
 
 
 def canonical_rotation(members: Sequence[int]) -> tuple[int, ...]:
@@ -306,32 +297,16 @@ def divergence_report(
     Unlike `trajectory_anb`, the step that closes a cycle is counted here:
     its exponent is what balances the tally for cyclic orbits (around a full
     cycle 2^{sum k} always exceeds a^length, so cycles never read as
-    expanding).
+    expanding).  The walk is `anb_orbit_steps`, so x0 must be odd.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    seen = _RepeatIndex(x0, params)
-    value = x0
-    peak = x0
-    steps = 0
-    sum_k = 0
-    label = LABEL_UNBOUNDED
-    while steps < horizon:
-        value, k = step_anb(value, params)
-        steps += 1
-        sum_k += k
-        peak = max(peak, value)
-        if seen.first_step(value, steps) is not None:
-            label = LABEL_BOUNDED
-            break
-    return DivergenceDiagnostic(
-        params=params,
-        start=x0,
-        steps_taken=steps,
-        peak=peak,
-        sum_exponents=sum_k,
-        label=label,
-    )
+    x, peak, steps, sum_k, label = x0, x0, 0, 0, LABEL_UNBOUNDED
+    for x, _, _, k in anb_orbit_steps(x0, params, horizon):
+        steps, sum_k, peak = steps + 1, sum_k + k, max(peak, x)
+    if steps < horizon:  # stopped on a repeat: the closing step reaches a value seen before
+        steps, sum_k, label = steps + 1, sum_k + step_anb(x, params)[1], LABEL_BOUNDED
+    return DivergenceDiagnostic(params, x0, steps, peak, sum_k, label)
 
 
 def cycle_catalog(

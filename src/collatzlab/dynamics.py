@@ -4,11 +4,13 @@ The step family lives here, in (a, b) with 3n+1 as `COLLATZ` = (3, 1).  The
 shortcut map sends even x to x/2 and odd x to (ax+b)/2 (`step_general`); the
 odd-to-odd form divides ax+b by its full power of two, recording the removed
 exponent (`step_anb`).  These two are the Python-int references every other
-walker is tested against.  Two vector forms take the 3n+1 shortcut step on
-many values at once: `_packed_step` on the 64-bit lanes of one Python int,
-for the shift-law table and the blocked lemma7 walks, with no numpy; and
-`_shortcut_step` on uint64 arrays, for the sweep.  Python-int values are exact
-at arbitrary precision.  Every function here is pure and safe to call from any
+walker is tested against.  `_packed_step` takes the 3n+1 shortcut step on
+the 64-bit lanes of one Python int at once, for the shift-law table and the
+blocked lemma7 walks, with no numpy (the sweep's uint64 form lives in
+`sweep`).  The records keep only what they cannot derive: a `Trajectory`
+its values and why it stopped, `ParityExponents` the exponents; step kinds
+and prefix sums are read from those.  Python-int values are exact at
+arbitrary precision.  Every function here is pure and safe to call from any
 thread.
 """
 
@@ -18,12 +20,8 @@ import sys
 from array import array
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    import numpy as np
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_STEPS = 10**5
 
@@ -67,35 +65,35 @@ class AnbParams(NamedTuple("AnbParams", [("a", int), ("b", int)])):
 COLLATZ = AnbParams(3, 1)
 
 
-class Trajectory(NamedTuple("Trajectory", [("start", int), ("values", tuple),
-                                           ("steps", tuple), ("terminated", Termination)])):
-    """A finite orbit with per-step direction flags.
+class Trajectory(NamedTuple):
+    """A finite orbit: values[0] is the start, and steps[i] classifies the move
+    values[i] -> values[i+1], an increase iff values[i+1] is larger."""
 
-    values[0] is the start; steps[i] classifies the move values[i] -> values[i+1].
-    """
+    values: tuple[int, ...]
+    terminated: Termination
 
-    __slots__ = ()
-
-    def __new__(cls, start: int, values: tuple[int, ...], steps: tuple[StepKind, ...],
-                terminated: Termination) -> Trajectory:
-        if not values or values[0] != start:
-            raise ValueError("values must begin at start")
-        if len(steps) != len(values) - 1:
-            raise ValueError("need exactly one step kind per consecutive pair")
-        return super().__new__(cls, start, values, steps, terminated)
+    @property
+    def start(self) -> int:
+        return self.values[0]
 
     @property
     def final(self) -> int:
         return self.values[-1]
 
     @property
+    def steps(self) -> tuple[StepKind, ...]:
+        values = self.values
+        return tuple(
+            StepKind.INCREASE if y > x else StepKind.DECREASE for x, y in zip(values, values[1:])
+        )
+
+    @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self.values) - 1
 
 
-class ParityExponents(NamedTuple("ParityExponents", [("exponents", tuple),
-                                                     ("prefix_sums", tuple)])):
-    """Division exponents k_1..k_n of an odd trajectory with their prefix sums.
+class ParityExponents(NamedTuple("ParityExponents", [("exponents", tuple)])):
+    """Division exponents k_1..k_n of an odd trajectory, and their prefix sums.
 
     prefix_sums[r] is k_1 + ... + k_r (so prefix_sums[0] == 0); these are the
     exponents that appear in the closed-form trajectory identity and in the
@@ -104,40 +102,18 @@ class ParityExponents(NamedTuple("ParityExponents", [("exponents", tuple),
 
     __slots__ = ()
 
-    def __new__(cls, exponents: tuple[int, ...], prefix_sums: tuple[int, ...]) -> ParityExponents:
+    def __new__(cls, exponents: tuple[int, ...]) -> ParityExponents:
         if any(k < 1 for k in exponents):
             raise ValueError("exponents must be positive")
-        expect = [0]
-        for k in exponents:
-            expect.append(expect[-1] + k)
-        if list(prefix_sums) != expect:
-            raise ValueError("prefix_sums inconsistent with exponents")
-        return super().__new__(cls, exponents, prefix_sums)
+        return super().__new__(cls, exponents)
 
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> "ParityExponents":
-        exps = tuple(exponents)
-        prefix = [0]
-        for k in exps:
-            prefix.append(prefix[-1] + k)
-        return cls(exponents=exps, prefix_sums=tuple(prefix))
+    @property
+    def prefix_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.exponents, initial=0))
 
     @property
     def step_count(self) -> int:
         return len(self.exponents)
-
-    @property
-    def total(self) -> int:
-        return self.prefix_sums[-1]
-
-    @property
-    def mean_k(self) -> Fraction:
-        """Exact mean exponent, total / step count."""
-        from fractions import Fraction
-
-        if not self.exponents:
-            raise ValueError("mean exponent undefined for an empty step list")
-        return Fraction(self.total, self.step_count)
 
 
 def two_adic_valuation(n: int) -> int:
@@ -172,9 +148,6 @@ def step_anb(x: int, params: AnbParams = COLLATZ) -> tuple[int, int]:
     t = params.a * x + params.b
     k = two_adic_valuation(t)
     return t >> k, k
-
-
-step_odd = step_anb  # the 3n+1 odd-to-odd step, under its own name
 
 
 # Lanes per packed block: a lane-step costs about 13 ns at 2^12 lanes against
@@ -219,21 +192,6 @@ def _packed_step(x: int, one: int) -> tuple[int, int]:
     return ((x - o) >> 1) + ((x + one) & odd), odd
 
 
-def _shortcut_step(x: np.ndarray, odd: np.ndarray) -> None:
-    """One 3n+1 shortcut step on a uint64 array in place; odd ends as the old parities.
-
-    x >> 1, plus x + 1 where x is odd: 3x is never formed, and 0 stays 0.
-    """
-    import numpy as np
-
-    np.bitwise_and(x, 1, out=odd)
-    odd *= x
-    x >>= 1
-    x += odd
-    odd &= 1
-    x += odd
-
-
 def orbit_steps(
     x0: int, max_steps: int = DEFAULT_MAX_STEPS, odd: bool = False
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -259,7 +217,7 @@ def _orbit_steps(x: int, max_steps: int, odd: bool) -> Iterator[tuple[int, int, 
         if x == 1:
             return
         if odd:
-            x, k = step_odd(x)
+            x, k = step_anb(x)
             yield x, 3, 1, k
         else:
             x, kind = step_general(x)
@@ -268,16 +226,14 @@ def _orbit_steps(x: int, max_steps: int, odd: bool) -> Iterator[tuple[int, int, 
 
 def collect_orbit(
     x0: int, records: Iterable[tuple[int, int, int, int]]
-) -> tuple[list[int], list[StepKind], list[int]]:
-    """The values, step kinds and exponents of the step records of a walk from x0."""
+) -> tuple[list[int], list[int]]:
+    """The values and exponents of the step records of a walk from x0."""
     values = [x0]
-    steps: list[StepKind] = []
     exponents: list[int] = []
     for y, _, _, k in records:
-        steps.append(StepKind.INCREASE if y > values[-1] else StepKind.DECREASE)
         values.append(y)
         exponents.append(k)
-    return values, steps, exponents
+    return values, exponents
 
 
 def trajectory_general(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
@@ -286,9 +242,9 @@ def trajectory_general(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajector
     Reaching 1 is equivalent to entering the terminal [2,1] loop, and cheaper
     to test.  Hitting the step budget is a status, not an error.
     """
-    values, steps, _ = collect_orbit(x0, orbit_steps(x0, max_steps))
+    values, _ = collect_orbit(x0, orbit_steps(x0, max_steps))
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
-    return Trajectory(start=x0, values=tuple(values), steps=tuple(steps), terminated=done)
+    return Trajectory(values=tuple(values), terminated=done)
 
 
 def odd_walk(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> tuple[list[int], list[int]]:
@@ -344,9 +300,5 @@ def trajectory_odd(
     the only fixed point is 1 and the iteration stops there.
     """
     values, exponents = odd_walk(x0, max_steps)
-    steps = tuple(
-        StepKind.INCREASE if y > x else StepKind.DECREASE for x, y in zip(values, values[1:])
-    )
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
-    traj = Trajectory(start=x0, values=tuple(values), steps=steps, terminated=done)
-    return traj, ParityExponents.from_exponents(exponents)
+    return Trajectory(values=tuple(values), terminated=done), ParityExponents(tuple(exponents))

@@ -1,31 +1,31 @@
 """numpy's seeded draws, reproduced bit for bit without numpy.
 
-`PCG64(seed)` is the bit generator of `numpy.random.default_rng(seed)` for a
-non-negative int seed:
+`numpy.random.default_rng(seed)`, for a non-negative int seed, draws from a
+PCG64 bit generator:
 
 - seeding: `SeedSequence(seed)` splits the seed into 32-bit words, hashes
   them into a pool of four words (hashmix), and draws the 128-bit state and
-  increment from the pool;
+  increment from the pool, which PCG64 steps twice (`_seeded`);
 - stepping: the 128-bit LCG state = state * A + inc, whose new state gives
   a 64-bit output by XSL-RR (O'Neill, HMC-CS-2014-0905);
-- 32-bit draws take the low half of an output and keep its high half for
-  the next one.
+- 32-bit draws take the low, then the high half of an output.
 
-On that stream it draws the two shapes the package uses, as numpy's
-`Generator.integers` draws them: `integers(high, size)`, the values of
-`integers(0, high, size)` for 2 <= high <= 2^32 (Lemire's bounded draw with
-rejection, ACM TOMACS 29(1), 2019; at high = 2^32 it rejects nothing and
-gives the 32-bit draws as they are), and `ones(size)`, the ones count of
-`integers(0, 2, size, dtype=uint8)`: each 32-bit draw gives four bytes, low
-byte first, and each byte gives the coin of its top bit, so a 64-bit output
-holds 8 coins.
+From a seeded (state, inc) this module draws the two shapes the package
+uses, as numpy's `Generator.integers` draws them from a fresh generator:
+`_integers`, the values of `integers(0, high, size)` for 2 <= high <= 2^32
+(Lemire's bounded draw with rejection, ACM TOMACS 29(1), 2019; at high =
+2^32 it rejects nothing and gives the 32-bit draws as they are), and
+`_ones`, the ones count of `integers(0, 2, size, dtype=uint8)`: each 32-bit
+draw gives four bytes, low byte first, and each byte gives the coin of its
+top bit, so a 64-bit output holds 8 coins.
 NEP 19 pins numpy's PCG64 and SeedSequence streams across versions, but not
 the bounded draws of `Generator.integers`; this module fixes both in code.
 
-`seeded_draws` is the package's one entry point for seeded draws.  It runs
-the stream here when its total work is less than importing numpy costs, and
-numpy's `Generator` otherwise; both give the same values.  All state lives in
-the objects; importing this module loads only the standard library.
+`seeded_draws` is the package's one entry point for seeded draws, each the
+first draw of a fresh seed: nothing is kept between draws.  It runs the
+stream here when its total work is less than importing numpy costs, and
+numpy's `Generator` otherwise; both give the same values.  Importing this
+module loads only the standard library.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ COIN_NS = 72
 INT_NS = 548
 
 
-def _seed_words(seed: int) -> tuple[int, int]:
-    """The (state, inc) that `SeedSequence(seed)` gives PCG64, before its two seeding steps."""
+def _seeded(seed: int) -> tuple[int, int]:
+    """numpy's `PCG64(seed).state`: `SeedSequence(seed)`'s (state, inc) after PCG64's seeding."""
     if seed < 0:
         raise ValueError("seed must be >= 0")
     entropy = [0] if seed == 0 else []
@@ -98,84 +98,52 @@ def _seed_words(seed: int) -> tuple[int, int]:
         value = value * hash_const & _MASK32
         words.append(value ^ value >> 16)
     w = [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
-    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+    # (initstate, initseq) = (w0 w1, w2 w3); inc = 2 initseq + 1, and PCG64 steps
+    # once from state 0 and once more after adding initstate.
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+    return (inc + (w[0] << 64 | w[1])) * _MULTIPLIER + inc & _MASK128, inc
 
 
-class PCG64:
-    """The bit generator of `numpy.random.default_rng(seed)`, and its two draws."""
-
-    def __init__(self, seed: int) -> None:
-        initstate, initseq = _seed_words(seed)
-        self.inc = (initseq << 1 | 1) & _MASK128
-        self.state = (self.inc + initstate) * _MULTIPLIER + self.inc & _MASK128
-        self.half: int | None = None  # the high half of an output that next32 kept
-
-    def next64(self) -> int:
-        state = self.state = self.state * _MULTIPLIER + self.inc & _MASK128
+def _ones(state: int, inc: int, size: int) -> int:
+    """The ones count of `integers(0, 2, size, dtype=uint8)` drawn from (state, inc)."""
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    full, rest = divmod(size, 8)
+    total = 0
+    for _ in range(full):
+        state = state * _MULTIPLIER + inc & _MASK128
+        total += ((state >> 64 ^ state) & _COIN_BITS[state >> 122]).bit_count()
+    if rest:  # the low bytes of one more output, whether one 32-bit draw or two
+        state = state * _MULTIPLIER + inc & _MASK128
         x = (state >> 64 ^ state) & _MASK64
-        return (x | x << 64) >> (state >> 122) & _MASK64
+        total += ((x | x << 64) >> (state >> 122) & _TOP_BITS >> 64 - 8 * rest).bit_count()
+    return total
 
-    def next32(self) -> int:
-        if self.half is not None:
-            half, self.half = self.half, None
-            return half
-        word = self.next64()
-        self.half = word >> 32
-        return word & _MASK32
 
-    def integers(self, high: int, size: int) -> Iterator[int]:
-        """The values of `integers(0, high, size)`, one at a time.
-
-        Lemire's draw: m = u * high for a 32-bit draw u gives the value
-        m >> 32, unless the low word of m falls below 2^32 mod high, where
-        u is drawn again.
-        """
-        if not 2 <= high <= 1 << 32:
-            raise ValueError("need 2 <= high <= 2^32")
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        return self._bounded(high, size)
-
-    def _bounded(self, high: int, size: int) -> Iterator[int]:
-        threshold = (1 << 32) % high
-        state, inc, half = self.state, self.inc, self.half
-        try:
-            for _ in range(size):
-                while True:
-                    if half is None:
-                        state = state * _MULTIPLIER + inc & _MASK128
-                        x = (state >> 64 ^ state) & _MASK64
-                        word = (x | x << 64) >> (state >> 122) & _MASK64
-                        m, half = (word & _MASK32) * high, word >> 32
-                    else:
-                        m, half = half * high, None
-                    if m & _MASK32 >= threshold:
-                        break
-                yield m >> 32
-        finally:
-            self.state, self.half = state, half
-
-    def ones(self, size: int) -> int:
-        """The ones count of `integers(0, 2, size, dtype=uint8)`: top bits of the bytes."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        total = 0
-        if self.half is not None and size:
-            take = min(size, 4)
-            total += (self.next32() & _TOP_BITS & (1 << 8 * take) - 1).bit_count()
-            size -= take
-        full, rest = divmod(size, 8)
-        state, inc = self.state, self.inc
-        for _ in range(full):
-            state = state * _MULTIPLIER + inc & _MASK128
-            total += ((state >> 64 ^ state) & _COIN_BITS[state >> 122]).bit_count()
-        self.state = state
-        if rest:
-            word = self.next64()
-            total += (word & _TOP_BITS & (1 << 8 * rest) - 1).bit_count()
-            if rest <= 4:  # one 32-bit draw: the high half waits for the next
-                self.half = word >> 32
-        return total
+def _integers(state: int, inc: int, high: int, size: int) -> array:
+    """The values of `integers(0, high, size)` drawn from (state, inc), by Lemire's
+    draw: m = u * high for a 32-bit draw u gives m >> 32, unless the low word
+    of m falls below 2^32 mod high, where u is drawn again."""
+    if not 2 <= high <= 1 << 32:
+        raise ValueError("need 2 <= high <= 2^32")
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    threshold = (1 << 32) % high
+    values = array("Q")
+    append, half = values.append, None
+    for _ in range(size):
+        while True:
+            if half is None:
+                state = state * _MULTIPLIER + inc & _MASK128
+                x = (state >> 64 ^ state) & _MASK64
+                word = (x | x << 64) >> (state >> 122) & _MASK64
+                m, half = (word & _MASK32) * high, word >> 32
+            else:
+                m, half = half * high, None
+            if m & _MASK32 >= threshold:
+                break
+        append(m >> 32)
+    return values
 
 
 def seeded_draws(
@@ -185,15 +153,15 @@ def seeded_draws(
 
     With high None each item is the ones count of `integers(0, 2, size,
     dtype=uint8)`; otherwise it is the values of `integers(0, high, size)`,
-    2 <= high <= 2^32, as an `array("Q")`: drawn by `PCG64` below the
-    crossover, and read from the bytes of numpy's int64 array above it, one
-    copy.  The items come in seed order, one seed at a time, and are the same
-    on both sides of the crossover.
+    2 <= high <= 2^32, as an `array("Q")`: drawn here below the crossover,
+    and read from the bytes of numpy's int64 array above it, one copy.  The
+    items come in seed order, one seed at a time, and are the same on both
+    sides of the crossover.
     """
     if count * size * (COIN_NS if high is None else INT_NS) <= NUMPY_LOAD_NS:
         for s in range(seed, seed + count):
-            rng = PCG64(s)
-            yield rng.ones(size) if high is None else array("Q", rng.integers(high, size))
+            state, inc = _seeded(s)
+            yield _ones(state, inc, size) if high is None else _integers(state, inc, high, size)
         return
     import numpy as np
 

@@ -5,8 +5,10 @@ The random experiment draws the fair bits of
 `pcg64.seeded_draws`, which reproduces them without numpy for small runs.
 numpy's compatibility policy (NEP 19) pins the PCG64 stream but not the
 bounded draws of `Generator.integers`; `pcg64` fixes both in code, and the
-tests check numpy's draws against it.  A (seed, length) pair always gives the same bits, on any
-thread.  Real-valued statistics use doubles.
+tests check numpy's draws against it.  Each sample's ones count is a plain
+function of its (seed, length), with no generator kept between samples, so
+a pair always gives the same bits, on any thread.  Real-valued statistics
+use doubles.
 
 The summary statistics and interval bounds do not depend on the Python
 version or on a quantile library.  Means use `statistics.fmean` (a correctly
@@ -42,7 +44,7 @@ class RatioSample(NamedTuple):
 
 
 def simulate_ratio(length: int, seed: int) -> RatioSample:
-    """Draw `length` fair bits from PCG64(seed) and return their ratio stats."""
+    """Draw `length` fair bits from `default_rng(seed)` and return their ratio stats."""
     return sample_ratios(length, 1, seed)[0]
 
 

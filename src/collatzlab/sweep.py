@@ -27,8 +27,8 @@ k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
   * Jumps.  The other starts walk in uint64 numpy arrays, k steps a pass on
     row k while every value is at least 2^(k+1), so that none reaches 1
     inside a jump, k steps of budget remain, and the values fit in uint64;
-    else one step a pass, `dynamics._shortcut_step`, the step the table is
-    built with.  A walk raises ArithmeticError before it steps a value above
+    else one step a pass, `_shortcut_step`, the step the table is built
+    with.  A walk raises ArithmeticError before it steps a value above
     UINT64_SAFE_MAX, which every orbit from a start up to 10^9, the CLI's
     limit, stays 8.7 times below.
 
@@ -64,11 +64,11 @@ import os
 from collections import deque
 from collections.abc import Callable
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAX_STEPS, _shortcut_step
+from .dynamics import DEFAULT_MAX_STEPS
 
 # Largest value for which 3*x + 1 still fits in uint64: the walks step no
 # value above it.  The largest value of any orbit from a start up to 10^9 is
@@ -100,8 +100,7 @@ _MAX_BUDGET = 1 << 62
 _SPARE = 2**32 - 1  # the table slot of a spent budget or of a landing on 1 below lo
 
 
-@dataclass(frozen=True)
-class RangeSurvey:
+class RangeSurvey(NamedTuple):
     """Aggregated outcome of walking every start in [lo, hi) to 1."""
 
     lo: int
@@ -114,7 +113,7 @@ class RangeSurvey:
     ratio_argmax: int | None
     peak: int | None
 
-    def merge(self, other: "RangeSurvey") -> "RangeSurvey":
+    def merge(self, other: RangeSurvey) -> RangeSurvey:
         """Combine two disjoint surveys; ties resolve to the smaller start."""
         tst, tst_arg = _merge_max(
             (self.max_total_stopping_time, self.tst_argmax),
@@ -173,8 +172,7 @@ def survey_chunk_python(lo: int, hi: int, max_steps: int = DEFAULT_MAX_STEPS) ->
     return RangeSurvey(lo, hi, len(done), tuple(failures), *tst, *ratio, peak)
 
 
-@dataclass(frozen=True)
-class _LevelTable:
+class _LevelTable(NamedTuple):
     """T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
 
     bound_slope[j, i] m + bound_base[j, i] is the largest of levels 1..j,
@@ -187,6 +185,19 @@ class _LevelTable:
     bound_slope: np.ndarray
     bound_base: np.ndarray
     safe_max: int
+
+
+def _shortcut_step(x: np.ndarray, odd: np.ndarray) -> None:
+    """One 3n+1 shortcut step on a uint64 array in place; odd ends as the old parities.
+
+    x >> 1, plus x + 1 where x is odd: 3x is never formed, and 0 stays 0.
+    """
+    np.bitwise_and(x, 1, out=odd)
+    odd *= x
+    x >>= 1
+    x += odd
+    odd &= 1
+    x += odd
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,8 +430,8 @@ def survey_range(
                 failure_budget(len(failures) + len(part.failures))
             # Pieces come in range order, so their failures append in order.
             failures.extend(part.failures)
-            result = result.merge(replace(part, failures=()))
-    return replace(result, failures=tuple(failures))
+            result = result.merge(part._replace(failures=()))
+    return result._replace(failures=tuple(failures))
 
 
 def _walks_in_order(pool, pieces: list, depth: int):

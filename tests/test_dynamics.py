@@ -18,7 +18,6 @@ from collatzlab.dynamics import (
     orbit_steps,
     step_anb,
     step_general,
-    step_odd,
     trajectory_general,
     trajectory_odd,
     two_adic_valuation,
@@ -111,16 +110,16 @@ class TestStepGeneral:
 class TestStepOdd:
     @pytest.mark.parametrize("x,expected", [(5, (1, 4)), (17, (13, 2)), (1, (1, 2))])
     def test_examples(self, x, expected):
-        assert step_odd(x) == expected
+        assert step_anb(x) == expected
 
     @pytest.mark.parametrize("x", [0, 2, 6])
     def test_rejects_non_odd(self, x):
         with pytest.raises(ValueError):
-            step_odd(x)
+            step_anb(x)
 
     @given(odd_ints)
     def test_exact_division(self, x):
-        y, k = step_odd(x)
+        y, k = step_anb(x)
         assert k >= 1
         assert y % 2 == 1
         assert 3 * x + 1 == (1 << k) * y
@@ -195,15 +194,6 @@ class TestTrajectoryOdd:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             trajectory_odd(6)
-
-    def test_mean_exponent(self):
-        _, pe = trajectory_odd(7)
-        assert pe.mean_k * pe.step_count == pe.total  # v_n == n * mean, exact
-
-    def test_mean_of_empty_rejected(self):
-        _, pe = trajectory_odd(1)
-        with pytest.raises(ValueError):
-            pe.mean_k
 
 
 class TestOrbitSteps:
@@ -329,7 +319,7 @@ class TestShortcutConsistency:
     def test_exhaustive_to_1e5(self):
         # one odd step with exponent k is one increase then k-1 decreases
         for x in range(1, 10**5, 2):
-            y, k = step_odd(x)
+            y, k = step_anb(x)
             v, kind = step_general(x)
             assert kind is StepKind.INCREASE
             for _ in range(k - 1):
@@ -366,7 +356,7 @@ class TestOddStepsExtended:
     def test_matches_step_odd(self, x0):
         values, exps = [x0], []
         for _ in range(150):
-            y, k = step_odd(values[-1])
+            y, k = step_anb(values[-1])
             values.append(y)
             exps.append(k)
         for count in (0, 1, 40, 150):
@@ -380,18 +370,20 @@ class TestOddStepsExtended:
 
 
 class TestTypes:
-    def test_trajectory_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(start=3, values=(5, 8), steps=(StepKind.INCREASE,),
-                       terminated=Termination.REACHED_ONE)
-        with pytest.raises(ValueError):
-            Trajectory(start=3, values=(3, 5), steps=(), terminated=Termination.REACHED_ONE)
+    def test_derived_fields(self):
+        # a record stores its values or exponents; the rest is read from them
+        t = Trajectory(values=(12, 6, 3, 5), terminated=Termination.STEP_LIMIT)
+        assert (t.start, t.final, t.step_count) == (12, 5, 3)
+        assert t.steps == (StepKind.DECREASE, StepKind.DECREASE, StepKind.INCREASE)
+        pe = ParityExponents((1, 1, 2))
+        assert (pe.prefix_sums, pe.step_count) == ((0, 1, 2, 4), 3)
+        assert ParityExponents(()).prefix_sums == (0,)
 
     def test_parity_exponents_validation(self):
         with pytest.raises(ValueError):
-            ParityExponents(exponents=(0,), prefix_sums=(0, 0))
+            ParityExponents(exponents=(0,))
         with pytest.raises(ValueError):
-            ParityExponents(exponents=(2,), prefix_sums=(0, 3))
+            ParityExponents(exponents=(2, -1))
 
     def test_two_adic_valuation(self):
         assert two_adic_valuation(48) == 4

@@ -82,12 +82,8 @@ class TestResidueShift:
                     nxt, kind = step_general(values[-1])
                     values.append(nxt)
                     kinds.append(kind)
-                orbit = Trajectory(
-                    start=i,
-                    values=tuple(values),
-                    steps=tuple(kinds),
-                    terminated=Termination.STEP_LIMIT,
-                )
+                orbit = Trajectory(values=tuple(values), terminated=Termination.STEP_LIMIT)
+                assert orbit.steps == tuple(kinds)
                 assert res.increase_count == orbit.steps.count(StepKind.INCREASE)
 
     def test_validation(self):

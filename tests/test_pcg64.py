@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from collatzlab import pcg64 as pcg64_mod
-from collatzlab.pcg64 import PCG64, seeded_draws
+from collatzlab.pcg64 import _integers, _ones, _seeded, seeded_draws
 
 # 2^200 + 12345 has seven 32-bit words: more entropy than the four-word pool.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 99, 2**200 + 12345]
@@ -26,100 +26,85 @@ def numpy_integers(seed, high, size):
 def test_seeding_and_raw_outputs(seed):
     bit_generator = np.random.PCG64(seed)
     state = bit_generator.state["state"]
-    rng = PCG64(seed)
-    assert (rng.state, rng.inc) == (state["state"], state["inc"])
-    assert [rng.next64() for _ in range(50)] == bit_generator.random_raw(50).tolist()
+    assert _seeded(seed) == (state["state"], state["inc"])
+    # at high = 2^32 nothing is rejected: the draws are the halves of the outputs, low first
+    halves = _integers(*_seeded(seed), 1 << 32, 100)
+    raw = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(50)]
+    assert raw == bit_generator.random_raw(50).tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coin_counts(seed):
     for size in COIN_LENGTHS:
-        assert PCG64(seed).ones(size) == numpy_ones(seed, size), size
-    assert PCG64(seed).ones(0) == 0
+        assert _ones(*_seeded(seed), size) == numpy_ones(seed, size), size
+    assert _ones(*_seeded(seed), 0) == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("high", HIGHS)
 def test_bounded_integers(seed, high):
     for size in (0, 1, 2, 3, 8, 101):
-        assert list(PCG64(seed).integers(high, size)) == numpy_integers(seed, high, size)
+        draws = _integers(*_seeded(seed), high, size)
+        assert draws == array("Q", numpy_integers(seed, high, size))
 
 
 def test_rejection_path():
     # high = 2^31 + 1 rejects a 32-bit draw whose scaled low word falls below
     # 2^32 mod high = 2^31 - 1, about half of them: 1000 values take more than
-    # the 500 outputs that two draws an output would need
+    # the 1000 draws, 500 outputs, that they would take with no rejection
     high = (1 << 31) + 1
-    rng = PCG64(0)
-    assert list(rng.integers(high, 1000)) == numpy_integers(0, high, 1000)
-    outputs, ref = 0, PCG64(0)
-    while ref.state != rng.state and outputs < 2000:
-        ref.next64()
-        outputs += 1
-    assert 600 < outputs < 2000
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
-def test_draws_in_sequence_share_the_kept_half(seed):
-    # 1 to 4 coins past a whole output, or an odd number of draws, leave a
-    # 32-bit half for the next draw
-    numpy_rng, rng = np.random.default_rng(seed), PCG64(seed)
-    for j, size in enumerate((4, 3, 5, 3, 9, 1, 2, 13, 4, 7, 6, 1, 12, 2)):
-        if j % 2:
-            assert list(rng.integers(1000, size)) == numpy_rng.integers(0, 1000, size).tolist()
-        else:
-            ones = int(numpy_rng.integers(0, 2, size, dtype=np.uint8).sum())
-            assert rng.ones(size) == ones
+    got = _integers(*_seeded(0), high, 1000)
+    assert got == array("Q", numpy_integers(0, high, 1000))
+    draws = _integers(*_seeded(0), 1 << 32, 4000)  # the 32-bit draws, as they come
+    kept = [j for j, u in enumerate(draws) if u * high & (1 << 32) - 1 >= (1 << 32) % high]
+    assert got == array("Q", [draws[j] * high >> 32 for j in kept[:1000]])
+    assert 1200 < kept[999] + 1 < 4000
 
 
 def test_argument_checks():
     with pytest.raises(ValueError):
-        PCG64(-1)
+        _seeded(-1)
     for high in (1, (1 << 32) + 1):
         with pytest.raises(ValueError):
-            PCG64(0).integers(high, 3)
+            _integers(*_seeded(0), high, 3)
     with pytest.raises(ValueError):
-        PCG64(0).ones(-1)
-
-
-class CountingPCG64(PCG64):
-    made = 0
-
-    def __init__(self, seed):
-        CountingPCG64.made += 1
-        super().__init__(seed)
+        _integers(*_seeded(0), 3, -1)
+    with pytest.raises(ValueError):
+        _ones(*_seeded(0), -1)
 
 
 def crossover(monkeypatch, count, per_draw):
-    """The most draws a seed that still run on the owned stream, made an exact edge.
+    """The most draws a seed that still run on the owned stream, made an exact edge,
+    and the list of the seeds the owned stream is seeded with.
 
     The load cost is lowered to the work of that many draws, so the edge
     moves by less than one draw.
     """
     size = pcg64_mod.NUMPY_LOAD_NS // (count * per_draw)
     monkeypatch.setattr(pcg64_mod, "NUMPY_LOAD_NS", count * size * per_draw)
-    monkeypatch.setattr(pcg64_mod, "PCG64", CountingPCG64)
-    return size
+    seeded, real = [], pcg64_mod._seeded
+    monkeypatch.setattr(pcg64_mod, "_seeded", lambda seed: seeded.append(seed) or real(seed))
+    return size, seeded
 
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_coins_either_side_of_the_crossover(monkeypatch, count):
-    size = crossover(monkeypatch, count, pcg64_mod.COIN_NS)
+    size, seeded = crossover(monkeypatch, count, pcg64_mod.COIN_NS)
     for size, owned in ((size, True), (size + 1, False)):
-        CountingPCG64.made = 0
+        seeded.clear()
         got = list(seeded_draws(5, count, size))
-        assert CountingPCG64.made == (count if owned else 0)
+        assert seeded == (list(range(5, 5 + count)) if owned else [])
         assert got == [numpy_ones(5 + j, size) for j in range(count)]
 
 
 @pytest.mark.parametrize("high", [1 << 19, 1 << 20])
 def test_integers_either_side_of_the_crossover(monkeypatch, high):
-    size = crossover(monkeypatch, 1, pcg64_mod.INT_NS)
+    size, seeded = crossover(monkeypatch, 1, pcg64_mod.INT_NS)
     for size, owned in ((size, True), (size + 1, False)):
-        CountingPCG64.made = 0
+        seeded.clear()
         (draws,) = seeded_draws(3, 1, size, high)
         assert draws == array("Q", numpy_integers(3, high, size))  # the same type on both sides
-        assert CountingPCG64.made == owned
+        assert seeded == ([3] if owned else [])
 
 
 def test_seeds_come_in_order():

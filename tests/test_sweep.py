@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from concurrent.futures import Future
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,13 +212,13 @@ class TestRatioFloor:
         ratio = float(np.float64(70) / np.log(np.float64(27)))
         part = self.fold(27, 40, None)
         assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
-        earlier = replace(sweep._empty_survey(1, 27), max_ratio=ratio, ratio_argmax=9)
+        earlier = sweep._empty_survey(1, 27)._replace(max_ratio=ratio, ratio_argmax=9)
         part = self.fold(27, 40, ratio)
         assert earlier.merge(part).ratio_argmax == 9
         below = float(np.nextafter(ratio, 0))
         part = self.fold(27, 40, below)
         assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
-        merged = replace(earlier, max_ratio=below).merge(part)
+        merged = earlier._replace(max_ratio=below).merge(part)
         assert (merged.max_ratio, merged.ratio_argmax) == (ratio, 27)
 
     @pytest.mark.parametrize("chunk_size", [1, 2])

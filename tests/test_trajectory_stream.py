@@ -9,6 +9,7 @@ remove 2^40 or more, and values either side of Python's 4300-digit int/str
 guard.
 """
 
+import ast
 import csv
 import io
 import json
@@ -75,8 +76,8 @@ def reference(x0, map="general", a=5, b=1, max_steps=DEFAULT_MAX_STEPS, fmt="tex
             cycle = list(anb_mod.find_cycle(x0, params, max_steps=max_steps + 1).members)
     rows = [
         {"type": "step", "step": i + 1, "from": traj.values[i], "to": traj.values[i + 1],
-         "kind": traj.steps[i].value, "exponent": exponents[i]}
-        for i in range(traj.step_count)
+         "kind": kind.value, "exponent": exponents[i]}
+        for i, kind in enumerate(traj.steps)
     ]
     with unlimited_int_text():
         if fmt == "json":
@@ -490,6 +491,19 @@ def test_import_floor(argv, used, unused):
     assert int(code) == EX_OK and proc.stdout
     assert {"collatzlab.cli", runner, *used} <= set(loaded)
     assert not ({*RUNNERS.values(), *NEVER, *unused} - {runner}) & set(loaded)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: no command, sweep included, loads dataclasses
+    for path in (ROOT / "src" / "collatzlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
 
 
 def test_cli_module_run_as_main():
