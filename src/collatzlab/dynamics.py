@@ -130,16 +130,16 @@ def _require_positive(x: int) -> None:
 
 def _require_odd(x: int) -> None:
     _require_positive(x)
-    if x % 2 == 0:
+    if not x & 1:
         raise ValueError(f"odd-to-odd map needs an odd start, got {x}")
 
 
 def step_general(x: int, params: AnbParams = COLLATZ) -> tuple[int, StepKind]:
     """One shortcut step: x/2 on evens (decrease), (ax+b)/2 on odds (increase)."""
     _require_positive(x)
-    if x % 2 == 0:
-        return x // 2, StepKind.DECREASE
-    return (params.a * x + params.b) // 2, StepKind.INCREASE
+    if not x & 1:
+        return x >> 1, StepKind.DECREASE
+    return (params.a * x + params.b) >> 1, StepKind.INCREASE
 
 
 def step_anb(x: int, params: AnbParams = COLLATZ) -> tuple[int, int]:

@@ -24,8 +24,7 @@ correctness check of that table.  Neither loads numpy.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import (
     COLLATZ,
@@ -37,6 +36,9 @@ from .dynamics import (
     _unpack,
     odd_steps_extended,
 )
+
+if TYPE_CHECKING:  # each function that builds a Fraction imports it: eq2 and lemma7 never do
+    from fractions import Fraction
 
 # residue_shift_blocks walks 2^k m + i for k steps in 64-bit lanes.  With
 # x_0 + 1 <= 2^k (m + 1) and x_(n+1) + 1 <= 3/2 (x_n + 1), every value the walk
@@ -224,6 +226,8 @@ def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
     the prefix sums come from a full odd trajectory that reached 1, the result
     is the integer start value.
     """
+    from fractions import Fraction
+
     v = list(prefix_sums)
     if len(v) < 2:
         raise ValueError("need at least v_0 and v_1")
@@ -246,6 +250,8 @@ def geometric_tail_identity(n: int, m: int) -> GeometricSumCheck:
     numerator is summed term by term, L = 3 L + 4^r for r = n..n+m; the right
     is the closed form 4^n (4^{m+1} - 3^{m+1}).
     """
+    from fractions import Fraction
+
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     lhs, four_r = 0, 1 << 2 * n
@@ -278,6 +284,8 @@ def heuristic_model_prefix(
     the mean power 4.  It equals the true n-th odd value times 2^{v_n - 2n}
     and is a model, never asserted equal to the trajectory.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError("n must be >= 0")
     prefix = _prefix_sums_for(x0, max(n - 1, 0), exponents)
@@ -295,6 +303,8 @@ def heuristic_model(
     tail term into (4/3)^r / 4.  The tail sum is accumulated term by term so
     that the closed-form variant below remains an independent route.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
@@ -324,6 +334,8 @@ def heuristic_model_recursive(
     Agreeing exactly with `heuristic_model` on every input is the algebraic
     content of the tail substitution.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
@@ -338,6 +350,8 @@ def heuristic_tail_value(m: int) -> Fraction:
     This is the part of the model that survives as m grows; the remaining
     terms carry the factor (3/4)^{m+1} and vanish geometrically.
     """
+    from fractions import Fraction
+
     if m < 0:
         raise ValueError("m must be >= 0")
     return 1 - Fraction(3, 4) ** (m + 1)

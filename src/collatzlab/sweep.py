@@ -13,9 +13,11 @@ or in [lo, a): pieces are folded in range order, so every start below a is in
 the table when the piece is.  Values below lo have no entry and walk on.  The
 table holds min(tst, max_steps + 1), the latter meaning "failed", for at most
 TABLE_CAP starts: pieces above the cap walk until they drop below it, so
-memory is bounded for any range.  It is uint16 (uint8 below a budget of 255)
-at any budget, as no tst below 2^25 exceeds 442, and widens once to hold
-max_steps + 1 only before a piece whose tst could reach 65,535.
+memory is bounded for any range.  It is one byte a start at any budget: an
+entry holds the least of that and 255, and 255 means "in the side table",
+sorted slots and exact values appended piece by piece in range order.  It
+holds every stored entry that reaches 255, so at any budget no more than the
+stored starts whose tst reaches 255: 23,240 of the first 2^24, the largest 441.
 
 A piece walks by one level table, the residue shift law (Terras, 1976) at
 k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
@@ -46,11 +48,12 @@ smaller start, so the result is the same for every worker count and chunk
 size.  `survey_chunk_python`, the plain walk of every start to 1, is the
 reference.
 
-The fold, the one serial part, stays in the table's dtype.  A walk returns
-uint32 slots, landing - lo, or a sentinel for the spare last slot, 0, for a
-spent budget or a landing on 1 below lo.  tst = steps + min(entry, top -
-steps) saturates at top = min(max_steps + 1, the dtype's maximum) without
-widening; below a wide table's top it is exact.  A start x >= a
+The fold, the one serial part, gathers a byte a start.  A walk returns uint32
+slots, landing - lo, or a sentinel for the spare last slot, 0, for a spent
+budget or a landing on 1 below lo.  Each 255 gathered is looked up in the side
+table, and tst = steps + min(entry, top - steps) saturates exactly at top, the
+least of max_steps + 1 and the most steps + entry can reach, in top's dtype:
+uint16 at 2^22 and the default budget.  A start x >= a
 (ln a > 0) beats the ratio record R only if tst(x) > R ln x >= R ln a, so only
 starts with tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six
 orders of magnitude above the float rounding.
@@ -78,11 +81,9 @@ UINT64_SAFE_MAX = (2**64 - 2) // 3
 # A piece of 2^18 starts keeps the walk's temporaries to a few MB each.
 DEFAULT_CHUNK_SIZE = 1 << 18
 
-# Starts held in the stopping-time table: 32 MB in _NARROW at any step budget.
+# Starts held in the stopping-time table: 16 MB at any step budget, and a
+# side table of 23,240 entries, 279 KB, to 2^24.
 TABLE_CAP = 1 << 24
-
-# The table's dtype until a stopping time could reach its maximum.
-_NARROW = np.uint16
 
 # Freeing one 16 MB block raises glibc's mmap threshold, which never falls,
 # above a piece's 2 MB temporaries, so they reuse heap pages instead of faulting
@@ -334,20 +335,31 @@ def _walk_piece(
         peak = max(peak, top)
 
 
-def _fold_piece(table, lo: int, a: int, b: int, fail: int, record, walk: tuple) -> RangeSurvey:
+def _fold_piece(
+    table: np.ndarray, side: list, lo: int, a: int, b: int, fail: int, record, walk: tuple
+) -> RangeSurvey:
     """Finish the starts of [a, b) from their walks and the ratio record before a
-    (or None), and enter them in the table."""
+    (or None), and enter them in the uint8 table and the side table [slots, values]."""
     steps, slot, peak = walk
     np.minimum(slot, table.size - 1, out=slot)  # _SPARE reads the spare last slot, 0
-    # tst = steps + min(entry, top - steps) <= top, in the table's dtype; a
-    # narrow table's caller keeps steps + entry below top < fail
-    top = min(fail, int(np.iinfo(table.dtype).max))
-    tst = np.subtract(top, steps, dtype=table.dtype)
-    np.minimum(tst, table[slot], out=tst)
+    # tst = steps + min(entry, top - steps): top < fail only where no steps + entry passes it
+    top = min(fail, int(steps.max()) + max(255, int(side[1].max(initial=0))))
+    tst = np.subtract(top, steps, dtype=np.min_scalar_type(top))
+    entry = table[slot]
+    far = np.flatnonzero(entry == 255)
+    left = tst[far]
+    np.minimum(tst, entry, out=tst)
+    del entry  # its byte a start is free again for the masks below
+    tst[far] = np.minimum(left, side[1][np.searchsorted(side[0], slot[far])])
     tst += steps
     stored = min(b, lo + table.size - 1) - a
     if stored > 0:
+        # the low bytes, a plain copy, then 255 where tst reaches it
         table[a - lo : a - lo + stored] = tst[:stored]
+        far = np.flatnonzero(tst[:stored] >= 255)
+        table[far + (a - lo)] = 255
+        side[0] = np.concatenate((side[0], (far + (a - lo)).astype(np.uint32)))
+        side[1] = np.concatenate((side[1], tst[far]))
     failures = ()
     i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
     if tst[i] == fail:
@@ -399,8 +411,8 @@ def survey_range(
     budget = min(max(max_steps, 0), _MAX_BUDGET)
     table_end = min(hi, lo + TABLE_CAP)
     # The spare last slot stays 0 for the walks that read slot _SPARE.
-    wide, narrow_max = np.min_scalar_type(budget + 1), int(np.iinfo(_NARROW).max)
-    table = np.zeros(table_end - lo + 1, np.min_scalar_type(min(budget + 1, narrow_max)))
+    table = np.zeros(table_end - lo + 1, np.uint8)
+    side = [np.zeros(0, np.uint32), np.zeros(0, np.uint64)]
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
     pieces = [
@@ -419,13 +431,10 @@ def survey_range(
         pool = ProcessPoolExecutor(max_workers=pool_size)
         walks = _walks_in_order(pool, pieces, 2 * pool_size)
     with pool:
-        for (a, b, *_), walk in zip(pieces, walks):
-            # Entries are at most the tst record: below the narrow maximum, steps +
-            # record bounds each tst and no start fails (steps = budget + 1).
-            tst_max = int(walk[0].max()) + (result.max_total_stopping_time or 0)
-            if table.dtype != wide and tst_max >= np.iinfo(table.dtype).max:
-                table = table.astype(wide)
-            part = _fold_piece(table, lo, a, b, budget + 1, result.max_ratio, walk)
+        for a, b, *_ in pieces:
+            walk = next(walks)
+            part = _fold_piece(table, side, lo, a, b, budget + 1, result.max_ratio, walk)
+            del walk  # freed before the next walk is made, not held through it
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))
             # Pieces come in range order, so their failures append in order.

@@ -838,7 +838,7 @@ class TestSweepCommand:
         folded = []
         fold = sweep_mod._fold_piece
         monkeypatch.setattr(
-            sweep_mod, "_fold_piece", lambda *args: folded.append(args[2]) or fold(*args)
+            sweep_mod, "_fold_piece", lambda *args: folded.append(args[3]) or fold(*args)
         )
         monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", 100)
         code = main(["sweep", "--limit", "1000", "--max-steps", "10", "--threads", threads])

@@ -1,3 +1,5 @@
+import ast
+import inspect
 from array import array
 
 import pytest
@@ -26,6 +28,7 @@ from collatzlab.dynamics import (
     _packed_step,
     _unpack,
 )
+from collatzlab import dynamics
 from collatzlab.identities import _walk_shortcut_zero
 
 odd_ints = st.integers(min_value=0, max_value=10**9).map(lambda r: 2 * r + 1)
@@ -105,6 +108,42 @@ class TestStepGeneral:
     @given(st.integers(min_value=1, max_value=10**30))
     def test_no_fixed_points(self, x):
         assert step_general(x)[0] != x
+
+    @given(st.integers(1, 2**24000), st.sampled_from([(3, 1), (5, 1), (7, 3)]))
+    @settings(max_examples=30)
+    def test_big_values_halve_exactly(self, x, ab):
+        params = AnbParams(*ab)
+        y = x // 2 if x % 2 == 0 else (params.a * x + params.b) // 2
+        assert step_general(x, params)[0] == y
+        if x % 2:
+            t = params.a * x + params.b
+            k = two_adic_valuation(t)
+            assert step_anb(x, params) == (t // 2**k, k)
+
+    @pytest.mark.parametrize(
+        "step, x, message",
+        [
+            (step_general, 0, "map is defined on integers >= 1, got 0"),
+            (step_general, -3, "map is defined on integers >= 1, got -3"),
+            (step_anb, 0, "map is defined on integers >= 1, got 0"),
+            (step_anb, -5, "map is defined on integers >= 1, got -5"),
+            (step_anb, 2**100, f"odd-to-odd map needs an odd start, got {2**100}"),
+            (odd_walk, 6, "odd-to-odd map needs an odd start, got 6"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, step, x, message):
+        with pytest.raises(ValueError) as info:
+            step(x)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["step_general", "step_anb", "_require_odd", "odd_walk"])
+def test_steps_read_the_low_bit(name):
+    # % 2 and // 2 divide every digit of a big int, & 1 and >> 1 read one word
+    for node in ast.walk(ast.parse(inspect.getsource(getattr(dynamics, name)))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Mod, ast.FloorDiv)):
+            operand = node.right if isinstance(node, ast.BinOp) else node.value
+            assert not (isinstance(operand, ast.Constant) and operand.value == 2), ast.unparse(node)
 
 
 class TestStepOdd:

@@ -76,28 +76,32 @@ class TestWaves:
         # lands on start 2 (slot 1), or spends its budget (the spare slot)
         for fail, steps, entry, slot in [
             (201, 150, 201, 1),  # start 2 failed at max_steps=200
-            (255, 200, 100, 1),  # steps + entry passes the uint8 edge
-            (255, 150, 255, 1),  # entry == fail at the edge
+            (255, 200, 100, 1),  # steps + entry passes the byte's edge
+            (255, 150, 255, 1),  # entry == fail at the edge, read from the side
             (255, 255, 0, sweep._SPARE),  # steps == fail: the budget ran out
             (255, 255, 0, 3),  # the spare slot itself
+            (1001, 900, 300, 1),  # steps + an entry read from the side passes fail
+            (1001, 700, 1001, 1),  # start 2 failed at max_steps=1000
         ]:
-            table = np.array([0, entry, 0, 0], dtype=np.uint8)
-            walk = (np.array([steps], dtype=np.uint8), np.array([slot], dtype=np.uint32), 3)
-            part = sweep._fold_piece(table, 1, 3, 4, fail, None, walk)
+            table, side = _tables({1: entry})
+            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 3)
+            part = sweep._fold_piece(table, side, 1, 3, 4, fail, None, walk)
             assert (part.verified, part.failures) == (0, (3,))
             assert part.max_total_stopping_time is None and part.max_ratio is None
-            assert table[2] == fail
+            assert table[2] == min(fail, 255)
+            assert _side_of(table, side) == {k: v for k, v in {1: entry, 2: fail}.items() if v >= 255}
 
     def test_narrow_table_folds_exactly(self):
-        # a uint16 table at fail = 100,001 saturates at 65,535: steps + entry =
-        # 65,534, the most a narrow table is folded with, stays exact
-        for steps, entry, slot in [(1000, 64534, 1), (0, 65534, 1), (65534, 0, 0)]:
-            table = np.array([0, entry, 0, 0], dtype=np.uint16)
+        # entries past a byte are read from the side table and stay exact up to
+        # fail = 100,001; steps + entry = 65,534 passed a uint16 table's edge
+        for steps, entry, slot in [(1000, 64534, 1), (0, 65534, 1), (65534, 0, 0), (45, 255, 1)]:
+            table, side = _tables({1: entry})
             walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 3)
-            part = sweep._fold_piece(table, 1, 3, 4, 100_001, None, walk)
+            part = sweep._fold_piece(table, side, 1, 3, 4, 100_001, None, walk)
+            tst = steps + (entry if slot else 0)
             assert (part.verified, part.failures) == (1, ())
-            assert (part.max_total_stopping_time, part.tst_argmax) == (65534, 3)
-            assert table[2] == 65534
+            assert (part.max_total_stopping_time, part.tst_argmax) == (tst, 3)
+            assert table[2] == 255 and _side_of(table, side)[2] == tst
 
     @pytest.mark.parametrize("cap", [1, 64])
     @pytest.mark.parametrize("lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40)])
@@ -105,6 +109,25 @@ class TestWaves:
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
         got = survey_range(lo, 5001, max_steps=max_steps, chunk_size=300)
         assert got == survey_chunk_python(lo, 5001, max_steps)
+
+
+def _tables(entries, size=4):
+    """A uint8 table of `size` slots holding {slot: tst}, and its side table."""
+    table = np.zeros(size, dtype=np.uint8)
+    far = sorted(k for k, v in entries.items() if v >= 255)
+    for k, v in entries.items():
+        table[k] = min(v, 255)
+    side = [np.array(far, dtype=np.uint32), np.array([entries[k] for k in far], dtype=np.uint64)]
+    return table, side
+
+
+def _side_of(table, side):
+    """The side table as {slot: value}, checked sorted and holding exactly the
+    table's entries 255."""
+    slots = side[0].tolist()
+    assert slots == sorted(set(slots)) == np.flatnonzero(table == 255).tolist()
+    assert len(side[1]) == len(slots) and all(v >= 255 for v in side[1].tolist())
+    return dict(zip(slots, side[1].tolist()))
 
 
 def _landing(x, lo, max_steps=40):
@@ -202,9 +225,9 @@ class TestRatioFloor:
     def fold(a, b, record):
         # every start of [a, b) walks to 1, so its steps are its tst
         steps = np.array([len(_orbit(x, 10**5)) - 1 for x in range(a, b)], dtype=np.uint8)
-        table = np.zeros(b, dtype=np.uint8)
+        table, side = _tables({}, b)
         walk = (steps, np.zeros(b - a, dtype=np.uint32), b - 1)
-        return sweep._fold_piece(table, 1, a, b, 201, record, walk)
+        return sweep._fold_piece(table, side, 1, a, b, 201, record, walk)
 
     def test_record_holder_keeps_a_tie(self):
         # 27 has the best ratio of [27, 40), 70 / ln 27, and is the first start:
@@ -229,28 +252,23 @@ class TestRatioFloor:
         assert got == survey_chunk_python(lo, hi)
 
     def test_fold_memory_per_start(self):
-        # the fold gathers, saturates and stores in the table's dtype (uint32 at
-        # the default budget): measured 9.05 traced bytes a start on this piece.
-        # Folding by int64 and float64 temporaries measured 50.
+        # the fold gathers a byte a start and saturates in the narrowest dtype
+        # that holds steps + entry (uint16 here): measured 4.05 traced bytes a
+        # start on this piece, 9.05 in a uint32 table's dtype.  Folding by
+        # int64 and float64 temporaries measured 50.
         n, fail = 1 << 16, sweep.DEFAULT_MAX_STEPS + 1
-        table = np.zeros(2 * n + 1, dtype=np.min_scalar_type(fail))
+        table, side = _tables({}, 2 * n + 1)
         walk = sweep._walk_piece(1, n, 1, 1, fail - 1)
-        first = sweep._fold_piece(table, 1, 1, n, fail, None, walk)
+        first = sweep._fold_piece(table, side, 1, 1, n, fail, None, walk)
         walk = sweep._walk_piece(n, 2 * n, 1, n, fail - 1)
         tracemalloc.start()
         try:
-            part = sweep._fold_piece(table, 1, n, 2 * n, fail, first.max_ratio, walk)
+            part = sweep._fold_piece(table, side, 1, n, 2 * n, fail, first.max_ratio, walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert first.merge(part) == survey_range(1, 2 * n)
-        assert peak <= 12 * n
-
-
-@pytest.fixture
-def narrow8(monkeypatch):
-    """A uint8 narrow table, whose widen small ranges reach."""
-    monkeypatch.setattr(sweep, "_NARROW", np.uint8)
+        assert peak <= 6 * n
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,12 +276,13 @@ def _reference(lo, hi, max_steps):
     return survey_chunk_python(lo, hi, max_steps)
 
 
-# 230631 has tst 278, the first start above 254, in the third piece of 97; at
-# 254 the table stays uint8, failing at 255; at 255 and 260 it widens to uint16
-# for the failure of 230631; (1, 5001) holds tst up to 150 and never widens.
+# 230631 has tst 278, the first start above 254, in the third piece of 97: at
+# 254 it fails at 255 and at 255, 256 and 260 at 256, 257 and 261, each entered
+# in the side table; (1, 5001) holds tst up to 150 and enters none.
 NARROW_WINDOWS = [
     (230400, 230900, 10**5),
     (230400, 230900, 260),
+    (230400, 230900, 256),
     (230400, 230900, 255),
     (230400, 230900, 254),
     (1, 5001, 10**5),
@@ -271,64 +290,85 @@ NARROW_WINDOWS = [
 
 
 class TestNarrowTable:
-    """The table starts narrow and widens once, before a tst could reach the
-    narrow maximum; every survey gives the reference's result."""
+    """The table holds a byte a start at every budget; an entry that reaches
+    255 widens into the side table, and every survey gives the reference's
+    result."""
 
     @pytest.mark.parametrize("chunk_size", [1, 97, 1 << 18])
     @pytest.mark.parametrize("lo, hi, max_steps", NARROW_WINDOWS)
-    def test_widen_matches_reference(self, narrow8, lo, hi, max_steps, chunk_size):
+    def test_widen_matches_reference(self, lo, hi, max_steps, chunk_size):
         got = survey_range(lo, hi, max_steps=max_steps, chunk_size=chunk_size)
         assert got == _reference(lo, hi, max_steps)
 
     @pytest.mark.parametrize("cap", [1, 64])
     @pytest.mark.parametrize("lo, hi, max_steps", [(230400, 230900, 260), (1, 5001, 10**5)])
-    def test_widen_with_tiny_table_cap(self, narrow8, monkeypatch, cap, lo, hi, max_steps):
+    def test_widen_with_tiny_table_cap(self, monkeypatch, cap, lo, hi, max_steps):
         # with start lo alone in the table, each walk goes on to 1 from (1, 5001) too
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
         got = survey_range(lo, hi, max_steps=max_steps, chunk_size=97)
         assert got == _reference(lo, hi, max_steps)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_widen_at_any_worker_count(self, narrow8, workers):
+    def test_widen_at_any_worker_count(self, workers):
         got = survey_range(230400, 230900, max_steps=260, workers=workers, chunk_size=97)
         assert got == _reference(230400, 230900, 260)
 
+    def test_at_the_word_limit(self):
+        # starts above 2^63 overflow int64; at a budget of 0 no walk steps past the limit
+        lo = 2**64 - 5000
+        got = survey_range(lo, 2**64, max_steps=0, chunk_size=777)
+        assert got == _reference(lo, 2**64, 0)
+
     @staticmethod
     def folds(monkeypatch, *args, **kwargs):
-        """The survey, and the table each piece was folded into."""
-        tables, fold = [], sweep._fold_piece
+        """The survey, and after each fold its table and the side as {slot: value}."""
+        seen, fold = [], sweep._fold_piece
 
-        def spy(table, *rest):
-            tables.append(table)
-            return fold(table, *rest)
+        def spy(table, side, *rest):
+            part = fold(table, side, *rest)
+            seen.append((table, _side_of(table, side)))
+            return part
 
         monkeypatch.setattr(sweep, "_fold_piece", spy)
-        return survey_range(*args, **kwargs), tables
+        return survey_range(*args, **kwargs), seen
 
-    def test_widens_once_mid_survey(self, narrow8, monkeypatch):
-        got, tables = self.folds(monkeypatch, 1, 2**18 + 1, chunk_size=1 << 14)
-        first = next(i for i, t in enumerate(tables) if t.dtype != np.uint8)
-        assert 0 < first < len(tables) - 1
-        assert all(t is tables[first] for t in tables[first:])
-        assert tables[first].dtype == np.uint32
+    def test_widens_once_mid_survey(self, monkeypatch):
+        # the side table is empty until the piece of 230631, then only grows
+        got, seen = self.folds(monkeypatch, 1, 2**18 + 1, chunk_size=1 << 14)
+        first = next(i for i, (_, side) in enumerate(seen) if side)
+        assert 0 < first < len(seen) - 1
+        assert all(seen[i][1].items() <= seen[i + 1][1].items() for i in range(len(seen) - 1))
+        side = seen[-1][1]
+        assert min(side) == 230631 - 1 and side[230631 - 1] == 278
+        assert all(len(_orbit(slot + 1, 10**5)) - 1 == v for slot, v in side.items())
         assert (got.max_total_stopping_time, got.tst_argmax) == (278, 230631)
-        monkeypatch.setattr(sweep, "_NARROW", np.uint16)
         assert got == survey_range(1, 2**18 + 1)
+
+    @pytest.mark.parametrize("max_steps", [300, 260, 254])
+    def test_failures_read_through_the_side(self, monkeypatch, max_steps):
+        # 461262 lands on 230631 in one step, reading its failure from the side
+        # table; with 2^17 starts in the table no walk reads a side entry
+        got, seen = self.folds(monkeypatch, 1, 2**19 + 1, max_steps=max_steps)
+        side = seen[-1][1]
+        assert side[230631 - 1] == min(278, max_steps + 1)
+        assert (461262 in got.failures) == (max_steps < 279)
+        monkeypatch.setattr(sweep, "TABLE_CAP", 1 << 17)
+        assert got == survey_range(1, 2**19 + 1, max_steps=max_steps, chunk_size=1 << 14)
 
     @pytest.mark.parametrize("max_steps", [100, sweep.DEFAULT_MAX_STEPS, 10**15])
     def test_stays_narrow_at_any_budget(self, monkeypatch, max_steps):
-        got, tables = self.folds(monkeypatch, 1, 2**18 + 1, max_steps=max_steps)
-        want = np.uint8 if max_steps < 255 else np.uint16
-        assert {t.dtype for t in tables} == {np.dtype(want)}
+        got, seen = self.folds(monkeypatch, 1, 2**18 + 1, max_steps=max_steps)
+        assert all(table is seen[0][0] for table, _ in seen)
+        assert seen[0][0].dtype == np.uint8
+        assert bool(seen[-1][1]) == (max_steps >= 254)
         if max_steps >= 278:
             assert (got.max_total_stopping_time, got.tst_argmax) == (278, 230631)
 
     @pytest.mark.parametrize("max_steps", [sweep.DEFAULT_MAX_STEPS, 10**15])
     def test_survey_memory_per_start(self, max_steps):
-        # measured 2.19 (the default budget) and 2.21 (10^15) traced bytes a
-        # start: the uint16 table's 2 and a piece's temporaries.  A table in the
-        # budget's own dtype takes 4 (uint32) or 8 (uint64), and a 16 MB block
-        # freed in each survey 8: 8.0 and 8.2 were measured so.
+        # measured 1.16 (the default budget) and 1.19 (10^15) traced bytes a
+        # start: the table's 1 and a piece's temporaries.  A uint16 table took
+        # 2.19 and 2.21, and a 16 MB block freed in each survey 8.
         n = 2**21
         sweep._level_table(sweep.LEVEL)  # built once a process, for every survey
         tracemalloc.start()
@@ -338,7 +378,7 @@ class TestNarrowTable:
         finally:
             tracemalloc.stop()
         assert (got.verified, got.failures) == (n, ())
-        assert peak <= 2.5 * n
+        assert peak <= 1.5 * n
 
 
 def _oracle(lo, hi):
