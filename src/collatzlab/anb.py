@@ -8,7 +8,7 @@ happened within a finite horizon.
 
 The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
 shift law is `identities.residue_shift_check(k, m, i, params)`, and the
-one-walk closed-form check is `identities.closed_form_checks`: one code path
+one-walk closed-form check is `identities.closed_form_failures`: one code path
 for every map, with `identities` loaded only by the functions that call it.
 `trajectory_anb` and `divergence_report` read one walk, `anb_orbit_steps`.
 Tests compare the an+b code at (3, 1) with the 3n+1 code only where the two
@@ -51,31 +51,31 @@ _MEMO_BOUND = 1 << 64
 _LOW64 = _MEMO_BOUND - 1
 _BASIN = -1
 
-# A walk remembers its values by hash(x), which for an int x >= 0 is exactly
-# x mod 2^61 - 1 and is not randomized: one small int a step, however large x
-# grows.  Tests put a coarser function here so that collisions happen.
-_fingerprint = hash
+# A walk remembers each of its values x by its fingerprint x & _FP_MASK, the
+# low 64 bits: one small int a step, read in constant time however large x
+# grows (hash(x) reads every digit).  A value below 2^64 is its own
+# fingerprint, so a false collision needs a value of 2^64 or more.  Tests lower
+# the mask to a few bits so that collisions happen.
+_FP_MASK = _LOW64
 
 
 class _RepeatIndex:
     """The fingerprints of the values of one walk from x0, with an exact confirm.
 
-    Holds no value.  A fingerprint met before is confirmed by walking again
-    from x0 and comparing values, which also finds the step of the first
-    visit.  A false collision leaves the fingerprint in the set, so a later
-    true repeat of either value is still found.
+    Holds no value.  The walk adds x & _FP_MASK for each value x it reaches,
+    and calls `first_step` for a value whose fingerprint is in the set
+    already: it walks again from x0 and compares values, which also finds
+    the step of the first visit.  A false collision leaves the fingerprint
+    in the set, so a later true repeat of either value is still found.
     """
 
     def __init__(self, x0: int, params: AnbParams) -> None:
         self.x0, self.params = x0, params
-        self.fingerprints = {_fingerprint(x0)}
+        self.fingerprints = {x0 & _FP_MASK}
 
     def first_step(self, x: int, j: int) -> int | None:
-        """The step before j at which the walk was at x; None if none, and x is then step j."""
-        fp = _fingerprint(x)
-        if fp not in self.fingerprints:
-            self.fingerprints.add(fp)
-            return None
+        """The step before j at which the walk was at x, whose fingerprint it has
+        met; None if none, so that x, step j, is a false collision."""
         y = self.x0
         for s in range(j):
             if y == x:
@@ -120,10 +120,15 @@ def _anb_orbit_steps(
     x: int, params: AnbParams, max_steps: int
 ) -> Iterator[tuple[int, int, int, int]]:
     seen = _RepeatIndex(x, params)
+    fingerprints, mask = seen.fingerprints, _FP_MASK
     for j in range(1, max_steps + 1):
         x, k = step_anb(x, params)
-        if seen.first_step(x, j) is not None:
-            return
+        fp = x & mask
+        if fp in fingerprints:
+            if seen.first_step(x, j) is not None:
+                return
+        else:
+            fingerprints.add(fp)
         yield x, params.a, params.b, k
 
 
@@ -379,12 +384,13 @@ def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> i
     up to max_steps + S + 1 <= 2 max_steps + 1 steps, S being how far it walks
     on to settle its later starts (see `_settle_later_starts`).  A step costs
     at most about 570 bytes: a fingerprint, about 175 (tracemalloc peaks of
-    sets of 61-bit ints, twice); a step and a value, 16, for each value below
-    2^64; and a pair and a `settled` entry, about 200, for each later start.
+    sets of 64-bit words reach 168 bytes an entry, just after the set grows);
+    a step and a value, 16, for each value below 2^64; and a pair and a
+    `settled` entry, about 200, for each later start.
     The last value has at most start_limit.bit_length() + j log2((a + b)/2)
     bits at step j ((ax + b)/2^k <= (a + b) x / 2), 4 bytes per 30 bits.
-    Measured peaks are lower: (5, 1) walks from 7 hold 87 bytes a step at
-    10,000 steps and 165 at 20,000, and a (3, 3299) walk from 1 with a later
+    Measured peaks are lower: (5, 1) walks from 7 hold 91 bytes a step at
+    10,000 steps and 167 at 20,000, and a (3, 3299) walk from 1 with a later
     start at every step (S = max_steps = 1,000) holds 281.
     """
     steps = 2 * max_steps + 1
@@ -431,6 +437,7 @@ def _catalog_walk(
     """
     a, b = params.a, params.b
     seen = _RepeatIndex(x0, params)
+    fingerprints, mask = seen.fingerprints, _FP_MASK
     small = array("Q")  # step, value, step, ...: the values below 2^64, for the memo
     cycle = None  # [] once the walk meets a _BASIN entry
     touched = max_steps + 1  # first step that met an entry or a value >= 2^64
@@ -460,6 +467,10 @@ def _catalog_walk(
         t = a * x + b
         low = t & _LOW64 or t  # the valuation of t, from its low word if it is not 0
         x = t >> ((low & -low).bit_length() - 1)
+        fp = x & mask
+        if fp not in fingerprints:
+            fingerprints.add(fp)
+            continue
         first = seen.first_step(x, j)
         if first is not None:  # x is on the cycle: read it by walking its length
             cycle = anb_steps_extended(x, params, j - first - 1)[0]
@@ -505,8 +516,13 @@ def _settle_later_starts(
     ]
     if not later:
         return
+    fingerprints, mask = seen.fingerprints, _FP_MASK
     for t in range(max_steps + 1, max_steps + later[-1][0] + 1):  # later is in step order
         x = step_anb(x, params)[0]
+        fp = x & mask
+        if fp not in fingerprints:
+            fingerprints.add(fp)
+            continue
         i = seen.first_step(x, t)
         if i is not None:
             cycle = anb_steps_extended(x, params, t - i - 1)[0] if t - i <= max_steps else None

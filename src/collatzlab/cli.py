@@ -71,7 +71,7 @@ CYCLES_STEP_LIMIT = 1 << 24
 # with the ones it takes to settle later starts; above this many bytes by
 # anb.catalog_walk_bytes, about 570 bytes a step and the walk's last value,
 # it stops with exit 3 (the default run estimates 11.4 MB; its longest walk
-# holds 0.95 MB).  At --limit 100 it admits --max-steps up to 235,381.
+# holds 0.97 MB).  At --limit 100 it admits --max-steps up to 235,381.
 CYCLES_MEMORY_LIMIT = 1 << 28
 
 # Generated montecarlo draws each sample's --length coins as one array, one

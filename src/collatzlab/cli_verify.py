@@ -107,23 +107,23 @@ def _odd_starts(args: argparse.Namespace, doc: dict) -> range:
 
 
 def eq2(args: argparse.Namespace, doc: dict) -> None:
-    for x0 in _odd_starts(args, doc):
-        values, exponents = odd_walk(x0)
-        _tally_closed_form(doc, x0, values, exponents)
-
-
-def _tally_closed_form(doc: dict, x0: int, *walk) -> None:
-    """Run and count the closed-form checks n = 1, 2, ... of one walk from x0.
-
-    walk is the walk's odd values and exponents, and the an+b map's params
-    unless it is 3n+1: the arguments of `identities.closed_form_checks`.
-    """
     from . import identities as ident_mod
 
-    for n, res in enumerate(ident_mod.closed_form_checks(x0, *walk), start=1):
-        doc["checks_run"] += 1
-        if not res.holds:
-            _note_failure(doc, {"x0": x0, "n": n, "lhs": res.lhs, "rhs": res.rhs})
+    for x0 in _odd_starts(args, doc):
+        values, exponents = odd_walk(x0)
+        failures = ident_mod.closed_form_failures(x0, values, exponents)
+        _tally_closed_form(doc, x0, len(exponents), failures)
+
+
+def _tally_closed_form(doc: dict, x0: int, checks: int, failures: list) -> None:
+    """Count the closed-form checks of one walk from x0, one a step, and note each failure.
+
+    failures are the (n, lhs, rhs) that `identities.closed_form_failures`
+    returns for the walk.
+    """
+    doc["checks_run"] += checks
+    for n, lhs, rhs in failures:
+        _note_failure(doc, {"x0": x0, "n": n, "lhs": lhs, "rhs": rhs})
 
 
 def bohm(args: argparse.Namespace, doc: dict) -> None:
@@ -171,6 +171,7 @@ def anb_eq(args: argparse.Namespace, doc: dict) -> None:
         "seed": args.seed,
     }
     from . import anb as anb_mod
+    from . import identities as ident_mod
     from .pcg64 import seeded_draws
 
     params = args.params
@@ -178,7 +179,8 @@ def anb_eq(args: argparse.Namespace, doc: dict) -> None:
     for m in draws:
         x0 = 2 * m + 1
         values, exps = anb_mod.anb_steps_extended(x0, params, args.max_n)
-        _tally_closed_form(doc, x0, values, exps, params)
+        failures = ident_mod.closed_form_failures(x0, values, exps, params)
+        _tally_closed_form(doc, x0, len(exps), failures)
 
 
 def halfsplit(args: argparse.Namespace, doc: dict) -> None:

@@ -10,10 +10,11 @@ walker, `_walk_shortcut_zero`, extends the shortcut map of any an+b with the
 local convention T(0) = 0; such steps count as decreases by convention and
 never contribute to increase tallies.  The public trajectory API in
 `dynamics` is not affected.  `residue_shift_check` and the one-walk
-closed-form check `closed_form_checks` take (a, b) and serve `anb` too; the
-per-n closed-form references stay separate, `closed_form_check` here with a
-literal 3 and `anb.closed_form_anb_check` in (a, b), so that each can catch
-the one-walk check.
+closed-form check `closed_form_failures` take (a, b) and serve `anb` too; the
+one-walk check builds a record only for a failing check.  The per-n
+closed-form references stay separate, `closed_form_check` here with a literal
+3 and `anb.closed_form_anb_check` in (a, b), so that each can catch the
+one-walk check.
 
 The blocked shift-law check walks 2^k m + i on the packed 64-bit lanes of
 Python ints with `dynamics._packed_step` and reads its right side from
@@ -24,6 +25,7 @@ correctness check of that table.  Neither loads numpy.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import (
@@ -195,28 +197,31 @@ def closed_form_check(
     return ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
-def closed_form_checks(
+def closed_form_failures(
     x0: int, values: Sequence[int], exponents: Sequence[int], params: AnbParams = COLLATZ
-) -> Iterator[ClosedFormCheck]:
-    """Check the closed form of the map `params` at every n = 1..len(exponents) of one walk.
+) -> list[tuple[int, int, int]]:
+    """The failing closed-form checks of the map `params` at n = 1..len(exponents) of one walk.
 
     values are the odd values of the walk from x0 = values[0], exponents the
     division exponents.  The left side values[n] * 2^{v_n} is read off the
     walk; the right side is built from x0 and the exponents alone by Horner's
     rule, R_0 = x0 and R_n = a R_{n-1} + b 2^{v_{n-1}}, which equals
-    a^n x0 + b sum_{r=1..n} a^{n-r} 2^{v_{r-1}}.  Check n equals the per-n
-    reference, `closed_form_check(x0, n, exponents)` at (3, 1) and
+    a^n x0 + b sum_{r=1..n} a^{n-r} 2^{v_{r-1}}.  Returns (n, lhs, rhs) for
+    each n, in order, at which the per-n reference fails with these sides:
+    `closed_form_check(x0, n, exponents)` at (3, 1) and
     `anb.closed_form_anb_check(x0, params, n, exponents)` at any (a, b).
     """
     if not values or values[0] != x0 or len(values) <= len(exponents):
         raise ValueError("need the walk's values from x0, one more than exponents")
     a, b = params.a, params.b
+    failures = []
     rhs, v = x0, 0
     for n, k in enumerate(exponents, start=1):
         rhs = a * rhs + (b << v)
         v += k
-        lhs = values[n] << v
-        yield ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+        if values[n] << v != rhs:
+            failures.append((n, values[n] << v, rhs))
+    return failures
 
 
 def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
@@ -228,19 +233,19 @@ def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
     """
     from fractions import Fraction
 
-    v = list(prefix_sums)
-    if len(v) < 2:
+    if len(prefix_sums) < 2:
         raise ValueError("need at least v_0 and v_1")
-    if v[0] != 0:
+    last = prefix_sums[0]
+    if last != 0:
         raise ValueError("prefix sums must start at 0")
-    if any(a >= b for a, b in zip(v, v[1:])):
-        raise ValueError("prefix sums must be strictly increasing")
-    # Horner's rule: s = sum_{k<m} 3^{m-k-1} 2^{v_k}, and p = 3^m alongside
-    s, p = 0, 1
-    for vk in v[:-1]:
-        s = 3 * s + (1 << vk)
-        p *= 3
-    return Fraction((1 << v[-1]) - s, p)
+    # Horner's rule, s = sum_{k<m} 3^{m-k-1} 2^{v_k}, checking each v_k as it is read
+    s = 0
+    for vk in islice(prefix_sums, 1, None):
+        if vk <= last:
+            raise ValueError("prefix sums must be strictly increasing")
+        s = 3 * s + (1 << last)
+        last = vk
+    return Fraction((1 << last) - s, 3 ** (len(prefix_sums) - 1))
 
 
 def geometric_tail_identity(n: int, m: int) -> GeometricSumCheck:

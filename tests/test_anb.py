@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from collatzlab.dynamics import (
     step_anb,
     trajectory_odd,
 )
-from collatzlab.identities import closed_form_check, closed_form_checks, residue_shift_check
+from collatzlab.identities import closed_form_check, closed_form_failures, residue_shift_check
 
 P51 = AnbParams(5, 1)
 P71 = AnbParams(7, 1)
@@ -167,26 +169,38 @@ def catalog_walk(x0, params, max_steps, memo, settled=None, start_limit=0):
     return anb_mod._catalog_walk(x0, params, max_steps, memo, settled, start_limit)
 
 
-def count_work(mp, fingerprint=hash):
-    """Count the catalog's walks by start, and its steps: one fingerprint a step and a walk."""
-    work = {"walked": [], "fingerprints": 0}
+def count_work(mp, mask=None):
+    """Count the catalog's walks by start, and its steps, at fingerprint mask `mask`.
+
+    A step adds a fingerprint to its walk's index or, meeting one there, calls
+    `first_step`; so the steps are the fingerprints an index holds past its
+    start's, summed, plus the `first_step` calls.  Nothing is called a step.
+    """
+    work = {"walked": [], "indexes": [], "confirms": 0}
     walk = anb_mod._catalog_walk
 
-    def counted_fingerprint(x):
-        work["fingerprints"] += 1
-        return fingerprint(x)
+    class CountedIndex(anb_mod._RepeatIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            work["indexes"].append(self)
+
+        def first_step(self, x, j):
+            work["confirms"] += 1
+            return super().first_step(x, j)
 
     def counted_walk(x0, *args):
         work["walked"].append(x0)
         return walk(x0, *args)
 
-    mp.setattr(anb_mod, "_fingerprint", counted_fingerprint)
+    if mask is not None:
+        mp.setattr(anb_mod, "_FP_MASK", mask)
+    mp.setattr(anb_mod, "_RepeatIndex", CountedIndex)
     mp.setattr(anb_mod, "_catalog_walk", counted_walk)
     return work
 
 
 def steps_of(work):
-    return work["fingerprints"] - len(work["walked"])
+    return sum(len(i.fingerprints) - 1 for i in work["indexes"]) + work["confirms"]
 
 
 class TestCatalogMemo:
@@ -215,12 +229,10 @@ class TestCatalogMemo:
     def test_default_budget(self, params):
         assert cycle_catalog(params, 151) == catalog_per_start(params, 151, 10**4)
 
-    @pytest.mark.parametrize(
-        "fingerprint, examples", [(hash, 100), (lambda x: x % 7, 15)], ids=["hash", "mod7"]
-    )
-    def test_settled_starts_match_per_start(self, fingerprint, examples):
+    @pytest.mark.parametrize("mask, examples", [(None, 100), (7, 15)], ids=["low64", "mask7"])
+    def test_settled_starts_match_per_start(self, mask, examples):
         # Small budgets make a walk's later starts lie far along it, past its
-        # repeat or on its cycle.  Under x % 7 nearly every step is a
+        # repeat or on its cycle.  Under the mask 7 nearly every step is a
         # fingerprint hit, so the confirm also runs on the steps a walk takes
         # past its budget.
         @given(
@@ -231,7 +243,7 @@ class TestCatalogMemo:
         @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
         def check(params, start_limit, max_steps):
             with pytest.MonkeyPatch.context() as mp:
-                work = count_work(mp, fingerprint)
+                work = count_work(mp, mask)
                 catalog = cycle_catalog(params, start_limit, max_steps)
                 steps = steps_of(work)
                 survey = cycle_survey(params, start_limit, max_steps)
@@ -251,6 +263,15 @@ class TestCatalogMemo:
         work = count_work(monkeypatch)
         assert [c.members for c in cycle_catalog(P51, 151)] == [(1, 3), (13, 33, 83), (17, 43, 27)]
         assert len(work["walked"]) == 50 and steps_of(work) == 150_163
+
+    def test_forced_collisions_5n1(self, monkeypatch):
+        # Under the mask 7 every step past the first few meets a fingerprint and
+        # confirms by walking again from x0, so a walk costs its length squared:
+        # 300 steps take under a second, the default 10^4 would take hours.
+        monkeypatch.setattr(anb_mod, "_FP_MASK", 7)
+        catalog = cycle_catalog(P51, 151, 300)
+        assert catalog == catalog_per_start(P51, 151, 300)
+        assert [c.members for c in catalog] == [(1, 3), (13, 33, 83), (17, 43, 27)]
 
     @pytest.mark.parametrize("cap", [0, 1])
     @pytest.mark.parametrize("params", CATALOG_PARAMS + [AnbParams(5, 5)])
@@ -456,14 +477,27 @@ def value_keyed_divergence(x0, params, horizon):
 class TestRepeatIndex:
     """Walks that keep one fingerprint a step against walks that keep the values.
 
-    Under x % 7 nearly every step is a fingerprint hit, so the exact confirm
-    and the kept false collisions run on every walk.
+    Under the mask 7 nearly every step is a fingerprint hit, so the exact
+    confirm and the kept false collisions run on every walk.
     """
 
-    @pytest.mark.parametrize(
-        "fingerprint, examples", [(hash, 60), (lambda x: x % 7, 12)], ids=["hash", "mod7"]
-    )
-    def test_matches_value_keyed_walks(self, fingerprint, examples):
+    def test_fingerprint_is_the_low_word(self):
+        # values that differ only above bit 64 share a fingerprint, and a
+        # value below 2^64 is its own
+        low = 0x9E37_79B9_7F4A_7C15
+        for x0 in (low, low + (1 << 64), low + (3 << 200)):
+            assert anb_mod._RepeatIndex(x0, P51).fingerprints == {low}
+
+    def test_no_hash_in_anb(self):
+        # hash(x) reads every digit of x; the fingerprint reads the low word
+        tree = ast.parse(Path(anb_mod.__file__).read_text())
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "hash"
+                 or isinstance(node, ast.Attribute) and node.attr == "hash"]
+        assert named == []
+
+    @pytest.mark.parametrize("mask, examples", [(None, 60), (7, 12)], ids=["low64", "mask7"])
+    def test_matches_value_keyed_walks(self, mask, examples):
         @given(
             st.sampled_from([3, 5, 7, 9]),
             st.sampled_from([1, 3, 5, 7, 9]),
@@ -486,7 +520,8 @@ class TestRepeatIndex:
             )
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anb_mod, "_fingerprint", fingerprint)
+            if mask is not None:
+                mp.setattr(anb_mod, "_FP_MASK", mask)
             check()
 
     def test_walk_holds_no_values(self):
@@ -521,20 +556,25 @@ class TestClosedForm:
                     assert closed_form_anb_check(x0, params, n, exponents=exps).holds
 
 
+def failing(checks):
+    """(n, lhs, rhs) of each per-n check, n = 1, 2, ..., that does not hold."""
+    return [(n, c.lhs, c.rhs) for n, c in enumerate(checks, start=1) if not c.holds]
+
+
 class TestClosedFormBatch:
-    """The one-walk checks of `identities.closed_form_checks` in (a, b) against
-    the per-n reference `closed_form_anb_check`, n by n."""
+    """The failures of the one-walk check `identities.closed_form_failures` in
+    (a, b) against those of the per-n reference `closed_form_anb_check`."""
 
     def test_matches_oracle_every_n(self):
         starts = [2 * (37 * j % 5000) + 1 for j in range(60)]
         for params in (P51, P71, P53, AnbParams(3, 1)):
             for x0 in starts:
                 values, exps = anb_steps_extended(x0, params, 40)
-                got = list(closed_form_checks(x0, values, exps, params))
-                assert got == [
+                got = closed_form_failures(x0, values, exps, params)
+                assert got == [] == failing(
                     closed_form_anb_check(x0, params, n, exponents=exps)
                     for n in range(1, 41)
-                ]
+                )
 
     @given(
         st.integers(0, 2000).map(lambda r: 2 * r + 1),
@@ -544,23 +584,23 @@ class TestClosedFormBatch:
     @settings(max_examples=100)
     def test_wrong_exponents_fail_like_oracle(self, x0, params, exps):
         values, _ = anb_steps_extended(x0, params, len(exps))
-        got = list(closed_form_checks(x0, values, exps, params))
-        assert got == [
+        got = closed_form_failures(x0, values, exps, params)
+        assert got == failing(
             closed_form_anb_check(x0, params, n, exponents=exps)
             for n in range(1, len(exps) + 1)
-        ]
+        )
 
     def test_first_failure_pinned(self):
         # 7 -> 9 -> 23 under 5n+1 has exponents 2, 1; claim 2, 2
         values, exps = anb_steps_extended(7, P51, 2)
         assert exps == [2, 1]
-        got = list(closed_form_checks(7, values, [2, 2], P51))
-        assert [c.holds for c in got] == [True, False]
-        assert got[1] == closed_form_anb_check(7, P51, 2, exponents=[2, 2])
+        got = closed_form_failures(7, values, [2, 2], P51)
+        res = closed_form_anb_check(7, P51, 2, exponents=[2, 2])
+        assert got == [(2, res.lhs, res.rhs)] and not res.holds
 
     def test_bad_walk_rejected(self):
         with pytest.raises(ValueError):
-            list(closed_form_checks(7, [7, 9], [2, 1], P51))
+            closed_form_failures(7, [7, 9], [2, 1], P51)
 
 
 class TestResidueShift:

@@ -313,15 +313,20 @@ def _direct_by_classes(M, steps=None):
     return halfsplit_mod._halfsplit_direct(M, 1, 1 << M, M - 1 if steps is None else steps)
 
 
+def _failing(checks):
+    """(n, lhs, rhs) of each per-n check, n = 1, 2, ..., that does not hold."""
+    return [(n, c.lhs, c.rhs) for n, c in enumerate(checks, start=1) if not c.holds]
+
+
 def _eq2_per_n(x0, values, exponents):
-    return (
+    return _failing(
         ident_mod.closed_form_check(x0, n, exponents=exponents)
         for n in range(1, len(exponents) + 1)
     )
 
 
 def _anb_per_n(x0, values, exponents, params):
-    return (
+    return _failing(
         anb_mod.closed_form_anb_check(x0, params, n, exponents=exponents)
         for n in range(1, len(exponents) + 1)
     )
@@ -383,7 +388,7 @@ class TestOneWalkChecksBytes:
     def test_eq2(self, capsys, monkeypatch):
         argv = ("verify", "eq2", "--max-x0", "1999")
         fast, slow = self._both(
-            capsys, monkeypatch, ident_mod, "closed_form_checks", _eq2_per_n, argv
+            capsys, monkeypatch, ident_mod, "closed_form_failures", _eq2_per_n, argv
         )
         assert fast == slow
         assert json.loads(fast[1][1])["checks_run"] > 20000
@@ -402,7 +407,7 @@ class TestOneWalkChecksBytes:
         monkeypatch.setattr(cli_verify, "odd_walk", corrupted)
         argv = ("verify", "eq2", "--max-x0", "299")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
-        monkeypatch.setattr(ident_mod, "closed_form_checks", _eq2_per_n)
+        monkeypatch.setattr(ident_mod, "closed_form_failures", _eq2_per_n)
         slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         assert fast == slow
         assert fast[0][0] == EX_INCONCLUSIVE
@@ -417,7 +422,7 @@ class TestOneWalkChecksBytes:
         argv = ("verify", "anb-eq", "--a", a, "--b", b, "--samples", samples,
                 "--max-n", max_n, "--seed", "3")
         fast, slow = self._both(
-            capsys, monkeypatch, ident_mod, "closed_form_checks", _anb_per_n, argv
+            capsys, monkeypatch, ident_mod, "closed_form_failures", _anb_per_n, argv
         )
         assert fast == slow
         assert fast[0][0] == EX_OK
@@ -434,7 +439,7 @@ class TestOneWalkChecksBytes:
         monkeypatch.setattr(anb_mod, "anb_steps_extended", corrupted)
         argv = ("verify", "anb-eq", "--samples", "40", "--max-n", "12")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
-        monkeypatch.setattr(ident_mod, "closed_form_checks", _anb_per_n)
+        monkeypatch.setattr(ident_mod, "closed_form_failures", _anb_per_n)
         slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         assert fast == slow
         assert fast[0][0] == EX_INCONCLUSIVE

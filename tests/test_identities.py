@@ -20,7 +20,7 @@ from collatzlab.identities import (
     SHIFT_M_BOUND,
     SHIFT_UINT64_MAX_K,
     closed_form_check,
-    closed_form_checks,
+    closed_form_failures,
     geometric_tail_identity,
     heuristic_model,
     heuristic_model_prefix,
@@ -212,47 +212,52 @@ class TestClosedForm:
         assert closed_form_check(x0, n).holds
 
 
+def failing(checks):
+    """(n, lhs, rhs) of each per-n check, n = 1, 2, ..., that does not hold."""
+    return [(n, c.lhs, c.rhs) for n, c in enumerate(checks, start=1) if not c.holds]
+
+
 class TestClosedFormBatch:
-    """The one-walk checks against the per-n reference, n by n."""
+    """The one-walk check's failures against the per-n reference's, n by n."""
 
     def test_matches_oracle_every_n(self):
         for x0 in range(1, 1002, 2):
             traj, pe = trajectory_odd(x0)
-            got = list(closed_form_checks(x0, traj.values, pe.exponents))
-            assert len(got) == pe.step_count
-            assert got == [
+            got = closed_form_failures(x0, traj.values, pe.exponents)
+            assert got == [] == failing(
                 closed_form_check(x0, n, exponents=pe.exponents)
                 for n in range(1, pe.step_count + 1)
-            ]
+            )
 
     @given(odd_small, st.integers(0, 40))
     @settings(max_examples=100)
     def test_extended_steps(self, x0, n):
         values, exps = odd_steps_extended(x0, n)
-        got = list(closed_form_checks(x0, values, exps))
-        assert got == [closed_form_check(x0, j) for j in range(1, n + 1)]
+        got = closed_form_failures(x0, values, exps)
+        assert got == [] == failing(closed_form_check(x0, j) for j in range(1, n + 1))
 
     @given(odd_small, st.lists(st.integers(1, 6), min_size=1, max_size=30))
     @settings(max_examples=100)
     def test_wrong_exponents_fail_like_oracle(self, x0, exps):
         values, _ = odd_steps_extended(x0, len(exps))
-        got = list(closed_form_checks(x0, values, exps))
-        assert got == [
+        got = closed_form_failures(x0, values, exps)
+        assert got == failing(
             closed_form_check(x0, n, exponents=exps) for n in range(1, len(exps) + 1)
-        ]
+        )
 
     def test_first_failure_pinned(self):
         # 7 -> 11 -> 17 -> 13 has exponents 1, 1, 2; claim 1, 2, 2
         values, _ = odd_steps_extended(7, 3)
-        got = list(closed_form_checks(7, values, [1, 2, 2]))
-        assert [c.holds for c in got] == [True, False, False]
-        assert got[1] == closed_form_check(7, 2, exponents=[1, 2, 2])
+        got = closed_form_failures(7, values, [1, 2, 2])
+        assert [n for n, _, _ in got] == [2, 3]
+        res = closed_form_check(7, 2, exponents=[1, 2, 2])
+        assert got[0] == (2, res.lhs, res.rhs) and not res.holds
 
     def test_bad_walk_rejected(self):
         with pytest.raises(ValueError):
-            list(closed_form_checks(7, [7, 11], [1, 1]))
+            closed_form_failures(7, [7, 11], [1, 1])
         with pytest.raises(ValueError):
-            list(closed_form_checks(9, [7, 11, 17], [1, 1]))
+            closed_form_failures(9, [7, 11, 17], [1, 1])
 
 
 class TestReconstruct:
