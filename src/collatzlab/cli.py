@@ -96,7 +96,7 @@ GEOM_TERM_LIMIT = 1 << 22
 # and exit 3.  The 5n+1 orbit of 7 reaches it after 53,347 steps.
 TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 
-# sweep runs at most this many worker processes (and never more than the CPUs).
+# sweep runs at most this many worker threads (and never more than the CPUs).
 THREADS_LIMIT = 256
 
 # sweep surveys at most this many starts (10^9: 132 s and an 83 MB peak at one
@@ -402,7 +402,7 @@ COMMANDS = {
     "sweep": Command("walk every start in 1..limit to 1", (
         Option("--limit", least=1, required=True),
         Option("--max-steps", DEFAULT_MAX_STEPS, least=0),
-        Option("--threads", 1, f"worker processes, 1..{THREADS_LIMIT} (the pool never exceeds "
+        Option("--threads", 1, f"worker threads, 1..{THREADS_LIMIT} (the pool never exceeds "
                "the CPUs)", least=1, most=THREADS_LIMIT),
     ), "cli_sweep.run"),
     "anb-cycles": Command("catalog cycles of one (a, b) map", (

@@ -1,7 +1,8 @@
 """The sweep command: every start in 1..limit walked to 1 by the vectorized engine.
 
 `cli` imports this module when it dispatches sweep; numpy loads only once
-the start budget has passed, and the process pool only if it runs.
+the start budget has passed, and the worker threads start only if the survey
+has pieces for them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
     cli._budget(args.limit, cli.SWEEP_START_LIMIT,
                 f"sweep --limit {args.limit} is over the budget of {cli.SWEEP_START_LIMIT} "
                 "starts; lower --limit")
-    from .sweep import survey_range  # numpy loads here, the process pool only if it runs
+    from .sweep import survey_range  # numpy loads here, once the budget has passed
 
     def hold(failures: int) -> None:
         cli._budget(failures, cli.SWEEP_FAILURE_LIMIT,

@@ -41,22 +41,24 @@ levels 1..j also has the largest intercept (the table build checks it), so
 the largest value a class or a jump passes is bound_slope m + bound_base,
 which rises with m: a class's peak is at its largest member.
 
-Walks never read the table, so with several workers a process pool walks the
-pieces of this wave and later ones while the parent folds finished walks in
-range order; with one worker the same walk runs in-process.  Ties go to the
-smaller start, so the result is the same for every worker count and chunk
-size.  `survey_chunk_python`, the plain walk of every start to 1, is the
-reference.
+Walks never read the table, so with several workers a pool of threads walks
+the pieces of this wave and later ones while the calling thread folds finished
+walks in range order; with one worker the same walk runs in that thread.  The
+walks spend their time in numpy ufuncs, which release the GIL, and share the
+read-only level table.  Ties go to the smaller start, so the result is the same
+for every worker count and chunk size.  `survey_chunk_python`, the plain walk
+of every start to 1, is the reference.
 
-The fold, the one serial part, gathers a byte a start.  A walk returns uint32
-slots, landing - lo, or a sentinel for the spare last slot, 0, for a spent
-budget or a landing on 1 below lo.  Each 255 gathered is looked up in the side
-table, and tst = steps + min(entry, top - steps) saturates exactly at top, the
-least of max_steps + 1 and the most steps + entry can reach, in top's dtype:
-uint16 at 2^22 and the default budget.  A start x >= a
-(ln a > 0) beats the ratio record R only if tst(x) > R ln x >= R ln a, so only
-starts with tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six
-orders of magnitude above the float rounding.
+The fold, the one serial part, gathers a byte a start.  A walk returns a byte
+a step count unless one passes 255, and uint32 slots, landing - lo, or a
+sentinel for the spare last slot, 0, for a spent budget or a landing on 1
+below lo.  Each 255 gathered is looked up in the side table, and
+tst = steps + min(entry, top - steps) saturates exactly at top, the least of
+max_steps + 1 and the most steps + entry can reach, in top's dtype: uint16 at
+2^22 and the default budget.  A start x >= a (ln a > 0) beats the ratio
+record R only if tst(x) > R ln x >= R ln a, so only starts with
+tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six orders of
+magnitude above the float rounding.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import math
 import os
 from collections import deque
 from collections.abc import Callable
-from contextlib import nullcontext
+from contextlib import closing
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +101,8 @@ LEVEL = 10
 _MAX_BUDGET = 1 << 62
 
 _SPARE = 2**32 - 1  # the table slot of a spent budget or of a landing on 1 below lo
+
+_GATHER = 1 << 14  # slots the fold gathers a block: 128 KB of intp indices
 
 
 class RangeSurvey(NamedTuple):
@@ -275,18 +279,42 @@ def _walk_piece(
     tab = _level_table(k)
     width, n = 1 << k, b - a
     level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps))
-    # The starts as rows m of the classes i mod 2^k, from row a >> k: the
-    # planned classes land on slope * m + base a row at a time.  The slot,
-    # landing - lo, is below TABLE_CAP < 2^32, so it is exact mod 2^32.
+    # The starts as rows m of the classes i mod 2^k, from row a >> k.  The
+    # other starts' places in the piece come row by row, with no mask a start.
     planned, cls = level > 0, np.arange(width)
     rows = np.arange(a >> k, ((b - 1) >> k) + 1, dtype=np.uint64).astype(np.uint32)
     cut = slice(a & (width - 1), (a & (width - 1)) + n)
+    pos = np.add.outer(np.arange(rows.size) * width - cut.start, np.flatnonzero(~planned))
+    pos = pos[(pos >= 0) & (pos < n)]
+    walked, landed, peak = _walk_starts(tab, a, b, pos, lo, stop_hi, max_steps, peak)
+    # The piece's arrays are made once the walks' temporaries are free again,
+    # so that a walk in flight never holds both.  The planned classes land on
+    # slope * m + base a row at a time; the slot, landing - lo, is below
+    # TABLE_CAP < 2^32, so it is exact mod 2^32.
     slot = np.multiply.outer(rows, np.where(planned, tab.slope[level, cls], 0).astype(np.uint32))
     slot += np.where(planned, tab.base[level, cls] - np.uint64(lo), _SPARE).astype(np.uint32)
     slot = slot.reshape(-1)[cut]
-    dtype = np.min_scalar_type(max_steps + 1)
-    steps = np.tile(np.where(planned, level, max_steps + 1).astype(dtype), rows.size)[cut]
-    pos = np.flatnonzero(np.tile(~planned, rows.size)[cut])
+    slot[pos] = landed
+    steps = np.tile(level.astype(walked.dtype), rows.size)[cut]  # planned levels are at most k
+    steps[pos] = walked
+    return steps, slot, peak
+
+
+def _walk_starts(
+    tab: _LevelTable, a: int, b: int, pos: np.ndarray, lo: int, stop_hi: int, max_steps: int,
+    peak: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk the starts a + pos of the piece [a, b) as `_walk_piece` does, from
+    the peak of its planned classes; returns their steps, slots and the peak.
+
+    The steps are a byte each while they fit, and widen to the budget's dtype
+    only when a walk passes 255 steps or a spent budget must read max_steps + 1;
+    they return in the narrowest dtype that holds them.
+    """
+    k = tab.k
+    width, wide = 1 << k, np.min_scalar_type(max_steps + 1)
+    steps, slot = np.zeros(pos.size, np.uint8), np.full(pos.size, _SPARE, np.uint32)
+    u = np.arange(pos.size)  # the place in pos of each value still walking
     v = pos.astype(np.uint64)
     v += np.uint64(a)
     jump_slope, jump_base = tab.slope[k], tab.base[k]
@@ -303,14 +331,18 @@ def _walk_piece(
             stop = ((v >= lo) & (v < stop_hi)) | (v == 1)
         hit = np.flatnonzero(stop)
         if hit.size:
-            steps[pos[hit]] = t
-            slot[pos[hit]] = np.minimum(v[hit] - np.uint64(lo), _SPARE)  # 1 - lo wraps
-            keep = np.flatnonzero(~stop)
-            v, pos = v[keep], pos[keep]
+            if t > 255:
+                steps = steps.astype(wide, copy=False)
+            steps[u[hit]] = t
+            slot[u[hit]] = np.minimum(v[hit] - np.uint64(lo), _SPARE)  # 1 - lo wraps
+            np.logical_not(stop, out=stop)  # the walks that go on, by mask
+            v, u = v[stop], u[stop]
         if not v.size or t == max_steps:
-            # steps in the narrowest dtype that holds them: less memory for
-            # the walks a pool has finished while the parent folds
-            return steps.astype(np.min_scalar_type(int(steps.max()))), slot, peak
+            if v.size:
+                steps = steps.astype(wide, copy=False)
+                steps[u] = max_steps + 1
+            steps = steps.astype(np.min_scalar_type(int(steps.max(initial=0))), copy=False)
+            return steps, slot, peak
         if top > UINT64_SAFE_MAX and int(v.max()) > UINT64_SAFE_MAX:
             raise ArithmeticError(f"a walk from [{a}, {b}) passes {UINT64_SAFE_MAX}, "
                                   "where 3x + 1 overflows uint64")
@@ -326,6 +358,7 @@ def _walk_piece(
                 peak = max(peak, int(bound.max()))
             m, v = v, jump_slope[i]
             v *= m
+            del m  # freed before jump_base[i] is gathered
             v += jump_base[i]
             t += k
         else:
@@ -341,11 +374,15 @@ def _fold_piece(
     """Finish the starts of [a, b) from their walks and the ratio record before a
     (or None), and enter them in the uint8 table and the side table [slots, values]."""
     steps, slot, peak = walk
-    np.minimum(slot, table.size - 1, out=slot)  # _SPARE reads the spare last slot, 0
+    # The gather a block at a time, whose slots widen to intp in cache: half the
+    # time of table[slot].  Clipped, _SPARE reads the spare last slot, 0.  It
+    # runs before tst is made, so that a block's indices never add to its bytes.
+    entry = np.empty(slot.size, np.uint8)
+    for i in range(0, slot.size, _GATHER):
+        np.take(table, slot[i : i + _GATHER], out=entry[i : i + _GATHER], mode="clip")
     # tst = steps + min(entry, top - steps): top < fail only where no steps + entry passes it
     top = min(fail, int(steps.max()) + max(255, int(side[1].max(initial=0))))
     tst = np.subtract(top, steps, dtype=np.min_scalar_type(top))
-    entry = table[slot]
     far = np.flatnonzero(entry == 255)
     left = tst[far]
     np.minimum(tst, entry, out=tst)
@@ -393,7 +430,7 @@ def survey_range(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     failure_budget: Callable[[int], None] | None = None,
 ) -> RangeSurvey:
-    """Survey [lo, hi), optionally walking the pieces in worker processes.
+    """Survey [lo, hi), optionally walking the pieces in worker threads.
 
     The pieces depend only on (lo, hi, chunk_size) and are folded in range
     order, so the result is byte-for-byte identical for every worker count.
@@ -424,13 +461,11 @@ def survey_range(
     pool_size = min(workers, widest, os.cpu_count() or 1)
     result = _empty_survey(lo, lo)
     failures: list[int] = []
-    pool, walks = nullcontext(), (_walk_piece(*piece) for piece in pieces)
-    if pool_size > 1:  # only a pool run pays for importing multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=pool_size)
-        walks = _walks_in_order(pool, pieces, 2 * pool_size)
-    with pool:
+    _level_table(LEVEL)  # built here, before two worker threads could both build it
+    walks = (_walk_piece(*piece) for piece in pieces)
+    if pool_size > 1:
+        walks = _walks_in_order(pieces, pool_size)
+    with closing(walks):
         for a, b, *_ in pieces:
             walk = next(walks)
             part = _fold_piece(table, side, lo, a, b, budget + 1, result.max_ratio, walk)
@@ -443,13 +478,21 @@ def survey_range(
     return result._replace(failures=tuple(failures))
 
 
-def _walks_in_order(pool, pieces: list, depth: int):
-    """Yield the walks of the pieces in order, keeping `depth` of them in flight,
-    so that finished walks cannot pile up when the parent folds slower."""
-    pending: deque = deque()
-    for piece in pieces:
-        pending.append(pool.submit(_walk_piece, *piece))
-        if len(pending) == depth:
+def _walks_in_order(pieces: list, size: int):
+    """Yield the walks of the pieces in order from `size` worker threads, with at
+    most `size` walks in flight, the one being folded included, so that finished
+    walks cannot pile up when the fold is slower.  Closing the generator, or an
+    exception from a walk, cancels the walks not yet started and joins the threads.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool, pending = ThreadPoolExecutor(max_workers=size), deque()
+    try:
+        for piece in pieces:
+            pending.append(pool.submit(_walk_piece, *piece))
+            if len(pending) == size:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

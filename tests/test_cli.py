@@ -797,7 +797,7 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         code = main(["sweep", "--limit", "5000000", "--threads", str(10**18)])
         captured = capsys.readouterr()
         assert code == EX_USAGE

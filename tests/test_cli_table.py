@@ -88,7 +88,7 @@ PARSER = {
         (['--max-steps'], 'max_steps', 100000, 'int', None,
          None, False),
         (['--threads'], 'threads', 1, 'int', None,
-         'worker processes, 1..256 (the pool never exceeds the CPUs)', False),
+         'worker threads, 1..256 (the pool never exceeds the CPUs)', False),
         (['--format'], 'format', 'text', None, ['text', 'json', 'csv'],
          None, False),
         (['--output'], 'output', None, None, None,

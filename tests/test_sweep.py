@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import Future
 
@@ -151,29 +153,79 @@ class TestPool:
             def __init__(self, max_workers):
                 made.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, fn, *args):
                 done = Future()
                 done.set_result(fn(*args))
                 return done
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+            def shutdown(self, wait=True, cancel_futures=False):
+                made.append(("shutdown", wait, cancel_futures))
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         base = survey_range(1, 4097, chunk_size=256)
         # the widest wave, [2048, 4096), has 8 pieces
         for cpus, workers, size in [(6, 10**6, 6), (64, 10**6, 8), (64, 3, 3)]:
             monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
             made.clear()
             assert survey_range(1, 4097, workers=workers, chunk_size=256) == base
-            assert made == [size]
+            assert made == [size, ("shutdown", True, True)]
         made.clear()
         assert survey_range(1, 4097, workers=1, chunk_size=256) == base
         assert survey_range(1, 257, workers=10**6, chunk_size=256) == survey_range(1, 257)
         assert made == []
+
+
+class TestThreads:
+    """Two worker threads and small pieces: an error raised in a walk or by the
+    failure budget leaves the survey with its message, and no thread behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        walkers, walk = set(), sweep._walk_piece
+        monkeypatch.setattr(
+            sweep, "_walk_piece",
+            lambda *piece: walkers.add(threading.current_thread()) or walk(*piece),
+        )
+        baseline = threading.active_count()
+        yield
+        assert threading.current_thread() not in walkers and walkers  # the walks ran in the pool
+        assert threading.active_count() == baseline
+
+    def test_walk_error(self, monkeypatch):
+        # as in test_past_the_word_limit_raises: 447 climbs to 19,682
+        monkeypatch.setattr(sweep, "UINT64_SAFE_MAX", 10_000)
+        with pytest.raises(ArithmeticError, match="passes 10000"):
+            survey_range(1, 2001, workers=2, chunk_size=64)
+
+    def test_failure_budget_error(self):
+        held = []
+
+        def hold(failures):
+            held.append(failures)
+            if failures > 5000:
+                raise MemoryError(f"would hold {failures}")
+
+        # most starts fail at 40 steps: the budget stops the survey at the 40th
+        # of its 72 pieces
+        with pytest.raises(MemoryError, match="would hold 5016$"):
+            survey_range(1, 2**14 + 1, max_steps=40, workers=2, chunk_size=256,
+                         failure_budget=hold)
+        assert len(held) == 40
+
+    def test_more_threads_than_cpus(self, monkeypatch):
+        # eight walkers switching every microsecond: the level table is built
+        # once, before the pool, and the survey is the reference's
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        sweep._level_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = survey_range(1, 2**14 + 1, workers=8, chunk_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == _reference(1, 2**14 + 1, sweep.DEFAULT_MAX_STEPS)
+        assert sweep._level_table.cache_info().misses == 1
 
 
 class TestSurveyValues:
@@ -253,7 +305,7 @@ class TestRatioFloor:
 
     def test_fold_memory_per_start(self):
         # the fold gathers a byte a start and saturates in the narrowest dtype
-        # that holds steps + entry (uint16 here): measured 4.05 traced bytes a
+        # that holds steps + entry (uint16 here): measured 4.02 traced bytes a
         # start on this piece, 9.05 in a uint32 table's dtype.  Folding by
         # int64 and float64 temporaries measured 50.
         n, fail = 1 << 16, sweep.DEFAULT_MAX_STEPS + 1
@@ -366,7 +418,7 @@ class TestNarrowTable:
 
     @pytest.mark.parametrize("max_steps", [sweep.DEFAULT_MAX_STEPS, 10**15])
     def test_survey_memory_per_start(self, max_steps):
-        # measured 1.16 (the default budget) and 1.19 (10^15) traced bytes a
+        # measured 1.14 (the default budget) and 1.13 (10^15) traced bytes a
         # start: the table's 1 and a piece's temporaries.  A uint16 table took
         # 2.19 and 2.21, and a 16 MB block freed in each survey 8.
         n = 2**21
@@ -379,6 +431,58 @@ class TestNarrowTable:
             tracemalloc.stop()
         assert (got.verified, got.failures) == (n, ())
         assert peak <= 1.5 * n
+
+
+# The first piece of [1723000, 1726000) holds 1723519, whose tst is 349, and
+# 1723547, whose tst is 265; the other pieces' walks take at most 227 steps.
+LONG_WALKS = 1723000
+
+
+class TestNarrowSteps:
+    """A walk holds its step counts in a byte until one passes 255 or a spent
+    budget must read max_steps + 1, and the survey gives the reference's result
+    across both widenings at every worker count."""
+
+    @pytest.mark.parametrize("lo", [2**20, LONG_WALKS])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [700, 1024])
+    @pytest.mark.parametrize("max_steps", [10**5, 300, 255])
+    def test_widen_matches_reference(self, monkeypatch, lo, workers, chunk_size, max_steps):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        widths, walk = {}, sweep._walk_piece
+
+        def spy(a, *rest):
+            steps, *more = walk(a, *rest)
+            widths[a] = steps.dtype.itemsize
+            return steps, *more
+
+        monkeypatch.setattr(sweep, "_walk_piece", spy)
+        hi = lo + 3000
+        got = survey_range(lo, hi, max_steps=max_steps, workers=workers, chunk_size=chunk_size)
+        assert got == _reference(lo, hi, max_steps)
+        # one piece walks past 255 steps, or spends a budget of 300 or 255 and
+        # reads 301 or 256; the others stay a byte (walks from [2^20, 2^20 +
+        # 3000) take at most 258 steps)
+        assert sorted(widths.values()) == [1] * (len(widths) - 1) + [2]
+        if lo == LONG_WALKS:
+            assert widths[lo] == 2
+            assert got.failures == {10**5: (), 300: (1723519,), 255: (1723519, 1723547)}[max_steps]
+
+    def test_walk_memory_per_start(self):
+        # a walk makes the piece's step bytes and slots only once its walkers'
+        # temporaries are free: measured 6.40 traced bytes a start, of which it
+        # holds 5.04.  Making them before the walk measured 9.76, and uint32
+        # steps 12.76.
+        n = 1 << 16
+        sweep._level_table(sweep.LEVEL)
+        tracemalloc.start()
+        try:
+            steps, slot, _ = sweep._walk_piece(3 * n, 4 * n, 1, 3 * n, sweep.DEFAULT_MAX_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps.dtype, slot.dtype) == (np.uint8, np.uint32)
+        assert peak <= 7 * n
 
 
 def _oracle(lo, hi):

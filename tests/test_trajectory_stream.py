@@ -368,6 +368,12 @@ def test_sweep_in_process_loads_no_pool():
     assert probe("sweep", "--limit", "1000", "--threads", "1") == (EX_OK, ["numpy"])
 
 
+@pytest.mark.parametrize("limit", ["1000", "1000000"])
+def test_sweep_workers_are_threads(limit):
+    # at 10^6 the widest wave has two pieces, so two worker threads walk them
+    assert probe("sweep", "--limit", limit, "--threads", "2") == (EX_OK, ["numpy"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
