@@ -7,9 +7,9 @@ theorem's bound, is tallied by classes too: it always splits evenly as well,
 since the shift law with m = 1 gives i and i + 2^(M-1) opposite parities
 after M-1 steps.  For M = 3..14, step M+1 is the first step that does not.
 
-Step M reads the shift table to level M-1, as the within-theorem steps of
-M+1 do, so within the class memory budget the scan reaches M = 24 and stops
-at M = 25 with one line naming the budget.
+Step M reads the depth-first walk of the shift law to level M-1, as the
+within-theorem steps of M+1 do, so within the class work budget the scan
+reaches M = 27 and stops at M = 28 with one line naming the budget.
 """
 
 import argparse

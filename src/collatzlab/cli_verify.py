@@ -84,16 +84,20 @@ def lemma7(args: argparse.Namespace, doc: dict) -> None:
     from .pcg64 import seeded_draws
 
     (ms,) = seeded_draws(args.seed, 1, args.samples, cli.M_SEED_RANGE)
+    least = None  # the failure of least (k, g): the blocks come depth first, not in k order
     for k, g0, count, lhs, rhs in ident_mod.residue_shift_blocks(args.max_k, ms):
         doc["checks_run"] += count
-        if lhs == rhs:
-            continue
-        lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
-        bad = [j for j in range(count) if lhs[j] != rhs[j]]
-        i, pos = divmod(g0 + bad[0], args.samples)
-        _note_failure(doc, {"k": k, "m": ms[pos], "i": i,
-                            "lhs": lhs[bad[0]], "rhs": rhs[bad[0]]})
-        doc["failures"] += len(bad) - 1
+        if lhs != rhs:
+            lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
+            bad = [j for j in range(count) if lhs[j] != rhs[j]]
+            doc["failures"] += len(bad)
+            failure = (k, g0 + bad[0], lhs[bad[0]], rhs[bad[0]])
+            least = min(least or failure, failure)
+    if least:
+        k, g, lhs, rhs = least
+        i, pos = divmod(g, args.samples)
+        doc.update(passed=False, counterexample={"k": k, "m": ms[pos], "i": i,
+                                                 "lhs": lhs, "rhs": rhs})
 
 
 def _odd_starts(args: argparse.Namespace, doc: dict) -> range:

@@ -7,9 +7,10 @@ Reports over disjoint subranges merge by component-wise addition, which is
 what makes range-partitioned runs exact.
 
 The tally of step n and the right side of the blocked lemma7 check read one
-shift-law table, `shift_table`, refined level by level in packed blocks: each
+depth-first walk of the Terras tree, `shift_blocks`, in packed blocks: each
 entry is a 64-bit lane of a Python int, stepped by `dynamics._packed_step`, so
-neither loads numpy.  `step_kind_at` is the per-element reference.
+neither loads numpy.  The walk holds one block a level of its path, never a
+whole level.  `step_kind_at` is the per-element reference.
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ DIRECT_ELEMENT_LIMIT = 1 << 21
 DIRECT_STEP_LIMIT = 1 << 16
 DIRECT_ELEMENT_STEP_LIMIT = 1 << 26
 
-# Bytes per entry of a shift table: an image and a power, a 64-bit lane each
-# (8.5 bytes in CPython's 30-bit digits), in packed blocks that replace those
-# of the level before as they are consumed.  tracemalloc puts the peak of
-# building level n at 17.3-17.9 bytes per entry for n = 18..20; the budget
-# keeps 26.  At 256 MB that is level 23, which step 24 (M = 25) reads.
-CLASSES_MEMORY_LIMIT = 1 << 28
-_CLASS_BYTES = 26
+# The class tally of steps 1..s steps the 2^n residues of each level n = 1..s-1
+# once: 2^s - 2 lane-steps.  At 2^27 that is step 27, which M = 28 tallies.
+CLASSES_STEP_LIMIT = 1 << 27
 
 # halfsplit_verify stops above this M: its reports and messages print counts
 # near 2^M, which has 19,729 decimal digits at the limit.
@@ -211,59 +208,56 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps > M:
-        raise ValueError(
-            "class cardinalities are equal only for steps <= M; "
-            "use the direct method for later steps"
-        )
-    one = _lane_ones(LANE_BLOCK)
-    tallies = []
-    # step n reads level n - 1; zip asks the range first, so steps = 0 builds none
-    for n, level in zip(range(1, steps + 1), shift_table(steps - 1)):
-        # the parities of T^(n-1)(i) and, by the shift law, T^(n-1)(i + 2^(n-1))
-        odd = sum((image & one).bit_count() + ((image + power) & one).bit_count()
-                  for image, power in level)
-        inc = odd << (M - n)
-        tallies.append(StepTally(n, inc, (1 << M) - inc, within_theorem=n <= M - 1))
-    return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tuple(tallies))
+        raise ValueError("class cardinalities are equal only for steps <= M; "
+                         "use the direct method for later steps")
+    blocks = shift_blocks(steps - 1) if steps else ()  # its uint64 guard first
+    if (1 << steps) - 2 > CLASSES_STEP_LIMIT:
+        raise ResourceLimitError(
+            f"class tally to step {steps} takes 2^{steps} - 2 lane-steps, over the work budget "
+            f"of {CLASSES_STEP_LIMIT}; it admits steps up to "
+            f"{(CLASSES_STEP_LIMIT + 2).bit_length() - 1}")
+    one, odd = _lane_ones(LANE_BLOCK), [0] * steps
+    for n, _, image, power in blocks:
+        # the parities of T^n(i) and, by the shift law, T^n(i + 2^n): step n + 1
+        odd[n] += (image & one).bit_count() + ((image + power) & one).bit_count()
+    tallies = tuple(StepTally(n, c << M - n, (1 << M) - (c << M - n), within_theorem=n <= M - 1)
+                    for n, c in enumerate(odd, start=1))
+    return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tallies)
 
 
-def shift_table(k: int) -> Iterator[list[tuple[int, int]]]:
-    """Yield the levels n = 0..k of (T^n(i), 3^p_n(i)) over the residues i < 2^n.
+def shift_blocks(k: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the blocks (n, b, image, power) of (T^n(i), 3^p_n(i)) over i < 2^n, n = 0..k.
 
-    p_n(i) counts the increases among the first n steps of i (T(0) = 0).  A
-    level is a list of blocks (image, power), each two packed ints of up to
-    `LANE_BLOCK` lanes: lane j of block b is residue b * LANE_BLOCK + j.  This
-    is Terras' parity-vector bijection: the shift law with m = 1,
-    T^n(i + 2^n) = 3^p + T^n(i), refines level n to the residues mod 2^(n+1)
-    for one add a block, then one `_packed_step` takes them to level n+1.  The
-    list is the same at every level and is refilled in place, each block of
-    level n dropped once both of its refinements are stepped; so a level is
-    valid until the next is asked for.
+    p_n(i) counts the increases among the first n steps of i (T(0) = 0).  The
+    image and power are packed ints of up to `LANE_BLOCK` lanes: lane j of
+    block b of level n is residue b * LANE_BLOCK + j.  This is Terras'
+    parity-vector bijection: the shift law with m = 1, T^n(i + 2^n) = 3^p + T^n(i),
+    refines a block of level n to the residues mod 2^(n+1) for one add, then
+    one `_packed_step` takes them to level n+1.  Levels below `LANE_BLOCK`
+    lanes are one block, which doubles; past that, block b of level n refines
+    into blocks b and b + 2^n / LANE_BLOCK of level n+1, yielded depth first
+    after it.  So the walk holds one block a level of its path.
     """
     if k >= CLASSES_UINT64_MAX_STEP:
         raise ResourceLimitError(f"class tally for step {k + 1} would overflow uint64 images; "
                                  f"it stops at step {CLASSES_UINT64_MAX_STEP}")
-    if _CLASS_BYTES << k > CLASSES_MEMORY_LIMIT:
-        raise ResourceLimitError(
-            f"shift table to level {k}, which the class tally of step {k + 1} reads, holds "
-            f"{_CLASS_BYTES << k} bytes; the memory budget of {CLASSES_MEMORY_LIMIT} bytes "
-            f"stops at step {(CLASSES_MEMORY_LIMIT // _CLASS_BYTES).bit_length()}")
-    level = [(0, 1)]
-    yield level
-    for n in range(k):
-        if 1 << n < LANE_BLOCK:  # one block, which doubles
-            ((image, power),) = level
-            width = 64 << n
-            level[0] = _refined_step(image | (image + power) << width, power | power << width,
-                                     _lane_ones(2 << n))
-        else:
-            blocks, one = len(level), _lane_ones(LANE_BLOCK)
-            level += [None] * blocks
-            for b in range(blocks):
-                image, power = level[b]
-                level[b] = _refined_step(image, power, one)
-                level[blocks + b] = _refined_step(image + power, power, one)
-        yield level
+    return _subtree(k, 0, 0, 0, 1)
+
+
+def _subtree(k: int, n: int, b: int, image: int, power: int) -> Iterator[tuple[int, int, int, int]]:
+    """Block b of level n, then depth first its refinements to level k."""
+    yield n, b, image, power
+    if n >= k:
+        return
+    if 1 << n < LANE_BLOCK:  # one block, which doubles
+        width = 64 << n
+        yield from _subtree(k, n + 1, 0, *_refined_step(
+            image | (image + power) << width, power | power << width, _lane_ones(2 << n)))
+    else:
+        one = _lane_ones(LANE_BLOCK)
+        yield from _subtree(k, n + 1, b, *_refined_step(image, power, one))
+        yield from _subtree(k, n + 1, b + (1 << n) // LANE_BLOCK,
+                            *_refined_step(image + power, power, one))
 
 
 def _refined_step(image: int, power: int, one: int) -> tuple[int, int]:

@@ -17,9 +17,10 @@ closed-form references stay separate, `closed_form_check` here with a literal
 one-walk check.
 
 The blocked shift-law check walks 2^k m + i on the packed 64-bit lanes of
-Python ints with `dynamics._packed_step` and reads its right side from
-`halfsplit.shift_table`, built with the same step; so the check is also the
-correctness check of that table.  Neither loads numpy.
+Python ints with `dynamics._packed_step` and reads its right side from the
+blocks of `halfsplit.shift_blocks`, a depth-first walk made with the same
+step, in the order that walk yields them; so the check is also the
+correctness check of that walk.  Neither loads numpy.
 """
 
 from __future__ import annotations
@@ -121,14 +122,16 @@ def _walk_packed(x: int, lanes: int, steps: int) -> int:
 def residue_shift_blocks(max_k: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int, int, int]]:
     """Both sides of `residue_shift_check(k, m, i)` for every k = 1..max_k, i < 2^k and m in ms.
 
-    For each k in turn, the checks are taken in the order of (i, position of
-    m in ms), flattened to g = i * len(ms) + position, and yielded in blocks
-    (k, g0, count, lhs, rhs) of packed ints: lane j of lhs and rhs is check
-    g0 + j, for j < count.  A block is whole rows of one i each, or a piece of
-    one row when ms has more than `_SHIFT_BLOCK` values.  As in the per-case
-    check, the two sides come from separate code paths: the left walks
-    2^k m + i, the right is 3^p m + T^k(i) from level k of one
-    `halfsplit.shift_table(max_k)`, one product of the packed values of m a row.
+    The checks of a level k are numbered in the order of (i, position of m in
+    ms), g = i * len(ms) + position, and yielded in blocks (k, g0, count, lhs,
+    rhs) of packed ints: lane j of lhs and rhs is check g0 + j, for j < count.
+    A block is whole rows of one i each, or a piece of one row when ms has
+    more than `_SHIFT_BLOCK` values.  The blocks follow those of one
+    `halfsplit.shift_blocks(max_k)`: in g order within a table block, but
+    depth first, so the levels past `LANE_BLOCK` residues interleave.  As in
+    the per-case check, the two sides come from separate code paths: the left
+    walks 2^k m + i, the right is 3^p m + T^k(i), one product a row of the
+    packed values of m.
     """
     if not 1 <= max_k <= SHIFT_UINT64_MAX_K:
         raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
@@ -138,31 +141,29 @@ def residue_shift_blocks(max_k: int, ms: Iterable[int]) -> Iterator[tuple[int, i
         raise ValueError(f"need every m below {SHIFT_M_BOUND} for uint64 walks")
     if not ms:
         return
-    from .halfsplit import shift_table
+    from .halfsplit import shift_blocks
 
     width = min(len(ms), _SHIFT_BLOCK)  # values of m a block
     rows = _SHIFT_BLOCK // width  # values of i a block
     # lane d * width + j holds d, for each of the rows
     offsets = _join((d * _lane_ones(width) for d in range(rows)), width)
-    levels = shift_table(max_k)
-    next(levels)  # level 0, whose one residue no k >= 1 checks
-    for k, level in enumerate(levels, start=1):  # each valid until the next is asked for
+    # level 0, whose one residue no k >= 1 checks, is skipped
+    for k, b, image, power in islice(shift_blocks(max_k), 1, None):
         lanes = min(1 << k, LANE_BLOCK)  # residues a table block
-        for b, (image, power) in enumerate(level):
-            image, power = _unpack(image, lanes), _unpack(power, lanes)
-            for d0 in range(0, lanes, rows):
-                images, powers, i0 = image[d0 : d0 + rows], power[d0 : d0 + rows], b * lanes + d0
-                for p0 in range(0, len(ms), width):
-                    piece = ms[p0 : p0 + width]
-                    m, one, count = _pack(piece), _lane_ones(len(piece)), len(images) * len(piece)
-                    # lane (i - i0) * len(piece) + j of each side is check (i, p0 + j); with
-                    # few values of m a row costs more per check: --max-k 20 --samples 1
-                    # takes 1.58 s against 1.35 s with a product a value of m in place
-                    # of a row (2-vCPU Xeon, Python 3.11)
-                    lhs = (_pack(piece * len(images)) << k) + i0 * _lane_ones(count)
-                    lhs += offsets & (1 << 64 * count) - 1
-                    rhs = _join((p * m + t * one for p, t in zip(powers, images)), len(piece))
-                    yield k, i0 * len(ms) + p0, count, _walk_packed(lhs, count, k), rhs
+        image, power = _unpack(image, lanes), _unpack(power, lanes)
+        for d0 in range(0, lanes, rows):
+            images, powers, i0 = image[d0 : d0 + rows], power[d0 : d0 + rows], b * lanes + d0
+            for p0 in range(0, len(ms), width):
+                piece = ms[p0 : p0 + width]
+                m, one, count = _pack(piece), _lane_ones(len(piece)), len(images) * len(piece)
+                # lane (i - i0) * len(piece) + j of each side is check (i, p0 + j); with
+                # few values of m a row costs more per check: --max-k 20 --samples 1
+                # takes 1.58 s against 1.35 s with a product a value of m in place
+                # of a row (2-vCPU Xeon, Python 3.11)
+                lhs = (_pack(piece * len(images)) << k) + i0 * _lane_ones(count)
+                lhs += offsets & (1 << 64 * count) - 1
+                rhs = _join((p * m + t * one for p, t in zip(powers, images)), len(piece))
+                yield k, i0 * len(ms) + p0, count, _walk_packed(lhs, count, k), rhs
 
 
 def _join(rows: Iterable[int], lanes: int) -> int:

@@ -276,13 +276,17 @@ class TestVerifyCommand:
         assert main(["verify", "anb-eq", "--samples", "31", "--max-n", "0"]) == EX_RESOURCE
 
     def test_halfsplit_class_budget_exit(self, capsys):
-        # M = 25 reads the table to level 23, the last within the budget
-        code = main(["verify", "halfsplit", "--M", "26", "--method", "classes"])
+        # M = 28 tallies to step 27, 2^27 - 2 lane-steps, the last within the budget
+        assert (1 << 27) - 2 <= halfsplit_mod.CLASSES_STEP_LIMIT < (1 << 28) - 2
+        code = main(["verify", "halfsplit", "--M", "29", "--method", "classes"])
         captured = capsys.readouterr()
         assert code == EX_RESOURCE
-        assert "memory budget" in captured.out
-        assert len(captured.err.splitlines()) == 1
-        assert (halfsplit_mod._CLASS_BYTES << 23) <= halfsplit_mod.CLASSES_MEMORY_LIMIT
+        assert captured.err == (
+            "resource limit: class tally to step 28 takes 2^28 - 2 lane-steps, over the work "
+            "budget of 134217728; it admits steps up to 27\n")
+        assert "work budget" in captured.out
+        assert main(["verify", "halfsplit", "--M", "27", "--method", "classes",
+                     "--steps", "28"]) == EX_USAGE
 
     @pytest.mark.parametrize("method", ["direct", "classes"])
     def test_halfsplit_huge_M(self, capsys, method):
@@ -298,13 +302,6 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "halfsplit", "--M", str(halfsplit_mod.M_LIMIT),
                             "--lo", "1", "--hi", "8", "--steps", "3", "--format", "json")
         assert code == EX_OK and json.loads(out)["passed"] is None
-
-    def test_lemma7_table_within_class_budget(self):
-        # every max_k the check budget admits (at one sample) has its table
-        # within the class memory budget
-        max_k = max(k for k in range(1, 64) if (1 << k + 1) - 2 <= cli_mod.LEMMA7_CHECK_LIMIT)
-        assert max_k == 23
-        assert (halfsplit_mod._CLASS_BYTES << max_k) <= halfsplit_mod.CLASSES_MEMORY_LIMIT
 
 
 @lru_cache(maxsize=None)
@@ -466,8 +463,8 @@ class TestOneWalkChecksBytes:
         # above the draw crossover the m come as numpy's int64 array, read
         # into the lanes by their bytes: the same bytes as the stream's.  A
         # corrupted T^6(5) makes failures, whose counterexample names an m.
-        corrupted = self._corrupt_level(halfsplit_mod.shift_table, 6, images=[5])
-        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        corrupted = self._corrupt_level(halfsplit_mod.shift_blocks, 6, images=[5])
+        monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
         argv = ("verify", "lemma7", "--max-k", "6", "--samples", "40", "--seed", "3")
         stream = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         monkeypatch.setattr(pcg64_mod, "NUMPY_LOAD_NS", 0)
@@ -520,29 +517,26 @@ class TestOneWalkChecksBytes:
         assert doc["failures"] == failures and doc["counterexample"] == first
 
     @staticmethod
-    def _corrupt_level(real_table, k, images=(), powers=()):
-        """shift_table with 1 added to the images and 2 to the powers of the
+    def _corrupt_level(real_blocks, k, images=(), powers=()):
+        """shift_blocks with 1 added to the images and 2 to the powers of the
         residues given at level k (or at every level n >= 1 that images(n)
-        names, for a callable), in a copy of the level that the check reads:
-        the table refines its own, uncorrupted, level into the next."""
+        names, for a callable), in a copy of the block that the check reads:
+        the walk refines its own, uncorrupted, blocks."""
 
         def corrupted(top):
-            for n, level in enumerate(real_table(top)):
+            for n, b, image, power in real_blocks(top):
                 bad = images(n) if callable(images) else images if n == k else ()
                 if n and (bad or powers and n == k):
                     lanes = min(1 << n, LANE_BLOCK)
-                    copy = []
-                    for b, (image, power) in enumerate(level):
-                        image, power = _unpack(image, lanes), _unpack(power, lanes)
-                        for i in bad:
-                            if i // lanes == b:
-                                image[i % lanes] += 1
-                        for i in powers if n == k else ():
-                            if i // lanes == b:
-                                power[i % lanes] += 2
-                        copy.append((_pack(image), _pack(power)))
-                    level = copy
-                yield level
+                    image, power = _unpack(image, lanes), _unpack(power, lanes)
+                    for i in bad:
+                        if i // lanes == b:
+                            image[i % lanes] += 1
+                    for i in powers if n == k else ():
+                        if i // lanes == b:
+                            power[i % lanes] += 2
+                    image, power = _pack(image), _pack(power)
+                yield n, b, image, power
 
         return corrupted
 
@@ -550,9 +544,9 @@ class TestOneWalkChecksBytes:
         # add 1 to T^k(i) for every i that is 3 mod 7 in the level the check
         # reads, and compare with a per-case loop whose residue walk is broken
         # the same way
-        real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
+        real_blocks, walk = halfsplit_mod.shift_blocks, ident_mod._walk_shortcut_zero
 
-        corrupted = self._corrupt_level(real_table, None, images=lambda n: range(3, 1 << n, 7))
+        corrupted = self._corrupt_level(real_blocks, None, images=lambda n: range(3, 1 << n, 7))
 
         def per_case(max_k, ms):
             for k in range(1, max_k + 1):
@@ -565,7 +559,7 @@ class TestOneWalkChecksBytes:
                         rhs.append(3**p * int(m) + ti)
                 yield k, 0, len(lhs), _pack(array("Q", lhs)), _pack(array("Q", rhs))
 
-        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)
         argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
@@ -588,10 +582,10 @@ class TestOneWalkChecksBytes:
         # too large, which shows for every m.  The first failure is at
         # (i 5000, m 5), the second draw, in a later block of checks than the
         # first; with blocks of 5 checks the draws also span two blocks a row.
-        real_table, walk = halfsplit_mod.shift_table, ident_mod._walk_shortcut_zero
-        corrupted = self._corrupt_level(real_table, 13, images=[7000], powers=[5000])
+        real_blocks, walk = halfsplit_mod.shift_blocks, ident_mod._walk_shortcut_zero
+        corrupted = self._corrupt_level(real_blocks, 13, images=[7000], powers=[5000])
         draws = [0, 5, 0, 3, 1 << 19, 0, 7]
-        monkeypatch.setattr(halfsplit_mod, "shift_table", corrupted)
+        monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
         monkeypatch.setattr(pcg64_mod, "seeded_draws", lambda *args: iter([draws]))
         monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
         code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "13",
@@ -603,6 +597,26 @@ class TestOneWalkChecksBytes:
         lhs = walk((5 << 13) + 5000, 13)[0]
         assert doc["counterexample"] == {"k": 13, "m": 5, "i": 5000, "lhs": lhs,
                                          "rhs": lhs + 2 * 5}
+
+    def test_lemma7_least_failure_not_the_first_met(self, capsys, monkeypatch):
+        # the walk visits block (14, 0) before (13, 1): corrupt the image of
+        # residue 100 at level 14 and of 4096 + 50 at level 13.  The counterexample
+        # is the k = 13 one, the least (k, i, draw), though the k = 14 one is met first.
+        corrupted = self._corrupt_level(halfsplit_mod.shift_blocks, None,
+                                        images=lambda n: {13: [4146], 14: [100]}.get(n, ()))
+        order = [(n, b) for n, b, _, _ in corrupted(14) if n >= 13]
+        assert order.index((14, 0)) < order.index((13, 1))
+        draws = [9, 2]
+        monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
+        monkeypatch.setattr(pcg64_mod, "seeded_draws", lambda *args: iter([draws]))
+        code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "14", "--samples", "2",
+                            "--format", "json")
+        doc = json.loads(out)
+        assert code == EX_INCONCLUSIVE
+        assert doc["checks_run"] == 2 * ((1 << 15) - 2)
+        assert doc["failures"] == 4
+        lhs = ident_mod._walk_shortcut_zero((9 << 13) + 4146, 13)[0]
+        assert doc["counterexample"] == {"k": 13, "m": 9, "i": 4146, "lhs": lhs, "rhs": lhs + 1}
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,7 +14,12 @@ exact edge cheaply.
 
 import hashlib
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +140,8 @@ CORPUS = [
     ("verify halfsplit --M 21 --steps 40 --format json", "e0d4818552241cf2e56afef460e7bba292af2e30f226bb1918750ea5c62f0046"),
     ("verify halfsplit --M 25 --method classes", "c7d5b4b71eea1245877c0fc0d770ae14bf9c1164eb3d576207b5e977f8291825"),
     ("verify halfsplit --M 25 --method classes --format csv", "53c9da5c9801b45b4e83ad240c49c7b7ed7b4f10815101c9e4e1a619362689a6"),
-    ("verify halfsplit --M 26 --method classes", "55eeba9d0c12eec69ebf2b7fdcb9ba5cdad055148670b292cda622f277c13fc3"),
+    ("verify halfsplit --M 26 --method classes", "063c60d735e880082bf8f924d74222650c3e56012c77c5757e3e860f3e726058"),
+    ("verify halfsplit --M 29 --method classes", "fb65828cf26333d87d266c9d0216029d83e5031df18ef53a3607e355dc40ce28"),
     ("verify halfsplit --M 50 --method classes --steps 41", "516c93453bcbf31d5e789dda27e651643c8ea48ab4113b791e2d307c8968162c"),
     ("verify halfsplit --M 5 --method classes --steps 5", "11d885a4018b29d0af520799e4e6623fdf644844f8d9e93cc53893201243981c"),
     ("verify halfsplit --M 5 --method classes --steps 5 --format json", "238bb8c31ea2a9c6cc4bde74598651c27eb45b7fc3993b15db4d691d049325fa"),
@@ -240,8 +246,8 @@ PATCHED = [
     ("cli.CYCLES_STEP_LIMIT=50", "anb-cycles --limit 101 --max-steps 0 --format json", "37e172d1d55c57829a4d1fff07dd252d5df9985c527a60137f4267f062e11d43"),
     ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --format json", "d206daf2d68e33013cac620596fc4e237f19067054638b73a424cf24cb8cb536"),
     ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --lo 2 --hi 64", "537fd37e30aec8803264c7bfd6497605064e665f981d37bbbac9769ffa62199c"),
-    ("halfsplit.CLASSES_MEMORY_LIMIT=416", "verify halfsplit --M 6 --method classes", "54a1ada6c5d6f413cd86f72d2a98809560cc1eedef086090726b2a96a112f566"),
-    ("halfsplit.CLASSES_MEMORY_LIMIT=415", "verify halfsplit --M 6 --method classes --format json", "cfd7db37c6ce8a2d206c6a81d3e62df09566ecf737e82699483563b6612bd139"),
+    ("halfsplit.CLASSES_STEP_LIMIT=30", "verify halfsplit --M 6 --method classes", "54a1ada6c5d6f413cd86f72d2a98809560cc1eedef086090726b2a96a112f566"),
+    ("halfsplit.CLASSES_STEP_LIMIT=29", "verify halfsplit --M 6 --method classes --format json", "9b8f85002e0c6f7b9e15bca8331512cf35f6c81b201f315a69819fcbc7794931"),
     ("halfsplit.DIRECT_STEP_LIMIT=8", "verify halfsplit --M 6 --steps 8", "4d91eae0a956cef9ca5b6e461d228fc8222d98b3d734d55f0f02ad5cd1d9aed3"),
     ("halfsplit.DIRECT_STEP_LIMIT=7", "verify halfsplit --M 6 --steps 8 --format json", "8c62364fbafe31cf542c8d21ab0becded651ca48af20870aeb371589c7c8a69b"),
     ("halfsplit.DIRECT_ELEMENT_STEP_LIMIT=320", "verify halfsplit --M 6 --format json", "a0cedaca4177911ade0d17b1a28a0e615c9f74d7c8591954ffb26b995c3dc719"),
@@ -283,3 +289,22 @@ def test_budget_edge_bytes(patch, argv, digest, tmp_path, capsys, monkeypatch):
     module, attr = name.split(".")
     monkeypatch.setattr(MODULES[module], attr, int(value))
     assert contract_digest(argv, tmp_path, capsys) == digest
+
+
+def test_classes_within_address_limit():
+    """The class tally at M = 25 in a child process whose address space is capped
+    at 64 MB: it holds one block a level of the walk, and gives the bytes that
+    CORPUS pins.  The argv writes no --output file, so that slot reads "old\\n"."""
+    argv = "verify halfsplit --M 25 --method classes"
+    limit = 64 << 20
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "collatzlab", *shlex.split(argv)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    payload = json.dumps([proc.returncode, proc.stdout, proc.stderr, "old\n"])
+    assert hashlib.sha256(payload.encode()).hexdigest() == dict(CORPUS)[argv], proc.stderr

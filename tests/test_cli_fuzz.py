@@ -36,7 +36,7 @@ BUDGETS = [
     (cli_mod, "CYCLES_STEP_LIMIT", 50),
     (cli_mod, "CYCLES_MEMORY_LIMIT", 11404798),
     (halfsplit_mod, "DIRECT_ELEMENT_LIMIT", 63),
-    (halfsplit_mod, "CLASSES_MEMORY_LIMIT", 416),
+    (halfsplit_mod, "CLASSES_STEP_LIMIT", 30),
     (halfsplit_mod, "DIRECT_STEP_LIMIT", 8),
     (halfsplit_mod, "DIRECT_ELEMENT_STEP_LIMIT", 320),
     (cli_mod, "MC_LENGTH_LIMIT", 100),

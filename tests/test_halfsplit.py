@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from collatzlab import halfsplit
 from collatzlab.dynamics import LANE_BLOCK, StepKind, _lane_ones, _unpack
 from collatzlab.halfsplit import (
+    CLASSES_STEP_LIMIT,
     CLASSES_UINT64_MAX_STEP,
     DIRECT_ELEMENT_STEP_LIMIT,
     DIRECT_STEP_LIMIT,
@@ -15,7 +17,7 @@ from collatzlab.halfsplit import (
     StepTally,
     halfsplit_by_classes,
     halfsplit_verify,
-    shift_table,
+    shift_blocks,
     step_kind_at,
 )
 from collatzlab.identities import _walk_shortcut_zero
@@ -181,34 +183,55 @@ class TestRefinement:
         assert len(report.tallies) == 22
         assert report.exact_split()
 
-    def test_memory_budget(self, monkeypatch):
-        # 26 bytes per entry of the table that step n reads, level n - 1:
-        # level 10 fits in 26 KiB, which takes the tally through step 11, M
-        # included (it does not double the table); level 11 does not fit
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 26 << 10)
+    def test_work_budget(self, monkeypatch):
+        # the tally to step s steps levels 1..s-1, 2^s - 2 lanes: a budget of
+        # 2^11 - 2 lane-steps takes it through step 11, M included; step 12 does not fit
+        assert CLASSES_STEP_LIMIT == 1 << 27
+        monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", (1 << 11) - 2)
         assert halfsplit_by_classes(12).exact_split()
         assert halfsplit_by_classes(11, steps=11).exact_split()
-        with pytest.raises(ResourceLimitError, match="memory budget"):
-            halfsplit_by_classes(13)
-        with pytest.raises(ResourceLimitError, match="memory budget"):
-            halfsplit_by_classes(12, steps=12)
-        with pytest.raises(ResourceLimitError, match="memory budget"):
+        message = ("class tally to step 12 takes 2^12 - 2 lane-steps, over the work budget of "
+                   "2046; it admits steps up to 11")
+        for M, steps in [(13, None), (12, 12), (40, 12)]:
+            with pytest.raises(ResourceLimitError) as exc:
+                halfsplit_by_classes(M, steps)
+            assert str(exc.value) == message
+        with pytest.raises(ResourceLimitError, match="work budget"):
             halfsplit_verify(13, method="classes")
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", (26 << 10) - 1)
-        with pytest.raises(ResourceLimitError, match="memory budget"):
+        monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", (1 << 11) - 3)
+        with pytest.raises(ResourceLimitError, match="it admits steps up to 10$"):
             halfsplit_by_classes(12)
+        # no lane is stepped for steps 0 and 1, whatever the budget
+        monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", 0)
+        assert halfsplit_by_classes(5, 1).exact_split()
+        assert halfsplit_by_classes(5, 0).tallies == ()
 
     def test_uint64_guard_whatever_the_budget(self, monkeypatch):
-        monkeypatch.setattr(halfsplit, "CLASSES_MEMORY_LIMIT", 1 << 100)
-        with pytest.raises(ResourceLimitError, match="uint64"):
-            halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 2)
-        with pytest.raises(ResourceLimitError, match="step 41 would overflow uint64"):
-            next(shift_table(CLASSES_UINT64_MAX_STEP))
-        # the level that step 40 reads passes the uint64 guard; the memory
-        # budget stops it
-        monkeypatch.undo()
-        with pytest.raises(ResourceLimitError, match="memory budget"):
-            next(shift_table(CLASSES_UINT64_MAX_STEP - 1))
+        for budget in (0, 1 << 27, 1 << 100):
+            monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", budget)
+            with pytest.raises(ResourceLimitError, match="step 41 would overflow uint64"):
+                halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 2)
+            with pytest.raises(ResourceLimitError, match="step 41 would overflow uint64"):
+                halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 1, CLASSES_UINT64_MAX_STEP + 1)
+            with pytest.raises(ResourceLimitError, match="step 41 would overflow uint64"):
+                shift_blocks(CLASSES_UINT64_MAX_STEP)
+            # the levels that step 40 reads pass the uint64 guard, and the walk
+            # does no work until asked; only the work budget can stop their tally
+            shift_blocks(CLASSES_UINT64_MAX_STEP - 1)
+            if budget < (1 << CLASSES_UINT64_MAX_STEP) - 2:
+                with pytest.raises(ResourceLimitError, match="work budget"):
+                    halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 1)
+
+    def test_tally_memory(self):
+        # the walk holds one block a level of its path: 0.99 MB traced at M = 22,
+        # where a whole level 21, which the breadth-first table held, takes 17 MB
+        tracemalloc.start()
+        try:
+            assert halfsplit_by_classes(22).exact_split()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_uint64_guard_bound(self):
         # images of residues i < 2^k stay below 3^k, and the largest value
@@ -219,33 +242,39 @@ class TestRefinement:
         assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
 
 
-def level_lanes(level, n):
-    """Level n of `shift_table`, unpacked: the lists (T^n(i), 3^p) over i < 2^n."""
+def level_lanes(k, n):
+    """Level n <= k of `shift_blocks(k)`, unpacked and assembled from its blocks by
+    (n, b): the lists (T^n(i), 3^p) over i < 2^n.  The walk meets every block of
+    the levels 0..k once."""
     lanes = min(1 << n, LANE_BLOCK)
-    assert len(level) == (1 << n) // lanes
+    met, level = set(), {}
+    for m, b, image, power in shift_blocks(k):
+        assert (m, b) not in met and 0 <= m <= k and 0 <= b * LANE_BLOCK < 1 << m
+        met.add((m, b))
+        if m == n:
+            # no lane carried past the block's last
+            assert max(image.bit_length(), power.bit_length()) <= 64 * lanes
+            level[b] = _unpack(image, lanes), _unpack(power, lanes)
+    assert len(met) == sum(max(1 << m, LANE_BLOCK) // LANE_BLOCK for m in range(k + 1))
     images, powers = [], []
-    for image, power in level:
-        # no lane carried past the block's last
-        assert max(image.bit_length(), power.bit_length()) <= 64 * lanes
-        images += _unpack(image, lanes)
-        powers += _unpack(power, lanes)
+    for b in range(len(level)):
+        images += level[b][0]
+        powers += level[b][1]
     return images, powers
 
 
-def step_parities(level, n):
+def step_parities(images, powers):
     """From level n, the parity of T^n(i) for each i < 2^(n+1); i + 2^n takes
     that of T^n(i) + 3^p, the shift law at m = 1."""
-    images, powers = level_lanes(level, n)
     return [y & 1 for y in images] + [(y + w) & 1 for y, w in zip(images, powers)]
 
 
 class TestShiftTable:
-    """Every level of the table against the walk of each residue."""
+    """Every level of the walk against the walk of each residue."""
 
     def test_every_residue(self):
-        levels = [level_lanes(level, n) for n, level in enumerate(shift_table(12))]
-        assert len(levels) == 13
-        for n, (image, power) in enumerate(levels):
+        for n in range(13):
+            image, power = level_lanes(12, n)
             assert len(image) == len(power) == 1 << n
             for i in range(1 << n):
                 y, p = _walk_shortcut_zero(i, n)
@@ -253,34 +282,32 @@ class TestShiftTable:
 
     def test_block_border(self):
         # level 12 fills one block, and level 13 is the first of two blocks
-        for n, level in enumerate(shift_table(13)):
-            if n >= 12:
-                assert len(level) == 1 << n - 12
-                image, power = level_lanes(level, n)
-                for i in range(1 << n):
-                    y, p = _walk_shortcut_zero(i, n)
-                    assert (image[i], power[i]) == (y, 3**p)
+        for n in (12, 13):
+            image, power = level_lanes(13, n)
+            for i in range(1 << n):
+                y, p = _walk_shortcut_zero(i, n)
+                assert (image[i], power[i]) == (y, 3**p)
 
-    def test_level_replaces_the_last(self):
-        # the same list at every level, refilled in place
-        levels = iter(shift_table(14))
-        first = next(levels)
-        assert all(level is first for level in levels)
-        assert len(first) == 4
+    def test_depth_first_order(self):
+        # each block before its refinements b and b + 2^n / LANE_BLOCK
+        order = [(n, b) for n, b, _, _ in shift_blocks(15)]
+        assert order[:13] == [(n, 0) for n in range(13)]
+        assert order[13:] == [(13, 0), (14, 0), (15, 0), (15, 4), (14, 2), (15, 2), (15, 6),
+                              (13, 1), (14, 1), (15, 1), (15, 5), (14, 3), (15, 3), (15, 7)]
+        assert [(n, b) for n, b, _, _ in shift_blocks(3)] == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     @given(st.integers(13, 20), st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=30))
     @settings(max_examples=15, deadline=None)
     def test_sampled_residues(self, n, draws):
-        *_, level = shift_table(n)
-        image, power = level_lanes(level, n)
+        image, power = level_lanes(n, n)
         for i in (d % (1 << n) for d in draws):
             y, p = _walk_shortcut_zero(i, n)
             assert (image[i], power[i]) == (y, 3**p)
 
     def test_step_parities(self):
         # level n gives the step-(n+1) parity of every residue mod 2^(n+1)
-        for n, level in enumerate(shift_table(10)):
-            odd = step_parities(level, n)
+        for n in range(11):
+            odd = step_parities(*level_lanes(10, n))
             assert odd == [_walk_shortcut_zero(i, n)[0] & 1 for i in range(2 << n)]
 
     def test_largest_admitted_level(self):
@@ -355,10 +382,9 @@ class TestMerge:
 
 
 def _class_kinds(n):
-    """The step-n direction of each residue class mod 2^n, from level n - 1 of the table."""
-    *_, level = shift_table(n - 1)
+    """The step-n direction of each residue class mod 2^n, from level n - 1 of the walk."""
     kinds = (StepKind.DECREASE, StepKind.INCREASE)
-    return [kinds[odd] for odd in step_parities(level, n - 1)]
+    return [kinds[odd] for odd in step_parities(*level_lanes(n - 1, n - 1))]
 
 
 class TestClassSplit:
@@ -409,8 +435,7 @@ class TestProofCaseTable:
 
     @pytest.mark.parametrize("n", range(17))
     def test_no_mismatches(self, n):
-        *_, level = shift_table(n)
-        odd = step_parities(level, n)
+        odd = step_parities(*level_lanes(n, n))
         assert all(lo ^ hi == 1 for lo, hi in zip(odd[: 1 << n], odd[1 << n :]))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from collatzlab import identities as ident_mod
 from collatzlab.dynamics import (
+    LANE_BLOCK,
     StepKind,
     _pack,
     _unpack,
@@ -95,17 +97,30 @@ class TestResidueShift:
 
 def shift_grids(max_k, ms):
     """The blocks of residue_shift_blocks for k = 1..max_k, checked to tile each
-    level's grid in order, unpacked into each level's lists of left and right
-    sides in g order: {k: (lhs, rhs)}."""
-    grids = {}
+    level's grid exactly once, unpacked into each level's lists of left and right
+    sides in g order: {k: (lhs, rhs)}.  The blocks of one table block (of
+    LANE_BLOCK residues) come together and in g order; the table blocks may come
+    depth first."""
+    pieces, table_blocks, last = {}, set(), None
     for k, g0, count, left, right in residue_shift_blocks(max_k, ms):
-        assert k in (len(grids), len(grids) + 1)  # the levels in order, one after another
-        lhs, rhs = grids.setdefault(k, ([], []))
-        assert g0 == len(lhs)  # each block starts where the one before ended
+        span = min(1 << k, LANE_BLOCK) * len(ms)  # checks a table block
+        key = (k, g0 // span)
+        if key == last:
+            assert g0 == end  # each block starts where the one before ended
+        else:
+            assert key not in table_blocks and g0 % span == 0
+            table_blocks.add(key)
+        assert (g0 + count - 1) // span == key[1]
+        last, end = key, g0 + count
         # no lane carried past the block's last
         assert max(left.bit_length(), right.bit_length()) <= 64 * count
-        lhs += _unpack(left, count)
-        rhs += _unpack(right, count)
+        pieces[k, g0] = _unpack(left, count), _unpack(right, count)
+    grids = {}
+    for (k, g0), (left, right) in sorted(pieces.items()):
+        lhs, rhs = grids.setdefault(k, ([], []))
+        assert g0 == len(lhs)
+        lhs += left
+        rhs += right
     assert list(grids) == list(range(1, max_k + 1))
     for k, (lhs, rhs) in grids.items():
         assert len(lhs) == len(rhs) == len(ms) << k
@@ -142,6 +157,36 @@ class TestResidueShiftBlocks:
             for pos, m in enumerate(ms):
                 res = residue_shift_check(k, m, i)
                 assert (lhs[i * len(ms) + pos], rhs[i * len(ms) + pos]) == (res.lhs, res.rhs)
+
+    def test_depth_first_levels(self):
+        # past one table block the levels interleave: (13, 0), (14, 0), (14, 2), (13, 1), ...
+        order = []
+        for k, g0, _, _, _ in residue_shift_blocks(14, [3, 5]):
+            key = (k, g0 // (min(1 << k, LANE_BLOCK) * 2))
+            if key not in order:
+                order.append(key)
+        assert order[:12] == [(k, 0) for k in range(1, 13)]
+        assert order[12:] == [(13, 0), (14, 0), (14, 2), (13, 1), (14, 1), (14, 3)]
+        grids = shift_grids(14, [3, 5])
+        for k in (13, 14):
+            lhs, rhs = grids[k]
+            assert lhs == rhs
+            for i in range(0, 1 << k, 997):
+                res = residue_shift_check(k, 5, i)
+                assert (lhs[2 * i + 1], rhs[2 * i + 1]) == (res.lhs, res.rhs)
+
+    def test_table_memory(self):
+        # the walk holds one table block a level of its path: draining k = 18
+        # at one value of m traces 1.40 MB, where the breadth-first table of
+        # a whole level took 5.4 MB
+        tracemalloc.start()
+        try:
+            for _ in residue_shift_blocks(18, array("Q", [1])):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_numpy_draws(self):
         # the drawn m come as numpy's int64 array above the draw crossover
