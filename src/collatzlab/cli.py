@@ -96,11 +96,12 @@ GEOM_TERM_LIMIT = 1 << 22
 # and exit 3.  The 5n+1 orbit of 7 reaches it after 53,347 steps.
 TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 
-# sweep runs at most this many worker threads (and never more than the CPUs).
+# sweep runs at most this many walkers: with --threads n the calling thread
+# walks, and so do n - 1 worker threads, never more than the CPUs in all.
 THREADS_LIMIT = 256
 
-# sweep surveys at most this many starts (10^9: 132 s and an 83 MB peak at one
-# worker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
+# sweep surveys at most this many starts (10^9: 35 s and a 60 MB peak at one
+# walker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
 SWEEP_START_LIMIT = 10**9
 
 # sweep holds each failure as an int while its document streams out: the run
@@ -272,6 +273,9 @@ def _main(argv: list[str] | None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EX_RESOURCE
+    except MemoryError:  # a budget admitted more than the process may allocate
+        print("resource limit: out of memory; lower the command's size", file=sys.stderr)
+        return EX_RESOURCE
     finally:
         if out is not None:
             out.close()
@@ -402,8 +406,8 @@ COMMANDS = {
     "sweep": Command("walk every start in 1..limit to 1", (
         Option("--limit", least=1, required=True),
         Option("--max-steps", DEFAULT_MAX_STEPS, least=0),
-        Option("--threads", 1, f"worker threads, 1..{THREADS_LIMIT} (the pool never exceeds "
-               "the CPUs)", least=1, most=THREADS_LIMIT),
+        Option("--threads", 1, f"walkers, 1..{THREADS_LIMIT}: the calling thread and "
+               "THREADS - 1 worker threads, no more than the CPUs", least=1, most=THREADS_LIMIT),
     ), "cli_sweep.run"),
     "anb-cycles": Command("catalog cycles of one (a, b) map", (
         _A, _B, Option("--limit", 100, "odd starts searched", least=1),

@@ -60,15 +60,16 @@ def _json_line(obj: object) -> str:
 def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:
     """The decimal form of (mul * x + add) / 2^k from the decimal form d of x.
 
-    Computed as (mul * d + add) * 5^k / 10^k in exact decimal arithmetic, in
-    time linear in the digit count, where str(int) is quadratic.  consts
-    caches the Decimal operands per (mul, add, k).
+    Computed as (d * mul 5^k + add 5^k) / 10^k, one fused multiply-add and one
+    division in exact decimal arithmetic, in time linear in the digit count,
+    where str(int) is quadratic.  consts caches the Decimal operands per
+    (mul, add, k).
     """
     ops = consts.get((mul, add, k))
     if ops is None:
-        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul, add, 5**k, 10**k)))
-    m, a, p5, p10 = ops
-    return _EXACT.divide(_EXACT.multiply(_EXACT.add(_EXACT.multiply(d, m), a), p5), p10)
+        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul * 5**k, add * 5**k, 10**k)))
+    m, a, p10 = ops
+    return _EXACT.divide(_EXACT.fma(d, m, a), p10)
 
 
 def run(args: argparse.Namespace, out: cli._Output) -> int:

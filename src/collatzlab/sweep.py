@@ -9,28 +9,38 @@ changes nothing.
 
 Starts go in doubling waves [L, 2L) from L = lo, in increasing order, each cut
 into pieces of `chunk_size`.  A piece [a, b) walks until each value lands on 1
-or in [lo, a): pieces are folded in range order, so every start below a is in
-the table when the piece is.  Values below lo have no entry and walk on.  The
-table holds min(tst, max_steps + 1), the latter meaning "failed", for at most
-TABLE_CAP starts: pieces above the cap walk until they drop below it, so
-memory is bounded for any range.  It is one byte a start at any budget: an
-entry holds the least of that and 255, and 255 means "in the side table",
-sorted slots and exact values appended piece by piece in range order.  It
-holds every stored entry that reaches 255, so at any budget no more than the
-stored starts whose tst reaches 255: 23,240 of the first 2^24, the largest 441.
+or on an odd start in [lo, a): pieces are folded in range order, so every
+start below a is in the table when the piece is.  Values below lo have no
+entry and walk on.  The table holds min(tst, max_steps + 1), the latter
+meaning "failed", for the odd starts only, since tst(2y) = 1 + tst(y): the
+odd start y at slot y // 2 - lo // 2, for at most TABLE_CAP odd starts, so
+2 TABLE_CAP starts.  Pieces above the cap walk until they drop below it, so
+memory is bounded for any range.  It is one byte an entry, half a byte a
+start, at any budget: an entry holds the least of that and 255, and 255 means
+"in the side table", sorted slots and exact values appended piece by piece in
+range order.  It holds every stored entry that reaches 255, so at any budget
+no more than the stored odd starts whose tst reaches 255: 48,333 of the first
+2^25 starts, the largest 442.
 
 A piece walks by one level table, the residue shift law (Terras, 1976) at
-k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k.
+k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k,
+with slope = 3^p 2^(k-j).  Below level k slope is even, so every member of a
+class has base's parity there (Terras' parity bijection); at level k slope is
+3^p, and the parity alternates with m.
   * Class plan.  A class mod 2^k whose largest member in [a, b) lands below
-    a at some level j <= min(k, max_steps), and, when lo > 1, whose smallest
-    lands at or above lo, takes its first such j and lands on slope m + base,
-    every member at once (the sieve of Oliveira e Silva, 1999).  At 2^22
-    that is 93% of the starts.
+    a at some level j <= min(k, max_steps), on an odd value if j < k, and,
+    when lo > 1, whose smallest lands at or above lo, takes its first such j
+    and lands on slope m + base, every member at once (the sieve of Oliveira
+    e Silva, 1999); at level k only the rows m where that is odd land, and
+    the others walk.  At 2^22 that is 89.7% of the starts, 91.2% in the top
+    two waves.
   * Jumps.  The other starts walk in uint64 numpy arrays, k steps a pass on
     row k while every value is at least 2^(k+1), so that none reaches 1
     inside a jump, k steps of budget remain, and the values fit in uint64;
     else one step a pass, `_shortcut_step`, the step the table is built
-    with.  A walk raises ArithmeticError before it steps a value above
+    with.  A value that stops on an even y goes on to y's odd part, v2(y)
+    halvings later; if lo > 1 and that part is below lo and not 1, it walks
+    on instead.  A walk raises ArithmeticError before it steps a value above
     UINT64_SAFE_MAX, which every orbit from a start up to 10^9, the CLI's
     limit, stays 8.7 times below.
 
@@ -41,18 +51,20 @@ levels 1..j also has the largest intercept (the table build checks it), so
 the largest value a class or a jump passes is bound_slope m + bound_base,
 which rises with m: a class's peak is at its largest member.
 
-Walks never read the table, so with several workers a pool of threads walks
-the pieces of this wave and later ones while the calling thread folds finished
-walks in range order; with one worker the same walk runs in that thread.  The
-walks spend their time in numpy ufuncs, which release the GIL, and share the
-read-only level table.  Ties go to the smaller start, so the result is the same
-for every worker count and chunk size.  `survey_chunk_python`, the plain walk
-of every start to 1, is the reference.
+Walks never read the table, so with n workers the calling thread walks every
+n-th piece itself and a pool of n - 1 threads the others, of this wave and
+later ones, while the calling thread folds finished walks in range order;
+with one worker every walk runs in that thread.  The walks spend their time
+in numpy ufuncs, which release the GIL, and share the read-only level table.
+Ties go to the smaller start, so the result is the same for every worker
+count and chunk size.  `survey_chunk_python`, the plain walk of every start
+to 1, is the reference.
 
-The fold, the one serial part, gathers a byte a start.  A walk returns a byte
-a step count unless one passes 255, and uint32 slots, landing - lo, or a
-sentinel for the spare last slot, 0, for a spent budget or a landing on 1
-below lo.  Each 255 gathered is looked up in the side table, and
+The fold, the one serial part, gathers a byte a start and stores one for
+each odd start.  A walk returns a byte a step count unless one passes 255,
+and uint32 slots, y // 2 - lo // 2 for a landing on the odd y, or a sentinel
+for the spare last slot, 0, for a spent budget or a landing on 1 below lo.
+Each 255 gathered is looked up in the side table, and
 tst = steps + min(entry, top - steps) saturates exactly at top, the least of
 max_steps + 1 and the most steps + entry can reach, in top's dtype: uint16 at
 2^22 and the default budget.  A start x >= a (ln a > 0) beats the ratio
@@ -83,8 +95,8 @@ UINT64_SAFE_MAX = (2**64 - 2) // 3
 # A piece of 2^18 starts keeps the walk's temporaries to a few MB each.
 DEFAULT_CHUNK_SIZE = 1 << 18
 
-# Starts held in the stopping-time table: 16 MB at any step budget, and a
-# side table of 23,240 entries, 279 KB, to 2^24.
+# Odd starts held in the stopping-time table, so it reaches 2^25 starts: 16 MB
+# at any step budget, and a side table of 48,333 entries, 580 KB, to 2^25.
 TABLE_CAP = 1 << 24
 
 # Freeing one 16 MB block raises glibc's mmap threshold, which never falls,
@@ -235,12 +247,16 @@ def _level_table(k: int) -> _LevelTable:
 
 def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels: int):
     """The first level <= levels at which each class mod 2^k of [a, b) lands,
-    every member at once, on 1 or in [lo, stop_hi); 0 where it does not.
+    every member at once, in [lo, stop_hi), on an odd value below level k;
+    0 where it does not.
 
     Returns the levels and the largest value the landed classes pass.  Every
-    member is at least 2^k, so none passes 1 before level k; the values of a
-    class rise with m, so its largest member bounds the landing and the peak
-    and, when lo > 1, its smallest the landing's lower end.
+    member is at least 2^k, so none passes 1 before level k; below level k a
+    class's values share the parity of base, since slope is even, and at level
+    k, where slope is 3^p, they alternate with m: `_walk_piece` lands the odd
+    rows there and walks the others.  The values of a class rise with m, so
+    its largest member bounds the landing and the peak and, when lo > 1, its
+    smallest the landing's lower end.
     """
     width = 1 << tab.k
     level = np.zeros(width, dtype=np.intp)
@@ -253,6 +269,7 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
     lands = slope * most + base < stop_hi
     if lo > 1:
         lands &= slope * least + base >= lo
+    lands[: tab.k - 1] &= (base[: tab.k - 1] & np.uint64(1)) == 1
     first = lands.argmax(axis=0)
     planned = lands[first, cls] & (least <= most)
     if not planned.any():
@@ -266,36 +283,50 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
 def _walk_piece(
     a: int, b: int, lo: int, stop_hi: int, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Walk every start in [a, b) until it lands on 1 or in [lo, stop_hi).
+    """Walk every start in [a, b) until it lands on 1 or on an odd start in [lo, stop_hi).
 
     Returns (steps, slot, peak): the steps each walk took, the uint32 table
-    slot (landing - lo) of the value it landed on, and the largest value
-    seen.  A walk that runs out of budget first reads max_steps + 1 steps and
-    slot _SPARE, as does a landing on 1 below lo.  A walk may pass over
-    [lo, stop_hi) and land later, never past 1 or its budget.  Raises
-    ArithmeticError before it steps a value above UINT64_SAFE_MAX.
+    slot y // 2 - lo // 2 of the odd value y it landed on, and the
+    largest value seen.  A walk that runs out of budget first reads
+    max_steps + 1 steps and slot _SPARE, as does a landing on 1 below lo.  A
+    walk may pass over [lo, stop_hi) and land later, never past 1 or its
+    budget.  Raises ArithmeticError before it steps a value above
+    UINT64_SAFE_MAX.
     """
     k = LEVEL
     tab = _level_table(k)
     width, n = 1 << k, b - a
     level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps))
-    # The starts as rows m of the classes i mod 2^k, from row a >> k.  The
-    # other starts' places in the piece come row by row, with no mask a start.
-    planned, cls = level > 0, np.arange(width)
-    rows = np.arange(a >> k, ((b - 1) >> k) + 1, dtype=np.uint64).astype(np.uint32)
-    cut = slice(a & (width - 1), (a & (width - 1)) + n)
-    pos = np.add.outer(np.arange(rows.size) * width - cut.start, np.flatnonzero(~planned))
+    # The starts as rows m of the classes i mod 2^k, in pairs (even m, odd m)
+    # from row a >> k or the one before.  A class planned at level k lands on
+    # 3^p m + base where that is odd, in the rows m of the other parity than
+    # base; the other starts' places in the piece come a pair of rows at a
+    # time, with no mask a start.
+    one, cls, first = np.uint64(1), np.arange(width), (a >> k) & ~1
+    planned, top, odd = level > 0, level == k, (tab.base[k] & one).astype(bool)
+    even_m, odd_m = np.flatnonzero(~planned | top & ~odd), np.flatnonzero(~planned | top & odd)
+    m = np.arange(first, ((b - 1) >> k | 1) + 1, dtype=np.uint64)
+    cut = slice(a - (first << k), a - (first << k) + n)
+    walkers = np.append(even_m, odd_m + width)  # in a pair of rows
+    pos = np.add.outer(np.arange(0, m.size, 2) * width - cut.start, walkers)
     pos = pos[(pos >= 0) & (pos < n)]
     walked, landed, peak = _walk_starts(tab, a, b, pos, lo, stop_hi, max_steps, peak)
     # The piece's arrays are made once the walks' temporaries are free again,
     # so that a walk in flight never holds both.  The planned classes land on
-    # slope * m + base a row at a time; the slot, landing - lo, is below
-    # TABLE_CAP < 2^32, so it is exact mod 2^32.
-    slot = np.multiply.outer(rows, np.where(planned, tab.slope[level, cls], 0).astype(np.uint32))
-    slot += np.where(planned, tab.base[level, cls] - np.uint64(lo), _SPARE).astype(np.uint32)
+    # odd values y = slope m + base a row at a time, with slot y // 2 - lo // 2,
+    # slope (m // 2) plus: below level k, where slope is even, (slope // 2)
+    # (m % 2) + base // 2 - lo // 2; at level k, in the rows of m % 2 = p,
+    # where p = 1 - base % 2, (slope p + base) // 2 - lo // 2.  The slot is
+    # below TABLE_CAP < 2^32, so it is exact mod 2^32.
+    slope = np.where(planned, tab.slope[level, cls], 0).astype(np.uint32)  # at most 3^k
+    slot = np.multiply.outer((m >> one).astype(np.uint32), slope)
+    base = tab.base[level, cls] + np.where(top & ~odd, slope, 0)
+    base = np.where(planned, (base >> one) - np.uint64(lo >> 1), _SPARE)
+    pairs = slot.reshape(-1, 2, width)
+    pairs += np.stack((base, base + np.where(top, 0, slope >> 1))).astype(np.uint32)
     slot = slot.reshape(-1)[cut]
     slot[pos] = landed
-    steps = np.tile(level.astype(walked.dtype), rows.size)[cut]  # planned levels are at most k
+    steps = np.tile(level.astype(walked.dtype), m.size)[cut]  # planned levels are at most k
     steps[pos] = walked
     return steps, slot, peak
 
@@ -307,14 +338,19 @@ def _walk_starts(
     """Walk the starts a + pos of the piece [a, b) as `_walk_piece` does, from
     the peak of its planned classes; returns their steps, slots and the peak.
 
-    The steps are a byte each while they fit, and widen to the budget's dtype
-    only when a walk passes 255 steps or a spent budget must read max_steps + 1;
-    they return in the narrowest dtype that holds them.
+    A value that stops on an even y in [lo, stop_hi) lands on its odd part
+    y >> v2(y), v2(y) halvings on, the start whose entry the table holds, or
+    fails if those pass the budget; if lo > 1 and the odd part is below lo
+    and not 1, the value walks on unshifted.  The steps are a byte each while
+    they fit, and widen to the budget's dtype only when a walk passes 255
+    steps or a spent budget must read max_steps + 1; they return in the
+    narrowest dtype that holds them.
     """
     k = tab.k
     width, wide = 1 << k, np.min_scalar_type(max_steps + 1)
+    one, below = np.uint64(1), np.uint64(lo >> 1)
     steps, slot = np.zeros(pos.size, np.uint8), np.full(pos.size, _SPARE, np.uint32)
-    u = np.arange(pos.size)  # the place in pos of each value still walking
+    u = np.arange(pos.size, dtype=np.uint32)  # the place in pos of each value still walking
     v = pos.astype(np.uint64)
     v += np.uint64(a)
     jump_slope, jump_base = tab.slope[k], tab.base[k]
@@ -331,12 +367,31 @@ def _walk_starts(
             stop = ((v >= lo) & (v < stop_hi)) | (v == 1)
         hit = np.flatnonzero(stop)
         if hit.size:
-            if t > 255:
+            y = v[hit]
+            # v2(y) from y's lowest set bit, a float64 exactly, whose exponent is 1023 + v2(y)
+            halvings = (y & (~y + one)).astype(np.float64).view(np.uint64) >> np.uint64(52)
+            halvings -= np.uint64(1023)
+            y >>= halvings  # the odd part
+            if lo > 1:  # no entry for an odd part below lo but 1: that value walks on
+                on = (y < lo) & (y != 1)
+                if on.any():
+                    stop[hit[on]] = False
+                    hit, y, halvings = hit[~on], y[~on], halvings[~on]
+            at, most = u[hit], t + int(halvings.max(initial=0))
+            halvings += np.uint64(t)  # the steps to the landing
+            if most > 255:
                 steps = steps.astype(wide, copy=False)
-            steps[u[hit]] = t
-            slot[u[hit]] = np.minimum(v[hit] - np.uint64(lo), _SPARE)  # 1 - lo wraps
+            y >>= one
+            y -= below  # the slot; a landing on 1 below lo wraps
+            if most > max_steps:  # halvings that pass the budget spend it
+                spent = halvings > max_steps
+                halvings[spent], y[spent] = max_steps + 1, _SPARE
+            steps[at] = halvings
+            slot[at] = np.minimum(y, _SPARE)
+            del y, halvings, at
             np.logical_not(stop, out=stop)  # the walks that go on, by mask
-            v, u = v[stop], u[stop]
+            v, u = v.compress(stop), u.compress(stop)
+        del stop
         if not v.size or t == max_steps:
             if v.size:
                 steps = steps.astype(wide, copy=False)
@@ -349,13 +404,14 @@ def _walk_starts(
         # k steps at once when no value can reach 1 inside them (each is at
         # least 2^(k+1)), the budget has k steps left and they fit in uint64
         if max_steps - t >= k and top <= tab.safe_max and (clear or int(v.min()) >= 2 * width):
-            i = v & np.uint64(width - 1)
+            i = v.view(np.int64) & (width - 1)  # intp indices gather without a cast
             v >>= np.uint64(k)
             if steepest * (top >> k) + highest > peak:
                 bound = bound_slope[i]
                 bound *= v
                 bound += bound_base[i]
                 peak = max(peak, int(bound.max()))
+                del bound
             m, v = v, jump_slope[i]
             v *= m
             del m  # freed before jump_base[i] is gathered
@@ -372,7 +428,8 @@ def _fold_piece(
     table: np.ndarray, side: list, lo: int, a: int, b: int, fail: int, record, walk: tuple
 ) -> RangeSurvey:
     """Finish the starts of [a, b) from their walks and the ratio record before a
-    (or None), and enter them in the uint8 table and the side table [slots, values]."""
+    (or None), and enter the odd ones in the uint8 table, the odd start y at slot
+    y // 2 - lo // 2, and in the side table [slots, values]."""
     steps, slot, peak = walk
     # The gather a block at a time, whose slots widen to intp in cache: half the
     # time of table[slot].  Clipped, _SPARE reads the spare last slot, 0.  It
@@ -389,14 +446,17 @@ def _fold_piece(
     del entry  # its byte a start is free again for the masks below
     tst[far] = np.minimum(left, side[1][np.searchsorted(side[0], slot[far])])
     tst += steps
-    stored = min(b, lo + table.size - 1) - a
-    if stored > 0:
+    # the piece's odd starts, from a + odd, that have a slot below the spare one
+    odd, at = 1 - (a & 1), (a >> 1) - (lo >> 1)
+    stored = tst[odd : max(0, 2 * ((lo >> 1) + table.size - 1) - a) : 2]
+    if stored.size:
         # the low bytes, a plain copy, then 255 where tst reaches it
-        table[a - lo : a - lo + stored] = tst[:stored]
-        far = np.flatnonzero(tst[:stored] >= 255)
-        table[far + (a - lo)] = 255
-        side[0] = np.concatenate((side[0], (far + (a - lo)).astype(np.uint32)))
-        side[1] = np.concatenate((side[1], tst[far]))
+        table[at : at + stored.size] = stored
+        far = np.flatnonzero(stored >= 255)
+        table[far + at] = 255
+        side[0] = np.concatenate((side[0], (far + at).astype(np.uint32)))
+        side[1] = np.concatenate((side[1], stored[far]))
+        del stored, far
     failures = ()
     i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
     if tst[i] == fail:
@@ -434,8 +494,9 @@ def survey_range(
 
     The pieces depend only on (lo, hi, chunk_size) and are folded in range
     order, so the result is byte-for-byte identical for every worker count.
-    With workers > 1 one pool serves the whole survey, with no more workers
-    than the widest wave has pieces or the machine has CPUs.  After each
+    With workers > 1 the calling thread and one pool of threads walk the whole
+    survey, with no more walkers than the widest wave has pieces or the
+    machine has CPUs, the calling thread counted.  After each
     piece, `failure_budget` (if given) is called with the number of failures
     the survey would then hold, before it holds them; it may raise to stop.
     """
@@ -446,9 +507,10 @@ def survey_range(
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     budget = min(max(max_steps, 0), _MAX_BUDGET)
-    table_end = min(hi, lo + TABLE_CAP)
-    # The spare last slot stays 0 for the walks that read slot _SPARE.
-    table = np.zeros(table_end - lo + 1, np.uint8)
+    # The table's slots are the odd starts of [lo, table_end) and a spare last
+    # slot, which stays 0 for the walks that read slot _SPARE.
+    table_end = min(hi, lo + 2 * TABLE_CAP)
+    table = np.zeros((table_end >> 1) - (lo >> 1) + 1, np.uint8)
     side = [np.zeros(0, np.uint32), np.zeros(0, np.uint64)]
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
@@ -479,19 +541,25 @@ def survey_range(
 
 
 def _walks_in_order(pieces: list, size: int):
-    """Yield the walks of the pieces in order from `size` worker threads, with at
-    most `size` walks in flight, the one being folded included, so that finished
-    walks cannot pile up when the fold is slower.  Closing the generator, or an
-    exception from a walk, cancels the walks not yet started and joins the threads.
+    """Yield the walks of the pieces in order from `size` walkers: the calling
+    thread walks every size-th piece itself and `size` - 1 worker threads the
+    others, with at most `size` walks in flight, the one being folded included,
+    so that finished walks cannot pile up when the fold is slower.  Closing the
+    generator, or an exception from a walk, cancels the walks not yet started
+    and joins the threads.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    pool, pending = ThreadPoolExecutor(max_workers=size), deque()
+    pool, pending = ThreadPoolExecutor(max_workers=size - 1), deque()
     try:
-        for piece in pieces:
-            pending.append(pool.submit(_walk_piece, *piece))
+        for i, piece in enumerate(pieces):
             if len(pending) == size:
                 yield pending.popleft().result()
+            if i % size == size - 1:
+                pending.append(Future())
+                pending[-1].set_result(_walk_piece(*piece))
+            else:
+                pending.append(pool.submit(_walk_piece, *piece))
         while pending:
             yield pending.popleft().result()
     finally:

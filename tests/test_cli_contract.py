@@ -291,12 +291,9 @@ def test_budget_edge_bytes(patch, argv, digest, tmp_path, capsys, monkeypatch):
     assert contract_digest(argv, tmp_path, capsys) == digest
 
 
-def test_classes_within_address_limit():
-    """The class tally at M = 25 in a child process whose address space is capped
-    at 64 MB: it holds one block a level of the walk, and gives the bytes that
-    CORPUS pins.  The argv writes no --output file, so that slot reads "old\\n"."""
-    argv = "verify halfsplit --M 25 --method classes"
-    limit = 64 << 20
+def _run_capped(argv: str, limit: int) -> subprocess.CompletedProcess:
+    """Run `python -m collatzlab` on argv in a child process whose address space
+    is capped at `limit` bytes, with this checkout's src first on the path."""
 
     def cap():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -304,7 +301,35 @@ def test_classes_within_address_limit():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "collatzlab", *shlex.split(argv)],
+    return subprocess.run([sys.executable, "-m", "collatzlab", *shlex.split(argv)],
                           capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+def test_classes_within_address_limit():
+    """The class tally at M = 25 in a child process whose address space is capped
+    at 64 MB: it holds one block a level of the walk, and gives the bytes that
+    CORPUS pins.  The argv writes no --output file, so that slot reads "old\n"."""
+    argv = "verify halfsplit --M 25 --method classes"
+    proc = _run_capped(argv, 64 << 20)
     payload = json.dumps([proc.returncode, proc.stdout, proc.stderr, "old\n"])
     assert hashlib.sha256(payload.encode()).hexdigest() == dict(CORPUS)[argv], proc.stderr
+
+
+OUT_OF_MEMORY = "resource limit: out of memory; lower the command's size\n"
+
+
+def test_out_of_memory_in_a_capped_child():
+    """2^17 montecarlo samples pass the sample budget but not a 40 MB address
+    space: the MemoryError ends the run with exit 3 and one line, not a traceback."""
+    proc = _run_capped("montecarlo --length 2 --samples 131072 --format json", 40 << 20)
+    assert (proc.returncode, proc.stderr) == (3, OUT_OF_MEMORY)
+
+
+def test_out_of_memory_in_process(monkeypatch, capsys):
+    def runner(args, out):
+        out.write("partial\n")
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "_runner", lambda command: runner)
+    assert cli_mod.main(["trajectory", "27"]) == cli_mod.EX_RESOURCE
+    assert capsys.readouterr() == ("partial\n", OUT_OF_MEMORY)

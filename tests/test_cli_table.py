@@ -88,7 +88,8 @@ PARSER = {
         (['--max-steps'], 'max_steps', 100000, 'int', None,
          None, False),
         (['--threads'], 'threads', 1, 'int', None,
-         'worker threads, 1..256 (the pool never exceeds the CPUs)', False),
+         'walkers, 1..256: the calling thread and THREADS - 1 worker threads, no more than '
+         'the CPUs', False),
         (['--format'], 'format', 'text', None, ['text', 'json', 'csv'],
          None, False),
         (['--output'], 'output', None, None, None,

@@ -74,21 +74,21 @@ class TestWaves:
         assert any(_landing(x, lo) in failed for x in failed if _landing(x, lo) is not None)
 
     def test_failed_entry_stays_at_budget(self):
-        # slots for starts 1, 2, 3 and the spare slot; start 3 walks `steps` and
-        # lands on start 2 (slot 1), or spends its budget (the spare slot)
+        # slots for starts 1, 3, 5 and the spare slot; start 5 walks `steps` and
+        # lands on start 3 (slot 1), or spends its budget (the spare slot)
         for fail, steps, entry, slot in [
-            (201, 150, 201, 1),  # start 2 failed at max_steps=200
+            (201, 150, 201, 1),  # start 3 failed at max_steps=200
             (255, 200, 100, 1),  # steps + entry passes the byte's edge
             (255, 150, 255, 1),  # entry == fail at the edge, read from the side
             (255, 255, 0, sweep._SPARE),  # steps == fail: the budget ran out
             (255, 255, 0, 3),  # the spare slot itself
             (1001, 900, 300, 1),  # steps + an entry read from the side passes fail
-            (1001, 700, 1001, 1),  # start 2 failed at max_steps=1000
+            (1001, 700, 1001, 1),  # start 3 failed at max_steps=1000
         ]:
             table, side = _tables({1: entry})
-            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 3)
-            part = sweep._fold_piece(table, side, 1, 3, 4, fail, None, walk)
-            assert (part.verified, part.failures) == (0, (3,))
+            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 5)
+            part = sweep._fold_piece(table, side, 1, 5, 6, fail, None, walk)
+            assert (part.verified, part.failures) == (0, (5,))
             assert part.max_total_stopping_time is None and part.max_ratio is None
             assert table[2] == min(fail, 255)
             assert _side_of(table, side) == {k: v for k, v in {1: entry, 2: fail}.items() if v >= 255}
@@ -98,23 +98,28 @@ class TestWaves:
         # fail = 100,001; steps + entry = 65,534 passed a uint16 table's edge
         for steps, entry, slot in [(1000, 64534, 1), (0, 65534, 1), (65534, 0, 0), (45, 255, 1)]:
             table, side = _tables({1: entry})
-            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 3)
-            part = sweep._fold_piece(table, side, 1, 3, 4, 100_001, None, walk)
+            walk = (np.array([steps], dtype=np.uint16), np.array([slot], dtype=np.uint32), 5)
+            part = sweep._fold_piece(table, side, 1, 5, 6, 100_001, None, walk)
             tst = steps + (entry if slot else 0)
             assert (part.verified, part.failures) == (1, ())
-            assert (part.max_total_stopping_time, part.tst_argmax) == (tst, 3)
+            assert (part.max_total_stopping_time, part.tst_argmax) == (tst, 5)
             assert table[2] == 255 and _side_of(table, side)[2] == tst
 
-    @pytest.mark.parametrize("cap", [1, 64])
-    @pytest.mark.parametrize("lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40)])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40), (2, 10**5), (3, 40), (6, 40)]
+    )
     def test_tiny_table_cap(self, monkeypatch, cap, lo, max_steps):
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
-        got = survey_range(lo, 5001, max_steps=max_steps, chunk_size=300)
-        assert got == survey_chunk_python(lo, 5001, max_steps)
+        got, seen = TestNarrowTable.folds(monkeypatch, lo, 5001, max_steps=max_steps,
+                                          chunk_size=300)
+        assert got == _reference(lo, 5001, max_steps)
+        assert seen[0][0].size == cap + 1  # the odd starts of [lo, lo + 2 cap) and the spare
 
 
 def _tables(entries, size=4):
-    """A uint8 table of `size` slots holding {slot: tst}, and its side table."""
+    """A uint8 table of `size` slots holding {slot: tst}, and its side table; the
+    odd start y of a survey from 1 has slot y // 2."""
     table = np.zeros(size, dtype=np.uint8)
     far = sorted(k for k, v in entries.items() if v >= 255)
     for k, v in entries.items():
@@ -163,12 +168,13 @@ class TestPool:
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         base = survey_range(1, 4097, chunk_size=256)
-        # the widest wave, [2048, 4096), has 8 pieces
-        for cpus, workers, size in [(6, 10**6, 6), (64, 10**6, 8), (64, 3, 3)]:
+        # the widest wave, [2048, 4096), has 8 pieces; the calling thread is
+        # one of the walkers, so the pool has one thread fewer
+        for cpus, workers, size in [(6, 10**6, 6), (64, 10**6, 8), (64, 3, 3), (2, 2, 2)]:
             monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
             made.clear()
             assert survey_range(1, 4097, workers=workers, chunk_size=256) == base
-            assert made == [size, ("shutdown", True, True)]
+            assert made == [size - 1, ("shutdown", True, True)]
         made.clear()
         assert survey_range(1, 4097, workers=1, chunk_size=256) == base
         assert survey_range(1, 257, workers=10**6, chunk_size=256) == survey_range(1, 257)
@@ -176,8 +182,9 @@ class TestPool:
 
 
 class TestThreads:
-    """Two worker threads and small pieces: an error raised in a walk or by the
-    failure budget leaves the survey with its message, and no thread behind."""
+    """Two walkers, the calling thread and one pool thread, and small pieces: an
+    error raised in a walk or by the failure budget leaves the survey with its
+    message, and no thread behind."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -188,9 +195,21 @@ class TestThreads:
             lambda *piece: walkers.add(threading.current_thread()) or walk(*piece),
         )
         baseline = threading.active_count()
-        yield
-        assert threading.current_thread() not in walkers and walkers  # the walks ran in the pool
+        yield walkers
+        # the walks ran in the calling thread and in the pool
+        assert threading.current_thread() in walkers and len(walkers) > 1
         assert threading.active_count() == baseline
+
+    def test_one_pool_thread_at_two_workers(self, two_cpus):
+        seen = []
+
+        def count(failures):
+            seen.append(threading.active_count())
+
+        baseline = threading.active_count()
+        got = survey_range(1, 2**14 + 1, workers=2, chunk_size=256, failure_budget=count)
+        assert got == _reference(1, 2**14 + 1, sweep.DEFAULT_MAX_STEPS)
+        assert max(seen) == baseline + 1 and len(two_cpus) == 2
 
     def test_walk_error(self, monkeypatch):
         # as in test_past_the_word_limit_raises: 447 climbs to 19,682
@@ -391,20 +410,21 @@ class TestNarrowTable:
         assert 0 < first < len(seen) - 1
         assert all(seen[i][1].items() <= seen[i + 1][1].items() for i in range(len(seen) - 1))
         side = seen[-1][1]
-        assert min(side) == 230631 - 1 and side[230631 - 1] == 278
-        assert all(len(_orbit(slot + 1, 10**5)) - 1 == v for slot, v in side.items())
+        assert min(side) == 230631 // 2 and side[230631 // 2] == 278
+        assert all(len(_orbit(2 * slot + 1, 10**5)) - 1 == v for slot, v in side.items())
         assert (got.max_total_stopping_time, got.tst_argmax) == (278, 230631)
         assert got == survey_range(1, 2**18 + 1)
 
     @pytest.mark.parametrize("max_steps", [300, 260, 254])
     def test_failures_read_through_the_side(self, monkeypatch, max_steps):
         # 461262 lands on 230631 in one step, reading its failure from the side
-        # table; with 2^17 starts in the table no walk reads a side entry
+        # table; with the 2^16 odd starts below 2^17 in the table no walk reads
+        # a side entry
         got, seen = self.folds(monkeypatch, 1, 2**19 + 1, max_steps=max_steps)
         side = seen[-1][1]
-        assert side[230631 - 1] == min(278, max_steps + 1)
+        assert side[230631 // 2] == min(278, max_steps + 1)
         assert (461262 in got.failures) == (max_steps < 279)
-        monkeypatch.setattr(sweep, "TABLE_CAP", 1 << 17)
+        monkeypatch.setattr(sweep, "TABLE_CAP", 1 << 16)
         assert got == survey_range(1, 2**19 + 1, max_steps=max_steps, chunk_size=1 << 14)
 
     @pytest.mark.parametrize("max_steps", [100, sweep.DEFAULT_MAX_STEPS, 10**15])
@@ -418,9 +438,10 @@ class TestNarrowTable:
 
     @pytest.mark.parametrize("max_steps", [sweep.DEFAULT_MAX_STEPS, 10**15])
     def test_survey_memory_per_start(self, max_steps):
-        # measured 1.14 (the default budget) and 1.13 (10^15) traced bytes a
-        # start: the table's 1 and a piece's temporaries.  A uint16 table took
-        # 2.19 and 2.21, and a 16 MB block freed in each survey 8.
+        # measured 0.64 (the default budget) and 0.63 (10^15) traced bytes a
+        # start: the table's half byte and a piece's temporaries.  A byte a
+        # start took 1.14 and 1.13, a uint16 table 2.19 and 2.21, and a 16 MB
+        # block freed in each survey 8.
         n = 2**21
         sweep._level_table(sweep.LEVEL)  # built once a process, for every survey
         tracemalloc.start()
@@ -430,7 +451,23 @@ class TestNarrowTable:
         finally:
             tracemalloc.stop()
         assert (got.verified, got.failures) == (n, ())
-        assert peak <= 1.5 * n
+        assert peak <= 0.7 * n
+
+    def test_survey_memory_two_walkers(self, monkeypatch):
+        # two walks in flight, the folded one included: measured 0.72-0.79
+        # traced bytes a start; with two pool threads and a byte a start, 1.23-1.30
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        n = 2**21
+        sweep._level_table(sweep.LEVEL)
+        import concurrent.futures  # noqa: F401  (loaded once a process, as the table is built)
+        tracemalloc.start()
+        try:
+            got = survey_range(1, n + 1, workers=2, chunk_size=1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.verified, got.failures) == (n, ())
+        assert peak <= 0.85 * n
 
 
 # The first piece of [1723000, 1726000) holds 1723519, whose tst is 349, and
@@ -470,9 +507,10 @@ class TestNarrowSteps:
 
     def test_walk_memory_per_start(self):
         # a walk makes the piece's step bytes and slots only once its walkers'
-        # temporaries are free: measured 6.40 traced bytes a start, of which it
-        # holds 5.04.  Making them before the walk measured 9.76, and uint32
-        # steps 12.76.
+        # temporaries are free: measured 6.89 traced bytes a start, of which it
+        # holds 5.05, while 9.8% of this piece's starts walk.  Walking the whole
+        # of each class that lands only at level k, 11.8% walk and it measured
+        # 7.02; making the arrays before the walk 9.76, and uint32 steps 12.76.
         n = 1 << 16
         sweep._level_table(sweep.LEVEL)
         tracemalloc.start()
@@ -592,10 +630,11 @@ class TestShiftLawWalk:
             got = survey_range(lo, lo + 2000, max_steps=max_steps, chunk_size=300)
             assert got == survey_chunk_python(lo, lo + 2000, max_steps)
 
-    @pytest.mark.parametrize("lo", [5, 129, 1000])
+    @pytest.mark.parametrize("lo", [5, 12, 48, 129, 1000])
     def test_landings_below_lo(self, level, lo):
         # a class's smallest member may land just below lo, where no entry is:
-        # it walks on, while its largest lands in [lo, stop_hi)
+        # it walks on, while its largest lands in [lo, stop_hi); so does a
+        # value whose odd part is below lo
         want = survey_chunk_python(lo, lo + 3000)
         for chunk_size in (7, (1 << level) - 1, (1 << level) + 1, 3 << level, 1000):
             assert survey_range(lo, lo + 3000, chunk_size=chunk_size) == want
@@ -675,10 +714,11 @@ def _orbit(x: int, max_steps: int) -> list[int]:
 
 
 class TestPiece:
-    """_walk_piece against its contract: each walk lands on 1 or in [lo, stop_hi)
-    within its budget, never past 1, or fails only if it does not reach 1 within
-    the budget; the peak holds every value before each landing.  A landing y
-    reads table slot y - lo, and a landing on 1 below lo or a failure _SPARE."""
+    """_walk_piece against its contract: each walk lands on 1 or on an odd start
+    in [lo, stop_hi) within its budget, never past 1, or fails only if it does
+    not reach 1 within the budget; the peak holds every value before each
+    landing.  A landing y reads table slot y // 2 - lo // 2, and a landing on 1
+    below lo or a failure _SPARE."""
 
     @staticmethod
     def check(a, b, lo, stop_hi, max_steps):
@@ -693,8 +733,8 @@ class TestPiece:
             else:
                 assert j < len(orbit)
                 y = orbit[j]
-                assert y == 1 or lo <= y < stop_hi
-                assert s == (y - lo if y >= lo else sweep._SPARE)
+                assert y == 1 or y % 2 == 1 and lo <= y < stop_hi
+                assert s == (y // 2 - lo // 2 if y >= lo else sweep._SPARE)
                 least = max(least, *orbit[: j + 1])
             most = max(most, *orbit)
         assert least <= peak <= most
@@ -728,3 +768,85 @@ class TestPiece:
             self.check(a, a + width, lo, max(lo, a - width), max_steps)
         finally:
             sweep.LEVEL = old
+
+
+class TestOddSlots:
+    """The table holds odd starts only, at slot y // 2 - lo // 2: walks land on
+    odd values, an even stop going on to its odd part, and every survey gives
+    the reference's result at the layout's edges."""
+
+    @pytest.mark.parametrize("lo", [1, 2, 3, 4, 101, 1000])
+    @pytest.mark.parametrize("width", [999, 1000])
+    def test_table_end_parity(self, monkeypatch, lo, width):
+        # table_end is hi, of either parity, or lo + 2 TABLE_CAP, of lo's
+        got, seen = TestNarrowTable.folds(monkeypatch, lo, lo + width, chunk_size=97)
+        assert got == survey_chunk_python(lo, lo + width)
+        table = seen[0][0]
+        assert table.size == (lo + width) // 2 - lo // 2 + 1 and table[-1] == 0
+        monkeypatch.setattr(sweep, "TABLE_CAP", 100)
+        assert survey_range(lo, lo + width, chunk_size=97) == got
+
+    @pytest.mark.parametrize(
+        "a, lo", [(3 << 16, 1), ((3 << 16) + 1000, 1), (3 << 16, 5000), ((3 << 42) + 7, 3)]
+    )
+    def test_level_k_rows_split_by_parity(self, a, lo):
+        # at level k a class's value 3^p m + base is odd in every other row m:
+        # those rows land in closed form, and the others walk from their start,
+        # jump k steps, stop on that even value and go on to its odd part.  The
+        # slot is exact mod 2^32, also where m >= 2^32.
+        k, b = sweep.LEVEL, a + (1 << 14)
+        tab = sweep._level_table(k)
+        level = sweep._class_plan(tab, a, b, lo, a, k)[0]
+        steps, slot, _ = sweep._walk_piece(a, b, lo, a, 10**5)
+        x = np.arange(a, b, dtype=np.uint64)
+        top = level[x & np.uint64((1 << k) - 1)] == k
+        y = tab.slope[k, x & np.uint64((1 << k) - 1)] * (x >> np.uint64(k))
+        y += tab.base[k, x & np.uint64((1 << k) - 1)]
+        odd = top & (y & np.uint64(1) == 1)
+        assert 0 < odd.sum() < top.sum()
+        want = ((y[odd] >> np.uint64(1)) - np.uint64(lo // 2)).astype(np.uint32)
+        assert (steps[odd] == k).all() and (slot[odd] == want).all()
+        assert (steps[top & ~odd] > k).all()
+        if a < 1 << 32:  # where every slot is below 2^32
+            TestPiece.check(a, a + 300, lo, a, 10**5)
+
+    def test_powers_of_two_land_on_1(self, level):
+        # class 0 mod 2^k is never planned below level k: its values stay even there
+        tab = sweep._level_table(level)
+        a = 4 << level
+        assert sweep._class_plan(tab, a, 2 * a, 1, a, level - 1)[0][0] == 0
+        for lo, spare in [(1, 0), (3, sweep._SPARE)]:
+            steps, slot, _ = sweep._walk_piece(a, 2 * a + 1, lo, a, 10**5)
+            for e in (level + 2, level + 3):
+                assert (steps[(1 << e) - a], slot[(1 << e) - a]) == (e, spare)
+            TestPiece.check(a, 2 * a + 1, lo, a, 10**5)
+
+    @pytest.mark.parametrize("max_steps", [10**5, 7, 3])
+    def test_halvings_below_lo_walk_on(self, max_steps):
+        # 40 -> 20 stops in [7, 40), but 5, its odd part, is below lo: the walk
+        # goes on to 10, again, and 5 -> 8, whose odd part is 1
+        steps, slot, _ = sweep._walk_piece(40, 60, 7, 40, max_steps)
+        assert (steps[0], slot[0]) == (min(7, max_steps + 1), sweep._SPARE)
+        TestPiece.check(40, 60, 7, 40, max_steps)
+        for chunk_size in (1, 20, 97):
+            got = survey_range(7, 3000, max_steps=max_steps, chunk_size=chunk_size)
+            assert got == _reference(7, 3000, max_steps)
+
+    @pytest.mark.parametrize("max_steps", [10**5, 256, 255])
+    def test_halvings_widen_the_steps(self, max_steps):
+        # with the table down to starts 1 and 2, 263103 first stops on 2 after
+        # 255 steps: its one halving to 1 takes the walk past a byte, or its budget
+        steps, slot, _ = sweep._walk_piece(263100, 263110, 1, 3, max_steps)
+        assert steps.dtype == np.uint16
+        tst = 256 if max_steps >= 256 else max_steps + 1
+        assert (steps[3], slot[3]) == (tst, 0 if max_steps >= 256 else sweep._SPARE)
+        TestPiece.check(263100, 263110, 1, 3, max_steps)
+
+    @pytest.mark.parametrize("lo", [2**64 - 5000, 2**64 - 4999])
+    @pytest.mark.parametrize("hi", [2**64, 2**64 - 1])
+    @pytest.mark.parametrize("cap", [3, sweep.TABLE_CAP])
+    def test_odd_slots_at_the_word_limit(self, monkeypatch, lo, hi, cap):
+        monkeypatch.setattr(sweep, "TABLE_CAP", cap)
+        got, seen = TestNarrowTable.folds(monkeypatch, lo, hi, max_steps=0, chunk_size=777)
+        assert got == _reference(lo, hi, 0)
+        assert seen[0][0].size == min(cap, hi // 2 - lo // 2) + 1
