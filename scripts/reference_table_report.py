@@ -7,15 +7,49 @@ rows and the bounds the source printed (which do not follow from its rows).
 """
 
 import argparse
+import math
+import statistics
 
 from collatzlab.stats import (
     indicator_sample_std,
     interval_discrepancy_report,
-    reference_rows_stats,
     sample_ratios,
-    stopping_time_reference_note,
+    sample_std,
 )
 from collatzlab.reference_table import REFERENCE_ROWS, SAMPLE_LENGTH
+
+# Total-stopping-time reference slope from Applegate and Lagarias (2003):
+# sigma_inf(x) > 6.14316 log(x) for infinitely many x.
+APPLEGATE_LAGARIAS_SLOPE = 6.14316
+
+
+def reference_rows_stats() -> dict:
+    """Recompute the published 14-sample table's summary from its own rows."""
+    one_plus = [row.one_plus_xi for row in REFERENCE_ROWS]
+    xis = [row.xi for row in REFERENCE_ROWS]
+    return {
+        "samples": len(REFERENCE_ROWS),
+        "mean_xi": statistics.fmean(xis),
+        "mean_one_plus_xi": statistics.fmean(one_plus),
+        "std_one_plus_xi": sample_std(one_plus),
+        "mean_indicator_std": statistics.fmean(r.indicator_std for r in REFERENCE_ROWS),
+    }
+
+
+def stopping_time_reference_note() -> dict:
+    """Arithmetic around the reference slope: sigma = 100 pins x below ~1.174e7.
+
+    Solving 6.14316 * ln(x) = 100 gives the largest start whose total stopping
+    time could reach 100 under the reference slope; that threshold is far
+    below 2^101.  Pure documentation, no conjecture content.
+    """
+    threshold = math.exp(100 / APPLEGATE_LAGARIAS_SLOPE)
+    return {
+        "slope": APPLEGATE_LAGARIAS_SLOPE,
+        "sigma": 100,
+        "threshold": threshold,
+        "below_2_pow_101": threshold < 2**101,
+    }
 
 
 def main() -> None:

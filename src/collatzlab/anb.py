@@ -10,7 +10,9 @@ The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
 shift law is `identities.residue_shift_check(k, m, i, params)`, and the
 one-walk closed-form check is `identities.closed_form_failures`: one code path
 for every map, with `identities` loaded only by the functions that call it.
-`trajectory_anb` and `divergence_report` read one walk, `anb_orbit_steps`.
+`trajectory_anb` reads one walk, `anb_orbit_steps`, as do the growth
+diagnostics of `scripts/anb_survey.py`; `cycle_catalog` and that script's
+survey fold the walks of `catalog_walks`, which share a memo.
 Tests compare the an+b code at (3, 1) with the 3n+1 code only where the two
 are separate paths, so that each can catch the other: orbits
 (`trajectory_anb` on `step_anb` against `dynamics.odd_walk`'s inline step),
@@ -38,9 +40,6 @@ from .dynamics import (
 
 if TYPE_CHECKING:
     from .identities import ClosedFormCheck
-
-LABEL_BOUNDED = "bounded/cyclic within horizon"
-LABEL_UNBOUNDED = "unbounded within horizon"
 
 # cycle_catalog remembers the values below 2^64 of its walks in one dict, and
 # stops remembering new walks once the dict holds this many entries (about
@@ -218,15 +217,10 @@ def find_cycle(
 
 
 def _read_cycle(members: Sequence[int], params: AnbParams) -> CycleRecord:
-    """Certify the repeating part of a walk as a CycleRecord, step by step."""
+    """The repeating part of a walk as a CycleRecord, which checks it step by step."""
     cycle = canonical_rotation(members)
-    exps = []
-    for j, x in enumerate(cycle):
-        y, k = step_anb(x, params)
-        if y != cycle[(j + 1) % len(cycle)]:
-            raise AssertionError("cycle readback disagrees with the map")
-        exps.append(k)
-    return CycleRecord(params=params, members=cycle, exponents=tuple(exps))
+    exps = tuple(step_anb(x, params)[1] for x in cycle)
+    return CycleRecord(params=params, members=cycle, exponents=exps)
 
 
 def closed_form_anb_check(
@@ -261,59 +255,6 @@ def closed_form_anb_check(
     return ClosedFormCheck(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
-class DivergenceDiagnostic(NamedTuple):
-    """Horizon-bounded growth summary of one generalized orbit.
-
-    The exact fields are integers (steps, exponent total, peak, bit lengths);
-    `expanding` compares a^steps against 2^{sum k} exactly, which is the sign
-    of the mean log2 growth without touching floats.  The float `drift_log2`
-    is display only.  No divergence claim is ever made: the label says what
-    happened within the horizon and nothing more.
-    """
-
-    params: AnbParams
-    start: int
-    steps_taken: int
-    peak: int
-    sum_exponents: int
-    label: str
-
-    @property
-    def expanding(self) -> bool:
-        return self.params.a**self.steps_taken > (1 << self.sum_exponents)
-
-    @property
-    def peak_bits(self) -> int:
-        return self.peak.bit_length()
-
-    @property
-    def drift_log2(self) -> float:
-        if self.steps_taken == 0:
-            return 0.0
-        n = self.steps_taken
-        return (n * math.log2(self.params.a) - self.sum_exponents) / n
-
-
-def divergence_report(
-    x0: int, params: AnbParams, horizon: int = DEFAULT_MAX_STEPS
-) -> DivergenceDiagnostic:
-    """Run the orbit for at most `horizon` steps and summarize its growth.
-
-    Unlike `trajectory_anb`, the step that closes a cycle is counted here:
-    its exponent is what balances the tally for cyclic orbits (around a full
-    cycle 2^{sum k} always exceeds a^length, so cycles never read as
-    expanding).  The walk is `anb_orbit_steps`, so x0 must be odd.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    x, peak, steps, sum_k, label = x0, x0, 0, 0, LABEL_UNBOUNDED
-    for x, _, _, k in anb_orbit_steps(x0, params, horizon):
-        steps, sum_k, peak = steps + 1, sum_k + k, max(peak, x)
-    if steps < horizon:  # stopped on a repeat: the closing step reaches a value seen before
-        steps, sum_k, label = steps + 1, sum_k + step_anb(x, params)[1], LABEL_BOUNDED
-    return DivergenceDiagnostic(params, x0, steps, peak, sum_k, label)
-
-
 def cycle_catalog(
     params: AnbParams, start_limit: int, max_steps: int = 10**4
 ) -> tuple[CycleRecord, ...]:
@@ -327,54 +268,45 @@ def cycle_catalog(
     settles the later starts on it, which are then not walked (see
     `_catalog_walk`).
     """
-    return _catalog(params, start_limit, max_steps, survey=False)[0]
+    found: dict[tuple[int, ...], CycleRecord] = {}
+    for _, cycle in catalog_walks(params, start_limit, max_steps):
+        if cycle:
+            record = _read_cycle(cycle, params)
+            found.setdefault(record.members, record)
+    return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
 
 
-def cycle_survey(
-    params: AnbParams, start_limit: int, max_steps: int = 10**4
-) -> tuple[tuple[CycleRecord, ...], list[int]]:
-    """`cycle_catalog`, and the odd starts up to start_limit with no repeat.
+def catalog_walks(
+    params: AnbParams, start_limit: int, max_steps: int
+) -> Iterator[tuple[int, list[int] | None]]:
+    """Yield (x0, cycle) for each odd start x0 up to start_limit, in order.
 
-    The starts are those for which `find_cycle(x0, params, max_steps)` is
-    None, in increasing order.  The catalog's walks settle most of them: a
-    walk that ran its budget, a later start on one, or a walk that the memo
-    stopped with no repeat.  Only the starts stopped at a value whose orbit
-    enters a known cycle are walked again, since that entry says the orbit
-    enters the cycle, not that it does so within max_steps.
+    cycle is what `_catalog_walk` returns for x0, or what an earlier walk
+    settled for it: the repeating part of its walk, [] for a stop at a
+    basin entry (its orbit enters a known cycle, within max_steps or not),
+    or None for no repeat within max_steps.  The walks share one memo, so
+    they are taken in order.  The arguments are checked before the first walk.
     """
-    catalog, no_repeat, basin = _catalog(params, start_limit, max_steps, survey=True)
-    late = [x0 for x0 in basin if find_cycle(x0, params, max_steps) is None]
-    return catalog, sorted(no_repeat + late)
-
-
-def _catalog(
-    params: AnbParams, start_limit: int, max_steps: int, survey: bool
-) -> tuple[tuple[CycleRecord, ...], list[int], list[int]]:
-    """The catalog, and with survey the starts settled with no repeat and those
-    stopped at a basin entry (without it both lists stay empty)."""
     if start_limit < 1:
         raise ValueError("start_limit must be >= 1")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    return _catalog_walks(params, start_limit, max_steps)
+
+
+def _catalog_walks(
+    params: AnbParams, start_limit: int, max_steps: int
+) -> Iterator[tuple[int, list[int] | None]]:
     memo: dict[int, int] = {}
     settled: dict[int, list[int] | None] = {}  # later starts an open walk settled
-    found: dict[tuple[int, ...], CycleRecord] = {}
-    no_repeat, basin = [], []
     # At one step settling z_1, the one later start, takes the step its own walk
     # would: it saves no step, and costs a call and a scan on every open walk.
     settle_limit = start_limit if max_steps > 1 else 0
     for x0 in range(1, start_limit + 1, 2):
         if x0 in settled:
-            cycle = settled.pop(x0)
+            yield x0, settled.pop(x0)
         else:
-            cycle = _catalog_walk(x0, params, max_steps, memo, settled, settle_limit)
-        if cycle:
-            record = _read_cycle(cycle, params)
-            found.setdefault(record.members, record)
-        elif survey:
-            (no_repeat if cycle is None else basin).append(x0)
-    catalog = tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
-    return catalog, no_repeat, basin
+            yield x0, _catalog_walk(x0, params, max_steps, memo, settled, settle_limit)
 
 
 def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> int:

@@ -3,8 +3,8 @@
 At every step n <= M-1, exactly half of the 2^M starts take an increase step
 and half a decrease step.  This module verifies that by direct counting, by a
 residue-class shortcut (the step-n direction of x depends only on x mod 2^n).
-Reports over disjoint subranges merge by component-wise addition, which is
-what makes range-partitioned runs exact.
+The direct tallies of disjoint subranges add up, step by step, to the tally
+of their union.
 
 The tally of step n and the right side of the blocked lemma7 check read one
 depth-first walk of the Terras tree, `shift_blocks`, in packed blocks: each
@@ -47,19 +47,9 @@ class StepTally(NamedTuple):
     decreases: int
     within_theorem: bool
 
-    def __add__(self, other: "StepTally") -> "StepTally":
-        if (self.step, self.within_theorem) != (other.step, other.within_theorem):
-            raise ValueError("cannot add tallies for different steps")
-        return StepTally(
-            step=self.step,
-            increases=self.increases + other.increases,
-            decreases=self.decreases + other.decreases,
-            within_theorem=self.within_theorem,
-        )
-
 
 class HalfSplitReport(NamedTuple):
-    """Per-step tallies over a union of disjoint intervals inside [1, 2^M].
+    """Per-step tallies over one interval inside [1, 2^M], the one item of `intervals`.
 
     Steps beyond M-1 may be tallied too but are flagged as outside the range
     where the exact half split is guaranteed.  Step M still splits exactly in
@@ -78,19 +68,6 @@ class HalfSplitReport(NamedTuple):
     def covers_full_range(self) -> bool:
         return self.intervals == ((1, 1 << self.M),)
 
-    def merge(self, other: "HalfSplitReport") -> "HalfSplitReport":
-        """Component-wise sum of two reports over disjoint subranges."""
-        if self.M != other.M:
-            raise ValueError("reports cover different ranges")
-        if len(self.tallies) != len(other.tallies):
-            raise ValueError("reports tally different step counts")
-        merged = _normalize_intervals(self.intervals + other.intervals)
-        return HalfSplitReport(
-            M=self.M,
-            intervals=merged,
-            tallies=tuple(a + b for a, b in zip(self.tallies, other.tallies)),
-        )
-
     def exact_split(self) -> bool:
         """True when every within-theorem tally splits the range exactly in half."""
         half, rem = divmod(self.element_count, 2)
@@ -101,21 +78,6 @@ class HalfSplitReport(NamedTuple):
             for t in self.tallies
             if t.within_theorem
         )
-
-
-def _normalize_intervals(
-    intervals: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    parts = sorted(intervals)
-    out: list[tuple[int, int]] = []
-    for lo, hi in parts:
-        if out and lo <= out[-1][1]:
-            raise ValueError("subranges overlap")
-        if out and lo == out[-1][1] + 1:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return tuple(out)
 
 
 def halfsplit_verify(

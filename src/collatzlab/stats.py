@@ -1,4 +1,4 @@
-"""Seeded drift statistics, their intervals, and the stopping-time reference.
+"""Seeded drift statistics, their intervals, and the published table's discrepancy.
 
 The random experiment draws the fair bits of
 `numpy.random.default_rng(seed).integers(0, 2, length, dtype=uint8)` through
@@ -31,10 +31,6 @@ from .reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS
 # Two-sided normal critical values for the three supported levels; these exact
 # literals are part of the interface.
 Z_CRITICAL: dict[float, float] = {0.95: 1.960, 0.98: 2.326, 0.99: 2.576}
-
-# Total-stopping-time reference slope from Applegate and Lagarias (2003):
-# sigma_inf(x) > 6.14316 log(x) for infinitely many x.
-APPLEGATE_LAGARIAS_SLOPE = 6.14316
 
 
 class RatioSample(NamedTuple):
@@ -241,19 +237,6 @@ def level_intervals(stats: SampleStats, level: float) -> dict[str, tuple[float, 
     }
 
 
-def reference_rows_stats() -> dict:
-    """Recompute the published 14-sample table's summary from its own rows."""
-    one_plus = [row.one_plus_xi for row in REFERENCE_ROWS]
-    xis = [row.xi for row in REFERENCE_ROWS]
-    return {
-        "samples": len(REFERENCE_ROWS),
-        "mean_xi": statistics.fmean(xis),
-        "mean_one_plus_xi": statistics.fmean(one_plus),
-        "std_one_plus_xi": sample_std(one_plus),
-        "mean_indicator_std": statistics.fmean(r.indicator_std for r in REFERENCE_ROWS),
-    }
-
-
 def interval_discrepancy_report() -> dict:
     """Compare intervals recomputed from the reference rows with the printed ones.
 
@@ -295,19 +278,3 @@ def interval_discrepancy_report() -> dict:
 
 def _interval_close(a: tuple[float, float], b: tuple[float, float], tol: float = 5e-3) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
-
-
-def stopping_time_reference_note() -> dict:
-    """Arithmetic around the reference slope: sigma = 100 pins x below ~1.174e7.
-
-    Solving 6.14316 * ln(x) = 100 gives the largest start whose total stopping
-    time could reach 100 under the reference slope; that threshold is far
-    below 2^101.  Pure documentation, no conjecture content.
-    """
-    threshold = math.exp(100 / APPLEGATE_LAGARIAS_SLOPE)
-    return {
-        "slope": APPLEGATE_LAGARIAS_SLOPE,
-        "sigma": 100,
-        "threshold": threshold,
-        "below_2_pow_101": threshold < 2**101,
-    }

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from collatzlab import anb as anb_mod
 from collatzlab.anb import (
-    LABEL_BOUNDED,
-    LABEL_UNBOUNDED,
     CycleRecord,
-    DivergenceDiagnostic,
     anb_orbit_steps,
     anb_steps_extended,
     canonical_rotation,
+    catalog_walks,
     closed_form_anb_check,
     cycle_catalog,
-    cycle_survey,
-    divergence_report,
     find_cycle,
     trajectory_anb,
 )
@@ -29,6 +25,13 @@ from collatzlab.dynamics import (
     trajectory_odd,
 )
 from collatzlab.identities import closed_form_check, closed_form_failures, residue_shift_check
+from test_scripts import load_script
+
+# the survey's growth report and starts with no repeat live in its script
+anb_survey = load_script("anb_survey.py")
+LABEL_BOUNDED, LABEL_UNBOUNDED = anb_survey.LABEL_BOUNDED, anb_survey.LABEL_UNBOUNDED
+DivergenceDiagnostic = anb_survey.DivergenceDiagnostic
+cycle_survey, divergence_report = anb_survey.cycle_survey, anb_survey.divergence_report
 
 P51 = AnbParams(5, 1)
 P71 = AnbParams(7, 1)
@@ -160,6 +163,22 @@ def catalog_per_start(params, start_limit, max_steps):
     return tuple(sorted(found.values(), key=lambda r: (len(r.members), r.members)))
 
 
+def check_walks_per_start(params, start_limit, max_steps, catalog):
+    """`catalog_walks` start by start against `find_cycle`: no repeat exactly
+    where find_cycle finds none, the same cycle where it finds one, and at a
+    basin stop ([]) whatever find_cycle decides, a cycle of the catalog or None."""
+    walks = list(catalog_walks(params, start_limit, max_steps))
+    assert [x0 for x0, _ in walks] == list(range(1, start_limit + 1, 2))
+    for x0, cycle in walks:
+        record = find_cycle(x0, params, max_steps)
+        if cycle is None:
+            assert record is None
+        elif cycle:
+            assert record.members == canonical_rotation(cycle)
+        else:
+            assert record is None or record in catalog
+
+
 CATALOG_PARAMS = [AnbParams(a, b) for a, b in [(5, 1), (5, 3), (7, 1), (5, 7), (3, 1), (3, 5)]]
 
 
@@ -213,9 +232,9 @@ class TestCatalogMemo:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_per_start(self, params, start_limit, max_steps):
-        assert cycle_catalog(params, start_limit, max_steps) == catalog_per_start(
-            params, start_limit, max_steps
-        )
+        catalog = cycle_catalog(params, start_limit, max_steps)
+        assert catalog == catalog_per_start(params, start_limit, max_steps)
+        check_walks_per_start(params, start_limit, max_steps, catalog)
 
     @pytest.mark.parametrize("params", CATALOG_PARAMS)
     @pytest.mark.parametrize("start_limit", [100, 999])
@@ -247,6 +266,7 @@ class TestCatalogMemo:
                 catalog = cycle_catalog(params, start_limit, max_steps)
                 steps = steps_of(work)
                 survey = cycle_survey(params, start_limit, max_steps)
+                check_walks_per_start(params, start_limit, max_steps, catalog)
             starts = range(1, start_limit + 1, 2)
             assert catalog == catalog_per_start(params, start_limit, max_steps)
             stray = [x0 for x0 in starts if find_cycle(x0, params, max_steps) is None]
@@ -446,6 +466,11 @@ class TestCatalogMemo:
             cycle_catalog(P51, 0)
         with pytest.raises(ValueError):
             cycle_catalog(P51, 10, max_steps=-1)
+        # the walks check their arguments before the first walk
+        with pytest.raises(ValueError):
+            catalog_walks(P51, 0, 10)
+        with pytest.raises(ValueError):
+            catalog_walks(P51, 10, -1)
 
 
 def value_keyed_rows(x0, params, max_steps):

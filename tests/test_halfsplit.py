@@ -329,15 +329,26 @@ class TestShiftTable:
         assert expect[1] == (3 ** (n + 1) - 1, n + 1)
 
 
+def summed_tallies(parts):
+    """The tallies of reports over disjoint subranges, summed step by step."""
+    rows = []
+    for tallies in zip(*(part.tallies for part in parts)):
+        ((n, within),) = {(t.step, t.within_theorem) for t in tallies}
+        increases, decreases = sum(t.increases for t in tallies), sum(t.decreases for t in tallies)
+        rows.append(StepTally(n, increases, decreases, within))
+    return tuple(rows)
+
+
 class TestMerge:
+    """Direct tallies of disjoint subranges add up to the tally of their union."""
+
     def test_two_halves(self):
         M = 6
         full = halfsplit_verify(M)
         lo = halfsplit_verify(M, subrange=(1, 32))
         hi = halfsplit_verify(M, subrange=(33, 64))
-        merged = lo.merge(hi)
-        assert merged.covers_full_range
-        assert merged.tallies == full.tallies
+        assert lo.intervals + hi.intervals == ((1, 32), (33, 64))
+        assert summed_tallies([lo, hi]) == full.tallies
 
     def test_random_four_way_partitions(self):
         M = 8
@@ -351,34 +362,16 @@ class TestMerge:
                 halfsplit_verify(M, subrange=(bounds[j], bounds[j + 1] - 1))
                 for j in range(4)
             ]
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = merged.merge(part)
-            assert merged.covers_full_range
-            assert merged.tallies == full.tallies
-            assert merged.exact_split()
+            assert sum(part.element_count for part in parts) == top
+            summed = summed_tallies(parts)
+            assert summed == full.tallies
+            half = top // 2
+            assert all(t.increases == t.decreases == half for t in summed if t.within_theorem)
 
     def test_subrange_counts_sum(self):
         report = halfsplit_verify(5, subrange=(3, 17))
         for tally in report.tallies:
             assert tally.increases + tally.decreases == 15
-
-    def test_merge_rejects_overlap(self):
-        a = halfsplit_verify(4, subrange=(1, 8))
-        b = halfsplit_verify(4, subrange=(8, 16))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_rejects_mismatched(self):
-        a = halfsplit_verify(4, subrange=(1, 8))
-        b = halfsplit_verify(5, subrange=(9, 16))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_tally_addition_guard(self):
-        t = StepTally(step=1, increases=1, decreases=2, within_theorem=True)
-        with pytest.raises(ValueError):
-            t + StepTally(step=2, increases=0, decreases=0, within_theorem=True)
 
 
 def _class_kinds(n):

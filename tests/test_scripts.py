@@ -1,5 +1,11 @@
-"""Smoke runs of the scripts in scripts/ with tiny arguments."""
+"""Smoke runs of the scripts in scripts/ with tiny arguments.
 
+`load_script` loads a script by path for the tests of the functions it
+holds, which sit next to the tests of the package code they build on
+(`test_anb.py`, `test_stats.py`).
+"""
+
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +17,14 @@ from collatzlab.anb import find_cycle
 from collatzlab.dynamics import AnbParams
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    """The module of scripts/<name>, loaded by path, for tests of its functions."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, *args):

@@ -11,21 +11,22 @@ from collatzlab import pcg64 as pcg64_mod
 from collatzlab.dynamics import Termination, trajectory_general
 from collatzlab.reference_table import PUBLISHED_INTERVALS, REFERENCE_ROWS, SAMPLE_LENGTH
 from collatzlab.stats import (
-    APPLEGATE_LAGARIAS_SLOPE,
     Z_CRITICAL,
     SampleStats,
     confidence_interval,
     exponentiate_interval,
     indicator_sample_std,
     interval_discrepancy_report,
-    reference_rows_stats,
     sample_ratios,
     sample_std,
     simulate_ratio,
-    stopping_time_reference_note,
     t_critical,
 )
 from collatzlab.sweep import survey_chunk_python, survey_range
+from test_scripts import load_script
+
+# the summary of the published rows and the reference-slope note live in their script
+report_script = load_script("reference_table_report.py")
 
 
 class TestRatioSimulation:
@@ -89,7 +90,7 @@ class TestReferenceTable:
             assert row.chi == pytest.approx(2 ** (1 + row.xi), abs=5e-4)
 
     def test_summary_mean(self):
-        stats = reference_rows_stats()
+        stats = report_script.reference_rows_stats()
         assert stats["mean_one_plus_xi"] == pytest.approx(2.07885, abs=1e-9)
         assert stats["samples"] == 14
 
@@ -290,7 +291,7 @@ class TestRatioSurvey:
 
 class TestReferenceNote:
     def test_threshold_arithmetic(self):
-        note = stopping_time_reference_note()
-        assert note["slope"] == APPLEGATE_LAGARIAS_SLOPE
+        note = report_script.stopping_time_reference_note()
+        assert note["slope"] == report_script.APPLEGATE_LAGARIAS_SLOPE
         assert note["threshold"] == pytest.approx(1.17371e7, rel=1e-4)
         assert note["below_2_pow_101"]
