@@ -4,7 +4,7 @@ Subcommands: trajectory, verify, montecarlo, sweep, anb-cycles.  Each is one
 entry of `COMMANDS`, and each check of verify one entry of `CHECKS`: its
 options, with the bounds checked before it runs, and its runner.  This
 module holds only what every command needs: the table, the parser, the
-budgets, the writers and `main`.  Each runner lives in a module of its own
+budgets, the writers, `main` and `entry`.  Each runner lives in a module of its own
 (`cli_trajectory`, `cli_verify`, `cli_montecarlo`, `cli_sweep`,
 `cli_cycles`), imported when its command is dispatched, so a command
 compiles and imports only the code it runs.  Output is text, JSON or CSV,
@@ -13,15 +13,25 @@ document as one JSON document whose long list (montecarlo's rows, sweep's
 failures) is encoded a block at a time, never held whole.  Every JSON
 payload names its schema, shipped under collatzlab/schemas/.
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 step limit or
-failed/inconclusive check, 3 resource limit.  Output bytes depend only on the
-run configuration: stochastic commands embed their seed, and worker counts
-never appear in (or affect) the payload.
+Exit codes are a stable contract: 0 success, 1 usage error (or a closed pipe
+or stdout), 2 step limit or failed/inconclusive check, 3 resource limit (or a
+full device).  Output bytes depend only on the run configuration: stochastic
+commands embed their seed, and worker counts never appear in (or affect) the
+payload.
+
+`entry`, which `python -m collatzlab`, `python -m collatzlab.cli` and the
+`collatzlab` script run, flushes stdout and stderr once `main` returns and
+exits by `os._exit`, skipping the interpreter's teardown.  Three rules keep
+that safe: `_Output.close` flushes stdout or closes the --output file inside
+`main`; `sweep._walks_in_order` joins its pool threads in its `finally`; and
+no module registers an `atexit` handler or a finalizer.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import importlib
 import itertools
 import json
@@ -185,13 +195,17 @@ class _Output:
     Writes are joined into chunks of about 64 KiB, so a streamed document
     costs one system call per chunk, not per row, even when stdout is
     unbuffered, and an output smaller than a chunk is written at once, at
-    the end.  The file is tried before any work but opened (and truncated) at
-    the first chunk, so a command that fails before it writes leaves it as it was.
+    the end.  The file, or stdout, is tried before any work, but the file is
+    opened (and truncated) at the first chunk, so a command that fails before
+    it writes leaves it as it was.  A failed write raises the error the
+    command ends with (see `_write_error`).
     """
 
     CHUNK = 1 << 16
 
     def __init__(self, path: str | None) -> None:
+        if path is None and sys.stdout is None:
+            raise UsageError("cannot write stdout: it is closed")
         if path is not None:
             existed = os.path.lexists(path)
             try:
@@ -211,24 +225,77 @@ class _Output:
         if self._size >= self.CHUNK:
             self._flush()
 
-    def _flush(self) -> None:
+    def close(self) -> None:
+        self._flush(close=True)
+
+    def _flush(self, close: bool = False) -> None:
+        """Write the parts held; on close, flush stdout or close the file, so
+        that a closed pipe or a full device fails here, not at the exit."""
         text = "".join(self._parts)
         self._parts.clear()
         self._size = 0
-        if self._path is None:
-            sys.stdout.write(text)
-            return
-        if self._file is None:
-            self._file = open(self._path, "w")
-        self._file.write(text)
+        try:
+            if self._path is None:
+                sys.stdout.write(text)
+                if close:
+                    sys.stdout.flush()
+                return
+            if self._file is None and text:
+                self._file = open(self._path, "w")
+            if self._file is not None:
+                self._file.write(text)
+                if close:
+                    self._file.close()
+        except OSError as exc:
+            if self._file is not None:
+                with contextlib.suppress(OSError):
+                    self._file.close()  # what it still holds is dropped
+                self._file = None
+            raise _write_error(exc, self._path) from None
 
-    def close(self) -> None:
-        if self._parts:
-            self._flush()
-        if self._path is None:
-            sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
-        elif self._file is not None:
-            self._file.close()
+
+def _write_error(exc: OSError, path: str | None) -> Exception:
+    """The error a failed write of stdout (path None) or of --output path ends
+    with; stdout is pointed at devnull first, so that no later flush fails."""
+    if path is None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if isinstance(exc, BrokenPipeError):
+        return UsageError("the output pipe was closed before the output was written")
+    where = "stdout" if path is None else f"--output {path}"
+    error = ResourceLimitError if exc.errno in (errno.ENOSPC, errno.EDQUOT) else UsageError
+    return error(f"cannot write {where}: {exc.strerror}")
+
+
+def _report(exc: UsageError | ResourceLimitError) -> int:
+    """Print the one line of a usage error or a resource limit; return its exit code."""
+    if isinstance(exc, UsageError):
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    print(f"resource limit: {exc}", file=sys.stderr)
+    return EX_RESOURCE
+
+
+def entry() -> None:
+    """Run `main` as the process: flush stdout and stderr, then `os._exit`.
+
+    A failed flush of stdout ends as a failed write in `main` does; an
+    exception that `main` does not handle propagates to the interpreter.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, once it has printed
+        code = exc.code
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _report(_write_error(exc, None))
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,11 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _main(argv)
-    except BrokenPipeError:
-        # The reader closed stdout: point it at devnull, so the final flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: the output pipe was closed before the output was written", file=sys.stderr)
-        return EX_USAGE
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
@@ -260,25 +322,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    out = None
     try:
         args = build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         _check_args(args, CHECKS[args.check] if args.command == "verify" else command)
         out = _Output(args.output)
-        return _runner(command)(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EX_RESOURCE
+        try:
+            return _runner(command)(args, out)
+        finally:
+            out.close()  # a failed write here replaces the runner's error
+    except (UsageError, ResourceLimitError) as exc:
+        return _report(exc)
     except MemoryError:  # a budget admitted more than the process may allocate
         print("resource limit: out of memory; lower the command's size", file=sys.stderr)
         return EX_RESOURCE
-    finally:
-        if out is not None:
-            out.close()
 
 
 def _check_args(args: argparse.Namespace, command: Command) -> None:
@@ -421,4 +478,4 @@ if __name__ == "__main__":
     # runners import collatzlab.cli: run that module, whose errors main catches.
     from . import cli
 
-    sys.exit(cli.main())
+    cli.entry()

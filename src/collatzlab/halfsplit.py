@@ -68,17 +68,6 @@ class HalfSplitReport(NamedTuple):
     def covers_full_range(self) -> bool:
         return self.intervals == ((1, 1 << self.M),)
 
-    def exact_split(self) -> bool:
-        """True when every within-theorem tally splits the range exactly in half."""
-        half, rem = divmod(self.element_count, 2)
-        if rem:
-            return False
-        return all(
-            t.increases == half and t.decreases == half
-            for t in self.tallies
-            if t.within_theorem
-        )
-
 
 def halfsplit_verify(
     M: int,

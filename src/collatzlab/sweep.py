@@ -18,9 +18,9 @@ odd start y at slot y // 2 - lo // 2, for at most TABLE_CAP odd starts, so
 memory is bounded for any range.  It is one byte an entry, half a byte a
 start, at any budget: an entry holds the least of that and 255, and 255 means
 "in the side table", sorted slots and exact values appended piece by piece in
-range order.  It holds every stored entry that reaches 255, so at any budget
-no more than the stored odd starts whose tst reaches 255: 48,333 of the first
-2^25 starts, the largest 442.
+range order to arrays whose capacity doubles.  It holds every stored entry
+that reaches 255, so at any budget no more than the stored odd starts whose
+tst reaches 255: 48,333 of the first 2^25 starts, the largest 442.
 
 A piece walks by one level table, the residue shift law (Terras, 1976) at
 k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k,
@@ -96,7 +96,8 @@ UINT64_SAFE_MAX = (2**64 - 2) // 3
 DEFAULT_CHUNK_SIZE = 1 << 18
 
 # Odd starts held in the stopping-time table, so it reaches 2^25 starts: 16 MB
-# at any step budget, and a side table of 48,333 entries, 580 KB, to 2^25.
+# at any step budget, and a side table of 48,333 entries to 2^25, 8 bytes each
+# at the default budget, in arrays of 65,536 (524 KB).
 TABLE_CAP = 1 << 24
 
 # Freeing one 16 MB block raises glibc's mmap threshold, which never falls,
@@ -424,12 +425,51 @@ def _walk_starts(
         peak = max(peak, top)
 
 
+class _SideTable:
+    """The stored entries that reach 255: their slots, sorted, and exact values
+    in the least dtype that holds the budget + 1 they saturate at.
+
+    Entries append in range order to the first `size` places of arrays whose
+    capacity doubles, so a growth copies the filled part once in a while, not
+    the whole table at every piece, and leaves the rest of the new arrays
+    unwritten; lookups search the filled part.
+    """
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.slots = np.zeros(0, np.uint32)
+        self.values = np.zeros(0, dtype)
+        self.size = 0
+        self.most = 0  # the largest value, 0 while empty
+
+    def extend(self, slots: np.ndarray, values: np.ndarray) -> None:
+        end = self.size + slots.size
+        if end > self.slots.size:
+            cap = max(end, 2 * self.slots.size)
+            self.slots = _grown(self.slots, self.size, cap)
+            self.values = _grown(self.values, self.size, cap)
+        self.slots[self.size : end] = slots
+        self.values[self.size : end] = values
+        self.size = end
+        self.most = max(self.most, int(values.max(initial=0)))
+
+    def lookup(self, slots: np.ndarray) -> np.ndarray:
+        """The values of slots that the table holds."""
+        return self.values[np.searchsorted(self.slots[: self.size], slots)]
+
+
+def _grown(array: np.ndarray, size: int, cap: int) -> np.ndarray:
+    grown = np.empty(cap, array.dtype)
+    grown[:size] = array[:size]
+    return grown
+
+
 def _fold_piece(
-    table: np.ndarray, side: list, lo: int, a: int, b: int, fail: int, record, walk: tuple
+    table: np.ndarray, side: _SideTable, lo: int, a: int, b: int, fail: int, record,
+    walk: tuple,
 ) -> RangeSurvey:
     """Finish the starts of [a, b) from their walks and the ratio record before a
     (or None), and enter the odd ones in the uint8 table, the odd start y at slot
-    y // 2 - lo // 2, and in the side table [slots, values]."""
+    y // 2 - lo // 2, and in the side table."""
     steps, slot, peak = walk
     # The gather a block at a time, whose slots widen to intp in cache: half the
     # time of table[slot].  Clipped, _SPARE reads the spare last slot, 0.  It
@@ -438,13 +478,13 @@ def _fold_piece(
     for i in range(0, slot.size, _GATHER):
         np.take(table, slot[i : i + _GATHER], out=entry[i : i + _GATHER], mode="clip")
     # tst = steps + min(entry, top - steps): top < fail only where no steps + entry passes it
-    top = min(fail, int(steps.max()) + max(255, int(side[1].max(initial=0))))
+    top = min(fail, int(steps.max()) + max(255, side.most))
     tst = np.subtract(top, steps, dtype=np.min_scalar_type(top))
     far = np.flatnonzero(entry == 255)
     left = tst[far]
     np.minimum(tst, entry, out=tst)
     del entry  # its byte a start is free again for the masks below
-    tst[far] = np.minimum(left, side[1][np.searchsorted(side[0], slot[far])])
+    tst[far] = np.minimum(left, side.lookup(slot[far]))
     tst += steps
     # the piece's odd starts, from a + odd, that have a slot below the spare one
     odd, at = 1 - (a & 1), (a >> 1) - (lo >> 1)
@@ -454,8 +494,7 @@ def _fold_piece(
         table[at : at + stored.size] = stored
         far = np.flatnonzero(stored >= 255)
         table[far + at] = 255
-        side[0] = np.concatenate((side[0], (far + at).astype(np.uint32)))
-        side[1] = np.concatenate((side[1], stored[far]))
+        side.extend((far + at).astype(np.uint32), stored[far])
         del stored, far
     failures = ()
     i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
@@ -511,7 +550,7 @@ def survey_range(
     # slot, which stays 0 for the walks that read slot _SPARE.
     table_end = min(hi, lo + 2 * TABLE_CAP)
     table = np.zeros((table_end >> 1) - (lo >> 1) + 1, np.uint8)
-    side = [np.zeros(0, np.uint32), np.zeros(0, np.uint64)]
+    side = _SideTable(np.min_scalar_type(budget + 1))  # values are at most budget + 1
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
     pieces = [

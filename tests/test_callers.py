@@ -1,11 +1,15 @@
-"""Every module-level function, class and constant of the package has a caller,
-and every module parses under the oldest Python that pyproject.toml admits.
+"""Every module-level function, class and constant of the package, and every
+method and property of its classes, has a caller; every module parses under
+the oldest Python that pyproject.toml admits; and no module leaves work for
+the interpreter's exit, which the CLI skips.
 
-A caller is a name or attribute in `src/`, an import of the acceptance suite,
-a runner the CLI's command table names as "module.function", or an entry of
-KEPT.  Code that only unit tests call is deleted, not kept; code that only a
-script in `scripts/` or `bench/` calls lives in that script, so the package
-holds only what a command runs.
+A caller of a module-level name is a name or attribute in `src/`, an import
+of the acceptance suite, a runner the CLI's command table names as
+"module.function", or an entry of KEPT.  A caller of a method or property is
+its name in `src/` or an attribute the acceptance suite reads; dunder methods
+are the interpreter's hooks.  Code that only unit tests call is deleted, not
+kept; code that only a script in `scripts/` or `bench/` calls lives in that
+script, so the package holds only what a command runs.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 from collatzlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "collatzlab").glob("*.py"))
 
 KEPT = {
     "trajectory_general": "the shortcut trajectory that odd-walk bookkeeping tests compare with",
@@ -21,12 +26,15 @@ KEPT = {
 }
 
 
-def _names(path: Path, imports_only: bool = False) -> set[str]:
+def _names(path: Path, only: type | None = None) -> set[str]:
+    """The names a module imports, reads or calls; `only` keeps one node type."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
+        if only is not None and not isinstance(node, only):
+            continue
         if isinstance(node, ast.alias):
             names.add(node.name)
-        elif imports_only or isinstance(getattr(node, "ctx", None), ast.Store):
+        elif isinstance(getattr(node, "ctx", None), ast.Store):
             continue  # an assignment defines a name, it does not use it
         elif isinstance(node, ast.Name):
             names.add(node.id)
@@ -46,20 +54,51 @@ def _defined(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
+def _methods(node: ast.stmt) -> list[tuple[str, str]]:
+    """(class, name) of each method and property a class statement defines, dunders left out."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [(node.name, item.name) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+
+
 def test_every_definition_has_a_caller():
-    used = _names(ROOT / "tests" / "test_acceptance.py", imports_only=True)
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    used = _names(acceptance, only=ast.alias)
     used |= {c.run.split(".")[1] for c in (*cli.COMMANDS.values(), *cli.CHECKS.values())}
     for path in (ROOT / "src").rglob("*.py"):
         used |= _names(path)
-    defined = {name for path in (ROOT / "src" / "collatzlab").glob("*.py")
-               for node in ast.parse(path.read_text()).body for name in _defined(node)}
+    body = [node for path in PACKAGE for node in ast.parse(path.read_text()).body]
+    defined = {name for node in body for name in _defined(node)}
     assert sorted(defined - used - KEPT.keys()) == []
+    read = used | _names(acceptance, only=ast.Attribute)
+    assert [f"{cls}.{name}" for node in body for cls, name in _methods(node)
+            if name not in read] == []
 
 
 def test_parses_under_python_3_10():
     # requires-python is >=3.10: the grammar of every module and script must be
     # 3.10's (a 3.11-only stdlib call is not seen here)
-    paths = [*(ROOT / "src" / "collatzlab").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    paths = [*PACKAGE, *(ROOT / "scripts").glob("*.py")]
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_nothing_left_for_the_exit():
+    # cli.entry ends the process by os._exit, which runs no atexit handler,
+    # weakref.finalize callback or __del__: no module may rely on one
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "atexit"]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("atexit", "weakref"):
+                found += [f"{path.name}: from {node.module} import {a.name}" for a in node.names
+                          if node.module == "atexit" or a.name == "finalize"]
+            elif isinstance(node, ast.Attribute) and node.attr == "finalize":
+                found.append(f"{path.name}: .finalize")
+            elif isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                found.append(f"{path.name}: def __del__")
+    assert found == []

@@ -22,6 +22,10 @@ from collatzlab.halfsplit import (
 )
 from collatzlab.identities import _walk_shortcut_zero
 from collatzlab.sweep import survey_range
+from test_scripts import load_script
+
+# the exact half split of a report, a check only scripts/halfsplit_scan.py runs
+exact_split = load_script("halfsplit_scan.py").exact_split
 
 
 class TestPaperRangeTables:
@@ -80,7 +84,7 @@ class TestExactSplit:
         for tally in report.tallies:
             assert tally.within_theorem
             assert (tally.increases, tally.decreases) == (half, half)
-        assert report.exact_split()
+        assert exact_split(report)
 
     def test_full_range_exact_up_to_M18(self):
         # slower tail of the module invariant (M = 17, 18 direct)
@@ -101,7 +105,7 @@ class TestExactSplit:
 
     def test_classes_mode_via_verify(self):
         report = halfsplit_verify(14, method="classes")
-        assert report.exact_split()
+        assert exact_split(report)
 
     def test_resource_limits(self):
         with pytest.raises(ResourceLimitError):
@@ -119,7 +123,7 @@ class TestExactSplit:
             halfsplit_verify(1, steps=DIRECT_STEP_LIMIT + 1)
         # 64 elements x 5 steps is admitted at exactly the limit
         monkeypatch.setattr(halfsplit, "DIRECT_ELEMENT_STEP_LIMIT", 320)
-        assert halfsplit_verify(6).exact_split()
+        assert exact_split(halfsplit_verify(6))
         with pytest.raises(ResourceLimitError, match="element-steps"):
             halfsplit_verify(6, steps=6)
         with pytest.raises(ResourceLimitError, match="element-steps"):
@@ -176,20 +180,20 @@ class TestRefinement:
         last = classes.tallies[-1]
         assert (last.step, last.within_theorem) == (M, False)
         assert last.increases == last.decreases == 1 << (M - 1)
-        assert classes.exact_split()
+        assert exact_split(classes)
 
     def test_large_M_exact(self):
         report = halfsplit_by_classes(23)
         assert len(report.tallies) == 22
-        assert report.exact_split()
+        assert exact_split(report)
 
     def test_work_budget(self, monkeypatch):
         # the tally to step s steps levels 1..s-1, 2^s - 2 lanes: a budget of
         # 2^11 - 2 lane-steps takes it through step 11, M included; step 12 does not fit
         assert CLASSES_STEP_LIMIT == 1 << 27
         monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", (1 << 11) - 2)
-        assert halfsplit_by_classes(12).exact_split()
-        assert halfsplit_by_classes(11, steps=11).exact_split()
+        assert exact_split(halfsplit_by_classes(12))
+        assert exact_split(halfsplit_by_classes(11, steps=11))
         message = ("class tally to step 12 takes 2^12 - 2 lane-steps, over the work budget of "
                    "2046; it admits steps up to 11")
         for M, steps in [(13, None), (12, 12), (40, 12)]:
@@ -203,7 +207,7 @@ class TestRefinement:
             halfsplit_by_classes(12)
         # no lane is stepped for steps 0 and 1, whatever the budget
         monkeypatch.setattr(halfsplit, "CLASSES_STEP_LIMIT", 0)
-        assert halfsplit_by_classes(5, 1).exact_split()
+        assert exact_split(halfsplit_by_classes(5, 1))
         assert halfsplit_by_classes(5, 0).tallies == ()
 
     def test_uint64_guard_whatever_the_budget(self, monkeypatch):
@@ -227,7 +231,7 @@ class TestRefinement:
         # where a whole level 21, which the breadth-first table held, takes 17 MB
         tracemalloc.start()
         try:
-            assert halfsplit_by_classes(22).exact_split()
+            assert exact_split(halfsplit_by_classes(22))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatzlab import sweep
+from collatzlab import cli, sweep
 from collatzlab.dynamics import step_general
 from collatzlab.sweep import (
     UINT64_SAFE_MAX,
@@ -124,17 +125,33 @@ def _tables(entries, size=4):
     far = sorted(k for k, v in entries.items() if v >= 255)
     for k, v in entries.items():
         table[k] = min(v, 255)
-    side = [np.array(far, dtype=np.uint32), np.array([entries[k] for k in far], dtype=np.uint64)]
+    side = sweep._SideTable(np.uint64)
+    side.extend(np.array(far, dtype=np.uint32), np.array([entries[k] for k in far], np.uint64))
     return table, side
+
+
+def test_side_table_doubles():
+    # appended an entry at a time, the arrays grow only at sizes 1, 2, 4, ...,
+    # and hold every entry in order
+    side = sweep._SideTable(np.uint16)
+    caps = set()
+    for slot in range(100):
+        side.extend(np.array([slot], np.uint32), np.array([255 + slot], np.uint16))
+        caps.add(side.slots.size)
+    assert sorted(caps) == [1, 2, 4, 8, 16, 32, 64, 128] and side.values.size == 128
+    assert (side.size, side.most) == (100, 354)
+    assert side.lookup(np.array([0, 57, 99], np.uint32)).tolist() == [255, 312, 354]
 
 
 def _side_of(table, side):
     """The side table as {slot: value}, checked sorted and holding exactly the
-    table's entries 255."""
-    slots = side[0].tolist()
+    table's entries 255, its capacity at least its size and its most the
+    largest value."""
+    slots, values = side.slots[: side.size].tolist(), side.values[: side.size].tolist()
     assert slots == sorted(set(slots)) == np.flatnonzero(table == 255).tolist()
-    assert len(side[1]) == len(slots) and all(v >= 255 for v in side[1].tolist())
-    return dict(zip(slots, side[1].tolist()))
+    assert all(v >= 255 for v in values) and side.most == max(values, default=0)
+    assert side.slots.size == side.values.size >= side.size
+    return dict(zip(slots, values))
 
 
 def _landing(x, lo, max_steps=40):
@@ -210,6 +227,17 @@ class TestThreads:
         got = survey_range(1, 2**14 + 1, workers=2, chunk_size=256, failure_budget=count)
         assert got == _reference(1, 2**14 + 1, sweep.DEFAULT_MAX_STEPS)
         assert max(seen) == baseline + 1 and len(two_cpus) == 2
+
+    def test_cli_sweep_joins_its_pool(self, monkeypatch, capsys):
+        # the pool is joined before cli.main returns, so cli.entry's os._exit
+        # leaves no thread behind; pieces of 2^14 give the pool thread work
+        monkeypatch.setattr(sweep, "survey_range",
+                            functools.partial(survey_range, chunk_size=1 << 14))
+        argv = ["sweep", "--limit", "300000", "--threads", "2", "--format", "json"]
+        baseline = threading.active_count()
+        assert cli.main(argv) == cli.EX_OK
+        assert threading.active_count() == baseline
+        assert json.loads(capsys.readouterr().out)["verified"] == 300000
 
     def test_walk_error(self, monkeypatch):
         # as in test_past_the_word_limit_raises: 447 climbs to 19,682

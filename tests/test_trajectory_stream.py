@@ -11,6 +11,7 @@ guard.
 
 import ast
 import csv
+import errno
 import io
 import json
 import os
@@ -455,8 +456,13 @@ def test_owned_draws_stream():
 
 
 # `python -m collatzlab ARGV`, then every module it loaded, one line on stderr
+# The command ends by os._exit, which the probe turns into SystemExit so that
+# it can list the modules loaded by then.
 MAIN_PROBE = """
-import runpy, sys
+import os, runpy, sys
+def exit_now(code):
+    raise SystemExit(code)
+os._exit = exit_now
 try:
     runpy.run_module("collatzlab", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -512,17 +518,71 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
 
 
-def test_cli_module_run_as_main():
-    # a usage error raised by a runner is one line and exit 1 under
-    # `python -m collatzlab.cli` too, where the module runs as __main__
+def run_main(*args, **kwargs):
+    """`python *args` with the package on the path and stdout buffered; its
+    stdout and stderr as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "collatzlab.cli", "trajectory", "4", "--map", "odd"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert (proc.returncode, proc.stdout) == (EX_USAGE, "")
-    assert proc.stderr == "error: odd-to-odd map needs an odd start, got 4\n"
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE, env=env,
+                          timeout=120, **kwargs)
+
+
+# one argv for each exit code
+EXITS = {
+    ("trajectory", "27"): EX_OK,
+    ("trajectory", "4", "--map", "odd"): EX_USAGE,
+    ("trajectory", "27", "--max-steps", "5"): EX_INCONCLUSIVE,
+    ("verify", "lemma7", "--max-k", "18"): EX_RESOURCE,
+}
+
+
+def test_cli_module_run_as_main(tmp_path):
+    # each entry point ends through cli.entry with the exit code of main, and
+    # what it wrote is out: --output FILE holds the bytes stdout reads, and
+    # --help is printed in full.  Under
+    # `python -m collatzlab.cli` the module runs as __main__, and a usage error
+    # raised by a runner is still one line and exit 1.
+    path = tmp_path / "out"
+    for module in ("collatzlab", "collatzlab.cli"):
+        for argv, code in EXITS.items():
+            piped = run_main("-m", module, *argv)
+            written = run_main("-m", module, *argv, "--output", str(path))
+            assert piped.returncode == written.returncode == code
+            assert piped.stderr == written.stderr and written.stdout == b""
+            assert (path.read_bytes() if path.exists() else b"") == piped.stdout
+            assert bool(piped.stdout) == (code != EX_USAGE)
+            if code == EX_USAGE:
+                assert piped.stderr == b"error: odd-to-odd map needs an odd start, got 4\n"
+            else:
+                assert piped.stderr.count(b"\n") == (code == EX_RESOURCE)
+            path.unlink(missing_ok=True)
+        # argparse prints the help into stdout's buffer, which only entry's flush writes
+        helped = run_main("-m", module, "--help")
+        assert helped.returncode == EX_OK and helped.stdout.startswith(b"usage: collatzlab ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("how, code, line", [
+    ("closed", EX_USAGE, "error: cannot write stdout: it is closed"),
+    ("full", EX_RESOURCE, f"resource limit: cannot write stdout: {os.strerror(errno.ENOSPC)}"),
+    ("output", EX_RESOURCE,
+     f"resource limit: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}"),
+])
+def test_write_error_ends_in_one_line(how, code, line):
+    # a stdout closed at the start (`>&-`), stdout on a full device, or a full
+    # --output device: one line and a documented exit code, no traceback
+    argv = ["-m", "collatzlab", "trajectory", "27"]
+    if how == "closed":
+        proc = run_main(*argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    elif how == "full":
+        with open("/dev/full", "w") as full:
+            proc = run_main(*argv, stdout=full)
+    else:
+        proc = run_main(*argv, "--output", "/dev/full")
+    assert proc.returncode == code
+    assert proc.stderr.decode() == line + "\n"
 
 
 # -------------------------------------------------------------- closed pipe
