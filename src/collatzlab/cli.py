@@ -103,7 +103,8 @@ GEOM_TERM_LIMIT = 1 << 22
 
 # trajectory writes its rows while the output stays within this many bytes;
 # the row that would pass it is left out, and the run ends with its summary
-# and exit 3.  The 5n+1 orbit of 7 reaches it after 53,347 steps.
+# and exit 3.  The 5n+1 orbit of 7 reaches it after 53,347 steps as text,
+# 53,087 as JSON and 53,369 as CSV.
 TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 
 # sweep runs at most this many walkers: with --threads n the calling thread
@@ -136,6 +137,16 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise UsageError(message)
+
+    def _print_message(self, message: str, file=None) -> None:  # argparse hook
+        # argparse drops a failed write; --help's text, the one message it
+        # writes to stdout, ends in one line, as any failed write of stdout does
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise _write_error(exc, None) from None
 
 
 class Option(NamedTuple):

@@ -14,40 +14,43 @@ from . import cli
 from .dynamics import Termination, orbit_steps
 
 # Decimal arithmetic that is exact or traps: unbounded precision and exponent.
+# Rounded is not trapped: to_integral_exact signals it whenever it drops
+# digits, zeros too, and Inexact only when a dropped digit is not zero.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    traps=[decimal.Inexact, decimal.InvalidOperation],
 )
 
-# Per format: the header from (start, map, max_steps and, for JSON, a and b,
-# or, for text, " a=A b=B" as ab); a step row from (step, from, to, kind,
-# exponent field); the exponent field of the general map and, from k, of the
-# odd maps; the summary.  They give the bytes of `_json_line` and
-# `csv.writer` rows.
+# Per format: the header template, from (start, map, max_steps and, for JSON,
+# a and b, or, for text, " a=A b=B" as ab); the step row, one f-string of
+# (step, from, to, kind, exponent field); the exponent field of the general
+# map and, from k, of the odd maps; the summary template.  They give the bytes
+# of `_json_line` and `csv.writer` rows.
 _TRAJECTORY_FORMATS = {
     "json": (
         '{{"a":{a},"b":{b},"map":"{map}","max_steps":{max_steps},'
         '"schema":"collatzlab/trajectory/v1","start":{start},"type":"header"}}\n',
-        '{{"exponent":{4},"from":{1},"kind":"{3}","step":{0},"to":{2},"type":"step"}}\n',
+        lambda i, x, y, kind, e:
+            f'{{"exponent":{e},"from":{x},"kind":"{kind}","step":{i},"to":{y},"type":"step"}}\n',
         "null",
-        "{}",
+        str,
         '{{"cycle":{cycle_json},"final":{final},"steps":{steps},'
         '"terminated":"{terminated}","type":"summary"}}\n',
     ),
     "csv": (
         "step,from,to,kind,exponent\r\n",
-        "{0},{1},{2},{3},{4}\r\n",
+        lambda i, x, y, kind, e: f"{i},{x},{y},{kind},{e}\r\n",
         "",
-        "{}",
+        str,
         "# terminated={terminated} final={final}\n",
     ),
     "text": (
         "# start={start} map={map}{ab} max_steps={max_steps}\n",
-        "{0:>5} {1} -> {2} {3}{4}\n",
+        lambda i, x, y, kind, e: f"{i:>5} {x} -> {y} {kind}{e}\n",
         "",
-        " k={}",
+        lambda k: f" k={k}",
         "# terminated={terminated} steps={steps} final={final}\n",
     ),
 }
@@ -60,25 +63,30 @@ def _json_line(obj: object) -> str:
 def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:
     """The decimal form of (mul * x + add) / 2^k from the decimal form d of x.
 
-    Computed as (d * mul 5^k + add 5^k) / 10^k, one fused multiply-add and one
-    division in exact decimal arithmetic, in time linear in the digit count,
-    where str(int) is quadratic.  consts caches the Decimal operands per
+    Computed as (d * mul 5^k + add 5^k) / 10^k: one fused multiply-add and an
+    exponent shift, no division, then `to_integral_exact`, which drops the k
+    digits shifted past the point.  Each is exact, in time linear in the digit
+    count, where str(int) is quadratic; a step whose value is not an integer
+    raises decimal.Inexact.  consts caches the Decimal operands per
     (mul, add, k).
     """
     ops = consts.get((mul, add, k))
     if ops is None:
-        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul * 5**k, add * 5**k, 10**k)))
-    m, a, p10 = ops
-    return _EXACT.divide(_EXACT.fma(d, m, a), p10)
+        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul * 5**k, add * 5**k, -k)))
+    m, a, shift = ops
+    return _EXACT.to_integral_exact(_EXACT.scaleb(_EXACT.fma(d, m, a), shift))
 
 
 def run(args: argparse.Namespace, out: cli._Output) -> int:
     """Stream one orbit: a header, one row per step as it is walked, a summary.
 
     Each value is rendered once, from the previous value's decimal form by
-    the step's (mul, add, k); the summary's final value is rendered by
-    str(int) and must equal the last rendered value.  The update is
-    injective, so that one comparison certifies every row.
+    the step's (mul, add, k) (see `_decimal_step`), and each row is one call
+    of its format's row function.  A step whose decimal value is not an
+    integer traps; the summary's final value is rendered by str(int) and must
+    equal the last rendered value.  The update is injective, so that one
+    comparison certifies every row.  Either failure raises RuntimeError,
+    naming the step.
     """
     params = args.params
     try:
@@ -104,23 +112,23 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
     d, consts = decimal.Decimal(text), {}
     steps = 0
     terminated = None
-    for y, mul, add, k in records:
-        d = _decimal_step(d, mul, add, k, consts)
-        y_text = str(d)
-        line = row.format(
-            steps + 1, text, y_text, "increase" if y > x else "decrease",
-            no_exponent if general else exponent.format(k),
-        )
-        written += len(line)
-        if written > limit:
-            terminated = "resource-limit"
-            break
-        out.write(line)
-        steps += 1
-        x, text = y, y_text
+    try:
+        for y, mul, add, k in records:
+            d = _decimal_step(d, mul, add, k, consts)
+            y_text = str(d)
+            line = row(steps + 1, text, y_text, "increase" if y > x else "decrease",
+                       no_exponent if general else exponent(k))
+            written += len(line)
+            if written > limit:
+                terminated = "resource-limit"
+                break
+            out.write(line)
+            steps += 1
+            x, text = y, y_text
+    except decimal.Inexact:  # the step's value is not an integer: no text matches it
+        steps, text = steps + 1, None
 
-    final = str(x)
-    if final != text:
+    if str(x) != text:
         raise RuntimeError(
             f"decimal rendering of step {steps} disagrees with the orbit's value"
         )
@@ -135,7 +143,7 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
         else:
             done = Termination.STEP_LIMIT
         terminated = done.value
-    out.write(foot.format(cycle_json=_json_line(cycle), final=final, steps=steps,
+    out.write(foot.format(cycle_json=_json_line(cycle), final=text, steps=steps,
                           terminated=terminated))
     if cycle and args.format == "text":
         out.write(f"# cycle={cycle}\n")

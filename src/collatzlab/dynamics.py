@@ -77,10 +77,6 @@ class Trajectory(NamedTuple):
         return self.values[0]
 
     @property
-    def final(self) -> int:
-        return self.values[-1]
-
-    @property
     def steps(self) -> tuple[StepKind, ...]:
         values = self.values
         return tuple(

@@ -412,7 +412,7 @@ class TestTypes:
     def test_derived_fields(self):
         # a record stores its values or exponents; the rest is read from them
         t = Trajectory(values=(12, 6, 3, 5), terminated=Termination.STEP_LIMIT)
-        assert (t.start, t.final, t.step_count) == (12, 5, 3)
+        assert (t.start, t.step_count) == (12, 3)
         assert t.steps == (StepKind.DECREASE, StepKind.DECREASE, StepKind.INCREASE)
         pe = ParityExponents((1, 1, 2))
         assert (pe.prefix_sums, pe.step_count) == ((0, 1, 2, 4), 3)

@@ -11,6 +11,7 @@ guard.
 
 import ast
 import csv
+import decimal
 import errno
 import io
 import json
@@ -21,7 +22,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -33,6 +34,7 @@ from collatzlab.dynamics import (
     DEFAULT_MAX_STEPS,
     AnbParams,
     Termination,
+    orbit_steps,
     trajectory_general,
     trajectory_odd,
 )
@@ -255,6 +257,76 @@ class TestSameBytes:
         with pytest.raises(RuntimeError, match="disagrees"):
             run(["trajectory", "27"])
 
+    @pytest.mark.parametrize("at, error, step", [(27, 1, 1), (2, 1, 70), (2, 2, 70)])
+    def test_wrong_first_or_last_step_names_it(self, monkeypatch, at, error, step):
+        # 27's orbit steps 27 -> 41 first and 2 -> 1 last (step 70).  A record
+        # whose value is not an integer stops the walk at its step; one whose
+        # value is an integer but wrong (the last step's, 2 -> 2) is caught by
+        # the final comparison
+        real = cli_trajectory._decimal_step
+
+        def wrong_at(d, mul, add, k, consts):
+            return real(d, mul, add + error * (d == at), k, consts)
+
+        monkeypatch.setattr(cli_trajectory, "_decimal_step", wrong_at)
+        with pytest.raises(RuntimeError, match=f"^decimal rendering of step {step} disagrees"):
+            run(["trajectory", "27"])
+
+
+# (map, mul, add) of each step record the renderer takes: the general map's
+# halving (1, 0, 1) and shortcut step (3, 1, 1), the odd map's (3, 1, k) and
+# the an+b map's (a, b, k)
+RECORDS = [("general", 1, 0), ("general", 3, 1), ("odd", 3, 1), ("anb", 5, 1), ("anb", 7, 3),
+           ("anb", 1001, 1)]
+
+
+class TestRenderer:
+    """The decimal renderer against str(int), record kind by record kind."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(RECORDS),
+        st.sampled_from([2, 19, DIGIT_GUARD - 1, DIGIT_GUARD, DIGIT_GUARD + 1]),
+        st.integers(1, 90),
+        st.integers(0, 2**64),
+        st.sampled_from(FORMATS),
+    )
+    @example(("anb", 5, 1), 19, 70, 0, "json")
+    @example(("anb", 5, 1), DIGIT_GUARD - 1, 70, 0, "csv")
+    @example(("odd", 3, 1), DIGIT_GUARD, 64, 0, "text")
+    @example(("anb", 1001, 1), DIGIT_GUARD - 1, 1, 0, "text")
+    def test_steps_match_str_int(self, record, digits, k, offset, fmt):
+        # a start of about `digits` digits whose first step is the record
+        # (mul, add, >= k), k >= 64 included: each decimal step is the str()
+        # of the int walk's value, and the two rows of each format are the
+        # reference's, built from str(int)
+        map, mul, add = record
+        if map == "general":
+            k, residue = 1, mul // 3  # the halving from an even start, 3x+1 from an odd one
+        else:
+            residue = -add * pow(mul, -1, 2**k) % 2**k
+        x0 = 10 ** (digits - 1) + offset
+        x0 += (residue - x0) % 2**k
+        if map == "anb":
+            records = anb_mod.anb_orbit_steps(x0, AnbParams(mul, add), max_steps=2)
+        else:
+            records = orbit_steps(x0, max_steps=2, odd=map == "odd")
+        records = list(records)
+        assert records[0][1:3] == (mul, add) and records[0][3] >= k
+        with unlimited_int_text():
+            d = decimal.Decimal(str(x0))
+            for y, *step in records:
+                d = cli_trajectory._decimal_step(d, *step, {})
+                assert str(d) == str(y)
+        code, out, err = run(argv_of(x0, map, mul, add, 2, fmt))
+        assert (out, code) == reference(x0, map, mul, add, 2, fmt)
+
+    def test_step_to_a_fraction_traps(self):
+        # (3 * 5 + 3) / 2^2 = 4.5 is not an integer: the step raises, where a
+        # rounding to an integer would give 4 and no error
+        with pytest.raises(decimal.Inexact):
+            cli_trajectory._decimal_step(decimal.Decimal(5), 3, 3, 2, {})
+
 
 class TestGrowingOrbits:
     """Orbits of large a pass 4300 digits: they complete, or stop at the output budget."""
@@ -267,7 +339,7 @@ class TestGrowingOrbits:
         assert (out, code) == reference(**self.ARGS, fmt=fmt)
         assert code == EX_INCONCLUSIVE and err == ""
         traj, _ = anb_mod.trajectory_anb(7, AnbParams(1001, 1), max_steps=1900)
-        assert traj.values[100] < 10 ** (DIGIT_GUARD - 1) and traj.final >= 10**DIGIT_GUARD
+        assert traj.values[100] < 10 ** (DIGIT_GUARD - 1) and traj.values[-1] >= 10**DIGIT_GUARD
 
     def test_orbit_past_the_digit_guard_to_file(self, tmp_path):
         target = tmp_path / "orbit.jsonl"
@@ -291,7 +363,7 @@ class TestGrowingOrbits:
         assert target.read_bytes().decode() == out
         steps = len(out.splitlines()) - 2  # all but the header and the summary
         traj, _ = anb_mod.trajectory_anb(7, AnbParams(orbit["a"], 1), max_steps=steps)
-        assert traj.final >= 10**DIGIT_GUARD and steps < 40
+        assert traj.values[-1] >= 10**DIGIT_GUARD and steps < 40
         if fmt == "json":
             with unlimited_int_text():
                 summary = json.loads(out.splitlines()[-1])
@@ -518,12 +590,14 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
 
 
-def run_main(*args, **kwargs):
-    """`python *args` with the package on the path and stdout buffered; its
-    stdout and stderr as bytes."""
+def run_main(*args, unbuffered=False, **kwargs):
+    """`python *args` with the package on the path and stdout buffered, or
+    unbuffered as under PYTHONUNBUFFERED=1; its stdout and stderr as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE, env=env,
                           timeout=120, **kwargs)
@@ -569,20 +643,24 @@ def test_cli_module_run_as_main(tmp_path):
     ("full", EX_RESOURCE, f"resource limit: cannot write stdout: {os.strerror(errno.ENOSPC)}"),
     ("output", EX_RESOURCE,
      f"resource limit: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}"),
+    ("help", EX_RESOURCE, f"resource limit: cannot write stdout: {os.strerror(errno.ENOSPC)}"),
 ])
 def test_write_error_ends_in_one_line(how, code, line):
-    # a stdout closed at the start (`>&-`), stdout on a full device, or a full
-    # --output device: one line and a documented exit code, no traceback
+    # a stdout closed at the start (`>&-`), stdout on a full device, a full
+    # --output device, or --help's text on a full device, with stdout buffered
+    # and unbuffered: one line and a documented exit code, no traceback
     argv = ["-m", "collatzlab", "trajectory", "27"]
-    if how == "closed":
-        proc = run_main(*argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
-    elif how == "full":
-        with open("/dev/full", "w") as full:
-            proc = run_main(*argv, stdout=full)
-    else:
-        proc = run_main(*argv, "--output", "/dev/full")
-    assert proc.returncode == code
-    assert proc.stderr.decode() == line + "\n"
+    for unbuffered in (False, True):
+        if how == "closed":
+            proc = run_main(*argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1),
+                            unbuffered=unbuffered)
+        elif how == "output":
+            proc = run_main(*argv, "--output", "/dev/full", unbuffered=unbuffered)
+        else:
+            with open("/dev/full", "w") as full:
+                proc = run_main(*(argv[:2] + ["--help"] if how == "help" else argv),
+                                stdout=full, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n"), unbuffered
 
 
 # -------------------------------------------------------------- closed pipe
