@@ -14,9 +14,9 @@ from collatzlab.anb import (
     CycleRecord,
     anb_orbit_steps,
     canonical_rotation,
-    catalog_walks,
     find_cycle,
 )
+from collatzlab.catalog import catalog_walks
 from collatzlab.dynamics import DEFAULT_MAX_STEPS, AnbParams, step_anb
 
 LABEL_BOUNDED = "bounded/cyclic within horizon"

@@ -79,7 +79,7 @@ CYCLES_STEP_LIMIT = 1 << 24
 
 # anb-cycles holds one walk at a time, of up to 2 x --max-steps + 1 steps
 # with the ones it takes to settle later starts; above this many bytes by
-# anb.catalog_walk_bytes, about 570 bytes a step and the walk's last value,
+# catalog.catalog_walk_bytes, about 570 bytes a step and the walk's last value,
 # it stops with exit 3 (the default run estimates 11.4 MB; its longest walk
 # holds 0.97 MB).  At --limit 100 it admits --max-steps up to 235,381.
 CYCLES_MEMORY_LIMIT = 1 << 28
@@ -134,14 +134,20 @@ class UsageError(Exception):
     pass
 
 
+_STDOUT_CLOSED = "cannot write stdout: it is closed"  # stdout closed at the start (`>&-`)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise UsageError(message)
 
     def _print_message(self, message: str, file=None) -> None:  # argparse hook
-        # argparse drops a failed write; --help's text, the one message it
-        # writes to stdout, ends in one line, as any failed write of stdout does
-        if file is None or file is not sys.stdout:
+        # argparse drops a failed write, and prints to stderr when stdout is
+        # closed; --help's text, the one message it writes to stdout, ends in
+        # one line, as any write to a closed or failing stdout does
+        if file is None and sys.stdout is None:
+            raise UsageError(_STDOUT_CLOSED)
+        if file is not sys.stdout:
             return super()._print_message(message, file)
         try:
             file.write(message)
@@ -216,7 +222,7 @@ class _Output:
 
     def __init__(self, path: str | None) -> None:
         if path is None and sys.stdout is None:
-            raise UsageError("cannot write stdout: it is closed")
+            raise UsageError(_STDOUT_CLOSED)
         if path is not None:
             existed = os.path.lexists(path)
             try:

@@ -11,6 +11,7 @@ from collections.abc import Iterable
 
 from . import anb as anb_mod
 from . import cli
+from .catalog import catalog_walk_bytes
 
 
 def run(args: argparse.Namespace, out: cli._Output) -> int:
@@ -19,7 +20,7 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
                 f"anb-cycles walks {starts} odd starts for up to {args.max_steps} steps "
                 f"each, over the budget of {cli.CYCLES_STEP_LIMIT} steps; lower --limit or "
                 "--max-steps")
-    walk_bytes = anb_mod.catalog_walk_bytes(args.params, args.limit, args.max_steps)
+    walk_bytes = catalog_walk_bytes(args.params, args.limit, args.max_steps)
     cli._budget(walk_bytes, cli.CYCLES_MEMORY_LIMIT,
                 f"anb-cycles holds one walk of up to {args.max_steps} steps at a time, "
                 f"estimated at {walk_bytes} bytes, over the memory budget of "

@@ -66,22 +66,10 @@ COLLATZ = AnbParams(3, 1)
 
 
 class Trajectory(NamedTuple):
-    """A finite orbit: values[0] is the start, and steps[i] classifies the move
-    values[i] -> values[i+1], an increase iff values[i+1] is larger."""
+    """A finite orbit from values[0], and how its walk ended."""
 
     values: tuple[int, ...]
     terminated: Termination
-
-    @property
-    def start(self) -> int:
-        return self.values[0]
-
-    @property
-    def steps(self) -> tuple[StepKind, ...]:
-        values = self.values
-        return tuple(
-            StepKind.INCREASE if y > x else StepKind.DECREASE for x, y in zip(values, values[1:])
-        )
 
     @property
     def step_count(self) -> int:

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatzlab import anb as anb_mod
+from collatzlab import catalog as catalog_mod
 from collatzlab.anb import (
     CycleRecord,
     anb_orbit_steps,
     anb_steps_extended,
     canonical_rotation,
-    catalog_walks,
     closed_form_anb_check,
     cycle_catalog,
     find_cycle,
@@ -24,6 +24,7 @@ from collatzlab.dynamics import (
     step_anb,
     trajectory_odd,
 )
+from collatzlab.catalog import catalog_walks
 from collatzlab.identities import closed_form_check, closed_form_failures, residue_shift_check
 from test_scripts import load_script
 
@@ -185,18 +186,19 @@ CATALOG_PARAMS = [AnbParams(a, b) for a, b in [(5, 1), (5, 3), (7, 1), (5, 7), (
 def catalog_walk(x0, params, max_steps, memo, settled=None, start_limit=0):
     """One walk of the catalog; at start_limit 0 it settles no later start."""
     settled = {} if settled is None else settled
-    return anb_mod._catalog_walk(x0, params, max_steps, memo, settled, start_limit)
+    return catalog_mod._catalog_walk(x0, params, max_steps, memo, settled, start_limit)
 
 
 def count_work(mp, mask=None):
-    """Count the catalog's walks by start, and its steps, at fingerprint mask `mask`.
+    """Count the catalog's walks by start, and its steps, at fingerprint mask `mask`;
+    work["memo"] is the memo the walks share.
 
     A step adds a fingerprint to its walk's index or, meeting one there, calls
     `first_step`; so the steps are the fingerprints an index holds past its
     start's, summed, plus the `first_step` calls.  Nothing is called a step.
     """
-    work = {"walked": [], "indexes": [], "confirms": 0}
-    walk = anb_mod._catalog_walk
+    work = {"walked": [], "indexes": [], "confirms": 0, "memo": {}}
+    walk = catalog_mod._catalog_walk
 
     class CountedIndex(anb_mod._RepeatIndex):
         def __init__(self, *args):
@@ -207,14 +209,15 @@ def count_work(mp, mask=None):
             work["confirms"] += 1
             return super().first_step(x, j)
 
-    def counted_walk(x0, *args):
+    def counted_walk(x0, params, max_steps, memo, *args):
         work["walked"].append(x0)
-        return walk(x0, *args)
+        work["memo"] = memo
+        return walk(x0, params, max_steps, memo, *args)
 
     if mask is not None:
         mp.setattr(anb_mod, "_FP_MASK", mask)
     mp.setattr(anb_mod, "_RepeatIndex", CountedIndex)
-    mp.setattr(anb_mod, "_catalog_walk", counted_walk)
+    mp.setattr(catalog_mod, "_catalog_walk", counted_walk)
     return work
 
 
@@ -296,7 +299,7 @@ class TestCatalogMemo:
     @pytest.mark.parametrize("cap", [0, 1])
     @pytest.mark.parametrize("params", CATALOG_PARAMS + [AnbParams(5, 5)])
     def test_memo_cap(self, monkeypatch, cap, params):
-        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", cap)
+        monkeypatch.setattr(catalog_mod, "CATALOG_MEMO_CAP", cap)
         for start_limit, max_steps in ((151, 37), (100, 3), (301, 200)):
             assert cycle_catalog(params, start_limit, max_steps) == catalog_per_start(
                 params, start_limit, max_steps
@@ -392,7 +395,7 @@ class TestCatalogMemo:
         # As above with the memo bound lowered to 600: 643 is now a value the
         # memo cannot vouch for, and it must block the stop at 187 as its
         # entry did.
-        monkeypatch.setattr(anb_mod, "_MEMO_BOUND", 600)
+        monkeypatch.setattr(catalog_mod, "_MEMO_BOUND", 600)
         params = AnbParams(3, 5)
         memo = {}
         assert catalog_walk(123, params, 17, memo) is None
@@ -435,19 +438,19 @@ class TestCatalogMemo:
         # a walk with no repeat holds no more than the estimate of the
         # anb-cycles memory budget, its steps past the budget to settle every
         # later start below 2^64 included
-        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+        monkeypatch.setattr(catalog_mod, "CATALOG_MEMO_CAP", 0)
         start_limit = (1 << 64) - 1
         peak = self.walk_peak(params, x0, 5000, start_limit)
-        assert peak <= anb_mod.catalog_walk_bytes(params, start_limit, 5000)
+        assert peak <= catalog_mod.catalog_walk_bytes(params, start_limit, 5000)
 
     def test_walk_bytes_estimate_twice_the_budget(self, monkeypatch):
         # 3n+3299 has a 1,000-cycle below 2^25, which the walk from 1 enters
         # at step 43: at 1,000 steps it has a later start at every step and
         # walks on 1,000 more, to the repeat at step 1,043
-        monkeypatch.setattr(anb_mod, "CATALOG_MEMO_CAP", 0)
+        monkeypatch.setattr(catalog_mod, "CATALOG_MEMO_CAP", 0)
         params = AnbParams(3, 3299)
         peak = self.walk_peak(params, 1, 1000, 1 << 26)
-        assert peak <= anb_mod.catalog_walk_bytes(params, 1 << 26, 1000)
+        assert peak <= catalog_mod.catalog_walk_bytes(params, 1 << 26, 1000)
 
     @pytest.mark.parametrize("params", [P51, P71, P53])
     @pytest.mark.parametrize("start_limit, max_steps", [(51, 200), (99, 3), (151, 37)])
@@ -471,6 +474,95 @@ class TestCatalogMemo:
             catalog_walks(P51, 0, 10)
         with pytest.raises(ValueError):
             catalog_walks(P51, 10, -1)
+
+
+def set_width(mp, width):
+    """Step the values of 2^width or more in blocks of that many low bits; a width
+    past every value of a walk makes it step whole values."""
+    mp.setattr(catalog_mod, "_W", width)
+    mp.setattr(catalog_mod, "_LOW_W", (1 << width) - 1)
+    mp.setattr(catalog_mod, "_ROOM", width - 64)
+
+
+W = catalog_mod._W
+# 3n + 2^256 + 1 hovers about its fixed point 2^256 + 1: from 1 its walk
+# crosses 2^256 upwards and downwards many times within 300 steps
+CROSSING = AnbParams(3, (1 << 256) + 1)
+# 3n + b with b = 2 X - 3 takes 1 to X > 2^300, and 3 X + b = 5 X - 3 is a
+# multiple of 2^200: the block from X halves more than _W - 64 times at its
+# first step, which X then takes whole
+DEEP_X = 3 * pow(5, -1, 1 << 200) % (1 << 200) + (1 << 300)
+DEEP = AnbParams(3, 2 * DEEP_X - 3)
+# 3n + 3^190 has the fixed point 3^190, of 302 bits, which the walks from
+# the starts up to 201 reach
+HIGH = AnbParams(3, 3**190)
+BLOCK_CASES = {
+    "crossing": (CROSSING, 41, 300),
+    # 7's walk passes 2^256 near step 800 and is in a block at either budget
+    "budget-1000": (P51, 151, 1000),
+    "budget-1001": (P51, 151, 1001),
+    "deep-step": (DEEP, 41, 300),
+    "high-cycle": (HIGH, 201, 2000),
+}
+
+
+class TestBlockWalk:
+    """A value of 2^_W or more steps on its low _W bits, and is rebuilt at the
+    block's end, at a fingerprint hit and at the budget; find_cycle, and walks
+    on whole values, are the references."""
+
+    def test_cases_reach_their_edges(self):
+        values = anb_steps_extended(1, CROSSING, 300)[0]
+        above = [x >> W > 0 for x in values]
+        assert (True, False) in zip(above, above[1:]) and (False, True) in zip(above, above[1:])
+        assert anb_steps_extended(7, P51, 1000)[0][-1] >> W
+        assert step_anb(1, DEEP) == (DEEP_X, 1) and step_anb(DEEP_X, DEEP)[1] > W - 64
+        assert (3**190,) in [c.members for c in cycle_catalog(HIGH, 201, 2000)]
+        assert 3**190 >> W
+
+    @pytest.mark.parametrize("params, start_limit, max_steps", BLOCK_CASES.values(),
+                             ids=BLOCK_CASES.keys())
+    def test_matches_per_start(self, params, start_limit, max_steps):
+        catalog = cycle_catalog(params, start_limit, max_steps)
+        assert catalog == catalog_per_start(params, start_limit, max_steps)
+        check_walks_per_start(params, start_limit, max_steps, catalog)
+
+    @pytest.mark.parametrize("params, start_limit, max_steps", BLOCK_CASES.values(),
+                             ids=BLOCK_CASES.keys())
+    def test_same_work_as_whole_values(self, params, start_limit, max_steps):
+        # the same outcomes, walks, fingerprints, confirms and memo as walks
+        # that step whole values
+        def run(width):
+            with pytest.MonkeyPatch.context() as mp:
+                if width is not None:
+                    set_width(mp, width)
+                work = count_work(mp)
+                walks = list(catalog_walks(params, start_limit, max_steps))
+            fingerprints = [index.fingerprints for index in work["indexes"]]
+            return walks, work["walked"], fingerprints, work["confirms"], work["memo"]
+
+        assert run(None) == run(1 << 16)
+
+    @pytest.mark.parametrize("params, start_limit, max_steps",
+                             [(HIGH, 201, 300), (CROSSING, 15, 120)], ids=["high-cycle", "crossing"])
+    def test_collisions_inside_blocks(self, monkeypatch, params, start_limit, max_steps):
+        # Under the mask 7 the values above 2^_W meet false collisions, and the
+        # walks to 3^190 their true repeat, inside a block
+        confirms = []
+        first_step = anb_mod._RepeatIndex.first_step
+
+        def recorded(index, x, j):
+            first = first_step(index, x, j)
+            confirms.append((x >> W > 0, first is not None))
+            return first
+
+        monkeypatch.setattr(anb_mod._RepeatIndex, "first_step", recorded)
+        monkeypatch.setattr(anb_mod, "_FP_MASK", 7)
+        catalog = cycle_catalog(params, start_limit, max_steps)
+        assert catalog == catalog_per_start(params, start_limit, max_steps)
+        check_walks_per_start(params, start_limit, max_steps, catalog)
+        assert (True, False) in confirms
+        assert params != HIGH or (True, True) in confirms
 
 
 def value_keyed_rows(x0, params, max_steps):
@@ -515,11 +607,12 @@ class TestRepeatIndex:
 
     def test_no_hash_in_anb(self):
         # hash(x) reads every digit of x; the fingerprint reads the low word
-        tree = ast.parse(Path(anb_mod.__file__).read_text())
-        named = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Name) and node.id == "hash"
-                 or isinstance(node, ast.Attribute) and node.attr == "hash"]
-        assert named == []
+        for module in (anb_mod, catalog_mod):
+            tree = ast.parse(Path(module.__file__).read_text())
+            named = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "hash"
+                     or isinstance(node, ast.Attribute) and node.attr == "hash"]
+            assert named == [], module.__name__
 
     @pytest.mark.parametrize("mask, examples", [(None, 60), (7, 12)], ids=["low64", "mask7"])
     def test_matches_value_keyed_walks(self, mask, examples):

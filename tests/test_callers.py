@@ -6,13 +6,17 @@ the interpreter's exit, which the CLI skips.
 A caller of a module-level name is a name or attribute in `src/`, an import
 of the acceptance suite, a runner the CLI's command table names as
 "module.function", or an entry of KEPT.  A caller of a method or property is
-its name in `src/` or an attribute the acceptance suite reads; dunder methods
-are the interpreter's hooks.  Code that only unit tests call is deleted, not
+an attribute that `src/` or the acceptance suite reads, other than an option
+argparse set (`args.<name>`) and `self.<name>` in a class that defines no
+method <name>; dunder methods are the interpreter's hooks, and a method that
+overrides one of a class outside the package, such as argparse's `error`, is
+that class's.  Code that only unit tests call is deleted, not
 kept; code that only a script in `scripts/` or `bench/` calls lives in that
 script, so the package holds only what a command runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from collatzlab import cli
@@ -54,12 +58,34 @@ def _defined(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def _methods(node: ast.stmt) -> list[tuple[str, str]]:
-    """(class, name) of each method and property a class statement defines, dunders left out."""
+def _methods(path: Path, node: ast.stmt) -> list[tuple[str, str]]:
+    """(class, name) of each method and property a class statement of the module
+    at path defines, hooks left out."""
     if not isinstance(node, ast.ClassDef):
         return []
+    cls = getattr(importlib.import_module(f"collatzlab.{path.stem}"), node.name)
+    outside = [vars(base) for base in cls.__mro__[1:] if base.__module__.split(".")[0] != "collatzlab"]
     return [(node.name, item.name) for item in node.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            and not any(item.name in names for names in outside)]
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    """The attributes a module reads, less `args.<name>`, and `self.<name>` in a
+    class that defines no method <name>: neither reads a method of another class."""
+    tree = ast.parse(path.read_text())
+
+    def reads(node: ast.AST, owner: str) -> list[ast.Attribute]:
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == owner]
+
+    foreign = {id(n) for n in reads(tree, "args")}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            own = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+            foreign |= {id(n) for n in reads(cls, "self") if n.attr not in own}
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and id(n) not in foreign
+            and not isinstance(n.ctx, ast.Store)}
 
 
 def test_every_definition_has_a_caller():
@@ -68,11 +94,11 @@ def test_every_definition_has_a_caller():
     used |= {c.run.split(".")[1] for c in (*cli.COMMANDS.values(), *cli.CHECKS.values())}
     for path in (ROOT / "src").rglob("*.py"):
         used |= _names(path)
-    body = [node for path in PACKAGE for node in ast.parse(path.read_text()).body]
-    defined = {name for node in body for name in _defined(node)}
+    body = [(path, node) for path in PACKAGE for node in ast.parse(path.read_text()).body]
+    defined = {name for _, node in body for name in _defined(node)}
     assert sorted(defined - used - KEPT.keys()) == []
-    read = used | _names(acceptance, only=ast.Attribute)
-    assert [f"{cls}.{name}" for node in body for cls, name in _methods(node)
+    read = set().union(*map(_attribute_reads, (acceptance, *(ROOT / "src").rglob("*.py"))))
+    assert [f"{cls}.{name}" for path, node in body for cls, name in _methods(path, node)
             if name not in read] == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from collatzlab import anb as anb_mod
+from collatzlab import catalog as catalog_mod
 from collatzlab import cli as cli_mod
 from collatzlab import cli_trajectory, cli_verify
 from collatzlab import halfsplit as halfsplit_mod
@@ -936,10 +937,10 @@ class TestCyclesCommand:
         assert len(captured.err.splitlines()) == 1
         # the catalogs the benchmark runs stay well within it
         for limit in (100, 151):
-            estimate = anb_mod.catalog_walk_bytes(AnbParams(a=5, b=1), limit, 10**4)
+            estimate = catalog_mod.catalog_walk_bytes(AnbParams(a=5, b=1), limit, 10**4)
             assert estimate < cli_mod.CYCLES_MEMORY_LIMIT // 16
         # the estimate is admitted at exactly the limit
-        estimate = anb_mod.catalog_walk_bytes(AnbParams(a=7, b=3), 41, 300)
+        estimate = catalog_mod.catalog_walk_bytes(AnbParams(a=7, b=3), 41, 300)
         monkeypatch.setattr(cli_mod, "CYCLES_MEMORY_LIMIT", estimate)
         argv = ["anb-cycles", "--a", "7", "--b", "3", "--limit", "41", "--max-steps", "300"]
         assert main(argv) == EX_OK

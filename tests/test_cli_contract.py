@@ -209,6 +209,7 @@ CORPUS = [
     ("anb-cycles --limit 100000000 --format json", "ac276e56dbe3f928559cf92e4627a14cb8239f786dba62b1fc144d9d17e9c526"),
     ("anb-cycles --a 7 --b 1 --limit 7 --max-steps 50000", "03f1ccd2a43495cfd0bca84b18b5863eab61ff80f81a851b6638a32b112bcd7e"),
     ("anb-cycles --limit 3 --max-steps 8000000 --format json", "f40e224e5ff978318d35bd13368dd889355259b5478a8988565c393f632e0b36"),
+    ("anb-cycles --a 5 --b 1 --limit 100 --max-steps 100000 --format json", "cc2ef1130e084c35810171d9689289f01d47bb7817cde499e3bbb4077b39c986"),
     ("trajectory 27 --output {out}", "3141d45fd28552ecac78354d1286c53f4823c8fd014a31216f310b91e46d6cef"),
     ("trajectory 27 --format json --output {out}", "1fa99a1dfe1ccbc88772afd66a6b92a6b3bacff7485a579c3c8d340d3bb69f23"),
     ("trajectory 0 --output {out}", "fdbffefb071fa904b1ee5dea752c4c0550e1a396ee416e7d004927c0c1066b3b"),

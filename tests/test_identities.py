@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_dynamics import step_kinds
 
 from collatzlab import identities as ident_mod
 from collatzlab.dynamics import (
@@ -74,7 +75,7 @@ class TestResidueShift:
     def test_increase_count_matches_classify(self):
         # p from the shift check is the increase tally of k shortcut steps of
         # the residue; built here from step_general, which does not stop at 1
-        from collatzlab.dynamics import Termination, Trajectory, step_general
+        from collatzlab.dynamics import step_general
 
         for k in range(1, 9):
             for i in range(1, 1 << k):
@@ -84,9 +85,8 @@ class TestResidueShift:
                     nxt, kind = step_general(values[-1])
                     values.append(nxt)
                     kinds.append(kind)
-                orbit = Trajectory(values=tuple(values), terminated=Termination.STEP_LIMIT)
-                assert orbit.steps == tuple(kinds)
-                assert res.increase_count == orbit.steps.count(StepKind.INCREASE)
+                assert step_kinds(values) == kinds
+                assert res.increase_count == kinds.count(StepKind.INCREASE)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -477,7 +477,7 @@ class TestPrefixOffsetReport:
         t = trajectory_general(x0)
         odd_at = [j for j, y in enumerate(t.values) if y % 2]
         for r in range(1, len(exponents) + 2):
-            d_r = t.steps[: odd_at[r - 1]].count(StepKind.DECREASE)
+            d_r = step_kinds(t.values)[: odd_at[r - 1]].count(StepKind.DECREASE)
             yield sum(exponents[: r - 1]) - (r - 1 + d_r)
 
     def test_seven(self):

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from test_dynamics import step_kinds
 
 from collatzlab import anb as anb_mod
 from collatzlab import cli as cli_mod
@@ -80,7 +81,7 @@ def reference(x0, map="general", a=5, b=1, max_steps=DEFAULT_MAX_STEPS, fmt="tex
     rows = [
         {"type": "step", "step": i + 1, "from": traj.values[i], "to": traj.values[i + 1],
          "kind": kind.value, "exponent": exponents[i]}
-        for i, kind in enumerate(traj.steps)
+        for i, kind in enumerate(step_kinds(traj.values))
     ]
     with unlimited_int_text():
         if fmt == "json":
@@ -541,7 +542,8 @@ except SystemExit as exc:
     print(exc.code, *sorted(sys.modules), file=sys.stderr)
 """
 
-ENGINES = ("collatzlab.anb", "collatzlab.halfsplit", "collatzlab.stats", "collatzlab.sweep")
+ENGINES = ("collatzlab.anb", "collatzlab.catalog", "collatzlab.halfsplit", "collatzlab.stats",
+           "collatzlab.sweep")
 IDENTITIES = ("collatzlab.identities",)
 
 # each command's runner module, which only that command loads
@@ -554,11 +556,11 @@ NEVER = ("dataclasses", "inspect", "numpy", "concurrent.futures.process")
 # (used, unused) past the runner, NEVER and the other runners
 FLOOR = {
     ("trajectory", "27"): (("collatzlab.dynamics",), ENGINES + IDENTITIES),
-    ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",), IDENTITIES),
+    ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",), ("collatzlab.catalog", *IDENTITIES)),
     ("verify", "geom", "--max-n", "5", "--max-m", "5"): (IDENTITIES, ()),
     ("verify", "halfsplit", "--M", "18", "--method", "classes"): (("collatzlab.halfsplit",),
                                                                  IDENTITIES),
-    ("anb-cycles", "--limit", "21"): (("collatzlab.anb",), IDENTITIES),
+    ("anb-cycles", "--limit", "21"): (("collatzlab.anb", "collatzlab.catalog"), IDENTITIES),
 }
 
 
@@ -644,22 +646,23 @@ def test_cli_module_run_as_main(tmp_path):
     ("output", EX_RESOURCE,
      f"resource limit: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}"),
     ("help", EX_RESOURCE, f"resource limit: cannot write stdout: {os.strerror(errno.ENOSPC)}"),
+    ("closed-help", EX_USAGE, "error: cannot write stdout: it is closed"),
 ])
 def test_write_error_ends_in_one_line(how, code, line):
     # a stdout closed at the start (`>&-`), stdout on a full device, a full
-    # --output device, or --help's text on a full device, with stdout buffered
-    # and unbuffered: one line and a documented exit code, no traceback
-    argv = ["-m", "collatzlab", "trajectory", "27"]
+    # --output device, or --help's text on a full device or a closed stdout
+    # (where argparse would print it to stderr), with stdout buffered and
+    # unbuffered: one line and a documented exit code, no traceback
+    argv = ["-m", "collatzlab", *(["--help"] if how.endswith("help") else ["trajectory", "27"])]
     for unbuffered in (False, True):
-        if how == "closed":
+        if how.startswith("closed"):
             proc = run_main(*argv, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1),
                             unbuffered=unbuffered)
         elif how == "output":
             proc = run_main(*argv, "--output", "/dev/full", unbuffered=unbuffered)
         else:
             with open("/dev/full", "w") as full:
-                proc = run_main(*(argv[:2] + ["--help"] if how == "help" else argv),
-                                stdout=full, unbuffered=unbuffered)
+                proc = run_main(*argv, stdout=full, unbuffered=unbuffered)
         assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n"), unbuffered
 
 
