@@ -6,20 +6,22 @@ replaced by a.  Unlike the 3n+1 case these procedures settle into multi-member
 cycles or keep growing; nothing here ever asserts divergence, only what
 happened within a finite horizon.
 
-The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), the
-shift law is `identities.residue_shift_check(k, m, i, params)`, and the
-one-walk closed-form check is `identities.closed_form_failures`: one code path
-for every map, with `identities` loaded only by the functions that call it.
+The steps are `dynamics.step_anb` and `dynamics.step_general` at (a, b), and
+every odd-map step, `step_anb`'s or one a walk takes inline, reads its
+exponent from one table, `dynamics._V2`.  The shift law is
+`identities.residue_shift_check(k, m, i, params)`, and the one-walk
+closed-form check is `identities.closed_form_failures`: one code path for
+every map, with `identities` loaded only by the functions that call it.
 `trajectory_anb` reads one walk, `anb_orbit_steps`, as do the growth
 diagnostics of `scripts/anb_survey.py`; `cycle_catalog` and that script's
 survey fold the walks of `catalog.catalog_walks`, which share a memo and
 load only when a catalog is walked.
 Tests compare the an+b code at (3, 1) with the 3n+1 code only where the two
 are separate paths, so that each can catch the other: orbits
-(`trajectory_anb` on `step_anb` against `dynamics.odd_walk`'s inline step),
-per-n closed forms (`closed_form_anb_check` on `anb_steps_extended` against
-`identities.closed_form_check` on `odd_steps_extended`, with a literal 3) and
-cycles (`find_cycle`).
+(`trajectory_anb`'s inline step against `dynamics.odd_walk`'s, and both
+against `step_anb`), per-n closed forms (`closed_form_anb_check` on
+`anb_steps_extended` against `identities.closed_form_check` on
+`odd_steps_extended`, with a literal 3) and cycles (`find_cycle`).
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .dynamics import (
+    _V2,
     DEFAULT_MAX_STEPS,
     AnbParams,
     ParityExponents,
     Termination,
     Trajectory,
     _require_odd,
+    _v2_wide,
     collect_orbit,
     step_anb,
 )
@@ -109,17 +113,20 @@ def anb_orbit_steps(
 def _anb_orbit_steps(
     x: int, params: AnbParams, max_steps: int
 ) -> Iterator[tuple[int, int, int, int]]:
+    a, b, v2 = params.a, params.b, _V2
     seen = _RepeatIndex(x, params)
     fingerprints, mask = seen.fingerprints, _FP_MASK
     for j in range(1, max_steps + 1):
-        x, k = step_anb(x, params)
+        t = a * x + b  # x is odd, so t is even
+        k = v2[t & 255] or _v2_wide(t)
+        x = t >> k
         fp = x & mask
         if fp in fingerprints:
             if seen.first_step(x, j) is not None:
                 return
         else:
             fingerprints.add(fp)
-        yield x, params.a, params.b, k
+        yield x, a, b, k
 
 
 def trajectory_anb(

@@ -234,6 +234,15 @@ def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
     """
     from fractions import Fraction
 
+    return Fraction(*_reconstruct_parts(prefix_sums))
+
+
+def _reconstruct_parts(prefix_sums: Sequence[int]) -> tuple[int, int]:
+    """The numerator and denominator 3^m of `reconstruct_start`, unreduced.
+
+    `verify bohm` compares the numerator with x0 3^m, so that a start that
+    checks builds no Fraction.
+    """
     if len(prefix_sums) < 2:
         raise ValueError("need at least v_0 and v_1")
     last = prefix_sums[0]
@@ -246,7 +255,7 @@ def reconstruct_start(prefix_sums: Sequence[int]) -> Fraction:
             raise ValueError("prefix sums must be strictly increasing")
         s = 3 * s + (1 << last)
         last = vk
-    return Fraction((1 << last) - s, 3 ** (len(prefix_sums) - 1))
+    return (1 << last) - s, 3 ** (len(prefix_sums) - 1)
 
 
 def geometric_tail_identity(n: int, m: int) -> GeometricSumCheck:

@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from collatzlab.anb import (
     trajectory_anb,
 )
 from collatzlab.dynamics import (
+    COLLATZ,
     AnbParams,
     Termination,
+    odd_walk,
     step_anb,
     trajectory_odd,
 )
@@ -496,6 +499,21 @@ DEEP = AnbParams(3, 2 * DEEP_X - 3)
 # 3n + 3^190 has the fixed point 3^190, of 302 bits, which the walks from
 # the starts up to 201 reach
 HIGH = AnbParams(3, 3**190)
+
+
+def table_edge(k):
+    """3n + (2 X - 3), which takes 1 to X > 2^300 whose next step halves k times.
+
+    3 X + b = 5 X - 3, and r = X - 2^300 solves 5 r - 3 = 2^k mod 2^(k + 1);
+    so at k >= 8 the step in X's block reads k from the table's fallback.
+    """
+    x = (3 + (1 << k)) * pow(5, -1, 1 << k + 1) % (1 << k + 1) + (1 << 300)
+    return AnbParams(3, 2 * x - 3), x
+
+
+# a low byte of 0, and a low word of 0 whose valuation is read from the whole value
+BYTE_EDGE, BYTE_EDGE_X = table_edge(8)
+WORD_EDGE, WORD_EDGE_X = table_edge(70)
 BLOCK_CASES = {
     "crossing": (CROSSING, 41, 300),
     # 7's walk passes 2^256 near step 800 and is in a block at either budget
@@ -503,6 +521,8 @@ BLOCK_CASES = {
     "budget-1001": (P51, 151, 1001),
     "deep-step": (DEEP, 41, 300),
     "high-cycle": (HIGH, 201, 2000),
+    "low-byte-0": (BYTE_EDGE, 41, 300),
+    "low-word-0": (WORD_EDGE, 41, 300),
 }
 
 
@@ -519,6 +539,9 @@ class TestBlockWalk:
         assert step_anb(1, DEEP) == (DEEP_X, 1) and step_anb(DEEP_X, DEEP)[1] > W - 64
         assert (3**190,) in [c.members for c in cycle_catalog(HIGH, 201, 2000)]
         assert 3**190 >> W
+        for params, x, k in ((BYTE_EDGE, BYTE_EDGE_X, 8), (WORD_EDGE, WORD_EDGE_X, 70)):
+            assert step_anb(1, params) == (x, 1) and x >> W and step_anb(x, params)[1] == k
+            assert (3 * (x & (1 << W) - 1) + params.b) & (1 << k + 1) - 1 == 1 << k
 
     @pytest.mark.parametrize("params, start_limit, max_steps", BLOCK_CASES.values(),
                              ids=BLOCK_CASES.keys())
@@ -542,6 +565,26 @@ class TestBlockWalk:
             return walks, work["walked"], fingerprints, work["confirms"], work["memo"]
 
         assert run(None) == run(1 << 16)
+
+    @pytest.mark.parametrize("params, start_limit, max_steps", BLOCK_CASES.values(),
+                             ids=BLOCK_CASES.keys())
+    def test_fingerprints_are_the_walks(self, monkeypatch, params, start_limit, max_steps):
+        # each walk's fingerprints are those of its values by step_anb: a step
+        # adds its value's fingerprint or, meeting it, confirms
+        work = count_work(monkeypatch)
+        confirms = Counter()
+        first_step = anb_mod._RepeatIndex.first_step
+
+        def counted(index, x, j):
+            confirms[index] += 1
+            return first_step(index, x, j)
+
+        monkeypatch.setattr(anb_mod._RepeatIndex, "first_step", counted)
+        list(catalog_walks(params, start_limit, max_steps))
+        for index in work["indexes"]:
+            steps = len(index.fingerprints) - 1 + confirms[index]
+            values = anb_steps_extended(index.x0, params, steps)[0]
+            assert index.fingerprints == {v & anb_mod._FP_MASK for v in values}, index.x0
 
     @pytest.mark.parametrize("params, start_limit, max_steps",
                              [(HIGH, 201, 300), (CROSSING, 15, 120)], ids=["high-cycle", "crossing"])
@@ -575,6 +618,34 @@ def value_keyed_rows(x0, params, max_steps):
         seen.add(x)
         rows.append((x, params.a, params.b, k))
     return rows
+
+
+# Odd starts whose a x + b is 256 or 1024, and that step's exponent: the table
+# of byte valuations leaves it to its fallback
+TABLE_EDGES = [(COLLATZ, 85, 8), (COLLATZ, 341, 10), (P51, 51, 8)]
+
+
+class TestValuationEdge:
+    """The inline steps where a x + b has a low byte of 0, against step_anb
+    and find_cycle; TestBlockWalk has the same edge inside a block."""
+
+    @pytest.mark.parametrize("params, x0, k", TABLE_EDGES)
+    def test_orbit_steps(self, params, x0, k):
+        rows = list(anb_orbit_steps(x0, params, 100))
+        assert rows[0][3] == k and rows == value_keyed_rows(x0, params, 100)
+        x = x0
+        for y, a, b, e in rows:
+            assert y & 1 and y << e == a * x + b
+            x = y
+        if params == COLLATZ:  # the walk ends at the fixed point 1
+            assert odd_walk(x0) == ([x0] + [y for y, *_ in rows], [e for *_, e in rows])
+
+    @pytest.mark.parametrize("params, start_limit", [(COLLATZ, 341), (P51, 151)])
+    @pytest.mark.parametrize("max_steps", [1, 2, 100])
+    def test_catalog(self, params, start_limit, max_steps):
+        catalog = cycle_catalog(params, start_limit, max_steps)
+        assert catalog == catalog_per_start(params, start_limit, max_steps)
+        check_walks_per_start(params, start_limit, max_steps, catalog)
 
 
 def value_keyed_divergence(x0, params, horizon):

@@ -1,6 +1,7 @@
 import json
 from array import array
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,25 @@ class TestOneWalkChecksBytes:
         assert fast[0][0] == EX_INCONCLUSIVE
         doc = json.loads(fast[1][1])
         assert doc["failures"] > 0 and doc["counterexample"]["x0"] % 7 == 3
+
+    def test_bohm_wrong_exponents(self, capsys, monkeypatch):
+        # the check compares integers; a failing start's text is the reduced
+        # Fraction that reconstruct_start builds from the same prefix sums
+        real = cli_verify.odd_walk
+
+        def corrupted(x0):
+            values, exps = real(x0)
+            if x0 % 7 == 3 and exps:
+                exps[-1] += 1
+            return values, exps
+
+        monkeypatch.setattr(cli_verify, "odd_walk", corrupted)
+        code, out = run_cli(capsys, "verify", "bohm", "--max-x0", "99", "--format", "json")
+        doc = json.loads(out)
+        assert code == EX_INCONCLUSIVE and doc["failures"] == 7  # 3, 17, ..., 87
+        prefix = list(accumulate(corrupted(3)[1], initial=0))
+        text = str(ident_mod.reconstruct_start(prefix))
+        assert doc["counterexample"] == {"x0": 3, "reconstructed": text} and "/" in text
 
     @pytest.mark.parametrize(
         "a, b, samples, max_n",

@@ -1,6 +1,7 @@
 import ast
 import inspect
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +307,55 @@ class TestOddWalk:
                 odd_walk(bad)
         with pytest.raises(ValueError, match="max_steps must be >= 0"):
             odd_walk(7, max_steps=-1)
+
+
+# Odd starts whose 3x + 1 is 256, 1024, 7 * 2^64 and 2^70, and the exponent of
+# that step: a low byte of 0, which the table does not cover, and a low word
+# of 0, whose valuation is read from the whole value.
+TABLE_EDGES = {85: 8, 341: 10, ((7 << 64) - 1) // 3: 64, ((1 << 70) - 1) // 3: 70}
+
+
+class TestValuationTable:
+    """`_V2`, the valuation of each byte, and its fallback, against the
+    definition of the 2-adic valuation."""
+
+    def test_table_is_the_bit_trick(self):
+        assert len(dynamics._V2) == 256 and dynamics._V2[0] == 0
+        for i in range(1, 256):
+            assert dynamics._V2[i] == (i & -i).bit_length() - 1
+
+    def test_valuation_by_its_definition(self):
+        for n in [*range(1, 2049), 1 << 63, 1 << 64, 7 << 64, (1 << 64) + 256, 3 << 200,
+                  (1 << 3000) - (1 << 9)]:
+            e = two_adic_valuation(n)
+            assert (n >> e) << e == n and (n >> e) & 1, n
+
+    @pytest.mark.parametrize("x0, k", TABLE_EDGES.items(), ids=lambda v: str(v)[:8])
+    def test_odd_walk_at_the_edge(self, x0, k):
+        assert (3 * x0 + 1) & 255 == 0
+        values, exponents = odd_walk(x0)
+        assert exponents[0] == k and (values, exponents) == TestOddWalk.reference(x0)
+        for x, y, e in zip(values, values[1:], exponents):
+            assert y & 1 and y << e == 3 * x + 1
+
+
+def test_one_valuation_table():
+    # Every odd-map step reads the one table in dynamics: no other module
+    # defines _V2 or takes a valuation by the bit trick x & -x, and the two
+    # that step inline import it
+    defines, imports, tricks = [], [], []
+    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "_V2" and isinstance(node.ctx, ast.Store):
+                defines.append(path.stem)
+            elif (isinstance(node, ast.ImportFrom) and node.module == "dynamics"
+                  and "_V2" in [alias.name for alias in node.names]):
+                imports.append(path.stem)
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                  and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)):
+                tricks.append(path.stem)
+    assert defines == ["dynamics"] and imports == ["anb", "catalog"]
+    assert set(tricks) == {"dynamics"}
 
 
 # The largest odd lane whose step, (3x + 1) / 2, still fits in 64 bits, and

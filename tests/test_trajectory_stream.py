@@ -558,6 +558,8 @@ FLOOR = {
     ("trajectory", "27"): (("collatzlab.dynamics",), ENGINES + IDENTITIES),
     ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",), ("collatzlab.catalog", *IDENTITIES)),
     ("verify", "geom", "--max-n", "5", "--max-m", "5"): (IDENTITIES, ()),
+    # bohm compares integers: only a failing start builds a Fraction
+    ("verify", "bohm", "--max-x0", "99"): (IDENTITIES, ("fractions", "decimal")),
     ("verify", "halfsplit", "--M", "18", "--method", "classes"): (("collatzlab.halfsplit",),
                                                                  IDENTITIES),
     ("anb-cycles", "--limit", "21"): (("collatzlab.anb", "collatzlab.catalog"), IDENTITIES),
