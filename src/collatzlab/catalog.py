@@ -89,7 +89,9 @@ def catalog_walk_bytes(params: AnbParams, start_limit: int, max_steps: int) -> i
     start at every step (S = max_steps = 1,000) holds 281.
     """
     steps = 2 * max_steps + 1
-    bits = start_limit.bit_length() + math.log2((params.a + params.b) / 2) * steps
+    # a + b is even, and log2 of an int takes any size, where (a + b) / 2
+    # overflows a float past about 3.6e308
+    bits = start_limit.bit_length() + math.log2((params.a + params.b) // 2) * steps
     return 570 * steps + math.ceil(bits * 4 / 30)
 
 

@@ -34,7 +34,6 @@ import contextlib
 import errno
 import importlib
 import itertools
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -96,9 +95,9 @@ MC_COIN_LIMIT = 1 << 32
 MC_SAMPLE_LIMIT = 1 << 17
 
 # verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 terms (the message's
-# "Fraction terms", summed as ints over 3^(n+m)), about 0.3 microseconds each
-# at --max-n 200 --max-m 200 (4,080,501 terms, 1.3 s on a 2-vCPU VM); above
-# this many it stops with exit 3.  The default run makes 67,626.
+# "Fraction terms", summed as ints over 3^(n+m)), about 0.09 microseconds each:
+# `verify geom --max-n 200 --max-m 200` sums 4,080,501 in 0.38 s (2-vCPU VM,
+# Python 3.11); above this many it stops with exit 3.  The default run makes 67,626.
 GEOM_TERM_LIMIT = 1 << 22
 
 # trajectory writes its rows while the output stays within this many bytes;
@@ -126,7 +125,6 @@ SWEEP_FAILURE_LIMIT = (1 << 28) // SWEEP_FAILURE_BYTES
 # Items of a streamed JSON list encoded at a time: one encoder call a block
 # costs less than one an item, and a block of montecarlo rows is about 170 KB.
 _JSON_BLOCK = 1024
-_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 _MARK = "\0"  # stands in for a streamed list while the rest of its document encodes
 
 
@@ -209,16 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
 class _Output:
     """Where a command writes: stdout, or the --output file.
 
-    Writes are joined into chunks of about 64 KiB, so a streamed document
-    costs one system call per chunk, not per row, even when stdout is
-    unbuffered, and an output smaller than a chunk is written at once, at
-    the end.  The file, or stdout, is tried before any work, but the file is
-    opened (and truncated) at the first chunk, so a command that fails before
-    it writes leaves it as it was.  A failed write raises the error the
+    Writes are joined into chunks of 32 KiB plus at most one write, so a
+    streamed document costs one system call per chunk, not per row, even
+    when stdout is unbuffered, and an output smaller than a chunk is written
+    at once, at the end.  A chunk is half of Linux's default 64 KiB pipe: a
+    reader drains one chunk while the command renders the next, where a
+    chunk larger than the pipe blocks each write until the pipe is empty.
+    The file, or stdout, is tried before any work, but the file is opened
+    (and truncated) at the first chunk, so a command that fails before it
+    writes leaves it as it was.  A failed write raises the error the
     command ends with (see `_write_error`).
     """
 
-    CHUNK = 1 << 16
+    CHUNK = 1 << 15
 
     def __init__(self, path: str | None) -> None:
         if path is None and sys.stdout is None:
@@ -391,18 +392,22 @@ def _write_json(out: _Output, doc: dict, key: str | None = None) -> None:
     doc[key], any iterable, is read once and written as a list: the document
     is encoded around a one-item placeholder list, and the items are encoded
     `_JSON_BLOCK` at a time in its place, each block's lines indented as deep
-    as the placeholder's.
+    as the placeholder's.  json is imported here, so that a command that
+    writes no JSON document, trajectory among them, never loads it.
     """
+    import json
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
     blocks = _blocks(doc[key] if key else ())
     block = next(blocks, None)
     if block is None:
-        out.write(_JSON.encode({**doc, key: []} if key else doc) + "\n")
+        out.write(encoder.encode({**doc, key: []} if key else doc) + "\n")
         return
-    head, tail = _JSON.encode({**doc, key: [_MARK]}).split(_JSON.encode(_MARK))
+    head, tail = encoder.encode({**doc, key: [_MARK]}).split(encoder.encode(_MARK))
     indent = head[len(head.rstrip(" ")):]  # the item lines' indent; an encoded block's is 2
     sep = head
     while block is not None:  # each block's items, less its "[\n  " and "\n]"
-        out.write(sep + _JSON.encode(block)[4:-2].replace("\n", "\n" + indent[2:]))
+        out.write(sep + encoder.encode(block)[4:-2].replace("\n", "\n" + indent[2:]))
         block, sep = next(blocks, None), ",\n" + indent
     out.write(tail + "\n")
 

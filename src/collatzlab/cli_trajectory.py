@@ -1,14 +1,14 @@
 """The trajectory command: one orbit, written a row per step as it is walked.
 
 `cli` imports this module when it dispatches trajectory; no other command
-loads it, or `decimal`.
+loads it, or `decimal`.  It writes its JSON lines without `json`, which no
+trajectory run loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
-import json
 
 from . import cli
 from .dynamics import Termination, orbit_steps
@@ -56,8 +56,13 @@ _TRAJECTORY_FORMATS = {
 }
 
 
-def _json_line(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _json_line(obj: int | list[int] | None) -> str:
+    """json.dumps(obj, separators=(",", ":")) of None, an int or a list of ints."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, list):
+        return f"[{','.join(map(str, obj))}]"
+    return str(obj)
 
 
 def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:

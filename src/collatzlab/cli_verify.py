@@ -157,9 +157,10 @@ def geom(args: argparse.Namespace, doc: dict) -> None:
     doc["parameters"] = {"max_n": args.max_n, "max_m": args.max_m}
     for n in range(args.max_n + 1):
         for m in range(args.max_m + 1):
-            res = ident_mod.geometric_tail_identity(n, m)
+            lhs, rhs = ident_mod._geometric_tail_parts(n, m)
             doc["checks_run"] += 1
-            if not res.holds:
+            if lhs != rhs:  # the Fractions only for the text of a failure
+                res = ident_mod.geometric_tail_identity(n, m)
                 _note_failure(doc, {"n": n, "m": m, "lhs": str(res.lhs), "rhs": str(res.rhs)})
 
 

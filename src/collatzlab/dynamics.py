@@ -6,7 +6,10 @@ odd-to-odd form divides ax+b by its full power of two, recording the removed
 exponent (`step_anb`).  These two are the Python-int references every other
 walker is tested against.  Every odd-map step, `step_anb`'s and those the
 walkers take inline, reads its exponent from one table of byte valuations,
-`_V2`.  `_packed_step` takes the 3n+1 shortcut step on the 64-bit lanes of
+`_V2`.  `orbit_steps`, the walk `trajectory` renders, takes each step
+inline; `trajectory_general` is the walk by `step_general` it is tested
+against, as `odd_walk`'s inline steps are tested against `step_anb`.
+`_packed_step` takes the 3n+1 shortcut step on the 64-bit lanes of
 one Python int at once, for the shift-law table and the blocked lemma7
 walks, with no numpy (the sweep's uint64 form lives in `sweep`).  The
 records keep only what they cannot derive: a `Trajectory` its values and
@@ -200,7 +203,7 @@ def orbit_steps(
     the value the step reaches from x: (1, 0, 1) for a halving, (3, 1, 1) for
     a shortcut odd step, (3, 1, k) for an odd-to-odd step.  The walk stops
     when it reaches 1 or after max_steps steps; the arguments are checked
-    before the first step.
+    before the first step, and each step is taken inline.
     """
     if odd:
         _require_odd(x0)
@@ -212,15 +215,30 @@ def orbit_steps(
 
 
 def _orbit_steps(x: int, max_steps: int, odd: bool) -> Iterator[tuple[int, int, int, int]]:
+    # Each step inline, not through step_general or step_anb: this is the walk
+    # `trajectory` renders.  From 2^3000 - 1 the general walk (27,667 steps)
+    # takes 6.1 ms against 13.3 ms through step_general, and the odd walk
+    # (15,563 steps) 4.4 ms against 7.3 ms through step_anb (consumed by a
+    # zero-length deque, best of 7, 2-vCPU VM, Python 3.11).
+    if odd:
+        v2 = _V2
+        for _ in range(max_steps):
+            if x == 1:
+                return
+            t = 3 * x + 1
+            k = v2[t & 255] or _v2_wide(t)
+            x = t >> k
+            yield x, 3, 1, k
+        return
     for _ in range(max_steps):
         if x == 1:
             return
-        if odd:
-            x, k = step_anb(x)
-            yield x, 3, 1, k
+        if x & 1:
+            x = (3 * x + 1) >> 1
+            yield x, 3, 1, 1
         else:
-            x, kind = step_general(x)
-            yield (x, 3, 1, 1) if kind is StepKind.INCREASE else (x, 1, 0, 1)
+            x >>= 1
+            yield x, 1, 0, 1
 
 
 def collect_orbit(
@@ -239,9 +257,18 @@ def trajectory_general(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajector
     """Iterate the shortcut map until the value 1 is reached or max_steps pass.
 
     Reaching 1 is equivalent to entering the terminal [2,1] loop, and cheaper
-    to test.  Hitting the step budget is a status, not an error.
+    to test.  Hitting the step budget is a status, not an error.  The walk
+    calls `step_general` a step: it is the reference the inline walk of
+    `orbit_steps` is tested against.
     """
-    values, _ = collect_orbit(x0, orbit_steps(x0, max_steps))
+    _require_positive(x0)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    values = [x0]
+    for _ in range(max_steps):
+        if values[-1] == 1:
+            break
+        values.append(step_general(values[-1])[0])
     done = Termination.REACHED_ONE if values[-1] == 1 else Termination.STEP_LIMIT
     return Trajectory(values=tuple(values), terminated=done)
 

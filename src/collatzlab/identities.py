@@ -261,21 +261,30 @@ def _reconstruct_parts(prefix_sums: Sequence[int]) -> tuple[int, int]:
 def geometric_tail_identity(n: int, m: int) -> GeometricSumCheck:
     """Check sum_{r=n..n+m} (4/3)^r == 3 (4/3)^n ((4/3)^{m+1} - 1) exactly.
 
-    Both sides are taken over the common denominator 3^{n+m}.  The left
-    numerator is summed term by term, L = 3 L + 4^r for r = n..n+m; the right
-    is the closed form 4^n (4^{m+1} - 3^{m+1}).
+    Both sides are taken over the common denominator 3^{n+m}; their
+    numerators are `_geometric_tail_parts`.
     """
     from fractions import Fraction
 
+    lhs, rhs = _geometric_tail_parts(n, m)
+    den = 3 ** (n + m)
+    return GeometricSumCheck(lhs=Fraction(lhs, den), rhs=Fraction(rhs, den), holds=lhs == rhs)
+
+
+def _geometric_tail_parts(n: int, m: int) -> tuple[int, int]:
+    """The numerators over 3^{n+m} of the two sides of `geometric_tail_identity`.
+
+    The left is summed term by term, L = 3 L + 4^r for r = n..n+m; the right
+    is the closed form 4^n (4^{m+1} - 3^{m+1}).  `verify geom` compares
+    these, so that a pair that checks builds no Fraction.
+    """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     lhs, four_r = 0, 1 << 2 * n
     for _ in range(m + 1):
         lhs = 3 * lhs + four_r
         four_r <<= 2
-    rhs = (1 << 2 * n) * ((1 << 2 * (m + 1)) - 3 ** (m + 1))
-    den = 3 ** (n + m)
-    return GeometricSumCheck(lhs=Fraction(lhs, den), rhs=Fraction(rhs, den), holds=lhs == rhs)
+    return lhs, (1 << 2 * n) * ((1 << 2 * (m + 1)) - 3 ** (m + 1))
 
 
 def _prefix_sums_for(x0: int, steps: int, exponents: Sequence[int] | None) -> list[int]:

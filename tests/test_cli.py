@@ -164,16 +164,23 @@ class TestVerifyCommand:
         assert doc["checks_run"] > 0
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        # no true counterexample exists, so inject one to pin the exit path
-        from collatzlab.identities import GeometricSumCheck
+        # no true counterexample exists, so inject one to pin the exit path: a
+        # left numerator one too large at (n, m) = (1, 1), where both are
+        # 3 4 + 4^2 = 4 (4^2 - 3^2) = 28 over 3^2.  The passing pairs build no
+        # Fraction; the failing one still reports the sides as Fraction text.
+        real = ident_mod._geometric_tail_parts
 
-        def fake_check(n, m):
-            return GeometricSumCheck(lhs=0, rhs=1, holds=False)
+        def off_by_one(n, m):
+            lhs, rhs = real(n, m)
+            return lhs + ((n, m) == (1, 1)), rhs
 
-        monkeypatch.setattr(ident_mod, "geometric_tail_identity", fake_check)
-        code, out = run_cli(capsys, "verify", "geom", "--max-n", "1", "--max-m", "1")
+        monkeypatch.setattr(ident_mod, "_geometric_tail_parts", off_by_one)
+        code, out = run_cli(capsys, "verify", "geom", "--max-n", "1", "--max-m", "1",
+                            "--format", "json")
         assert code == EX_INCONCLUSIVE
-        assert "counterexample" in out
+        doc = json.loads(out)
+        assert (doc["checks_run"], doc["failures"]) == (4, 1)
+        assert doc["counterexample"] == {"n": 1, "m": 1, "lhs": "29/9", "rhs": "28/9"}
 
     def test_text_summary(self, capsys):
         code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "4", "--samples", "5")
@@ -966,6 +973,16 @@ class TestCyclesCommand:
         assert main(argv) == EX_OK
         monkeypatch.setattr(cli_mod, "CYCLES_MEMORY_LIMIT", estimate - 1)
         assert main(argv) == EX_RESOURCE
+
+    @pytest.mark.parametrize("a, b", [(10**309 + 1, 1), (5, 10**309 + 1)], ids=["a", "b"])
+    def test_huge_a_or_b(self, capsys, a, b):
+        # a + b past a float's range: the memory estimate takes log2 of the int
+        # (a + b) // 2, where (a + b) / 2 raised OverflowError
+        code = main(["anb-cycles", "--a", str(a), "--b", str(b), "--limit", "1",
+                     "--max-steps", "1"])
+        err = capsys.readouterr().err
+        assert code in (EX_OK, EX_RESOURCE)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 class TestOutputFile:

@@ -46,7 +46,7 @@ BUDGETS = [
     (cli_mod, "SWEEP_FAILURE_LIMIT", 957),
 ]
 
-EDGES = [-1, 0, 1, 2, 2**31, 2**63, 2**64 - 1, 2**64 + 1, 10**30]
+EDGES = [-1, 0, 1, 2, 2**31, 2**63, 2**64 - 1, 2**64 + 1, 10**30, 10**309 + 1]
 THREADS = [-1, 0, 1, 2, 257]
 OLD = "old\n"
 

@@ -69,7 +69,8 @@ def test_ints_as_json_dumps(count):
 
 def test_chunk_border_of_the_output(tmp_path):
     # documents of failures whose bytes end just below, at and just past the
-    # 64 KiB chunk of _Output, written through it to a file
+    # 32 KiB chunk of _Output, written through it to a file; a chunk is half
+    # of Linux's default 64 KiB pipe, so writing and draining overlap
     n = bisect.bisect_left(range(20000), cli_mod._Output.CHUNK,
                            key=lambda n: len(dumped({"failures": list(range(n))})))
     for count in (n - 1, n, n + 1, 2 * n):

@@ -241,8 +241,19 @@ class TestTrajectoryOdd:
             trajectory_odd(6)
 
 
+# Starts of the inline walks: 1, 2^k and 2^k - 1, 2^64 + 1, the 3000-bit
+# start of EDGE_STARTS, and odd starts whose first odd step halves 8 and 64
+# times, past the byte table.
+ORBIT_STARTS = {
+    1: "1", 2**8: "2^8", 2**64: "2^64", 2**3000: "2^3000", 2**8 - 1: "2^8-1",
+    2**64 - 1: "2^64-1", 2**3000 - 1: "2^3000-1", 2**64 + 1: "2^64+1",
+    EDGE_STARTS[-1]: "3000-bit", 85: "85", ((7 << 64) - 1) // 3: "(7 2^64-1)/3",
+}
+
+
 class TestOrbitSteps:
-    """The step records that drive the decimal renderer of `trajectory`."""
+    """The step records that drive the decimal renderer of `trajectory`,
+    taken inline, against the reference steps."""
 
     @settings(max_examples=50)
     @given(st.integers(min_value=1, max_value=10**40), st.booleans())
@@ -256,6 +267,25 @@ class TestOrbitSteps:
             else:
                 assert (mul, add, k) == ((3, 1, 1) if x % 2 else (1, 0, 1))
             x = y
+
+    @staticmethod
+    def reference(x0, max_steps, odd):
+        """orbit_steps' records, from the walk by step_general (trajectory_general's)
+        or by step_anb."""
+        if not odd:
+            values = trajectory_general(x0, max_steps).values
+            return [(y, 3, 1, 1) if x & 1 else (y, 1, 0, 1) for x, y in zip(values, values[1:])]
+        records, x = [], x0
+        while len(records) < max_steps and x != 1:
+            x, k = step_anb(x)
+            records.append((x, 3, 1, k))
+        return records
+
+    @pytest.mark.parametrize("max_steps", [0, 1, DEFAULT_MAX_STEPS])
+    @pytest.mark.parametrize("x0", ORBIT_STARTS, ids=ORBIT_STARTS.get)
+    def test_inline_steps_are_the_reference_steps(self, x0, max_steps):
+        for odd in (False, True) if x0 & 1 else (False,):
+            assert list(orbit_steps(x0, max_steps, odd)) == self.reference(x0, max_steps, odd)
 
     def test_checks_before_the_first_step(self):
         # errors surface at the call, before anything is yielded

@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -238,7 +239,12 @@ class TestSameBytes:
         writes.clear()
         assert main(["trajectory", str(2**3000 - 1), "--max-steps", "2000"]) == EX_INCONCLUSIVE
         assert len(writes) > 10
-        assert all(n >= cli_mod._Output.CHUNK for n in writes[:-1])
+        # a chunk and at most one row, each row far shorter than a chunk, and
+        # 2 chunks fit Linux's default 64 KiB pipe: no write fills the pipe
+        chunk = cli_mod._Output.CHUNK
+        assert 2 * chunk <= 1 << 16
+        assert all(chunk <= n < 2 * chunk for n in writes[:-1])
+        assert writes[-1] < 2 * chunk
 
     def test_usage_error_leaves_output_file(self, tmp_path):
         target = tmp_path / "orbit"
@@ -555,9 +561,12 @@ NEVER = ("dataclasses", "inspect", "numpy", "concurrent.futures.process")
 
 # (used, unused) past the runner, NEVER and the other runners
 FLOOR = {
-    ("trajectory", "27"): (("collatzlab.dynamics",), ENGINES + IDENTITIES),
-    ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",), ("collatzlab.catalog", *IDENTITIES)),
-    ("verify", "geom", "--max-n", "5", "--max-m", "5"): (IDENTITIES, ()),
+    # trajectory writes its JSON lines itself: no trajectory run loads json
+    ("trajectory", "27"): (("collatzlab.dynamics",), (*ENGINES, *IDENTITIES, "json")),
+    ("trajectory", "13", "--map", "anb"): (("collatzlab.anb",),
+                                           ("collatzlab.catalog", *IDENTITIES, "json")),
+    # geom compares integers: only a failing (n, m) builds a Fraction
+    ("verify", "geom", "--max-n", "5", "--max-m", "5"): (IDENTITIES, ("fractions",)),
     # bohm compares integers: only a failing start builds a Fraction
     ("verify", "bohm", "--max-x0", "99"): (IDENTITIES, ("fractions", "decimal")),
     ("verify", "halfsplit", "--M", "18", "--method", "classes"): (("collatzlab.halfsplit",),
@@ -710,3 +719,36 @@ def test_pipe_closed_before_a_small_output(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == EX_USAGE
     assert err == "error: the output pipe was closed before the output was written\n"
+
+
+# argv and exit code
+SLOW_PIPE_RUNS = {
+    "general-3000-bit": (["trajectory", str(2**3000 - 1), "--format", "json"], EX_OK),  # 44 MB
+    # rows of up to 14.5 KB, a large share of a chunk; 22 MB
+    "anb-1001": (["trajectory", "7", "--map", "anb", "--a", "1001", "--b", "1",
+                  "--max-steps", "3000", "--format", "json"], EX_INCONCLUSIVE),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, code", SLOW_PIPE_RUNS.values(), ids=SLOW_PIPE_RUNS)
+def test_slowly_drained_pipe_gets_every_byte(argv, code, unbuffered, tmp_path):
+    # a reader slower than the command: the pipe stays full and each write
+    # blocks, yet the bytes and the exit code are those of --output FILE
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "collatzlab", *argv]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
+    pieces = []
+    while piece := proc.stdout.read1(1 << 14):
+        pieces.append(piece)
+        time.sleep(0.0002)
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == code
+    target = tmp_path / "orbit"
+    written = subprocess.run([*command, "--output", str(target)], env=env, timeout=120)
+    assert written.returncode == code
+    assert b"".join(pieces) == target.read_bytes()
