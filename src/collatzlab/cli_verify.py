@@ -218,6 +218,6 @@ def halfsplit(args: argparse.Namespace, doc: dict) -> None:
         doc["passed"] = None  # subrange tallies are data; the statement is full-range
     doc["report"] = {
         "M": report.M,
-        "intervals": [list(iv) for iv in report.intervals],
+        "intervals": [[report.lo, report.hi]],
         "tallies": [t._asdict() for t in report.tallies],
     }

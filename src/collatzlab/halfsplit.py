@@ -10,7 +10,8 @@ The tally of step n and the right side of the blocked lemma7 check read one
 depth-first walk of the Terras tree, `shift_blocks`, in packed blocks: each
 entry is a 64-bit lane of a Python int, stepped by `dynamics._packed_step`, so
 neither loads numpy.  The walk holds one block a level of its path, never a
-whole level.  `step_kind_at` is the per-element reference.
+whole level.  `step_kind_at`, a walk by `dynamics.step_general`, is the
+per-element reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .dynamics import LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _packed_step
+from .dynamics import (
+    LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _packed_step, step_general,
+)
 
 # The direct walker stops before it walks above these many elements, tallied
 # steps (it holds a row per step) or element-steps (M = 21 makes 2^21 x 20).
@@ -49,7 +52,7 @@ class StepTally(NamedTuple):
 
 
 class HalfSplitReport(NamedTuple):
-    """Per-step tallies over one interval inside [1, 2^M], the one item of `intervals`.
+    """Per-step tallies over the starts lo..hi, an interval inside [1, 2^M].
 
     Steps beyond M-1 may be tallied too but are flagged as outside the range
     where the exact half split is guaranteed.  Step M still splits exactly in
@@ -57,16 +60,17 @@ class HalfSplitReport(NamedTuple):
     """
 
     M: int
-    intervals: tuple[tuple[int, int], ...]
+    lo: int
+    hi: int
     tallies: tuple[StepTally, ...]
 
     @property
     def element_count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.intervals)
+        return self.hi - self.lo + 1
 
     @property
     def covers_full_range(self) -> bool:
-        return self.intervals == ((1, 1 << self.M),)
+        return (self.lo, self.hi) == (1, 1 << self.M)
 
 
 def halfsplit_verify(
@@ -123,8 +127,8 @@ def halfsplit_verify(
 
 
 def _halfsplit_direct(M: int, lo: int, hi: int, steps: int) -> HalfSplitReport:
-    # The step inline, not through step_general: M = 16 tallies in 0.14 s
-    # against 0.67 s (medians of 5 paired runs, 2-vCPU Xeon, Python 3.11).
+    # The step inline, not through step_general, whose call, argument check and
+    # StepKind cost several times the step's shift and add.
     inc = [0] * (steps + 1)
     for x in range(lo, hi + 1):
         v = x
@@ -139,7 +143,7 @@ def _halfsplit_direct(M: int, lo: int, hi: int, steps: int) -> HalfSplitReport:
         StepTally(n, inc[n], count - inc[n], within_theorem=n <= M - 1)
         for n in range(1, steps + 1)
     )
-    return HalfSplitReport(M=M, intervals=((lo, hi),), tallies=tallies)
+    return HalfSplitReport(M, lo, hi, tallies)
 
 
 def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
@@ -173,7 +177,7 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
         odd[n] += (image & one).bit_count() + ((image + power) & one).bit_count()
     tallies = tuple(StepTally(n, c << M - n, (1 << M) - (c << M - n), within_theorem=n <= M - 1)
                     for n, c in enumerate(odd, start=1))
-    return HalfSplitReport(M=M, intervals=((1, 1 << M),), tallies=tallies)
+    return HalfSplitReport(M, 1, 1 << M, tallies)
 
 
 def shift_blocks(k: int) -> Iterator[tuple[int, int, int, int]]:
@@ -219,10 +223,9 @@ def _refined_step(image: int, power: int, one: int) -> tuple[int, int]:
 
 def step_kind_at(x: int, n: int) -> StepKind:
     """Direction of step n (1-based) of the shortcut orbit of x."""
-    from .identities import _walk_shortcut_zero
-
     if x < 1 or n < 1:
         raise ValueError("need x >= 1 and n >= 1")
-    y, _ = _walk_shortcut_zero(x, n - 1)
-    return StepKind.INCREASE if y % 2 else StepKind.DECREASE
+    for _ in range(n - 1):
+        x = step_general(x)[0]
+    return step_general(x)[1]
 

@@ -186,15 +186,10 @@ class SampleStats(NamedTuple("SampleStats", [("count", int), ("mean", float), ("
         return super().__new__(cls, count, mean, std, level)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], level: float = 0.95) -> "SampleStats":
+    def from_values(cls, values: Sequence[float]) -> "SampleStats":
         if len(values) < 2:
             raise ValueError("need at least two values")
-        return cls(
-            count=len(values),
-            mean=statistics.fmean(values),
-            std=sample_std(values),
-            level=level,
-        )
+        return cls(count=len(values), mean=statistics.fmean(values), std=sample_std(values))
 
 
 def confidence_interval(stats: SampleStats, mode: str = "normal") -> tuple[float, float]:
@@ -276,5 +271,5 @@ def interval_discrepancy_report() -> dict:
     }
 
 
-def _interval_close(a: tuple[float, float], b: tuple[float, float], tol: float = 5e-3) -> bool:
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+def _interval_close(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return abs(a[0] - b[0]) <= 5e-3 and abs(a[1] - b[1]) <= 5e-3

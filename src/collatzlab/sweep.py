@@ -56,9 +56,11 @@ n-th piece itself and a pool of n - 1 threads the others, of this wave and
 later ones, while the calling thread folds finished walks in range order;
 with one worker every walk runs in that thread.  The walks spend their time
 in numpy ufuncs, which release the GIL, and share the read-only level table.
-Ties go to the smaller start, so the result is the same for every worker
-count and chunk size.  `survey_chunk_python`, the plain walk of every start
-to 1, is the reference.
+The fold adds each piece's counts to running ones and appends its failures;
+a piece takes a best only when its own is strictly greater, and every start
+of a later piece is larger, so ties go to the smaller start and the result is
+the same for every worker count and chunk size.  `survey_chunk_python`, the
+plain walk of every start to 1, is the reference.
 
 The fold, the one serial part, gathers a byte a start and stores one for
 each odd start.  A walk returns a byte a step count unless one passes 255,
@@ -119,10 +121,8 @@ _GATHER = 1 << 14  # slots the fold gathers a block: 128 KB of intp indices
 
 
 class RangeSurvey(NamedTuple):
-    """Aggregated outcome of walking every start in [lo, hi) to 1."""
+    """Aggregated outcome of walking every start of a range to 1."""
 
-    lo: int
-    hi: int
     verified: int
     failures: tuple[int, ...]
     max_total_stopping_time: int | None
@@ -131,44 +131,16 @@ class RangeSurvey(NamedTuple):
     ratio_argmax: int | None
     peak: int | None
 
-    def merge(self, other: RangeSurvey) -> RangeSurvey:
-        """Combine two disjoint surveys; ties resolve to the smaller start."""
-        tst, tst_arg = _merge_max(
-            (self.max_total_stopping_time, self.tst_argmax),
-            (other.max_total_stopping_time, other.tst_argmax),
-        )
-        ratio, ratio_arg = _merge_max(
-            (self.max_ratio, self.ratio_argmax), (other.max_ratio, other.ratio_argmax)
-        )
-        return RangeSurvey(
-            lo=min(self.lo, other.lo),
-            hi=max(self.hi, other.hi),
-            verified=self.verified + other.verified,
-            failures=tuple(sorted(self.failures + other.failures)),
-            max_total_stopping_time=tst,
-            tst_argmax=tst_arg,
-            max_ratio=ratio,
-            ratio_argmax=ratio_arg,
-            peak=max((p for p in (self.peak, other.peak) if p is not None), default=None),
-        )
 
-
-def _merge_max(a: tuple, b: tuple) -> tuple:
-    if a[0] is None or b[0] is not None and (b[0], -b[1]) > (a[0], -a[1]):
-        return b
-    return a
-
-
-def _empty_survey(lo: int, hi: int) -> RangeSurvey:
-    return RangeSurvey(lo, hi, 0, (), None, None, None, None, None)
+_EMPTY = RangeSurvey(0, (), None, None, None, None, None)
 
 
 def survey_chunk_python(lo: int, hi: int, max_steps: int = DEFAULT_MAX_STEPS) -> RangeSurvey:
     """Reference implementation: walk every start to 1 with Python ints, no numpy."""
     if hi <= lo:
-        return _empty_survey(lo, hi)
-    # The step inline, not through step_general: 2^16 starts walk in 1.9 s
-    # against 3.1 s (medians of 5 paired runs, 2-vCPU Xeon, Python 3.11).
+        return _EMPTY
+    # The step inline, not through step_general, whose call and argument check
+    # cost more than the step: they double the time of this walk.
     done, failures, peak = [], [], hi - 1
     for start in range(lo, hi):
         value, steps = start, 0
@@ -187,7 +159,7 @@ def survey_chunk_python(lo: int, hi: int, max_steps: int = DEFAULT_MAX_STEPS) ->
         key=lambda r: (r[0], -r[1]),
         default=(None, None),
     )
-    return RangeSurvey(lo, hi, len(done), tuple(failures), *tst, *ratio, peak)
+    return RangeSurvey(len(done), tuple(failures), *tst, *ratio, peak)
 
 
 class _LevelTable(NamedTuple):
@@ -518,7 +490,7 @@ def _fold_piece(
         ratios = tst[first - a :][cand] / np.log(x)
         k = int(ratios.argmax())
         ratio_best = (float(ratios[k]), first + int(cand[k]))
-    return RangeSurvey(a, b, verified, failures, *tst_best, *ratio_best, peak)
+    return RangeSurvey(verified, failures, *tst_best, *ratio_best, peak)
 
 
 def survey_range(
@@ -532,7 +504,9 @@ def survey_range(
     """Survey [lo, hi), optionally walking the pieces in worker threads.
 
     The pieces depend only on (lo, hi, chunk_size) and are folded in range
-    order, so the result is byte-for-byte identical for every worker count.
+    order into running values: a piece's best replaces the running one only
+    when it is strictly greater, so a tie keeps the smaller start, and the
+    result is byte-for-byte identical for every worker count and chunk size.
     With workers > 1 the calling thread and one pool of threads walk the whole
     survey, with no more walkers than the widest wave has pieces or the
     machine has CPUs, the calling thread counted.  After each
@@ -542,7 +516,7 @@ def survey_range(
     if lo < 1:
         raise ValueError("range must start at 1 or above")
     if hi <= lo:
-        return _empty_survey(lo, hi)
+        return _EMPTY
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     budget = min(max(max_steps, 0), _MAX_BUDGET)
@@ -560,8 +534,8 @@ def survey_range(
     ]
     widest = max(-(-(b - a) // chunk_size) for a, b in waves)
     pool_size = min(workers, widest, os.cpu_count() or 1)
-    result = _empty_survey(lo, lo)
-    failures: list[int] = []
+    verified, failures, peak = 0, [], 0
+    tst = ratio = (None, None)  # the bests so far and their starts
     _level_table(LEVEL)  # built here, before two worker threads could both build it
     walks = (_walk_piece(*piece) for piece in pieces)
     if pool_size > 1:
@@ -569,14 +543,21 @@ def survey_range(
     with closing(walks):
         for a, b, *_ in pieces:
             walk = next(walks)
-            part = _fold_piece(table, side, lo, a, b, budget + 1, result.max_ratio, walk)
+            part = _fold_piece(table, side, lo, a, b, budget + 1, ratio[0], walk)
             del walk  # freed before the next walk is made, not held through it
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))
-            # Pieces come in range order, so their failures append in order.
+            # Pieces come in range order: failures append in order, and a best
+            # that only ties the running one keeps its smaller start.
+            verified += part.verified
             failures.extend(part.failures)
-            result = result.merge(part._replace(failures=()))
-    return result._replace(failures=tuple(failures))
+            t, r = part.max_total_stopping_time, part.max_ratio
+            if t is not None and (tst[0] is None or t > tst[0]):
+                tst = t, part.tst_argmax
+            if r is not None and (ratio[0] is None or r > ratio[0]):
+                ratio = r, part.ratio_argmax
+            peak = max(peak, part.peak)
+    return RangeSurvey(verified, tuple(failures), *tst, *ratio, peak)
 
 
 def _walks_in_order(pieces: list, size: int):

@@ -7,8 +7,9 @@ A caller of a module-level name is a name or attribute in `src/`, an import
 of the acceptance suite, a runner the CLI's command table names as
 "module.function", or an entry of KEPT.  A caller of a method or property is
 an attribute that `src/` or the acceptance suite reads, other than an option
-argparse set (`args.<name>`) and `self.<name>` in a class that defines no
-method <name>; dunder methods are the interpreter's hooks, and a method that
+argparse set (`args.<name>`), `self.<name>` in a class that defines no
+method <name>, and a read on a local that only calls of a builtin class bind,
+such as `cut = slice(a, b)`; dunder methods are the interpreter's hooks, and a method that
 overrides one of a class outside the package, such as argparse's `error`, is
 that class's.  Code that only unit tests call is deleted, not
 kept; code that only a script in `scripts/` or `bench/` calls lives in that
@@ -16,7 +17,9 @@ script, so the package holds only what a command runs.
 """
 
 import ast
+import builtins
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from collatzlab import cli
@@ -70,9 +73,28 @@ def _methods(path: Path, node: ast.stmt) -> list[tuple[str, str]]:
             and not any(item.name in names for names in outside)]
 
 
+def _builtin_locals(function: ast.FunctionDef, shadowed: set[str]) -> set[str]:
+    """The names that every binding in a function binds to a call of a builtin
+    class the module does not shadow, such as `cut = slice(a, b)`, other than
+    `type` and `super`, which return a class and a proxy."""
+    stores = Counter(n.id for n in ast.walk(function)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    built = Counter(
+        node.targets[0].id for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id not in shadowed | {"type", "super"}
+        and isinstance(getattr(builtins, node.value.func.id, None), type)
+    )
+    params = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    return {name for name, count in built.items() if stores[name] == count and name not in params}
+
+
 def _attribute_reads(path: Path) -> set[str]:
-    """The attributes a module reads, less `args.<name>`, and `self.<name>` in a
-    class that defines no method <name>: neither reads a method of another class."""
+    """The attributes a module reads, less `args.<name>`, `self.<name>` in a
+    class that defines no method <name>, and reads on a local that only a
+    builtin class's call binds: none reads a method of a package class."""
     tree = ast.parse(path.read_text())
 
     def reads(node: ast.AST, owner: str) -> list[ast.Attribute]:
@@ -84,6 +106,18 @@ def _attribute_reads(path: Path) -> set[str]:
         if isinstance(cls, ast.ClassDef):
             own = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
             foreign |= {id(n) for n in reads(cls, "self") if n.attr not in own}
+    shadowed = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            shadowed.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            shadowed.add(n.name)
+        elif isinstance(n, ast.alias):
+            shadowed.add((n.asname or n.name).split(".")[0])
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for name in _builtin_locals(function, shadowed):
+                foreign |= {id(n) for n in reads(function, name)}
     return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and id(n) not in foreign
             and not isinstance(n.ctx, ast.Store)}
 
@@ -100,6 +134,27 @@ def test_every_definition_has_a_caller():
     read = set().union(*map(_attribute_reads, (acceptance, *(ROOT / "src").rglob("*.py"))))
     assert [f"{cls}.{name}" for path, node in body for cls, name in _methods(path, node)
             if name not in read] == []
+
+
+def test_builtin_locals_read_no_method(tmp_path):
+    # a slice's start is no caller of a `start` property; a read on a package
+    # class's instance, on type(...), on a shadowed builtin or on a local bound
+    # to anything else still is
+    path = tmp_path / "synthetic.py"
+    cases = {
+        "cut = slice(a, b)": False,
+        "cut = Span(a, b)": True,
+        "cut = type(a)": True,
+        "cut = slice(a, b)\n    cut = a": True,
+    }
+    for binding, counts in cases.items():
+        path.write_text(f"def first(a, b):\n    {binding}\n    return cut.start\n")
+        assert ("start" in _attribute_reads(path)) is counts, binding
+    path.write_text("from spans import Span as slice\n\n\n"
+                    "def first(a, b):\n    cut = slice(a, b)\n    return cut.start\n")
+    assert "start" in _attribute_reads(path)
+    path.write_text("def first(cut, a, b):\n    cut = slice(a, b)\n    return cut.start\n")
+    assert "start" in _attribute_reads(path)
 
 
 def test_parses_under_python_3_10():

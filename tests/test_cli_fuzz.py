@@ -12,6 +12,9 @@ from THREADS, so no draw starts a large pool.  Invariants:
 - exits 1 and 3 write exactly one line on stderr, and no run writes a traceback;
 - a run that writes nothing leaves the `--output` file as it was, and a run
   that writes leaves there exactly what it wrote.
+
+A grid holds the same invariants for each an+b command on a huge --a or --b
+with a small partner, which independent draws miss.
 """
 
 import contextlib
@@ -86,10 +89,8 @@ def argvs(draw):
     return argv, draw(st.booleans())
 
 
-@given(argvs())
-@settings(max_examples=1500, deadline=None, derandomize=True)
-def test_exit_code_contract(output, case):
-    argv, to_file = case
+def check_contract(output, argv, to_file):
+    """Run argv under the lowered budgets, check the invariants, return the exit code."""
     output.write_text(OLD)
     written = []
     write = cli_mod._Output.write
@@ -104,7 +105,6 @@ def test_exit_code_contract(output, case):
         patch.setattr(cli_mod._Output, "write", spy)
         code = cli_mod.main(argv + (["--output", str(output)] if to_file else []))
     err = err.getvalue()
-    event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
     if code in (1, 3):
@@ -114,6 +114,39 @@ def test_exit_code_contract(output, case):
         assert output.read_bytes().decode() == ("".join(written) if written else OLD), argv
     else:
         assert out.getvalue() == "".join(written), argv
+    return code
+
+
+@given(argvs())
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_exit_code_contract(output, case):
+    argv, to_file = case
+    event(f"{argv[0]} exit {check_contract(output, argv, to_file)}")
+
+
+# One huge odd value with a small admissible partner (b >= 1, a >= 3), in
+# either order: the an+b overflow class, which the draws above never reach, as
+# they draw --a and --b independently.  Values stay below 10^400, where verify
+# anb-eq is quick.
+HUGE = {"2^64-1": 2**64 - 1, "2^64+1": 2**64 + 1, "10^309+1": 10**309 + 1}
+ANB_PAIRS = {
+    **{f"a={name},b={b}": (huge, b) for name, huge in HUGE.items() for b in (1, 3)},
+    **{f"a={a},b={name}": (a, huge) for name, huge in HUGE.items() for a in (3, 5)},
+}
+ANB_ARGVS = [
+    *(["anb-cycles", "--limit", str(limit), "--max-steps", str(steps)]
+      for limit in (1, 2, 3) for steps in (0, 1, 2)),
+    *(["trajectory", "7", "--map", "anb", "--max-steps", str(steps)] for steps in (0, 1, 2)),
+    *(["verify", "anb-eq", "--samples", str(samples), "--max-n", str(n)]
+      for samples in (0, 1, 2) for n in (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("a, b", ANB_PAIRS.values(), ids=ANB_PAIRS.keys())
+def test_huge_anb_pairs(output, a, b):
+    for i, argv in enumerate(ANB_ARGVS):
+        fmt = cli_mod._FORMAT.choices[i % len(cli_mod._FORMAT.choices)]
+        check_contract(output, [*argv, "--a", str(a), "--b", str(b), "--format", fmt], i % 2 == 1)
 
 
 # For each budget on `cli` that no "cli.NAME=" entry of PATCHED pins, an argv

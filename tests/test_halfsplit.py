@@ -351,7 +351,10 @@ class TestMerge:
         full = halfsplit_verify(M)
         lo = halfsplit_verify(M, subrange=(1, 32))
         hi = halfsplit_verify(M, subrange=(33, 64))
-        assert lo.intervals + hi.intervals == ((1, 32), (33, 64))
+        assert (full.lo, full.hi, full.element_count, full.covers_full_range) == (1, 64, 64, True)
+        assert (lo.lo, lo.hi, hi.lo, hi.hi) == (1, 32, 33, 64)
+        assert lo.element_count + hi.element_count == full.element_count
+        assert not lo.covers_full_range and not hi.covers_full_range
         assert summed_tallies([lo, hi]) == full.tallies
 
     def test_random_four_way_partitions(self):

@@ -328,20 +328,29 @@ class TestRatioFloor:
         walk = (steps, np.zeros(b - a, dtype=np.uint32), b - 1)
         return sweep._fold_piece(table, side, 1, a, b, 201, record, walk)
 
-    def test_record_holder_keeps_a_tie(self):
+    def test_record_holder_keeps_a_tie(self, monkeypatch):
         # 27 has the best ratio of [27, 40), 70 / ln 27, and is the first start:
-        # the floor is closest to its tst
+        # the floor is closest to its tst, and a record equal to or just below
+        # its ratio still lets it take a log
         ratio = float(np.float64(70) / np.log(np.float64(27)))
-        part = self.fold(27, 40, None)
-        assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
-        earlier = sweep._empty_survey(1, 27)._replace(max_ratio=ratio, ratio_argmax=9)
-        part = self.fold(27, 40, ratio)
-        assert earlier.merge(part).ratio_argmax == 9
-        below = float(np.nextafter(ratio, 0))
-        part = self.fold(27, 40, below)
-        assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
-        merged = earlier._replace(max_ratio=below).merge(part)
-        assert (merged.max_ratio, merged.ratio_argmax) == (ratio, 27)
+        for record in (None, ratio, float(np.nextafter(ratio, 0))):
+            part = self.fold(27, 40, record)
+            assert (part.max_ratio, part.ratio_argmax) == (ratio, 27)
+        # In the two pieces of [2, 5) at a budget of 2, the second, [4, 5), gets
+        # the record 1 / ln 2 of start 2, which its first start ties: the floor
+        # lets 4 take a log, and the survey keeps 2.
+        folds, fold = [], sweep._fold_piece
+
+        def spy(*args):
+            folds.append((args[6], fold(*args)))  # the record each piece gets, and its fold
+            return folds[-1][1]
+
+        monkeypatch.setattr(sweep, "_fold_piece", spy)
+        got = survey_range(2, 5, max_steps=2)
+        (first, one), (record, two) = folds
+        assert (first, one.max_ratio, one.ratio_argmax) == (None, 1 / math.log(2), 2)
+        assert (record, two.max_ratio, two.ratio_argmax) == (1 / math.log(2), record, 4)
+        assert (got.max_ratio, got.ratio_argmax) == (record, 2)
 
     @pytest.mark.parametrize("chunk_size", [1, 2])
     @pytest.mark.parametrize("lo, hi", [(1, 3), (1, 60), (2, 60), (3, 60), (27, 300)])
@@ -366,7 +375,12 @@ class TestRatioFloor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert first.merge(part) == survey_range(1, 2 * n)
+        # the later piece holds the largest tst and the peak, the first the best
+        # ratio, 27's, whose floor, 235, keeps every later start from a log
+        whole = survey_range(1, 2 * n)
+        assert part.max_ratio is None
+        assert whole == RangeSurvey(first.verified + part.verified, (), *part[2:4], *first[4:6],
+                                    part.peak)
         assert peak <= 6 * n
 
 
@@ -584,26 +598,41 @@ class TestDeterminism:
             assert survey_range(1, 50001, workers=workers, chunk_size=7000) == base
 
 
-class TestMerge:
-    def test_merge_ties_prefer_smaller_start(self):
-        # 6 and 27-free windows engineered so maxima tie: use identical halves
-        a = RangeSurvey(1, 3, 2, (), 5, 10, 1.5, 10, 100)
-        b = RangeSurvey(3, 5, 2, (), 5, 8, 1.5, 9, 90)
-        merged = a.merge(b)
-        assert merged.tst_argmax == 8
-        assert merged.ratio_argmax == 9
-        assert merged.peak == 100
-        assert merged.verified == 4
+class TestFold:
+    """`survey_range` folds its pieces in range order: a later piece takes a best
+    only when it is strictly greater, so a tie keeps the smaller start."""
 
-    def test_merge_none_fields(self):
-        a = RangeSurvey(1, 1, 0, (), None, None, None, None, None)
-        b = RangeSurvey(1, 3, 2, (), 1, 2, 1.44, 2, 16)
-        merged = a.merge(b)
-        assert merged.max_total_stopping_time == 1
-        assert merged.tst_argmax == 2
-        assert merged.max_ratio == 1.44
-        assert merged.peak == 16
-        assert merged.verified == 2
+    def test_ties_prefer_smaller_start(self):
+        # tst 92 is the largest of [1, 668), at 649, 654, 655 and 667, and tst
+        # 116 of [600, 2324), at 2223, 2322 and 2323; at a budget of 2, 2 and 4
+        # share the best ratio, 1 / ln 2, as ln 4 = 2 ln 2 in floats too
+        for lo, hi, max_steps, chunk_size, tst, ratio in [
+            (1, 668, 10**5, 1, 649, 27),
+            (1, 668, 10**5, 5, 649, 27),
+            (600, 2324, 10**5, 50, 2223, 871),
+            (2, 5, 2, 1, 4, 2),
+            (2, 5, 2, 2, 4, 2),
+        ]:
+            got = survey_range(lo, hi, max_steps=max_steps, chunk_size=chunk_size)
+            assert (got.tst_argmax, got.ratio_argmax) == (tst, ratio)
+            assert got == survey_chunk_python(lo, hi, max_steps=max_steps)
+        assert survey_range(2, 5, max_steps=2).max_ratio == 1 / math.log(2) == 2 / math.log(4)
+
+    def test_no_verified_start_keeps_none(self):
+        # pieces that verify no start keep the bests they are given, None at
+        # first, and the peak comes from every piece
+        for lo, hi, max_steps, chunk_size, verified in [
+            (2, 100, 0, 7, 0),  # no start walks: the peak is the last start
+            (3, 50, 1, 4, 0),  # every start fails after one step
+            (3, 40, 3, 1, 2),  # 4 and 8 verify, in pieces between failing ones
+        ]:
+            got = survey_range(lo, hi, max_steps=max_steps, chunk_size=chunk_size)
+            assert got == survey_chunk_python(lo, hi, max_steps=max_steps)
+            assert got.verified == verified
+            if not verified:
+                assert got[2:6] == (None,) * 4
+        assert survey_range(2, 100, max_steps=0, chunk_size=7).peak == 99
+        assert survey_range(3, 50, max_steps=1, chunk_size=4).peak == (3 * 49 + 1) // 2
 
 
 def _step(x: int) -> int:
