@@ -18,10 +18,11 @@ survey fold the walks of `catalog.catalog_walks`, which share a memo and
 load only when a catalog is walked.
 Tests compare the an+b code at (3, 1) with the 3n+1 code only where the two
 are separate paths, so that each can catch the other: orbits
-(`trajectory_anb`'s inline step against `dynamics.odd_walk`'s, and both
-against `step_anb`), per-n closed forms (`closed_form_anb_check` on
-`anb_steps_extended` against `identities.closed_form_check` on
-`odd_steps_extended`, with a literal 3) and cycles (`find_cycle`).
+(`trajectory_anb`'s inline step against `dynamics.odd_walk`'s, and both,
+with `anb_steps_extended`'s, against `step_anb`), per-n closed forms
+(`closed_form_anb_check` on `anb_steps_extended` against
+`identities.closed_form_check` on `odd_steps_extended`, with a literal 3)
+and cycles (`find_cycle`).
 """
 
 from __future__ import annotations
@@ -81,15 +82,22 @@ class _RepeatIndex:
 def anb_steps_extended(
     x0: int, params: AnbParams, count: int
 ) -> tuple[list[int], list[int]]:
-    """Run exactly `count` generalized odd steps, continuing through repeats."""
+    """Run exactly `count` generalized odd steps, continuing through repeats.
+
+    The arguments are checked once, and each step is taken inline, as in
+    `_anb_orbit_steps`: `step_anb` would check each value again.
+    """
     _require_odd(x0)
     if count < 0:
         raise ValueError("count must be >= 0")
     values = [x0]
     exponents: list[int] = []
+    x, a, b, v2 = x0, params.a, params.b, _V2
     for _ in range(count):
-        nxt, k = step_anb(values[-1], params)
-        values.append(nxt)
+        t = a * x + b  # x is odd, so t is even
+        k = v2[t & 255] or _v2_wide(t)
+        x = t >> k
+        values.append(x)
         exponents.append(k)
     return values, exponents
 

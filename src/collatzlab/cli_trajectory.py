@@ -65,33 +65,31 @@ def _json_line(obj: int | list[int] | None) -> str:
     return str(obj)
 
 
-def _decimal_step(d: decimal.Decimal, mul: int, add: int, k: int, consts: dict) -> decimal.Decimal:
-    """The decimal form of (mul * x + add) / 2^k from the decimal form d of x.
+def _operands(mul: int, add: int, k: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """The exact Decimals mul / 2^k and add / 2^k, the operands of a step record.
 
-    Computed as (d * mul 5^k + add 5^k) / 10^k: one fused multiply-add and an
-    exponent shift, no division, then `to_integral_exact`, which drops the k
-    digits shifted past the point.  Each is exact, in time linear in the digit
-    count, where str(int) is quadratic; a step whose value is not an integer
-    raises decimal.Inexact.  consts caches the Decimal operands per
-    (mul, add, k).
+    2^-k = 5^k 10^-k, so each is an integer, mul 5^k or add 5^k, with its
+    exponent moved k places: no division.  A step from the decimal form d of
+    x is then to_integral_exact(fma(d, M, A)), two exact operations in time
+    linear in the digit count, where str(int) is quadratic.  fma leaves the
+    value with k digits past the point, and to_integral_exact drops them;
+    a step whose value is not an integer raises decimal.Inexact.
     """
-    ops = consts.get((mul, add, k))
-    if ops is None:
-        ops = consts[mul, add, k] = tuple(map(decimal.Decimal, (mul * 5**k, add * 5**k, -k)))
-    m, a, shift = ops
-    return _EXACT.to_integral_exact(_EXACT.scaleb(_EXACT.fma(d, m, a), shift))
+    p = 5**k
+    return _EXACT.scaleb(decimal.Decimal(mul * p), -k), _EXACT.scaleb(decimal.Decimal(add * p), -k)
 
 
 def run(args: argparse.Namespace, out: cli._Output) -> int:
     """Stream one orbit: a header, one row per step as it is walked, a summary.
 
     Each value is rendered once, from the previous value's decimal form by
-    the step's (mul, add, k) (see `_decimal_step`), and each row is one call
-    of its format's row function.  A step whose decimal value is not an
-    integer traps; the summary's final value is rendered by str(int) and must
-    equal the last rendered value.  The update is injective, so that one
-    comparison certifies every row.  Either failure raises RuntimeError,
-    naming the step.
+    two exact operations on the operands of the step's (mul, add, k), cached
+    per record kind (see `_operands`), and each row is one call of its
+    format's row function; the loop makes no other call a step.  A step
+    whose decimal value is not an integer traps; the summary's final value is
+    rendered by str(int) and must equal the last rendered value.  The update
+    is injective, so that one comparison certifies every row, whatever the
+    records said.  Either failure raises RuntimeError, naming the step.
     """
     params = args.params
     try:
@@ -108,30 +106,43 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
     a, b = (params.a, params.b) if params else (None, None)
     head = head.format(start=args.x0, map=args.map, max_steps=args.max_steps, a=_json_line(a),
                        b=_json_line(b), ab=f" a={a} b={b}" if params else "")
-    out.write(head)
-    written = len(head)
+    # The rows are joined here and handed to out a chunk at a time, with the
+    # header at the front of the first: out writes each at once, as it would
+    # have written the rows one by one.
+    rows = [head]
+    append = rows.append
+    written, handed = len(head), 0
 
-    limit = cli.TRAJECTORY_OUTPUT_LIMIT
+    limit, chunk = cli.TRAJECTORY_OUTPUT_LIMIT, out.CHUNK
     general = args.map == "general"
+    fma, integral = _EXACT.fma, _EXACT.to_integral_exact
     x, text = args.x0, str(args.x0)
-    d, consts = decimal.Decimal(text), {}
+    d, operands = decimal.Decimal(text), {}
     steps = 0
     terminated = None
     try:
-        for y, mul, add, k in records:
-            d = _decimal_step(d, mul, add, k, consts)
+        for steps, (y, mul, add, k) in enumerate(records, 1):
+            ops = operands.get((mul, add, k))
+            if ops is None:  # the record's operands and its row's exponent field
+                ops = operands[mul, add, k] = (*_operands(mul, add, k),
+                                               no_exponent if general else exponent(k))
+            mul_k, add_k, field = ops
+            d = integral(fma(d, mul_k, add_k))
             y_text = str(d)
-            line = row(steps + 1, text, y_text, "increase" if y > x else "decrease",
-                       no_exponent if general else exponent(k))
+            line = row(steps, text, y_text, "increase" if y > x else "decrease", field)
             written += len(line)
             if written > limit:
-                terminated = "resource-limit"
+                terminated, steps = "resource-limit", steps - 1
                 break
-            out.write(line)
-            steps += 1
+            append(line)
+            if written - handed >= chunk:
+                out.write("".join(rows))
+                rows.clear()
+                handed = written
             x, text = y, y_text
     except decimal.Inexact:  # the step's value is not an integer: no text matches it
-        steps, text = steps + 1, None
+        text = None
+    out.write("".join(rows))
 
     if str(x) != text:
         raise RuntimeError(

@@ -216,10 +216,9 @@ def orbit_steps(
 
 def _orbit_steps(x: int, max_steps: int, odd: bool) -> Iterator[tuple[int, int, int, int]]:
     # Each step inline, not through step_general or step_anb: this is the walk
-    # `trajectory` renders.  From 2^3000 - 1 the general walk (27,667 steps)
-    # takes 6.1 ms against 13.3 ms through step_general, and the odd walk
-    # (15,563 steps) 4.4 ms against 7.3 ms through step_anb (consumed by a
-    # zero-length deque, best of 7, 2-vCPU VM, Python 3.11).
+    # `trajectory` renders, and a call a step, which checks its argument
+    # again, costs more than the step's own arithmetic on values of fewer
+    # than about a thousand digits.
     if odd:
         v2 = _V2
         for _ in range(max_steps):
@@ -287,8 +286,9 @@ def odd_walk(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> tuple[list[int], li
     values = [x0]
     exponents: list[int] = []
     x, v2 = x0, _V2
-    # The step inline, not through step_anb: the odd starts below 20,000 walk in
-    # 37 ms against 83 ms (best of 5, 2-vCPU Xeon, Python 3.11).
+    # The step inline, not through step_anb, which would check each value
+    # again: on the small values of the eq2 and bohm checks that call and
+    # check cost more than the step.
     for _ in range(max_steps):
         if x == 1:
             break

@@ -106,8 +106,8 @@ def halfsplit_verify(
         if count > DIRECT_ELEMENT_LIMIT:
             raise ResourceLimitError(
                 f"direct tally over {count} elements exceeds the budget of "
-                f"{DIRECT_ELEMENT_LIMIT}; split the range into subranges of at most "
-                f"{DIRECT_ELEMENT_LIMIT} elements and merge the reports, or use "
+                f"{DIRECT_ELEMENT_LIMIT}; tally subranges of at most "
+                f"{DIRECT_ELEMENT_LIMIT} elements one at a time (--lo/--hi), or use "
                 "method='classes' for the full range"
             )
         if steps > DIRECT_STEP_LIMIT:

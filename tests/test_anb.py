@@ -640,6 +640,19 @@ class TestValuationEdge:
         if params == COLLATZ:  # the walk ends at the fixed point 1
             assert odd_walk(x0) == ([x0] + [y for y, *_ in rows], [e for *_, e in rows])
 
+    @pytest.mark.parametrize("params, x0, k", TABLE_EDGES + [(WORD_EDGE, WORD_EDGE_X, 70)])
+    def test_steps_extended(self, params, x0, k):
+        # 120 steps against step_anb's: the table edges' walks go on through
+        # the cycle each enters, and WORD_EDGE's first step removes 2^70
+        values, exponents = anb_steps_extended(x0, params, 120)
+        x, steps = x0, []
+        for _ in range(120):
+            x, e = step_anb(x, params)
+            steps.append((x, e))
+        assert list(zip(values[1:], exponents)) == steps
+        assert values[0] == x0 and exponents[0] == k
+        assert len(set(values)) < len(values) or params == WORD_EDGE
+
     @pytest.mark.parametrize("params, start_limit", [(COLLATZ, 341), (P51, 151)])
     @pytest.mark.parametrize("max_steps", [1, 2, 100])
     def test_catalog(self, params, start_limit, max_steps):

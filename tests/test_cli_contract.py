@@ -134,8 +134,8 @@ CORPUS = [
     ("verify halfsplit --M 5 --lo 3 --hi 20 --format json", "9d421ef4ce720a14a115cbb40881a45021530abc58e4fcdf0383e3d093b8ddf4"),
     ("verify halfsplit --M 5 --lo 3 --hi 20 --format csv", "c6e4c6ccd448397514a675582b3086fbd1cd2f524f92d9481b0cfd981da34bae"),
     ("verify halfsplit --M 5 --lo 0 --hi 3", "a6d380ef0e62e4cac09f28e27835e208b8c59cd26ae3dc310aa95a575754589a"),
-    ("verify halfsplit --M 22", "fd06219fe527b52dc004b9e58201bd0aaccf94a5f0ff468560059d5819964d2b"),
-    ("verify halfsplit --M 22 --format json", "13e34604e118e2e18a587aad6bdfcb68f8cf1cc2eaff8a57029a7f9763989359"),
+    ("verify halfsplit --M 22", "8f9792d51c58ae3888cc533192c069e454411c9a742ff8ac910a8843283aead1"),
+    ("verify halfsplit --M 22 --format json", "bbca1c68e93a6890d77ff8c543cfdfa328e130cc717f2781d56569efa37d4b7e"),
     ("verify halfsplit --M 1 --steps 300000 --format csv", "0009fbe8a97e67f805be0c07d7c9b061f10480afcbe155ba9f8099017b243552"),
     ("verify halfsplit --M 21 --steps 40 --format json", "e0d4818552241cf2e56afef460e7bba292af2e30f226bb1918750ea5c62f0046"),
     ("verify halfsplit --M 25 --method classes", "c7d5b4b71eea1245877c0fc0d770ae14bf9c1164eb3d576207b5e977f8291825"),
@@ -245,7 +245,7 @@ PATCHED = [
     ("cli.CYCLES_STEP_LIMIT=500000", "anb-cycles --limit 100", "e00e12bd78486c7b6dbccc24c9604e6b9a8a4dac2dd472a55671d0a604e90854"),
     ("cli.CYCLES_STEP_LIMIT=500000", "anb-cycles --limit 101", "2cea57c705aaad59c00c6b2932f8e1a49dcc66a55c72e179f4cfb71dce31e966"),
     ("cli.CYCLES_STEP_LIMIT=50", "anb-cycles --limit 101 --max-steps 0 --format json", "37e172d1d55c57829a4d1fff07dd252d5df9985c527a60137f4267f062e11d43"),
-    ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --format json", "d206daf2d68e33013cac620596fc4e237f19067054638b73a424cf24cb8cb536"),
+    ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --format json", "453921d500bca102a833600eead3b4bd94bbd79689282ab4ef0e912cb41a4fb7"),
     ("halfsplit.DIRECT_ELEMENT_LIMIT=63", "verify halfsplit --M 6 --lo 2 --hi 64", "537fd37e30aec8803264c7bfd6497605064e665f981d37bbbac9769ffa62199c"),
     ("halfsplit.CLASSES_STEP_LIMIT=30", "verify halfsplit --M 6 --method classes", "54a1ada6c5d6f413cd86f72d2a98809560cc1eedef086090726b2a96a112f566"),
     ("halfsplit.CLASSES_STEP_LIMIT=29", "verify halfsplit --M 6 --method classes --format json", "9b8f85002e0c6f7b9e15bca8331512cf35f6c81b201f315a69819fcbc7794931"),

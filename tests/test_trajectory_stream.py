@@ -13,6 +13,7 @@ import ast
 import csv
 import decimal
 import errno
+import hashlib
 import io
 import json
 import os
@@ -253,14 +254,23 @@ class TestSameBytes:
         assert code == EX_USAGE
         assert target.read_text() == "kept\n"
 
+    @staticmethod
+    def wrong_record_at(monkeypatch, at, error):
+        """Have the walk that `trajectory` renders add `error` to the add of the
+        record that leaves `at`; its value y stays the orbit's."""
+        real = cli_trajectory.orbit_steps
+
+        def walk(x0, *args, **kwargs):
+            x = x0
+            for y, mul, add, k in real(x0, *args, **kwargs):
+                yield y, mul, add + error * (x == at), k
+                x = y
+
+        monkeypatch.setattr(cli_trajectory, "orbit_steps", walk)
+
     def test_decimal_rendering_is_certified(self, monkeypatch):
         # a wrong step record is caught by the final str(int) comparison
-        real = cli_trajectory._decimal_step
-
-        def off_by_one(d, mul, add, k, consts):
-            return real(d, mul, add + (d == 41), k, consts)
-
-        monkeypatch.setattr(cli_trajectory, "_decimal_step", off_by_one)
+        self.wrong_record_at(monkeypatch, 41, 1)
         with pytest.raises(RuntimeError, match="disagrees"):
             run(["trajectory", "27"])
 
@@ -270,14 +280,17 @@ class TestSameBytes:
         # whose value is not an integer stops the walk at its step; one whose
         # value is an integer but wrong (the last step's, 2 -> 2) is caught by
         # the final comparison
-        real = cli_trajectory._decimal_step
-
-        def wrong_at(d, mul, add, k, consts):
-            return real(d, mul, add + error * (d == at), k, consts)
-
-        monkeypatch.setattr(cli_trajectory, "_decimal_step", wrong_at)
+        self.wrong_record_at(monkeypatch, at, error)
         with pytest.raises(RuntimeError, match=f"^decimal rendering of step {step} disagrees"):
             run(["trajectory", "27"])
+
+
+def decimal_step(d, mul, add, k):
+    """The renderer's step: the record's two cached operands, then fma and
+    to_integral_exact in its exact context."""
+    mul_k, add_k = cli_trajectory._operands(mul, add, k)
+    exact = cli_trajectory._EXACT
+    return exact.to_integral_exact(exact.fma(d, mul_k, add_k))
 
 
 # (map, mul, add) of each step record the renderer takes: the general map's
@@ -323,7 +336,7 @@ class TestRenderer:
         with unlimited_int_text():
             d = decimal.Decimal(str(x0))
             for y, *step in records:
-                d = cli_trajectory._decimal_step(d, *step, {})
+                d = decimal_step(d, *step)
                 assert str(d) == str(y)
         code, out, err = run(argv_of(x0, map, mul, add, 2, fmt))
         assert (out, code) == reference(x0, map, mul, add, 2, fmt)
@@ -332,7 +345,7 @@ class TestRenderer:
         # (3 * 5 + 3) / 2^2 = 4.5 is not an integer: the step raises, where a
         # rounding to an integer would give 4 and no error
         with pytest.raises(decimal.Inexact):
-            cli_trajectory._decimal_step(decimal.Decimal(5), 3, 3, 2, {})
+            decimal_step(decimal.Decimal(5), 3, 3, 2)
 
 
 class TestGrowingOrbits:
@@ -389,6 +402,51 @@ class TestGrowingOrbits:
             code, out, err = run(argv_of(27, fmt=fmt))
             assert (out, code) == reference(27, fmt=fmt, limit=limit)
             assert code == EX_RESOURCE and len(err.splitlines()) == 1
+
+
+# argv, exit code and the sha256 of stdout of four long orbits, recorded from
+# the renderer that took three decimal operations a step: 2^3000 - 1 by the
+# general map (27,667 rows, 44 MB), 7 by 5n+1 to 10^4 steps in text and JSON
+# (10 MB each) and by 1001n+1 to 3,000 steps (22 MB, values to 9,000 digits)
+LONG_ORBITS = [
+    (["trajectory", str(2**3000 - 1), "--format", "json"], EX_OK,
+     "c19dc80914eb32b123d62d725e70dcfb27a3cfdbd02fb19800eebd4bf9cc38ba"),
+    (["trajectory", "7", "--map", "anb", "--a", "5", "--b", "1", "--max-steps", "10000"],
+     EX_INCONCLUSIVE, "9d80a09b3f83b7bbc79679fe48c8156d5d08e53561a155f4d08c520cbccea3d0"),
+    (["trajectory", "7", "--map", "anb", "--a", "5", "--b", "1", "--max-steps", "10000",
+      "--format", "json"],
+     EX_INCONCLUSIVE, "fbd8e4842c8fa0eb0626461f53a038153be4080ff1810428e8262ea5c7345fba"),
+    (["trajectory", "7", "--map", "anb", "--a", "1001", "--b", "1", "--max-steps", "3000",
+      "--format", "json"],
+     EX_INCONCLUSIVE, "80d5b2aadb9c4f7e695baf77c415a9caec5b684da279400e78017027517eed1d"),
+]
+
+
+class TestLongOrbits:
+    """The bytes of long orbits, pinned, and the sizes of the writes that carry them."""
+
+    @pytest.mark.parametrize("argv, code, digest", LONG_ORBITS,
+                             ids=["general-3000-bit-json", "5n+1-text", "5n+1-json",
+                                  "1001n+1-json"])
+    def test_pinned(self, monkeypatch, argv, code, digest):
+        # each write but the last is a chunk and at most one row: without its
+        # last row it is shorter than a chunk
+        chunk, sha, sizes = cli_mod._Output.CHUNK, hashlib.sha256(), []
+
+        class Stdout:
+            def write(self, text):
+                sha.update(text.encode())
+                last = text[text.rfind("\n", 0, -1) + 1:]
+                sizes.append((len(text), len(text) - len(last), text.endswith("\n")))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(argv) == code
+        assert sha.hexdigest() == digest
+        assert len(sizes) > 100
+        assert all(n >= chunk > before and whole for n, before, whole in sizes[:-1])
 
 
 # -------------------------------------------------------------------- imports
