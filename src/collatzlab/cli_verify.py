@@ -12,7 +12,7 @@ import itertools
 from collections.abc import Iterable
 
 from . import cli
-from .dynamics import _unpack, odd_walk
+from .dynamics import _unpack_lanes, odd_walk
 
 
 def run(args: argparse.Namespace, out: cli._Output) -> int:
@@ -84,18 +84,19 @@ def lemma7(args: argparse.Namespace, doc: dict) -> None:
     from .pcg64 import seeded_draws
 
     (ms,) = seeded_draws(args.seed, 1, args.samples, cli.M_SEED_RANGE)
-    least = None  # the failure of least (k, g): the blocks come depth first, not in k order
-    for k, g0, count, lhs, rhs in ident_mod.residue_shift_blocks(args.max_k, ms):
+    least = None  # the failure of least (k, i, position of m): the blocks come depth first
+    for k, i0, lanes, p0, group, width, lhs, rhs in ident_mod.residue_shift_blocks(args.max_k, ms):
+        count = lanes * group
         doc["checks_run"] += count
         if lhs != rhs:
-            lhs, rhs = _unpack(lhs, count), _unpack(rhs, count)
+            lhs, rhs = _unpack_lanes(lhs, count, width), _unpack_lanes(rhs, count, width)
             bad = [j for j in range(count) if lhs[j] != rhs[j]]
             doc["failures"] += len(bad)
-            failure = (k, g0 + bad[0], lhs[bad[0]], rhs[bad[0]])
+            # lane q * lanes + j is the check of residue i0 + j and draw p0 + q
+            failure = min((k, i0 + j % lanes, p0 + j // lanes, lhs[j], rhs[j]) for j in bad)
             least = min(least or failure, failure)
     if least:
-        k, g, lhs, rhs = least
-        i, pos = divmod(g, args.samples)
+        k, i, pos, lhs, rhs = least
         doc.update(passed=False, counterexample={"k": k, "m": ms[pos], "i": i,
                                                  "lhs": lhs, "rhs": rhs})
 

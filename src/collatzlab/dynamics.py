@@ -9,9 +9,11 @@ walkers take inline, reads its exponent from one table of byte valuations,
 `_V2`.  `orbit_steps`, the walk `trajectory` renders, takes each step
 inline; `trajectory_general` is the walk by `step_general` it is tested
 against, as `odd_walk`'s inline steps are tested against `step_anb`.
-`_packed_step` takes the 3n+1 shortcut step on the 64-bit lanes of
-one Python int at once, for the shift-law table and the blocked lemma7
-walks, with no numpy (the sweep's uint64 form lives in `sweep`).  The
+`_packed_step` takes the 3n+1 shortcut step on the lanes of one Python int
+at once, for the shift-law table and the blocked lemma7 walks, with no numpy
+(the sweep's uint64 form lives in `sweep`).  A lane is a whole number of
+bytes wide, as few as the largest value its walk forms needs: a big-int
+operation costs in proportion to its length.  The
 records keep only what they cannot derive: a `Trajectory` its values and
 why it stopped, `ParityExponents` the exponents; step kinds and prefix sums
 are read from those.  Python-int values are exact at arbitrary precision.
@@ -20,12 +22,10 @@ Every function here is pure and safe to call from any thread.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_STEPS = 10**5
 
@@ -152,46 +152,57 @@ def step_anb(x: int, params: AnbParams = COLLATZ) -> tuple[int, int]:
     return t >> k, k
 
 
-# Lanes per packed block: a lane-step costs about 13 ns at 2^12 lanes against
-# 17-20 ns at 2^14, and lemma7 at --max-k 12 --samples 25 takes 45 ms with
-# blocks of 2^12 checks against 68 ms at 2^10 and 51 ms at 2^13 (2-vCPU Xeon,
-# Python 3.11).
+# Lanes per packed block.  Fewer lanes pay each big-int operation's fixed cost
+# more often, and many more make a block's operands outgrow the CPU's faster
+# caches: the benchmark's lemma7 and half-split class ops run fastest between
+# 2^10 and 2^12 lanes (`identities.lemma7_checks_per_s`,
+# `halfsplit.class_reps_per_s`).
 LANE_BLOCK = 1 << 12
 
 
+def _lane_width(bound: int) -> int:
+    """The least whole number of bytes that holds every value up to bound >= 1."""
+    return (bound.bit_length() + 7) // 8
+
+
 @lru_cache(maxsize=64)
-def _lane_ones(lanes: int) -> int:
-    """The packed int with 1 in each of `lanes` lanes."""
-    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
+def _lane_ones(lanes: int, width: int) -> int:
+    """The packed int with 1 in each of `lanes` lanes of `width` bytes."""
+    return int.from_bytes((b"\1" + bytes(width - 1)) * lanes, "little")
 
 
-def _pack(lanes: array) -> int:
-    """The packed int whose 64-bit lane j holds lanes[j], an array("Q")."""
-    if sys.byteorder == "big":
-        lanes = array("Q", lanes)
-        lanes.byteswap()
-    return int.from_bytes(lanes, "little")
+def _pack_lanes(values: Sequence[int], width: int) -> int:
+    """The packed int whose lane j, `width` bytes wide, holds values[j] >= 0.
+
+    One value is its own packed int, with no copy to bytes and back.
+    """
+    if len(values) == 1:
+        return values[0]
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
-def _unpack(x: int, lanes: int) -> array:
-    """The first `lanes` 64-bit lanes of the packed int x, as an array("Q")."""
-    out = array("Q", x.to_bytes(8 * lanes, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
+def _unpack_lanes(x: int, lanes: int, width: int) -> list[int]:
+    """The first `lanes` lanes, `width` bytes wide, of the packed int x >= 0.
+
+    Raises OverflowError if x has bits past its last lane.
+    """
+    raw = x.to_bytes(width * lanes, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
 
-def _packed_step(x: int, one: int) -> tuple[int, int]:
-    """One 3n+1 shortcut step on every 64-bit lane of x; also the mask of the odd lanes.
+def _packed_step(x: int, one: int, width: int) -> tuple[int, int]:
+    """One 3n+1 shortcut step on every `width`-byte lane of x; also the mask of the odd lanes.
 
-    one holds 1 in each lane of x (lanes past x are harmless).  x >> 1, plus
-    x + 1 where x is odd: 3x is never formed, and 0 stays 0.  The mask is all
-    ones in each lane where x was odd.  Exact while no lane of x + 1 or of the
-    result passes 2^64 - 1, so that no lane carries into the next.
+    one holds 1 in each lane of x (lanes past x are harmless).  (x + 1) >> 1,
+    plus x, where x is odd, and x >> 1 where it is even: 3x is never formed,
+    no lane of x + 1 has a low bit for the shift to move into the lane below,
+    and 0 stays 0.  The mask is all ones in each lane where x was odd.  Exact
+    while no lane of x + 1 or of the result passes 2^(8 width) - 1, so that no
+    lane carries into the next.
     """
     o = x & one
-    odd = (o << 64) - o
-    return ((x - o) >> 1) + ((x + one) & odd), odd
+    odd = (o << 8 * width) - o
+    return ((x + o) >> 1) + (x & odd), odd
 
 
 def orbit_steps(

@@ -8,10 +8,11 @@ of their union.
 
 The tally of step n and the right side of the blocked lemma7 check read one
 depth-first walk of the Terras tree, `shift_blocks`, in packed blocks: each
-entry is a 64-bit lane of a Python int, stepped by `dynamics._packed_step`, so
-neither loads numpy.  The walk holds one block a level of its path, never a
-whole level.  `step_kind_at`, a walk by `dynamics.step_general`, is the
-per-element reference.
+entry is a lane of a Python int, stepped by `dynamics._packed_step`, so
+neither loads numpy.  A lane is as few whole bytes as the largest value its
+readers form needs, `tree_width`.  The walk holds one block a level of its
+path, never a whole level.  `step_kind_at`, a walk by `dynamics.step_general`,
+is the per-element reference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .dynamics import (
-    LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _packed_step, step_general,
+    LANE_BLOCK, ResourceLimitError, StepKind, _lane_ones, _lane_width, _packed_step,
+    step_general,
 )
 
 # The direct walker stops before it walks above these many elements, tallied
@@ -38,7 +40,9 @@ CLASSES_STEP_LIMIT = 1 << 27
 M_LIMIT = 1 << 16
 
 # For i < 2^n the image T^n(i) is below 3^n, so T^n(i) + 3^p, the n-step image
-# of i + 2^n, is below 2 * 3^n: within uint64 up to level 39, which step 40 reads.
+# of i + 2^n, is below 2 * 3^n, and so is every value the walk to level n
+# forms.  The walk to level k takes lanes of `tree_width(k)` bytes, the least
+# that hold 2 * 3^k + 1: within uint64 up to level 39, which step 40 reads.
 CLASSES_UINT64_MAX_STEP = 40
 
 
@@ -171,7 +175,7 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
             f"class tally to step {steps} takes 2^{steps} - 2 lane-steps, over the work budget "
             f"of {CLASSES_STEP_LIMIT}; it admits steps up to "
             f"{(CLASSES_STEP_LIMIT + 2).bit_length() - 1}")
-    one, odd = _lane_ones(LANE_BLOCK), [0] * steps
+    one, odd = _lane_ones(LANE_BLOCK, tree_width(max(steps - 1, 0))), [0] * steps
     for n, _, image, power in blocks:
         # the parities of T^n(i) and, by the shift law, T^n(i + 2^n): step n + 1
         odd[n] += (image & one).bit_count() + ((image + power) & one).bit_count()
@@ -180,44 +184,53 @@ def halfsplit_by_classes(M: int, steps: int | None = None) -> HalfSplitReport:
     return HalfSplitReport(M, 1, 1 << M, tallies)
 
 
-def shift_blocks(k: int) -> Iterator[tuple[int, int, int, int]]:
+def tree_width(k: int) -> int:
+    """The lane width in bytes of `shift_blocks(k)`: the least that holds 2 * 3^k + 1."""
+    return _lane_width(2 * 3**k + 1)
+
+
+def shift_blocks(k: int, width: int | None = None) -> Iterator[tuple[int, int, int, int]]:
     """Yield the blocks (n, b, image, power) of (T^n(i), 3^p_n(i)) over i < 2^n, n = 0..k.
 
     p_n(i) counts the increases among the first n steps of i (T(0) = 0).  The
-    image and power are packed ints of up to `LANE_BLOCK` lanes: lane j of
-    block b of level n is residue b * LANE_BLOCK + j.  This is Terras'
-    parity-vector bijection: the shift law with m = 1, T^n(i + 2^n) = 3^p + T^n(i),
-    refines a block of level n to the residues mod 2^(n+1) for one add, then
-    one `_packed_step` takes them to level n+1.  Levels below `LANE_BLOCK`
-    lanes are one block, which doubles; past that, block b of level n refines
-    into blocks b and b + 2^n / LANE_BLOCK of level n+1, yielded depth first
-    after it.  So the walk holds one block a level of its path.
+    image and power are packed ints of up to `LANE_BLOCK` lanes of `width`
+    bytes, `tree_width(k)` or more: lane j of block b of level n is residue
+    b * LANE_BLOCK + j.  This is Terras' parity-vector bijection: the shift
+    law with m = 1, T^n(i + 2^n) = 3^p + T^n(i), refines a block of level n to
+    the residues mod 2^(n+1) for one add, then one `_packed_step` takes them
+    to level n+1.  Levels below `LANE_BLOCK` lanes are one block, which
+    doubles; past that, block b of level n refines into blocks b and
+    b + 2^n / LANE_BLOCK of level n+1, yielded depth first after it.  So the
+    walk holds one block a level of its path.
     """
     if k >= CLASSES_UINT64_MAX_STEP:
         raise ResourceLimitError(f"class tally for step {k + 1} would overflow uint64 images; "
                                  f"it stops at step {CLASSES_UINT64_MAX_STEP}")
-    return _subtree(k, 0, 0, 0, 1)
+    return _subtree(k, width or tree_width(k), 0, 0, 0, 1)
 
 
-def _subtree(k: int, n: int, b: int, image: int, power: int) -> Iterator[tuple[int, int, int, int]]:
+def _subtree(
+    k: int, width: int, n: int, b: int, image: int, power: int
+) -> Iterator[tuple[int, int, int, int]]:
     """Block b of level n, then depth first its refinements to level k."""
     yield n, b, image, power
     if n >= k:
         return
     if 1 << n < LANE_BLOCK:  # one block, which doubles
-        width = 64 << n
-        yield from _subtree(k, n + 1, 0, *_refined_step(
-            image | (image + power) << width, power | power << width, _lane_ones(2 << n)))
+        bits = 8 * width << n
+        yield from _subtree(k, width, n + 1, 0, *_refined_step(
+            image | (image + power) << bits, power | power << bits, _lane_ones(2 << n, width),
+            width))
     else:
-        one = _lane_ones(LANE_BLOCK)
-        yield from _subtree(k, n + 1, b, *_refined_step(image, power, one))
-        yield from _subtree(k, n + 1, b + (1 << n) // LANE_BLOCK,
-                            *_refined_step(image + power, power, one))
+        one = _lane_ones(LANE_BLOCK, width)
+        yield from _subtree(k, width, n + 1, b, *_refined_step(image, power, one, width))
+        yield from _subtree(k, width, n + 1, b + (1 << n) // LANE_BLOCK,
+                            *_refined_step(image + power, power, one, width))
 
 
-def _refined_step(image: int, power: int, one: int) -> tuple[int, int]:
+def _refined_step(image: int, power: int, one: int, width: int) -> tuple[int, int]:
     """One step of a packed block of images, and its powers times 3 where a step increased."""
-    image, odd = _packed_step(image, one)
+    image, odd = _packed_step(image, one, width)
     return image, power + ((power << 1) & odd)
 
 

@@ -16,16 +16,16 @@ closed-form references stay separate, `closed_form_check` here with a literal
 3 and `anb.closed_form_anb_check` in (a, b), so that each can catch the
 one-walk check.
 
-The blocked shift-law check walks 2^k m + i on the packed 64-bit lanes of
-Python ints with `dynamics._packed_step` and reads its right side from the
-blocks of `halfsplit.shift_blocks`, a depth-first walk made with the same
-step, in the order that walk yields them; so the check is also the
-correctness check of that walk.  Neither loads numpy.
+The blocked shift-law check walks 2^k m + i on the packed lanes of Python
+ints with `dynamics._packed_step` and reads its right side from the blocks of
+`halfsplit.shift_blocks`, a depth-first walk made with the same step, in the
+order that walk yields them; so the check is also the correctness check of
+that walk.  Both sides and the walk take lanes of one width, the fewest whole
+bytes that hold every value either side forms.  Neither loads numpy.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -34,22 +34,23 @@ from .dynamics import (
     LANE_BLOCK,
     AnbParams,
     _lane_ones,
-    _pack,
+    _lane_width,
+    _pack_lanes,
     _packed_step,
-    _unpack,
     odd_steps_extended,
 )
 
 if TYPE_CHECKING:  # each function that builds a Fraction imports it: eq2 and lemma7 never do
     from fractions import Fraction
 
-# residue_shift_blocks walks 2^k m + i for k steps in 64-bit lanes.  With
-# x_0 + 1 <= 2^k (m + 1) and x_(n+1) + 1 <= 3/2 (x_n + 1), every value the walk
-# forms (it never forms 3x) is below 3^k (m + 1), and so is 3^p m + T^k(i).
-# For m below SHIFT_M_BOUND that stays within 2^64 up to k = SHIFT_UINT64_MAX_K.
+# residue_shift_blocks walks 2^k m + i for k steps.  With x_0 + 1 <= 2^k (m + 1)
+# and x_(n+1) + 1 <= 3/2 (x_n + 1), every value the walk forms (it never forms
+# 3x) is below 3^k (m + 1), and so is 3^p m + T^k(i).  So its lanes take the
+# fewest whole bytes that hold 3^k (m + 1) for the largest m, and no fewer than
+# the table's `halfsplit.tree_width(k)`.  For m below SHIFT_M_BOUND that is at
+# most 8 bytes up to k = SHIFT_UINT64_MAX_K.
 SHIFT_M_BOUND = 1 << 20
 SHIFT_UINT64_MAX_K = 27
-_SHIFT_BLOCK = LANE_BLOCK  # most checks per block
 
 
 class ShiftCheck(NamedTuple):
@@ -78,9 +79,8 @@ def _walk_shortcut_zero(x: int, steps: int, params: AnbParams = COLLATZ) -> tupl
     """
     if x < 0:
         raise ValueError("walker defined for x >= 0")
-    # The step inline, not through step_general: the 819,000 shift-law checks of
-    # k <= 12 run in 4.2 s against 12.4 s (medians of 5 paired runs, 2-vCPU Xeon,
-    # Python 3.11).
+    # The step inline, not through step_general, whose call, argument check and
+    # StepKind cost several times the step's own arithmetic on these small values.
     a, b = params.a, params.b
     increases = 0
     for _ in range(steps if x else 0):  # T(0) = 0, and no x >= 1 reaches 0
@@ -111,64 +111,54 @@ def residue_shift_check(k: int, m: int, i: int, params: AnbParams = COLLATZ) -> 
     return ShiftCheck(holds=lhs == rhs, increase_count=p, lhs=lhs, rhs=rhs)
 
 
-def _walk_packed(x: int, lanes: int, steps: int) -> int:
-    """The value of `_walk_shortcut_zero` on each of the `lanes` packed lanes of x."""
-    one = _lane_ones(lanes)
+def _walk_packed(x: int, lanes: int, steps: int, width: int) -> int:
+    """The value of `_walk_shortcut_zero` on each of the `lanes` packed `width`-byte lanes of x."""
+    one = _lane_ones(lanes, width)
     for _ in range(steps):
-        x, _ = _packed_step(x, one)
+        x, _ = _packed_step(x, one, width)
     return x
 
 
-def residue_shift_blocks(max_k: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int, int, int]]:
+def residue_shift_blocks(
+    max_k: int, ms: Iterable[int]
+) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """Both sides of `residue_shift_check(k, m, i)` for every k = 1..max_k, i < 2^k and m in ms.
 
-    The checks of a level k are numbered in the order of (i, position of m in
-    ms), g = i * len(ms) + position, and yielded in blocks (k, g0, count, lhs,
-    rhs) of packed ints: lane j of lhs and rhs is check g0 + j, for j < count.
-    A block is whole rows of one i each, or a piece of one row when ms has
-    more than `_SHIFT_BLOCK` values.  The blocks follow those of one
-    `halfsplit.shift_blocks(max_k)`: in g order within a table block, but
-    depth first, so the levels past `LANE_BLOCK` residues interleave.  As in
-    the per-case check, the two sides come from separate code paths: the left
-    walks 2^k m + i, the right is 3^p m + T^k(i), one product a row of the
-    packed values of m.
+    Yields blocks (k, i0, lanes, p0, group, width, lhs, rhs): lhs and rhs are
+    packed ints of lanes * group lanes of `width` bytes, and lane
+    q * lanes + j of each is the check (k, m, i) of the residue i = i0 + j and
+    the m at position p0 + q of ms, for j < lanes and q < group.  Each block
+    is one table block of `halfsplit.shift_blocks(max_k)`, `lanes` residues,
+    for a group of about `LANE_BLOCK` / lanes values of m; the table blocks
+    come in that walk's depth-first order, so the levels past `LANE_BLOCK`
+    residues interleave, and each one's groups in the order of ms.  As in the
+    per-case check, the two sides come from separate code paths: the left
+    walks 2^k m + i from (m << k) * ones + (i0 + j), the right is
+    3^p m + T^k(i), one product of the table block's powers a value of m.
     """
     if not 1 <= max_k <= SHIFT_UINT64_MAX_K:
         raise ValueError(f"need 1 <= k <= {SHIFT_UINT64_MAX_K} for uint64 walks")
-    if not (isinstance(ms, array) and ms.typecode == "Q"):
-        ms = array("Q", ms)
-    if ms and max(ms) >= SHIFT_M_BOUND:
-        raise ValueError(f"need every m below {SHIFT_M_BOUND} for uint64 walks")
+    ms = [int(m) for m in ms]  # a numpy int64 times a packed int raises OverflowError
     if not ms:
         return
-    from .halfsplit import shift_blocks
+    if not 0 <= min(ms) <= max(ms) < SHIFT_M_BOUND:
+        raise ValueError(f"need every m in [0, {SHIFT_M_BOUND}) for uint64 walks")
+    from .halfsplit import shift_blocks, tree_width
 
-    width = min(len(ms), _SHIFT_BLOCK)  # values of m a block
-    rows = _SHIFT_BLOCK // width  # values of i a block
-    # lane d * width + j holds d, for each of the rows
-    offsets = _join((d * _lane_ones(width) for d in range(rows)), width)
+    width = max(_lane_width(3**max_k * (max(ms) + 1)), tree_width(max_k))
+    iota = _pack_lanes(range(min(1 << max_k, LANE_BLOCK)), width)  # lane j holds j
     # level 0, whose one residue no k >= 1 checks, is skipped
-    for k, b, image, power in islice(shift_blocks(max_k), 1, None):
+    for k, b, image, power in islice(shift_blocks(max_k, width), 1, None):
         lanes = min(1 << k, LANE_BLOCK)  # residues a table block
-        image, power = _unpack(image, lanes), _unpack(power, lanes)
-        for d0 in range(0, lanes, rows):
-            images, powers, i0 = image[d0 : d0 + rows], power[d0 : d0 + rows], b * lanes + d0
-            for p0 in range(0, len(ms), width):
-                piece = ms[p0 : p0 + width]
-                m, one, count = _pack(piece), _lane_ones(len(piece)), len(images) * len(piece)
-                # lane (i - i0) * len(piece) + j of each side is check (i, p0 + j); with
-                # few values of m a row costs more per check: --max-k 20 --samples 1
-                # takes 1.58 s against 1.35 s with a product a value of m in place
-                # of a row (2-vCPU Xeon, Python 3.11)
-                lhs = (_pack(piece * len(images)) << k) + i0 * _lane_ones(count)
-                lhs += offsets & (1 << 64 * count) - 1
-                rhs = _join((p * m + t * one for p, t in zip(powers, images)), len(piece))
-                yield k, i0 * len(ms) + p0, count, _walk_packed(lhs, count, k), rhs
-
-
-def _join(rows: Iterable[int], lanes: int) -> int:
-    """The packed int of the packed rows of `lanes` lanes each, the first row lowest."""
-    return int.from_bytes(b"".join(row.to_bytes(8 * lanes, "little") for row in rows), "little")
+        one, i0, size = _lane_ones(lanes, width), b * lanes, lanes * width
+        start = i0 * one + (iota & (1 << 8 * size) - 1)
+        group = LANE_BLOCK // lanes
+        for p0 in range(0, len(ms), group):
+            piece = ms[p0 : p0 + group]
+            lhs = _pack_lanes([(m << k) * one + start for m in piece], size)
+            rhs = _pack_lanes([power * m + image for m in piece], size)
+            yield k, i0, lanes, p0, len(piece), width, _walk_packed(
+                lhs, lanes * len(piece), k, width), rhs
 
 
 def closed_form_check(

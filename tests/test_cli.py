@@ -1,5 +1,4 @@
 import json
-from array import array
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -22,8 +21,10 @@ from collatzlab.cli import (
     main,
 )
 from collatzlab import pcg64 as pcg64_mod
-from collatzlab.dynamics import LANE_BLOCK, AnbParams, _pack, _unpack
+from collatzlab import dynamics as dynamics_mod
+from collatzlab.dynamics import AnbParams, _pack_lanes, _unpack_lanes
 from collatzlab.sweep import survey_range
+from test_identities import set_lane_block
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "collatzlab" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -339,16 +340,11 @@ def _anb_per_n(x0, values, exponents, params):
 
 
 def _lemma7_per_case(max_k, ms):
-    """residue_shift_check on every (i, m) in order, as one packed block for each k."""
+    """residue_shift_check on every (m, i) in order, as one block of 8-byte lanes for each k."""
     for k in range(1, max_k + 1):
-        checks = [ident_mod.residue_shift_check(k, m, i) for i in range(1 << k) for m in ms]
-        yield (
-            k,
-            0,
-            len(checks),
-            _pack(array("Q", [c.lhs for c in checks])),
-            _pack(array("Q", [c.rhs for c in checks])),
-        )
+        checks = [ident_mod.residue_shift_check(k, int(m), i) for m in ms for i in range(1 << k)]
+        yield (k, 0, 1 << k, 0, len(ms), 8, _pack_lanes([c.lhs for c in checks], 8),
+               _pack_lanes([c.rhs for c in checks], 8))
 
 
 @lru_cache(maxsize=None)
@@ -488,82 +484,104 @@ class TestOneWalkChecksBytes:
         assert fast[0][0] == EX_OK
 
     def test_lemma7_numpy_draws(self, capsys, monkeypatch):
-        # above the draw crossover the m come as numpy's int64 array, read
-        # into the lanes by their bytes: the same bytes as the stream's.  A
-        # corrupted T^6(5) makes failures, whose counterexample names an m.
-        corrupted = self._corrupt_level(halfsplit_mod.shift_blocks, 6, images=[5])
+        # above the draw crossover the m come as numpy's int64 array, read as
+        # Python ints before any product with a packed int.  Corrupted T^6(5)
+        # and T^13(5000), in the second table block of level 13, and a 3^p of
+        # level 9, whose checks come in groups of 8 draws, make failures in
+        # every group of draws; the counterexample names an m.
+        corrupted = self._corrupt_level(
+            halfsplit_mod.shift_blocks, None,
+            images=lambda n: {6: [5], 13: [5000]}.get(n, ()), powers={9: [300]})
         monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
-        argv = ("verify", "lemma7", "--max-k", "6", "--samples", "40", "--seed", "3")
+        argv = ("verify", "lemma7", "--max-k", "13", "--samples", "40", "--seed", "3")
         stream = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         monkeypatch.setattr(pcg64_mod, "NUMPY_LOAD_NS", 0)
         assert [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS] == stream
         assert stream[0][0] == EX_INCONCLUSIVE
-        m = int(np.random.default_rng(3).integers(0, cli_mod.M_SEED_RANGE, size=40)[0])
-        assert json.loads(stream[1][1])["counterexample"]["m"] == m
+        ms = np.random.default_rng(3).integers(0, cli_mod.M_SEED_RANGE, size=40)
+        doc = json.loads(stream[1][1])
+        m = int(ms[0])
+        lhs = ident_mod._walk_shortcut_zero((m << 6) + 5, 6)[0]
+        assert doc["counterexample"] == {"k": 6, "m": m, "i": 5, "lhs": lhs, "rhs": lhs + 1}
+        assert doc["failures"] == 80 + np.count_nonzero(ms)
+
+    # lanes a block, --max-k and --samples of each run of the broken left walk
+    BROKEN_WALK_RUNS = [
+        # groups of 3 draws, then 2 + 1, then 1 a table block past LANE_BLOCK at k = 13
+        (4096, 13, 3),
+        # groups of 6, 4 + 2, 2 + 2 + 2, then 1 a table block of 64 residues
+        (64, 9, 6),
+        # groups of 8 + 5, 4 + 4 + 4 + 1 and 2, then 1 a table block of 16 residues
+        (16, 6, 13),
+    ]
 
     def test_lemma7_broken_left_walk(self, capsys, monkeypatch):
         # break the walk from every start >= 2^k that is 3 mod 7, in the
         # per-case walker and in the packed walker alike: only the left side
         # walks such starts (the right side walks i < 2^k, or reads the table)
         walk, walk_packed = ident_mod._walk_shortcut_zero, ident_mod._walk_packed
+        blocks = ident_mod.residue_shift_blocks
 
         def broken(x, steps, *params):
             y, p = walk(x, steps, *params)
             return y + (x >> steps > 0 and x % 7 == 3), p
 
-        def broken_packed(x, lanes, steps):
-            walked = _unpack(walk_packed(x, lanes, steps), lanes)
-            hits = [x >> steps > 0 and x % 7 == 3 for x in _unpack(x, lanes)]
-            return _pack(array("Q", [y + hit for y, hit in zip(walked, hits)]))
+        def broken_packed(x, lanes, steps, width):
+            walked = _unpack_lanes(walk_packed(x, lanes, steps, width), lanes, width)
+            hits = [x >> steps > 0 and x % 7 == 3 for x in _unpack_lanes(x, lanes, width)]
+            return _pack_lanes([y + hit for y, hit in zip(walked, hits)], width)
 
         monkeypatch.setattr(ident_mod, "_walk_shortcut_zero", broken)
         monkeypatch.setattr(ident_mod, "_walk_packed", broken_packed)
-        argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
-        fast = []
-        # several blocks per k: whole rows (50 and 9) and pieces of rows (4)
-        for block in (50, 9, 4):
-            monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
-            fast.append([run_cli(capsys, *argv, "--format", f) for f in self.FORMATS])
-        monkeypatch.setattr(ident_mod, "residue_shift_blocks", _lemma7_per_case)
-        slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
-        assert fast == [slow] * 3
-        assert slow[0][0] == EX_INCONCLUSIVE
-        # the count and the first counterexample in (k, i, draw) order, as
-        # the per-case loop over the broken check finds them
-        ms = np.random.default_rng(4).integers(0, cli_mod.M_SEED_RANGE, size=6)
-        failures, first = 0, None
-        for k in range(1, 8):
-            for i in range(1 << k):
-                for m in ms:
-                    res = ident_mod.residue_shift_check(k, int(m), i)
-                    if not res.holds:
-                        failures += 1
-                        first = first or {"k": k, "m": int(m), "i": i,
-                                          "lhs": res.lhs, "rhs": res.rhs}
-        doc = json.loads(slow[1][1])
-        assert 0 < failures < doc["checks_run"]
-        assert doc["failures"] == failures and doc["counterexample"] == first
+        for block, max_k, samples in self.BROKEN_WALK_RUNS:
+            set_lane_block(monkeypatch, block)
+            argv = ("verify", "lemma7", "--max-k", str(max_k), "--samples", str(samples),
+                    "--seed", "4")
+            monkeypatch.setattr(ident_mod, "residue_shift_blocks", blocks)
+            fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+            monkeypatch.setattr(ident_mod, "residue_shift_blocks", _lemma7_per_case)
+            slow = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
+            assert fast == slow
+            assert slow[0][0] == EX_INCONCLUSIVE
+            # the count and the first counterexample in (k, i, draw) order, as
+            # the per-case loop over the broken check finds them
+            ms = np.random.default_rng(4).integers(0, cli_mod.M_SEED_RANGE, size=samples)
+            failures, first = 0, None
+            for k in range(1, max_k + 1):
+                for i in range(1 << k):
+                    for m in ms:
+                        res = ident_mod.residue_shift_check(k, int(m), i)
+                        if not res.holds:
+                            failures += 1
+                            first = first or {"k": k, "m": int(m), "i": i,
+                                              "lhs": res.lhs, "rhs": res.rhs}
+            doc = json.loads(slow[1][1])
+            assert 0 < failures < doc["checks_run"]
+            assert doc["failures"] == failures and doc["counterexample"] == first
 
     @staticmethod
     def _corrupt_level(real_blocks, k, images=(), powers=()):
         """shift_blocks with 1 added to the images and 2 to the powers of the
         residues given at level k (or at every level n >= 1 that images(n)
-        names, for a callable), in a copy of the block that the check reads:
-        the walk refines its own, uncorrupted, blocks."""
+        names, for a callable, and that powers names, for a dict), in a copy
+        of the block that the check reads: the walk refines its own,
+        uncorrupted, blocks."""
 
-        def corrupted(top):
-            for n, b, image, power in real_blocks(top):
+        def corrupted(top, width=None):
+            width = width or halfsplit_mod.tree_width(top)
+            for n, b, image, power in real_blocks(top, width):
                 bad = images(n) if callable(images) else images if n == k else ()
-                if n and (bad or powers and n == k):
-                    lanes = min(1 << n, LANE_BLOCK)
-                    image, power = _unpack(image, lanes), _unpack(power, lanes)
+                worse = powers.get(n, ()) if isinstance(powers, dict) else powers if n == k else ()
+                if n and (bad or worse):
+                    lanes = min(1 << n, dynamics_mod.LANE_BLOCK)
+                    image, power = (_unpack_lanes(x, lanes, width) for x in (image, power))
                     for i in bad:
                         if i // lanes == b:
                             image[i % lanes] += 1
-                    for i in powers if n == k else ():
+                    for i in worse:
                         if i // lanes == b:
                             power[i % lanes] += 2
-                    image, power = _pack(image), _pack(power)
+                    image, power = _pack_lanes(image, width), _pack_lanes(power, width)
                 yield n, b, image, power
 
         return corrupted
@@ -579,16 +597,16 @@ class TestOneWalkChecksBytes:
         def per_case(max_k, ms):
             for k in range(1, max_k + 1):
                 lhs, rhs = [], []
-                for i in range(1 << k):
-                    ti, p = walk(i, k)
-                    ti += i % 7 == 3
-                    for m in ms:
+                for m in ms:
+                    for i in range(1 << k):
+                        ti, p = walk(i, k)
+                        ti += i % 7 == 3
                         lhs.append(walk((int(m) << k) + i, k)[0])
                         rhs.append(3**p * int(m) + ti)
-                yield k, 0, len(lhs), _pack(array("Q", lhs)), _pack(array("Q", rhs))
+                yield k, 0, 1 << k, 0, len(ms), 8, _pack_lanes(lhs, 8), _pack_lanes(rhs, 8)
 
         monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
-        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", 50)
+        set_lane_block(monkeypatch, 16)
         argv = ("verify", "lemma7", "--max-k", "7", "--samples", "6", "--seed", "4")
         fast = [run_cli(capsys, *argv, "--format", f) for f in self.FORMATS]
         monkeypatch.setattr(ident_mod, "residue_shift_blocks", per_case)
@@ -603,19 +621,20 @@ class TestOneWalkChecksBytes:
         assert doc["failures"] == 6 * sum(len(range(3, 1 << k, 7)) for k in range(1, 8))
         assert doc["counterexample"] == {"k": 2, "m": m, "i": 3, "lhs": lhs, "rhs": lhs + 1}
 
-    @pytest.mark.parametrize("block", [4096, 5])
+    @pytest.mark.parametrize("block", [4096, 1024, 16384])
     def test_lemma7_first_failure_in_a_later_block(self, capsys, monkeypatch, block):
-        # at k = 13 the power 3^p of residue 5000, in the second table block,
-        # is 2 too large, which shows only for m > 0; the image of 7000 is 1
-        # too large, which shows for every m.  The first failure is at
-        # (i 5000, m 5), the second draw, in a later block of checks than the
-        # first; with blocks of 5 checks the draws also span two blocks a row.
+        # at k = 13 the power 3^p of residue 5000 is 2 too large, which shows
+        # only for m > 0; the image of 7000 is 1 too large, which shows for
+        # every m.  The first failure is at (i 5000, m 5), the second draw, in
+        # a later block of checks than the first.  Residue 5000 lies in the
+        # second table block of level 13 at 4096 lanes a block, in the fifth at
+        # 1024; at 2^14 lanes level 13 is one table block, in groups of two draws.
         real_blocks, walk = halfsplit_mod.shift_blocks, ident_mod._walk_shortcut_zero
         corrupted = self._corrupt_level(real_blocks, 13, images=[7000], powers=[5000])
         draws = [0, 5, 0, 3, 1 << 19, 0, 7]
         monkeypatch.setattr(halfsplit_mod, "shift_blocks", corrupted)
         monkeypatch.setattr(pcg64_mod, "seeded_draws", lambda *args: iter([draws]))
-        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
+        set_lane_block(monkeypatch, block)
         code, out = run_cli(capsys, "verify", "lemma7", "--max-k", "13",
                             "--samples", str(len(draws)), "--format", "json")
         doc = json.loads(out)

@@ -1,6 +1,5 @@
 import ast
 import inspect
-from array import array
 from pathlib import Path
 
 import pytest
@@ -25,9 +24,10 @@ from collatzlab.dynamics import (
     trajectory_odd,
     two_adic_valuation,
     _lane_ones,
-    _pack,
+    _lane_width,
+    _pack_lanes,
     _packed_step,
-    _unpack,
+    _unpack_lanes,
 )
 from collatzlab import dynamics
 from collatzlab.identities import _walk_shortcut_zero
@@ -388,53 +388,69 @@ def test_one_valuation_table():
     assert set(tricks) == {"dynamics"}
 
 
-# The largest odd lane whose step, (3x + 1) / 2, still fits in 64 bits, and
-# the largest even lane, whose x + 1 fills its lane without a carry.
-LANE_ODD_MAX = ((1 << 65) - 2) // 3 - 1
-LANE_EVEN_MAX = (1 << 64) - 2
+def lane_odd_max(width):
+    """The largest odd lane of `width` bytes whose step, (3x + 1) / 2, still fits in its lane."""
+    return ((1 << 8 * width + 1) - 2) // 3 - 1
 
 
-def packed_step_lanes(values):
-    """One `_packed_step` on the lanes `values`, unpacked: (images, mask lanes)."""
-    x, odd = _packed_step(_pack(array("Q", values)), _lane_ones(len(values)))
-    assert x.bit_length() <= 64 * len(values)  # nothing carried out of the top lane
-    return _unpack(x, len(values)).tolist(), _unpack(odd, len(values)).tolist()
+def packed_step_lanes(values, width=8):
+    """One `_packed_step` on the `width`-byte lanes `values`, unpacked: (images, mask lanes)."""
+    x, odd = _packed_step(_pack_lanes(values, width), _lane_ones(len(values), width), width)
+    # nothing carried out of the top lane, or _unpack_lanes raises
+    return _unpack_lanes(x, len(values), width), _unpack_lanes(odd, len(values), width)
+
+
+WIDTHS = [1, 2, 5, 8]
 
 
 class TestPackedStep:
     """The packed-lane step against the Python-int walk, one step per lane."""
 
     def test_pack_round_trip(self):
-        values = [0, 1, LANE_EVEN_MAX + 1, 12345, LANE_ODD_MAX]
-        assert _unpack(_pack(array("Q", values)), len(values)).tolist() == values
-        assert _pack(array("Q", values)) == sum(v << 64 * j for j, v in enumerate(values))
-        assert _lane_ones(3) == 1 | 1 << 64 | 1 << 128
+        values = [0, 1, (1 << 64) - 1, 12345, lane_odd_max(8)]
+        assert _unpack_lanes(_pack_lanes(values, 8), len(values), 8) == values
+        assert _pack_lanes(values, 8) == sum(v << 64 * j for j, v in enumerate(values))
+        assert _pack_lanes([3, 0, 255], 1) == 3 | 255 << 16
+        assert _unpack_lanes(3 | 255 << 16, 3, 1) == [3, 0, 255]
+        assert _lane_ones(3, 8) == 1 | 1 << 64 | 1 << 128
+        assert _lane_ones(3, 5) == 1 | 1 << 40 | 1 << 80
+        with pytest.raises(OverflowError):  # bits past the last lane
+            _unpack_lanes(1 << 24, 3, 1)
+
+    def test_lane_width(self):
+        assert [_lane_width(x) for x in (1, 255, 256, (1 << 64) - 1, 1 << 64)] == [1, 1, 2, 8, 9]
 
     def test_largest_lanes(self):
         # the largest values that fit, next to T(0) lanes and to each other
-        assert LANE_ODD_MAX % 2
-        assert (3 * LANE_ODD_MAX + 1) // 2 < 1 << 64 <= (3 * (LANE_ODD_MAX + 2) + 1) // 2
-        values = [LANE_ODD_MAX, 0, LANE_EVEN_MAX, LANE_ODD_MAX, LANE_ODD_MAX - 2, 0, 1, 0]
-        images, mask = packed_step_lanes(values)
-        assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
-        assert mask == [(1 << 64) - 1 if x % 2 else 0 for x in values]
+        for width in WIDTHS:
+            odd_max, even_max = lane_odd_max(width), (1 << 8 * width) - 2
+            assert odd_max % 2
+            assert (3 * odd_max + 1) // 2 < 1 << 8 * width <= (3 * (odd_max + 2) + 1) // 2
+            values = [odd_max, 0, even_max, odd_max, odd_max - 2, 0, 1, 0]
+            images, mask = packed_step_lanes(values, width)
+            assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
+            assert mask == [(1 << 8 * width) - 1 if x % 2 else 0 for x in values]
+            # the next odd value's step passes its lane and carries into the next
+            images, _ = packed_step_lanes([odd_max + 2, 0], width)
+            assert images == [(3 * odd_max + 7) // 2 - (1 << 8 * width), 1]
 
     def test_zero_lanes(self):
         # T(0) = 0: a block of zeros stays zero, and a zero lane between odd
         # lanes takes nothing from them
-        assert _packed_step(0, _lane_ones(LANE_BLOCK)) == (0, 0)
+        assert _packed_step(0, _lane_ones(LANE_BLOCK, 8), 8) == (0, 0)
         images, mask = packed_step_lanes([7, 0, 7, 0])
         assert images == [11, 0, 11, 0] and mask[1] == mask[3] == 0
 
-    @given(st.lists(st.integers(0, LANE_ODD_MAX), min_size=1, max_size=40))
+    @given(st.sampled_from(WIDTHS), st.lists(st.integers(0, 1 << 64), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
-    def test_random_lanes(self, values):
-        images, mask = packed_step_lanes(values)
+    def test_random_lanes(self, width, draws):
+        values = [x % (lane_odd_max(width) + 1) for x in draws]
+        images, mask = packed_step_lanes(values, width)
         assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
-        assert mask == [(1 << 64) - 1 if x % 2 else 0 for x in values]
+        assert mask == [(1 << 8 * width) - 1 if x % 2 else 0 for x in values]
 
     def test_full_block(self):
-        values = [(x * 0x9E3779B97F4A7C15) % LANE_ODD_MAX for x in range(LANE_BLOCK)]
+        values = [(x * 0x9E3779B97F4A7C15) % lane_odd_max(8) for x in range(LANE_BLOCK)]
         images, _ = packed_step_lanes(values)
         assert images == [_walk_shortcut_zero(x, 1)[0] for x in values]
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzlab import halfsplit
-from collatzlab.dynamics import LANE_BLOCK, StepKind, _lane_ones, _unpack
+from collatzlab.dynamics import (
+    LANE_BLOCK, StepKind, _lane_ones, _pack_lanes, _unpack_lanes, step_general,
+)
 from collatzlab.halfsplit import (
     CLASSES_STEP_LIMIT,
     CLASSES_UINT64_MAX_STEP,
@@ -19,6 +21,7 @@ from collatzlab.halfsplit import (
     halfsplit_verify,
     shift_blocks,
     step_kind_at,
+    tree_width,
 )
 from collatzlab.identities import _walk_shortcut_zero
 from collatzlab.sweep import survey_range
@@ -227,8 +230,9 @@ class TestRefinement:
                     halfsplit_by_classes(CLASSES_UINT64_MAX_STEP + 1)
 
     def test_tally_memory(self):
-        # the walk holds one block a level of its path: 0.99 MB traced at M = 22,
-        # where a whole level 21, which the breadth-first table held, takes 17 MB
+        # the walk holds one block a level of its path: 0.62 MB traced at M = 22
+        # in lanes of 5 bytes (0.92 MB in 8-byte lanes), where a whole level 21,
+        # which the breadth-first table held, takes 17 MB
         tracemalloc.start()
         try:
             assert exact_split(halfsplit_by_classes(22))
@@ -246,19 +250,18 @@ class TestRefinement:
         assert 2 * 3 ** (n - 1) < 2**64 <= 2 * 3**n
 
 
-def level_lanes(k, n):
-    """Level n <= k of `shift_blocks(k)`, unpacked and assembled from its blocks by
-    (n, b): the lists (T^n(i), 3^p) over i < 2^n.  The walk meets every block of
-    the levels 0..k once."""
-    lanes = min(1 << n, LANE_BLOCK)
+def level_lanes(k, n, width=None):
+    """Level n <= k of `shift_blocks(k, width)`, unpacked and assembled from its
+    blocks by (n, b): the lists (T^n(i), 3^p) over i < 2^n.  The walk meets every
+    block of the levels 0..k once."""
+    lanes, width = min(1 << n, LANE_BLOCK), width or tree_width(k)
     met, level = set(), {}
-    for m, b, image, power in shift_blocks(k):
+    for m, b, image, power in shift_blocks(k, width):
         assert (m, b) not in met and 0 <= m <= k and 0 <= b * LANE_BLOCK < 1 << m
         met.add((m, b))
         if m == n:
-            # no lane carried past the block's last
-            assert max(image.bit_length(), power.bit_length()) <= 64 * lanes
-            level[b] = _unpack(image, lanes), _unpack(power, lanes)
+            # no lane carried past the block's last, or _unpack_lanes raises
+            level[b] = _unpack_lanes(image, lanes, width), _unpack_lanes(power, lanes, width)
     assert len(met) == sum(max(1 << m, LANE_BLOCK) // LANE_BLOCK for m in range(k + 1))
     images, powers = [], []
     for b in range(len(level)):
@@ -319,18 +322,73 @@ class TestShiftTable:
         # the largest lanes a table forms there, T^38(i) + 3^p for the residue
         # i = 2^38 - 1, which increases at every step, as the table refines them
         n = CLASSES_UINT64_MAX_STEP - 2
-        starts = [(1 << n) - 1, (1 << n + 1) - 1, (1 << n) - 3, 0]
-        image = power = 0
-        for j, i in enumerate(starts):
-            y, p = _walk_shortcut_zero(i % (1 << n), n)
-            image |= y + 3**p * (i >> n) << 64 * j
-            power |= 3**p << 64 * j
-        image, power = halfsplit._refined_step(image, power, _lane_ones(len(starts)))
-        expect = [_walk_shortcut_zero(i, n + 1) for i in starts]
-        assert _unpack(image, len(starts)).tolist() == [y for y, _ in expect]
-        assert _unpack(power, len(starts)).tolist() == [3**p for _, p in expect]
+        assert tree_width(n + 1) == 8
+        expect, walked = refined_edge_lanes(n, 8)
+        assert walked == expect
         # the tally of step 40 reads level 39 as T^39(i) + 3^p < 2 * 3^39 < 2^64
-        assert expect[1] == (3 ** (n + 1) - 1, n + 1)
+        assert expect[1] == (3 ** (n + 1) - 1, 2 * 3 ** (n + 1) - 1)
+
+    # the levels k at which 2 * 3^k + 1 takes one byte more than at k - 1
+    CROSSINGS = [k for k in range(1, CLASSES_UINT64_MAX_STEP) if tree_width(k) > tree_width(k - 1)]
+
+    def test_width_crossings(self):
+        assert self.CROSSINGS == [5, 10, 15, 20, 25, 30, 35]
+        for k in range(CLASSES_UINT64_MAX_STEP):
+            width = tree_width(k)
+            assert 2 * 3**k + 1 < 1 << 8 * width and 2 * 3**k + 1 >= 1 << 8 * (width - 1)
+
+    @pytest.mark.parametrize("k", CROSSINGS)
+    def test_edge_lanes_at_the_width(self, k):
+        # the largest lanes of level k - 1 refined to level k, and their
+        # refinement i + 2^k, at the width of the walk to level k: exact, and
+        # one byte narrower some lane differs
+        expect, walked = refined_edge_lanes(k - 1, tree_width(k))
+        assert walked == expect
+        assert refined_edge_lanes(k - 1, tree_width(k) - 1)[1] != expect
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_whole_levels_at_the_width(self, k):
+        # every residue of the walk to a crossing level, and its refinement
+        # T^k(i) + 3^p that the tally reads, against step_general; one byte
+        # narrower, some lane of that refinement differs
+        expect = [(walk_general(i, k), walk_general(i + (1 << k), k)) for i in range(1 << k)]
+        for width in (tree_width(k), tree_width(k) - 1):
+            ((image, power),) = [(y, w) for n, _, y, w in shift_blocks(k, width) if n == k]
+            mask = (1 << (8 * width << k)) - 1  # a carry out of the top lane is lost
+            walked = list(zip(_unpack_lanes(image & mask, 1 << k, width),
+                              _unpack_lanes((image + power) & mask, 1 << k, width)))
+            assert (walked == expect) == (width == tree_width(k))
+
+
+def walk_general(x, steps):
+    """`steps` shortcut steps from x by step_general, with T(0) = 0."""
+    for _ in range(steps if x else 0):
+        x = step_general(x)[0]
+    return x
+
+
+def pack_cut(values, width):
+    """`_pack_lanes` of values cut to their low `width` bytes, as a walk too
+    narrow for them would hold them."""
+    return _pack_lanes([v % (1 << 8 * width) for v in values], width)
+
+
+def refined_edge_lanes(n, width):
+    """The lanes of level n that form the largest values as the walk refines them
+    to level n + 1, residues i = 2^(n+1) - 1 and 2^n - 1 among them, taken one
+    `_refined_step` at `width` bytes: (expected, walked) lists of the pairs
+    (T^(n+1)(i), T^(n+1)(i + 2^(n+1))), the image and the sum image + 3^p that the
+    tally reads, of each i."""
+    starts = [(1 << n) - 1, (1 << n + 1) - 1, (1 << n) - 3, 0, (1 << n + 1) - 3]
+    level = [_walk_shortcut_zero(i % (1 << n), n) for i in starts]
+    image = pack_cut([y + 3**p * (i >> n) for i, (y, p) in zip(starts, level)], width)
+    power = pack_cut([3**p for _, p in level], width)
+    image, power = halfsplit._refined_step(image, power, _lane_ones(len(starts), width), width)
+    mask = (1 << 8 * width * len(starts)) - 1  # a carry out of the top lane is lost
+    walked = zip(_unpack_lanes(image & mask, len(starts), width),
+                 _unpack_lanes((image + power) & mask, len(starts), width))
+    expect = [(walk_general(i, n + 1), walk_general(i + (2 << n), n + 1)) for i in starts]
+    return expect, list(walked)
 
 
 def summed_tallies(parts):

@@ -1,5 +1,4 @@
 import tracemalloc
-from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dynamics import step_kinds
+from test_halfsplit import pack_cut, refined_edge_lanes
 
+from collatzlab import dynamics
+from collatzlab import halfsplit
 from collatzlab import identities as ident_mod
 from collatzlab.dynamics import (
-    LANE_BLOCK,
     StepKind,
-    _pack,
-    _unpack,
+    _unpack_lanes,
     odd_steps_extended,
     odd_walk,
     trajectory_general,
@@ -95,36 +95,58 @@ class TestResidueShift:
             residue_shift_check(2, 1, 4)
 
 
+def set_lane_block(monkeypatch, lanes):
+    """Make `lanes` (a power of 2) the lanes a packed block holds, in the table
+    walk and in the blocked lemma7 check alike."""
+    for mod in (dynamics, halfsplit, ident_mod):
+        monkeypatch.setattr(mod, "LANE_BLOCK", lanes)
+
+
 def shift_grids(max_k, ms):
     """The blocks of residue_shift_blocks for k = 1..max_k, checked to tile each
     level's grid exactly once, unpacked into each level's lists of left and right
-    sides in g order: {k: (lhs, rhs)}.  The blocks of one table block (of
-    LANE_BLOCK residues) come together and in g order; the table blocks may come
-    depth first."""
+    sides in the order of (i, position of m in ms), g = i * len(ms) + position:
+    {k: (lhs, rhs)}.  Each table block of `dynamics.LANE_BLOCK` residues or
+    fewer comes as groups of about LANE_BLOCK lanes, in the order of ms, in
+    lanes of one width; the table blocks may come depth first."""
+    block, widths = dynamics.LANE_BLOCK, set()
     pieces, table_blocks, last = {}, set(), None
-    for k, g0, count, left, right in residue_shift_blocks(max_k, ms):
-        span = min(1 << k, LANE_BLOCK) * len(ms)  # checks a table block
-        key = (k, g0 // span)
-        if key == last:
-            assert g0 == end  # each block starts where the one before ended
+    for k, i0, lanes, p0, group, width, left, right in residue_shift_blocks(max_k, ms):
+        assert lanes == min(1 << k, block) and i0 % lanes == 0 and i0 < 1 << k
+        assert 1 <= group <= block // lanes and p0 + group <= len(ms)
+        if (k, i0) == last:
+            assert p0 == end  # each group starts where the one before ended
         else:
-            assert key not in table_blocks and g0 % span == 0
-            table_blocks.add(key)
-        assert (g0 + count - 1) // span == key[1]
-        last, end = key, g0 + count
-        # no lane carried past the block's last
-        assert max(left.bit_length(), right.bit_length()) <= 64 * count
-        pieces[k, g0] = _unpack(left, count), _unpack(right, count)
-    grids = {}
-    for (k, g0), (left, right) in sorted(pieces.items()):
-        lhs, rhs = grids.setdefault(k, ([], []))
-        assert g0 == len(lhs)
-        lhs += left
-        rhs += right
-    assert list(grids) == list(range(1, max_k + 1))
+            assert (k, i0) not in table_blocks and p0 == 0
+            table_blocks.add((k, i0))
+        assert group == len(ms) - p0 or group == block // lanes  # only the last group is short
+        last, end = (k, i0), p0 + group
+        widths.add(width)
+        # lane q * lanes + j is the check of residue i0 + j and m = ms[p0 + q];
+        # no lane carried past the block's last, or _unpack_lanes raises
+        left, right = (_unpack_lanes(x, lanes * group, width) for x in (left, right))
+        for q in range(group):
+            for j in range(lanes):
+                g = (i0 + j) * len(ms) + p0 + q
+                assert (k, g) not in pieces
+                pieces[k, g] = left[q * lanes + j], right[q * lanes + j]
+    top = max(int(m) for m in ms)
+    assert widths == {max(_lane_width_of(3**max_k * (top + 1)), halfsplit.tree_width(max_k))}
+    assert len(table_blocks) == sum(max(1, (1 << k) // block) for k in range(1, max_k + 1))
+    grids = {k: ([], []) for k in range(1, max_k + 1)}
+    for (k, g), (left, right) in sorted(pieces.items()):
+        lhs, rhs = grids[k]
+        assert g == len(lhs)
+        lhs.append(left)
+        rhs.append(right)
     for k, (lhs, rhs) in grids.items():
         assert len(lhs) == len(rhs) == len(ms) << k
     return grids
+
+
+def _lane_width_of(bound):
+    """The least whole number of bytes w with bound < 2^(8 w)."""
+    return next(w for w in range(1, 10) if bound < 1 << 8 * w)
 
 
 MS = [5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77]
@@ -133,12 +155,12 @@ MS = [5, 0, 1, 3, 17, 1023, SHIFT_M_BOUND - 1, 5, 77]
 class TestResidueShiftBlocks:
     """The blocked packed checks against residue_shift_check, case by case."""
 
-    # at 9 values of m: whole rows, a level in one block (8192) or in
-    # several with a short last one (50); pieces of rows (7); one row a
-    # block (9); one check a block (1)
-    @pytest.mark.parametrize("block", [8192, 7, 9, 1, 50])
+    # at 9 values of m, by the lanes a block holds: a level in one block of
+    # checks (8192), or in groups of 8, 4, 2 and 1 values of m with a short
+    # last one, and table blocks of 64, 16, 2 or 1 residues past the first levels
+    @pytest.mark.parametrize("block", [8192, 64, 16, 2, 1])
     def test_every_case_small_k(self, monkeypatch, block):
-        monkeypatch.setattr(ident_mod, "_SHIFT_BLOCK", block)
+        set_lane_block(monkeypatch, block)
         grids = shift_grids(8 if block > 1 else 5, MS)
         for k, (lhs, rhs) in grids.items():
             for i in range(1 << k):
@@ -161,10 +183,9 @@ class TestResidueShiftBlocks:
     def test_depth_first_levels(self):
         # past one table block the levels interleave: (13, 0), (14, 0), (14, 2), (13, 1), ...
         order = []
-        for k, g0, _, _, _ in residue_shift_blocks(14, [3, 5]):
-            key = (k, g0 // (min(1 << k, LANE_BLOCK) * 2))
-            if key not in order:
-                order.append(key)
+        for k, i0, lanes, _, _, _, _, _ in residue_shift_blocks(14, [3, 5]):
+            if (k, i0 // lanes) not in order:
+                order.append((k, i0 // lanes))
         assert order[:12] == [(k, 0) for k in range(1, 13)]
         assert order[12:] == [(13, 0), (14, 0), (14, 2), (13, 1), (14, 1), (14, 3)]
         grids = shift_grids(14, [3, 5])
@@ -177,11 +198,11 @@ class TestResidueShiftBlocks:
 
     def test_table_memory(self):
         # the walk holds one table block a level of its path: draining k = 18
-        # at one value of m traces 1.40 MB, where the breadth-first table of
-        # a whole level took 5.4 MB
+        # at one value of m traces 0.53 MB in lanes of 4 bytes (1.48 MB in
+        # 8-byte lanes), where the breadth-first table of a whole level took 5.4 MB
         tracemalloc.start()
         try:
-            for _ in residue_shift_blocks(18, array("Q", [1])):
+            for _ in residue_shift_blocks(18, [1]):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -191,6 +212,9 @@ class TestResidueShiftBlocks:
     def test_numpy_draws(self):
         # the drawn m come as numpy's int64 array above the draw crossover
         assert shift_grids(6, np.array(MS)) == shift_grids(6, MS)
+        # with values of m past 2^63 / 3^6 the products would overflow an int64
+        ms = [SHIFT_M_BOUND - 1] * 3
+        assert shift_grids(6, np.array(ms, dtype=np.int64)) == shift_grids(6, ms)
 
     @given(st.integers(9, 14), st.lists(st.integers(0, SHIFT_M_BOUND - 1), min_size=1, max_size=5),
            st.data())
@@ -208,15 +232,26 @@ class TestResidueShiftBlocks:
         # every value formed stays below 3^k (m + 1) <= 3^k * SHIFT_M_BOUND
         assert 3**SHIFT_UINT64_MAX_K * SHIFT_M_BOUND <= 1 << 64
         assert 3 ** (SHIFT_UINT64_MAX_K + 1) * SHIFT_M_BOUND > 1 << 64
-        # the residue 2^k - 1 increases at every step, the largest growth;
-        # the walk of 0 stays at 0 between the lanes that grow most
-        k, m = SHIFT_UINT64_MAX_K, SHIFT_M_BOUND - 1
-        starts = [(m << k) + (1 << k) - 1, 0, (1 << k) - 1, (m << k) + (1 << k) - 3, 0]
-        walked = ident_mod._walk_packed(_pack(array("Q", starts)), len(starts), k)
-        assert walked.bit_length() <= 64 * (len(starts) - 1)  # the top lane walked 0
-        walked = _unpack(walked, len(starts)).tolist()
-        assert walked == [ident_mod._walk_shortcut_zero(x, k)[0] for x in starts]
-        assert walked[0] == 3**k * (m + 1) - 1
+
+    @pytest.mark.parametrize("m", [0, SHIFT_M_BOUND - 1])
+    def test_edge_lanes_at_the_width(self, m):
+        for k in range(1, SHIFT_UINT64_MAX_K + 1):
+            # the width the check takes: the least that holds 3^k (m + 1), and
+            # no less than the table's
+            width = next(residue_shift_blocks(k, [m]))[5]
+            assert width == max(_lane_width_of(3**k * (m + 1)), halfsplit.tree_width(k)) <= 8
+            if k <= 10:  # every residue, at the one value of m
+                lhs, rhs = shift_grids(k, [m])[k]
+                assert list(zip(lhs, rhs)) == shift_sides(k, m, range(1 << k))
+            expect = shift_sides(k, m, edge_residues(k))
+            assert edge_lanes(k, m, width) == expect
+            # one byte narrower, some lane differs: of the two sides where
+            # they set the width, else of the table's largest lanes
+            if width > halfsplit.tree_width(k):
+                assert edge_lanes(k, m, width - 1) != expect
+            elif width > 1:
+                table, walked = refined_edge_lanes(k - 1, width - 1)
+                assert walked != table
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -225,7 +260,35 @@ class TestResidueShiftBlocks:
             next(residue_shift_blocks(0, [1]))
         with pytest.raises(ValueError):
             next(residue_shift_blocks(3, [SHIFT_M_BOUND]))
+        with pytest.raises(ValueError):
+            next(residue_shift_blocks(3, [-1]))
         assert list(residue_shift_blocks(3, [])) == []
+
+
+def shift_sides(k, m, residues):
+    """(lhs, rhs) of `residue_shift_check(k, m, i)` for each i of residues."""
+    return [residue_shift_check(k, m, i)[2:] for i in residues]
+
+
+def edge_residues(k):
+    """The residues whose walks form the largest values, 2^k - 1, which increases at
+    every step, and 2^k - 3, with the residue 0, which walks 0, between them."""
+    return [(1 << k) - 1, 0, ((1 << k) - 3) % (1 << k), 0, (1 << k) - 1]
+
+
+def edge_lanes(k, m, width):
+    """Both sides of the checks (k, m, i) of the `edge_residues(k)`, each taken as
+    residue_shift_blocks takes it on packed `width`-byte lanes: the left side walks
+    (m << k) + i with `_walk_packed`, the right side is one product of the packed
+    powers 3^p by m plus the packed images T^k(i).  A carry out of the top lane
+    is lost, and so are the bits of a value past its lane."""
+    residues = edge_residues(k)
+    lanes, mask = len(residues), (1 << 8 * width * len(residues)) - 1
+    walks = [ident_mod._walk_shortcut_zero(i, k) for i in residues]
+    lhs = ident_mod._walk_packed(pack_cut([(m << k) + i for i in residues], width),
+                                 lanes, k, width)
+    rhs = pack_cut([3**p for _, p in walks], width) * m + pack_cut([y for y, _ in walks], width)
+    return list(zip(*(_unpack_lanes(x & mask, lanes, width) for x in (lhs, rhs))))
 
 
 class TestClosedForm:
