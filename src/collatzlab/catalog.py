@@ -32,8 +32,9 @@ _BASIN = -1
 # halve K times, lo_n being lo's own walk, while K <= _W - 64.  Then each step's
 # exponent is lo's, x_n's fingerprint is lo_n's, and x_n >= 2^64 meets no memo
 # entry; x is rebuilt at the block's end or to confirm a fingerprint hit.
-# At 256 bits the (5, 1) catalog to 100 at 10^5 steps walks in 0.39 s, at 128 in
-# 0.44 s (best of 5, 2-vCPU Xeon, Python 3.11).
+# A block runs up to _W - 64 halvings, and a step on a low word of a few
+# machine words costs about the same at 128 and 256 bits, so the wider word
+# rebuilds x half as often.
 _W = 256
 _LOW_W = (1 << _W) - 1
 _ROOM = _W - 64
@@ -166,9 +167,8 @@ def _catalog_walk(
                 _settle_later_starts(seen, x, small, max_steps, settled, start_limit)
             break
         j += 1
-        # A value below the memo bound steps inline, not through _walk_on: the
-        # (5, 1) catalog to 20,001 at 30 steps walks in 42 ms against 86 ms
-        # (best of 5, 2-vCPU Xeon, Python 3.11).
+        # A value below the memo bound steps inline, not through _walk_on,
+        # whose call and block set-up cost more than the step.
         t = a * x + b
         x = t >> (v2[t & 255] or _v2_wide(t))
         fp = x & mask

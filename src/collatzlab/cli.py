@@ -60,13 +60,14 @@ MC_FIXTURE_NAME = "paper14"
 # makes 819,000.
 LEMMA7_CHECK_LIMIT = 1 << 24
 
-# verify eq2 and bohm walk every odd start up to --max-x0, about 74 and 25
-# microseconds each at --max-x0 10^5 (2-vCPU VM, Python 3.11); above this many
-# starts they stop with exit 3.
+# verify eq2 and bohm walk every odd start up to --max-x0 to 1, one exact odd
+# walk a start; above this many starts they stop with exit 3, so a run walks
+# at most 2^20 starts below 2^21, none of them more than 207 odd steps (1723519).
 X0_START_LIMIT = 1 << 20
 
-# verify anb-eq runs samples x max(max_n, 1) closed-form checks, 3 to 6 microseconds
-# each near --max-n 50; above this many it stops with exit 3 (the default makes 10,000).
+# verify anb-eq runs samples x max(max_n, 1) closed-form checks, each a step of
+# the walk and an exact int comparison; above this many it stops with exit 3
+# (the default makes 10,000).
 ANB_EQ_CHECK_LIMIT = 1 << 22
 
 # anb-cycles walks each odd start for at most --max-steps steps, and a walk
@@ -84,20 +85,20 @@ CYCLES_STEP_LIMIT = 1 << 24
 CYCLES_MEMORY_LIMIT = 1 << 28
 
 # Generated montecarlo draws each sample's --length coins as one array, one
-# byte a coin, when numpy draws them (4.5 ns a coin with its sum, 2-vCPU VM,
-# numpy 2.4), and holds each sample's (xi, zeros, ones) and three doubles while
-# its rows stream out (120-150 bytes a sample under tracemalloc at --length 2).
-# Above MC_LENGTH_LIMIT coins a sample, MC_COIN_LIMIT coins in all (about 20 s)
-# or MC_SAMPLE_LIMIT samples it stops with exit 3: stats.t_critical does O(df)
-# work a level, 0.74 s for the three levels at df = 131,071 (2-vCPU VM).
+# byte a coin, when numpy draws them, and holds each sample's (xi, zeros, ones)
+# and three doubles while its rows stream out (120-150 bytes a sample under
+# tracemalloc at --length 2).  Above MC_LENGTH_LIMIT coins a sample (a 256 MB
+# array), MC_COIN_LIMIT coins in all or MC_SAMPLE_LIMIT samples it stops with
+# exit 3: the coins bound the drawing, and the samples both the rows held
+# (under 20 MB) and stats.t_critical, which does O(df) work a level.
 MC_LENGTH_LIMIT = 1 << 28
 MC_COIN_LIMIT = 1 << 32
 MC_SAMPLE_LIMIT = 1 << 17
 
 # verify geom sums (max_n + 1)(max_m + 1)(max_m + 2)/2 terms (the message's
-# "Fraction terms", summed as ints over 3^(n+m)), about 0.09 microseconds each:
-# `verify geom --max-n 200 --max-m 200` sums 4,080,501 in 0.38 s (2-vCPU VM,
-# Python 3.11); above this many it stops with exit 3.  The default run makes 67,626.
+# "Fraction terms", summed as ints over 3^(n+m)), a product and a sum each;
+# above this many it stops with exit 3, which still admits `verify geom
+# --max-n 200 --max-m 200` (4,080,501 terms).  The default run makes 67,626.
 GEOM_TERM_LIMIT = 1 << 22
 
 # trajectory writes its rows while the output stays within this many bytes;
@@ -110,13 +111,16 @@ TRAJECTORY_OUTPUT_LIMIT = 1 << 28
 # walks, and so do n - 1 worker threads, never more than the CPUs in all.
 THREADS_LIMIT = 256
 
-# sweep surveys at most this many starts (10^9: 35 s and a 60 MB peak at one
-# walker, 2-vCPU VM); above it it stops with exit 3 before numpy loads.
+# sweep surveys at most this many starts; above it it stops with exit 3 before
+# numpy loads.  It is the bound the walks are checked to: every orbit from a
+# start up to 10^9 stays below sweep.UINT64_SAFE_MAX (Oliveira e Silva's path
+# records), and a survey's memory is bounded at any range by its 16 MB table
+# and its pieces of 2^18 starts.
 SWEEP_START_LIMIT = 10**9
 
 # sweep holds each failure as an int while its document streams out: the run
 # peaks 50-60 bytes a failure higher in every format (--max-steps 0 at
-# --limit 10^6 to 4 x 10^6, 2-vCPU VM).  Above 2^28 bytes of failures at 60
+# --limit 10^6 to 4 x 10^6).  Above 2^28 bytes of failures at 60
 # bytes each the survey stops with exit 3, checked piece by piece before the
 # failures are held.
 SWEEP_FAILURE_BYTES = 60
@@ -318,8 +322,8 @@ def entry() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # The package makes no BLAS call, and OpenBLAS starts a thread per CPU when
-    # numpy loads: one thread cuts sweep --limit 4194304 from 0.39 to 0.26 s CPU
-    # at one worker (12 paired runs, 2-vCPU VM).  A caller's setting is kept,
+    # numpy loads, threads whose CPU time no call repays: one is enough, and
+    # the sweep's walkers keep the CPUs.  A caller's setting is kept,
     # the variable is unset again on return, and a numpy loaded before the call
     # keeps the threads it started.
     blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ

@@ -1,14 +1,13 @@
 """The montecarlo command: seeded 0/1 drift-ratio samples, or the published table.
 
 `cli` imports this module when it dispatches montecarlo; no other command
-loads it, `stats` or `statistics`.
+loads it or `stats`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import statistics
 from array import array
 from collections.abc import Iterable
 
@@ -74,10 +73,10 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
         )
     base = stats_mod.SampleStats.from_values(one_plus)
     stats_block = {
-        "mean_xi": statistics.fmean(xis),
+        "mean_xi": math.fsum(xis) / len(xis),
         "mean_one_plus_xi": base.mean,
         "std_one_plus_xi": base.std,
-        "mean_indicator_std": statistics.fmean(stds),
+        "mean_indicator_std": math.fsum(stds) / len(stds),
     }
     levels = [0.95, 0.98, 0.99] if args.level == "all" else [int(args.level) / 100]
     intervals = {str(int(level * 100)): stats_mod.level_intervals(base, level) for level in levels}

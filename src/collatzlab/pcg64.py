@@ -49,12 +49,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 # seeded_draws runs the stream here while its draws cost, above what numpy
-# spends on the same draws, no more than loading numpy.random does.  Medians
-# of 11 reps, each measuring both sides back to back (2-vCPU VM, Python 3.11,
-# numpy 2.4): loading numpy.random in a fresh interpreter 116 ms; a coin 72 ns
-# more here than in numpy; an int below 2^19, taken as 2 * m + 1, 548 ns more.
-# A seeding (about 21 us) costs the same on both sides within 4 us and is not
-# counted.  So one seed's stream runs here up to 1.6 M coins or 210 k ints.
+# spends on the same draws, no more than loading numpy.random does: the cost
+# of that load, and what a coin and an int below 2^19 (taken as 2 * m + 1)
+# cost here above numpy, in nanoseconds.  Only their ratios count, and only
+# for the crossover, which moves no draw: one seed's stream runs here up to
+# 1.6 M coins or 210 k ints.  A seeding costs about the same on both sides and
+# is not counted.
 NUMPY_LOAD_NS = 116_000_000
 COIN_NS = 72
 INT_NS = 548

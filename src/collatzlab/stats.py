@@ -11,17 +11,16 @@ a pair always gives the same bits, on any thread.  Real-valued statistics
 use doubles.
 
 The summary statistics and interval bounds do not depend on the Python
-version or on a quantile library.  Means use `statistics.fmean` (a correctly
-rounded sum divided by the count); the sample standard deviation comes from
-an exact variance (`sample_std`); Student-t critical values are computed here
-for integer degrees of freedom and rounded once to the nearest double
-(`t_critical`).
+version or on a quantile library.  A mean is a correctly rounded sum divided
+by the count, `math.fsum(values) / len(values)`; the sample standard
+deviation comes from an exact variance (`sample_std`); Student-t critical
+values are computed here for integer degrees of freedom and rounded once to
+the nearest double (`t_critical`).
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple, Sequence
 
@@ -189,7 +188,7 @@ class SampleStats(NamedTuple("SampleStats", [("count", int), ("mean", float), ("
     def from_values(cls, values: Sequence[float]) -> "SampleStats":
         if len(values) < 2:
             raise ValueError("need at least two values")
-        return cls(count=len(values), mean=statistics.fmean(values), std=sample_std(values))
+        return cls(count=len(values), mean=math.fsum(values) / len(values), std=sample_std(values))
 
 
 def confidence_interval(stats: SampleStats, mode: str = "normal") -> tuple[float, float]:
@@ -260,7 +259,7 @@ def interval_discrepancy_report() -> dict:
             "published_matches_chi": matches_chi,
         }
     return {
-        "mean_one_plus_xi": statistics.fmean(one_plus),
+        "mean_one_plus_xi": math.fsum(one_plus) / len(one_plus),
         "levels": per_level,
         "published_tables_identical": True,  # both printed tables list the same bounds
         "reproducible": consistent,

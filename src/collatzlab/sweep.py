@@ -22,6 +22,19 @@ range order to arrays whose capacity doubles.  It holds every stored entry
 that reaches 255, so at any budget no more than the stored odd starts whose
 tst reaches 255: 48,333 of the first 2^25 starts, the largest 442.
 
+The same identity serves the even starts of a survey from 1.  The table
+ends at table_end = min(hi, lo + 2 TABLE_CAP), and a piece [a, b) with
+b <= 2 table_end, every piece of a survey of up to 2^26 starts, holds its
+odd starts only, the 512 odd classes mod 2^LEVEL: its class plan, walks and
+fold cover those alone.  Its even start x = 2y has y in [ceil(a/2),
+ceil(b/2)), below a, so folded, and below table_end, so entered if odd, and
+tst(x) = 1 + tst(y), an even y halving again.  The fold reads what the even
+starts contribute off the table by threshold scans, level by level
+(`_even_starts`): those that fail, and those whose tst reaches the piece's
+odd best or the ratio record's floor.  Their orbits go on below b, so the
+peak needs none of them.  Pieces from lo > 1, where halvings fall below lo,
+and pieces past 2 table_end hold every start.
+
 A piece walks by one level table, the residue shift law (Terras, 1976) at
 k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k,
 with slope = 3^p 2^(k-j).  Below level k slope is even, so every member of a
@@ -32,8 +45,8 @@ class has base's parity there (Terras' parity bijection); at level k slope is
     when lo > 1, whose smallest lands at or above lo, takes its first such j
     and lands on slope m + base, every member at once (the sieve of Oliveira
     e Silva, 1999); at level k only the rows m where that is odd land, and
-    the others walk.  At 2^22 that is 89.7% of the starts, 91.2% in the top
-    two waves.
+    the others walk.  At 2^22 that is 79.6% of the odd starts, 82.5% in the
+    top two waves.
   * Jumps.  The other starts walk in uint64 numpy arrays, k steps a pass on
     row k while every value is at least 2^(k+1), so that none reaches 1
     inside a jump, k steps of budget remain, and the values fit in uint64;
@@ -62,10 +75,11 @@ of a later piece is larger, so ties go to the smaller start and the result is
 the same for every worker count and chunk size.  `survey_chunk_python`, the
 plain walk of every start to 1, is the reference.
 
-The fold, the one serial part, gathers a byte a start and stores one for
-each odd start.  A walk returns a byte a step count unless one passes 255,
-and uint32 slots, y // 2 - lo // 2 for a landing on the odd y, or a sentinel
-for the spare last slot, 0, for a spent budget or a landing on 1 below lo.
+The fold, the one serial part, gathers a byte a start it holds and stores
+one for each odd start.  A walk returns a byte a step count unless one
+passes 255, and uint32 slots, y // 2 - lo // 2 for a landing on the odd y,
+or a sentinel for the spare last slot, 0, for a spent budget or a landing
+on 1 below lo.
 Each 255 gathered is looked up in the side table, and
 tst = steps + min(entry, top - steps) saturates exactly at top, the least of
 max_steps + 1 and the most steps + entry can reach, in top's dtype: uint16 at
@@ -218,10 +232,11 @@ def _level_table(k: int) -> _LevelTable:
     return _LevelTable(k, slope, base, bound_slope, bound_base, (int(rows.min()) + 1 << k) - 1)
 
 
-def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels: int):
-    """The first level <= levels at which each class mod 2^k of [a, b) lands,
-    every member at once, in [lo, stop_hi), on an odd value below level k;
-    0 where it does not.
+def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels: int,
+                odd: bool = False):
+    """The first level <= levels at which each class mod 2^k of [a, b), or with
+    `odd` each odd class, lands, every member at once, in [lo, stop_hi), on an
+    odd value below level k; 0 where it does not.
 
     Returns the levels and the largest value the landed classes pass.  Every
     member is at least 2^k, so none passes 1 before level k; below level k a
@@ -231,36 +246,36 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
     its largest member bounds the landing and the peak and, when lo > 1, its
     smallest the landing's lower end.
     """
-    width = 1 << tab.k
-    level = np.zeros(width, dtype=np.intp)
-    if levels < 1 or a < width or b - 1 > tab.safe_max:
+    held = slice(int(odd), None, 1 + odd)  # the classes of the piece's starts
+    cls = np.arange(1 << tab.k, dtype=np.uint64)[held]
+    level = np.zeros(cls.size, dtype=np.intp)
+    if levels < 1 or a < 1 << tab.k or b - 1 > tab.safe_max:
         return level, b - 1
-    cls = np.arange(width, dtype=np.uint64)
     most = (np.uint64(b - 1) - cls) >> np.uint64(tab.k)
     least = ((np.uint64(a - 1) - cls) >> np.uint64(tab.k)) + np.uint64(1)
-    slope, base = tab.slope[1 : levels + 1], tab.base[1 : levels + 1]
+    slope, base = tab.slope[1 : levels + 1, held], tab.base[1 : levels + 1, held]
     lands = slope * most + base < stop_hi
     if lo > 1:
         lands &= slope * least + base >= lo
     lands[: tab.k - 1] &= (base[: tab.k - 1] & np.uint64(1)) == 1
-    first = lands.argmax(axis=0)
-    planned = lands[first, cls] & (least <= most)
+    planned = lands.any(axis=0) & (least <= most)
     if not planned.any():
         return level, b - 1
-    level[planned] = first[planned] + 1
+    level[planned] = lands.argmax(axis=0)[planned] + 1
     j, i = level[planned], cls[planned]
     peak = tab.bound_slope[j, i] * most[planned] + tab.bound_base[j, i]
     return level, max(b - 1, int(peak.max()))
 
 
 def _walk_piece(
-    a: int, b: int, lo: int, stop_hi: int, max_steps: int
+    a: int, b: int, lo: int, stop_hi: int, max_steps: int, odd: bool = False
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Walk every start in [a, b) until it lands on 1 or on an odd start in [lo, stop_hi).
+    """Walk every start in [a, b), or with `odd` every odd start, until it lands
+    on 1 or on an odd start in [lo, stop_hi).
 
-    Returns (steps, slot, peak): the steps each walk took, the uint32 table
-    slot y // 2 - lo // 2 of the odd value y it landed on, and the
-    largest value seen.  A walk that runs out of budget first reads
+    Returns (steps, slot, peak) in start order: the steps each walk took, the
+    uint32 table slot y // 2 - lo // 2 of the odd value y it landed on, and the
+    largest value seen, from b - 1.  A walk that runs out of budget first reads
     max_steps + 1 steps and slot _SPARE, as does a landing on 1 below lo.  A
     walk may pass over [lo, stop_hi) and land later, never past 1 or its
     budget.  Raises ArithmeticError before it steps a value above
@@ -268,22 +283,23 @@ def _walk_piece(
     """
     k = LEVEL
     tab = _level_table(k)
-    width, n = 1 << k, b - a
-    level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps))
-    # The starts as rows m of the classes i mod 2^k, in pairs (even m, odd m)
-    # from row a >> k or the one before.  A class planned at level k lands on
-    # 3^p m + base where that is odd, in the rows m of the other parity than
-    # base; the other starts' places in the piece come a pair of rows at a
-    # time, with no mask a start.
-    one, cls, first = np.uint64(1), np.arange(width), (a >> k) & ~1
-    planned, top, odd = level > 0, level == k, (tab.base[k] & one).astype(bool)
-    even_m, odd_m = np.flatnonzero(~planned | top & ~odd), np.flatnonzero(~planned | top & odd)
+    level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps), odd)
+    # The starts as rows m of the classes i mod 2^k the piece holds, all or
+    # the odd ones, in pairs (even m, odd m) from row a >> k or the one before.
+    # A class planned at level k lands on 3^p m + base where that is odd, in
+    # the rows m of the other parity than base; the other starts' places in
+    # the piece come a pair of rows at a time, with no mask a start.
+    cls = np.arange(1 << k)[int(odd) :: 1 + odd]
+    one, row, first = np.uint64(1), cls.size, (a >> k) & ~1
+    planned, top, odd_base = level > 0, level == k, (tab.base[k, cls] & one).astype(bool)
+    even_m = np.flatnonzero(~planned | top & ~odd_base)
+    odd_m = np.flatnonzero(~planned | top & odd_base)
     m = np.arange(first, ((b - 1) >> k | 1) + 1, dtype=np.uint64)
-    cut = slice(a - (first << k), a - (first << k) + n)
-    walkers = np.append(even_m, odd_m + width)  # in a pair of rows
-    pos = np.add.outer(np.arange(0, m.size, 2) * width - cut.start, walkers)
-    pos = pos[(pos >= 0) & (pos < n)]
-    walked, landed, peak = _walk_starts(tab, a, b, pos, lo, stop_hi, max_steps, peak)
+    cut = slice(a - (first << k) >> odd, b - (first << k) >> odd)
+    walkers = np.append(even_m, odd_m + row)  # in a pair of rows
+    pos = np.add.outer(np.arange(0, m.size, 2) * row - cut.start, walkers)
+    pos = pos[(pos >= 0) & (pos < cut.stop - cut.start)]
+    walked, landed, peak = _walk_starts(tab, a, b, pos, odd, lo, stop_hi, max_steps, peak)
     # The piece's arrays are made once the walks' temporaries are free again,
     # so that a walk in flight never holds both.  The planned classes land on
     # odd values y = slope m + base a row at a time, with slot y // 2 - lo // 2,
@@ -293,9 +309,9 @@ def _walk_piece(
     # below TABLE_CAP < 2^32, so it is exact mod 2^32.
     slope = np.where(planned, tab.slope[level, cls], 0).astype(np.uint32)  # at most 3^k
     slot = np.multiply.outer((m >> one).astype(np.uint32), slope)
-    base = tab.base[level, cls] + np.where(top & ~odd, slope, 0)
+    base = tab.base[level, cls] + np.where(top & ~odd_base, slope, 0)
     base = np.where(planned, (base >> one) - np.uint64(lo >> 1), _SPARE)
-    pairs = slot.reshape(-1, 2, width)
+    pairs = slot.reshape(-1, 2, row)
     pairs += np.stack((base, base + np.where(top, 0, slope >> 1))).astype(np.uint32)
     slot = slot.reshape(-1)[cut]
     slot[pos] = landed
@@ -305,11 +321,12 @@ def _walk_piece(
 
 
 def _walk_starts(
-    tab: _LevelTable, a: int, b: int, pos: np.ndarray, lo: int, stop_hi: int, max_steps: int,
-    peak: int,
+    tab: _LevelTable, a: int, b: int, pos: np.ndarray, odd: bool, lo: int, stop_hi: int,
+    max_steps: int, peak: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Walk the starts a + pos of the piece [a, b) as `_walk_piece` does, from
-    the peak of its planned classes; returns their steps, slots and the peak.
+    """Walk the starts a + pos of the piece [a, b), or with `odd` its odd starts
+    (a | 1) + 2 pos, as `_walk_piece` does, from the peak of its planned
+    classes; returns their steps, slots and the peak.
 
     A value that stops on an even y in [lo, stop_hi) lands on its odd part
     y >> v2(y), v2(y) halvings on, the start whose entry the table holds, or
@@ -325,7 +342,9 @@ def _walk_starts(
     steps, slot = np.zeros(pos.size, np.uint8), np.full(pos.size, _SPARE, np.uint32)
     u = np.arange(pos.size, dtype=np.uint32)  # the place in pos of each value still walking
     v = pos.astype(np.uint64)
-    v += np.uint64(a)
+    if odd:
+        v <<= one
+    v += np.uint64(a | odd)
     jump_slope, jump_base = tab.slope[k], tab.base[k]
     bound_slope, bound_base = tab.bound_slope[k], tab.bound_base[k]
     steepest, highest = int(bound_slope.max()), int(bound_base.max())
@@ -437,12 +456,18 @@ def _grown(array: np.ndarray, size: int, cap: int) -> np.ndarray:
 
 def _fold_piece(
     table: np.ndarray, side: _SideTable, lo: int, a: int, b: int, fail: int, record,
-    walk: tuple,
+    walk: tuple, odd: bool = False,
 ) -> RangeSurvey:
     """Finish the starts of [a, b) from their walks and the ratio record before a
     (or None), and enter the odd ones in the uint8 table, the odd start y at slot
-    y // 2 - lo // 2, and in the side table."""
+    y // 2 - lo // 2, and in the side table.
+
+    The walks are of every start, or with `odd` of the odd starts only: then
+    lo = 1 and the even starts' halves are below a and table_end, and the even
+    starts are read off the table by `_even_starts`.
+    """
     steps, slot, peak = walk
+    x0 = a | odd  # the walk at place i is of the start x0 + (i << odd)
     # The gather a block at a time, whose slots widen to intp in cache: half the
     # time of table[slot].  Clipped, _SPARE reads the spare last slot, 0.  It
     # runs before tst is made, so that a block's indices never add to its bytes.
@@ -450,7 +475,7 @@ def _fold_piece(
     for i in range(0, slot.size, _GATHER):
         np.take(table, slot[i : i + _GATHER], out=entry[i : i + _GATHER], mode="clip")
     # tst = steps + min(entry, top - steps): top < fail only where no steps + entry passes it
-    top = min(fail, int(steps.max()) + max(255, side.most))
+    top = min(fail, int(steps.max(initial=0)) + max(255, side.most))
     tst = np.subtract(top, steps, dtype=np.min_scalar_type(top))
     far = np.flatnonzero(entry == 255)
     left = tst[far]
@@ -458,9 +483,9 @@ def _fold_piece(
     del entry  # its byte a start is free again for the masks below
     tst[far] = np.minimum(left, side.lookup(slot[far]))
     tst += steps
-    # the piece's odd starts, from a + odd, that have a slot below the spare one
-    odd, at = 1 - (a & 1), (a >> 1) - (lo >> 1)
-    stored = tst[odd : max(0, 2 * ((lo >> 1) + table.size - 1) - a) : 2]
+    # the odd starts walked, from a | 1, below the spare slot's start
+    spare, at = 2 * ((lo >> 1) + table.size) - 1, (a >> 1) - (lo >> 1)
+    stored = tst[((a | 1) - x0) >> odd : max(0, spare - x0 >> odd) : 2 >> odd]
     if stored.size:
         # the low bytes, a plain copy, then 255 where tst reaches it
         table[at : at + stored.size] = stored
@@ -468,29 +493,90 @@ def _fold_piece(
         table[far + at] = 255
         side.extend((far + at).astype(np.uint32), stored[far])
         del stored, far
-    failures = ()
-    i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
-    if tst[i] == fail:
-        failed = tst == fail
-        failures = tuple((np.flatnonzero(failed).astype(np.uint64) + np.uint64(a)).tolist())
-        tst[failed] = 0  # below every tst but start 1's, which never fails
-        i = int(tst.argmax())
-    verified = b - a - len(failures)
-    tst_best = (int(tst[i]), a + i) if verified else (None, None)
+    failed, bests, ratios = np.zeros(0, np.intp), [], []  # (tst or ratio, start) candidates
+    if tst.size:
+        i = int(tst.argmax())  # argmax takes the first, smallest, start of a tie
+        if tst[i] == fail:
+            failed = np.flatnonzero(tst == fail)
+            tst[failed] = 0  # below every tst but start 1's, which never fails
+            i = int(tst.argmax())
+        if failed.size < tst.size:
+            bests.append((int(tst[i]), x0 + (i << odd)))
+    failures = (failed.astype(np.uint64) << np.uint64(odd)) + np.uint64(x0)
     # x >= first beats R only if fl(t / fl(ln x)) >= R, so, as each rounding is
     # within 1e-15, t >= R ln x (1 - 1e-15) >= R ln first (1 - 1e-15).  The floor
     # rounds three times too, so fl(fl(R fl(ln first)) (1 - 1e-9)) is below that
     # and t is at least its floor.  Failures, now 0, stay below a floor >= 1.
     first = max(a, 2)  # ln 1 = 0: start 1 has no ratio
     floor = 1 if record is None else max(1, math.floor(record * math.log(first) * (1 - 1e-9)))
-    cand = np.flatnonzero(tst[first - a :] >= floor)
-    ratio_best = (None, None)
+    skip = -(-(first - x0) >> odd)  # the place of the first start from first
+    cand = np.flatnonzero(tst[skip:] >= floor)
     if cand.size:  # the starts in uint64: near 2^64 they overflow int64
-        x = (cand.astype(np.uint64) + np.uint64(first)).astype(np.float64)
-        ratios = tst[first - a :][cand] / np.log(x)
-        k = int(ratios.argmax())
-        ratio_best = (float(ratios[k]), first + int(cand[k]))
-    return RangeSurvey(verified, failures, *tst_best, *ratio_best, peak)
+        x = (cand.astype(np.uint64) + np.uint64(skip) << np.uint64(odd)) + np.uint64(x0)
+        ratio = tst[skip:][cand] / np.log(x.astype(np.float64))
+        k = int(ratio.argmax())
+        ratios.append((float(ratio[k]), int(x[k])))
+    if odd:
+        # the even starts that could fail or beat a best of the odd ones; each
+        # level's come in order, so the sort merges runs
+        x, t = _even_starts(table, side, a, b, min(floor, bests[0][0] if bests else 0))
+        if t.size and t.max() >= fail:
+            failures = np.sort(np.append(failures, x[t >= fail].astype(np.uint64)), kind="stable")
+            x, t = x[t < fail], t[t < fail]
+        if t.size:
+            top = t.max()
+            bests.append((int(top), int(x[t == top].min())))
+            x, t = x[t >= floor], t[t >= floor]
+        if t.size:
+            ratio = t / np.log(x.astype(np.float64))
+            top = ratio.max()
+            ratios.append((float(top), int(x[ratio == top].min())))
+    # the largest value, and of a tie the smaller start
+    tst_best = max(bests, key=lambda best: (best[0], -best[1]), default=(None, None))
+    ratio_best = max(ratios, key=lambda best: (best[0], -best[1]), default=(None, None))
+    failures = tuple(failures.tolist())
+    return RangeSurvey(b - a - len(failures), failures, *tst_best, *ratio_best, peak)
+
+
+def _even_starts(
+    table: np.ndarray, side: _SideTable, a: int, b: int, least: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The even starts x of [a, b) with tst(x) >= least, in increasing order at
+    each level j, and their tst, from the table of a survey from 1 that holds
+    their odd parts.
+
+    For x = 2^j o, o odd, tst(x) = j + tst(o): at each level j the odd o in
+    [ceil(a / 2^j), ceil(b / 2^j)), slots o // 2.  Where least - j is below
+    255 a threshold scan of their bytes finds them, the 255s taking the side
+    table's values for those slots in order; else only the side table's
+    entries can reach it.  The tst of a start that fails reads at least
+    max_steps + 1.
+    """
+    levels, j, y, end = [], 1, a + 1 >> 1, b + 1 >> 1
+    while y < end:
+        levels.append((j, y >> 1, end >> 1))
+        j, y, end = j + 1, y + 1 >> 1, end + 1 >> 1
+    # the side table's entries in each level's slots, where the table reads 255
+    found = np.searchsorted(side.slots[: side.size], [s for _, *ends in levels for s in ends])
+    xs, ts = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
+    for (j, s0, s1), i0, i1 in zip(levels, found[::2].tolist(), found[1::2].tolist()):
+        if least - j < 255:
+            entries = table[s0:s1]
+            slots = np.flatnonzero(entries >= max(least - j, 0))
+            if not slots.size:
+                continue
+            t = entries[slots].astype(np.int64)
+            t[t == 255] = side.values[i0:i1]
+            slots += s0
+        elif i0 < i1:  # only the side table's entries can reach least
+            near = np.flatnonzero(side.values[i0:i1] >= least - j) + i0
+            slots, t = side.slots[near].astype(np.intp), side.values[near].astype(np.int64)
+        else:
+            continue
+        t += j
+        xs.append((2 * slots + 1) << j)
+        ts.append(t)
+    return np.concatenate(xs), np.concatenate(ts)
 
 
 def survey_range(
@@ -503,10 +589,12 @@ def survey_range(
 ) -> RangeSurvey:
     """Survey [lo, hi), optionally walking the pieces in worker threads.
 
-    The pieces depend only on (lo, hi, chunk_size) and are folded in range
-    order into running values: a piece's best replaces the running one only
-    when it is strictly greater, so a tie keeps the smaller start, and the
-    result is byte-for-byte identical for every worker count and chunk size.
+    The pieces depend only on (lo, hi, chunk_size), and so does which of them
+    hold their odd starts only and read their even ones off the table: from
+    lo = 1, those that end by 2 table_end.  They are folded in range order
+    into running values: a piece's best replaces the running one only when
+    it is strictly greater, so a tie keeps the smaller start, and the result
+    is byte-for-byte identical for every worker count and chunk size.
     With workers > 1 the calling thread and one pool of threads walk the whole
     survey, with no more walkers than the widest wave has pieces or the
     machine has CPUs, the calling thread counted.  After each
@@ -527,11 +615,14 @@ def survey_range(
     side = _SideTable(np.min_scalar_type(budget + 1))  # values are at most budget + 1
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
     waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
-    pieces = [
-        (a, min(a + chunk_size, wave_hi), lo, min(a, table_end), budget)
-        for wave_lo, wave_hi in waves
-        for a in range(wave_lo, wave_hi, chunk_size)
-    ]
+    pieces = []
+    for wave_lo, wave_hi in waves:
+        for a in range(wave_lo, wave_hi, chunk_size):
+            b = min(a + chunk_size, wave_hi)
+            # From 1, the even starts' halves are below a, and below table_end
+            # when b <= 2 table_end: then the table holds their stopping times.
+            odd = lo == 1 and b <= 2 * table_end
+            pieces.append((a, b, lo, min(a, table_end), budget, odd))
     widest = max(-(-(b - a) // chunk_size) for a, b in waves)
     pool_size = min(workers, widest, os.cpu_count() or 1)
     verified, failures, peak = 0, [], 0
@@ -541,9 +632,9 @@ def survey_range(
     if pool_size > 1:
         walks = _walks_in_order(pieces, pool_size)
     with closing(walks):
-        for a, b, *_ in pieces:
+        for a, b, *_, odd in pieces:
             walk = next(walks)
-            part = _fold_piece(table, side, lo, a, b, budget + 1, ratio[0], walk)
+            part = _fold_piece(table, side, lo, a, b, budget + 1, ratio[0], walk, odd)
             del walk  # freed before the next walk is made, not held through it
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))

@@ -26,7 +26,7 @@ class TestEngineAgreement:
     def test_numpy_matches_python_reference(self):
         assert survey_range(1, 5001) == survey_chunk_python(1, 5001)
 
-    @given(st.integers(2, 3000), st.integers(1, 400), st.integers(1, 500))
+    @given(st.integers(1, 3000), st.integers(1, 400), st.integers(1, 500))
     @settings(max_examples=25, deadline=None)
     def test_random_windows(self, lo, width, chunk_size):
         a = survey_range(lo, lo + width, max_steps=500, chunk_size=chunk_size)
@@ -106,16 +106,31 @@ class TestWaves:
             assert (part.max_total_stopping_time, part.tst_argmax) == (tst, 5)
             assert table[2] == 255 and _side_of(table, side)[2] == tst
 
-    @pytest.mark.parametrize("cap", [1, 2, 3, 64])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 64, 88])
     @pytest.mark.parametrize(
         "lo, max_steps", [(1, 10**5), (5, 10**5), (1, 40), (2, 10**5), (3, 40), (6, 40)]
     )
     def test_tiny_table_cap(self, monkeypatch, cap, lo, max_steps):
+        # From 1, a piece [a, b) walks its odd starts only, and reads its even
+        # starts off the table, when b <= 2 table_end = 4 cap + 2; at cap 88
+        # pieces of 98 and 99 end at 354, the last such b, and at 355.
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
-        got, seen = TestNarrowTable.folds(monkeypatch, lo, 5001, max_steps=max_steps,
-                                          chunk_size=300)
-        assert got == _reference(lo, 5001, max_steps)
-        assert seen[0][0].size == cap + 1  # the odd starts of [lo, lo + 2 cap) and the spare
+        walked, walk = {}, sweep._walk_piece
+
+        def spy(a, b, *rest):
+            steps, *more = walk(a, b, *rest)
+            walked[a, b] = steps.size
+            return steps, *more
+
+        monkeypatch.setattr(sweep, "_walk_piece", spy)
+        for chunk_size in (300, 98, 99):
+            walked.clear()
+            got, seen = TestNarrowTable.folds(monkeypatch, lo, 5001, max_steps=max_steps,
+                                              chunk_size=chunk_size)
+            assert got == _reference(lo, 5001, max_steps)
+            assert seen[0][0].size == cap + 1  # the odd starts of [lo, lo + 2 cap) and the spare
+            for (a, b), size in walked.items():
+                assert size == (b // 2 - a // 2 if lo == 1 and b <= 4 * cap + 2 else b - a)
 
 
 def _tables(entries, size=4):
@@ -353,25 +368,26 @@ class TestRatioFloor:
         assert (got.max_ratio, got.ratio_argmax) == (record, 2)
 
     @pytest.mark.parametrize("chunk_size", [1, 2])
-    @pytest.mark.parametrize("lo, hi", [(1, 3), (1, 60), (2, 60), (3, 60), (27, 300)])
+    @pytest.mark.parametrize("lo, hi", [(1, 3), (1, 60), (1, 73), (2, 60), (3, 60), (27, 300)])
     def test_small_pieces(self, chunk_size, lo, hi):
         # ln 1 = 0: start 1 alone has no ratio; a piece of 2 alone sets the first record
         got = survey_range(lo, hi, chunk_size=chunk_size)
         assert got == survey_chunk_python(lo, hi)
 
     def test_fold_memory_per_start(self):
-        # the fold gathers a byte a start and saturates in the narrowest dtype
-        # that holds steps + entry (uint16 here): measured 4.02 traced bytes a
-        # start on this piece, 9.05 in a uint32 table's dtype.  Folding by
-        # int64 and float64 temporaries measured 50.
+        # the fold gathers a byte an odd start, saturates in the narrowest
+        # dtype that holds steps + entry (uint16 here) and reads the even
+        # starts off the table: measured 2.51 traced bytes a start on this
+        # piece.  Folding every start measured 4.02, 9.05 in a uint32 table's
+        # dtype, and by int64 and float64 temporaries 50.
         n, fail = 1 << 16, sweep.DEFAULT_MAX_STEPS + 1
         table, side = _tables({}, 2 * n + 1)
         walk = sweep._walk_piece(1, n, 1, 1, fail - 1)
         first = sweep._fold_piece(table, side, 1, 1, n, fail, None, walk)
-        walk = sweep._walk_piece(n, 2 * n, 1, n, fail - 1)
+        walk = sweep._walk_piece(n, 2 * n, 1, n, fail - 1, True)
         tracemalloc.start()
         try:
-            part = sweep._fold_piece(table, side, 1, n, 2 * n, fail, first.max_ratio, walk)
+            part = sweep._fold_piece(table, side, 1, n, 2 * n, fail, first.max_ratio, walk, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -381,7 +397,7 @@ class TestRatioFloor:
         assert part.max_ratio is None
         assert whole == RangeSurvey(first.verified + part.verified, (), *part[2:4], *first[4:6],
                                     part.peak)
-        assert peak <= 6 * n
+        assert peak <= 3 * n
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,10 +496,11 @@ class TestNarrowTable:
 
     @pytest.mark.parametrize("max_steps", [sweep.DEFAULT_MAX_STEPS, 10**15])
     def test_survey_memory_per_start(self, max_steps):
-        # measured 0.64 (the default budget) and 0.63 (10^15) traced bytes a
-        # start: the table's half byte and a piece's temporaries.  A byte a
-        # start took 1.14 and 1.13, a uint16 table 2.19 and 2.21, and a 16 MB
-        # block freed in each survey 8.
+        # measured 0.60 (the default budget) and 0.59 (10^15) traced bytes a
+        # start: the table's half byte and a piece's temporaries, 0.64 and
+        # 0.63 while pieces held their even starts.  A byte a start took 1.14
+        # and 1.13, a uint16 table 2.19 and 2.21, and a 16 MB block freed in
+        # each survey 8.
         n = 2**21
         sweep._level_table(sweep.LEVEL)  # built once a process, for every survey
         tracemalloc.start()
@@ -496,8 +513,9 @@ class TestNarrowTable:
         assert peak <= 0.7 * n
 
     def test_survey_memory_two_walkers(self, monkeypatch):
-        # two walks in flight, the folded one included: measured 0.72-0.79
-        # traced bytes a start; with two pool threads and a byte a start, 1.23-1.30
+        # two walks in flight, the folded one included: measured 0.65-0.66
+        # traced bytes a start, 0.72-0.79 while pieces held their even starts;
+        # with two pool threads and a byte a start, 1.23-1.30
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         n = 2**21
         sweep._level_table(sweep.LEVEL)
@@ -617,6 +635,25 @@ class TestFold:
             assert (got.tst_argmax, got.ratio_argmax) == (tst, ratio)
             assert got == survey_chunk_python(lo, hi, max_steps=max_steps)
         assert survey_range(2, 5, max_steps=2).max_ratio == 1 / math.log(2) == 2 / math.log(4)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [64, 97, 1 << 18])
+    def test_even_starts_off_the_table(self, monkeypatch, workers, chunk_size):
+        # From 1 the even starts are read off the table by tst(2y) = 1 + tst(y).
+        # 54 holds the tst record of [1, 73), 71, which 55 ties, and 2 the ratio
+        # record of [1, 3).  On [1, 2^12) some 2y fails where y does not: 3, 10
+        # and 32 at a budget of 5, 182 and 183 at 60.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        for hi, max_steps in [(73, 10**5), (3, 10**5), (2**12, 5), (2**12, 10), (2**12, 60)]:
+            got = survey_range(1, hi, max_steps=max_steps, workers=workers, chunk_size=chunk_size)
+            assert got == _reference(1, hi, max_steps)
+            if hi == 73:
+                assert (got.max_total_stopping_time, got.tst_argmax) == (71, 54)
+            if hi == 3:
+                assert (got.max_ratio, got.ratio_argmax) == (1 / math.log(2), 2)
+            failed = set(got.failures)
+            for y in {5: (3, 10, 32), 60: (182, 183)}.get(max_steps, ()):
+                assert 2 * y in failed and y not in failed
 
     def test_no_verified_start_keeps_none(self):
         # pieces that verify no start keep the bests they are given, None at
@@ -771,18 +808,25 @@ def _orbit(x: int, max_steps: int) -> list[int]:
 
 
 class TestPiece:
-    """_walk_piece against its contract: each walk lands on 1 or on an odd start
-    in [lo, stop_hi) within its budget, never past 1, or fails only if it does
-    not reach 1 within the budget; the peak holds every value before each
-    landing.  A landing y reads table slot y // 2 - lo // 2, and a landing on 1
-    below lo or a failure _SPARE."""
+    """_walk_piece against its contract, holding every start or the odd ones:
+    each walk lands on 1 or on an odd start in [lo, stop_hi) within its
+    budget, never past 1, or fails only if it does not reach 1 within the
+    budget; the peak holds every value before each landing.  A landing y
+    reads table slot y // 2 - lo // 2, and a landing on 1 below lo or a
+    failure _SPARE."""
 
     @staticmethod
     def check(a, b, lo, stop_hi, max_steps):
-        steps, slot, peak = sweep._walk_piece(a, b, lo, stop_hi, max_steps)
-        assert slot.dtype == np.uint32
+        for odd in (False, True):
+            TestPiece.check_layout(a, b, lo, stop_hi, max_steps, odd)
+
+    @staticmethod
+    def check_layout(a, b, lo, stop_hi, max_steps, odd):
+        steps, slot, peak = sweep._walk_piece(a, b, lo, stop_hi, max_steps, odd)
+        starts = range(a | odd, b, 1 + odd)
+        assert slot.dtype == np.uint32 and steps.size == slot.size == len(starts)
         least = most = b - 1
-        for x, j, s in zip(range(a, b), steps.tolist(), slot.tolist()):
+        for x, j, s in zip(starts, steps.tolist(), slot.tolist()):
             orbit = _orbit(x, max_steps)
             if j > max_steps:  # out of budget, perhaps past a landing: it fails either way
                 assert s == sweep._SPARE and 1 not in orbit
