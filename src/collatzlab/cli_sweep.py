@@ -26,7 +26,7 @@ def run(args: argparse.Namespace, out: cli._Output) -> int:
                     "lower --limit or raise --max-steps")
 
     survey = survey_range(
-        1, args.limit + 1, max_steps=args.max_steps, workers=args.threads, failure_budget=hold
+        args.limit + 1, max_steps=args.max_steps, workers=args.threads, failure_budget=hold
     )
     failures = survey.failures
     doc = {

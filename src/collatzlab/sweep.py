@@ -1,39 +1,39 @@
 """Range surveys of shortcut trajectories by the residue shift law and table lookup.
 
-A survey of [lo, hi) finds each start's total stopping time tst(x), the number
+A survey of [1, hi) finds each start's total stopping time tst(x), the number
 of shortcut steps to 1, the largest tst(x)/ln(x) and the largest value any
 orbit reaches.  Since tst(x) = j + tst(T^j x) for any j up to the step that
 reaches 1, a start walks only until it lands on a start already surveyed,
 then adds that start's table entry; landing past the first such start
 changes nothing.
 
-Starts go in doubling waves [L, 2L) from L = lo, in increasing order, each cut
-into pieces of `chunk_size`.  A piece [a, b) walks until each value lands on 1
-or on an odd start in [lo, a): pieces are folded in range order, so every
-start below a is in the table when the piece is.  Values below lo have no
-entry and walk on.  The table holds min(tst, max_steps + 1), the latter
-meaning "failed", for the odd starts only, since tst(2y) = 1 + tst(y): the
-odd start y at slot y // 2 - lo // 2, for at most TABLE_CAP odd starts, so
-2 TABLE_CAP starts.  Pieces above the cap walk until they drop below it, so
-memory is bounded for any range.  It is one byte an entry, half a byte a
-start, at any budget: an entry holds the least of that and 255, and 255 means
-"in the side table", sorted slots and exact values appended piece by piece in
-range order to arrays whose capacity doubles.  It holds every stored entry
-that reaches 255, so at any budget no more than the stored odd starts whose
-tst reaches 255: 48,333 of the first 2^25 starts, the largest 442.
+The first piece, [1, 2^(LEVEL+1)), walks every start to 1.  Then starts go in
+doubling waves [L, 2L), each cut into pieces of `chunk_size`.  A later piece
+[a, b) walks until each value lands on an odd start below a: pieces are
+folded in range order, so every start below a is in the table when the piece
+is.  The table holds min(tst, max_steps + 1), the latter meaning "failed",
+for the odd starts only, since tst(2y) = 1 + tst(y): the odd start y at slot
+y // 2, for at most TABLE_CAP odd starts, so 2 TABLE_CAP starts.  Pieces
+above the cap walk until they drop below it, so memory is bounded for any
+range.  It is one byte an entry, half a byte a start, at any budget: an entry
+holds the least of that and 255, and 255 means "in the side table", sorted
+slots and exact values appended piece by piece in range order to arrays
+whose capacity doubles.  It holds every stored entry that reaches 255, so at
+any budget no more than the stored odd starts whose tst reaches 255: 48,333
+of the first 2^25 starts, the largest 442.
 
-The same identity serves the even starts of a survey from 1.  The table
-ends at table_end = min(hi, lo + 2 TABLE_CAP), and a piece [a, b) with
-b <= 2 table_end, every piece of a survey of up to 2^26 starts, holds its
-odd starts only, the 512 odd classes mod 2^LEVEL: its class plan, walks and
-fold cover those alone.  Its even start x = 2y has y in [ceil(a/2),
-ceil(b/2)), below a, so folded, and below table_end, so entered if odd, and
-tst(x) = 1 + tst(y), an even y halving again.  The fold reads what the even
-starts contribute off the table by threshold scans, level by level
-(`_even_starts`): those that fail, and those whose tst reaches the piece's
-odd best or the ratio record's floor.  Their orbits go on below b, so the
-peak needs none of them.  Pieces from lo > 1, where halvings fall below lo,
-and pieces past 2 table_end hold every start.
+The same identity serves the even starts.  The table ends at table_end =
+min(hi, 2 TABLE_CAP), and a later piece [a, b) with b <= 2 table_end, every
+one of a survey of up to 2^26 starts, holds its odd starts only, the 512 odd
+classes mod 2^LEVEL: its class plan, walks and fold cover those alone.  Its
+even start x = 2y has y in [ceil(a/2), ceil(b/2)), below a, so folded, and
+below table_end, so entered if odd, and tst(x) = 1 + tst(y), an even y
+halving again.  The fold reads what the even starts contribute off the table
+by threshold scans, level by level (`_even_starts`): those that fail, and
+those whose tst reaches the piece's odd best or the ratio record's floor.
+Their orbits go on below b, so the peak needs none of them.  The first
+piece, which holds their halves itself, and pieces past 2 table_end hold
+every start.
 
 A piece walks by one level table, the residue shift law (Terras, 1976) at
 k = LEVEL: T^j(2^k m + i) = slope[j, i] m + base[j, i] for i < 2^k and j <= k,
@@ -41,21 +41,19 @@ with slope = 3^p 2^(k-j).  Below level k slope is even, so every member of a
 class has base's parity there (Terras' parity bijection); at level k slope is
 3^p, and the parity alternates with m.
   * Class plan.  A class mod 2^k whose largest member in [a, b) lands below
-    a at some level j <= min(k, max_steps), on an odd value if j < k, and,
-    when lo > 1, whose smallest lands at or above lo, takes its first such j
-    and lands on slope m + base, every member at once (the sieve of Oliveira
-    e Silva, 1999); at level k only the rows m where that is odd land, and
-    the others walk.  At 2^22 that is 79.6% of the odd starts, 82.5% in the
-    top two waves.
+    a at some level j <= min(k, max_steps), on an odd value if j < k, takes
+    its first such j and lands on slope m + base, every member at once (the
+    sieve of Oliveira e Silva, 1999); at level k only the rows m where that
+    is odd land, and the others walk.  At 2^22 that is 79.6% of the odd
+    starts, 82.5% in the top two waves.
   * Jumps.  The other starts walk in uint64 numpy arrays, k steps a pass on
-    row k while every value is at least 2^(k+1), so that none reaches 1
-    inside a jump, k steps of budget remain, and the values fit in uint64;
-    else one step a pass, `_shortcut_step`, the step the table is built
-    with.  A value that stops on an even y goes on to y's odd part, v2(y)
-    halvings later; if lo > 1 and that part is below lo and not 1, it walks
-    on instead.  A walk raises ArithmeticError before it steps a value above
-    UINT64_SAFE_MAX, which every orbit from a start up to 10^9, the CLI's
-    limit, stays 8.7 times below.
+    row k while k steps of budget remain and the values fit in uint64, in a
+    piece that lands below stop_hi >= 2^(k+1), so that no walking value
+    reaches 1 inside a jump; else one step a pass, `_shortcut_step`, the
+    step the table is built with.  A value that stops on an even y goes on
+    to y's odd part, v2(y) halvings later.  A walk raises ArithmeticError
+    before it steps a value above UINT64_SAFE_MAX, which every orbit from a
+    start up to 10^9, the CLI's limit, stays 8.7 times below.
 
 The peak stays exact.  After landing, an orbit goes on as a prefix of the
 landed start's orbit, whose values were seen when that start was surveyed.
@@ -77,16 +75,14 @@ plain walk of every start to 1, is the reference.
 
 The fold, the one serial part, gathers a byte a start it holds and stores
 one for each odd start.  A walk returns a byte a step count unless one
-passes 255, and uint32 slots, y // 2 - lo // 2 for a landing on the odd y,
-or a sentinel for the spare last slot, 0, for a spent budget or a landing
-on 1 below lo.
-Each 255 gathered is looked up in the side table, and
-tst = steps + min(entry, top - steps) saturates exactly at top, the least of
-max_steps + 1 and the most steps + entry can reach, in top's dtype: uint16 at
-2^22 and the default budget.  A start x >= a (ln a > 0) beats the ratio
-record R only if tst(x) > R ln x >= R ln a, so only starts with
-tst >= floor(R ln a (1 - 1e-9)) take a log: the margin is six orders of
-magnitude above the float rounding.
+passes 255, and uint32 slots, y // 2 for a landing on the odd y, or for a
+spent budget a sentinel for the spare last slot, 0.  Each 255 gathered is
+looked up in the side table, and tst = steps + min(entry, top - steps)
+saturates exactly at top, the least of max_steps + 1 and the most
+steps + entry can reach, in top's dtype: uint16 at 2^22 and the default
+budget.  A start x >= a (ln a > 0) beats the ratio record R only if
+tst(x) > R ln x >= R ln a, so only starts with tst >= floor(R ln a (1 - 1e-9))
+take a log: the margin is six orders of magnitude above the float rounding.
 """
 
 from __future__ import annotations
@@ -129,7 +125,7 @@ LEVEL = 10
 # Budgets are clamped so that the table has a numpy dtype; no walk gets this long.
 _MAX_BUDGET = 1 << 62
 
-_SPARE = 2**32 - 1  # the table slot of a spent budget or of a landing on 1 below lo
+_SPARE = 2**32 - 1  # the table slot of a spent budget
 
 _GATHER = 1 << 14  # slots the fold gathers a block: 128 KB of intp indices
 
@@ -232,10 +228,9 @@ def _level_table(k: int) -> _LevelTable:
     return _LevelTable(k, slope, base, bound_slope, bound_base, (int(rows.min()) + 1 << k) - 1)
 
 
-def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels: int,
-                odd: bool = False):
+def _class_plan(tab: _LevelTable, a: int, b: int, stop_hi: int, levels: int, odd: bool = False):
     """The first level <= levels at which each class mod 2^k of [a, b), or with
-    `odd` each odd class, lands, every member at once, in [lo, stop_hi), on an
+    `odd` each odd class, lands, every member at once, below stop_hi, on an
     odd value below level k; 0 where it does not.
 
     Returns the levels and the largest value the landed classes pass.  Every
@@ -243,8 +238,7 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
     class's values share the parity of base, since slope is even, and at level
     k, where slope is 3^p, they alternate with m: `_walk_piece` lands the odd
     rows there and walks the others.  The values of a class rise with m, so
-    its largest member bounds the landing and the peak and, when lo > 1, its
-    smallest the landing's lower end.
+    its largest member bounds the landing and the peak.
     """
     held = slice(int(odd), None, 1 + odd)  # the classes of the piece's starts
     cls = np.arange(1 << tab.k, dtype=np.uint64)[held]
@@ -255,8 +249,6 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
     least = ((np.uint64(a - 1) - cls) >> np.uint64(tab.k)) + np.uint64(1)
     slope, base = tab.slope[1 : levels + 1, held], tab.base[1 : levels + 1, held]
     lands = slope * most + base < stop_hi
-    if lo > 1:
-        lands &= slope * least + base >= lo
     lands[: tab.k - 1] &= (base[: tab.k - 1] & np.uint64(1)) == 1
     planned = lands.any(axis=0) & (least <= most)
     if not planned.any():
@@ -268,22 +260,21 @@ def _class_plan(tab: _LevelTable, a: int, b: int, lo: int, stop_hi: int, levels:
 
 
 def _walk_piece(
-    a: int, b: int, lo: int, stop_hi: int, max_steps: int, odd: bool = False
+    a: int, b: int, stop_hi: int, max_steps: int, odd: bool = False
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk every start in [a, b), or with `odd` every odd start, until it lands
-    on 1 or on an odd start in [lo, stop_hi).
+    on an odd start below stop_hi >= 2, 1 among them.
 
     Returns (steps, slot, peak) in start order: the steps each walk took, the
-    uint32 table slot y // 2 - lo // 2 of the odd value y it landed on, and the
-    largest value seen, from b - 1.  A walk that runs out of budget first reads
-    max_steps + 1 steps and slot _SPARE, as does a landing on 1 below lo.  A
-    walk may pass over [lo, stop_hi) and land later, never past 1 or its
-    budget.  Raises ArithmeticError before it steps a value above
-    UINT64_SAFE_MAX.
+    uint32 table slot y // 2 of the odd value y it landed on, and the largest
+    value seen, from b - 1.  A walk that runs out of budget first reads
+    max_steps + 1 steps and slot _SPARE.  A walk may pass below stop_hi and
+    land later, never past 1 or its budget.  Raises ArithmeticError before it
+    steps a value above UINT64_SAFE_MAX.
     """
     k = LEVEL
     tab = _level_table(k)
-    level, peak = _class_plan(tab, a, b, lo, stop_hi, min(k, max_steps), odd)
+    level, peak = _class_plan(tab, a, b, stop_hi, min(k, max_steps), odd)
     # The starts as rows m of the classes i mod 2^k the piece holds, all or
     # the odd ones, in pairs (even m, odd m) from row a >> k or the one before.
     # A class planned at level k lands on 3^p m + base where that is odd, in
@@ -299,18 +290,18 @@ def _walk_piece(
     walkers = np.append(even_m, odd_m + row)  # in a pair of rows
     pos = np.add.outer(np.arange(0, m.size, 2) * row - cut.start, walkers)
     pos = pos[(pos >= 0) & (pos < cut.stop - cut.start)]
-    walked, landed, peak = _walk_starts(tab, a, b, pos, odd, lo, stop_hi, max_steps, peak)
+    walked, landed, peak = _walk_starts(tab, a, b, pos, odd, stop_hi, max_steps, peak)
     # The piece's arrays are made once the walks' temporaries are free again,
     # so that a walk in flight never holds both.  The planned classes land on
-    # odd values y = slope m + base a row at a time, with slot y // 2 - lo // 2,
+    # odd values y = slope m + base a row at a time, with slot y // 2,
     # slope (m // 2) plus: below level k, where slope is even, (slope // 2)
-    # (m % 2) + base // 2 - lo // 2; at level k, in the rows of m % 2 = p,
-    # where p = 1 - base % 2, (slope p + base) // 2 - lo // 2.  The slot is
-    # below TABLE_CAP < 2^32, so it is exact mod 2^32.
+    # (m % 2) + base // 2; at level k, in the rows of m % 2 = p, where
+    # p = 1 - base % 2, (slope p + base) // 2.  The slot is below
+    # TABLE_CAP < 2^32, so it is exact mod 2^32.
     slope = np.where(planned, tab.slope[level, cls], 0).astype(np.uint32)  # at most 3^k
     slot = np.multiply.outer((m >> one).astype(np.uint32), slope)
     base = tab.base[level, cls] + np.where(top & ~odd_base, slope, 0)
-    base = np.where(planned, (base >> one) - np.uint64(lo >> 1), _SPARE)
+    base = np.where(planned, base >> one, _SPARE)
     pairs = slot.reshape(-1, 2, row)
     pairs += np.stack((base, base + np.where(top, 0, slope >> 1))).astype(np.uint32)
     slot = slot.reshape(-1)[cut]
@@ -321,24 +312,22 @@ def _walk_piece(
 
 
 def _walk_starts(
-    tab: _LevelTable, a: int, b: int, pos: np.ndarray, odd: bool, lo: int, stop_hi: int,
+    tab: _LevelTable, a: int, b: int, pos: np.ndarray, odd: bool, stop_hi: int,
     max_steps: int, peak: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk the starts a + pos of the piece [a, b), or with `odd` its odd starts
     (a | 1) + 2 pos, as `_walk_piece` does, from the peak of its planned
     classes; returns their steps, slots and the peak.
 
-    A value that stops on an even y in [lo, stop_hi) lands on its odd part
+    A value that stops on an even y below stop_hi lands on its odd part
     y >> v2(y), v2(y) halvings on, the start whose entry the table holds, or
-    fails if those pass the budget; if lo > 1 and the odd part is below lo
-    and not 1, the value walks on unshifted.  The steps are a byte each while
-    they fit, and widen to the budget's dtype only when a walk passes 255
-    steps or a spent budget must read max_steps + 1; they return in the
-    narrowest dtype that holds them.
+    fails if those pass the budget.  The steps are a byte each while they
+    fit, and widen to the budget's dtype only when a walk passes 255 steps or
+    a spent budget must read max_steps + 1; they return in the narrowest
+    dtype that holds them.
     """
     k = tab.k
-    width, wide = 1 << k, np.min_scalar_type(max_steps + 1)
-    one, below = np.uint64(1), np.uint64(lo >> 1)
+    width, wide, one = 1 << k, np.min_scalar_type(max_steps + 1), np.uint64(1)
     steps, slot = np.zeros(pos.size, np.uint8), np.full(pos.size, _SPARE, np.uint32)
     u = np.arange(pos.size, dtype=np.uint32)  # the place in pos of each value still walking
     v = pos.astype(np.uint64)
@@ -348,15 +337,9 @@ def _walk_starts(
     jump_slope, jump_base = tab.slope[k], tab.base[k]
     bound_slope, bound_base = tab.bound_slope[k], tab.bound_base[k]
     steepest, highest = int(bound_slope.max()), int(bound_base.max())
-    # With lo = 1 every value below stop_hi has stopped, so none is below 2^(k+1).
-    clear = lo == 1 and stop_hi >= 2 * width
     t, top = 0, b - 1
     while True:
-        # a walk stops on 1 or on a start in [lo, stop_hi)
-        if lo == 1 < stop_hi:
-            stop = v < stop_hi
-        else:
-            stop = ((v >= lo) & (v < stop_hi)) | (v == 1)
+        stop = v < stop_hi
         hit = np.flatnonzero(stop)
         if hit.size:
             y = v[hit]
@@ -364,22 +347,16 @@ def _walk_starts(
             halvings = (y & (~y + one)).astype(np.float64).view(np.uint64) >> np.uint64(52)
             halvings -= np.uint64(1023)
             y >>= halvings  # the odd part
-            if lo > 1:  # no entry for an odd part below lo but 1: that value walks on
-                on = (y < lo) & (y != 1)
-                if on.any():
-                    stop[hit[on]] = False
-                    hit, y, halvings = hit[~on], y[~on], halvings[~on]
             at, most = u[hit], t + int(halvings.max(initial=0))
             halvings += np.uint64(t)  # the steps to the landing
             if most > 255:
                 steps = steps.astype(wide, copy=False)
-            y >>= one
-            y -= below  # the slot; a landing on 1 below lo wraps
+            y >>= one  # the slot
             if most > max_steps:  # halvings that pass the budget spend it
                 spent = halvings > max_steps
                 halvings[spent], y[spent] = max_steps + 1, _SPARE
             steps[at] = halvings
-            slot[at] = np.minimum(y, _SPARE)
+            slot[at] = y
             del y, halvings, at
             np.logical_not(stop, out=stop)  # the walks that go on, by mask
             v, u = v.compress(stop), u.compress(stop)
@@ -393,9 +370,9 @@ def _walk_starts(
         if top > UINT64_SAFE_MAX and int(v.max()) > UINT64_SAFE_MAX:
             raise ArithmeticError(f"a walk from [{a}, {b}) passes {UINT64_SAFE_MAX}, "
                                   "where 3x + 1 overflows uint64")
-        # k steps at once when no value can reach 1 inside them (each is at
-        # least 2^(k+1)), the budget has k steps left and they fit in uint64
-        if max_steps - t >= k and top <= tab.safe_max and (clear or int(v.min()) >= 2 * width):
+        # k steps at once when no value can reach 1 inside them (each is at least
+        # stop_hi >= 2^(k+1)), k steps of budget remain and the values fit in uint64
+        if max_steps - t >= k and top <= tab.safe_max and stop_hi >= 2 * width:
             i = v.view(np.int64) & (width - 1)  # intp indices gather without a cast
             v >>= np.uint64(k)
             if steepest * (top >> k) + highest > peak:
@@ -454,17 +431,14 @@ def _grown(array: np.ndarray, size: int, cap: int) -> np.ndarray:
     return grown
 
 
-def _fold_piece(
-    table: np.ndarray, side: _SideTable, lo: int, a: int, b: int, fail: int, record,
-    walk: tuple, odd: bool = False,
-) -> RangeSurvey:
+def _fold_piece(table: np.ndarray, side: _SideTable, a: int, b: int, fail: int, record,
+                walk: tuple, odd: bool = False) -> RangeSurvey:
     """Finish the starts of [a, b) from their walks and the ratio record before a
     (or None), and enter the odd ones in the uint8 table, the odd start y at slot
-    y // 2 - lo // 2, and in the side table.
+    y // 2, and in the side table.
 
-    The walks are of every start, or with `odd` of the odd starts only: then
-    lo = 1 and the even starts' halves are below a and table_end, and the even
-    starts are read off the table by `_even_starts`.
+    The walks are of every start, or with `odd` of the odd starts only, and the
+    even starts, whose halves the table holds, are read off it by `_even_starts`.
     """
     steps, slot, peak = walk
     x0 = a | odd  # the walk at place i is of the start x0 + (i << odd)
@@ -484,7 +458,7 @@ def _fold_piece(
     tst[far] = np.minimum(left, side.lookup(slot[far]))
     tst += steps
     # the odd starts walked, from a | 1, below the spare slot's start
-    spare, at = 2 * ((lo >> 1) + table.size) - 1, (a >> 1) - (lo >> 1)
+    spare, at = 2 * table.size - 1, a >> 1
     stored = tst[((a | 1) - x0) >> odd : max(0, spare - x0 >> odd) : 2 >> odd]
     if stored.size:
         # the low bytes, a plain copy, then 255 where tst reaches it
@@ -542,8 +516,7 @@ def _even_starts(
     table: np.ndarray, side: _SideTable, a: int, b: int, least: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The even starts x of [a, b) with tst(x) >= least, in increasing order at
-    each level j, and their tst, from the table of a survey from 1 that holds
-    their odd parts.
+    each level j, and their tst, from the table, which holds their odd parts.
 
     For x = 2^j o, o odd, tst(x) = j + tst(o): at each level j the odd o in
     [ceil(a / 2^j), ceil(b / 2^j)), slots o // 2.  Where least - j is below
@@ -580,50 +553,47 @@ def _even_starts(
 
 
 def survey_range(
-    lo: int,
     hi: int,
+    *,
     max_steps: int = DEFAULT_MAX_STEPS,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     failure_budget: Callable[[int], None] | None = None,
 ) -> RangeSurvey:
-    """Survey [lo, hi), optionally walking the pieces in worker threads.
+    """Survey [1, hi), optionally walking the pieces in worker threads.
 
-    The pieces depend only on (lo, hi, chunk_size), and so does which of them
-    hold their odd starts only and read their even ones off the table: from
-    lo = 1, those that end by 2 table_end.  They are folded in range order
+    The pieces depend only on (hi, chunk_size), and so does which of them
+    hold their odd starts only and read their even ones off the table: those
+    past the first that end by 2 table_end.  They are folded in range order
     into running values: a piece's best replaces the running one only when
     it is strictly greater, so a tie keeps the smaller start, and the result
     is byte-for-byte identical for every worker count and chunk size.
     With workers > 1 the calling thread and one pool of threads walk the whole
     survey, with no more walkers than the widest wave has pieces or the
-    machine has CPUs, the calling thread counted.  After each
-    piece, `failure_budget` (if given) is called with the number of failures
-    the survey would then hold, before it holds them; it may raise to stop.
+    machine has CPUs, the calling thread counted.  After each piece,
+    `failure_budget` (if given) is called with the number of failures the
+    survey would then hold, before it holds them; it may raise to stop.
     """
-    if lo < 1:
-        raise ValueError("range must start at 1 or above")
-    if hi <= lo:
+    if hi <= 1:
         return _EMPTY
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     budget = min(max(max_steps, 0), _MAX_BUDGET)
-    # The table's slots are the odd starts of [lo, table_end) and a spare last
+    # The table's slots are the odd starts of [1, table_end) and a spare last
     # slot, which stays 0 for the walks that read slot _SPARE.
-    table_end = min(hi, lo + 2 * TABLE_CAP)
-    table = np.zeros((table_end >> 1) - (lo >> 1) + 1, np.uint8)
+    table_end = min(hi, 2 * TABLE_CAP)
+    table = np.zeros((table_end >> 1) + 1, np.uint8)
     side = _SideTable(np.min_scalar_type(budget + 1))  # values are at most budget + 1
     assert table.size - 1 <= TABLE_CAP < _SPARE  # slots fit in uint32
-    waves = [(lo << k, min(lo << k + 1, hi)) for k in range(((hi - 1) // lo).bit_length())]
-    pieces = []
+    waves = [(1 << k, min(2 << k, hi)) for k in range(LEVEL + 1, (hi - 1).bit_length())]
+    # The first piece lands on 1 alone, its entry 0 from the start; a later
+    # piece's even starts have their halves in the table when b <= 2 table_end.
+    pieces = [(1, min(hi, 2 << LEVEL), 2, budget, False)]
     for wave_lo, wave_hi in waves:
         for a in range(wave_lo, wave_hi, chunk_size):
             b = min(a + chunk_size, wave_hi)
-            # From 1, the even starts' halves are below a, and below table_end
-            # when b <= 2 table_end: then the table holds their stopping times.
-            odd = lo == 1 and b <= 2 * table_end
-            pieces.append((a, b, lo, min(a, table_end), budget, odd))
-    widest = max(-(-(b - a) // chunk_size) for a, b in waves)
+            pieces.append((a, b, min(a, table_end), budget, b <= 2 * table_end))
+    widest = max((-(-(b - a) // chunk_size) for a, b in waves), default=1)
     pool_size = min(workers, widest, os.cpu_count() or 1)
     verified, failures, peak = 0, [], 0
     tst = ratio = (None, None)  # the bests so far and their starts
@@ -634,7 +604,7 @@ def survey_range(
     with closing(walks):
         for a, b, *_, odd in pieces:
             walk = next(walks)
-            part = _fold_piece(table, side, lo, a, b, budget + 1, ratio[0], walk, odd)
+            part = _fold_piece(table, side, a, b, budget + 1, ratio[0], walk, odd)
             del walk  # freed before the next walk is made, not held through it
             if failure_budget is not None:
                 failure_budget(len(failures) + len(part.failures))

@@ -165,10 +165,10 @@ def test_criterion_06_published_trajectory_prefixes():
 def test_criterion_07_range_sweep_ten_million():
     limit = 10**7
     with _Timer(budget=120.0) as timer:
-        survey4 = survey_range(1, limit + 1, workers=4)
+        survey4 = survey_range(limit + 1, workers=4)
         assert survey4.verified == limit
         assert survey4.failures == ()
-    survey2 = survey_range(1, limit + 1, workers=2)
+    survey2 = survey_range(limit + 1, workers=2)
     assert survey2 == survey4, "result depends on worker count"
     _report(7, f"all x <= 10^7 reach 1 (max stopping time {survey4.max_total_stopping_time})", timer)
 

@@ -883,7 +883,7 @@ class TestSweepCommand:
         )
 
     def test_failure_budget_edge(self, capsys, monkeypatch):
-        held = len(survey_range(1, 1001, max_steps=10).failures)
+        held = len(survey_range(1001, max_steps=10).failures)
         monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", held)
         assert run_cli(capsys, "sweep", "--limit", "1000", "--max-steps", "10")[0] == (
             EX_INCONCLUSIVE
@@ -897,22 +897,24 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failure_budget_stops_at_the_piece(self, capsys, monkeypatch, threads):
-        # the waves [1, 2), [2, 4), ... [512, 1001) are the pieces here: the
-        # survey stops at the first whose failures pass the cap, folding no more
+        # the first piece [1, 2048) and the waves [2048, 4096), ... [16384,
+        # 20001) are the pieces here: the survey stops at the first whose
+        # failures pass the cap, folding no more
         from collatzlab import sweep as sweep_mod
 
         folded = []
         fold = sweep_mod._fold_piece
         monkeypatch.setattr(
-            sweep_mod, "_fold_piece", lambda *args: folded.append(args[3]) or fold(*args)
+            sweep_mod, "_fold_piece", lambda *args: folded.append(args[2]) or fold(*args)
         )
-        monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", 100)
-        code = main(["sweep", "--limit", "1000", "--max-steps", "10", "--threads", threads])
+        monkeypatch.setattr(cli_mod, "SWEEP_FAILURE_LIMIT", 3000)
+        code = main(["sweep", "--limit", "20000", "--max-steps", "10", "--threads", threads])
         err = capsys.readouterr().err
         held, start = next(
-            (h, 1 << w) for w in range(10)
-            if (h := len(survey_range(1, min(2 << w, 1001), 10).failures)) > 100
+            (h, a) for a, b in [(1, 2048)] + [(1 << w, min(2 << w, 20001)) for w in range(11, 15)]
+            if (h := len(survey_range(b, max_steps=10).failures)) > 3000
         )
+        assert start == 2048
         assert code == EX_RESOURCE and folded[-1] == start
         assert err.startswith(f"resource limit: sweep would hold {held} failures")
 

@@ -498,20 +498,20 @@ class TestProofCaseTable:
 
 
 class TestSweepToOne:
-    """A sweep of [1, n] down to 1, as survey_range(1, n + 1) runs it."""
+    """A sweep of [1, n] down to 1, as survey_range(n + 1) runs it."""
 
     def test_limit_one(self):
-        result = survey_range(1, 2)
+        result = survey_range(2)
         assert result.verified == 1
         assert result.failures == ()
 
     def test_small_range(self):
-        result = survey_range(1, 10**4 + 1, max_steps=10**4)
+        result = survey_range(10**4 + 1, max_steps=10**4)
         assert result.verified == 10**4
         assert result.failures == ()
 
     def test_step_budget_failures(self):
-        result = survey_range(1, 31, max_steps=5)
+        result = survey_range(31, max_steps=5)
         assert result.verified + len(result.failures) == 30
         assert 27 in result.failures
         assert 1 not in result.failures

@@ -276,16 +276,17 @@ class TestStoppingProfile:
 
 
 class TestRatioSurvey:
-    """The largest tst(x)/ln x over [2, n], as survey_range(2, n + 1) finds it."""
+    """The largest tst(x)/ln x over [2, n], as survey_range(n + 1) finds it: start 1
+    has no ratio."""
 
     def test_limit_two(self):
-        s = survey_range(2, 3)
+        s = survey_range(3)
         assert s.ratio_argmax == 2
         assert s.max_ratio == pytest.approx(1 / math.log(2))
 
     def test_limit_100_vs_oracle(self):
         best = max((stopping_profile(x)[2], x) for x in range(2, 101))
-        s = survey_range(2, 101)
+        s = survey_range(101)
         assert (s.max_ratio, s.ratio_argmax) == (pytest.approx(best[0]), best[1])
 
 
