@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -450,11 +451,81 @@ def test_reference_is_the_plain_walk(hi):
         assert _reference(hi, max_steps) == survey_chunk_python(1, hi, max_steps)
 
 
-# 230631 has tst 278, the first start above 254: at 254 it fails at 255 and at
-# 255, 256 and 260 at 256, 257 and 261, each entered in the side table; [1, 5001)
-# holds tst up to 150 and enters none.
-NARROW_PREFIXES = [(230900, 10**5), (230900, 260), (230900, 256), (230900, 255),
-                   (230900, 254), (5001, 10**5)]
+_plain = functools.lru_cache(maxsize=None)(survey_chunk_python)
+
+
+def _join(*parts):
+    """Surveys of consecutive ranges, in range order, as one, as survey_range
+    joins its pieces: a best replaces the running one only when strictly greater."""
+    verified, failures, tst, ratio, peak = 0, (), (None, None), (None, None), None
+    for part in parts:
+        verified, failures = verified + part.verified, failures + part.failures
+        t, r = part.max_total_stopping_time, part.max_ratio
+        if t is not None and (tst[0] is None or t > tst[0]):
+            tst = part[2:4]
+        if r is not None and (ratio[0] is None or r > ratio[0]):
+            ratio = part[4:6]
+        if part.peak is not None:
+            peak = max(peak or 0, part.peak)
+    return RangeSurvey(verified, failures, *tst, *ratio, peak)
+
+
+def _cut(lo, hi, max_steps, chunk_size, workers=1):
+    """survey_range(hi) cut at lo >= 2^(LEVEL+1): a head, and a tail of the
+    pieces [a, a + chunk_size) of [lo, hi); with lo = 1 the tail is survey_range(hi).
+
+    The head, survey_range(min(lo, table_end)), leaves the table of its odd
+    starts.  The pieces are walked in `workers` walkers and folded into that
+    table as survey_range walks and folds its pieces past the first, each walk
+    landing below min(a, table_end).  Returns (head, tail): the tail is joined
+    from the pieces alone, its ratio record from none, and its peak is that of
+    their walks, which stop where they land.
+    """
+    if lo == 1:
+        return sweep._EMPTY, survey_range(hi, max_steps=max_steps, workers=workers,
+                                          chunk_size=chunk_size)
+    assert lo >= 2 << sweep.LEVEL
+    budget, table_end = min(max(max_steps, 0), sweep._MAX_BUDGET), min(hi, 2 * sweep.TABLE_CAP)
+    below, held, fold = min(lo, table_end), [], sweep._fold_piece
+
+    def keep(table, side, *rest):
+        held[:] = table, side
+        return fold(table, side, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_fold_piece", keep)
+        head = survey_range(below, max_steps=max_steps)
+    table, side = np.zeros((table_end >> 1) + 1, np.uint8), held[1]
+    table[: below >> 1] = held[0][: below >> 1]  # the head's odd starts, not its spare slot
+    pieces = []
+    for a in range(lo, hi, chunk_size):
+        b = min(a + chunk_size, hi)
+        pieces.append((a, b, min(a, table_end), budget, b <= 2 * table_end))
+    size = min(workers, len(pieces))
+    walks = (sweep._walk_piece(*piece) for piece in pieces)
+    if size > 1:
+        walks = sweep._walks_in_order(pieces, size)
+    parts, record = [], None  # the tail's ratio record before each piece
+    with closing(walks):
+        for (a, b, *_, odd), walk in zip(pieces, walks):
+            parts.append(sweep._fold_piece(table, side, a, b, budget + 1, record, walk, odd))
+            r = parts[-1].max_ratio
+            if r is not None and (record is None or r > record):
+                record = r
+    return head, _join(*parts)
+
+
+# 230631 has tst 278, the first start above 254, in the third piece of 97: at
+# 254 it fails at 255 and at 255, 256 and 260 at 256, 257 and 261, each entered
+# in the side table; (1, 5001) holds tst up to 150 and enters none.
+NARROW_WINDOWS = [
+    (230400, 230900, 10**5),
+    (230400, 230900, 260),
+    (230400, 230900, 256),
+    (230400, 230900, 255),
+    (230400, 230900, 254),
+    (1, 5001, 10**5),
+]
 
 
 class TestNarrowTable:
@@ -462,19 +533,20 @@ class TestNarrowTable:
     255 widens into the side table, and every survey gives the reference's
     result."""
 
-    @pytest.mark.parametrize("chunk_size", [1000, 1 << 18])
-    @pytest.mark.parametrize("hi, max_steps", NARROW_PREFIXES)
-    def test_widen_matches_reference(self, hi, max_steps, chunk_size):
-        got = survey_range(hi, max_steps=max_steps, chunk_size=chunk_size)
-        assert got == _reference(hi, max_steps)
+    @pytest.mark.parametrize("chunk_size", [1, 97, 1 << 18])
+    @pytest.mark.parametrize("lo, hi, max_steps", NARROW_WINDOWS)
+    def test_widen_matches_reference(self, lo, hi, max_steps, chunk_size):
+        # [1, hi) with the pieces of [lo, hi) cut at chunk_size, walks landing
+        # on the starts of [lo, a) too
+        assert _join(*_cut(lo, hi, max_steps, chunk_size)) == _reference(hi, max_steps)
 
     @pytest.mark.parametrize("cap", [1, 64])
-    @pytest.mark.parametrize("hi, max_steps", [(230900, 260), (5001, 10**5)])
-    def test_widen_with_tiny_table_cap(self, monkeypatch, cap, hi, max_steps):
-        # with start 1 alone in the table, each walk goes on to 1
+    @pytest.mark.parametrize("lo, hi, max_steps", [(230400, 230900, 260), (1, 5001, 10**5)])
+    def test_widen_with_tiny_table_cap(self, monkeypatch, cap, lo, hi, max_steps):
+        # with start 1 alone in the table, each walk goes on to 1; past a landing
+        # below 128 no orbit passes the window's peak, so the tail is [lo, hi)'s
         monkeypatch.setattr(sweep, "TABLE_CAP", cap)
-        got = survey_range(hi, max_steps=max_steps, chunk_size=1 << 14)
-        assert got == _reference(hi, max_steps)
+        assert _cut(lo, hi, max_steps, 97)[1] == _plain(lo, hi, max_steps)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_widen_at_any_worker_count(self, workers):
@@ -572,15 +644,45 @@ class TestNarrowTable:
         assert peak <= 0.85 * n
 
 
+LONG_WALKS = 1723000
+
+
 class TestNarrowSteps:
     """A walk holds its step counts in a byte until one passes 255 or a spent
     budget must read max_steps + 1, and the survey gives the reference's result
     across both widenings at every worker count."""
 
+    @pytest.mark.parametrize("lo", [2**20, LONG_WALKS])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [700, 1024])
+    @pytest.mark.parametrize("max_steps", [10**5, 300, 255])
+    def test_widen_matches_reference(self, monkeypatch, lo, workers, chunk_size, max_steps):
+        # With the table down to the odd starts below 16 every walk of the
+        # window [lo, lo + 3000) goes on below 16, where its orbit has peaked;
+        # only the piece of LONG_WALKS walks past 255 steps, and at 300 and 255
+        # its budget, which its fold reads as a failure.
+        monkeypatch.setattr(sweep, "TABLE_CAP", 8)
+        widths, walk = {}, sweep._walk_piece
+
+        def spy(a, *rest):
+            steps, *more = walk(a, *rest)
+            widths[a] = steps.dtype.itemsize
+            return steps, *more
+
+        monkeypatch.setattr(sweep, "_walk_piece", spy)
+        hi = lo + 3000
+        got = _cut(lo, hi, max_steps, chunk_size, workers)[1]
+        assert got == _plain(lo, hi, max_steps)
+        window = {a: w for a, w in widths.items() if a >= lo}
+        assert len(window) == -(-3000 // chunk_size)
+        assert [a for a, w in window.items() if w == 2] == ([lo] if lo == LONG_WALKS else [])
+        if lo == LONG_WALKS:
+            assert got.failures == {10**5: (), 300: (1723519,), 255: (1723519, 1723547)}[max_steps]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("chunk_size", [10**4, 1 << 14])
     @pytest.mark.parametrize("max_steps", [10**5, 300, 255])
-    def test_widen_matches_reference(self, monkeypatch, workers, chunk_size, max_steps):
+    def test_widen_in_a_prefix(self, monkeypatch, workers, chunk_size, max_steps):
         # With the table down to the odd starts below 16, whose tst is at most
         # 13, every walk goes on below 16: of [1, 230700) only 230631, tst 278,
         # walks past 255 steps, or spends a budget of 255 and reads 256, in the
